@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-read bench-store bench-serve test-disk test-mmap tables matrix matrix-check matrix-baseline serve faults soak fuzz cluster chaos examples clean
+.PHONY: all build test race cover bench bench-read bench-store bench-serve tables matrix matrix-check matrix-baseline serve faults soak fuzz cluster chaos examples clean
 
 all: build test
 
@@ -30,8 +30,8 @@ bench:
 bench-read:
 	$(GO) test -bench Populated -benchmem -benchtime=2s -run '^$$' .
 
-# Storage-tier microbenchmarks: Fetch cost per serving tier, for both the
-# all-in-heap backends and the real file-backed ones — the numbers behind
+# Storage-tier microbenchmarks: streaming read cost per serving tier over
+# the all-in-heap, file-backed and mmap-middle stacks — the numbers behind
 # bench_tables.txt's "storage engine" table.
 bench-store:
 	$(GO) test -bench AccessByTier -benchmem -benchtime=2s -run '^$$' ./internal/storage/
@@ -43,17 +43,6 @@ bench-serve:
 	$(GO) test -bench ServeBody -benchmem -benchtime=100x \
 		-run 'ServeBodyHeapAllocCeiling|HeapStreamAllocs' \
 		./internal/gateway/ ./internal/storage/
-
-# The storage and warehouse suites against real file-backed tiers (what
-# the storage-disk CI job runs).
-test-disk:
-	CBFWW_DISK_TIER=1 $(GO) test -race ./internal/storage/... ./internal/warehouse/...
-
-# Same suites with the middle tier on the mmap arena store (what the
-# storage-mmap CI job runs): CBFWW_MMAP_TIER swaps the default tier
-# table's disk tier onto the mmap backend.
-test-mmap:
-	CBFWW_DISK_TIER=1 CBFWW_MMAP_TIER=1 $(GO) test -race ./internal/storage/... ./internal/warehouse/...
 
 # Paper tables via the CLI (same experiments, readable output).
 tables:
@@ -105,12 +94,15 @@ chaos:
 	$(GO) test -race -v -run 'Chaos|Handoff|Health|Prober|Owners|Replica' \
 		./internal/peers ./internal/gateway ./internal/warehouse ./cmd/cbfww-serve
 
-# Native fuzzing of the query lexer/parser (30s per target; crank
-# FUZZTIME for a longer hunt).
+# Native fuzzing of the decoders that see bytes they did not just write:
+# the query lexer/parser, the stored page payload and the peer frame (30s
+# per target; crank FUZZTIME for a longer hunt).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/query/
 	$(GO) test -fuzz FuzzRunString -fuzztime $(FUZZTIME) -run '^$$' ./internal/query/
+	$(GO) test -fuzz FuzzDecodePageStream -fuzztime $(FUZZTIME) -run '^$$' ./internal/warehouse/
+	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/peers/
 
 examples:
 	$(GO) run ./examples/quickstart

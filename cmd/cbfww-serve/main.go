@@ -188,7 +188,9 @@ func build(opts options) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.ApplySchema(s)
+		if err := cfg.ApplySchema(s); err != nil {
+			return nil, err
+		}
 	}
 
 	// A serving daemon lives on wall-clock time: usage windows, aging and
@@ -474,6 +476,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("cbfww-serve: %v", err)
 	}
+	// The handler goes in before the listener: once "listening on" is
+	// logged a supervisor may signal at any moment, and a signal that
+	// arrives first must still drain and checkpoint.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := d.start(); err != nil {
 		log.Fatalf("cbfww-serve: %v", err)
 	}
@@ -482,8 +489,6 @@ func main() {
 		log.Printf("try: curl 'http://%s/fetch?url=%s'", d.srv.Addr(), d.urls[0])
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	log.Printf("received %v; draining in-flight requests", s)
 

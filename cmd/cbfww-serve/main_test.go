@@ -4,13 +4,21 @@ package main
 // one /fetch over a real socket, and shut down cleanly.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"cbfww/internal/core"
 )
 
 func TestServeSmoke(t *testing.T) {
@@ -386,5 +394,114 @@ func TestServeRestartSmoke(t *testing.T) {
 	defer cancel2()
 	if err := d2.shutdown(ctx2); err != nil {
 		t.Fatalf("shutdown 2: %v", err)
+	}
+}
+
+// TestBuildMmapTierWithSchema: a schema's tier directives edit the table
+// -mmap-tier built — by row name, the inserted "mmap" row included —
+// instead of being silently overridden by it (or overriding it).
+func TestBuildMmapTierWithSchema(t *testing.T) {
+	schemaFile := func(text string) string {
+		path := filepath.Join(t.TempDir(), "schema.txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	opts := func(schema string) options {
+		return options{
+			addr: "127.0.0.1:0", sites: 1, pages: 2, seed: 1, workers: 1,
+			dataDir: t.TempDir(), mmapTier: 1 << 20, schemaFile: schemaFile(schema),
+		}
+	}
+	d, err := build(opts("tier memory capacity 1200KB\ntier mmap capacity 3MB\n"))
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer d.wh.Close()
+	tiers := d.wh.StorageManager().Tiers()
+	if len(tiers) != 4 || tiers[1].Name != "mmap" || tiers[1].Backend != "mmap" {
+		t.Fatalf("tier table = %+v, want the four-row stack with an mmap row", tiers)
+	}
+	if tiers[0].Capacity != 1200*core.KB {
+		t.Errorf("memory capacity = %v, want the schema's 1200KB", tiers[0].Capacity)
+	}
+	if tiers[1].Capacity != 3*core.MB {
+		t.Errorf("mmap capacity = %v, want the schema's 3MB", tiers[1].Capacity)
+	}
+
+	for name, schema := range map[string]string{
+		"unknown tier":      "tier nvram capacity 1MB\n",
+		"bounded last tier": "tier tertiary capacity 1MB\n",
+	} {
+		if _, err := build(opts(schema)); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("%s: build err = %v, want ErrInvalid", name, err)
+		}
+	}
+}
+
+// TestMain lets the test binary stand in for the daemon: re-executed with
+// serveChildEnv set, it runs main() on the flags after "--".
+func TestMain(m *testing.M) {
+	if os.Getenv(serveChildEnv) != "" {
+		for i, a := range os.Args {
+			if a == "--" {
+				os.Args = append(os.Args[:1], os.Args[i+1:]...)
+				break
+			}
+		}
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+const serveChildEnv = "CBFWW_SERVE_TEST_CHILD"
+
+// TestSignalRightAfterListening: a SIGTERM that lands the moment the
+// daemon has logged "listening on" — when a supervisor may first send
+// one — still gets the graceful path: drain, checkpoint, exit 0. The
+// handler used to be installed after that log line, so a prompt signal
+// killed the process outright.
+func TestSignalRightAfterListening(t *testing.T) {
+	rounds := 10
+	if testing.Short() {
+		rounds = 2
+	}
+	for i := 0; i < rounds; i++ {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], "--",
+			"-addr", "127.0.0.1:0", "-data-dir", dir, "-sites", "1", "-pages", "2", "-maintain-every", "0")
+		cmd.Env = append(os.Environ(), serveChildEnv+"=1")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout strings.Builder
+		cmd.Stdout = &stdout
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var logged strings.Builder
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			logged.WriteString(sc.Text() + "\n")
+			if strings.Contains(sc.Text(), "listening on") {
+				cmd.Process.Signal(syscall.SIGTERM)
+				break
+			}
+		}
+		for sc.Scan() {
+			logged.WriteString(sc.Text() + "\n")
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("round %d: daemon did not exit cleanly: %v\n%s", i, err, logged.String())
+		}
+		if !strings.Contains(logged.String(), "draining in-flight requests") || !strings.Contains(stdout.String(), "served 0 requests") {
+			t.Fatalf("round %d: no graceful shutdown:\nstderr: %sstdout: %s", i, logged.String(), stdout.String())
+		}
+		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {
+			t.Fatalf("round %d: exit without a checkpoint: %v", i, err)
+		}
 	}
 }

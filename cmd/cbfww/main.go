@@ -57,7 +57,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.ApplySchema(s)
+		if err := cfg.ApplySchema(s); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("applied schema %s (admission rules: %v, consistency: %v)\n",
 			*schemaFile, s.Admission.Rules(), s.Consistency.Mode)
 	}

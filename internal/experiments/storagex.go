@@ -80,6 +80,14 @@ func F3StorageMapping(seed int64) Table {
 	return t
 }
 
+// classicStack is the Figure-3 table at the given capacities and access
+// costs.
+func classicStack(memCap, diskCap core.Bytes, diskLat, tapeLat core.Duration) storage.Config {
+	tiers := storage.ClassicTiers(memCap, diskCap)
+	tiers[1].Latency, tiers[2].Latency = diskLat, tapeLat
+	return storage.Config{Tiers: tiers}
+}
+
 // replayPriorityPlacement replays the log against a storage.Manager whose
 // priorities come from λ-aged frequencies (or uniform random when random
 // is true), re-applied every maintenance period.
@@ -87,10 +95,7 @@ func replayPriorityPlacement(log logmine.Log, ids map[string]core.ObjectID,
 	sizes map[core.ObjectID]core.Bytes, memCap, diskCap core.Bytes,
 	diskLat, tapeLat core.Duration, random bool, seed int64) float64 {
 
-	m, err := storage.NewManager(storage.Config{
-		MemCapacity: memCap, DiskCapacity: diskCap,
-		MemLatency: 0, DiskLatency: diskLat, TertiaryLatency: tapeLat,
-	})
+	m, err := storage.NewManager(classicStack(memCap, diskCap, diskLat, tapeLat))
 	if err != nil {
 		panic(err)
 	}
@@ -141,10 +146,7 @@ func replayOracle(log logmine.Log, ids map[string]core.ObjectID,
 	sizes map[core.ObjectID]core.Bytes, memCap, diskCap core.Bytes,
 	diskLat, tapeLat core.Duration, future map[core.ObjectID]int) float64 {
 
-	m, err := storage.NewManager(storage.Config{
-		MemCapacity: memCap, DiskCapacity: diskCap,
-		MemLatency: 0, DiskLatency: diskLat, TertiaryLatency: tapeLat,
-	})
+	m, err := storage.NewManager(classicStack(memCap, diskCap, diskLat, tapeLat))
 	if err != nil {
 		panic(err)
 	}
@@ -268,10 +270,7 @@ func X4CopyControl(seed int64) Table {
 		Header: []string{"scenario", "restored", "stale", "lost", "invariants"},
 	}
 	scenario := func(name string, drop []storage.Tier, updateBeforeDrop bool) {
-		m, err := storage.NewManager(storage.Config{
-			MemCapacity: 100 * core.KB, DiskCapacity: core.MB,
-			DiskLatency: 10, TertiaryLatency: 100,
-		})
+		m, err := storage.NewManager(storage.Config{Tiers: storage.ClassicTiers(100*core.KB, core.MB)})
 		if err != nil {
 			panic(err)
 		}
@@ -322,10 +321,8 @@ func L1TertiaryLocality(seed int64) Table {
 	const nObjects, nGroups, groupSize = 400, 8, 30
 	rng := newRand(seed)
 
-	m, err := storage.NewManager(storage.Config{
-		MemCapacity: 1, DiskCapacity: 1, // archive-only: everything on tape
-		DiskLatency: 10, TertiaryLatency: 100,
-	})
+	// Archive-only: everything on tape.
+	m, err := storage.NewManager(storage.Config{Tiers: storage.ClassicTiers(1, 1)})
 	if err != nil {
 		panic(err)
 	}

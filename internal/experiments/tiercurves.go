@@ -78,11 +78,7 @@ func TierCurves(seed int64, stacks []string) Table {
 			}
 			return b
 		}
-		cfg := storage.Config{
-			MemCapacity:  memCap(fractions[0]),
-			DiskCapacity: totalBytes / 2,
-			MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		}
+		cfg := storage.Config{Tiers: storage.ClassicTiers(memCap(fractions[0]), totalBytes/2)}
 		if stack == "mmap" {
 			cfg = cfg.WithMmapTier(2 * memCap(fractions[0]))
 		}

@@ -56,12 +56,7 @@ func buildWorld(seed int64, sites, pages, sessions int, length core.Duration,
 	// the log's Modified flags having influenced nothing here. The
 	// warehouse sees the web as it is now.
 	cfg := warehouse.DefaultConfig()
-	cfg.Storage = storage.Config{
-		MemCapacity:  2 * core.MB,
-		DiskCapacity: 256 * core.MB,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio: 0.05,
-	}
+	cfg.Storage.Tiers = storage.ClassicTiers(2*core.MB, 256*core.MB)
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/simweb"
+	"cbfww/internal/storage"
 	"cbfww/internal/warehouse"
 )
 
@@ -64,8 +65,7 @@ func largeBody(n int) string {
 func newBodyGateway(t *testing.T, page simweb.Page) (*Server, *warehouse.Warehouse) {
 	t.Helper()
 	cfg := warehouse.DefaultConfig()
-	cfg.Storage.MemCapacity = 64 * core.MB
-	cfg.Storage.DiskCapacity = 128 * core.MB
+	cfg.Storage.Tiers = storage.ClassicTiers(64*core.MB, 128*core.MB)
 	cfg.DataDir = t.TempDir()
 	wh, err := warehouse.New(cfg, core.NewSimClock(0), &fixedOrigin{page: page})
 	if err != nil {
@@ -143,14 +143,14 @@ func TestBodyLargeRoundTrip(t *testing.T) {
 
 			sm := wh.StorageManager()
 			// Shrink memory to nothing: the full copy survives on disk only.
-			if err := sm.Resize(1, 128*core.MB); err != nil {
+			if err := sm.ResizeTiers(map[string]core.Bytes{"memory": 1}); err != nil {
 				t.Fatalf("Resize to disk-only: %v", err)
 			}
 			get("disk")
 
 			// Back up to the segment log, then shrink both fast tiers away.
 			sm.Backup()
-			if err := sm.Resize(1, 1); err != nil {
+			if err := sm.ResizeTiers(map[string]core.Bytes{"disk": 1}); err != nil {
 				t.Fatalf("Resize to tertiary-only: %v", err)
 			}
 			get("tertiary")
@@ -182,8 +182,7 @@ func newHeapBodyHandler(t testing.TB, n int) (http.Handler, *http.Request, strin
 	body := largeBody(n)
 	page := simweb.Page{URL: u, Title: "big", Body: body, Size: core.Bytes(n), Version: 1}
 	cfg := warehouse.DefaultConfig()
-	cfg.Storage.MemCapacity = 64 * core.MB
-	cfg.Storage.DiskCapacity = 128 * core.MB
+	cfg.Storage.Tiers = storage.ClassicTiers(64*core.MB, 128*core.MB)
 	wh, err := warehouse.New(cfg, core.NewSimClock(0), &fixedOrigin{page: page})
 	if err != nil {
 		t.Fatalf("warehouse.New: %v", err)

@@ -14,6 +14,7 @@ import (
 	"cbfww/internal/core"
 	"cbfww/internal/peers"
 	"cbfww/internal/resilience"
+	"cbfww/internal/simweb"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
@@ -385,14 +386,10 @@ func TestPeerPutEndpoint(t *testing.T) {
 	}
 	fetchesBefore := g.Web.TotalFetches()
 
-	push := func(pp peers.PeerPut) (int, map[string]bool) {
+	post := func(contentType string, body io.Reader) (int, map[string]bool) {
 		t.Helper()
-		body, err := json.Marshal(pp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+peers.PeerPutPath, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+peers.PeerPutPath, body)
+		req.Header.Set("Content-Type", contentType)
 		req.Header.Set(peers.HeaderFrom, sender)
 		resp, err := ts.Client().Do(req)
 		if err != nil {
@@ -403,8 +400,18 @@ func TestPeerPutEndpoint(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&out)
 		return resp.StatusCode, out
 	}
+	push := func(u string, page simweb.Page) (int, map[string]bool) {
+		t.Helper()
+		meta := peers.PageMeta(page)
+		meta.URL = u
+		line, err := peers.EncodeFrameMeta(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post(peers.FrameContentType, io.MultiReader(bytes.NewReader(line), strings.NewReader(page.Body)))
+	}
 
-	if code, out := push(peers.PeerPut{URL: u, Page: fr.Page}); code != http.StatusOK || !out["admitted"] {
+	if code, out := push(u, fr.Page); code != http.StatusOK || !out["admitted"] {
 		t.Fatalf("cold push = %d %v, want 200 admitted", code, out)
 	}
 	// The pushed copy is resident: /peer/fetch serves it without any
@@ -416,7 +423,7 @@ func TestPeerPutEndpoint(t *testing.T) {
 		t.Errorf("replica push touched the origin: fetches %d -> %d", fetchesBefore, got)
 	}
 	// Same version again is an honest no-op, not an error.
-	if code, out := push(peers.PeerPut{URL: u, Page: fr.Page}); code != http.StatusOK || out["admitted"] {
+	if code, out := push(u, fr.Page); code != http.StatusOK || out["admitted"] {
 		t.Errorf("same-version push = %d %v, want 200 not admitted", code, out)
 	}
 
@@ -429,18 +436,18 @@ func TestPeerPutEndpoint(t *testing.T) {
 		t.Errorf("warehouse replica_admits = %d, want 1", stats.Warehouse.ReplicaAdmits)
 	}
 
-	// Malformed bodies are the client's problem.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+peers.PeerPutPath, strings.NewReader("{not json"))
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	// Malformed bodies are the client's problem: a torn frame, a frame
+	// naming no URL, and any content type but the frame's — the JSON body
+	// earlier builds accepted included.
+	if code, _ := post(peers.FrameContentType, strings.NewReader("{not a frame")); code != http.StatusBadRequest {
+		t.Errorf("garbage push = %d, want 400", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage push = %d, want 400", resp.StatusCode)
-	}
-	if code, _ := push(peers.PeerPut{}); code != http.StatusBadRequest {
+	if code, _ := push("", simweb.Page{}); code != http.StatusBadRequest {
 		t.Errorf("empty push = %d, want 400", code)
+	}
+	legacy, _ := json.Marshal(map[string]any{"url": u, "page": fr.Page})
+	if code, _ := post("application/json", bytes.NewReader(legacy)); code != http.StatusBadRequest {
+		t.Errorf("JSON push = %d, want 400", code)
 	}
 }
 

@@ -566,7 +566,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		hits[i] = SearchHit{Doc: int64(sc.Doc), Score: sc.Value}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"tier":          res.Tier.String(),
+		"tier":          s.wh.StorageManager().TierName(res.Tier),
 		"latency_ticks": int64(res.Latency),
 		"hits":          hits,
 	})
@@ -614,9 +614,7 @@ func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer bs.Close()
 	// Framed answer: JSON meta line + raw body, streamed from the serving
-	// tier. The prober recognizes the content type; plain-JSON peers never
-	// ask for it (they just see a content type they don't special-case and
-	// fail the probe closed, falling back to the origin).
+	// tier.
 	meta := peers.PageMeta(res.Page)
 	meta.URL = url
 	meta.BodyLen = bs.Len()
@@ -641,22 +639,16 @@ func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
 // newest-wins, and the receiving warehouse never re-replicates what came
 // in this way — so pushes cannot storm.
 func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
-	var pp peers.PeerPut
-	if strings.HasPrefix(r.Header.Get("Content-Type"), peers.FrameContentType) {
-		m, page, err := peers.ReadFrame(r.Body)
-		if err != nil {
-			writeError(w, fmt.Errorf("gateway: peer put: %w: %w", core.ErrInvalid, err))
-			return
-		}
-		pp = peers.PeerPut{URL: m.URL, Page: page}
-	} else if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&pp); err != nil {
+	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, peers.FrameContentType) {
+		writeError(w, fmt.Errorf("gateway: peer put: %w: content type %q", core.ErrInvalid, ct))
+		return
+	}
+	m, page, err := peers.ReadFrame(r.Body)
+	if err != nil {
 		writeError(w, fmt.Errorf("gateway: peer put: %w: %w", core.ErrInvalid, err))
 		return
 	}
-	if pp.URL == "" {
-		pp.URL = pp.Page.URL
-	}
-	if pp.URL == "" {
+	if m.URL == "" {
 		writeError(w, fmt.Errorf("gateway: peer put: %w: missing url", core.ErrInvalid))
 		return
 	}
@@ -664,7 +656,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(peers.HeaderNode, cl.Self())
 		cl.CountReplicaReceived(peers.LastHop(r.Header.Get(peers.HeaderFrom)))
 	}
-	admitted, err := s.wh.AdmitReplica(pp.URL, simweb.FetchResult{Page: pp.Page})
+	admitted, err := s.wh.AdmitReplica(m.URL, simweb.FetchResult{Page: page})
 	if err != nil {
 		writeError(w, err)
 		return

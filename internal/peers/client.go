@@ -3,7 +3,6 @@ package peers
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,12 +25,6 @@ const PeerFetchPath = "/peer/fetch"
 // origin fetch. Best-effort — the receiver may reject (admission
 // constraints) and the sender does not care.
 const PeerPutPath = "/peer/put"
-
-// PeerPut is the replication push body.
-type PeerPut struct {
-	URL  string      `json:"url"`
-	Page simweb.Page `json:"page"`
-}
 
 // HopsContain reports whether the comma-separated HeaderFrom hop list
 // names node. The hop list replaced the single-flag loop guard: each
@@ -71,15 +64,15 @@ func AppendHop(hops, node string) string {
 	return hops + "," + node
 }
 
-// PeerPage is the probe response body: the resident page plus how the
-// answering node served it. simweb.Page marshals whole — title, body,
-// anchors, size, version, last-modified — so the prober can run the full
-// admission path on it, exactly as it would on an origin fetch.
+// PeerPage is a probe's answer: the resident page plus how the answering
+// node served it. The page arrives whole — title, body, anchors, size,
+// version, last-modified — so the prober can run the full admission path
+// on it, exactly as it would on an origin fetch.
 type PeerPage struct {
-	Page         simweb.Page `json:"page"`
-	Source       string      `json:"source"`
-	LatencyTicks int64       `json:"latency_ticks"`
-	Stale        bool        `json:"stale"`
+	Page         simweb.Page
+	Source       string
+	LatencyTicks int64
+	Stale        bool
 }
 
 // maxPeerBody bounds how much of a peer response is read (defensive: a
@@ -229,21 +222,19 @@ func (c *Cluster) probe(ctx context.Context, peer, url string) (PeerPage, bool, 
 	case resp.StatusCode != http.StatusOK:
 		return PeerPage{}, false, fmt.Errorf("peers: probe %s: status %d", peer, resp.StatusCode)
 	}
-	var pp PeerPage
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), FrameContentType) {
-		// Framed answer: meta line + raw body, streamed by the serving node.
-		m, page, err := ReadFrame(resp.Body)
-		if err != nil {
-			return PeerPage{}, false, fmt.Errorf("peers: probe %s: %w", peer, err)
-		}
-		pp = PeerPage{Page: page, Source: m.Source, LatencyTicks: m.LatencyTicks, Stale: m.Stale}
-	} else if err := json.NewDecoder(io.LimitReader(resp.Body, maxPeerBody)).Decode(&pp); err != nil {
-		return PeerPage{}, false, fmt.Errorf("peers: probe %s: decode: %w", peer, err)
+	// The answer is a frame: meta line + raw body, streamed by the
+	// serving node. Anything else is not a peer speaking this protocol.
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, FrameContentType) {
+		return PeerPage{}, false, fmt.Errorf("peers: probe %s: %w: content type %q", peer, core.ErrInvalid, ct)
 	}
-	if pp.Page.URL == "" {
-		pp.Page.URL = url
+	m, page, err := ReadFrame(resp.Body)
+	if err != nil {
+		return PeerPage{}, false, fmt.Errorf("peers: probe %s: %w", peer, err)
 	}
-	return pp, true, nil
+	if page.URL == "" {
+		page.URL = url
+	}
+	return PeerPage{Page: page, Source: m.Source, LatencyTicks: m.LatencyTicks, Stale: m.Stale}, true, nil
 }
 
 // roundTrip issues one GET to addr carrying the hop list in the cluster
@@ -259,7 +250,7 @@ func (c *Cluster) roundTrip(ctx context.Context, addr, pathAndQuery, hops string
 
 // put pushes one admitted payload to peer's /peer/put as a frame: the
 // meta line plus the raw body, chained readers with no concatenated
-// buffer and no JSON escaping of megabyte bodies. Any non-2xx answer is a
+// buffer. Any non-2xx answer is a
 // failure — the peer was reachable but refused, and the caller's
 // park-and-retry path handles both the same way.
 func (c *Cluster) put(ctx context.Context, peer, url string, page simweb.Page) error {

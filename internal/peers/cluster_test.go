@@ -2,7 +2,7 @@ package peers
 
 import (
 	"context"
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -35,7 +35,12 @@ func newFakePeer(pages map[string]simweb.Page) *fakePeer {
 			http.NotFound(w, r)
 			return
 		}
-		json.NewEncoder(w).Encode(PeerPage{Page: page, Source: "memory", LatencyTicks: 3})
+		meta := PageMeta(page)
+		meta.Source, meta.LatencyTicks = "memory", 3
+		line, _ := EncodeFrameMeta(meta)
+		w.Header().Set("Content-Type", FrameContentType)
+		w.Write(line)
+		io.WriteString(w, page.Body)
 	})
 	p.srv = httptest.NewServer(mux)
 	return p

@@ -15,9 +15,8 @@ import (
 // exchange: one JSON metadata line (FrameMeta) terminated by '\n',
 // followed by exactly BodyLen raw body bytes. It exists so multi-MB
 // bodies cross the cluster without JSON string escaping and so the
-// serving side can stream them store→socket. Receivers keep accepting
-// plain application/json — the codec-era wire format — for mixed-version
-// clusters.
+// serving side can stream them store→socket. It is the only encoding the
+// peer endpoints speak; receivers reject any other content type.
 const FrameContentType = "application/x-cbfww-page"
 
 // FrameMeta is the JSON head of a framed page exchange: simweb.Page minus

@@ -3,10 +3,14 @@ package peers
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"cbfww/internal/core"
 	"cbfww/internal/simweb"
 )
 
@@ -77,4 +81,55 @@ func TestPutOversizedBody(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeds peer cap") {
 		t.Fatalf("put with oversized body = %v, want peer-cap rejection", err)
 	}
+}
+
+// TestProbeRejectsNonFrame: a peer that answers a probe with anything but
+// a frame — here the JSON body earlier builds spoke — is an error, not a
+// page.
+func TestProbeRejectsNonFrame(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, legacyJSONBody)
+	}))
+	defer srv.Close()
+	peer := strings.TrimPrefix(srv.URL, "http://")
+	c := newTestCluster(t, "127.0.0.1:1", peer)
+	_, found, err := c.probe(context.Background(), peer, "http://a.example/p")
+	if found || !errors.Is(err, core.ErrInvalid) {
+		t.Fatalf("probe over a JSON answer = found %v, err %v; want ErrInvalid", found, err)
+	}
+}
+
+// legacyJSONBody is a probe answer in the retired JSON wire format.
+const legacyJSONBody = `{"page":{"URL":"http://a.example/p","Title":"t","Body":"hello body","Version":3},"source":"memory","latency_ticks":3}`
+
+// FuzzReadFrame: no byte sequence from a peer may panic the decoder, and
+// whatever it accepts respects both bounds — the meta line's and the
+// declared body length, which the returned body must match exactly.
+func FuzzReadFrame(f *testing.F) {
+	line, _ := EncodeFrameMeta(PageMeta(simweb.Page{URL: "http://a.example/p", Title: "t", Body: "hello body", Version: 3}))
+	f.Add(append(line, "hello body"...))
+	f.Add(append(line, "hello"...)) // short body
+	f.Add([]byte(legacyJSONBody))
+	f.Add([]byte(legacyJSONBody + "\n"))
+	f.Add([]byte("{\"body_len\":-1}\n"))
+	f.Add([]byte("{\"body_len\":99999999999}\n"))
+	f.Add([]byte("\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, page, err := ReadFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if m.BodyLen < 0 || m.BodyLen > maxPeerBody || int64(len(page.Body)) != m.BodyLen {
+			t.Fatalf("accepted frame: BodyLen %d, body %d bytes", m.BodyLen, len(page.Body))
+		}
+		nl := bytes.IndexByte(data, '\n')
+		if nl < 0 || nl >= maxFrameMeta {
+			t.Fatalf("accepted a meta line of %d bytes (newline at %d)", len(data), nl)
+		}
+		if want := data[nl+1 : int64(nl+1)+m.BodyLen]; page.Body != string(want) {
+			t.Fatalf("body = %q, want the %d bytes after the meta line", page.Body, m.BodyLen)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package peers
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -22,7 +21,7 @@ type healthPeer struct {
 	srv      *httptest.Server
 	sick     atomic.Bool // true: /healthz answers 500
 	mu       sync.Mutex
-	received []PeerPut
+	received []simweb.Page
 }
 
 func newHealthPeer() *healthPeer {
@@ -36,20 +35,14 @@ func newHealthPeer() *healthPeer {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
 	mux.HandleFunc("POST "+PeerPutPath, func(w http.ResponseWriter, r *http.Request) {
-		var pp PeerPut
-		if strings.HasPrefix(r.Header.Get("Content-Type"), FrameContentType) {
-			m, page, err := ReadFrame(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			pp = PeerPut{URL: m.URL, Page: page}
-		} else if err := json.NewDecoder(r.Body).Decode(&pp); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		m, page, err := ReadFrame(r.Body)
+		if err != nil || !strings.HasPrefix(r.Header.Get("Content-Type"), FrameContentType) {
+			http.Error(w, "not a frame", http.StatusBadRequest)
 			return
 		}
+		page.URL = m.URL
 		p.mu.Lock()
-		p.received = append(p.received, pp)
+		p.received = append(p.received, page)
 		p.mu.Unlock()
 		w.Write([]byte(`{"admitted":true}`))
 	})
@@ -59,10 +52,10 @@ func newHealthPeer() *healthPeer {
 
 func (p *healthPeer) addr() string { return strings.TrimPrefix(p.srv.URL, "http://") }
 
-func (p *healthPeer) got() []PeerPut {
+func (p *healthPeer) got() []simweb.Page {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]PeerPut, len(p.received))
+	out := make([]simweb.Page, len(p.received))
 	copy(out, p.received)
 	return out
 }
@@ -206,7 +199,7 @@ func TestReplicateAdmittedPushes(t *testing.T) {
 	u := "http://a.example/replicated.html"
 	c.ReplicateAdmitted(u, simweb.Page{URL: u, Title: "copy"})
 	waitFor(t, "replica push", func() bool { return len(peer.got()) == 1 })
-	if got := peer.got()[0]; got.URL != u || got.Page.Title != "copy" {
+	if got := peer.got()[0]; got.URL != u || got.Title != "copy" {
 		t.Fatalf("replica received %+v", got)
 	}
 	if st := c.Stats().Peers[0]; st.Replicated != 1 {

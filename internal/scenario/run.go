@@ -109,12 +109,7 @@ func (r *Runner) runWarehouseCell(c Cell, g *workload.GeneratedWeb, tr *workload
 	clock := core.NewSimClock(0)
 	cfg := warehouse.DefaultConfig()
 	cfg.Shards = c.Shards
-	cfg.Storage = storage.Config{
-		MemCapacity:  c.Mem,
-		DiskCapacity: c.Disk,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio: 0.05,
-	}
+	cfg.Storage.Tiers = storage.ClassicTiers(c.Mem, c.Disk)
 	switch c.Backend {
 	case "disk", "mmap":
 		dir, err := os.MkdirTemp(r.WorkDir, "cbfww-scenario-")
@@ -123,16 +118,10 @@ func (r *Runner) runWarehouseCell(c Cell, g *workload.GeneratedWeb, tr *workload
 		}
 		defer os.RemoveAll(dir)
 		cfg.Storage.DataDir = dir
-		if c.Backend == "mmap" {
-			// The arena-mapped store backs the middle tier; names stay the
-			// classic memory/disk/tertiary so every metric key — and hence
-			// every baseline comparison — lines up across backends.
-			cfg.Storage.Tiers = []storage.TierSpec{
-				{Name: "memory", Backend: "heap", Capacity: c.Mem, Latency: cfg.Storage.MemLatency},
-				{Name: "disk", Backend: "mmap", Capacity: c.Disk, Latency: cfg.Storage.DiskLatency},
-				{Name: "tertiary", Backend: "segment", Capacity: 0, Latency: cfg.Storage.TertiaryLatency},
-			}
-		}
+		// The arena-mapped store backs the middle tier; names stay the
+		// classic memory/disk/tertiary so every metric key — and hence
+		// every baseline comparison — lines up across backends.
+		cfg.Storage.Tiers[1].Backend = c.Backend
 	}
 	switch c.Policy {
 	case "newest-top":

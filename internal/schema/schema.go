@@ -7,7 +7,7 @@
 //
 // Example schema:
 //
-//	# tiers, fastest first
+//	# tiers, by the names of the tier table's rows
 //	tier memory capacity 64MB latency 0
 //	tier disk capacity 2GB latency 10
 //	tier tertiary latency 100
@@ -38,16 +38,21 @@ import (
 
 // Schema is the compiled result.
 type Schema struct {
-	Storage     storage.Config
+	// storage holds the tier and summary directives in file order, each
+	// an edit of whatever storage configuration Apply is given. Tiers are
+	// addressed by name against that configuration's table, so a
+	// directive may name any row of it ("mmap" under -mmap-tier, say).
+	storage     []func(*storage.Config) error
 	Admission   *constraint.Admission
 	Consistency constraint.Consistency
 }
 
-// Parse compiles a schema text. Missing declarations keep the package
-// defaults (storage.DefaultConfig, admit-everything, weak consistency).
+// Parse compiles a schema text. Missing declarations keep the defaults
+// (the storage configuration Apply is given, admit-everything, weak
+// consistency). Parse checks the text; whether the tiers it names exist
+// is Apply's to say, since only Apply sees the table.
 func Parse(text string) (Schema, error) {
 	s := Schema{
-		Storage:     storage.DefaultConfig(),
 		Admission:   constraint.NewAdmission(),
 		Consistency: constraint.DefaultConsistency(),
 	}
@@ -89,14 +94,23 @@ func Parse(text string) (Schema, error) {
 	if len(rules) > 0 {
 		s.Admission = constraint.NewAdmission(rules...)
 	}
-	// Validate the storage config by constructing a manager.
-	if _, err := storage.NewManager(s.Storage); err != nil {
-		return Schema{}, fmt.Errorf("schema: %w", err)
-	}
 	return s, nil
 }
 
-// parseTier handles: tier <memory|disk|tertiary> [capacity <size>] [latency <dur>]
+// editTier queues an edit of the table row called name; set also learns
+// whether that row is the table's last, the unbounded anchor.
+func (s *Schema) editTier(name string, set func(row *storage.TierSpec, anchor bool) error) {
+	s.storage = append(s.storage, func(cfg *storage.Config) error {
+		for i := range cfg.Tiers {
+			if cfg.Tiers[i].Name == name {
+				return set(&cfg.Tiers[i], i == len(cfg.Tiers)-1)
+			}
+		}
+		return fmt.Errorf("%w: unknown tier %q", core.ErrInvalid, name)
+	})
+}
+
+// parseTier handles: tier <name> [capacity <size>] [latency <dur>]
 func (s *Schema) parseTier(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("%w: tier needs a name", core.ErrInvalid)
@@ -113,31 +127,22 @@ func (s *Schema) parseTier(args []string) error {
 			if err != nil {
 				return err
 			}
-			switch name {
-			case "memory":
-				s.Storage.MemCapacity = b
-			case "disk":
-				s.Storage.DiskCapacity = b
-			case "tertiary":
-				return fmt.Errorf("%w: tertiary is unbounded", core.ErrInvalid)
-			default:
-				return fmt.Errorf("%w: unknown tier %q", core.ErrInvalid, name)
-			}
+			s.editTier(name, func(row *storage.TierSpec, anchor bool) error {
+				if anchor {
+					return fmt.Errorf("%w: tier %q is unbounded", core.ErrInvalid, name)
+				}
+				row.Capacity = b
+				return nil
+			})
 		case "latency":
 			d, err := ParseTicks(v)
 			if err != nil {
 				return err
 			}
-			switch name {
-			case "memory":
-				s.Storage.MemLatency = d
-			case "disk":
-				s.Storage.DiskLatency = d
-			case "tertiary":
-				s.Storage.TertiaryLatency = d
-			default:
-				return fmt.Errorf("%w: unknown tier %q", core.ErrInvalid, name)
-			}
+			s.editTier(name, func(row *storage.TierSpec, _ bool) error {
+				row.Latency = d
+				return nil
+			})
 		default:
 			return fmt.Errorf("%w: unknown tier attribute %q", core.ErrInvalid, k)
 		}
@@ -158,9 +163,9 @@ func (s *Schema) parseSummary(args []string) error {
 		}
 		switch k {
 		case "ratio":
-			s.Storage.SummaryRatio = f
+			s.storage = append(s.storage, func(cfg *storage.Config) error { cfg.SummaryRatio = f; return nil })
 		case "threshold":
-			s.Storage.SummaryThreshold = f
+			s.storage = append(s.storage, func(cfg *storage.Config) error { cfg.SummaryThreshold = f; return nil })
 		default:
 			return fmt.Errorf("%w: unknown summary attribute %q", core.ErrInvalid, k)
 		}
@@ -295,11 +300,29 @@ func ParseTicks(s string) (core.Duration, error) {
 	return core.Duration(n * mult), nil
 }
 
-// Apply merges the schema into a warehouse-style configuration trio.
-// (Defined here rather than on warehouse.Config to keep the dependency
-// arrow pointing from schema to the managers only.)
-func (s Schema) Apply(st *storage.Config, adm **constraint.Admission, cons *constraint.Consistency) {
-	*st = s.Storage
-	*adm = s.Admission
-	*cons = s.Consistency
+// Apply merges the schema into a warehouse-style configuration trio: the
+// storage directives edit *st by tier name, the admission rules and the
+// consistency discipline replace theirs. A directive naming a tier the
+// table lacks, a capacity on the unbounded last row, or a result no
+// Storage Manager would accept (latencies out of order, ...) is
+// core.ErrInvalid and leaves all three untouched. (Defined here rather
+// than on warehouse.Config to keep the dependency arrow pointing from
+// schema to the managers only.)
+func (s Schema) Apply(st *storage.Config, adm **constraint.Admission, cons *constraint.Consistency) error {
+	cfg := *st
+	cfg.Tiers = append([]storage.TierSpec(nil), st.Tiers...)
+	for _, edit := range s.storage {
+		if err := edit(&cfg); err != nil {
+			return fmt.Errorf("schema: %w", err)
+		}
+	}
+	// Validate the way the warehouse will meet the result — by building a
+	// manager — but all in heap, so nothing touches the data directory.
+	probe := cfg
+	probe.DataDir = ""
+	if _, err := storage.NewManager(probe); err != nil {
+		return fmt.Errorf("schema: %w", err)
+	}
+	*st, *adm, *cons = cfg, s.Admission, s.Consistency
+	return nil
 }

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,17 +32,18 @@ func TestParseFullSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Storage.MemCapacity != 64*core.MB {
-		t.Errorf("MemCapacity = %v", s.Storage.MemCapacity)
+	st := apply(t, s, storage.DefaultConfig())
+	if st.Tiers[0].Capacity != 64*core.MB {
+		t.Errorf("memory capacity = %v", st.Tiers[0].Capacity)
 	}
-	if s.Storage.DiskCapacity != 2*core.GB {
-		t.Errorf("DiskCapacity = %v", s.Storage.DiskCapacity)
+	if st.Tiers[1].Capacity != 2*core.GB {
+		t.Errorf("disk capacity = %v", st.Tiers[1].Capacity)
 	}
-	if s.Storage.DiskLatency != 10 || s.Storage.TertiaryLatency != 100 {
-		t.Errorf("latencies = %v/%v", s.Storage.DiskLatency, s.Storage.TertiaryLatency)
+	if st.Tiers[1].Latency != 10 || st.Tiers[2].Latency != 100 {
+		t.Errorf("latencies = %v/%v", st.Tiers[1].Latency, st.Tiers[2].Latency)
 	}
-	if s.Storage.SummaryRatio != 0.05 || s.Storage.SummaryThreshold != 0.25 {
-		t.Errorf("summary = %v/%v", s.Storage.SummaryRatio, s.Storage.SummaryThreshold)
+	if st.SummaryRatio != 0.05 || st.SummaryThreshold != 0.25 {
+		t.Errorf("summary = %v/%v", st.SummaryRatio, st.SummaryThreshold)
 	}
 	if len(s.Admission.Rules()) != 4 {
 		t.Errorf("rules = %v", s.Admission.Rules())
@@ -63,9 +65,20 @@ func TestParseFullSchema(t *testing.T) {
 	}
 
 	// The compiled storage config constructs a working manager.
-	if _, err := storage.NewManager(s.Storage); err != nil {
+	if _, err := storage.NewManager(st); err != nil {
 		t.Errorf("compiled storage config invalid: %v", err)
 	}
+}
+
+// apply runs s.Apply over base and returns the edited storage config.
+func apply(t *testing.T, s Schema, base storage.Config) storage.Config {
+	t.Helper()
+	var adm *constraint.Admission
+	var cons constraint.Consistency
+	if err := s.Apply(&base, &adm, &cons); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	return base
 }
 
 func TestParseDefaults(t *testing.T) {
@@ -74,8 +87,8 @@ func TestParseDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := storage.DefaultConfig()
-	if s.Storage.MemCapacity != def.MemCapacity {
-		t.Error("defaults not preserved")
+	if got := apply(t, s, def); !reflect.DeepEqual(got, def) {
+		t.Errorf("defaults not preserved: %+v", got)
 	}
 	if err := s.Admission.Check(constraint.Candidate{Size: 1 << 50}); err != nil {
 		t.Error("default admission not admit-all")
@@ -98,8 +111,6 @@ func TestParseErrors(t *testing.T) {
 		"tier",
 		"tier memory capacity",
 		"tier memory capacity 64XB",
-		"tier unknown capacity 1MB",
-		"tier tertiary capacity 1MB", // unbounded
 		"tier memory wat 3",
 		"summary ratio abc",
 		"summary bogus 1",
@@ -113,8 +124,6 @@ func TestParseErrors(t *testing.T) {
 		"consistency sorta",
 		"consistency weak min-poll never",
 		"consistency weak odd",
-		// Valid syntax, invalid semantics (latency inversion).
-		"tier memory latency 50\ntier disk latency 1",
 	}
 	for _, text := range bad {
 		if _, err := Parse(text); err == nil {
@@ -176,11 +185,65 @@ func TestApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st storage.Config
+	st := storage.DefaultConfig()
+	st.DataDir = "/nonexistent/left-alone" // Apply validates in heap
 	var adm *constraint.Admission
 	var cons constraint.Consistency
-	s.Apply(&st, &adm, &cons)
-	if st.MemCapacity != core.MB || adm == nil || cons.Mode != constraint.Weak {
+	if err := s.Apply(&st, &adm, &cons); err != nil {
+		t.Fatal(err)
+	}
+	if st.Tiers[0].Capacity != core.MB || st.Tiers[1].Latency != 5 || adm == nil || cons.Mode != constraint.Weak {
 		t.Errorf("Apply: %+v %v %+v", st, adm, cons)
+	}
+	if st.DataDir != "/nonexistent/left-alone" {
+		t.Errorf("DataDir = %q", st.DataDir)
+	}
+}
+
+// TestApplyByName: tier directives address rows of whatever table Apply
+// is given, by name — the four-row stack's "mmap" row included.
+func TestApplyByName(t *testing.T) {
+	s, err := Parse("tier mmap capacity 3MB latency 4\ntier memory capacity 1200KB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := storage.DefaultConfig().WithMmapTier(16 * core.MB)
+	got := apply(t, s, base)
+	if got.Tiers[0].Capacity != 1200*core.KB {
+		t.Errorf("memory capacity = %v, want 1200KB", got.Tiers[0].Capacity)
+	}
+	if got.Tiers[1].Name != "mmap" || got.Tiers[1].Capacity != 3*core.MB || got.Tiers[1].Latency != 4 {
+		t.Errorf("mmap row = %+v", got.Tiers[1])
+	}
+	if base.Tiers[0].Capacity != 64*core.MB {
+		t.Error("Apply edited the caller's table in place")
+	}
+}
+
+// TestApplyErrors: valid syntax that the table it meets cannot honour.
+func TestApplyErrors(t *testing.T) {
+	bad := []string{
+		"tier unknown capacity 1MB",
+		"tier mmap capacity 1MB",     // no such row on the classic table
+		"tier tertiary capacity 1MB", // the last row is unbounded
+		"tier memory capacity 0",
+		"tier memory latency 50\ntier disk latency 1", // latency inversion
+		"summary ratio 1.5",
+	}
+	for _, text := range bad {
+		s, err := Parse(text)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", text, err)
+			continue
+		}
+		st, def := storage.DefaultConfig(), storage.DefaultConfig()
+		var adm *constraint.Admission
+		var cons constraint.Consistency
+		if err := s.Apply(&st, &adm, &cons); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("Apply(%q) = %v, want ErrInvalid", text, err)
+		}
+		if !reflect.DeepEqual(st, def) || adm != nil {
+			t.Errorf("failed Apply(%q) left changes behind", text)
+		}
 	}
 }

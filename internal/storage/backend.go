@@ -30,17 +30,11 @@ func (k BlobKey) String() string {
 	return s
 }
 
-// BlobStore is one tier's byte store. Implementations are safe for
-// concurrent use; the manager serializes placement but lets reads overlap.
-//
-// Get and Put transfer ownership conservatively: Put may retain the slice
-// it is given (callers must not mutate it afterwards) and callers must not
-// mutate a slice returned by Get.
+// BlobStore is one tier's byte store. Bytes enter and leave it only as
+// streams (PutFrom, Open); readBlob and putBlob adapt the few callers that
+// hold or need a whole slice. Implementations are safe for concurrent use;
+// the manager serializes placement but lets reads overlap.
 type BlobStore interface {
-	// Put stores data under k, replacing any previous blob with that key.
-	Put(k BlobKey, data []byte) error
-	// Get returns the blob stored under k, or core.ErrNotFound.
-	Get(k BlobKey) ([]byte, error)
 	// Open returns a streaming reader over the blob stored under k, or
 	// core.ErrNotFound. Backends with integrity framing (the segment
 	// store) verify it here and return core.ErrCorrupt on damage, so a
@@ -48,9 +42,9 @@ type BlobStore interface {
 	// must Close the reader.
 	Open(k BlobKey) (BlobReader, error)
 	// PutFrom stores the next n bytes of r under k, replacing any
-	// previous blob with that key. It is Put without the body-sized
-	// intermediate buffer: file-backed tiers stream r to their medium
-	// through bounded chunk buffers.
+	// previous blob with that key. File-backed tiers stream r to their
+	// medium through bounded chunk buffers; a source that runs short of n
+	// fails the write and leaves the store as it was.
 	PutFrom(k BlobKey, r io.Reader, n int64) error
 	// Delete removes k. Deleting an absent key is a no-op.
 	Delete(k BlobKey) error
@@ -66,10 +60,41 @@ type BlobStore interface {
 	Close() error
 }
 
-// compacter is implemented by backends that reclaim garbage (the segment
-// store); the manager pokes it from Backup, the paper's periodic process.
+// readBlob reads the whole blob stored under k.
+func readBlob(s BlobStore, k BlobKey) ([]byte, error) {
+	br, err := s.Open(k)
+	if err != nil {
+		return nil, err
+	}
+	defer br.Close()
+	data := make([]byte, br.Len())
+	if _, err := io.ReadFull(br, data); err != nil {
+		return nil, fmt.Errorf("storage: read %v: %w", k, err)
+	}
+	return data, nil
+}
+
+// putBlob stores data under k. The store may retain the slice (the heap
+// store adopts it; a file store receives it in one Write), so callers must
+// not mutate it afterwards.
+func putBlob(s BlobStore, k BlobKey, data []byte) error {
+	return s.PutFrom(k, &memReader{data: data}, int64(len(data)))
+}
+
+// compacter is implemented by the log-structured backends, whose
+// overwrites and deletes leave garbage behind.
 type compacter interface {
-	MaybeCompact() error
+	GarbageRatio() float64
+	Compact() error
+}
+
+// compactIfGarbage compacts b when at least half the bytes it has written
+// are garbage. Manager.Backup, the paper's periodic process, drives it.
+func compactIfGarbage(b BlobStore) error {
+	if c, ok := b.(compacter); ok && c.GarbageRatio() > 0.5 {
+		return c.Compact()
+	}
+	return nil
 }
 
 // memStore is the in-heap BlobStore: a mutex-guarded map. It backs the
@@ -83,21 +108,35 @@ func newMemStore() *memStore {
 	return &memStore{m: make(map[BlobKey][]byte)}
 }
 
-func (s *memStore) Put(k BlobKey, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[k] = data
-	return nil
+func (s *memStore) Open(k BlobKey) (BlobReader, error) {
+	s.mu.RLock()
+	data, ok := s.m[k]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: mem open %v: %w", k, core.ErrNotFound)
+	}
+	return &memReader{data: data}, nil
 }
 
-func (s *memStore) Get(k BlobKey) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.m[k]
-	if !ok {
-		return nil, fmt.Errorf("storage: mem get %v: %w", k, core.ErrNotFound)
+// PutFrom materializes, as a heap store must — except when the source is
+// an unread memReader of exactly n bytes (putBlob, or a migration from
+// another heap tier): then it adopts the underlying slice, so heap↔heap
+// movement copies nothing.
+func (s *memStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
+	var data []byte
+	if mr, ok := r.(*memReader); ok && mr.off == 0 && int64(len(mr.data)) == n {
+		mr.off = len(mr.data)
+		data = mr.data
+	} else {
+		data = make([]byte, n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return fmt.Errorf("storage: mem put-from %v: %w", k, err)
+		}
 	}
-	return data, nil
+	s.mu.Lock()
+	s.m[k] = data
+	s.mu.Unlock()
+	return nil
 }
 
 func (s *memStore) Delete(k BlobKey) error {

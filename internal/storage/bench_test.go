@@ -22,72 +22,46 @@ var benchSizes = []struct {
 	{"4MB", 4 << 20},
 }
 
-// BenchmarkAccessByTier measures Fetch cost per serving tier and payload
-// size, for both the all-in-heap backends and the real file-backed ones
-// (`make bench-store`). The fixture pins one payload object per tier by
-// priority: high lands a full copy in memory, middling stops at disk,
-// and a floor-priority object crowded out of both is served from the
-// tertiary segment log. Capacities scale with the payload (memory holds
-// one object, disk two) so the pinning works at every size.
+// BenchmarkAccessByTier measures the streaming read (FetchStream +
+// WriteTo) per serving tier and payload size, over the all-in-heap, the
+// file-backed and the mmap-middle stacks (`make bench-store`). The fixture
+// pins one payload object per tier by priority: high lands a full copy in
+// memory, middling stops at the middle tier, and a floor-priority object
+// crowded out of both is served from the tertiary segment log. Capacities
+// scale with the payload (memory holds one object, the middle tier two)
+// so the pinning works at every size. B/op must stay flat as the payload
+// grows, on every backend.
 func BenchmarkAccessByTier(b *testing.B) {
-	for _, backing := range []string{"heap", "disk", "mmap"} {
+	for _, backing := range stacks {
 		for _, size := range benchSizes {
 			cfg := Config{
-				MemCapacity:  core.Bytes(size.bytes),
-				DiskCapacity: core.Bytes(2 * size.bytes),
-				MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
+				Tiers:            ClassicTiers(core.Bytes(size.bytes), core.Bytes(2*size.bytes)),
 				SummaryRatio:     0.1,
 				SummaryThreshold: 1, // no "large documents": full copies only
 			}
-			switch backing {
-			case "disk":
+			cfg.Tiers[1].Backend = backing.middle
+			if backing.onDisk {
 				cfg.DataDir = b.TempDir()
-			case "mmap":
-				// Same three-level shape, middle tier on the arena store: its
-				// rows land between heap and per-file disk in cost.
-				cfg.DataDir = b.TempDir()
-				cfg.Tiers = []TierSpec{
-					{Name: "memory", Backend: "heap", Capacity: cfg.MemCapacity, Latency: cfg.MemLatency},
-					{Name: "mmap", Backend: "mmap", Capacity: cfg.DiskCapacity, Latency: cfg.DiskLatency},
-					{Name: "tertiary", Backend: "segment", Capacity: 0, Latency: cfg.TertiaryLatency},
-				}
 			}
 			m, err := NewManager(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			payload := func(i int) []byte {
-				return bytes.Repeat([]byte{byte('a' + i)}, int(size.bytes))
-			}
 			// One object per tier: the top-priority object fills memory, the
-			// next fills the rest of disk, the third has nowhere fast to live.
-			ids := map[Tier]core.ObjectID{Memory: 1, Disk: 2, Tertiary: 3}
+			// next fills the rest of the middle tier, the third has nowhere
+			// fast to live.
 			for i, prio := range []core.Priority{0.9, 0.5, 0.1} {
-				if err := m.AdmitBytes(core.ObjectID(i+1), core.Bytes(size.bytes), 1, prio, payload(i)); err != nil {
+				payload := bytes.Repeat([]byte{byte('a' + i)}, int(size.bytes))
+				if err := m.AdmitBytes(core.ObjectID(i+1), core.Bytes(size.bytes), 1, prio, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for tier, id := range ids {
-				res, _, err := m.Fetch(id)
-				if err != nil || res.Tier != tier {
+			for tier := Memory; tier <= Tertiary; tier++ {
+				id := core.ObjectID(tier + 1)
+				if res, err := m.Access(id); err != nil || res.Tier != tier {
 					b.Fatalf("fixture: object %v served from %v (err %v), want %v", id, res.Tier, err, tier)
 				}
-			}
-			for tier := Memory; tier < numTiers; tier++ {
-				id := ids[tier]
-				b.Run(fmt.Sprintf("backing=%s/size=%s/tier=%s/mode=fetch", backing, size.label, m.TierName(tier)), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(size.bytes)
-					for i := 0; i < b.N; i++ {
-						if _, _, err := m.Fetch(id); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				// The streaming rows move the same bytes through Open +
-				// WriteTo instead of materializing a []byte: B/op must stay
-				// flat as the payload grows, on every backend.
-				b.Run(fmt.Sprintf("backing=%s/size=%s/tier=%s/mode=stream", backing, size.label, m.TierName(tier)), func(b *testing.B) {
+				b.Run(fmt.Sprintf("backing=%s/size=%s/tier=%s/mode=stream", backing.name, size.label, m.TierName(tier)), func(b *testing.B) {
 					b.ReportAllocs()
 					b.SetBytes(size.bytes)
 					for i := 0; i < b.N; i++ {

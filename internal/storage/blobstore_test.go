@@ -11,26 +11,24 @@ import (
 	"cbfww/internal/core"
 )
 
-// payloadFixture builds a manager over real file-backed disk and tertiary
-// tiers in a tempdir (same shape as newTestManager, but always on disk —
-// these tests are about the bytes).
-func payloadFixture(t *testing.T) (*Manager, string) {
+// payloadCfg is the small classic table the byte-movement tests share
+// (newTestManager's shape).
+func payloadCfg(t *testing.T, s stack) Config {
+	cfg := s.config(t, 100, 1000)
+	cfg.SummaryRatio = 0.1
+	cfg.SummaryThreshold = 0.5
+	return cfg
+}
+
+// payloadFixture builds a manager for the tests that are about the bytes.
+func payloadFixture(t *testing.T, s stack) *Manager {
 	t.Helper()
-	dir := t.TempDir()
-	cfg := Config{
-		MemCapacity:  100,
-		DiskCapacity: 1000,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 0.5,
-		DataDir:          dir,
-	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(payloadCfg(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	return m, dir
+	return m
 }
 
 func mustInvariants(t *testing.T, m *Manager) {
@@ -43,85 +41,91 @@ func mustInvariants(t *testing.T, m *Manager) {
 // TestAdmitBytesMovesBytes: an admitted payload lands in tertiary and is
 // copied — not just labeled — into every tier its priority earns.
 func TestAdmitBytesMovesBytes(t *testing.T) {
-	m, _ := payloadFixture(t)
-	body := []byte("the quick brown fox jumps over the lazy dog")
-	if err := m.AdmitBytes(1, 40, 1, 0.9, body); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		body := []byte("the quick brown fox jumps over the lazy dog")
+		if err := m.AdmitBytes(1, 40, 1, 0.9, body); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
 
-	k := BlobKey{ID: 1, Version: 1}
-	for tier := Memory; tier < numTiers; tier++ {
-		got, err := m.Backend(tier).Get(k)
+		k := BlobKey{ID: 1, Version: 1}
+		for tier := Memory; tier <= Tertiary; tier++ {
+			got, err := readBlob(m.Backend(tier), k)
+			if err != nil {
+				t.Fatalf("%v backend: %v", tier, err)
+			}
+			if !bytes.Equal(got, body) {
+				t.Fatalf("%v bytes = %q, want %q", tier, got, body)
+			}
+		}
+		res, data, err := fetch(m, 1)
 		if err != nil {
-			t.Fatalf("%v backend: %v", tier, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, body) {
-			t.Fatalf("%v bytes = %q, want %q", tier, got, body)
+		if res.Tier != Memory || !bytes.Equal(data, body) {
+			t.Fatalf("Fetch tier=%v data=%q", res.Tier, data)
 		}
-	}
-	res, data, err := m.Fetch(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != Memory || !bytes.Equal(data, body) {
-		t.Fatalf("Fetch tier=%v data=%q", res.Tier, data)
-	}
+	})
 }
 
 // TestSummaryBlobsMaterialized: a large document's memory summary is a
 // real stored blob of roughly SummaryRatio the size, not a flag.
 func TestSummaryBlobsMaterialized(t *testing.T) {
-	m, _ := payloadFixture(t)
-	body := bytes.Repeat([]byte("x"), 80) // 80 > 0.5 * 100: a "large document"
-	if err := m.AdmitBytes(7, 80, 1, 0.9, body); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	sk := BlobKey{ID: 7, Version: 1, Summary: true}
-	got, err := m.Backend(Memory).Get(sk)
-	if err != nil {
-		t.Fatalf("summary blob missing from memory backend: %v", err)
-	}
-	want := body[:8] // summarySize = 0.1 * 80
-	if !bytes.Equal(got, want) {
-		t.Fatalf("summary bytes = %q, want %q", got, want)
-	}
-	// The full body sits one level down, byte for byte.
-	if got, err := m.Backend(Disk).Get(BlobKey{ID: 7, Version: 1}); err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("disk full copy = %q, %v", got, err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		body := bytes.Repeat([]byte("x"), 80) // 80 > 0.5 * 100: a "large document"
+		if err := m.AdmitBytes(7, 80, 1, 0.9, body); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		sk := BlobKey{ID: 7, Version: 1, Summary: true}
+		got, err := readBlob(m.Backend(Memory), sk)
+		if err != nil {
+			t.Fatalf("summary blob missing from memory backend: %v", err)
+		}
+		want := body[:8] // summarySize = 0.1 * 80
+		if !bytes.Equal(got, want) {
+			t.Fatalf("summary bytes = %q, want %q", got, want)
+		}
+		// The full body sits one level down, byte for byte.
+		if got, err := readBlob(m.Backend(Disk), BlobKey{ID: 7, Version: 1}); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("disk full copy = %q, %v", got, err)
+		}
+	})
 }
 
 // TestDemotionDeletesBytes: dropping an object's priority removes its
 // fast-tier blobs, not just the copy flags.
 func TestDemotionDeletesBytes(t *testing.T) {
-	m, _ := payloadFixture(t)
-	if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("payload-one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetPriority(1, 0.0001); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	// Priority alone doesn't demote while capacity is free; crowd it out.
-	for i := 2; i <= 30; i++ {
-		if err := m.AdmitBytes(core.ObjectID(i), 40, 1, 0.5, []byte(fmt.Sprintf("filler-%d", i))); err != nil {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("payload-one")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mustInvariants(t, m)
-	tier, ok := m.Contains(1)
-	if !ok || tier != Tertiary {
-		t.Fatalf("object 1 at %v (ok=%v), want tertiary-only", tier, ok)
-	}
-	k := BlobKey{ID: 1, Version: 1}
-	if m.Backend(Memory).Contains(k) || m.Backend(Disk).Contains(k) {
-		t.Fatal("demoted object still has fast-tier bytes")
-	}
-	if _, err := m.Backend(Tertiary).Get(k); err != nil {
-		t.Fatalf("tertiary lost the payload: %v", err)
-	}
+		if err := m.SetPriority(1, 0.0001); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		// Priority alone doesn't demote while capacity is free; crowd it out.
+		for i := 2; i <= 30; i++ {
+			if err := m.AdmitBytes(core.ObjectID(i), 40, 1, 0.5, []byte(fmt.Sprintf("filler-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustInvariants(t, m)
+		tier, ok := m.Contains(1)
+		if !ok || tier != Tertiary {
+			t.Fatalf("object 1 at %v (ok=%v), want tertiary-only", tier, ok)
+		}
+		k := BlobKey{ID: 1, Version: 1}
+		if m.Backend(Memory).Contains(k) || m.Backend(Disk).Contains(k) {
+			t.Fatal("demoted object still has fast-tier bytes")
+		}
+		if _, err := readBlob(m.Backend(Tertiary), k); err != nil {
+			t.Fatalf("tertiary lost the payload: %v", err)
+		}
+	})
 }
 
 // TestRecoverAfterDiskDropRestoresExactCopies is the direct test of the
@@ -129,42 +133,44 @@ func TestDemotionDeletesBytes(t *testing.T) {
 // when the disk tier fails wholesale, Recover must rebuild the disk copies
 // of every memory-resident object from the memory bytes, byte for byte.
 func TestRecoverAfterDiskDropRestoresExactCopies(t *testing.T) {
-	m, _ := payloadFixture(t)
-	want := map[core.ObjectID][]byte{}
-	for i := 1; i <= 2; i++ {
-		id := core.ObjectID(i)
-		body := []byte(fmt.Sprintf("memory-resident body %d", i))
-		if err := m.AdmitBytes(id, 40, 1, 0.9, body); err != nil {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		want := map[core.ObjectID][]byte{}
+		for i := 1; i <= 2; i++ {
+			id := core.ObjectID(i)
+			body := []byte(fmt.Sprintf("memory-resident body %d", i))
+			if err := m.AdmitBytes(id, 40, 1, 0.9, body); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = body
+		}
+		if got := m.ResidentIDs(Memory); len(got) != 2 {
+			t.Fatalf("memory residents = %v, want both objects", got)
+		}
+		if err := m.DropTier(Disk); err != nil {
 			t.Fatal(err)
 		}
-		want[id] = body
-	}
-	if got := m.ResidentIDs(Memory); len(got) != 2 {
-		t.Fatalf("memory residents = %v, want both objects", got)
-	}
-	if err := m.DropTier(Disk); err != nil {
-		t.Fatal(err)
-	}
-	if m.Backend(Disk).Len() != 0 {
-		t.Fatal("dropped disk tier still holds blobs")
-	}
-	rep := m.Recover()
-	if rep.Lost != 0 {
-		t.Fatalf("recover lost %d objects despite memory copies", rep.Lost)
-	}
-	mustInvariants(t, m)
-	for id, body := range want {
-		if !m.ResidentAt(id, Memory) {
-			t.Fatalf("%v no longer memory-resident after recover", id)
+		if m.Backend(Disk).Len() != 0 {
+			t.Fatal("dropped disk tier still holds blobs")
 		}
-		got, err := m.Backend(Disk).Get(BlobKey{ID: id, Version: 1})
-		if err != nil {
-			t.Fatalf("%v disk copy not restored: %v", id, err)
+		rep := m.Recover()
+		if rep.Lost != 0 {
+			t.Fatalf("recover lost %d objects despite memory copies", rep.Lost)
 		}
-		if !bytes.Equal(got, body) {
-			t.Fatalf("%v restored disk bytes = %q, want %q", id, got, body)
+		mustInvariants(t, m)
+		for id, body := range want {
+			if !m.ResidentAt(id, Memory) {
+				t.Fatalf("%v no longer memory-resident after recover", id)
+			}
+			got, err := readBlob(m.Backend(Disk), BlobKey{ID: id, Version: 1})
+			if err != nil {
+				t.Fatalf("%v disk copy not restored: %v", id, err)
+			}
+			if !bytes.Equal(got, body) {
+				t.Fatalf("%v restored disk bytes = %q, want %q", id, got, body)
+			}
 		}
-	}
+	})
 }
 
 // TestBackupVersionDriftStaleRecover: a tertiary backup older than the
@@ -172,64 +178,68 @@ func TestRecoverAfterDiskDropRestoresExactCopies(t *testing.T) {
 // tiers died) must surface as Stale from Recover and on access, serving
 // the old bytes — the warehouse's cue to refetch.
 func TestBackupVersionDriftStaleRecover(t *testing.T) {
-	m, _ := payloadFixture(t)
-	v1 := []byte("version one content")
-	v2 := []byte("version two content, never backed up")
-	if err := m.AdmitBytes(1, 40, 1, 0.9, v1); err != nil {
-		t.Fatal(err)
-	}
-	m.Backup() // tertiary now holds v1 exactly
-	if err := m.UpdateBytes(1, 2, v2); err != nil {
-		t.Fatal(err)
-	}
-	// Fast copies carry v2; the backup lags at v1.
-	if got, err := m.Backend(Tertiary).Get(BlobKey{ID: 1, Version: 1}); err != nil || !bytes.Equal(got, v1) {
-		t.Fatalf("tertiary backup = %q, %v; want v1 bytes", got, err)
-	}
-	if err := m.DropTier(Memory); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DropTier(Disk); err != nil {
-		t.Fatal(err)
-	}
-	rep := m.Recover()
-	if rep.Stale != 1 {
-		t.Fatalf("recover stale = %d, want 1", rep.Stale)
-	}
-	mustInvariants(t, m)
-	res, data, err := m.Fetch(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != 1 || !bytes.Equal(data, v1) {
-		t.Fatalf("recovered fetch = v%d %q, want the v1 backup", res.Version, data)
-	}
-	// Recover reverted the authoritative version to the survivor, so the
-	// copy is current again from storage's point of view; the warehouse
-	// notices the drift through the version number it gets back.
-	if res.Stale {
-		t.Fatal("recovered copy still marked stale after version reversion")
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		v1 := []byte("version one content")
+		v2 := []byte("version two content, never backed up")
+		if err := m.AdmitBytes(1, 40, 1, 0.9, v1); err != nil {
+			t.Fatal(err)
+		}
+		m.Backup() // tertiary now holds v1 exactly
+		if err := m.UpdateBytes(1, 2, v2); err != nil {
+			t.Fatal(err)
+		}
+		// Fast copies carry v2; the backup lags at v1.
+		if got, err := readBlob(m.Backend(Tertiary), BlobKey{ID: 1, Version: 1}); err != nil || !bytes.Equal(got, v1) {
+			t.Fatalf("tertiary backup = %q, %v; want v1 bytes", got, err)
+		}
+		if err := m.DropTier(Memory); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DropTier(Disk); err != nil {
+			t.Fatal(err)
+		}
+		rep := m.Recover()
+		if rep.Stale != 1 {
+			t.Fatalf("recover stale = %d, want 1", rep.Stale)
+		}
+		mustInvariants(t, m)
+		res, data, err := fetch(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != 1 || !bytes.Equal(data, v1) {
+			t.Fatalf("recovered fetch = v%d %q, want the v1 backup", res.Version, data)
+		}
+		// Recover reverted the authoritative version to the survivor, so the
+		// copy is current again from storage's point of view; the warehouse
+		// notices the drift through the version number it gets back.
+		if res.Stale {
+			t.Fatal("recovered copy still marked stale after version reversion")
+		}
+	})
 }
 
 // TestUpdateRequiresBytesForPayloadObjects: the metadata-only Update path
 // must refuse payload objects rather than strand version labels without
 // matching bytes.
 func TestUpdateRequiresBytesForPayloadObjects(t *testing.T) {
-	m, _ := payloadFixture(t)
-	if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("content")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update(1, 2); !errors.Is(err, core.ErrInvalid) {
-		t.Fatalf("Update on payload object err = %v, want ErrInvalid", err)
-	}
-	if err := m.UpdateBytes(1, 2, []byte("new content")); err != nil {
-		t.Fatal(err)
-	}
-	mustInvariants(t, m)
-	if _, data, err := m.Fetch(1); err != nil || string(data) != "new content" {
-		t.Fatalf("after UpdateBytes: %q, %v", data, err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("content")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Update(1, 2); !errors.Is(err, core.ErrInvalid) {
+			t.Fatalf("Update on payload object err = %v, want ErrInvalid", err)
+		}
+		if err := m.UpdateBytes(1, 2, []byte("new content")); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		if _, data, err := fetch(m, 1); err != nil || string(data) != "new content" {
+			t.Fatalf("after UpdateBytes: %q, %v", data, err)
+		}
+	})
 }
 
 // TestDiskStoreReopen: the disk store's index is the filesystem — a
@@ -247,7 +257,7 @@ func TestDiskStoreReopen(t *testing.T) {
 		{ID: 300, Version: 7},
 	}
 	for i, k := range keys {
-		if err := s.Put(k, []byte(fmt.Sprintf("blob-%d", i))); err != nil {
+		if err := putBlob(s, k, []byte(fmt.Sprintf("blob-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +281,7 @@ func TestDiskStoreReopen(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("reopened Len = %d, want 2 (keys: %v)", r.Len(), r.Keys())
 	}
-	if got, err := r.Get(keys[0]); err != nil || string(got) != "blob-0" {
+	if got, err := readBlob(r, keys[0]); err != nil || string(got) != "blob-0" {
 		t.Fatalf("reopened get = %q, %v", got, err)
 	}
 	if r.Contains(keys[1]) {
@@ -293,13 +303,13 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 	}
 	blob := func(i, v int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 40+v) }
 	for i := 0; i < 8; i++ {
-		if err := s.Put(BlobKey{ID: core.ObjectID(i + 1), Version: 1}, blob(i, 1)); err != nil {
+		if err := putBlob(s, BlobKey{ID: core.ObjectID(i + 1), Version: 1}, blob(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrites and deletes pile up garbage.
 	for i := 0; i < 4; i++ {
-		if err := s.Put(BlobKey{ID: core.ObjectID(i + 1), Version: 2}, blob(i, 2)); err != nil {
+		if err := putBlob(s, BlobKey{ID: core.ObjectID(i + 1), Version: 2}, blob(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Delete(BlobKey{ID: core.ObjectID(i + 1), Version: 1}); err != nil {
@@ -321,7 +331,7 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{segMagic, segKindPut, 0, 0, 0}) // half a header
+	f.Write([]byte{segMagic, recKindPut, 0, 0, 0}) // half a header
 	f.Close()
 
 	r, err := OpenSegmentStore(dir, 256)
@@ -337,13 +347,13 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 			v = 2
 		}
 		k := BlobKey{ID: core.ObjectID(i + 1), Version: v}
-		got, err := r.Get(k)
+		got, err := readBlob(r, k)
 		if err != nil || !bytes.Equal(got, blob(i, v)) {
 			t.Fatalf("replayed %v = %q, %v", k, got, err)
 		}
 	}
 	// Appends continue cleanly past the truncated tail.
-	if err := r.Put(BlobKey{ID: 99, Version: 1}, []byte("after-truncate")); err != nil {
+	if err := putBlob(r, BlobKey{ID: 99, Version: 1}, []byte("after-truncate")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -368,7 +378,7 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 			v = 2
 		}
 		k := BlobKey{ID: core.ObjectID(i + 1), Version: v}
-		if got, err := r.Get(k); err != nil || !bytes.Equal(got, blob(i, v)) {
+		if got, err := readBlob(r, k); err != nil || !bytes.Equal(got, blob(i, v)) {
 			t.Fatalf("post-compaction %v = %q, %v", k, got, err)
 		}
 	}
@@ -391,83 +401,80 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 // including an object whose only current copy was on the (surviving)
 // disk tier, and excluding the memory tier, which died with the process.
 func TestManifestRoundTripRecoverFromDisk(t *testing.T) {
-	m, dir := payloadFixture(t)
-	if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("hot object")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AdmitBytes(2, 40, 1, 0.5, []byte("warm object")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Admit(3, 10, 1, 0.4); err != nil { // metadata-only rides along
-		t.Fatal(err)
-	}
-	m.Backup()
-	if err := m.UpdateBytes(1, 2, []byte("hot object v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SaveManifest(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		if !s.onDisk {
+			t.Skip("restart recovery needs file-backed tiers")
+		}
+		cfg := payloadCfg(t, s)
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("hot object")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AdmitBytes(2, 40, 1, 0.5, []byte("warm object")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Admit(3, 10, 1, 0.4); err != nil { // metadata-only rides along
+			t.Fatal(err)
+		}
+		m.Backup()
+		if err := m.UpdateBytes(1, 2, []byte("hot object v2")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SaveManifest(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	cfg := Config{
-		MemCapacity:  100,
-		DiskCapacity: 1000,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 0.5,
-		DataDir:          dir,
-	}
-	m2, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	n, rep, err := m2.RecoverFromDisk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("restored %d objects, want 3", n)
-	}
-	if rep.Lost != 0 {
-		t.Fatalf("lost %d objects across restart", rep.Lost)
-	}
-	mustInvariants(t, m2)
-	// Object 1's v2 bytes lived on disk (tertiary backup lagged at v1):
-	// recovery must adopt the surviving v2 disk copy, not the stale backup.
-	res, data, err := m2.Fetch(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != 2 || string(data) != "hot object v2" {
-		t.Fatalf("restart fetch = v%d %q, want v2 bytes", res.Version, data)
-	}
-	if _, data, err := m2.Fetch(2); err != nil || string(data) != "warm object" {
-		t.Fatalf("restart fetch 2 = %q, %v", data, err)
-	}
-	if _, ok := m2.Contains(3); !ok {
-		t.Fatal("metadata-only object lost across restart")
-	}
-	if p, ok := m2.Priority(2); !ok || p != 0.5 {
-		t.Fatalf("priority not restored: %v %v", p, ok)
-	}
-	// A fresh directory is a fresh start, not an error.
-	m3, err := NewManager(Config{
-		MemCapacity: 100, DiskCapacity: 1000,
-		DiskLatency: 10, TertiaryLatency: 100,
-		DataDir: t.TempDir(),
+		m2, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m2.Close()
+		n, rep, err := m2.RecoverFromDisk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 3 {
+			t.Fatalf("restored %d objects, want 3", n)
+		}
+		if rep.Lost != 0 {
+			t.Fatalf("lost %d objects across restart", rep.Lost)
+		}
+		mustInvariants(t, m2)
+		// Object 1's v2 bytes lived on disk (tertiary backup lagged at v1):
+		// recovery must adopt the surviving v2 disk copy, not the stale backup.
+		res, data, err := fetch(m2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != 2 || string(data) != "hot object v2" {
+			t.Fatalf("restart fetch = v%d %q, want v2 bytes", res.Version, data)
+		}
+		if _, data, err := fetch(m2, 2); err != nil || string(data) != "warm object" {
+			t.Fatalf("restart fetch 2 = %q, %v", data, err)
+		}
+		if _, ok := m2.Contains(3); !ok {
+			t.Fatal("metadata-only object lost across restart")
+		}
+		if p, ok := m2.Priority(2); !ok || p != 0.5 {
+			t.Fatalf("priority not restored: %v %v", p, ok)
+		}
+		// A fresh directory is a fresh start, not an error.
+		m3, err := NewManager(payloadCfg(t, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m3.Close()
+		if n, _, err := m3.RecoverFromDisk(); err != nil || n != 0 {
+			t.Fatalf("fresh dir recover = %d, %v", n, err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m3.Close()
-	if n, _, err := m3.RecoverFromDisk(); err != nil || n != 0 {
-		t.Fatalf("fresh dir recover = %d, %v", n, err)
-	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -17,9 +18,9 @@ import (
 //	<root>/<id mod 256, hex>/<id>-v<version>[.s]
 //
 // The 256 fan-out directories keep listings short at warehouse scale. A
-// Put writes to a temp file in the root and renames into place, so a
+// write goes to a temp file in the root and is renamed into place, so a
 // crash never leaves a torn blob — only a whole old one, a whole new one,
-// or a stray .tmp that Open sweeps away. The key set is mirrored in an
+// or a stray temp file that OpenDiskStore sweeps away. The key set is mirrored in an
 // in-memory index rebuilt by walking the tree on Open, which is what
 // makes crash recovery possible: surviving files *are* the store.
 type DiskStore struct {
@@ -90,7 +91,33 @@ func (s *DiskStore) path(k BlobKey) string {
 	return filepath.Join(s.root, fmt.Sprintf("%02x", uint64(k.ID)%256), k.String())
 }
 
-func (s *DiskStore) Put(k BlobKey, data []byte) error {
+// Open returns the blob's file, opened for reading. The caller owns the
+// handle; an unlink (Delete, version turnover) while the stream is in
+// flight is harmless — the open descriptor keeps the bytes readable.
+func (s *DiskStore) Open(k BlobKey) (BlobReader, error) {
+	s.mu.RLock()
+	_, ok := s.index[k]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: disk open %v: %w", k, core.ErrNotFound)
+	}
+	f, err := os.Open(s.path(k))
+	if err != nil {
+		return nil, fmt.Errorf("storage: disk open %v: %w", k, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: disk open %v: %w", k, err)
+	}
+	return &fileReader{f: f, size: fi.Size()}, nil
+}
+
+// PutFrom streams n bytes from r into a temp file and renames it into
+// place, so a crash never leaves a torn blob. io.Copy negotiates the
+// cheapest transfer with r: one Write for a resident slice (putBlob),
+// copy_file_range for disk→disk migrations.
+func (s *DiskStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
 	dst := s.path(k)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("storage: disk put %v: %w", k, err)
@@ -100,7 +127,11 @@ func (s *DiskStore) Put(k BlobKey, data []byte) error {
 		return fmt.Errorf("storage: disk put %v: %w", k, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
+	written, err := io.Copy(tmp, r)
+	if err == nil && written != n {
+		err = fmt.Errorf("wrote %d of %d bytes", written, n)
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("storage: disk put %v: %w", k, err)
 	}
@@ -118,20 +149,6 @@ func (s *DiskStore) Put(k BlobKey, data []byte) error {
 	s.index[k] = struct{}{}
 	s.mu.Unlock()
 	return nil
-}
-
-func (s *DiskStore) Get(k BlobKey) ([]byte, error) {
-	s.mu.RLock()
-	_, ok := s.index[k]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: disk get %v: %w", k, core.ErrNotFound)
-	}
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return nil, fmt.Errorf("storage: disk get %v: %w", k, err)
-	}
-	return data, nil
 }
 
 func (s *DiskStore) Delete(k BlobKey) error {
@@ -172,7 +189,7 @@ func (s *DiskStore) Len() int {
 }
 
 // Sync fsyncs the fan-out directories so renames performed since the last
-// sync are durable. Blob contents are fsynced at Put time.
+// sync are durable. Blob contents are fsynced at PutFrom time.
 func (s *DiskStore) Sync() error {
 	sub, err := os.ReadDir(s.root)
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 // efficiently. ... web data once in hot spot may be retrieved together for
 // analysis purpose. Such data are clustered in the tertiary storage."
 //
-// The manager models tertiary storage as a linear medium: every object
-// with a tertiary copy has a position, and a multi-object retrieval pays a
+// The manager models tertiary storage — the anchor, the last row of the
+// tier table whatever its name — as a linear medium: every object with an
+// anchor copy has a position, and a multi-object retrieval pays a
 // seek whenever consecutive accesses are not physically adjacent. The
 // vacuum-cleaner sweep can lay related objects out together so an
 // analysis run over a past hot spot costs one seek instead of hundreds.
@@ -37,14 +38,14 @@ func (m *Manager) LayoutTertiary(order []core.ObjectID) error {
 			return fmt.Errorf("storage: layout: %v listed twice: %w", id, core.ErrInvalid)
 		}
 		seen[id] = true
-		if o.copies[Tertiary].present {
+		if o.copies[m.last()].present {
 			o.tertiaryPos = pos
 			pos++
 		}
 	}
 	rest := make([]core.ObjectID, 0, len(m.objects))
 	for id, o := range m.objects {
-		if !seen[id] && o.copies[Tertiary].present {
+		if !seen[id] && o.copies[m.last()].present {
 			rest = append(rest, id)
 		}
 	}
@@ -62,14 +63,14 @@ func (m *Manager) TertiaryPosition(id core.ObjectID) (int, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	o, ok := m.objects[id]
-	if !ok || !o.copies[Tertiary].present {
+	if !ok || !o.copies[m.last()].present {
 		return 0, false
 	}
 	return o.tertiaryPos, true
 }
 
 // RunCost models retrieving the given objects from tertiary storage in
-// order: each object costs TertiaryLatency to transfer, plus seekCost
+// order: each object costs the anchor's latency to transfer, plus seekCost
 // whenever it is not physically adjacent to (directly after) the previous
 // one. Objects without tertiary copies are an error — the analysis
 // workload this models reads archived data.
@@ -80,13 +81,13 @@ func (m *Manager) RunCost(ids []core.ObjectID, seekCost core.Duration) (core.Dur
 	prev := -2 // forces a seek on the first access
 	for _, id := range ids {
 		o, ok := m.objects[id]
-		if !ok || !o.copies[Tertiary].present {
+		if !ok || !o.copies[m.last()].present {
 			return 0, fmt.Errorf("storage: run cost: %v not on tertiary: %w", id, core.ErrNotFound)
 		}
 		if o.tertiaryPos != prev+1 {
 			cost += seekCost
 		}
-		cost += m.cfg.TertiaryLatency
+		cost += m.latency(m.last())
 		prev = o.tertiaryPos
 	}
 	return cost, nil

@@ -9,10 +9,7 @@ import (
 
 func layoutManager(t *testing.T, n int) *Manager {
 	t.Helper()
-	m, err := NewManager(Config{
-		MemCapacity: 10, DiskCapacity: 10, // everything lands on tertiary
-		DiskLatency: 10, TertiaryLatency: 100,
-	})
+	m, err := NewManager(classic(10, 10)) // everything lands on tertiary
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +100,53 @@ func TestRunCostEmpty(t *testing.T) {
 	c, err := m.RunCost(nil, 10)
 	if err != nil || c != 0 {
 		t.Errorf("empty run = %v, %v", c, err)
+	}
+}
+
+// TestLayoutFollowsTheAnchor: the linear medium is the last row of the
+// table whatever its depth — not position 2, which is the disk tier of a
+// four-row stack and does not exist on a two-row one.
+func TestLayoutFollowsTheAnchor(t *testing.T) {
+	tables := map[string][]TierSpec{
+		"2 rows": {
+			{Name: "memory", Backend: "heap", Capacity: 100, Latency: 0},
+			{Name: "archive", Backend: "heap", Capacity: 0, Latency: 50},
+		},
+		"3 rows": ClassicTiers(100, 200),
+		"4 rows": classic(100, 200).WithMmapTier(150).Tiers,
+	}
+	for name, table := range tables {
+		t.Run(name, func(t *testing.T) {
+			m, err := NewManager(Config{Tiers: table})
+			if err != nil {
+				t.Fatal(err)
+			}
+			anchor := Tier(len(table) - 1)
+			if got := m.TierName(anchor); got != table[anchor].Name {
+				t.Errorf("TierName(anchor) = %q, want %q", got, table[anchor].Name)
+			}
+			// Five 100-byte objects: one fits each fast tier at most, so
+			// most live in the anchor only.
+			const n = 5
+			ids := make([]core.ObjectID, n)
+			for i := range ids {
+				ids[i] = core.ObjectID(i + 1)
+				if err := m.Admit(ids[i], 100, 1, core.Priority(n-i)/n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.LayoutTertiary([]core.ObjectID{5, 4}); err != nil {
+				t.Fatal(err)
+			}
+			for id, want := range map[core.ObjectID]int{5: 0, 4: 1, 1: 2, 2: 3, 3: 4} {
+				if pos, ok := m.TertiaryPosition(id); !ok || pos != want {
+					t.Errorf("pos(%v) = %d, %v; want %d", id, pos, ok, want)
+				}
+			}
+			cost, err := m.RunCost([]core.ObjectID{5, 4, 1}, 1000)
+			if want := 1000 + 3*table[anchor].Latency; err != nil || cost != want {
+				t.Errorf("RunCost = %v, %v; want %v", cost, err, want)
+			}
+		})
 	}
 }

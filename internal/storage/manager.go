@@ -31,11 +31,9 @@ type Manager struct {
 	memDirty map[core.ObjectID]struct{}
 }
 
-// NewManager returns an empty manager. The tier table comes from
-// Config.Tiers when set, else the classic memory/disk/tertiary stack from
-// the legacy capacity/latency fields. With cfg.DataDir set, the persistent
-// backends are opened (created) under it; RecoverFromDisk re-adopts
-// whatever a previous process left there.
+// NewManager returns an empty manager over the tier table cfg.Tiers. With
+// cfg.DataDir set, the persistent backends are opened (created) under it;
+// RecoverFromDisk re-adopts whatever a previous process left there.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.SummaryRatio < 0 || cfg.SummaryRatio >= 1 {
 		return nil, fmt.Errorf("storage: %w: summary ratio %v outside [0,1)", core.ErrInvalid, cfg.SummaryRatio)
@@ -189,44 +187,13 @@ func (m *Manager) latency(t Tier) core.Duration {
 // for reprioritization. Objects admitted this way carry no payload bytes
 // — only placement metadata moves; use AdmitBytes for real content.
 func (m *Manager) Admit(id core.ObjectID, size core.Bytes, version int, prio core.Priority) error {
-	return m.admit(id, size, version, prio, nil, false)
+	return m.admit(false, Admission{ID: id, Size: size, Version: version, Priority: prio})
 }
 
-// AdmitBytes admits an object together with its content. The payload
-// lands in the anchor backend first (the unbounded level), then the
-// placement pass copies it upward as far as its priority earns. The
-// manager owns the slice afterwards.
+// AdmitBytes admits an object together with its content. The manager owns
+// the slice afterwards.
 func (m *Manager) AdmitBytes(id core.ObjectID, size core.Bytes, version int, prio core.Priority, payload []byte) error {
-	return m.admit(id, size, version, prio, payload, true)
-}
-
-func (m *Manager) admit(id core.ObjectID, size core.Bytes, version int, prio core.Priority, payload []byte, hasPayload bool) error {
-	if size <= 0 {
-		return fmt.Errorf("storage: admit %v: %w: size %v", id, core.ErrInvalid, size)
-	}
-	if version < 1 {
-		version = 1
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.objects[id]; dup {
-		return fmt.Errorf("storage: admit %v: %w", id, core.ErrExists)
-	}
-	anchor := m.last()
-	o := m.newObject(id, size, version, prio, hasPayload)
-	// Everything lands in the anchor tier first (the unbounded level), then
-	// the placement pass promotes it as far as its priority earns.
-	if hasPayload {
-		if err := m.backends[anchor].Put(BlobKey{ID: id, Version: version}, payload); err != nil {
-			return fmt.Errorf("storage: admit %v: %w", id, err)
-		}
-	}
-	o.copies[anchor] = copyState{present: true, version: version}
-	m.objects[id] = o
-	m.used[anchor] += size
-	m.stats.MovedBytes[anchor] += size
-	m.placeLocked()
-	return nil
+	return m.admit(true, Admission{ID: id, Size: size, Version: version, Priority: prio, Payload: payload})
 }
 
 // Admission is one entry of a bulk admission.
@@ -245,30 +212,50 @@ type Admission struct {
 func (m *Manager) AdmitAll(batch []Admission) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	anchor := m.last()
 	for _, a := range batch {
-		if a.Size <= 0 {
-			return fmt.Errorf("storage: admit %v: %w: size %v", a.ID, core.ErrInvalid, a.Size)
+		if err := m.admitLocked(a, a.Payload != nil); err != nil {
+			return err
 		}
-		if _, dup := m.objects[a.ID]; dup {
-			return fmt.Errorf("storage: admit %v: %w", a.ID, core.ErrExists)
-		}
-		v := a.Version
-		if v < 1 {
-			v = 1
-		}
-		o := m.newObject(a.ID, a.Size, v, a.Priority, a.Payload != nil)
-		if o.hasPayload {
-			if err := m.backends[anchor].Put(BlobKey{ID: a.ID, Version: v}, a.Payload); err != nil {
-				return fmt.Errorf("storage: admit %v: %w", a.ID, err)
-			}
-		}
-		o.copies[anchor] = copyState{present: true, version: v}
-		m.objects[a.ID] = o
-		m.used[anchor] += a.Size
-		m.stats.MovedBytes[anchor] += a.Size
 	}
 	m.placeLocked()
+	return nil
+}
+
+func (m *Manager) admit(hasPayload bool, a Admission) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.admitLocked(a, hasPayload); err != nil {
+		return err
+	}
+	m.placeLocked()
+	return nil
+}
+
+// admitLocked lands one object in the anchor tier — the unbounded level,
+// so admission never refuses data; the caller's placement pass then copies
+// it upward as far as its priority earns. Requires m.mu.
+func (m *Manager) admitLocked(a Admission, hasPayload bool) error {
+	if a.Size <= 0 {
+		return fmt.Errorf("storage: admit %v: %w: size %v", a.ID, core.ErrInvalid, a.Size)
+	}
+	if _, dup := m.objects[a.ID]; dup {
+		return fmt.Errorf("storage: admit %v: %w", a.ID, core.ErrExists)
+	}
+	v := a.Version
+	if v < 1 {
+		v = 1
+	}
+	anchor := m.last()
+	o := m.newObject(a.ID, a.Size, v, a.Priority, hasPayload)
+	if hasPayload {
+		if err := putBlob(m.backends[anchor], BlobKey{ID: a.ID, Version: v}, a.Payload); err != nil {
+			return fmt.Errorf("storage: admit %v: %w", a.ID, err)
+		}
+	}
+	o.copies[anchor] = copyState{present: true, version: v}
+	m.objects[a.ID] = o
+	m.used[anchor] += a.Size
+	m.stats.MovedBytes[anchor] += a.Size
 	return nil
 }
 
@@ -304,39 +291,8 @@ func (m *Manager) Access(id core.ObjectID) (AccessResult, error) {
 	return res, err
 }
 
-// Fetch serves the object like Access and additionally returns its
-// payload bytes, read from the backend of the serving tier. Fetching an
-// object admitted without payload returns nil bytes.
-func (m *Manager) Fetch(id core.ObjectID) (AccessResult, []byte, error) {
-	m.mu.Lock()
-	res, o, err := m.accessLocked(id)
-	m.mu.Unlock()
-	if err != nil || !o.hasPayload {
-		return res, nil, err
-	}
-	// The backend read happens outside the manager lock: the blob stores
-	// are internally synchronized. A concurrent placement (a resize
-	// mid-migration) may delete the copy between unlock and read; the copy
-	// then lives at some other tier, so re-resolve and retry rather than
-	// reporting a missing blob that the manager still holds.
-	data, err := m.backends[res.Tier].Get(BlobKey{ID: id, Version: res.Version})
-	for retry := 0; err != nil && errors.Is(err, core.ErrNotFound) && retry < relocateRetries; retry++ {
-		tier, ver, ok := m.fullCopy(id)
-		if !ok {
-			break
-		}
-		res.Tier, res.Version = tier, ver
-		res.Latency = m.latency(tier)
-		data, err = m.backends[tier].Get(BlobKey{ID: id, Version: ver})
-	}
-	if err != nil {
-		return res, nil, err
-	}
-	return res, data, nil
-}
-
-// relocateRetries bounds how often the streaming read paths chase a blob
-// that a concurrent resize moved between tier resolution and backend open.
+// relocateRetries bounds how often a read chases a blob that a concurrent
+// resize moved between tier resolution and backend open.
 const relocateRetries = 4
 
 // fullCopy locates the fastest full copy of id right now (no stats).
@@ -355,11 +311,29 @@ func (m *Manager) fullCopy(id core.ObjectID) (Tier, int, bool) {
 	return 0, 0, false
 }
 
-// FetchStream serves the object like Fetch — identical placement and
-// usage accounting — but returns a streaming reader over the payload
-// instead of materialized bytes, so the caller can move them to a socket
-// or another tier without a body-sized heap buffer. The caller must Close
-// the reader. Objects admitted without payload return a nil reader.
+// openCopy opens id's payload at the tier and version the caller resolved
+// under the manager lock. The open itself runs outside that lock (the blob
+// stores are internally synchronized), so a concurrent placement — a
+// resize mid-migration — may delete the copy in between; the blob then
+// lives at some other tier, so re-resolve and retry rather than report a
+// missing blob the manager still holds. Returns where it was found.
+func (m *Manager) openCopy(id core.ObjectID, tier Tier, ver int) (BlobReader, Tier, int, error) {
+	br, err := m.backends[tier].Open(BlobKey{ID: id, Version: ver})
+	for retry := 0; errors.Is(err, core.ErrNotFound) && retry < relocateRetries; retry++ {
+		var ok bool
+		if tier, ver, ok = m.fullCopy(id); !ok {
+			break
+		}
+		br, err = m.backends[tier].Open(BlobKey{ID: id, Version: ver})
+	}
+	return br, tier, ver, err
+}
+
+// FetchStream serves the object like Access — identical placement and
+// usage accounting — and returns a streaming reader over the payload, so
+// the caller can move the bytes to a socket or another tier without a
+// body-sized heap buffer. The caller must Close the reader. Objects
+// admitted without payload return a nil reader.
 func (m *Manager) FetchStream(id core.ObjectID) (AccessResult, BlobReader, error) {
 	m.mu.Lock()
 	res, o, err := m.accessLocked(id)
@@ -367,28 +341,18 @@ func (m *Manager) FetchStream(id core.ObjectID) (AccessResult, BlobReader, error
 	if err != nil || !o.hasPayload {
 		return res, nil, err
 	}
-	// As with Fetch, the backend open happens outside the manager lock; a
-	// copy deleted by a concurrent resize is re-resolved from its new tier
-	// so a mid-migration blob serves from either its old or new home.
-	br, err := m.backends[res.Tier].Open(BlobKey{ID: id, Version: res.Version})
-	for retry := 0; err != nil && errors.Is(err, core.ErrNotFound) && retry < relocateRetries; retry++ {
-		tier, ver, ok := m.fullCopy(id)
-		if !ok {
-			break
-		}
-		res.Tier, res.Version = tier, ver
-		res.Latency = m.latency(tier)
-		br, err = m.backends[tier].Open(BlobKey{ID: id, Version: ver})
-	}
+	br, tier, ver, err := m.openCopy(id, res.Tier, res.Version)
 	if err != nil {
 		return res, nil, err
 	}
+	res.Tier, res.Version, res.Latency = tier, ver, m.latency(tier)
 	return res, br, nil
 }
 
-// PeekStream is Peek with a streaming reader: the fastest full copy's
-// payload and content version, without touching the access stats. The
-// caller must Close the reader.
+// PeekStream is FetchStream without the accounting: the fastest full
+// copy's payload and content version, access stats untouched — the
+// rehydration and index-feed read path. The caller must Close the reader.
+// Objects without payload return core.ErrNotFound.
 func (m *Manager) PeekStream(id core.ObjectID) (BlobReader, int, error) {
 	m.mu.RLock()
 	o, ok := m.objects[id]
@@ -397,48 +361,18 @@ func (m *Manager) PeekStream(id core.ObjectID) (BlobReader, int, error) {
 	if !hasPayload {
 		return nil, 0, fmt.Errorf("storage: peek %v: %w", id, core.ErrNotFound)
 	}
-	for attempt := 0; ; attempt++ {
-		tier, ver, found := m.fullCopy(id)
-		if !found {
-			return nil, 0, fmt.Errorf("storage: peek %v: no full copy resident: %w", id, core.ErrNotFound)
-		}
-		br, err := m.backends[tier].Open(BlobKey{ID: id, Version: ver})
-		if err == nil {
-			return br, ver, nil
-		}
-		if !errors.Is(err, core.ErrNotFound) || attempt >= relocateRetries {
-			return nil, 0, err
-		}
+	tier, ver, found := m.fullCopy(id)
+	if !found {
+		return nil, 0, fmt.Errorf("storage: peek %v: no full copy resident: %w", id, core.ErrNotFound)
 	}
+	br, _, ver, err := m.openCopy(id, tier, ver)
+	if err != nil {
+		return nil, 0, err
+	}
+	return br, ver, nil
 }
 
-// Peek returns the payload bytes and content version of the fastest full
-// copy without touching the access stats — the rehydration and index-feed
-// read path. Objects without payload return core.ErrNotFound.
-func (m *Manager) Peek(id core.ObjectID) ([]byte, int, error) {
-	m.mu.RLock()
-	o, ok := m.objects[id]
-	hasPayload := ok && o.hasPayload
-	m.mu.RUnlock()
-	if !hasPayload {
-		return nil, 0, fmt.Errorf("storage: peek %v: %w", id, core.ErrNotFound)
-	}
-	for attempt := 0; ; attempt++ {
-		tier, ver, found := m.fullCopy(id)
-		if !found {
-			return nil, 0, fmt.Errorf("storage: peek %v: no full copy resident: %w", id, core.ErrNotFound)
-		}
-		data, err := m.backends[tier].Get(BlobKey{ID: id, Version: ver})
-		if err == nil {
-			return data, ver, nil
-		}
-		if !errors.Is(err, core.ErrNotFound) || attempt >= relocateRetries {
-			return nil, 0, err
-		}
-	}
-}
-
-// accessLocked is the shared body of Access and Fetch. Requires m.mu.
+// accessLocked is the shared body of Access and FetchStream. Requires m.mu.
 func (m *Manager) accessLocked(id core.ObjectID) (AccessResult, *object, error) {
 	o, ok := m.objects[id]
 	if !ok {
@@ -524,69 +458,59 @@ func (m *Manager) ApplyPriorities(prios map[core.ObjectID]core.Priority) {
 // objects must use UpdateBytes so the rewritten copies have the bytes
 // their new version label claims.
 func (m *Manager) Update(id core.ObjectID, newVersion int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o, ok := m.objects[id]
-	if !ok {
-		return fmt.Errorf("storage: update %v: %w", id, core.ErrNotFound)
-	}
-	if o.hasPayload {
-		return fmt.Errorf("storage: update %v: %w: payload object requires UpdateBytes", id, core.ErrInvalid)
-	}
-	return m.updateLocked(o, newVersion, nil)
+	return m.update(id, newVersion, nil, false)
 }
 
 // UpdateBytes records a new content version together with its bytes,
 // rewriting the fast copies in place per the copy-control rule. The
 // manager owns the slice afterwards.
 func (m *Manager) UpdateBytes(id core.ObjectID, newVersion int, payload []byte) error {
+	return m.update(id, newVersion, payload, true)
+}
+
+func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withBytes bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o, ok := m.objects[id]
 	if !ok {
 		return fmt.Errorf("storage: update %v: %w", id, core.ErrNotFound)
 	}
-	return m.updateLocked(o, newVersion, payload)
-}
-
-// updateLocked applies a version bump, moving payload bytes when the
-// object carries them. Requires m.mu.
-func (m *Manager) updateLocked(o *object, newVersion int, payload []byte) error {
+	if o.hasPayload && !withBytes {
+		return fmt.Errorf("storage: update %v: %w: payload object requires UpdateBytes", id, core.ErrInvalid)
+	}
 	if newVersion <= o.version {
-		return fmt.Errorf("storage: update %v: %w: version %d <= current %d", o.id, core.ErrInvalid, newVersion, o.version)
+		return fmt.Errorf("storage: update %v: %w: version %d <= current %d", id, core.ErrInvalid, newVersion, o.version)
 	}
 	o.version = newVersion
-	anchor := m.last()
-	fastCopy := false
-	for t := Tier(0); t < anchor; t++ {
+	rewrite := func(t Tier) error {
 		c := &o.copies[t]
-		if !c.present {
-			continue
-		}
 		if o.hasPayload {
-			m.backends[t].Delete(c.key(o.id))
 			data := payload
 			if c.summaryOnly {
 				data = m.summarize(payload, o.summarySize(m.cfg.SummaryRatio))
 			}
-			if err := m.backends[t].Put(BlobKey{ID: o.id, Version: newVersion, Summary: c.summaryOnly}, data); err != nil {
-				return fmt.Errorf("storage: update %v: %w", o.id, err)
+			m.backends[t].Delete(c.key(id))
+			if err := putBlob(m.backends[t], BlobKey{ID: id, Version: newVersion, Summary: c.summaryOnly}, data); err != nil {
+				return fmt.Errorf("storage: update %v: %w", id, err)
 			}
 			m.stats.MovedBytes[t] += core.Bytes(len(data))
 		}
 		c.version = newVersion
+		return nil
+	}
+	anchor := m.last()
+	fastCopy := false
+	for t := Tier(0); t < anchor; t++ {
+		if !o.copies[t].present {
+			continue
+		}
+		if err := rewrite(t); err != nil {
+			return err
+		}
 		fastCopy = true
 	}
 	if !fastCopy {
-		c := &o.copies[anchor]
-		if o.hasPayload {
-			m.backends[anchor].Delete(c.key(o.id))
-			if err := m.backends[anchor].Put(BlobKey{ID: o.id, Version: newVersion}, payload); err != nil {
-				return fmt.Errorf("storage: update %v: %w", o.id, err)
-			}
-			m.stats.MovedBytes[anchor] += core.Bytes(len(payload))
-		}
-		c.version = newVersion
+		return rewrite(anchor)
 	}
 	return nil
 }
@@ -652,9 +576,7 @@ func (m *Manager) Backup() {
 	m.stats.Backups++
 	m.mu.Unlock()
 	for t := m.numTiers() - 1; t >= 0; t-- {
-		if c, ok := m.backends[t].(compacter); ok {
-			c.MaybeCompact()
-		}
+		compactIfGarbage(m.backends[t])
 	}
 }
 
@@ -710,21 +632,6 @@ func (m *Manager) ResidentIDs(t Tier) []core.ObjectID {
 	return out
 }
 
-// Resize retargets the classic finite tiers — tier 0 and the
-// second-to-last tier ("memory" and "disk" on the default table) — and
-// incrementally re-solves placement. Kept as the two-argument legacy
-// surface; ResizeTiers addresses any tier by name.
-func (m *Manager) Resize(mem, disk core.Bytes) error {
-	if mem < 0 || disk < 0 {
-		return fmt.Errorf("storage: resize: %w: capacities %v/%v", core.ErrInvalid, mem, disk)
-	}
-	targets := map[string]core.Bytes{m.tiers[0].Name: mem}
-	if d := m.last() - 1; d > 0 {
-		targets[m.tiers[d].Name] = disk
-	}
-	return m.ResizeTiers(targets)
-}
-
 // ResizeTiers retargets any subset of the finite tiers' capacities by
 // tier-table name and re-solves placement *incrementally*: only the delta
 // set of blobs moves. Shrinking a tier demotes its lowest-priority
@@ -755,14 +662,6 @@ func (m *Manager) ResizeTiers(targets map[string]core.Bytes) error {
 	m.stats.Resizes++
 	m.resizeLocked()
 	return nil
-}
-
-// Capacities returns the current capacity targets of the classic finite
-// tiers (tier 0 and the second-to-last tier).
-func (m *Manager) Capacities() (mem, disk core.Bytes) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.tiers[0].Capacity, m.tiers[m.last()-1].Capacity
 }
 
 // Stats returns a copy of the activity counters.

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -24,42 +23,28 @@ import (
 // bytes still survive the process (the kernel writes dirty pages back;
 // Sync forces it with msync).
 //
-// Record layout is the segment store's, with a distinct magic:
+// Records are recordLog frames with magic 0xCB. CRCs are verified once,
+// at replay on open — the store's integrity premise is the mapping's
+// (memory-like), so Open does only an O(1) frame check and hands out a
+// zero-copy window into the arena. That keeps a 4MB stream the same cost
+// as a 64B one.
 //
-//	magic(1)=0xCB kind(1) summary(1) id(8) version(4) length(4) payload crc32(4)
-//
-// CRCs are verified once, at replay on open — the store's integrity
-// premise is the mapping's (memory-like), so Open does only an O(1)
-// frame check and hands out a zero-copy window into the arena. That
-// keeps a 4MB stream the same cost as a 64B one.
-//
-// Overwrites and deletes append (fresh record / tombstone), so garbage
-// accumulates; Compact rewrites the live set into a new arena
-// generation (arena-%06d.dat) via the temp+rename protocol and retires
-// the old mapping — kept mapped until every in-flight reader window
-// drains, so compaction never invalidates a handed-out slice.
+// Compact rewrites the live set into a new arena generation
+// (arena-%06d.dat) via the temp+rename protocol and retires the old
+// mapping — kept mapped until every in-flight reader window drains, so
+// compaction never invalidates a handed-out slice.
 type MmapStore struct {
-	dir string
+	recordLog // mu guards everything below but the arena refcounts
+	dir       string
 
-	mu    sync.RWMutex
 	f     *os.File // active arena file
 	gen   int      // active arena generation
 	arena *mmapArena
 	size  int64 // append offset (bytes used)
 	fcap  int64 // file/mapping capacity
-	index map[BlobKey]mmapLoc
-	// live/dead record bytes (including frames), for the garbage ratio.
-	liveBytes, deadBytes int64
-	// Compactions counts completed compaction passes (for tests/stats).
-	Compactions int
 
 	// refMu guards reader refcounts and retirement across all arenas.
 	refMu sync.Mutex
-}
-
-type mmapLoc struct {
-	off int64 // payload offset within the arena
-	n   int   // payload length
 }
 
 // mmapArena is one mapping of one arena file. Readers pin it; a retired
@@ -74,10 +59,8 @@ type mmapArena struct {
 }
 
 const (
-	mmapMagic      = 0xCB
-	mmapMinArena   = 1 << 20 // 1 MB initial/minimum mapping
-	mmapHeaderLen  = segHeaderLen
-	mmapTrailerLen = segTrailerLen
+	mmapMagic    = 0xCB
+	mmapMinArena = 1 << 20 // 1 MB initial/minimum mapping
 )
 
 func arenaName(gen int) string { return fmt.Sprintf("arena-%06d.dat", gen) }
@@ -91,7 +74,7 @@ func OpenMmapStore(dir string) (*MmapStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open mmap store: %w", err)
 	}
-	s := &MmapStore{dir: dir, index: make(map[BlobKey]mmapLoc)}
+	s := &MmapStore{recordLog: recordLog{magic: mmapMagic, index: make(map[BlobKey]recLoc)}, dir: dir}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open mmap store: %w", err)
@@ -148,42 +131,18 @@ func OpenMmapStore(dir string) (*MmapStore, error) {
 func (s *MmapStore) replay() {
 	data := s.arena.data
 	var off int64
-	for off+mmapHeaderLen <= s.fcap {
-		hdr := data[off : off+mmapHeaderLen]
-		if hdr[0] != mmapMagic || (hdr[1] != segKindPut && hdr[1] != segKindDelete) {
+	for off+recHeaderLen <= s.fcap {
+		hdr := data[off : off+recHeaderLen]
+		kind, k, length, ok := s.parseHeader(hdr)
+		if !ok || off+recLen(length) > s.fcap {
 			break
 		}
-		k := BlobKey{
-			ID:      core.ObjectID(binary.BigEndian.Uint64(hdr[3:11])),
-			Version: int(binary.BigEndian.Uint32(hdr[11:15])),
-			Summary: hdr[2] == 1,
-		}
-		length := int64(binary.BigEndian.Uint32(hdr[15:19]))
-		if off+mmapHeaderLen+length+mmapTrailerLen > s.fcap {
+		payload := data[off+recHeaderLen : off+recHeaderLen+int64(length)]
+		if binary.BigEndian.Uint32(data[off+recHeaderLen+int64(length):]) != recCRC(hdr, payload) {
 			break
 		}
-		payload := data[off+mmapHeaderLen : off+mmapHeaderLen+length]
-		crc := crc32.NewIEEE()
-		crc.Write(hdr)
-		crc.Write(payload)
-		if binary.BigEndian.Uint32(data[off+mmapHeaderLen+length:]) != crc.Sum32() {
-			break
-		}
-		recLen := mmapHeaderLen + length + mmapTrailerLen
-		if old, ok := s.index[k]; ok {
-			oldRec := int64(mmapHeaderLen + old.n + mmapTrailerLen)
-			s.liveBytes -= oldRec
-			s.deadBytes += oldRec
-		}
-		switch hdr[1] {
-		case segKindPut:
-			s.index[k] = mmapLoc{off: off + mmapHeaderLen, n: int(length)}
-			s.liveBytes += recLen
-		case segKindDelete:
-			delete(s.index, k)
-			s.deadBytes += recLen
-		}
-		off += recLen
+		s.note(kind, k, recLoc{off: off + recHeaderLen, n: length})
+		off += recLen(length)
 	}
 	s.size = off
 }
@@ -256,70 +215,16 @@ func (s *MmapStore) ensureLocked(n int64) error {
 }
 
 // frameLocked writes a record header+trailer around a payload already
-// present at s.size+mmapHeaderLen, commits the index entry and advances
+// present at s.size+recHeaderLen, commits the index entry and advances
 // the append offset. Callers hold s.mu and have ensured capacity.
-func (s *MmapStore) frameLocked(kind byte, k BlobKey, n int64) {
-	data := s.arena.data
-	off := s.size
-	hdr := data[off : off+mmapHeaderLen]
-	hdr[0] = mmapMagic
-	hdr[1] = kind
-	hdr[2] = 0
-	if k.Summary {
-		hdr[2] = 1
-	}
-	binary.BigEndian.PutUint64(hdr[3:11], uint64(k.ID))
-	binary.BigEndian.PutUint32(hdr[11:15], uint32(k.Version))
-	binary.BigEndian.PutUint32(hdr[15:19], uint32(n))
-	payload := data[off+mmapHeaderLen : off+mmapHeaderLen+n]
-	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	crc.Write(payload)
-	binary.BigEndian.PutUint32(data[off+mmapHeaderLen+n:], crc.Sum32())
-
-	recLen := mmapHeaderLen + n + mmapTrailerLen
-	if old, ok := s.index[k]; ok {
-		oldRec := int64(mmapHeaderLen + old.n + mmapTrailerLen)
-		s.deadBytes += oldRec
-		s.liveBytes -= oldRec
-	}
-	switch kind {
-	case segKindPut:
-		s.index[k] = mmapLoc{off: off + mmapHeaderLen, n: int(n)}
-		s.liveBytes += recLen
-	case segKindDelete:
-		delete(s.index, k)
-		s.deadBytes += recLen
-	}
-	s.size += recLen
-}
-
-func (s *MmapStore) Put(k BlobKey, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := int64(len(data))
-	if err := s.ensureLocked(mmapHeaderLen + n + mmapTrailerLen); err != nil {
-		return fmt.Errorf("storage: mmap put %v: %w", k, err)
-	}
-	copy(s.arena.data[s.size+mmapHeaderLen:], data)
-	s.frameLocked(segKindPut, k, n)
-	return nil
-}
-
-// Get copies the payload out of the mapping. The copy is deliberate:
-// callers (summarize hooks, heap-tier adoption in all-in-heap mode)
-// may retain the slice past a compaction, and a retained window into a
-// retired, unmapped arena would fault. Zero-copy reads go through Open.
-func (s *MmapStore) Get(k BlobKey) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	loc, ok := s.index[k]
-	if !ok {
-		return nil, fmt.Errorf("storage: mmap get %v: %w", k, core.ErrNotFound)
-	}
-	data := make([]byte, loc.n)
-	copy(data, s.arena.data[loc.off:loc.off+int64(loc.n)])
-	return data, nil
+func (s *MmapStore) frameLocked(kind byte, k BlobKey, n int) {
+	data, off := s.arena.data, s.size
+	hdr := data[off : off+recHeaderLen]
+	s.putHeader(hdr, kind, k, n)
+	payload := data[off+recHeaderLen : off+recHeaderLen+int64(n)]
+	binary.BigEndian.PutUint32(data[off+recHeaderLen+int64(n):], recCRC(hdr, payload))
+	s.note(kind, k, recLoc{off: off + recHeaderLen, n: n})
+	s.size += recLen(n)
 }
 
 // Open returns a zero-copy window into the mapping. The frame around
@@ -335,17 +240,12 @@ func (s *MmapStore) Open(k BlobKey) (BlobReader, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: mmap open %v: %w", k, core.ErrNotFound)
 	}
-	hdr := s.arena.data[loc.off-mmapHeaderLen : loc.off]
-	if hdr[0] != mmapMagic || hdr[1] != segKindPut ||
-		core.ObjectID(binary.BigEndian.Uint64(hdr[3:11])) != k.ID ||
-		int(binary.BigEndian.Uint32(hdr[11:15])) != k.Version ||
-		(hdr[2] == 1) != k.Summary ||
-		int(binary.BigEndian.Uint32(hdr[15:19])) != loc.n {
+	if !s.frames(s.arena.data[loc.off-recHeaderLen:loc.off], k, loc.n) {
 		return nil, fmt.Errorf("storage: mmap open %v: frame mismatch: %w", k, core.ErrCorrupt)
 	}
 	return &mmapReader{
-		data:    s.arena.data[loc.off : loc.off+int64(loc.n)],
-		release: s.acquireReader(s.arena),
+		memReader: memReader{data: s.arena.data[loc.off : loc.off+int64(loc.n)]},
+		release:   s.acquireReader(s.arena),
 	}, nil
 }
 
@@ -356,14 +256,14 @@ func (s *MmapStore) Open(k BlobKey) (BlobReader, error) {
 func (s *MmapStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureLocked(mmapHeaderLen + n + mmapTrailerLen); err != nil {
-		return fmt.Errorf("storage: mmap put-from %v: %w", k, err)
+	if err := s.ensureLocked(recLen(int(n))); err != nil {
+		return fmt.Errorf("storage: mmap put %v: %w", k, err)
 	}
-	window := s.arena.data[s.size+mmapHeaderLen : s.size+mmapHeaderLen+n]
+	window := s.arena.data[s.size+recHeaderLen : s.size+recHeaderLen+n]
 	if _, err := io.ReadFull(r, window); err != nil {
-		return fmt.Errorf("storage: mmap put-from %v: %w", k, err)
+		return fmt.Errorf("storage: mmap put %v: %w", k, err)
 	}
-	s.frameLocked(segKindPut, k, n)
+	s.frameLocked(recKindPut, k, int(n))
 	return nil
 }
 
@@ -373,34 +273,11 @@ func (s *MmapStore) Delete(k BlobKey) error {
 	if _, ok := s.index[k]; !ok {
 		return nil
 	}
-	if err := s.ensureLocked(mmapHeaderLen + mmapTrailerLen); err != nil {
+	if err := s.ensureLocked(recLen(0)); err != nil {
 		return fmt.Errorf("storage: mmap delete %v: %w", k, err)
 	}
-	s.frameLocked(segKindDelete, k, 0)
+	s.frameLocked(recKindDelete, k, 0)
 	return nil
-}
-
-func (s *MmapStore) Contains(k BlobKey) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[k]
-	return ok
-}
-
-func (s *MmapStore) Keys() []BlobKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]BlobKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-func (s *MmapStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
 }
 
 // Sync msyncs the mapping so dirty pages reach the arena file.
@@ -426,26 +303,6 @@ func (s *MmapStore) Close() error {
 	return err
 }
 
-// GarbageRatio reports the dead fraction of all record bytes written.
-func (s *MmapStore) GarbageRatio() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	total := s.liveBytes + s.deadBytes
-	if total == 0 {
-		return 0
-	}
-	return float64(s.deadBytes) / float64(total)
-}
-
-// MaybeCompact compacts when at least half the written bytes are
-// garbage; Manager.Backup drives it, like the segment store's.
-func (s *MmapStore) MaybeCompact() error {
-	if s.GarbageRatio() > 0.5 {
-		return s.Compact()
-	}
-	return nil
-}
-
 // Compact rewrites the live set into a fresh arena generation. The new
 // arena is built in a temp file and renamed into its generation name —
 // the commit point; a crash before the rename leaves the old arena
@@ -455,15 +312,8 @@ func (s *MmapStore) MaybeCompact() error {
 func (s *MmapStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]BlobKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	need := int64(0)
-	for _, k := range keys {
-		need += mmapHeaderLen + int64(s.index[k].n) + mmapTrailerLen
-	}
+	keys := s.liveKeysLocked()
+	need := s.liveBytes
 	newCap := int64(mmapMinArena)
 	for newCap < need {
 		newCap *= 2
@@ -487,13 +337,13 @@ func (s *MmapStore) Compact() error {
 	oldSize, oldFcap := s.size, s.fcap
 	oldLive, oldDead := s.liveBytes, s.deadBytes
 	s.arena = &mmapArena{data: data}
-	s.index = make(map[BlobKey]mmapLoc, len(keys))
+	s.index = make(map[BlobKey]recLoc, len(keys))
 	s.size, s.fcap = 0, newCap
 	s.liveBytes, s.deadBytes = 0, 0
 	for _, k := range keys {
 		loc := oldIndex[k]
-		copy(data[s.size+mmapHeaderLen:], oldArena.data[loc.off:loc.off+int64(loc.n)])
-		s.frameLocked(segKindPut, k, int64(loc.n))
+		copy(data[s.size+recHeaderLen:], oldArena.data[loc.off:loc.off+int64(loc.n)])
+		s.frameLocked(recKindPut, k, loc.n)
 	}
 	fail := func(err error) error {
 		// Roll back to the old arena; the temp mapping is abandoned.
@@ -537,37 +387,15 @@ func msync(data []byte) error {
 	return nil
 }
 
-// mmapReader is the mmap tier's BlobReader: a cursor over the payload
-// window in the arena mapping. WriteTo hands the remaining window to
-// the destination in one Write — zero copies, zero allocations, flat
+// mmapReader is the mmap tier's BlobReader: the heap tier's cursor, over
+// the payload window in the arena mapping — one Write, zero copies, flat
 // cost from 64B to 4MB. Close releases the pin on the arena; a window
 // must not be used after Close (the mapping may be gone).
 type mmapReader struct {
-	data    []byte
-	off     int
+	memReader
 	once    sync.Once
 	release func()
 }
-
-func (r *mmapReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *mmapReader) WriteTo(w io.Writer) (int64, error) {
-	if r.off >= len(r.data) {
-		return 0, nil
-	}
-	n, err := w.Write(r.data[r.off:])
-	r.off += n
-	return int64(n), err
-}
-
-func (r *mmapReader) Len() int64 { return int64(len(r.data)) }
 
 func (r *mmapReader) Close() error {
 	r.once.Do(r.release)

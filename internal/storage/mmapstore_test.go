@@ -29,16 +29,16 @@ func TestMmapReopenReplay(t *testing.T) {
 	k2 := BlobKey{ID: 2, Version: 1}
 	k3 := BlobKey{ID: 3, Version: 1}
 	want1 := streamPayload(10_000)
-	if err := s.Put(k1, streamPayload(5_000)); err != nil {
+	if err := putBlob(s, k1, streamPayload(5_000)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := s.Put(k1, want1); err != nil { // overwrite: replay keeps the newer record
+	if err := putBlob(s, k1, want1); err != nil { // overwrite: replay keeps the newer record
 		t.Fatalf("Put overwrite: %v", err)
 	}
-	if err := s.Put(k2, streamPayload(64)); err != nil {
+	if err := putBlob(s, k2, streamPayload(64)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := s.Put(k3, streamPayload(128)); err != nil {
+	if err := putBlob(s, k3, streamPayload(128)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if err := s.Delete(k3); err != nil {
@@ -56,7 +56,7 @@ func TestMmapReopenReplay(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len after reopen = %d, want 2", s.Len())
 	}
-	got, err := s.Get(k1)
+	got, err := readBlob(s, k1)
 	if err != nil {
 		t.Fatalf("Get after reopen: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestMmapReopenReplay(t *testing.T) {
 		t.Fatal("deleted key resurrected by replay")
 	}
 	// The store must stay writable after a replayed open.
-	if err := s.Put(BlobKey{ID: 9, Version: 1}, streamPayload(256)); err != nil {
+	if err := putBlob(s, BlobKey{ID: 9, Version: 1}, streamPayload(256)); err != nil {
 		t.Fatalf("Put after reopen: %v", err)
 	}
 }
@@ -81,13 +81,13 @@ func TestMmapTornRecordTruncated(t *testing.T) {
 	s := openMmap(t, dir)
 	k1 := BlobKey{ID: 1, Version: 1}
 	k2 := BlobKey{ID: 2, Version: 1}
-	if err := s.Put(k1, streamPayload(4_000)); err != nil {
+	if err := putBlob(s, k1, streamPayload(4_000)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	s.mu.RLock()
 	tornStart := s.size // k2's record begins at the current append offset
 	s.mu.RUnlock()
-	if err := s.Put(k2, streamPayload(4_000)); err != nil {
+	if err := putBlob(s, k2, streamPayload(4_000)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if err := s.Sync(); err != nil {
@@ -103,7 +103,7 @@ func TestMmapTornRecordTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open arena: %v", err)
 	}
-	pos := tornStart + mmapHeaderLen + 100
+	pos := tornStart + recHeaderLen + 100
 	buf := make([]byte, 1)
 	if _, err := f.ReadAt(buf, pos); err != nil {
 		t.Fatalf("read arena: %v", err)
@@ -123,10 +123,10 @@ func TestMmapTornRecordTruncated(t *testing.T) {
 		t.Fatal("torn record survived replay")
 	}
 	// The dead tail is append space again.
-	if err := s.Put(k2, streamPayload(512)); err != nil {
+	if err := putBlob(s, k2, streamPayload(512)); err != nil {
 		t.Fatalf("Put over dead tail: %v", err)
 	}
-	got, err := s.Get(k2)
+	got, err := readBlob(s, k2)
 	if err != nil || len(got) != 512 {
 		t.Fatalf("Get after re-put: %v (%d bytes)", err, len(got))
 	}
@@ -138,12 +138,12 @@ func TestMmapOpenFrameMismatch(t *testing.T) {
 	s := openMmap(t, filepath.Join(t.TempDir(), "mmap"))
 	defer s.Close()
 	k := BlobKey{ID: 7, Version: 2}
-	if err := s.Put(k, streamPayload(1_000)); err != nil {
+	if err := putBlob(s, k, streamPayload(1_000)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	s.mu.Lock()
 	loc := s.index[k]
-	s.arena.data[loc.off-mmapHeaderLen] = 0x00 // scribble the magic byte
+	s.arena.data[loc.off-recHeaderLen] = 0x00 // scribble the magic byte
 	s.mu.Unlock()
 	_, err := s.Open(k)
 	if !errors.Is(err, core.ErrCorrupt) {
@@ -161,11 +161,11 @@ func TestMmapStreamSurvivesCompact(t *testing.T) {
 	k := BlobKey{ID: 1, Version: 1}
 	churn := BlobKey{ID: 2, Version: 1}
 	want := streamPayload(200_000)
-	if err := s.Put(k, want); err != nil {
+	if err := putBlob(s, k, want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	for i := 0; i < 8; i++ { // pile up garbage so MaybeCompact fires
-		if err := s.Put(churn, streamPayload(100_000)); err != nil {
+	for i := 0; i < 8; i++ { // pile up garbage so compactIfGarbage fires
+		if err := putBlob(s, churn, streamPayload(100_000)); err != nil {
 			t.Fatalf("Put churn: %v", err)
 		}
 	}
@@ -175,8 +175,8 @@ func TestMmapStreamSurvivesCompact(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	oldPath := filepath.Join(dir, arenaName(0))
-	if err := s.MaybeCompact(); err != nil {
-		t.Fatalf("MaybeCompact: %v", err)
+	if err := compactIfGarbage(s); err != nil {
+		t.Fatalf("compactIfGarbage: %v", err)
 	}
 	if s.Compactions != 1 {
 		t.Fatalf("Compactions = %d, want 1 (garbage ratio %v)", s.Compactions, s.GarbageRatio())
@@ -199,7 +199,7 @@ func TestMmapStreamSurvivesCompact(t *testing.T) {
 		t.Fatalf("old arena not unlinked after reader drained: %v", err)
 	}
 	// The compacted store still round-trips.
-	got, err = s.Get(k)
+	got, err = readBlob(s, k)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Get after compaction: %v (%d bytes)", err, len(got))
 	}
@@ -212,7 +212,7 @@ func TestMmapStreamSurvivesGrowth(t *testing.T) {
 	defer s.Close()
 	k := BlobKey{ID: 1, Version: 1}
 	want := streamPayload(4_096)
-	if err := s.Put(k, want); err != nil {
+	if err := putBlob(s, k, want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	r, err := s.Open(k)
@@ -222,7 +222,7 @@ func TestMmapStreamSurvivesGrowth(t *testing.T) {
 	// Push well past the 1MB minimum arena so ensureLocked remaps.
 	big := streamPayload(600_000)
 	for i := 0; i < 4; i++ {
-		if err := s.Put(BlobKey{ID: core.ObjectID(10 + i), Version: 1}, big); err != nil {
+		if err := putBlob(s, BlobKey{ID: core.ObjectID(10 + i), Version: 1}, big); err != nil {
 			t.Fatalf("Put big: %v", err)
 		}
 	}

@@ -262,7 +262,7 @@ func (m *Manager) copyBlobLocked(o *object, t Tier, summaryOnly bool) (int, bool
 			return 0, false
 		}
 		data = m.summarize(data, o.summarySize(m.cfg.SummaryRatio))
-		if err := m.backends[t].Put(BlobKey{ID: o.id, Version: srcVer, Summary: true}, data); err != nil {
+		if err := putBlob(m.backends[t], BlobKey{ID: o.id, Version: srcVer, Summary: true}, data); err != nil {
 			return 0, false
 		}
 		return srcVer, true
@@ -286,7 +286,7 @@ func (m *Manager) readFullLocked(o *object) ([]byte, int, bool) {
 		if !c.present || c.summaryOnly {
 			continue
 		}
-		if data, err := m.backends[t].Get(c.key(o.id)); err == nil {
+		if data, err := readBlob(m.backends[t], c.key(o.id)); err == nil {
 			return data, c.version, true
 		}
 	}

@@ -125,12 +125,9 @@ func (m *Manager) recoverLocked() RecoveryReport {
 		// Ensure the anchor copy exists so placement invariants hold.
 		if !o.copies[anchor].present {
 			if o.hasPayload {
-				data, ver, ok := m.readFullLocked(o)
+				ver, ok := m.copyBlobLocked(o, anchor, false)
 				if !ok {
 					continue // unreachable: bestVersion proved a readable copy
-				}
-				if err := m.backends[anchor].Put(BlobKey{ID: id, Version: ver}, data); err != nil {
-					continue
 				}
 				o.copies[anchor] = copyState{present: true, version: ver}
 			} else {
@@ -213,8 +210,8 @@ func (m *Manager) CheckInvariants() error {
 				if !c.present || c.summaryOnly {
 					continue
 				}
-				a, err1 := m.backends[t].Get(c.key(id))
-				b, err2 := m.backends[t+1].Get(next.key(id))
+				a, err1 := readBlob(m.backends[t], c.key(id))
+				b, err2 := readBlob(m.backends[t+1], next.key(id))
 				if err1 != nil || err2 != nil {
 					return fmt.Errorf("storage: %v exact-copy bytes unreadable: %v / %v", id, err1, err2)
 				}

@@ -14,15 +14,12 @@ import (
 // resizeTestManager disables the large-document summary path (threshold
 // 1.0: nothing is "big") so placement is a pure water-fill and the
 // resize assertions are about capacity, not levels of detail.
-func resizeTestManager(t *testing.T) *Manager {
+func resizeTestManager(t *testing.T, s stack) *Manager {
 	t.Helper()
-	m, err := NewManager(Config{
-		MemCapacity:  100,
-		DiskCapacity: 1000,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 1.0,
-	})
+	cfg := s.config(t, 100, 1000)
+	cfg.SummaryRatio = 0.1
+	cfg.SummaryThreshold = 1.0
+	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,65 +27,69 @@ func resizeTestManager(t *testing.T) *Manager {
 	return m
 }
 
+// fourTier is the file-backed heap/mmap/disk/segment stack with the
+// large-document summary path off.
+func fourTier(t *testing.T, mem, warm, disk core.Bytes) Config {
+	cfg := Config{Tiers: ClassicTiers(mem, disk), SummaryRatio: 0.1, SummaryThreshold: 1.0, DataDir: t.TempDir()}
+	return cfg.WithMmapTier(warm)
+}
+
+// resize retargets the classic table's two finite tiers.
+func resize(m *Manager, mem, disk core.Bytes) error {
+	return m.ResizeTiers(map[string]core.Bytes{"memory": mem, "disk": disk})
+}
+
 // Resize must re-run placement under the new capacities: objects that no
 // longer fit in memory spill down the hierarchy instead of vanishing —
 // the scenario matrix's capacity-shrink lever.
 func TestResizeShrinkSpillsDown(t *testing.T) {
-	m := resizeTestManager(t)
-	for id := core.ObjectID(1); id <= 2; id++ {
-		if err := m.Admit(id, 40, 1, 0.9); err != nil {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := resizeTestManager(t, s)
+		for id := core.ObjectID(1); id <= 2; id++ {
+			if err := m.Admit(id, 40, 1, 0.9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tier, ok := m.Contains(1); !ok || tier != Memory {
+			t.Fatalf("object 1 not in memory before resize")
+		}
+
+		if err := resize(m, 40, 1000); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if tier, ok := m.Contains(1); !ok || tier != Memory {
-		t.Fatalf("object 1 not in memory before resize")
-	}
-
-	if err := m.Resize(40, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if mem, disk := m.Capacities(); mem != 40 || disk != 1000 {
-		t.Errorf("Capacities = %v, %v", mem, disk)
-	}
-	inMem := 0
-	for id := core.ObjectID(1); id <= 2; id++ {
-		tier, ok := m.Contains(id)
-		if !ok {
-			t.Fatalf("object %d lost by resize", id)
+		if tiers := m.Tiers(); tiers[Memory].Capacity != 40 || tiers[Disk].Capacity != 1000 {
+			t.Errorf("capacities = %v, %v", tiers[Memory].Capacity, tiers[Disk].Capacity)
 		}
-		if tier == Memory {
-			inMem++
+		inMem := 0
+		for id := core.ObjectID(1); id <= 2; id++ {
+			tier, ok := m.Contains(id)
+			if !ok {
+				t.Fatalf("object %d lost by resize", id)
+			}
+			if tier == Memory {
+				inMem++
+			}
 		}
-	}
-	if inMem != 1 {
-		t.Errorf("memory residents after shrink = %d, want 1", inMem)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Growing back re-promotes.
-	if err := m.Resize(100, 1000); err != nil {
-		t.Fatal(err)
-	}
-	for id := core.ObjectID(1); id <= 2; id++ {
-		if tier, ok := m.Contains(id); !ok || tier != Memory {
-			t.Errorf("object %d tier after grow = %v, %v", id, tier, ok)
+		if inMem != 1 {
+			t.Errorf("memory residents after shrink = %d, want 1", inMem)
 		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 
-func TestResizeRejectsNegative(t *testing.T) {
-	m := resizeTestManager(t)
-	if err := m.Resize(-1, 10); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("negative mem err = %v", err)
-	}
-	if err := m.Resize(10, -1); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("negative disk err = %v", err)
-	}
+		// Growing back re-promotes.
+		if err := resize(m, 100, 1000); err != nil {
+			t.Fatal(err)
+		}
+		for id := core.ObjectID(1); id <= 2; id++ {
+			if tier, ok := m.Contains(id); !ok || tier != Memory {
+				t.Errorf("object %d tier after grow = %v, %v", id, tier, ok)
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // MovedBytes must account the bytes written into each tier: admission
@@ -96,41 +97,43 @@ func TestResizeRejectsNegative(t *testing.T) {
 // nothing), and a re-promotion writes into memory again. The counters
 // never decrease.
 func TestMovedBytesAccounting(t *testing.T) {
-	m := resizeTestManager(t)
-	for id := core.ObjectID(1); id <= 2; id++ {
-		if err := m.Admit(id, 40, 1, 0.9); err != nil {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := resizeTestManager(t, s)
+		for id := core.ObjectID(1); id <= 2; id++ {
+			if err := m.Admit(id, 40, 1, 0.9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := m.Stats()
+		for tier := Memory; tier <= Tertiary; tier++ {
+			if st.MovedBytes[tier] < 80 {
+				t.Errorf("moved[%v] = %v after two 40B admissions, want >= 80", tier, st.MovedBytes[tier])
+			}
+		}
+
+		// Shrink: one object leaves memory — deletion, not movement.
+		if err := resize(m, 40, 1000); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := m.Stats()
-	for tier := Memory; tier <= Tertiary; tier++ {
-		if st.MovedBytes[tier] < 80 {
-			t.Errorf("moved[%v] = %v after two 40B admissions, want >= 80", tier, st.MovedBytes[tier])
+		afterShrink := m.Stats()
+		if afterShrink.MovedBytes[Memory] != st.MovedBytes[Memory] {
+			t.Errorf("demotion moved memory bytes: %v -> %v", st.MovedBytes[Memory], afterShrink.MovedBytes[Memory])
 		}
-	}
 
-	// Shrink: one object leaves memory — deletion, not movement.
-	if err := m.Resize(40, 1000); err != nil {
-		t.Fatal(err)
-	}
-	afterShrink := m.Stats()
-	if afterShrink.MovedBytes[Memory] != st.MovedBytes[Memory] {
-		t.Errorf("demotion moved memory bytes: %v -> %v", st.MovedBytes[Memory], afterShrink.MovedBytes[Memory])
-	}
-
-	// Grow: the demoted object is promoted back — a fresh memory write.
-	if err := m.Resize(100, 1000); err != nil {
-		t.Fatal(err)
-	}
-	afterGrow := m.Stats()
-	if afterGrow.MovedBytes[Memory] < afterShrink.MovedBytes[Memory]+40 {
-		t.Errorf("promotion did not count: %v -> %v", afterShrink.MovedBytes[Memory], afterGrow.MovedBytes[Memory])
-	}
-	for tier := Memory; tier <= Tertiary; tier++ {
-		if afterGrow.MovedBytes[tier] < st.MovedBytes[tier] {
-			t.Errorf("moved[%v] decreased: %v -> %v", tier, st.MovedBytes[tier], afterGrow.MovedBytes[tier])
+		// Grow: the demoted object is promoted back — a fresh memory write.
+		if err := resize(m, 100, 1000); err != nil {
+			t.Fatal(err)
 		}
-	}
+		afterGrow := m.Stats()
+		if afterGrow.MovedBytes[Memory] < afterShrink.MovedBytes[Memory]+40 {
+			t.Errorf("promotion did not count: %v -> %v", afterShrink.MovedBytes[Memory], afterGrow.MovedBytes[Memory])
+		}
+		for tier := Memory; tier <= Tertiary; tier++ {
+			if afterGrow.MovedBytes[tier] < st.MovedBytes[tier] {
+				t.Errorf("moved[%v] decreased: %v -> %v", tier, st.MovedBytes[tier], afterGrow.MovedBytes[tier])
+			}
+		}
+	})
 }
 
 // TestResizeDeltaSetOnly pins the incremental contract: shrinking a
@@ -139,112 +142,113 @@ func TestMovedBytesAccounting(t *testing.T) {
 // stays put, and growing back re-promotes ≈X bytes. A full-sweep
 // re-placement would churn far more than the delta.
 func TestResizeDeltaSetOnly(t *testing.T) {
-	m, err := NewManager(Config{
-		MemCapacity:  1000,
-		DiskCapacity: 100_000,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 1.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	// Ten 100B payload objects, priorities strictly increasing with id:
-	// ids 1..10 exactly fill memory, and the demotion frontier is ids 1..k.
-	const blob = 100
-	for id := core.ObjectID(1); id <= 10; id++ {
-		payload := bytes.Repeat([]byte{byte(id)}, blob)
-		if err := m.AdmitBytes(id, blob, 1, core.Priority(float64(id)/10), payload); err != nil {
+	eachStack(t, func(t *testing.T, s stack) {
+		cfg := s.config(t, 1000, 100_000)
+		cfg.SummaryRatio = 0.1
+		cfg.SummaryThreshold = 1.0
+		m, err := NewManager(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if m.Used(Memory) != 1000 {
-		t.Fatalf("memory used = %v, want 1000", m.Used(Memory))
-	}
-	before := m.Stats()
+		defer m.Close()
 
-	// Shrink memory by 450B. The frontier demotes ids 1..5 (500B): the
-	// smallest prefix of ascending-priority residents that fits.
-	const shrinkX = 450
-	if err := m.ResizeTiers(map[string]core.Bytes{"memory": 1000 - shrinkX}); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Stats()
-	demoted := after.DemotedBytes[Memory] - before.DemotedBytes[Memory]
-	if demoted < shrinkX || demoted >= shrinkX+blob {
-		t.Errorf("shrink by %d demoted %v bytes, want [%d, %d)", shrinkX, demoted, shrinkX, shrinkX+blob)
-	}
-	if after.MovedBytes[Memory] != before.MovedBytes[Memory] {
-		t.Errorf("shrink moved bytes into memory: %v -> %v", before.MovedBytes[Memory], after.MovedBytes[Memory])
-	}
-	if after.Resizes != before.Resizes+1 {
-		t.Errorf("Resizes = %d, want %d", after.Resizes, before.Resizes+1)
-	}
-	// Only the delta set moved: high-priority residents are untouched,
-	// the demoted ones still live lower in the hierarchy.
-	for id := core.ObjectID(6); id <= 10; id++ {
-		if tier, ok := m.Contains(id); !ok || tier != Memory {
-			t.Errorf("object %d left memory outside the delta set (tier %v, %v)", id, tier, ok)
+		// Ten 100B payload objects, priorities strictly increasing with id:
+		// ids 1..10 exactly fill memory, and the demotion frontier is ids 1..k.
+		const blob = 100
+		for id := core.ObjectID(1); id <= 10; id++ {
+			payload := bytes.Repeat([]byte{byte(id)}, blob)
+			if err := m.AdmitBytes(id, blob, 1, core.Priority(float64(id)/10), payload); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for id := core.ObjectID(1); id <= 5; id++ {
-		if tier, ok := m.Contains(id); !ok || tier == Memory {
-			t.Errorf("object %d not demoted (tier %v, %v)", id, tier, ok)
+		if m.Used(Memory) != 1000 {
+			t.Fatalf("memory used = %v, want 1000", m.Used(Memory))
 		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+		before := m.Stats()
 
-	// Grow back: exactly the demoted set re-promotes, as fresh writes.
-	if err := m.ResizeTiers(map[string]core.Bytes{"memory": 1000}); err != nil {
-		t.Fatal(err)
-	}
-	grown := m.Stats()
-	promoted := grown.MovedBytes[Memory] - after.MovedBytes[Memory]
-	if promoted != demoted {
-		t.Errorf("grow re-promoted %v bytes, want the demoted %v", promoted, demoted)
-	}
-	for id := core.ObjectID(1); id <= 10; id++ {
-		if tier, ok := m.Contains(id); !ok || tier != Memory {
-			t.Errorf("object %d tier after grow = %v, %v", id, tier, ok)
+		// Shrink memory by 450B. The frontier demotes ids 1..5 (500B): the
+		// smallest prefix of ascending-priority residents that fits.
+		const shrinkX = 450
+		if err := m.ResizeTiers(map[string]core.Bytes{"memory": 1000 - shrinkX}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+		after := m.Stats()
+		demoted := after.DemotedBytes[Memory] - before.DemotedBytes[Memory]
+		if demoted < shrinkX || demoted >= shrinkX+blob {
+			t.Errorf("shrink by %d demoted %v bytes, want [%d, %d)", shrinkX, demoted, shrinkX, shrinkX+blob)
+		}
+		if after.MovedBytes[Memory] != before.MovedBytes[Memory] {
+			t.Errorf("shrink moved bytes into memory: %v -> %v", before.MovedBytes[Memory], after.MovedBytes[Memory])
+		}
+		if after.Resizes != before.Resizes+1 {
+			t.Errorf("Resizes = %d, want %d", after.Resizes, before.Resizes+1)
+		}
+		// Only the delta set moved: high-priority residents are untouched,
+		// the demoted ones still live lower in the hierarchy.
+		for id := core.ObjectID(6); id <= 10; id++ {
+			if tier, ok := m.Contains(id); !ok || tier != Memory {
+				t.Errorf("object %d left memory outside the delta set (tier %v, %v)", id, tier, ok)
+			}
+		}
+		for id := core.ObjectID(1); id <= 5; id++ {
+			if tier, ok := m.Contains(id); !ok || tier == Memory {
+				t.Errorf("object %d not demoted (tier %v, %v)", id, tier, ok)
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Grow back: exactly the demoted set re-promotes, as fresh writes.
+		if err := m.ResizeTiers(map[string]core.Bytes{"memory": 1000}); err != nil {
+			t.Fatal(err)
+		}
+		grown := m.Stats()
+		promoted := grown.MovedBytes[Memory] - after.MovedBytes[Memory]
+		if promoted != demoted {
+			t.Errorf("grow re-promoted %v bytes, want the demoted %v", promoted, demoted)
+		}
+		for id := core.ObjectID(1); id <= 10; id++ {
+			if tier, ok := m.Contains(id); !ok || tier != Memory {
+				t.Errorf("object %d tier after grow = %v, %v", id, tier, ok)
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestResizeTiersValidation: named targets hit the right tiers and the
 // bad ones are rejected — unknown names, the unbounded anchor, negatives.
 func TestResizeTiersValidation(t *testing.T) {
-	m := resizeTestManager(t)
-	if err := m.ResizeTiers(map[string]core.Bytes{"nvm": 10}); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("unknown tier err = %v", err)
-	}
-	if err := m.ResizeTiers(map[string]core.Bytes{"tertiary": 10}); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("anchor resize err = %v", err)
-	}
-	if err := m.ResizeTiers(map[string]core.Bytes{"memory": -5}); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("negative target err = %v", err)
-	}
-	if err := m.ResizeTiers(map[string]core.Bytes{"memory": 80, "disk": 900}); err != nil {
-		t.Fatal(err)
-	}
-	var mem, disk core.Bytes
-	for _, ti := range m.Tiers() {
-		switch ti.Name {
-		case "memory":
-			mem = ti.Capacity
-		case "disk":
-			disk = ti.Capacity
+	eachStack(t, func(t *testing.T, s stack) {
+		m := resizeTestManager(t, s)
+		if err := m.ResizeTiers(map[string]core.Bytes{"nvm": 10}); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("unknown tier err = %v", err)
 		}
-	}
-	if mem != 80 || disk != 900 {
-		t.Errorf("capacities after ResizeTiers = %v, %v", mem, disk)
-	}
+		if err := m.ResizeTiers(map[string]core.Bytes{"tertiary": 10}); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("anchor resize err = %v", err)
+		}
+		if err := m.ResizeTiers(map[string]core.Bytes{"memory": -5}); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("negative target err = %v", err)
+		}
+		if err := m.ResizeTiers(map[string]core.Bytes{"memory": 80, "disk": 900}); err != nil {
+			t.Fatal(err)
+		}
+		var mem, disk core.Bytes
+		for _, ti := range m.Tiers() {
+			switch ti.Name {
+			case "memory":
+				mem = ti.Capacity
+			case "disk":
+				disk = ti.Capacity
+			}
+		}
+		if mem != 80 || disk != 900 {
+			t.Errorf("capacities after ResizeTiers = %v, %v", mem, disk)
+		}
+	})
 }
 
 // TestResizeMmapTier drives a four-tier stack (heap/mmap/disk/segment)
@@ -252,14 +256,7 @@ func TestResizeTiersValidation(t *testing.T) {
 // disk, the cascade erases the now-orphaned faster copies, and the
 // invariants hold on the deeper table.
 func TestResizeMmapTier(t *testing.T) {
-	cfg := Config{
-		MemCapacity:  300,
-		DiskCapacity: 100_000,
-		MemLatency:   0, DiskLatency: 20, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 1.0,
-		DataDir:          t.TempDir(),
-	}.WithMmapTier(1000)
+	cfg := fourTier(t, 300, 1000, 100_000)
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +290,7 @@ func TestResizeMmapTier(t *testing.T) {
 	}
 	// Every object still reads back intact from wherever it landed.
 	for id := core.ObjectID(1); id <= 10; id++ {
-		_, data, err := m.Fetch(id)
+		_, data, err := fetch(m, id)
 		if err != nil {
 			t.Fatalf("Fetch %d after mmap shrink: %v", id, err)
 		}
@@ -308,14 +305,7 @@ func TestResizeMmapTier(t *testing.T) {
 // be served from the old tier or the new one, never short-read or
 // corrupted. Run with -race this is the satellite's concurrency gate.
 func TestResizeRacesStreamReaders(t *testing.T) {
-	cfg := Config{
-		MemCapacity:  4_000,
-		DiskCapacity: 1 << 30,
-		MemLatency:   0, DiskLatency: 20, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 1.0,
-		DataDir:          t.TempDir(),
-	}.WithMmapTier(8_000)
+	cfg := fourTier(t, 4_000, 8_000, 1<<30)
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)

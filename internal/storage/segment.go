@@ -15,95 +15,80 @@ import (
 
 // SegmentStore is the append-only BlobStore backing the tertiary tier: a
 // linear medium in the paper's sense, written front to back. Blobs are
-// appended as self-describing records to numbered segment files
-// (seg-000000.seg, seg-000001.seg, ...), the active segment rotating once
-// it exceeds the configured size. Overwrites and deletes never touch old
-// bytes — a Put of an existing key appends a fresh record, a Delete
-// appends a tombstone — so the live data slowly drowns in garbage, and
-// Compact rewrites the live set into fresh segments when the dead
-// fraction crosses half. MaybeCompact is driven from Manager.Backup, the
-// paper's periodic background process.
+// appended as self-describing records (see recordLog, magic 0xC5) to
+// numbered segment files (seg-000000.seg, seg-000001.seg, ...), the active
+// segment rotating once it exceeds the configured size; Compact rewrites
+// the live set into fresh segments.
 //
-// Record layout (big-endian):
-//
-//	magic(1)=0xC5 kind(1) summary(1) id(8) version(4) length(4) payload crc32(4)
-//
-// where kind is 1 (put) or 2 (tombstone, length 0), and the CRC covers
-// header + payload. On Open, segments are replayed in order; the first
-// record that fails to parse or checksum ends the usable data in that
-// segment (a crashed writer only damages the tail), and a damaged tail in
-// the newest segment is truncated away so appends resume cleanly.
+// On open, segments are replayed in order; the first record that fails to
+// parse or checksum ends the usable data in that segment (a crashed writer
+// only damages the tail), and a damaged tail in the newest segment is
+// truncated away so appends resume cleanly.
 type SegmentStore struct {
-	dir     string
-	maxSize core.Bytes
+	recordLog // mu guards everything below but the segFile refcounts
+	dir       string
+	maxSize   core.Bytes
 
-	mu    sync.RWMutex
-	index map[BlobKey]segLoc
 	files map[int]*segFile // open segment handles, by segment number
 	segs  []int            // segment numbers, ascending; last is active
 	// refMu guards the refs/retired fields of every segFile. Ordered
 	// after mu: Open pins under the read lock, Compact retires under the
 	// write lock, and a reader's Close takes only refMu.
-	refMu sync.Mutex
-	// active append state.
-	activeSize int64
-	// live/dead record bytes (including headers), for the garbage ratio.
-	liveBytes, deadBytes int64
-	// Compactions counts completed compaction passes (for tests/stats).
-	Compactions int
+	refMu      sync.Mutex
+	activeSize int64 // append offset in the active segment
 }
 
 // segFile is one shared, refcounted segment file handle. Stream readers
-// pin it (refs) instead of opening their own descriptor; Compact retires
-// superseded segments, deferring the close — and the unlink, when set —
-// until the last in-flight reader drains.
+// pin it (refs) instead of opening their own descriptor; a segment that
+// Compact superseded is unlinked at once — the open descriptor keeps its
+// bytes readable — and closed when the last in-flight reader drains.
 type segFile struct {
 	f       *os.File
-	refs    int    // in-flight stream readers
-	retired bool   // superseded by Compact or Close
-	unlink  string // path to remove at teardown ("" = close only)
+	refs    int  // in-flight stream readers
+	retired bool // superseded by Compact or Close
 }
 
-// releaseSegFile drops one reader's pin, performing the deferred
-// teardown when the segment is retired and this was the last pin.
+// releaseSegFile drops one reader's pin, closing the handle when the
+// segment is retired and this was the last pin.
 func (s *SegmentStore) releaseSegFile(sf *segFile) error {
 	s.refMu.Lock()
 	sf.refs--
 	drained := sf.refs == 0 && sf.retired
 	s.refMu.Unlock()
 	if drained {
-		return sf.teardown()
+		return sf.f.Close()
 	}
 	return nil
 }
 
-// teardown closes the handle and removes the file when marked for
-// unlinking. Called with no pins outstanding.
-func (sf *segFile) teardown() error {
-	err := sf.f.Close()
-	if sf.unlink != "" {
-		if rmErr := os.Remove(sf.unlink); rmErr != nil && err == nil {
-			err = rmErr
+// retireLocked marks the given segments' handles retired, drops them from
+// the store and closes those no reader pins. Requires mu.
+func (s *SegmentStore) retireLocked(segs []int) error {
+	var drained []*segFile
+	s.refMu.Lock()
+	for _, n := range segs {
+		sf := s.files[n]
+		delete(s.files, n)
+		sf.retired = true
+		if sf.refs == 0 {
+			drained = append(drained, sf)
 		}
 	}
-	return err
+	s.refMu.Unlock()
+	var first error
+	for _, sf := range drained {
+		if err := sf.f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-type segLoc struct {
-	seg int
-	off int64 // payload offset within the segment
-	n   int   // payload length
-}
-
-const (
-	segMagic      = 0xC5
-	segKindPut    = 1
-	segKindDelete = 2
-	segHeaderLen  = 1 + 1 + 1 + 8 + 4 + 4
-	segTrailerLen = 4 // crc32
-)
+const segMagic = 0xC5
 
 func segName(n int) string { return fmt.Sprintf("seg-%06d.seg", n) }
+
+func (s *SegmentStore) segPath(n int) string { return filepath.Join(s.dir, segName(n)) }
 
 // OpenSegmentStore opens (creating if needed) a segment store in dir,
 // replaying every segment to rebuild the key index.
@@ -115,10 +100,10 @@ func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 		maxSize = 4 * core.MB
 	}
 	s := &SegmentStore{
-		dir:     dir,
-		maxSize: maxSize,
-		index:   make(map[BlobKey]segLoc),
-		files:   make(map[int]*segFile),
+		recordLog: recordLog{magic: segMagic, index: make(map[BlobKey]recLoc)},
+		dir:       dir,
+		maxSize:   maxSize,
+		files:     make(map[int]*segFile),
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -149,51 +134,30 @@ func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 // to the index. When active (the newest segment), a damaged tail is
 // truncated so subsequent appends start from a clean offset.
 func (s *SegmentStore) replaySegment(n int, active bool) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(n)), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(s.segPath(n), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: replay segment %d: %w", n, err)
 	}
 	s.files[n] = &segFile{f: f}
 	var off int64
-	hdr := make([]byte, segHeaderLen)
+	hdr := make([]byte, recHeaderLen)
 	for {
 		if _, err := io.ReadFull(f, hdr); err != nil {
 			break // clean EOF or truncated header: end of usable data
 		}
-		if hdr[0] != segMagic || (hdr[1] != segKindPut && hdr[1] != segKindDelete) {
+		kind, k, length, ok := s.parseHeader(hdr)
+		if !ok {
 			break
 		}
-		k := BlobKey{
-			ID:      core.ObjectID(binary.BigEndian.Uint64(hdr[3:11])),
-			Version: int(binary.BigEndian.Uint32(hdr[11:15])),
-			Summary: hdr[2] == 1,
-		}
-		length := int(binary.BigEndian.Uint32(hdr[15:19]))
-		body := make([]byte, length+segTrailerLen)
+		body := make([]byte, length+recTrailerLen)
 		if _, err := io.ReadFull(f, body); err != nil {
 			break
 		}
-		crc := crc32.NewIEEE()
-		crc.Write(hdr)
-		crc.Write(body[:length])
-		if binary.BigEndian.Uint32(body[length:]) != crc.Sum32() {
+		if binary.BigEndian.Uint32(body[length:]) != recCRC(hdr, body[:length]) {
 			break
 		}
-		recLen := int64(segHeaderLen + length + segTrailerLen)
-		if old, ok := s.index[k]; ok {
-			oldRec := int64(segHeaderLen + old.n + segTrailerLen)
-			s.liveBytes -= oldRec
-			s.deadBytes += oldRec
-		}
-		switch hdr[1] {
-		case segKindPut:
-			s.index[k] = segLoc{seg: n, off: off + segHeaderLen, n: length}
-			s.liveBytes += recLen
-		case segKindDelete:
-			delete(s.index, k)
-			s.deadBytes += recLen // the tombstone itself is garbage
-		}
-		off += recLen
+		s.note(kind, k, recLoc{seg: n, off: off + recHeaderLen, n: length})
+		off += recLen(length)
 	}
 	if active {
 		if err := f.Truncate(off); err != nil {
@@ -207,13 +171,14 @@ func (s *SegmentStore) replaySegment(n int, active bool) error {
 	return nil
 }
 
-// rotateLocked opens the next segment file as the append target.
+// rotateLocked opens the next segment file as the append target. Segment
+// numbers never repeat, so replay order stays honest.
 func (s *SegmentStore) rotateLocked() error {
 	next := 0
 	if len(s.segs) > 0 {
 		next = s.segs[len(s.segs)-1] + 1
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(next)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: rotate segment: %w", err)
 	}
@@ -223,105 +188,132 @@ func (s *SegmentStore) rotateLocked() error {
 	return nil
 }
 
-// appendLocked writes one record to the active segment, rotating first if
-// the segment is full. Returns the payload offset.
-func (s *SegmentStore) appendLocked(kind byte, k BlobKey, payload []byte) (seg int, off int64, err error) {
+// appendLocked writes one record to the active segment (rotating first if
+// it is full), streaming the n-byte payload from r through a pooled chunk
+// buffer. The header rides in front of the first chunk and the trailer
+// behind the last, so a record that fits the buffer costs one write(2).
+// On any failure the segment is truncated back to the record start so the
+// append offset stays clean. The index is the caller's to update.
+func (s *SegmentStore) appendLocked(kind byte, k BlobKey, r io.Reader, n int64) (recLoc, error) {
 	if s.activeSize >= int64(s.maxSize) {
 		if err := s.rotateLocked(); err != nil {
-			return 0, 0, err
+			return recLoc{}, err
 		}
 	}
-	seg = s.segs[len(s.segs)-1]
+	seg := s.segs[len(s.segs)-1]
 	f := s.files[seg].f
-	rec := make([]byte, segHeaderLen+len(payload)+segTrailerLen)
-	rec[0] = segMagic
-	rec[1] = kind
-	if k.Summary {
-		rec[2] = 1
+	start := s.activeSize
+	buf := CopyBuffer()
+	defer PutCopyBuffer(buf)
+	s.putHeader(buf, kind, k, int(n))
+	fill, left, crc := recHeaderLen, n, uint32(0)
+	var err error
+	for done := false; !done && err == nil; {
+		if take := int(min(left, int64(len(buf)-fill))); take > 0 {
+			if _, err = io.ReadFull(r, buf[fill:fill+take]); err != nil {
+				break
+			}
+			fill, left = fill+take, left-int64(take)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:fill])
+		if left == 0 && len(buf)-fill >= recTrailerLen {
+			binary.BigEndian.PutUint32(buf[fill:], crc)
+			fill += recTrailerLen
+			done = true
+		}
+		_, err = f.Write(buf[:fill])
+		fill = 0
 	}
-	binary.BigEndian.PutUint64(rec[3:11], uint64(k.ID))
-	binary.BigEndian.PutUint32(rec[11:15], uint32(k.Version))
-	binary.BigEndian.PutUint32(rec[15:19], uint32(len(payload)))
-	copy(rec[segHeaderLen:], payload)
-	crc := crc32.NewIEEE()
-	crc.Write(rec[:segHeaderLen+len(payload)])
-	binary.BigEndian.PutUint32(rec[segHeaderLen+len(payload):], crc.Sum32())
-	if _, err := f.Write(rec); err != nil {
-		return 0, 0, fmt.Errorf("storage: segment append %v: %w", k, err)
+	if err != nil {
+		f.Truncate(start)
+		f.Seek(start, io.SeekStart)
+		return recLoc{}, fmt.Errorf("storage: segment append %v: %w", k, err)
 	}
-	off = s.activeSize + segHeaderLen
-	s.activeSize += int64(len(rec))
-	return seg, off, nil
+	s.activeSize = start + recLen(int(n))
+	return recLoc{seg: seg, off: start + recHeaderLen, n: int(n)}, nil
 }
 
-func (s *SegmentStore) Put(k BlobKey, data []byte) error {
+func (s *SegmentStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.index[k]; ok {
-		s.deadBytes += int64(segHeaderLen + old.n + segTrailerLen)
-		s.liveBytes -= int64(segHeaderLen + old.n + segTrailerLen)
-	}
-	seg, off, err := s.appendLocked(segKindPut, k, data)
+	loc, err := s.appendLocked(recKindPut, k, r, n)
 	if err != nil {
 		return err
 	}
-	s.index[k] = segLoc{seg: seg, off: off, n: len(data)}
-	s.liveBytes += int64(segHeaderLen + len(data) + segTrailerLen)
+	s.note(recKindPut, k, loc)
 	return nil
-}
-
-func (s *SegmentStore) Get(k BlobKey) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	loc, ok := s.index[k]
-	if !ok {
-		return nil, fmt.Errorf("storage: segment get %v: %w", k, core.ErrNotFound)
-	}
-	data := make([]byte, loc.n)
-	if _, err := s.files[loc.seg].f.ReadAt(data, loc.off); err != nil {
-		return nil, fmt.Errorf("storage: segment get %v: %w", k, err)
-	}
-	return data, nil
 }
 
 func (s *SegmentStore) Delete(k BlobKey) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	loc, ok := s.index[k]
-	if !ok {
+	if _, ok := s.index[k]; !ok {
 		return nil
 	}
-	if _, _, err := s.appendLocked(segKindDelete, k, nil); err != nil {
+	if _, err := s.appendLocked(recKindDelete, k, nil, 0); err != nil {
 		return err
 	}
-	delete(s.index, k)
-	rec := int64(segHeaderLen + loc.n + segTrailerLen)
-	s.liveBytes -= rec
-	s.deadBytes += rec + segHeaderLen + segTrailerLen
+	s.note(recKindDelete, k, recLoc{})
 	return nil
 }
 
-func (s *SegmentStore) Contains(k BlobKey) bool {
+// Open verifies the record's frame and payload CRC, then returns a pread
+// window over the payload. Verification streams through a pooled chunk
+// buffer — the body is never materialized — and any mismatch (torn
+// header, truncated payload, bad checksum) surfaces as core.ErrCorrupt
+// rather than a short read at serve time. The reader pins the store's
+// shared segment handle (a refcount taken under the read lock, so
+// Compact — which needs the write lock — cannot retire the file first);
+// once Open returns, the pin keeps the window readable even if Compact
+// retires the segment while the stream is still in flight. Verification
+// itself runs after the lock is dropped — the pin alone keeps the bytes
+// stable, since old segment bytes are never overwritten.
+func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[k]
-	return ok
-}
-
-func (s *SegmentStore) Keys() []BlobKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]BlobKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
+	loc, ok := s.index[k]
+	var sf *segFile
+	if ok {
+		sf = s.files[loc.seg]
+		s.refMu.Lock()
+		sf.refs++
+		s.refMu.Unlock()
 	}
-	return keys
-}
-
-func (s *SegmentStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: segment open %v: %w", k, core.ErrNotFound)
+	}
+	fail := func(what string) error {
+		s.releaseSegFile(sf)
+		return fmt.Errorf("storage: segment open %v: %s: %w", k, what, core.ErrCorrupt)
+	}
+	f := sf.f
+	var hdr [recHeaderLen]byte
+	if _, err := f.ReadAt(hdr[:], loc.off-recHeaderLen); err != nil {
+		return nil, fail("torn header")
+	}
+	if !s.frames(hdr[:], k, loc.n) {
+		return nil, fail("frame mismatch")
+	}
+	crc := crc32.NewIEEE()
+	crc.Write(hdr[:])
+	buf := CopyBuffer()
+	_, err := io.CopyBuffer(onlyWriter{crc}, io.NewSectionReader(f, loc.off, int64(loc.n)), buf)
+	PutCopyBuffer(buf)
+	if err != nil {
+		return nil, fail("torn payload")
+	}
+	var trailer [recTrailerLen]byte
+	if _, err := f.ReadAt(trailer[:], loc.off+int64(loc.n)); err != nil {
+		return nil, fail("torn trailer")
+	}
+	if binary.BigEndian.Uint32(trailer[:]) != crc.Sum32() {
+		return nil, fail("checksum mismatch")
+	}
+	return &sectionReader{
+		sr:      io.NewSectionReader(f, loc.off, int64(loc.n)),
+		size:    int64(loc.n),
+		release: func() error { return s.releaseSegFile(sf) },
+	}, nil
 }
 
 // Sync fsyncs the active segment and the store directory.
@@ -343,106 +335,74 @@ func (s *SegmentStore) Sync() error {
 func (s *SegmentStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var drained []*segFile
-	s.refMu.Lock()
-	for _, sf := range s.files {
-		sf.retired = true
-		if sf.refs == 0 {
-			drained = append(drained, sf)
-		}
+	all := make([]int, 0, len(s.files))
+	for n := range s.files {
+		all = append(all, n)
 	}
-	s.refMu.Unlock()
-	var first error
-	for _, sf := range drained {
-		if err := sf.teardown(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.files = make(map[int]*segFile)
-	return first
-}
-
-// GarbageRatio reports the dead fraction of all record bytes written.
-func (s *SegmentStore) GarbageRatio() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	total := s.liveBytes + s.deadBytes
-	if total == 0 {
-		return 0
-	}
-	return float64(s.deadBytes) / float64(total)
-}
-
-// MaybeCompact compacts when at least half the written bytes are garbage.
-func (s *SegmentStore) MaybeCompact() error {
-	if s.GarbageRatio() > 0.5 {
-		return s.Compact()
-	}
-	return nil
+	return s.retireLocked(all)
 }
 
 // Compact rewrites the live records into fresh segments and retires the
 // old files — stop-the-world for writers and new opens, but safe against
-// in-flight streams: readers hold refcounted pins on the shared segment
-// handles, so a retired segment's close and unlink are deferred until its
-// last reader drains. Segments with no pins are torn down immediately.
+// in-flight streams, which keep reading their pinned handles.
+//
+// The anchor tier must not be losable, so nothing old is touched until the
+// new generation is durable: records stream one by one from the old
+// segments into new ones (peak heap is one chunk buffer), the new files
+// and the directory are synced, and only then are the old files unlinked,
+// oldest first. A failure before that point removes the partial new
+// segments and leaves the store as it was; a crash at any point leaves
+// old segments, new segments or both, and since segment numbers never
+// repeat a replay of any such mix rebuilds the same index.
 func (s *SegmentStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Read every live blob (ordered for a deterministic new layout).
-	keys := make([]BlobKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	blobs := make([][]byte, len(keys))
-	for i, k := range keys {
-		loc := s.index[k]
-		data := make([]byte, loc.n)
-		if _, err := s.files[loc.seg].f.ReadAt(data, loc.off); err != nil {
-			return fmt.Errorf("storage: compact read %v: %w", k, err)
-		}
-		blobs[i] = data
-	}
-	// Retire the old segments: unlink now when unpinned, else at drain.
-	var drained []*segFile
-	s.refMu.Lock()
-	for n, sf := range s.files {
-		sf.retired = true
-		sf.unlink = filepath.Join(s.dir, segName(n))
-		if sf.refs == 0 {
-			drained = append(drained, sf)
-		}
-	}
-	s.refMu.Unlock()
-	for _, sf := range drained {
-		if err := sf.teardown(); err != nil {
-			return fmt.Errorf("storage: compact remove segment: %w", err)
-		}
-	}
-	nextSeg := 0
-	if len(s.segs) > 0 {
-		nextSeg = s.segs[len(s.segs)-1] + 1 // never reuse numbers: replay order stays honest
-	}
-	s.files = make(map[int]*segFile)
-	s.segs = nil
-	s.index = make(map[BlobKey]segLoc)
-	s.liveBytes, s.deadBytes, s.activeSize = 0, 0, 0
-	// Rewrite the live set.
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(nextSeg)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
+	old, oldActive := s.segs, s.activeSize
+	if err := s.rotateLocked(); err != nil {
 		return fmt.Errorf("storage: compact: %w", err)
 	}
-	s.segs = append(s.segs, nextSeg)
-	s.files[nextSeg] = &segFile{f: f}
-	for i, k := range keys {
-		seg, off, err := s.appendLocked(segKindPut, k, blobs[i])
-		if err != nil {
-			return err
+	abort := func(err error) error {
+		for _, n := range s.segs[len(old):] {
+			s.files[n].f.Close()
+			os.Remove(s.segPath(n))
+			delete(s.files, n)
 		}
-		s.index[k] = segLoc{seg: seg, off: off, n: len(blobs[i])}
-		s.liveBytes += int64(segHeaderLen + len(blobs[i]) + segTrailerLen)
+		s.segs, s.activeSize = old, oldActive
+		return fmt.Errorf("storage: compact: %w", err)
 	}
+	index := make(map[BlobKey]recLoc, len(s.index))
+	var live int64
+	for _, k := range s.liveKeysLocked() {
+		loc := s.index[k]
+		src := io.NewSectionReader(s.files[loc.seg].f, loc.off, int64(loc.n))
+		nl, err := s.appendLocked(recKindPut, k, src, int64(loc.n))
+		if err != nil {
+			return abort(err)
+		}
+		index[k] = nl
+		live += recLen(nl.n)
+	}
+	for _, n := range s.segs[len(old):] {
+		if err := s.files[n].f.Sync(); err != nil {
+			return abort(err)
+		}
+	}
+	if err := syncDir(s.dir); err != nil {
+		return abort(err)
+	}
+	s.segs = append([]int(nil), s.segs[len(old):]...)
+	s.index, s.liveBytes, s.deadBytes = index, live, 0
 	s.Compactions++
-	return nil
+	// Oldest first, so what a crash leaves is always a suffix of the old
+	// log: a put never outlives the later tombstone that cancels it.
+	var first error
+	for _, n := range old {
+		if err := os.Remove(s.segPath(n)); err != nil && first == nil {
+			first = fmt.Errorf("storage: compact remove segment: %w", err)
+		}
+	}
+	if err := s.retireLocked(old); err != nil && first == nil {
+		first = fmt.Errorf("storage: compact remove segment: %w", err)
+	}
+	return first
 }

@@ -2,27 +2,17 @@ package storage
 
 import (
 	"errors"
-	"os"
 	"testing"
 	"testing/quick"
 
 	"cbfww/internal/core"
 )
 
-func newTestManager(t *testing.T) *Manager {
+func newTestManager(t *testing.T, s stack) *Manager {
 	t.Helper()
-	cfg := Config{
-		MemCapacity:  100,
-		DiskCapacity: 1000,
-		MemLatency:   0, DiskLatency: 10, TertiaryLatency: 100,
-		SummaryRatio:     0.1,
-		SummaryThreshold: 0.5, // objects > 50 bytes are "large documents"
-	}
-	// CBFWW_DISK_TIER=1 (the storage-disk CI job) runs the whole suite
-	// against real file-backed disk and tertiary tiers in a tempdir.
-	if os.Getenv("CBFWW_DISK_TIER") != "" {
-		cfg.DataDir = t.TempDir()
-	}
+	cfg := s.config(t, 100, 1000)
+	cfg.SummaryRatio = 0.1
+	cfg.SummaryThreshold = 0.5 // objects > 50 bytes are "large documents"
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,15 +22,23 @@ func newTestManager(t *testing.T) *Manager {
 }
 
 func TestNewManagerValidation(t *testing.T) {
+	table := func(edit func([]TierSpec) []TierSpec) Config {
+		return Config{Tiers: edit(ClassicTiers(10, 10))}
+	}
 	bad := []Config{
-		{MemCapacity: 0, DiskCapacity: 10, DiskLatency: 1, TertiaryLatency: 2},
-		{MemCapacity: 10, DiskCapacity: 0, DiskLatency: 1, TertiaryLatency: 2},
-		{MemCapacity: 10, DiskCapacity: 10, MemLatency: 5, DiskLatency: 1, TertiaryLatency: 2},
-		{MemCapacity: 10, DiskCapacity: 10, DiskLatency: 1, TertiaryLatency: 2, SummaryRatio: 1.5},
+		{}, // no table
+		table(func(ts []TierSpec) []TierSpec { ts[0].Capacity = 0; return ts }),
+		table(func(ts []TierSpec) []TierSpec { ts[1].Capacity = 0; return ts }),
+		table(func(ts []TierSpec) []TierSpec { ts[2].Capacity = 1; return ts }), // bounded anchor
+		table(func(ts []TierSpec) []TierSpec { ts[0].Latency = 50; return ts }), // latency inversion
+		table(func(ts []TierSpec) []TierSpec { ts[1].Name = "memory"; return ts }),
+		table(func(ts []TierSpec) []TierSpec { ts[1].Backend = "tape"; return ts }),
+		table(func(ts []TierSpec) []TierSpec { return ts[:1] }),
+		{Tiers: ClassicTiers(10, 10), SummaryRatio: 1.5},
 	}
 	for i, cfg := range bad {
-		if _, err := NewManager(cfg); err == nil {
-			t.Errorf("config %d accepted", i)
+		if _, err := NewManager(cfg); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("config %d: err = %v, want ErrInvalid", i, err)
 		}
 	}
 	if _, err := NewManager(DefaultConfig()); err != nil {
@@ -49,320 +47,345 @@ func TestNewManagerValidation(t *testing.T) {
 }
 
 func TestAdmitPlacesByPriority(t *testing.T) {
-	m := newTestManager(t)
-	// Memory holds 100 bytes: two 40-byte high-priority objects fit, the
-	// third (low priority) does not.
-	if err := m.Admit(1, 40, 1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Admit(2, 40, 1, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Admit(3, 40, 1, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	for id, want := range map[core.ObjectID]Tier{1: Memory, 2: Memory, 3: Disk} {
-		got, ok := m.Contains(id)
-		if !ok || got != want {
-			t.Errorf("Contains(%v) = %v, %v; want %v", id, got, ok, want)
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		// Memory holds 100 bytes: two 40-byte high-priority objects fit, the
+		// third (low priority) does not.
+		if err := m.Admit(1, 40, 1, 0.9); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Access costs follow tiers.
-	r1, err := m.Access(1)
-	if err != nil || r1.Tier != Memory || r1.Latency != 0 {
-		t.Errorf("Access(1) = %+v, %v", r1, err)
-	}
-	r3, err := m.Access(3)
-	if err != nil || r3.Tier != Disk || r3.Latency != 10 {
-		t.Errorf("Access(3) = %+v, %v", r3, err)
-	}
-	st := m.Stats()
-	if st.Accesses != 2 || st.CostTotal != 10 {
-		t.Errorf("stats = %+v", st)
-	}
+		if err := m.Admit(2, 40, 1, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Admit(3, 40, 1, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range map[core.ObjectID]Tier{1: Memory, 2: Memory, 3: Disk} {
+			got, ok := m.Contains(id)
+			if !ok || got != want {
+				t.Errorf("Contains(%v) = %v, %v; want %v", id, got, ok, want)
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// Access costs follow tiers.
+		r1, err := m.Access(1)
+		if err != nil || r1.Tier != Memory || r1.Latency != 0 {
+			t.Errorf("Access(1) = %+v, %v", r1, err)
+		}
+		r3, err := m.Access(3)
+		if err != nil || r3.Tier != Disk || r3.Latency != 10 {
+			t.Errorf("Access(3) = %+v, %v", r3, err)
+		}
+		st := m.Stats()
+		if st.Accesses != 2 || st.CostTotal != 10 {
+			t.Errorf("stats = %+v", st)
+		}
+	})
 }
 
 func TestAdmitErrors(t *testing.T) {
-	m := newTestManager(t)
-	if err := m.Admit(1, 0, 1, 0.5); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("zero size err = %v", err)
-	}
-	if err := m.Admit(1, 10, 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Admit(1, 10, 1, 0.5); !errors.Is(err, core.ErrExists) {
-		t.Errorf("dup err = %v", err)
-	}
-	if _, err := m.Access(99); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("missing access err = %v", err)
-	}
-	if err := m.Remove(99); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("missing remove err = %v", err)
-	}
-	if err := m.SetPriority(99, 1); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("missing set-priority err = %v", err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		if err := m.Admit(1, 0, 1, 0.5); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("zero size err = %v", err)
+		}
+		if err := m.Admit(1, 10, 1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Admit(1, 10, 1, 0.5); !errors.Is(err, core.ErrExists) {
+			t.Errorf("dup err = %v", err)
+		}
+		if _, err := m.Access(99); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("missing access err = %v", err)
+		}
+		if err := m.Remove(99); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("missing remove err = %v", err)
+		}
+		if err := m.SetPriority(99, 1); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("missing set-priority err = %v", err)
+		}
+	})
 }
 
 func TestMemoryResidentHasDiskCopy(t *testing.T) {
-	m := newTestManager(t)
-	if err := m.Admit(1, 50, 1, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	mem := m.ResidentIDs(Memory)
-	disk := m.ResidentIDs(Disk)
-	if len(mem) != 1 || len(disk) != 1 {
-		t.Fatalf("residents: mem=%v disk=%v", mem, disk)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		if err := m.Admit(1, 50, 1, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		mem := m.ResidentIDs(Memory)
+		disk := m.ResidentIDs(Disk)
+		if len(mem) != 1 || len(disk) != 1 {
+			t.Fatalf("residents: mem=%v disk=%v", mem, disk)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestLevelsOfDetailSummary(t *testing.T) {
-	m := newTestManager(t)
-	// 60-byte object with SummaryThreshold 0.5*100 = 50: a large document,
-	// so memory holds a 6-byte summary while disk holds the body.
-	if err := m.Admit(1, 60, 1, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Access(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != Disk {
-		t.Errorf("full body served from %v, want disk", res.Tier)
-	}
-	if !res.HasPreview || res.PreviewTier != Memory || res.PreviewLatency != 0 {
-		t.Errorf("no memory preview: %+v", res)
-	}
-	if used := m.Used(Memory); used != 6 {
-		t.Errorf("memory used = %v, want 6 (summary)", used)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		// 60-byte object with SummaryThreshold 0.5*100 = 50: a large document,
+		// so memory holds a 6-byte summary while disk holds the body.
+		if err := m.Admit(1, 60, 1, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Access(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tier != Disk {
+			t.Errorf("full body served from %v, want disk", res.Tier)
+		}
+		if !res.HasPreview || res.PreviewTier != Memory || res.PreviewLatency != 0 {
+			t.Errorf("no memory preview: %+v", res)
+		}
+		if used := m.Used(Memory); used != 6 {
+			t.Errorf("memory used = %v, want 6 (summary)", used)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestPriorityChangeMigrates(t *testing.T) {
-	m := newTestManager(t)
-	m.Admit(1, 40, 1, 0.9)
-	m.Admit(2, 40, 1, 0.8)
-	m.Admit(3, 40, 1, 0.1)
-	if tier, _ := m.Contains(3); tier != Disk {
-		t.Fatalf("precondition: 3 at %v", tier)
-	}
-	// Promote 3 above 2: they swap places.
-	if err := m.SetPriority(3, 0.85); err != nil {
-		t.Fatal(err)
-	}
-	if tier, _ := m.Contains(3); tier != Memory {
-		t.Errorf("3 at %v after promotion", tier)
-	}
-	if tier, _ := m.Contains(2); tier != Disk {
-		t.Errorf("2 at %v after demotion", tier)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Migrations == 0 {
-		t.Error("no migrations counted")
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		m.Admit(1, 40, 1, 0.9)
+		m.Admit(2, 40, 1, 0.8)
+		m.Admit(3, 40, 1, 0.1)
+		if tier, _ := m.Contains(3); tier != Disk {
+			t.Fatalf("precondition: 3 at %v", tier)
+		}
+		// Promote 3 above 2: they swap places.
+		if err := m.SetPriority(3, 0.85); err != nil {
+			t.Fatal(err)
+		}
+		if tier, _ := m.Contains(3); tier != Memory {
+			t.Errorf("3 at %v after promotion", tier)
+		}
+		if tier, _ := m.Contains(2); tier != Disk {
+			t.Errorf("2 at %v after demotion", tier)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Stats().Migrations == 0 {
+			t.Error("no migrations counted")
+		}
 
-	// Bulk form.
-	m.ApplyPriorities(map[core.ObjectID]core.Priority{2: 0.95, 3: 0.05})
-	if tier, _ := m.Contains(2); tier != Memory {
-		t.Errorf("bulk: 2 at %v", tier)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+		// Bulk form.
+		m.ApplyPriorities(map[core.ObjectID]core.Priority{2: 0.95, 3: 0.05})
+		if tier, _ := m.Contains(2); tier != Memory {
+			t.Errorf("bulk: 2 at %v", tier)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestUpdateAndBackupVersioning(t *testing.T) {
-	m := newTestManager(t)
-	m.Admit(1, 40, 1, 0.9) // memory + disk + tertiary
-	if err := m.Update(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Fast copies current, tertiary stale.
-	res, _ := m.Access(1)
-	if res.Stale {
-		t.Error("memory copy stale after update")
-	}
-	if err := m.Update(1, 1); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("regressing version err = %v", err)
-	}
-	if err := m.Update(99, 5); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("unknown update err = %v", err)
-	}
-	// Drop fast tiers: only the stale tertiary copy remains.
-	m.DropTier(Memory)
-	m.DropTier(Disk)
-	res2, err := m.Access(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Tier != Tertiary || !res2.Stale {
-		t.Errorf("tertiary access = %+v, want stale", res2)
-	}
-	// Backup refreshes tertiary.
-	m.Backup()
-	res3, _ := m.Access(1)
-	if res3.Stale {
-		t.Error("tertiary still stale after backup")
-	}
-	if m.Stats().Backups != 1 {
-		t.Errorf("backups = %d", m.Stats().Backups)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		m.Admit(1, 40, 1, 0.9) // memory + disk + tertiary
+		if err := m.Update(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		// Fast copies current, tertiary stale.
+		res, _ := m.Access(1)
+		if res.Stale {
+			t.Error("memory copy stale after update")
+		}
+		if err := m.Update(1, 1); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("regressing version err = %v", err)
+		}
+		if err := m.Update(99, 5); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("unknown update err = %v", err)
+		}
+		// Drop fast tiers: only the stale tertiary copy remains.
+		m.DropTier(Memory)
+		m.DropTier(Disk)
+		res2, err := m.Access(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Tier != Tertiary || !res2.Stale {
+			t.Errorf("tertiary access = %+v, want stale", res2)
+		}
+		// Backup refreshes tertiary.
+		m.Backup()
+		res3, _ := m.Access(1)
+		if res3.Stale {
+			t.Error("tertiary still stale after backup")
+		}
+		if m.Stats().Backups != 1 {
+			t.Errorf("backups = %d", m.Stats().Backups)
+		}
+	})
 }
 
 func TestUpdateTertiaryOnlyObject(t *testing.T) {
-	m := newTestManager(t)
-	// Low priority object larger than disk would allow? Use tiny disk.
-	m2, err := NewManager(Config{MemCapacity: 10, DiskCapacity: 10,
-		DiskLatency: 1, TertiaryLatency: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2.Admit(1, 50, 1, 0.5) // fits nowhere fast: tertiary only
-	if tier, _ := m2.Contains(1); tier != Tertiary {
-		t.Fatalf("at %v", tier)
-	}
-	if err := m2.Update(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := m2.Access(1)
-	if res.Stale {
-		t.Error("direct tertiary update left stale copy")
-	}
-	_ = m
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		// Low priority object larger than disk would allow? Use tiny disk.
+		m2, err := NewManager(classic(10, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2.Admit(1, 50, 1, 0.5) // fits nowhere fast: tertiary only
+		if tier, _ := m2.Contains(1); tier != Tertiary {
+			t.Fatalf("at %v", tier)
+		}
+		if err := m2.Update(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		res, _ := m2.Access(1)
+		if res.Stale {
+			t.Error("direct tertiary update left stale copy")
+		}
+		_ = m
+	})
 }
 
 func TestDropMemoryRecoverFromDisk(t *testing.T) {
-	m := newTestManager(t)
-	m.Admit(1, 40, 1, 0.9)
-	m.Admit(2, 40, 1, 0.8)
-	if err := m.DropTier(Memory); err != nil {
-		t.Fatal(err)
-	}
-	if ids := m.ResidentIDs(Memory); len(ids) != 0 {
-		t.Fatalf("memory not empty after drop: %v", ids)
-	}
-	rep := m.Recover()
-	if rep.Lost != 0 || rep.Stale != 0 {
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.Restored == 0 {
-		t.Error("nothing restored")
-	}
-	if ids := m.ResidentIDs(Memory); len(ids) != 2 {
-		t.Errorf("memory after recover: %v", ids)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		m.Admit(1, 40, 1, 0.9)
+		m.Admit(2, 40, 1, 0.8)
+		if err := m.DropTier(Memory); err != nil {
+			t.Fatal(err)
+		}
+		if ids := m.ResidentIDs(Memory); len(ids) != 0 {
+			t.Fatalf("memory not empty after drop: %v", ids)
+		}
+		rep := m.Recover()
+		if rep.Lost != 0 || rep.Stale != 0 {
+			t.Errorf("report = %+v", rep)
+		}
+		if rep.Restored == 0 {
+			t.Error("nothing restored")
+		}
+		if ids := m.ResidentIDs(Memory); len(ids) != 2 {
+			t.Errorf("memory after recover: %v", ids)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestDropDiskRecoverStale(t *testing.T) {
-	m := newTestManager(t)
-	m.Admit(1, 40, 1, 0.9)
-	m.Update(1, 3) // tertiary copy stays at v1
-	// Lose both fast tiers: only the stale tertiary backup survives.
-	m.DropTier(Memory)
-	m.DropTier(Disk)
-	rep := m.Recover()
-	if rep.Stale != 1 {
-		t.Errorf("stale = %d, want 1", rep.Stale)
-	}
-	if rep.Lost != 0 {
-		t.Errorf("lost = %d", rep.Lost)
-	}
-	res, err := m.Access(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stale {
-		t.Error("recovered copy still flagged stale (should be authoritative now)")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		m.Admit(1, 40, 1, 0.9)
+		m.Update(1, 3) // tertiary copy stays at v1
+		// Lose both fast tiers: only the stale tertiary backup survives.
+		m.DropTier(Memory)
+		m.DropTier(Disk)
+		rep := m.Recover()
+		if rep.Stale != 1 {
+			t.Errorf("stale = %d, want 1", rep.Stale)
+		}
+		if rep.Lost != 0 {
+			t.Errorf("lost = %d", rep.Lost)
+		}
+		res, err := m.Access(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stale {
+			t.Error("recovered copy still flagged stale (should be authoritative now)")
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestDropAllTiersLosesObject(t *testing.T) {
-	m := newTestManager(t)
-	m.Admit(1, 40, 1, 0.9)
-	m.DropTier(Memory)
-	m.DropTier(Disk)
-	m.DropTier(Tertiary)
-	rep := m.Recover()
-	if rep.Lost != 1 {
-		t.Errorf("lost = %d, want 1", rep.Lost)
-	}
-	if m.Len() != 0 {
-		t.Errorf("Len = %d after total loss", m.Len())
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		m.Admit(1, 40, 1, 0.9)
+		m.DropTier(Memory)
+		m.DropTier(Disk)
+		m.DropTier(Tertiary)
+		rep := m.Recover()
+		if rep.Lost != 1 {
+			t.Errorf("lost = %d, want 1", rep.Lost)
+		}
+		if m.Len() != 0 {
+			t.Errorf("Len = %d after total loss", m.Len())
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestDropTierValidation(t *testing.T) {
-	m := newTestManager(t)
-	if err := m.DropTier(Tier(9)); !errors.Is(err, core.ErrInvalid) {
-		t.Errorf("bad tier err = %v", err)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		if err := m.DropTier(Tier(9)); !errors.Is(err, core.ErrInvalid) {
+			t.Errorf("bad tier err = %v", err)
+		}
+	})
 }
 
 func TestRemoveFreesSpace(t *testing.T) {
-	m := newTestManager(t)
-	m.Admit(1, 40, 1, 0.9)
-	usedT := m.Used(Tertiary)
-	if err := m.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 {
-		t.Errorf("Len = %d", m.Len())
-	}
-	if m.Used(Tertiary) != usedT-40 {
-		t.Errorf("tertiary used = %v", m.Used(Tertiary))
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		m.Admit(1, 40, 1, 0.9)
+		usedT := m.Used(Tertiary)
+		if err := m.Remove(1); err != nil {
+			t.Fatal(err)
+		}
+		if m.Len() != 0 {
+			t.Errorf("Len = %d", m.Len())
+		}
+		if m.Used(Tertiary) != usedT-40 {
+			t.Errorf("tertiary used = %v", m.Used(Tertiary))
+		}
+	})
 }
 
 func TestAdmitAllBulk(t *testing.T) {
-	m := newTestManager(t)
-	batch := make([]Admission, 20)
-	for i := range batch {
-		batch[i] = Admission{
-			ID: core.ObjectID(i + 1), Size: 10, Version: 1,
-			Priority: core.Priority(i) / 20,
+	eachStack(t, func(t *testing.T, s stack) {
+		m := newTestManager(t, s)
+		batch := make([]Admission, 20)
+		for i := range batch {
+			batch[i] = Admission{
+				ID: core.ObjectID(i + 1), Size: 10, Version: 1,
+				Priority: core.Priority(i) / 20,
+			}
 		}
-	}
-	if err := m.AdmitAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 20 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The ten highest priorities (IDs 11..20) fill memory (100/10).
-	mem := m.ResidentIDs(Memory)
-	if len(mem) != 10 {
-		t.Fatalf("memory residents = %v", mem)
-	}
-	if mem[0] != 11 {
-		t.Errorf("lowest memory resident = %v, want 11", mem[0])
-	}
-	// Dup detection.
-	if err := m.AdmitAll([]Admission{{ID: 5, Size: 1}}); !errors.Is(err, core.ErrExists) {
-		t.Errorf("bulk dup err = %v", err)
-	}
+		if err := m.AdmitAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		if m.Len() != 20 {
+			t.Fatalf("Len = %d", m.Len())
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// The ten highest priorities (IDs 11..20) fill memory (100/10).
+		mem := m.ResidentIDs(Memory)
+		if len(mem) != 10 {
+			t.Fatalf("memory residents = %v", mem)
+		}
+		if mem[0] != 11 {
+			t.Errorf("lowest memory resident = %v, want 11", mem[0])
+		}
+		// Dup detection.
+		if err := m.AdmitAll([]Admission{{ID: 5, Size: 1}}); !errors.Is(err, core.ErrExists) {
+			t.Errorf("bulk dup err = %v", err)
+		}
+	})
 }
 
 func TestTierString(t *testing.T) {
@@ -388,10 +411,9 @@ func TestStorageInvariantsProperty(t *testing.T) {
 		for i := range ops {
 			ops[i] = op{kinds[i], ids[i], vals[i]}
 		}
-		m, err := NewManager(Config{
-			MemCapacity: 50, DiskCapacity: 200,
-			DiskLatency: 1, TertiaryLatency: 10, SummaryRatio: 0.1,
-		})
+		cfg := classic(50, 200)
+		cfg.SummaryRatio = 0.1
+		m, err := NewManager(cfg)
 		if err != nil {
 			return false
 		}

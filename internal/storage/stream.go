@@ -1,15 +1,9 @@
 package storage
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
-
-	"cbfww/internal/core"
 )
 
 // BlobReader is a streaming handle on one stored blob. It is a positioned
@@ -36,9 +30,8 @@ type BlobReader interface {
 }
 
 // copyBufPool holds the chunk buffers used wherever streamed bytes must
-// pass through user space (segment CRC verification and reads, streamed
-// segment appends, codec-era fallbacks in the warehouse). 32KB matches
-// io.Copy's internal default.
+// pass through user space (segment CRC verification, reads and appends;
+// body copies in the warehouse). 32KB matches io.Copy's internal default.
 var copyBufPool = sync.Pool{
 	New: func() any { return make([]byte, 32*1024) },
 }
@@ -103,7 +96,7 @@ func (r *fileReader) Close() error { return r.f.Close() }
 // sectionReader is the segment store's BlobReader: a pread window over
 // the store's shared, refcounted segment file handle (see segFile). Open
 // pins the segment; Close releases the pin, and the last release of a
-// segment Compact has retired performs the deferred close+unlink. WriteTo
+// segment Compact has retired performs the deferred close. WriteTo
 // moves bytes through a pooled chunk buffer, so there is no per-stream
 // descriptor at all — just the reader itself.
 type sectionReader struct {
@@ -150,225 +143,8 @@ func (r *sectionReader) Close() error {
 	return rel()
 }
 
-// --- memStore streaming ---
-
-func (s *memStore) Open(k BlobKey) (BlobReader, error) {
-	s.mu.RLock()
-	data, ok := s.m[k]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: mem open %v: %w", k, core.ErrNotFound)
-	}
-	return &memReader{data: data}, nil
-}
-
-// PutFrom for the heap store materializes, as it must — but when the
-// source is another heap tier's reader (all-in-heap mode migrations) it
-// adopts the underlying slice directly, keeping heap↔heap movement
-// zero-copy just like the []byte Put path was.
-func (s *memStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
-	if mr, ok := r.(*memReader); ok && mr.off == 0 && int64(len(mr.data)) == n {
-		mr.off = len(mr.data)
-		return s.Put(k, mr.data)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return fmt.Errorf("storage: mem put-from %v: %w", k, err)
-	}
-	return s.Put(k, data)
-}
-
-// --- DiskStore streaming ---
-
-// Open returns the blob's file, opened for reading. The caller owns the
-// handle; an unlink (Delete, version turnover) while the stream is in
-// flight is harmless — the open descriptor keeps the bytes readable.
-func (s *DiskStore) Open(k BlobKey) (BlobReader, error) {
-	s.mu.RLock()
-	_, ok := s.index[k]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: disk open %v: %w", k, core.ErrNotFound)
-	}
-	f, err := os.Open(s.path(k))
-	if err != nil {
-		return nil, fmt.Errorf("storage: disk open %v: %w", k, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: disk open %v: %w", k, err)
-	}
-	return &fileReader{f: f, size: fi.Size()}, nil
-}
-
-// PutFrom streams n bytes from r into a temp file and renames it into
-// place — the same torn-write guarantee as Put, without a body-sized heap
-// buffer. io.Copy negotiates the cheapest transfer with r (ReadFrom on
-// *os.File takes copy_file_range for disk→disk migrations).
-func (s *DiskStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
-	dst := s.path(k)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("storage: disk put-from %v: %w", k, err)
-	}
-	tmp, err := os.CreateTemp(s.root, ".blob-*")
-	if err != nil {
-		return fmt.Errorf("storage: disk put-from %v: %w", k, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	written, err := io.Copy(tmp, r)
-	if err == nil && written != n {
-		err = fmt.Errorf("wrote %d of %d bytes", written, n)
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: disk put-from %v: %w", k, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: disk put-from %v: %w", k, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: disk put-from %v: %w", k, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("storage: disk put-from %v: %w", k, err)
-	}
-	s.mu.Lock()
-	s.index[k] = struct{}{}
-	s.mu.Unlock()
-	return nil
-}
-
-// --- SegmentStore streaming ---
-
-// Open verifies the record's frame and payload CRC, then returns a pread
-// window over the payload. Verification streams through a pooled chunk
-// buffer — the body is never materialized — and any mismatch (torn
-// header, truncated payload, bad checksum) surfaces as core.ErrCorrupt
-// rather than a short read at serve time. The reader pins the store's
-// shared segment handle (a refcount taken under the read lock, so
-// Compact — which needs the write lock — cannot retire the file first);
-// once Open returns, the pin keeps the window readable even if Compact
-// retires the segment while the stream is still in flight: the close and
-// unlink are deferred until the last reader drains. Verification itself
-// runs after the lock is dropped — the pin alone keeps the bytes stable,
-// since old segment bytes are never overwritten.
-func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
-	s.mu.RLock()
-	loc, ok := s.index[k]
-	var sf *segFile
-	if ok {
-		sf = s.files[loc.seg]
-		s.refMu.Lock()
-		sf.refs++
-		s.refMu.Unlock()
-	}
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: segment open %v: %w", k, core.ErrNotFound)
-	}
-	fail := func(err error) error {
-		s.releaseSegFile(sf)
-		return err
-	}
-	f := sf.f
-	var hdr [segHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], loc.off-segHeaderLen); err != nil {
-		return nil, fail(fmt.Errorf("storage: segment open %v: torn header: %w", k, core.ErrCorrupt))
-	}
-	if hdr[0] != segMagic || hdr[1] != segKindPut ||
-		core.ObjectID(binary.BigEndian.Uint64(hdr[3:11])) != k.ID ||
-		int(binary.BigEndian.Uint32(hdr[11:15])) != k.Version ||
-		(hdr[2] == 1) != k.Summary ||
-		int(binary.BigEndian.Uint32(hdr[15:19])) != loc.n {
-		return nil, fail(fmt.Errorf("storage: segment open %v: frame mismatch: %w", k, core.ErrCorrupt))
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	buf := CopyBuffer()
-	sec := io.NewSectionReader(f, loc.off, int64(loc.n))
-	if _, err := io.CopyBuffer(onlyWriter{crc}, sec, buf); err != nil {
-		PutCopyBuffer(buf)
-		return nil, fail(fmt.Errorf("storage: segment open %v: torn payload: %w", k, core.ErrCorrupt))
-	}
-	PutCopyBuffer(buf)
-	var trailer [segTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], loc.off+int64(loc.n)); err != nil {
-		return nil, fail(fmt.Errorf("storage: segment open %v: torn trailer: %w", k, core.ErrCorrupt))
-	}
-	if binary.BigEndian.Uint32(trailer[:]) != crc.Sum32() {
-		return nil, fail(fmt.Errorf("storage: segment open %v: checksum mismatch: %w", k, core.ErrCorrupt))
-	}
-	return &sectionReader{
-		sr:      io.NewSectionReader(f, loc.off, int64(loc.n)),
-		size:    int64(loc.n),
-		release: func() error { return s.releaseSegFile(sf) },
-	}, nil
-}
-
 // onlyWriter hides any other methods of the wrapped writer so
 // io.CopyBuffer actually uses the provided buffer.
 type onlyWriter struct{ w io.Writer }
 
 func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
-
-// PutFrom appends one record streaming the payload from r through a
-// pooled chunk buffer: header, then chunks feeding both the file and the
-// running CRC, then the trailer. On any failure the active segment is
-// truncated back to the record start so the append offset stays clean.
-func (s *SegmentStore) PutFrom(k BlobKey, r io.Reader, n int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.activeSize >= int64(s.maxSize) {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	seg := s.segs[len(s.segs)-1]
-	f := s.files[seg].f
-	start := s.activeSize
-	fail := func(err error) error {
-		f.Truncate(start)
-		f.Seek(start, io.SeekStart)
-		return fmt.Errorf("storage: segment put-from %v: %w", k, err)
-	}
-	var hdr [segHeaderLen]byte
-	hdr[0] = segMagic
-	hdr[1] = segKindPut
-	if k.Summary {
-		hdr[2] = 1
-	}
-	binary.BigEndian.PutUint64(hdr[3:11], uint64(k.ID))
-	binary.BigEndian.PutUint32(hdr[11:15], uint32(k.Version))
-	binary.BigEndian.PutUint32(hdr[15:19], uint32(n))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	if _, err := f.Write(hdr[:]); err != nil {
-		return fail(err)
-	}
-	buf := CopyBuffer()
-	written, err := io.CopyBuffer(onlyWriter{io.MultiWriter(f, crc)}, io.LimitReader(r, n), buf)
-	PutCopyBuffer(buf)
-	if err == nil && written != n {
-		err = fmt.Errorf("wrote %d of %d payload bytes", written, n)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	var trailer [segTrailerLen]byte
-	binary.BigEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := f.Write(trailer[:]); err != nil {
-		return fail(err)
-	}
-	if old, ok := s.index[k]; ok {
-		oldRec := int64(segHeaderLen + old.n + segTrailerLen)
-		s.deadBytes += oldRec
-		s.liveBytes -= oldRec
-	}
-	s.index[k] = segLoc{seg: seg, off: start + segHeaderLen, n: int(n)}
-	recLen := segHeaderLen + n + segTrailerLen
-	s.liveBytes += recLen
-	s.activeSize += recLen
-	return nil
-}

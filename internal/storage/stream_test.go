@@ -47,7 +47,7 @@ func TestOpenRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			k := BlobKey{ID: 7, Version: 3}
 			data := streamPayload(100_000)
-			if err := s.Put(k, data); err != nil {
+			if err := putBlob(s, k, data); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
 			br, err := s.Open(k)
@@ -98,7 +98,7 @@ func TestPutFromRoundTrip(t *testing.T) {
 			if err := s.PutFrom(k, bytes.NewReader(data), int64(len(data))); err != nil {
 				t.Fatalf("PutFrom: %v", err)
 			}
-			got, err := s.Get(k)
+			got, err := readBlob(s, k)
 			if err != nil {
 				t.Fatalf("Get after PutFrom: %v", err)
 			}
@@ -119,7 +119,7 @@ func TestPutFromRoundTrip(t *testing.T) {
 			if err := s.PutFrom(k2, bytes.NewReader(data), int64(len(data))); err != nil {
 				t.Fatalf("PutFrom after aborted write: %v", err)
 			}
-			if got, err := s.Get(k2); err != nil || !bytes.Equal(got, data) {
+			if got, err := readBlob(s, k2); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("Get after recovery: %v", err)
 			}
 		})
@@ -138,7 +138,7 @@ func TestSegmentOpenTornRecord(t *testing.T) {
 	defer seg.Close()
 	k := BlobKey{ID: 21, Version: 2}
 	data := streamPayload(64 * 1024)
-	if err := seg.Put(k, data); err != nil {
+	if err := putBlob(seg, k, data); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	segFile := filepath.Join(dir, segName(0))
@@ -161,11 +161,11 @@ func TestSegmentOpenTornRecord(t *testing.T) {
 	}
 
 	// Bit-flip mid-payload: CRC verification must catch it on Open.
-	flip(segHeaderLen + 1000)
+	flip(recHeaderLen + 1000)
 	if _, err := seg.Open(k); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("Open over flipped payload = %v, want ErrCorrupt", err)
 	}
-	flip(segHeaderLen + 1000) // restore
+	flip(recHeaderLen + 1000) // restore
 	if br, err := seg.Open(k); err != nil {
 		t.Fatalf("Open after restore = %v, want clean read", err)
 	} else {
@@ -180,7 +180,7 @@ func TestSegmentOpenTornRecord(t *testing.T) {
 	flip(0)
 
 	// Truncation through the payload: a torn tail, not a short read.
-	if err := os.Truncate(segFile, segHeaderLen+1000); err != nil {
+	if err := os.Truncate(segFile, recHeaderLen+1000); err != nil {
 		t.Fatalf("truncate: %v", err)
 	}
 	if _, err := seg.Open(k); !errors.Is(err, core.ErrCorrupt) {
@@ -192,7 +192,7 @@ func TestSegmentOpenTornRecord(t *testing.T) {
 // serving its exact bytes after Compact has closed and unlinked the old
 // segment files, because the reader owns its descriptor. The regression
 // was a truncated response after Content-Length was committed whenever
-// the background Backup→MaybeCompact pass raced an in-flight tertiary
+// the background Backup→Compact pass raced an in-flight tertiary
 // GET /body.
 func TestSegmentStreamSurvivesCompact(t *testing.T) {
 	seg, err := OpenSegmentStore(filepath.Join(t.TempDir(), "tertiary"), 256*core.KB)
@@ -202,12 +202,12 @@ func TestSegmentStreamSurvivesCompact(t *testing.T) {
 	defer seg.Close()
 	k := BlobKey{ID: 31, Version: 1}
 	data := streamPayload(96 * 1024)
-	if err := seg.Put(k, data); err != nil {
+	if err := putBlob(seg, k, data); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	// Churn another key so the compaction has garbage to drop.
 	for i := 0; i < 4; i++ {
-		if err := seg.Put(BlobKey{ID: 32, Version: 1}, streamPayload(32*1024)); err != nil {
+		if err := putBlob(seg, BlobKey{ID: 32, Version: 1}, streamPayload(32*1024)); err != nil {
 			t.Fatalf("Put churn: %v", err)
 		}
 	}
@@ -298,10 +298,7 @@ func TestFetchStreamAccounting(t *testing.T) {
 // newTestManagerBytes builds a small all-heap manager for streaming tests.
 func newTestManagerBytes(t *testing.T) *Manager {
 	t.Helper()
-	m, err := NewManager(Config{
-		MemCapacity: 1 * core.KB, DiskCapacity: 4 * core.KB,
-		MemLatency: 1, DiskLatency: 10, TertiaryLatency: 100,
-	})
+	m, err := NewManager(classic(1*core.KB, 4*core.KB))
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

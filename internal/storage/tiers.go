@@ -21,15 +21,14 @@
 // the full body stays one level down.
 //
 // Each tier is backed by a BlobStore that holds the actual payload bytes:
-// an in-heap map, a file-per-blob directory tree, or an append-only
-// segment log (see backend.go, diskstore.go, segment.go). Placement moves
-// real bytes between the backends; the metadata in copyState is an index
-// over them, not a simulation.
+// an in-heap map, an mmap arena, a file-per-blob directory tree, or an
+// append-only segment log (see backend.go, mmapstore.go, diskstore.go,
+// segment.go). Placement moves real bytes between the backends; the
+// metadata in copyState is an index over them, not a simulation.
 package storage
 
 import (
 	"fmt"
-	"os"
 
 	"cbfww/internal/core"
 )
@@ -40,18 +39,15 @@ import (
 // unbounded anchor every object has a copy in.
 type Tier int
 
-// The three levels of Figure 3 — the indices of the default tier table.
-// Smaller is faster. A manager built from an explicit Config.Tiers table
-// may have more levels (e.g. an mmap-backed warm tier between memory
-// and disk); code that must work against any stack asks the manager
-// (NumTiers, TierName) instead of using these constants.
+// The three levels of Figure 3 — the indices of the classic tier table
+// (ClassicTiers). Smaller is faster. Only Memory holds on every table; a
+// table may have more or fewer levels (e.g. an mmap-backed warm tier
+// between memory and disk), so code that must work against any stack asks
+// the manager (NumTiers, TierName) instead of using Disk and Tertiary.
 const (
 	Memory Tier = iota
 	Disk
 	Tertiary
-	// numTiers is the default stack's depth. The live depth of a manager
-	// is len(m.tiers); this constant only sizes the classic table.
-	numTiers
 )
 
 // maxTiers bounds a tier table so placement scratch state can live on
@@ -94,13 +90,13 @@ func (t Tier) String() string {
 	}
 }
 
-// Config sizes the hierarchy. Capacities are *targets* for the finite
-// tiers: placement fills them in priority order. Tertiary is unbounded.
+// Config declares the hierarchy and its policies.
 type Config struct {
-	MemCapacity  core.Bytes
-	DiskCapacity core.Bytes
-	// Latencies per access, in ticks.
-	MemLatency, DiskLatency, TertiaryLatency core.Duration
+	// Tiers is the tier table, ordered fastest to slowest: 2 to 8 rows,
+	// names unique, latencies non-decreasing, every row finite except the
+	// last, which must be unbounded (Capacity 0). Capacities are *targets*
+	// for the finite tiers: placement fills them in priority order.
+	Tiers []TierSpec
 	// SummaryRatio is the size of a levels-of-detail summary relative to
 	// the full object (e.g. 0.05). Zero disables summaries.
 	SummaryRatio float64
@@ -109,65 +105,53 @@ type Config struct {
 	// memory as summaries only. Zero defaults to 0.25.
 	SummaryThreshold float64
 
-	// DataDir roots the persistent backends: the disk tier stores blobs
-	// under DataDir/disk, the tertiary tier appends to segment files under
-	// DataDir/tertiary, and SaveManifest writes DataDir/MANIFEST. Empty
-	// means all-in-heap mode: every tier is an in-memory store and nothing
-	// survives the process (today's test and benchmark behavior).
+	// DataDir roots the persistent backends: each tier stores its blobs
+	// under DataDir/<tier name>, and SaveManifest writes DataDir/MANIFEST.
+	// Empty means all-in-heap mode: every tier is an in-memory store and
+	// nothing survives the process.
 	DataDir string
 	// Summarize produces the levels-of-detail abstract of a payload,
 	// targeting roughly the given size. Nil falls back to prefix
 	// truncation; the warehouse installs a content-aware hook.
 	Summarize func(payload []byte, target core.Bytes) []byte
-	// SegmentSize is the tertiary segment-file rotation threshold. Zero
-	// defaults to 4 MB.
+	// SegmentSize is the segment-file rotation threshold. Zero defaults
+	// to 4 MB.
 	SegmentSize core.Bytes
-
-	// Tiers, when non-empty, declares the hierarchy explicitly — ordered
-	// fastest to slowest — and overrides MemCapacity, DiskCapacity and
-	// the per-tier latency fields above. The last entry must be
-	// unbounded (Capacity 0), every other entry finite. Empty builds
-	// the classic memory/disk/tertiary table from the legacy fields.
-	Tiers []TierSpec
 }
 
-// WithMmapTier returns cfg with an explicit four-tier table: the classic
-// stack plus an mmap-backed "mmap" tier between memory and disk, sized
-// warm, at an access cost a quarter of the way from memory to disk. The
-// serve daemon's -mmap-tier flag, the scenario matrix's backend=mmap
-// cells and the bench harness's -tiers flag all build their stacks here.
-func (cfg Config) WithMmapTier(warm core.Bytes) Config {
-	cfg.Tiers = []TierSpec{
-		{Name: "memory", Backend: "heap", Capacity: cfg.MemCapacity, Latency: cfg.MemLatency},
-		{Name: "mmap", Backend: "mmap", Capacity: warm, Latency: cfg.MemLatency + (cfg.DiskLatency-cfg.MemLatency)/4},
-		{Name: "disk", Backend: "disk", Capacity: cfg.DiskCapacity, Latency: cfg.DiskLatency},
-		{Name: "tertiary", Backend: "segment", Capacity: 0, Latency: cfg.TertiaryLatency},
+// ClassicTiers returns the Figure-3 table — heap "memory", file-per-blob
+// "disk", segment-log "tertiary" — with the given capacity targets and the
+// 2003-era latency ratios the paper argues from: memory is thousands of
+// times faster than a web fetch, disk tens of times.
+func ClassicTiers(mem, disk core.Bytes) []TierSpec {
+	return []TierSpec{
+		{Name: "memory", Backend: "heap", Capacity: mem, Latency: 0},
+		{Name: "disk", Backend: "disk", Capacity: disk, Latency: 10},
+		{Name: "tertiary", Backend: "segment", Capacity: 0, Latency: 100},
 	}
+}
+
+// DefaultConfig is the classic table at 64 MB / 2 GB with 5% summaries.
+func DefaultConfig() Config {
+	return Config{Tiers: ClassicTiers(64*core.MB, 2*core.GB), SummaryRatio: 0.05}
+}
+
+// WithMmapTier returns cfg with an mmap-backed "mmap" row inserted below
+// the fastest tier, sized warm, at an access cost a quarter of the way to
+// the next row's. The serve daemon's -mmap-tier flag and the bench
+// harness's -tiers flag build their stacks here.
+func (cfg Config) WithMmapTier(warm core.Bytes) Config {
+	t := cfg.Tiers
+	if len(t) < 2 {
+		return cfg // not a table yet; NewManager reports it
+	}
+	row := TierSpec{Name: "mmap", Backend: "mmap", Capacity: warm, Latency: t[0].Latency + (t[1].Latency-t[0].Latency)/4}
+	cfg.Tiers = append([]TierSpec{t[0], row}, t[1:]...)
 	return cfg
 }
 
-// tierTable derives the manager's tier table from the configuration,
-// validating it. The CBFWW_MMAP_TIER environment hook (the storage-mmap
-// CI job) swaps the classic table's disk tier onto the mmap backend so
-// the whole suite exercises the arena store without touching fixtures.
+// tierTable validates the configured table and returns a private copy.
 func (cfg Config) tierTable() ([]TierSpec, error) {
-	if len(cfg.Tiers) == 0 {
-		if cfg.MemCapacity <= 0 || cfg.DiskCapacity <= 0 {
-			return nil, fmt.Errorf("storage: %w: capacities must be positive", core.ErrInvalid)
-		}
-		if cfg.MemLatency > cfg.DiskLatency || cfg.DiskLatency > cfg.TertiaryLatency {
-			return nil, fmt.Errorf("storage: %w: latencies must grow down the hierarchy", core.ErrInvalid)
-		}
-		diskBackend := "disk"
-		if os.Getenv("CBFWW_MMAP_TIER") != "" {
-			diskBackend = "mmap"
-		}
-		return []TierSpec{
-			{Name: "memory", Backend: "heap", Capacity: cfg.MemCapacity, Latency: cfg.MemLatency},
-			{Name: "disk", Backend: diskBackend, Capacity: cfg.DiskCapacity, Latency: cfg.DiskLatency},
-			{Name: "tertiary", Backend: "segment", Capacity: 0, Latency: cfg.TertiaryLatency},
-		}, nil
-	}
 	if len(cfg.Tiers) < 2 || len(cfg.Tiers) > maxTiers {
 		return nil, fmt.Errorf("storage: %w: tier table must have 2..%d entries, got %d", core.ErrInvalid, maxTiers, len(cfg.Tiers))
 	}
@@ -193,19 +177,6 @@ func (cfg Config) tierTable() ([]TierSpec, error) {
 		}
 	}
 	return table, nil
-}
-
-// DefaultConfig models the 2003-era ratios the paper argues from: memory
-// is thousands of times faster than a web fetch, disk tens of times.
-func DefaultConfig() Config {
-	return Config{
-		MemCapacity:     64 * core.MB,
-		DiskCapacity:    2 * core.GB,
-		MemLatency:      0,
-		DiskLatency:     10,
-		TertiaryLatency: 100,
-		SummaryRatio:    0.05,
-	}
 }
 
 // copyState describes one tier's copy of an object.
@@ -235,8 +206,8 @@ type object struct {
 	// but own no blobs — the experiments and benchmark harnesses use them
 	// to study placement without paying for payload I/O.
 	hasPayload bool
-	// tertiaryPos is the object's position on the linear tertiary medium
-	// (§4.4 locality of reference); meaningful only while a tertiary copy
+	// tertiaryPos is the object's position on the linear anchor medium
+	// (§4.4 locality of reference); meaningful only while an anchor copy
 	// exists.
 	tertiaryPos int
 }
@@ -287,7 +258,7 @@ type Stats struct {
 	Accesses   int
 	Migrations int
 	Backups    int
-	// Resizes counts capacity retargets (Resize/ResizeTiers calls).
+	// Resizes counts capacity retargets (ResizeTiers calls).
 	Resizes int
 	// CostTotal accumulates access latency, the E-F3 metric.
 	CostTotal core.Duration

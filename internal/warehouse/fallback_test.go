@@ -10,7 +10,7 @@ import (
 
 // A hand-built web where the warehouse holds one hub page whose links
 // (with descriptive anchor texts) lead to the content the query wants.
-func fallbackFixture(t *testing.T) (*Warehouse, *core.SimClock) {
+func fallbackFixture(t *testing.T, s stack) (*Warehouse, *core.SimClock) {
 	t.Helper()
 	clock := core.NewSimClock(0)
 	web := simweb.NewWeb(clock)
@@ -39,10 +39,7 @@ func fallbackFixture(t *testing.T) (*Warehouse, *core.SimClock) {
 			t.Fatal(err)
 		}
 	}
-	w, err := New(DefaultConfig(), clock, web)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := s.open(t, DefaultConfig(), clock, web)
 	if _, err := w.Get("u", "http://h.example/hub"); err != nil {
 		t.Fatal(err)
 	}
@@ -50,81 +47,89 @@ func fallbackFixture(t *testing.T) (*Warehouse, *core.SimClock) {
 }
 
 func TestSearchWithFallbackFetchesByAnchorText(t *testing.T) {
-	w, _ := fallbackFixture(t)
-	// The warehouse has only the hub; "festival parade" matches nothing
-	// resident, but the hub's anchor text points the way.
-	res, err := w.SearchWithFallback("festival parade", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Scores) == 0 {
-		t.Fatalf("fallback found nothing: %+v", res)
-	}
-	if res.Rounds == 0 {
-		t.Error("no fallback rounds ran")
-	}
-	found := false
-	for _, u := range res.Fetched {
-		if u == "http://h.example/festival" {
-			found = true
+	eachStack(t, func(t *testing.T, s stack) {
+		w, _ := fallbackFixture(t, s)
+		// The warehouse has only the hub; "festival parade" matches nothing
+		// resident, but the hub's anchor text points the way.
+		res, err := w.SearchWithFallback("festival parade", 1, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if u == "http://h.example/garbage" {
-			t.Error("irrelevant link fetched before the relevant one")
+		if len(res.Scores) == 0 {
+			t.Fatalf("fallback found nothing: %+v", res)
 		}
-	}
-	if !found {
-		t.Errorf("festival page not fetched: %v", res.Fetched)
-	}
-	// The fetched page is now resident and directly searchable.
-	if got := w.Search("festival parade", 3); len(got) == 0 {
-		t.Error("fetched page not indexed")
-	}
+		if res.Rounds == 0 {
+			t.Error("no fallback rounds ran")
+		}
+		found := false
+		for _, u := range res.Fetched {
+			if u == "http://h.example/festival" {
+				found = true
+			}
+			if u == "http://h.example/garbage" {
+				t.Error("irrelevant link fetched before the relevant one")
+			}
+		}
+		if !found {
+			t.Errorf("festival page not fetched: %v", res.Fetched)
+		}
+		// The fetched page is now resident and directly searchable.
+		if got := w.Search("festival parade", 3); len(got) == 0 {
+			t.Error("fetched page not indexed")
+		}
+	})
 }
 
 func TestSearchWithFallbackNoopWhenSatisfied(t *testing.T) {
-	w, _ := fallbackFixture(t)
-	// The hub itself satisfies a query about services.
-	res, err := w.SearchWithFallback("directory services", 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Fetched) != 0 || res.Rounds != 0 {
-		t.Errorf("satisfied query still fetched: %+v", res)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		w, _ := fallbackFixture(t, s)
+		// The hub itself satisfies a query about services.
+		res, err := w.SearchWithFallback("directory services", 1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Fetched) != 0 || res.Rounds != 0 {
+			t.Errorf("satisfied query still fetched: %+v", res)
+		}
+	})
 }
 
 func TestSearchWithFallbackRespectsBudget(t *testing.T) {
-	w, _ := fallbackFixture(t)
-	// Ask for more results than exist with a zero fetch budget.
-	res, err := w.SearchWithFallback("festival parade", 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Fetched) != 0 {
-		t.Errorf("zero budget fetched %v", res.Fetched)
-	}
-	// With budget 1, at most one fetch happens even though 2 links match
-	// weakly.
-	res2, err := w.SearchWithFallback("festival parade calendar", 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Fetched) > 1 {
-		t.Errorf("budget exceeded: %v", res2.Fetched)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		w, _ := fallbackFixture(t, s)
+		// Ask for more results than exist with a zero fetch budget.
+		res, err := w.SearchWithFallback("festival parade", 5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Fetched) != 0 {
+			t.Errorf("zero budget fetched %v", res.Fetched)
+		}
+		// With budget 1, at most one fetch happens even though 2 links match
+		// weakly.
+		res2, err := w.SearchWithFallback("festival parade calendar", 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res2.Fetched) > 1 {
+			t.Errorf("budget exceeded: %v", res2.Fetched)
+		}
+	})
 }
 
 func TestSearchWithFallbackSurvivesDeadLinks(t *testing.T) {
-	w, _ := fallbackFixture(t)
-	// A query matching only the dead link's anchor: the loop must skip the
-	// fetch failure and terminate cleanly.
-	res, err := w.SearchWithFallback("dead link", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range res.Fetched {
-		if strings.Contains(u, "missing") {
-			t.Errorf("dead link reported as fetched: %v", res.Fetched)
+	eachStack(t, func(t *testing.T, s stack) {
+		w, _ := fallbackFixture(t, s)
+		// A query matching only the dead link's anchor: the loop must skip the
+		// fetch failure and terminate cleanly.
+		res, err := w.SearchWithFallback("dead link", 3, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for _, u := range res.Fetched {
+			if strings.Contains(u, "missing") {
+				t.Errorf("dead link reported as fetched: %v", res.Fetched)
+			}
+		}
+	})
 }

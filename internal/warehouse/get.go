@@ -22,8 +22,10 @@ type GetResult struct {
 	Page simweb.Page
 	// Hit reports whether the warehouse served it without an origin fetch.
 	Hit bool
-	// Source names where the body came from: "memory", "disk", "tertiary",
-	// "origin", or "peer" (admitted from another cluster node's copy).
+	// Source names where the body came from: the serving row of the
+	// storage tier table ("memory", "disk", "tertiary" on the default
+	// one), "origin", or "peer" (admitted from another cluster node's
+	// copy).
 	Source string
 	// Latency is the user-visible cost in ticks.
 	Latency core.Duration
@@ -34,13 +36,14 @@ type GetResult struct {
 	Explanation priority.Explanation
 	// Stale marks content known to lag the origin (weak consistency).
 	Stale bool
+	// memoryHit marks a serve from tier 0, for Stats.MemoryHits.
+	memoryHit bool
 }
 
 // Get serves url for user: the warehouse's fetch-through path. An empty
 // user is allowed (anonymous access skips profile updates).
 func (w *Warehouse) Get(user, url string) (GetResult, error) {
-	out, _, err := w.get(context.Background(), user, url, false, false)
-	return out, err
+	return w.GetCtx(context.Background(), user, url)
 }
 
 // GetCtx is Get bounded by a context: cancellation or deadline expiry
@@ -48,14 +51,30 @@ func (w *Warehouse) Get(user, url string) (GetResult, error) {
 // Origin is checked before each fetch). This is the entry point network
 // daemons use to enforce per-request deadlines.
 func (w *Warehouse) GetCtx(ctx context.Context, user, url string) (GetResult, error) {
-	out, _, err := w.get(ctx, user, url, false, false)
-	return out, err
+	out, bs, err := w.get(ctx, user, url, false)
+	if err != nil {
+		return GetResult{}, err
+	}
+	return withBody(out, bs)
+}
+
+// withBody drains a served page's body stream into out.Page.Body — the
+// entry points that return a whole page, not a stream.
+func withBody(out GetResult, bs *BodyStream) (GetResult, error) {
+	defer bs.Close()
+	body, err := bs.text()
+	if err != nil {
+		return GetResult{}, fmt.Errorf("warehouse: body of %q: %w", out.Page.URL, err)
+	}
+	out.Page.Body = body
+	return out, nil
 }
 
 // Prefetch pulls url into the warehouse without a user request (Topic
 // Sensor-driven anticipation). It never counts as a request in Stats.
 func (w *Warehouse) Prefetch(url string) error {
-	_, _, err := w.get(context.Background(), "", url, true, false)
+	_, bs, err := w.get(context.Background(), "", url, true)
+	bs.Close()
 	return err
 }
 
@@ -66,20 +85,23 @@ func (w *Warehouse) Prefetch(url string) error {
 func (w *Warehouse) Refresh(ctx context.Context, url string) (GetResult, error) {
 	sh := w.shardOf(url)
 	sh.lock()
-	defer sh.mu.Unlock()
 	st := sh.pages[url]
 	if st == nil {
+		sh.mu.Unlock()
 		return GetResult{}, fmt.Errorf("warehouse: refresh %q: %w", url, core.ErrNotFound)
 	}
-	out, _, err := w.refetch(ctx, sh, "", url, st, true, false)
-	return out, err
+	out, bs, err := w.refetch(ctx, sh, "", url, st, true)
+	sh.mu.Unlock()
+	if err != nil {
+		return GetResult{}, err
+	}
+	return withBody(out, bs)
 }
 
-// get is the shared body of every serve entry point. With stream set, the
-// returned GetResult carries an empty Page.Body and the body arrives via
-// the BodyStream (which the caller must Close); without it the page is
-// materialized as always and the stream is nil.
-func (w *Warehouse) get(ctx context.Context, user, url string, prefetch, stream bool) (GetResult, *BodyStream, error) {
+// get is the shared body of every serve entry point. The returned
+// GetResult carries an empty Page.Body; the body arrives via the
+// BodyStream, which the caller must Close.
+func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool) (GetResult, *BodyStream, error) {
 	sh := w.shardOf(url)
 	sh.lock()
 	now := w.clock.Now()
@@ -89,11 +111,11 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch, stream 
 		// Resident: consistency check first.
 		fresh := true
 		if w.cfg.Consistency.NeedsCheck(st.lastCheck, now, core.Duration(st.updateGap), w.tracker.AgedFrequency(st.physID)) {
-			ver, mod, err := w.originHead(ctx, url)
+			ver, _, err := w.originHead(ctx, url)
 			if err != nil {
 				// Dead origin: the copy-control promise (§5.2) — serve the
 				// admitted copy, marked stale since freshness is unknowable.
-				if out, bs, ok := w.serveStale(sh, user, url, st, prefetch, stream); ok {
+				if out, bs, ok := w.serveStale(sh, user, url, st, prefetch); ok {
 					return out, bs, nil
 				}
 				// The local copy is unreadable too; fall through to the
@@ -106,18 +128,17 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch, stream 
 				st.lastCheck = now
 				if ver != st.version {
 					fresh = false
-					_ = mod
 				}
 			}
 		}
 		if fresh {
-			return w.serveResident(ctx, sh, user, url, st, prefetch, stream)
+			return w.serveResident(ctx, sh, user, url, st, prefetch)
 		}
 		// Content changed: refetch and re-admit the new version.
 		if !prefetch {
 			sh.stats.Refetches++
 		}
-		return w.refetch(ctx, sh, user, url, st, prefetch, stream)
+		return w.refetch(ctx, sh, user, url, st, prefetch)
 	}
 	sh.mu.Unlock()
 
@@ -143,17 +164,20 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch, stream 
 	if st := sh.pages[url]; st != nil {
 		// A concurrent request admitted the URL while we were fetching:
 		// serve the resident copy and drop our duplicate fetch.
-		return w.serveResident(ctx, sh, user, url, st, prefetch, stream)
+		return w.serveResident(ctx, sh, user, url, st, prefetch)
 	}
 	out, err := w.admitNew(sh, user, url, fr, src, prefetch)
 	if err != nil {
 		return GetResult{}, nil, err
 	}
-	var bs *BodyStream
-	if stream {
-		bs = materializedBody(out.Page.Body)
-		out.Page.Body = ""
-	}
+	return splitBody(out)
+}
+
+// splitBody moves an in-hand body (an origin or peer fetch) out of the
+// result and behind a BodyStream, the shape every serve path returns.
+func splitBody(out GetResult) (GetResult, *BodyStream, error) {
+	bs := &BodyStream{body: out.Page.Body, n: int64(len(out.Page.Body))}
+	out.Page.Body = ""
 	return out, bs, nil
 }
 
@@ -184,12 +208,17 @@ func (w *Warehouse) missFetch(ctx context.Context, url string) (simweb.FetchResu
 // into another fetch. The serve still counts as a request and feeds
 // usage tracking: cluster-internal demand is still demand.
 func (w *Warehouse) GetResident(user, url string) (GetResult, bool) {
-	out, _, ok := w.getResident(user, url, false)
-	return out, ok
+	out, bs, ok := w.GetResidentStream(user, url)
+	if !ok {
+		return GetResult{}, false
+	}
+	out, err := withBody(out, bs)
+	return out, err == nil
 }
 
-// getResident is the shared body of GetResident and GetResidentStream.
-func (w *Warehouse) getResident(user, url string, stream bool) (GetResult, *BodyStream, bool) {
+// GetResidentStream is GetResident on the streaming serve path: the body
+// arrives via the BodyStream, which the caller must Close.
+func (w *Warehouse) GetResidentStream(user, url string) (GetResult, *BodyStream, bool) {
 	sh := w.shardOf(url)
 	sh.lock()
 	defer sh.mu.Unlock()
@@ -197,85 +226,58 @@ func (w *Warehouse) getResident(user, url string, stream bool) (GetResult, *Body
 	if st == nil {
 		return GetResult{}, nil, false
 	}
-	res, page, bs, err := w.readResident(st, url, stream)
+	out, bs, err := w.readResident(st, url)
 	if err != nil {
 		return GetResult{}, nil, false
 	}
-	out := GetResult{
-		Page:    page,
-		Hit:     true,
-		Source:  res.Tier.String(),
-		Latency: res.Latency,
-		Stale:   res.Stale,
-	}
-	out.Priority, _ = w.store.Priority(st.container)
 	w.afterServe(sh, user, url, st, out, false)
 	return out, bs, true
 }
 
-// readResident fetches st's container and decodes it, materialized or
-// streaming. In stream mode the returned page carries an empty Body and
-// the BodyStream holds the bytes — tier-backed when the blob is in the
-// streamable format, buffered (the codec-era fallback) otherwise. The
-// access is counted either way; on error no stream is returned.
-func (w *Warehouse) readResident(st *pageState, url string, stream bool) (storage.AccessResult, simweb.Page, *BodyStream, error) {
-	if !stream {
-		res, data, err := w.store.Fetch(st.container)
-		if err != nil {
-			return res, simweb.Page{}, nil, err
-		}
-		page, err := decodePagePayload(url, data)
-		return res, page, nil, err
-	}
+// readResident opens st's container in the serving tier (a counted
+// access) and decodes its metadata: the returned result describes the
+// hit, its Page carries an empty Body, and the BodyStream holds the body
+// bytes, still in the tier. On error no stream is returned.
+func (w *Warehouse) readResident(st *pageState, url string) (GetResult, *BodyStream, error) {
 	res, br, err := w.store.FetchStream(st.container)
 	if err != nil {
-		return res, simweb.Page{}, nil, err
+		return GetResult{}, nil, err
 	}
 	if br == nil { // containers always carry payload; treat as lost bytes
-		return res, simweb.Page{}, nil, fmt.Errorf("warehouse: body of %q: %w", url, core.ErrNotFound)
+		return GetResult{}, nil, fmt.Errorf("warehouse: body of %q: %w", url, core.ErrNotFound)
 	}
-	page, bodyLen, slack, streamed, err := decodePageStream(url, br)
+	page, bs, err := openPage(url, br)
 	if err != nil {
-		br.Close()
-		return res, simweb.Page{}, nil, err
+		return GetResult{}, nil, err
 	}
-	bs := &BodyStream{n: bodyLen}
-	if streamed {
-		bs.br = br
-		bs.rem = bodyLen
-		bs.slack = slack > 0
-	} else {
-		br.Close()
-		bs.body = page.Body
-		page.Body = ""
+	out := GetResult{
+		Page:      page,
+		Hit:       true,
+		Source:    w.store.TierName(res.Tier),
+		Latency:   res.Latency,
+		Stale:     res.Stale,
+		memoryHit: res.Tier == storage.Memory,
 	}
-	return res, page, bs, nil
+	out.Priority, _ = w.store.Priority(st.container)
+	return out, bs, nil
 }
 
 // serveResident serves a warehouse-resident page. Requires sh.mu (write),
 // where sh is the shard owning url.
-func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch, stream bool) (GetResult, *BodyStream, error) {
-	res, page, bs, err := w.readResident(st, url, stream)
+func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch bool) (GetResult, *BodyStream, error) {
+	out, bs, err := w.readResident(st, url)
 	if err != nil {
 		// The body was lost (tier failures without recovery) or unreadable
 		// (corruption); fall back to the origin path.
-		return w.refetch(ctx, sh, user, url, st, prefetch, stream)
+		return w.refetch(ctx, sh, user, url, st, prefetch)
 	}
-	if page.Version < st.version {
+	if out.Page.Version < st.version {
 		// The bytes lag what this warehouse already served — a tier loss
 		// was recovered from an older tertiary backup. Refetch current
 		// content (the origin failing degrades to the stale copy below).
 		bs.Close()
-		return w.refetch(ctx, sh, user, url, st, prefetch, stream)
+		return w.refetch(ctx, sh, user, url, st, prefetch)
 	}
-	out := GetResult{
-		Page:    page,
-		Hit:     true,
-		Source:  res.Tier.String(),
-		Latency: res.Latency,
-		Stale:   res.Stale,
-	}
-	out.Priority, _ = w.store.Priority(st.container)
 	w.afterServe(sh, user, url, st, out, prefetch)
 	return out, bs, nil
 }
@@ -284,19 +286,12 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 // origin — the degraded mode behind the copy-control promise: once
 // admitted, content outlives its origin. Returns false when no readable
 // copy exists (lost tiers, corrupt blob). Requires sh.mu (write).
-func (w *Warehouse) serveStale(sh *shard, user, url string, st *pageState, prefetch, stream bool) (GetResult, *BodyStream, bool) {
-	res, page, bs, err := w.readResident(st, url, stream)
+func (w *Warehouse) serveStale(sh *shard, user, url string, st *pageState, prefetch bool) (GetResult, *BodyStream, bool) {
+	out, bs, err := w.readResident(st, url)
 	if err != nil {
 		return GetResult{}, nil, false
 	}
-	out := GetResult{
-		Page:    page,
-		Hit:     true,
-		Source:  res.Tier.String(),
-		Latency: res.Latency,
-		Stale:   true,
-	}
-	out.Priority, _ = w.store.Priority(st.container)
+	out.Stale = true
 	sh.stats.StaleServes++
 	w.afterServe(sh, user, url, st, out, prefetch)
 	return out, bs, true
@@ -305,10 +300,10 @@ func (w *Warehouse) serveStale(sh *shard, user, url string, st *pageState, prefe
 // refetch replaces a resident page's content with the origin's current
 // version. A failing origin degrades to the stale resident copy when one
 // is readable. Requires sh.mu (write).
-func (w *Warehouse) refetch(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch, stream bool) (GetResult, *BodyStream, error) {
+func (w *Warehouse) refetch(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch bool) (GetResult, *BodyStream, error) {
 	fr, err := w.originFetch(ctx, url)
 	if err != nil {
-		if out, bs, ok := w.serveStale(sh, user, url, st, prefetch, stream); ok {
+		if out, bs, ok := w.serveStale(sh, user, url, st, prefetch); ok {
 			return out, bs, nil
 		}
 		return GetResult{}, nil, fmt.Errorf("warehouse: refetch %q: %w", url, err)
@@ -333,12 +328,7 @@ func (w *Warehouse) refetch(ctx context.Context, sh *shard, user, url string, st
 	if rep := w.replicator(); rep != nil {
 		rep(url, p)
 	}
-	var bs *BodyStream
-	if stream {
-		bs = materializedBody(out.Page.Body)
-		out.Page.Body = ""
-	}
-	return out, bs, nil
+	return splitBody(out)
 }
 
 // absorbContent replaces a resident page's content with p: consistency
@@ -545,7 +535,7 @@ func (w *Warehouse) countRequest(sh *shard, out GetResult) {
 	sh.stats.LatencyTotal += out.Latency
 	if out.Hit {
 		sh.stats.Hits++
-		if out.Source == storage.Memory.String() {
+		if out.memoryHit {
 			sh.stats.MemoryHits++
 		}
 	}

@@ -95,11 +95,7 @@ func (w *Warehouse) applyHotEvent(id core.ObjectID) {
 	}
 	// Index exactly what the tiers hold: the hot segment is built from the
 	// stored payload, so a copy that cannot be read back is not indexed.
-	data, _, err := w.store.Peek(id)
-	if err != nil {
-		return
-	}
-	page, err := decodePagePayload(url, data)
+	page, err := w.peekPage(id, url)
 	if err != nil {
 		return
 	}
@@ -110,8 +106,7 @@ func (w *Warehouse) applyHotEvent(id core.ObjectID) {
 // SearchTiered performs ranked retrieval through the index hierarchy: the
 // memory-resident detailed index first (all shard segments, merged), the
 // full index (disk) only when the hot segments return fewer than n
-// results. The returned latency uses the storage configuration's tier
-// costs.
+// results. The returned latency uses the tier table's costs.
 func (w *Warehouse) SearchTiered(query string, n int) TieredSearchResult {
 	w.maintainHotIndex()
 
@@ -138,14 +133,17 @@ func (w *Warehouse) SearchTiered(query string, n int) TieredSearchResult {
 		return TieredSearchResult{
 			Scores:  merged,
 			Tier:    storage.Memory,
-			Latency: w.cfg.Storage.MemLatency,
+			Latency: w.cfg.Storage.Tiers[storage.Memory].Latency,
 		}
 	}
 	w.indexDiskProbes.Add(1)
+	// The full index lives on the slowest finite tier: disk, on the
+	// classic table.
+	full := storage.Tier(len(w.cfg.Storage.Tiers) - 2)
 	return TieredSearchResult{
 		Scores:  w.index.Search(query, n),
-		Tier:    storage.Disk,
-		Latency: w.cfg.Storage.DiskLatency,
+		Tier:    full,
+		Latency: w.cfg.Storage.Tiers[full].Latency,
 	}
 }
 

@@ -61,7 +61,7 @@ func oracleOps(goroutines, opsPer int, urls, warm []string) [][]oracleOp {
 
 // oracleWarehouse builds a warehouse over a fresh but identical synthetic
 // web (same generator seed both times).
-func oracleWarehouse(t *testing.T, shards int) (*Warehouse, []string) {
+func oracleWarehouse(t *testing.T, s stack, shards int) (*Warehouse, []string) {
 	t.Helper()
 	clock := core.NewSimClock(0)
 	wcfg := workload.DefaultWebConfig()
@@ -72,10 +72,7 @@ func oracleWarehouse(t *testing.T, shards int) (*Warehouse, []string) {
 	}
 	cfg := DefaultConfig()
 	cfg.Shards = shards
-	w, err := New(cfg, clock, g.Web)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := s.open(t, cfg, clock, g.Web)
 	return w, g.PageURLs
 }
 
@@ -89,122 +86,124 @@ func runOracleOp(w *Warehouse, op oracleOp) error {
 }
 
 func TestOracleShardedMatchesSingleShardModel(t *testing.T) {
-	const (
-		goroutines = 8
-		opsPer     = 250
-		warmCount  = 8
-		maintains  = 3
-	)
-	concurrent, urls := oracleWarehouse(t, 8)
-	serial, urls2 := oracleWarehouse(t, 1)
-	if len(urls) != len(urls2) {
-		t.Fatalf("generated webs differ: %d vs %d pages", len(urls), len(urls2))
-	}
-	warm := urls[:warmCount]
-	streams := oracleOps(goroutines, opsPer, urls, warm)
+	eachStack(t, func(t *testing.T, s stack) {
+		const (
+			goroutines = 8
+			opsPer     = 250
+			warmCount  = 8
+			maintains  = 3
+		)
+		concurrent, urls := oracleWarehouse(t, s, 8)
+		serial, urls2 := oracleWarehouse(t, s, 1)
+		if len(urls) != len(urls2) {
+			t.Fatalf("generated webs differ: %d vs %d pages", len(urls), len(urls2))
+		}
+		warm := urls[:warmCount]
+		streams := oracleOps(goroutines, opsPer, urls, warm)
 
-	// Pre-warm serially in both, so Refresh always has resident targets.
-	for _, w := range []*Warehouse{concurrent, serial} {
-		for _, u := range warm {
-			if _, err := w.Get("warmup", u); err != nil {
-				t.Fatal(err)
+		// Pre-warm serially in both, so Refresh always has resident targets.
+		for _, w := range []*Warehouse{concurrent, serial} {
+			for _, u := range warm {
+				if _, err := w.Get("warmup", u); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
 
-	// Concurrent run: one goroutine per stream plus a maintenance loop
-	// racing them, against the many-shard warehouse.
-	errs := make(chan error, goroutines+1)
-	var wg sync.WaitGroup
-	for _, ops := range streams {
+		// Concurrent run: one goroutine per stream plus a maintenance loop
+		// racing them, against the many-shard warehouse.
+		errs := make(chan error, goroutines+1)
+		var wg sync.WaitGroup
+		for _, ops := range streams {
+			wg.Add(1)
+			go func(ops []oracleOp) {
+				defer wg.Done()
+				for _, op := range ops {
+					if err := runOracleOp(concurrent, op); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(ops)
+		}
 		wg.Add(1)
-		go func(ops []oracleOp) {
+		go func() {
 			defer wg.Done()
-			for _, op := range ops {
-				if err := runOracleOp(concurrent, op); err != nil {
+			for i := 0; i < maintains; i++ {
+				if _, err := concurrent.Maintain(); err != nil {
 					errs <- err
 					return
 				}
 			}
-		}(ops)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < maintains; i++ {
-			if _, err := concurrent.Maintain(); err != nil {
-				errs <- err
-				return
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+
+		// Reference run: the same op multiset, serially, stream by stream.
+		for _, ops := range streams {
+			for _, op := range ops {
+				if err := runOracleOp(serial, op); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	// Reference run: the same op multiset, serially, stream by stream.
-	for _, ops := range streams {
-		for _, op := range ops {
-			if err := runOracleOp(serial, op); err != nil {
+		for i := 0; i < maintains; i++ {
+			if _, err := serial.Maintain(); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	for i := 0; i < maintains; i++ {
-		if _, err := serial.Maintain(); err != nil {
-			t.Fatal(err)
+
+		cs, ss := concurrent.Stats(), serial.Stats()
+		if cs.Requests != ss.Requests {
+			t.Errorf("Requests: sharded %d, model %d", cs.Requests, ss.Requests)
 		}
-	}
+		if cs.Hits != ss.Hits {
+			t.Errorf("Hits: sharded %d, model %d", cs.Hits, ss.Hits)
+		}
+		if got, want := concurrent.ResidentPages(), serial.ResidentPages(); got != want {
+			t.Errorf("ResidentPages: sharded %d, model %d", got, want)
+		}
 
-	cs, ss := concurrent.Stats(), serial.Stats()
-	if cs.Requests != ss.Requests {
-		t.Errorf("Requests: sharded %d, model %d", cs.Requests, ss.Requests)
-	}
-	if cs.Hits != ss.Hits {
-		t.Errorf("Hits: sharded %d, model %d", cs.Hits, ss.Hits)
-	}
-	if got, want := concurrent.ResidentPages(), serial.ResidentPages(); got != want {
-		t.Errorf("ResidentPages: sharded %d, model %d", got, want)
-	}
-
-	// Origin fetches: at least one per unique URL, at most one per request
-	// (duplicate cold fetches are the only slack).
-	unique := map[string]bool{}
-	for _, ops := range streams {
-		for _, op := range ops {
-			if !op.refresh {
-				unique[op.url] = true
+		// Origin fetches: at least one per unique URL, at most one per request
+		// (duplicate cold fetches are the only slack).
+		unique := map[string]bool{}
+		for _, ops := range streams {
+			for _, op := range ops {
+				if !op.refresh {
+					unique[op.url] = true
+				}
 			}
 		}
-	}
-	for _, u := range warm {
-		unique[u] = true
-	}
-	if cs.OriginFetches < len(unique) || cs.OriginFetches > cs.Requests {
-		t.Errorf("OriginFetches = %d, want in [%d, %d]", cs.OriginFetches, len(unique), cs.Requests)
-	}
+		for _, u := range warm {
+			unique[u] = true
+		}
+		if cs.OriginFetches < len(unique) || cs.OriginFetches > cs.Requests {
+			t.Errorf("OriginFetches = %d, want in [%d, %d]", cs.OriginFetches, len(unique), cs.Requests)
+		}
 
-	// No lost updates: every touched URL is resident in both warehouses at
-	// the same version.
-	for u := range unique {
-		if !concurrent.Resident(u) {
-			t.Errorf("%s not resident in sharded warehouse", u)
-			continue
+		// No lost updates: every touched URL is resident in both warehouses at
+		// the same version.
+		for u := range unique {
+			if !concurrent.Resident(u) {
+				t.Errorf("%s not resident in sharded warehouse", u)
+				continue
+			}
+			c, ok1 := concurrent.Versions().Latest(u)
+			s, ok2 := serial.Versions().Latest(u)
+			if !ok1 || !ok2 {
+				t.Errorf("%s: missing version snapshot (sharded=%v model=%v)", u, ok1, ok2)
+				continue
+			}
+			if c.Version != s.Version {
+				t.Errorf("%s: version sharded=%d model=%d", u, c.Version, s.Version)
+			}
 		}
-		c, ok1 := concurrent.Versions().Latest(u)
-		s, ok2 := serial.Versions().Latest(u)
-		if !ok1 || !ok2 {
-			t.Errorf("%s: missing version snapshot (sharded=%v model=%v)", u, ok1, ok2)
-			continue
-		}
-		if c.Version != s.Version {
-			t.Errorf("%s: version sharded=%d model=%d", u, c.Version, s.Version)
-		}
-	}
 
-	assertMaxRulePlacement(t, concurrent)
+		assertMaxRulePlacement(t, concurrent)
+	})
 }
 
 // assertMaxRulePlacement runs one quiescent Maintain, recomputes the base

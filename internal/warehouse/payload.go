@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
@@ -23,27 +22,8 @@ func (w *Warehouse) bodyLoader(url string) object.BodyLoader {
 		if !ok {
 			return "", fmt.Errorf("warehouse: body of %q: %w", url, core.ErrNotFound)
 		}
-		br, _, err := w.store.PeekStream(o.ID)
-		if err != nil {
-			return "", err
-		}
-		defer br.Close()
-		p, bodyLen, _, streamed, err := decodePageStream(url, br)
-		if err != nil {
-			return "", err
-		}
-		if !streamed {
-			return p.Body, nil
-		}
-		var sb strings.Builder
-		sb.Grow(int(bodyLen))
-		buf := storage.CopyBuffer()
-		_, err = io.CopyBuffer(&sb, io.LimitReader(br, bodyLen), buf)
-		storage.PutCopyBuffer(buf)
-		if err != nil {
-			return "", err
-		}
-		return sb.String(), nil
+		p, err := w.peekPage(o.ID, url)
+		return p.Body, err
 	}
 }
 
@@ -54,8 +34,7 @@ func (w *Warehouse) bodyLoader(url string) object.BodyLoader {
 // copy that survives a restart is a servable page, not just an index
 // entry.
 //
-// Layout, format 2 (all integers varint/uvarint, strings uvarint-length-
-// prefixed):
+// Layout (all integers varint/uvarint, strings uvarint-length-prefixed):
 //
 //	tag(1)=2 headerLen(u32 BE) header body
 //	header = version lastMod size bodyLen title nAnchors {text target}*
@@ -63,29 +42,21 @@ func (w *Warehouse) bodyLoader(url string) object.BodyLoader {
 // The body sits at the END of the blob, after a self-sized metadata
 // header, so the serve path can decode everything it needs from a small
 // prefix and stream the body store→socket without materializing it
-// (decodePageStream). Format 1 — the codec-era layout with the body
-// inline between title and anchors — is still decoded on read, so blobs
-// admitted by earlier builds survive a restart; they just take the
-// buffered fallback instead of the streaming path.
+// (decodePageStream). Any other tag is core.ErrInvalid.
 //
 // The codec is deliberately hand-rolled: payloads are written on every
 // admission and refetch and decoded on every warehouse hit, so the
 // format avoids reflection (gob) and field names (json), and summary
 // blobs produced by truncating the body stay decodable.
 
-// Payload format tags. pagePayloadTagV1 is the legacy body-inline layout
-// (read-only); pagePayloadTag is the streamable header+body layout every
-// new blob is written in.
-const (
-	pagePayloadTagV1 = 1
-	pagePayloadTag   = 2
-)
+// pagePayloadTag is the format tag every blob starts with.
+const pagePayloadTag = 2
 
 // pagePayloadPrefixLen is the fixed-size blob prefix before the header:
 // the tag byte plus the big-endian header length.
 const pagePayloadPrefixLen = 1 + 4
 
-// encodePagePayload serializes the servable content of p in format 2.
+// encodePagePayload serializes the servable content of p.
 func encodePagePayload(p *simweb.Page) []byte {
 	hn := 3*binary.MaxVarintLen64 +
 		uvarintLen(len(p.Body)) +
@@ -111,19 +82,16 @@ func encodePagePayload(p *simweb.Page) []byte {
 	return append(buf, p.Body...)
 }
 
-// decodePagePayload parses a payload blob (either format) back into a
-// servable page. The URL is not stored in the blob (the blob key already
-// identifies the object); the caller supplies it.
+// decodePagePayload parses a whole payload blob back into a servable
+// page — decodePageStream for a caller that holds the slice (the Storage
+// Manager's Summarize hook). The URL is not stored in the blob (the blob
+// key already identifies the object); the caller supplies it.
 func decodePagePayload(url string, data []byte) (simweb.Page, error) {
 	var p simweb.Page
 	if len(data) == 0 {
 		return p, fmt.Errorf("warehouse: page payload: %w: empty blob", core.ErrInvalid)
 	}
-	switch data[0] {
-	case pagePayloadTagV1:
-		return decodePagePayloadV1(url, data)
-	case pagePayloadTag:
-	default:
+	if data[0] != pagePayloadTag {
 		return p, fmt.Errorf("warehouse: page payload: %w: bad tag", core.ErrInvalid)
 	}
 	if len(data) < pagePayloadPrefixLen {
@@ -147,8 +115,8 @@ func decodePagePayload(url string, data []byte) (simweb.Page, error) {
 	return p, nil
 }
 
-// decodePageHeader parses the format-2 metadata header (everything but
-// the body), returning the page with an empty Body plus the declared body
+// decodePageHeader parses the metadata header (everything but the
+// body), returning the page with an empty Body plus the declared body
 // length.
 func decodePageHeader(url string, header []byte) (simweb.Page, int64, error) {
 	d := payloadReader{buf: header}
@@ -184,79 +152,27 @@ func decodePageHeader(url string, header []byte) (simweb.Page, int64, error) {
 	}, int64(bodyLen), nil
 }
 
-// decodePagePayloadV1 parses the legacy body-inline layout.
-func decodePagePayloadV1(url string, data []byte) (simweb.Page, error) {
-	var p simweb.Page
-	d := payloadReader{buf: data[1:]}
-	version := d.uvarint()
-	lastMod := d.varint()
-	size := d.varint()
-	title := d.string()
-	body := d.string()
-	nAnchors := d.uvarint()
-	var anchors []simweb.Anchor
-	if d.err == nil && nAnchors > 0 && nAnchors <= uint64(len(d.buf)-d.off)/2+1 {
-		anchors = make([]simweb.Anchor, 0, nAnchors)
-		for i := uint64(0); i < nAnchors && d.err == nil; i++ {
-			text := d.string()
-			target := d.string()
-			anchors = append(anchors, simweb.Anchor{Text: text, Target: target})
-		}
-	} else if nAnchors > 0 && d.err == nil {
-		d.err = fmt.Errorf("warehouse: page payload: %w: anchor count %d exceeds buffer", core.ErrInvalid, nAnchors)
-	}
-	if d.err != nil {
-		return simweb.Page{}, d.err
-	}
-	p = simweb.Page{
-		URL:     url,
-		Title:   title,
-		Body:    body,
-		Anchors: anchors,
-		Size:    core.Bytes(size),
-		Version: int(version),
-		LastMod: core.Time(lastMod),
-	}
-	return p, nil
-}
-
 // decodePageStream decodes payload metadata from br without materializing
-// the body. For a format-2 blob it reads only the prefix and header,
-// returning the page with an empty Body, the body length, and
-// streamed=true; br is left positioned at the body's first byte, holding
-// bodyLen unread body bytes (plus slack trailing bytes when a malformed
-// blob declares a body shorter than the payload that follows — readers
-// must stop at bodyLen). For a codec-era (format-1) blob the whole
-// stream is buffered and decoded — streamed=false and the returned page
-// carries its Body — since that layout cannot be split without a scan.
-func decodePageStream(url string, br storage.BlobReader) (p simweb.Page, bodyLen, slack int64, streamed bool, err error) {
+// the body: it reads only the prefix and header, returning the page with
+// an empty Body and the body length. br is left positioned at the body's
+// first byte, holding bodyLen unread body bytes (plus slack trailing bytes
+// when a malformed blob declares a body shorter than the payload that
+// follows — readers must stop at bodyLen).
+func decodePageStream(url string, br storage.BlobReader) (p simweb.Page, bodyLen, slack int64, err error) {
 	var prefix [pagePayloadPrefixLen]byte
 	if _, err := io.ReadFull(br, prefix[:1]); err != nil {
-		return p, 0, 0, false, fmt.Errorf("warehouse: page payload: %w: empty blob", core.ErrInvalid)
+		return p, 0, 0, fmt.Errorf("warehouse: page payload: %w: empty blob", core.ErrInvalid)
 	}
-	switch prefix[0] {
-	case pagePayloadTagV1:
-		data := make([]byte, br.Len())
-		data[0] = prefix[0]
-		if _, err := io.ReadFull(br, data[1:]); err != nil {
-			return p, 0, 0, false, fmt.Errorf("warehouse: page payload: %w: short blob", core.ErrInvalid)
-		}
-		p, err = decodePagePayloadV1(url, data)
-		if err != nil {
-			return simweb.Page{}, 0, 0, false, err
-		}
-		return p, int64(len(p.Body)), 0, false, nil
-	case pagePayloadTag:
-	default:
-		return p, 0, 0, false, fmt.Errorf("warehouse: page payload: %w: bad tag", core.ErrInvalid)
+	if prefix[0] != pagePayloadTag {
+		return p, 0, 0, fmt.Errorf("warehouse: page payload: %w: bad tag", core.ErrInvalid)
 	}
 	if _, err := io.ReadFull(br, prefix[1:]); err != nil {
-		return p, 0, 0, false, fmt.Errorf("warehouse: page payload: %w: truncated prefix", core.ErrInvalid)
+		return p, 0, 0, fmt.Errorf("warehouse: page payload: %w: truncated prefix", core.ErrInvalid)
 	}
 	hlen := int64(binary.BigEndian.Uint32(prefix[1:]))
 	rest := br.Len() - pagePayloadPrefixLen
 	if hlen > rest {
-		return p, 0, 0, false, fmt.Errorf("warehouse: page payload: %w: header length %d exceeds blob", core.ErrInvalid, hlen)
+		return p, 0, 0, fmt.Errorf("warehouse: page payload: %w: header length %d exceeds blob", core.ErrInvalid, hlen)
 	}
 	hbuf := storage.CopyBuffer()
 	defer storage.PutCopyBuffer(hbuf)
@@ -266,17 +182,17 @@ func decodePageStream(url string, br storage.BlobReader) (p simweb.Page, bodyLen
 	}
 	header = header[:hlen]
 	if _, err := io.ReadFull(br, header); err != nil {
-		return p, 0, 0, false, fmt.Errorf("warehouse: page payload: %w: truncated header", core.ErrInvalid)
+		return p, 0, 0, fmt.Errorf("warehouse: page payload: %w: truncated header", core.ErrInvalid)
 	}
 	p, bodyLen, err = decodePageHeader(url, header)
 	if err != nil {
-		return simweb.Page{}, 0, 0, false, err
+		return simweb.Page{}, 0, 0, err
 	}
 	if bodyLen > rest-hlen {
 		// Prefix-cut summary blob: stream what survived the cut.
 		bodyLen = rest - hlen
 	}
-	return p, bodyLen, (rest - hlen) - bodyLen, true, nil
+	return p, bodyLen, (rest - hlen) - bodyLen, nil
 }
 
 // summarizePagePayload is the Storage Manager's Summarize hook: it builds

@@ -158,13 +158,9 @@ func (w *Warehouse) Rehydrate() (int, error) {
 	restored := 0
 	for i := range cat.Pages {
 		cp := &cat.Pages[i]
-		data, _, err := w.store.Peek(core.ObjectID(cp.Container))
+		page, err := w.peekPage(core.ObjectID(cp.Container), cp.URL)
 		if err != nil {
-			continue // payload lost: served from origin on first access
-		}
-		page, err := decodePagePayload(cp.URL, data)
-		if err != nil {
-			continue
+			continue // payload lost or unreadable: served from origin on first access
 		}
 		if err := w.restorePage(cp, page); err != nil {
 			return restored, fmt.Errorf("warehouse: rehydrate %q: %w", cp.URL, err)

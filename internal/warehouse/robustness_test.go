@@ -15,96 +15,99 @@ import (
 // from disk copies transparently; losing every replica falls back to an
 // origin refetch on the next access.
 func TestServeThroughTierFailure(t *testing.T) {
-	w, g, clock := fixture(t, nil)
-	url := g.PageURLs[0]
-	if _, err := w.Get("u", url); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(5)
+	eachStack(t, func(t *testing.T, s stack) {
+		w, g, clock := fixture(t, s, nil)
+		url := g.PageURLs[0]
+		if _, err := w.Get("u", url); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(5)
 
-	// Lose memory. The next access must still be a warehouse hit (disk).
-	if err := w.StorageManager().DropTier(storage.Memory); err != nil {
-		t.Fatal(err)
-	}
-	r, err := w.Get("u", url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Hit {
-		t.Errorf("memory loss turned a warehouse hit into %+v", r)
-	}
-	if r.Source == "memory" {
-		t.Errorf("served from dropped tier")
-	}
+		// Lose memory. The next access must still be a warehouse hit (disk).
+		if err := w.StorageManager().DropTier(storage.Memory); err != nil {
+			t.Fatal(err)
+		}
+		r, err := w.Get("u", url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Hit {
+			t.Errorf("memory loss turned a warehouse hit into %+v", r)
+		}
+		if r.Source == "memory" {
+			t.Errorf("served from dropped tier")
+		}
 
-	// Recover restores the memory copy.
-	rep := w.StorageManager().Recover()
-	if rep.Lost != 0 {
-		t.Errorf("recover lost %d", rep.Lost)
-	}
-	if err := w.StorageManager().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+		// Recover restores the memory copy.
+		rep := w.StorageManager().Recover()
+		if rep.Lost != 0 {
+			t.Errorf("recover lost %d", rep.Lost)
+		}
+		if err := w.StorageManager().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestTotalLossFallsBackToOrigin(t *testing.T) {
-	w, g, clock := fixture(t, nil)
-	url := g.PageURLs[0]
-	if _, err := w.Get("u", url); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(5)
-	for _, tier := range []storage.Tier{storage.Memory, storage.Disk, storage.Tertiary} {
-		if err := w.StorageManager().DropTier(tier); err != nil {
+	eachStack(t, func(t *testing.T, s stack) {
+		w, g, clock := fixture(t, s, nil)
+		url := g.PageURLs[0]
+		if _, err := w.Get("u", url); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The body is gone everywhere; the warehouse must refetch from the
-	// origin, not fail.
-	r, err := w.Get("u", url)
-	if err != nil {
-		t.Fatalf("access after total loss: %v", err)
-	}
-	if r.Hit {
-		t.Error("total loss reported a hit")
-	}
-	if r.Source != "origin" {
-		t.Errorf("source = %s", r.Source)
-	}
-	if r.Page.Title == "" {
-		t.Error("refetched page empty")
-	}
+		clock.Advance(5)
+		for _, tier := range []storage.Tier{storage.Memory, storage.Disk, storage.Tertiary} {
+			if err := w.StorageManager().DropTier(tier); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The body is gone everywhere; the warehouse must refetch from the
+		// origin, not fail.
+		r, err := w.Get("u", url)
+		if err != nil {
+			t.Fatalf("access after total loss: %v", err)
+		}
+		if r.Hit {
+			t.Error("total loss reported a hit")
+		}
+		if r.Source != "origin" {
+			t.Errorf("source = %s", r.Source)
+		}
+		if r.Page.Title == "" {
+			t.Error("refetched page empty")
+		}
+	})
 }
 
 // The origin disappearing must not break serving of resident pages under
 // weak consistency (the revalidation probe fails; cached copies serve).
 func TestDeadOriginServesCached(t *testing.T) {
-	clock := core.NewSimClock(0)
-	web := simweb.NewWeb(clock)
-	web.AddSite("h.example", 100)
-	if err := web.AddPage(&simweb.Page{
-		URL: "http://h.example/x", Title: "T", Body: "b", Size: core.KB,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	dying := &dyingOrigin{inner: web}
-	cfg := DefaultConfig()
-	w, err := New(cfg, clock, dying)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Get("u", "http://h.example/x"); err != nil {
-		t.Fatal(err)
-	}
-	dying.dead = true
-	clock.Advance(1_000_000) // far past any polling cycle: check will fire and fail
-	r, err := w.Get("u", "http://h.example/x")
-	if err != nil {
-		t.Fatalf("dead origin broke cached serving: %v", err)
-	}
-	if !r.Hit {
-		t.Errorf("dead origin: %+v", r)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		clock := core.NewSimClock(0)
+		web := simweb.NewWeb(clock)
+		web.AddSite("h.example", 100)
+		if err := web.AddPage(&simweb.Page{
+			URL: "http://h.example/x", Title: "T", Body: "b", Size: core.KB,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		dying := &dyingOrigin{inner: web}
+		cfg := DefaultConfig()
+		w := s.open(t, cfg, clock, dying)
+		if _, err := w.Get("u", "http://h.example/x"); err != nil {
+			t.Fatal(err)
+		}
+		dying.dead = true
+		clock.Advance(1_000_000) // far past any polling cycle: check will fire and fail
+		r, err := w.Get("u", "http://h.example/x")
+		if err != nil {
+			t.Fatalf("dead origin broke cached serving: %v", err)
+		}
+		if !r.Hit {
+			t.Errorf("dead origin: %+v", r)
+		}
+	})
 }
 
 // dyingOrigin wraps an Origin and can be switched off.
@@ -130,92 +133,98 @@ func (d *dyingOrigin) Head(url string) (int, core.Time, error) {
 // Concurrent Gets, queries, mining and maintenance must not race (run
 // under -race in CI) and must keep counters consistent.
 func TestWarehouseConcurrentMixedLoad(t *testing.T) {
-	w, g, clock := fixture(t, func(c *Config) {
-		c.Miner.MinSupport = 1
-	})
-	var wg sync.WaitGroup
-	const goroutines, iters = 8, 40
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			user := fmt.Sprintf("user%d", gi)
-			for i := 0; i < iters; i++ {
-				url := g.PageURLs[(gi*iters+i)%len(g.PageURLs)]
-				if _, err := w.Get(user, url); err != nil {
-					t.Errorf("Get: %v", err)
-					return
+	eachStack(t, func(t *testing.T, s stack) {
+		w, g, clock := fixture(t, s, func(c *Config) {
+			c.Miner.MinSupport = 1
+		})
+		var wg sync.WaitGroup
+		const goroutines, iters = 8, 40
+		for gi := 0; gi < goroutines; gi++ {
+			wg.Add(1)
+			go func(gi int) {
+				defer wg.Done()
+				user := fmt.Sprintf("user%d", gi)
+				for i := 0; i < iters; i++ {
+					url := g.PageURLs[(gi*iters+i)%len(g.PageURLs)]
+					if _, err := w.Get(user, url); err != nil {
+						t.Errorf("Get: %v", err)
+						return
+					}
+					switch i % 4 {
+					case 0:
+						if _, err := w.Query("SELECT MFU 3 p.url FROM Physical_Page p"); err != nil {
+							t.Errorf("Query: %v", err)
+						}
+					case 1:
+						w.Search("temple", 3)
+						w.Recommend(user, 2)
+					case 2:
+						if _, err := w.Maintain(); err != nil {
+							t.Errorf("Maintain: %v", err)
+						}
+					case 3:
+						if _, err := w.MinePaths(); err != nil {
+							t.Errorf("MinePaths: %v", err)
+						}
+					}
 				}
-				switch i % 4 {
-				case 0:
-					if _, err := w.Query("SELECT MFU 3 p.url FROM Physical_Page p"); err != nil {
-						t.Errorf("Query: %v", err)
-					}
-				case 1:
-					w.Search("temple", 3)
-					w.Recommend(user, 2)
-				case 2:
-					if _, err := w.Maintain(); err != nil {
-						t.Errorf("Maintain: %v", err)
-					}
-				case 3:
-					if _, err := w.MinePaths(); err != nil {
-						t.Errorf("MinePaths: %v", err)
-					}
-				}
-			}
-		}(gi)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		wg.Wait()
-	}()
-	// Advance the clock while workers run (SimClock is concurrent-safe).
-	for {
-		select {
-		case <-done:
-			goto out
-		default:
-			clock.Advance(1)
+			}(gi)
 		}
-	}
-out:
-	st := w.Stats()
-	if st.Requests != goroutines*iters {
-		t.Errorf("Requests = %d, want %d", st.Requests, goroutines*iters)
-	}
-	if err := w.StorageManager().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			wg.Wait()
+		}()
+		// Advance the clock while workers run (SimClock is concurrent-safe).
+		for {
+			select {
+			case <-done:
+				goto out
+			default:
+				clock.Advance(1)
+			}
+		}
+	out:
+		st := w.Stats()
+		if st.Requests != goroutines*iters {
+			t.Errorf("Requests = %d, want %d", st.Requests, goroutines*iters)
+		}
+		if err := w.StorageManager().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // A schema-configured warehouse enforces its admission rules end to end.
 func TestWarehouseWithSchema(t *testing.T) {
-	s, err := schema.Parse(`
+	eachStack(t, func(t *testing.T, s stack) {
+		sch, err := schema.Parse(`
 tier memory capacity 256KB latency 0
 tier disk capacity 32MB latency 10
 tier tertiary latency 100
 admit max-size 1KB
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, g, _ := fixture(t, func(c *Config) {
-		c.ApplySchema(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, g, _ := fixture(t, s, func(c *Config) {
+			if err := c.ApplySchema(sch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Every generated page is > 1KB, so everything is rejected.
+		r, err := w.Get("u", g.PageURLs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Hit {
+			t.Error("hit on rejected page")
+		}
+		if w.ResidentPages() != 0 {
+			t.Errorf("ResidentPages = %d", w.ResidentPages())
+		}
+		if w.Stats().Rejected != 1 {
+			t.Errorf("Rejected = %d", w.Stats().Rejected)
+		}
 	})
-	// Every generated page is > 1KB, so everything is rejected.
-	r, err := w.Get("u", g.PageURLs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Hit {
-		t.Error("hit on rejected page")
-	}
-	if w.ResidentPages() != 0 {
-		t.Errorf("ResidentPages = %d", w.ResidentPages())
-	}
-	if w.Stats().Rejected != 1 {
-		t.Errorf("Rejected = %d", w.Stats().Rejected)
-	}
 }

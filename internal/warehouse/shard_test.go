@@ -58,46 +58,50 @@ func TestShardIndexSpreadsURLs(t *testing.T) {
 }
 
 func TestConfigShardsDefaultsToGOMAXPROCS(t *testing.T) {
-	w, _ := oracleWarehouse(t, 0)
-	if got, want := w.NumShards(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("NumShards() = %d, want GOMAXPROCS = %d", got, want)
-	}
-	w1, _ := oracleWarehouse(t, 5)
-	if got := w1.NumShards(); got != 5 {
-		t.Errorf("NumShards() = %d, want 5", got)
-	}
+	eachStack(t, func(t *testing.T, s stack) {
+		w, _ := oracleWarehouse(t, s, 0)
+		if got, want := w.NumShards(), runtime.GOMAXPROCS(0); got != want {
+			t.Errorf("NumShards() = %d, want GOMAXPROCS = %d", got, want)
+		}
+		w1, _ := oracleWarehouse(t, s, 5)
+		if got := w1.NumShards(); got != 5 {
+			t.Errorf("NumShards() = %d, want 5", got)
+		}
+	})
 }
 
 func TestShardStatsAggregateToWarehouseStats(t *testing.T) {
-	w, urls := oracleWarehouse(t, 8)
-	for _, u := range urls {
-		if _, err := w.Get("u", u); err != nil {
-			t.Fatal(err)
+	eachStack(t, func(t *testing.T, s stack) {
+		w, urls := oracleWarehouse(t, s, 8)
+		for _, u := range urls {
+			if _, err := w.Get("u", u); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Get("u", u); err != nil { // second Get: a hit
+				t.Fatal(err)
+			}
 		}
-		if _, err := w.Get("u", u); err != nil { // second Get: a hit
-			t.Fatal(err)
+		per := w.ShardStats()
+		if len(per) != 8 {
+			t.Fatalf("ShardStats() returned %d entries, want 8", len(per))
 		}
-	}
-	per := w.ShardStats()
-	if len(per) != 8 {
-		t.Fatalf("ShardStats() returned %d entries, want 8", len(per))
-	}
-	var pages, reqs, hits, fetches int
-	for _, s := range per {
-		pages += s.Pages
-		reqs += s.Requests
-		hits += s.Hits
-		fetches += s.OriginFetches
-		if s.LockAcquires == 0 && s.Pages > 0 {
-			t.Errorf("shard %d holds pages but recorded no lock acquisitions", s.Shard)
+		var pages, reqs, hits, fetches int
+		for _, s := range per {
+			pages += s.Pages
+			reqs += s.Requests
+			hits += s.Hits
+			fetches += s.OriginFetches
+			if s.LockAcquires == 0 && s.Pages > 0 {
+				t.Errorf("shard %d holds pages but recorded no lock acquisitions", s.Shard)
+			}
 		}
-	}
-	st := w.Stats()
-	if pages != w.ResidentPages() {
-		t.Errorf("shard pages sum %d != ResidentPages %d", pages, w.ResidentPages())
-	}
-	if reqs != st.Requests || hits != st.Hits || fetches != st.OriginFetches {
-		t.Errorf("shard sums (req=%d hit=%d fetch=%d) != Stats (req=%d hit=%d fetch=%d)",
-			reqs, hits, fetches, st.Requests, st.Hits, st.OriginFetches)
-	}
+		st := w.Stats()
+		if pages != w.ResidentPages() {
+			t.Errorf("shard pages sum %d != ResidentPages %d", pages, w.ResidentPages())
+		}
+		if reqs != st.Requests || hits != st.Hits || fetches != st.OriginFetches {
+			t.Errorf("shard sums (req=%d hit=%d fetch=%d) != Stats (req=%d hit=%d fetch=%d)",
+				reqs, hits, fetches, st.Requests, st.Hits, st.OriginFetches)
+		}
+	})
 }

@@ -3,37 +3,74 @@ package warehouse
 import (
 	"context"
 	"io"
+	"strings"
 
+	"cbfww/internal/core"
+	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 )
 
-// BodyStream is a one-shot handle on a served page's body. On the
-// streaming serve path (GetBodyCtx, GetResidentStream) the GetResult's
-// Page carries empty Body and the bytes come through here instead —
-// backed directly by the serving tier's BlobReader when the blob is in
-// the streamable payload format, or by an already-materialized string for
-// origin fetches and codec-era blobs (the buffered fallback).
+// BodyStream is a one-shot handle on a served page's body. Every serve
+// path hands the body out through one: backed directly by the serving
+// tier's BlobReader for a hit, or by the string already in hand for an
+// origin or peer fetch. The streaming entry points (GetBodyCtx,
+// GetResidentStream) pass it on; the others drain it into Page.Body.
 //
 // Like storage.BlobReader, WriteTo picks the cheapest transfer: the
 // tier reader's own strategy (single Write for heap, sendfile-eligible
 // io.Copy for disk files, pooled pread loop for segments) or one
-// io.WriteString for the materialized fallback. Read and WriteTo never
-// emit more than Len() bytes, even over a malformed blob whose payload
-// outruns its declared body length — Len() is what handleBody and the
-// peer endpoints commit as Content-Length, so overrunning it would break
-// HTTP framing. Callers must Close; Close on a nil stream is a no-op.
+// io.WriteString for an in-hand body. Read and WriteTo never emit more
+// than Len() bytes, even over a malformed blob whose payload outruns its
+// declared body length — Len() is what handleBody and the peer endpoints
+// commit as Content-Length, so overrunning it would break HTTP framing.
+// Callers must Close; Close on a nil stream is a no-op.
 type BodyStream struct {
-	br    storage.BlobReader // tier-backed stream; nil when materialized
+	br    storage.BlobReader // tier-backed stream; nil when the body is in hand
 	rem   int64              // body bytes left to serve on the br branch
 	slack bool               // br holds trailing bytes beyond the declared body
-	body  string             // materialized body (fallback)
+	body  string             // in-hand body
 	off   int
 	n     int64
 }
 
-// materializedBody wraps an in-memory body as a BodyStream.
-func materializedBody(body string) *BodyStream {
-	return &BodyStream{body: body, n: int64(len(body))}
+// openPage decodes the page metadata at the head of br and wraps what
+// follows — the body — as a BodyStream that owns br. The returned page
+// carries an empty Body. On error br is closed.
+func openPage(url string, br storage.BlobReader) (simweb.Page, *BodyStream, error) {
+	page, bodyLen, slack, err := decodePageStream(url, br)
+	if err != nil {
+		br.Close()
+		return simweb.Page{}, nil, err
+	}
+	return page, &BodyStream{br: br, rem: bodyLen, slack: slack > 0, n: bodyLen}, nil
+}
+
+// peekPage reads the whole page stored for container id, body included,
+// without counting an access: the body loaders, the hot-index feed and
+// rehydration all read through here.
+func (w *Warehouse) peekPage(id core.ObjectID, url string) (simweb.Page, error) {
+	br, _, err := w.store.PeekStream(id)
+	if err != nil {
+		return simweb.Page{}, err
+	}
+	page, bs, err := openPage(url, br)
+	if err != nil {
+		return simweb.Page{}, err
+	}
+	defer bs.Close()
+	page.Body, err = bs.text()
+	return page, err
+}
+
+// text drains the unread body into a string.
+func (b *BodyStream) text() (string, error) {
+	if b.br == nil {
+		return b.body[b.off:], nil
+	}
+	var sb strings.Builder
+	sb.Grow(int(b.rem))
+	_, err := b.WriteTo(&sb)
+	return sb.String(), err
 }
 
 // Len returns the total body size in bytes, regardless of read position.
@@ -95,16 +132,8 @@ func (b *BodyStream) Close() error {
 
 // GetBodyCtx is GetCtx on the streaming serve path: the returned
 // GetResult is identical except Page.Body is empty — the body arrives
-// through the BodyStream, read straight from the serving tier when the
-// stored blob allows it. The caller must Close the stream (also after
-// errors are ruled out; on error the stream is nil).
+// through the BodyStream, read straight from the serving tier on a hit.
+// The caller must Close the stream (on error the stream is nil).
 func (w *Warehouse) GetBodyCtx(ctx context.Context, user, url string) (GetResult, *BodyStream, error) {
-	return w.get(ctx, user, url, false, true)
-}
-
-// GetResidentStream is GetResident on the streaming serve path: resident
-// copies only, body via BodyStream, no origin or peer contact. The caller
-// must Close the stream.
-func (w *Warehouse) GetResidentStream(user, url string) (GetResult, *BodyStream, bool) {
-	return w.getResident(user, url, true)
+	return w.get(ctx, user, url, false)
 }

@@ -15,10 +15,7 @@ import (
 // BodyStream wired exactly as readResident wires it.
 func boundedStreamFixture(t *testing.T, url string, blob []byte) (*BodyStream, simweb.Page) {
 	t.Helper()
-	m, err := storage.NewManager(storage.Config{
-		MemCapacity: 1 * core.MB, DiskCapacity: 4 * core.MB,
-		MemLatency: 1, DiskLatency: 10, TertiaryLatency: 100,
-	})
+	m, err := storage.NewManager(storage.Config{Tiers: storage.ClassicTiers(1*core.MB, 4*core.MB)})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -29,14 +26,10 @@ func boundedStreamFixture(t *testing.T, url string, blob []byte) (*BodyStream, s
 	if err != nil {
 		t.Fatalf("PeekStream: %v", err)
 	}
-	page, bodyLen, slack, streamed, err := decodePageStream(url, br)
+	page, bs, err := openPage(url, br)
 	if err != nil {
-		t.Fatalf("decodePageStream: %v", err)
+		t.Fatalf("openPage: %v", err)
 	}
-	if !streamed {
-		t.Fatalf("format-2 blob did not take the streaming path")
-	}
-	bs := &BodyStream{n: bodyLen, br: br, rem: bodyLen, slack: slack > 0}
 	return bs, page
 }
 

@@ -18,7 +18,6 @@ package warehouse
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -102,9 +101,11 @@ type Config struct {
 
 // ApplySchema merges a parsed storage-schema definition (§4.4's schema
 // definition language, internal/schema) into the configuration: storage
-// geometry, admission rules and consistency discipline.
-func (c *Config) ApplySchema(s schema.Schema) {
-	s.Apply(&c.Storage, &c.Admission, &c.Consistency)
+// geometry (tier directives edit c.Storage's table by row name), admission
+// rules and consistency discipline. A schema the table cannot honour is
+// core.ErrInvalid and changes nothing.
+func (c *Config) ApplySchema(s schema.Schema) error {
+	return s.Apply(&c.Storage, &c.Admission, &c.Consistency)
 }
 
 // DefaultConfig returns the configuration the experiments run with.
@@ -377,16 +378,6 @@ type Warehouse struct {
 func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
 	if clock == nil || web == nil {
 		return nil, fmt.Errorf("warehouse: %w: nil clock or web", core.ErrInvalid)
-	}
-	if cfg.DataDir == "" && os.Getenv("CBFWW_DISK_TIER") != "" {
-		// Test hook: the storage-disk CI job sets CBFWW_DISK_TIER so the
-		// whole warehouse suite runs against real file-backed tiers
-		// without threading a DataDir through every fixture.
-		dir, err := os.MkdirTemp("", "cbfww-disk-*")
-		if err != nil {
-			return nil, err
-		}
-		cfg.DataDir = dir
 	}
 	if cfg.DataDir != "" {
 		if cfg.Storage.DataDir == "" {
