@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-read bench-store bench-serve tables matrix matrix-check matrix-baseline serve faults soak fuzz cluster chaos examples clean
+.PHONY: all build test race cover bench bench-read bench-store bench-serve bench-admit tables matrix matrix-check matrix-baseline serve faults soak fuzz cluster chaos examples clean
 
 all: build test
 
@@ -43,6 +43,17 @@ bench-serve:
 	$(GO) test -bench ServeBody -benchmem -benchtime=100x \
 		-run 'ServeBodyHeapAllocCeiling|HeapStreamAllocs' \
 		./internal/gateway/ ./internal/storage/
+
+# Write-path gate, the mirror of bench-serve: one 8 KiB admission into a
+# standing population of 1k and of 16k objects (tiers with room, tiers
+# full) and a first-sight Get on one shard, serial and parallel — plus the
+# tests that fail when admission cost starts to follow the population (one
+# object decided per admission at either size) or the page is tokenized
+# more than once (allocs/op ceiling). CI runs this in the bench-smoke job.
+bench-admit:
+	$(GO) test -bench 'AdmitAtPopulation|AdmitNew' -benchmem -benchtime=2000x \
+		-run 'AdmissionVisitsOnlyWhatItDisplaces|AdmitNewAllocCeiling' \
+		./internal/storage/ ./internal/warehouse/
 
 # Paper tables via the CLI (same experiments, readable output).
 tables:
@@ -94,15 +105,17 @@ chaos:
 	$(GO) test -race -v -run 'Chaos|Handoff|Health|Prober|Owners|Replica' \
 		./internal/peers ./internal/gateway ./internal/warehouse ./cmd/cbfww-serve
 
-# Native fuzzing of the decoders that see bytes they did not just write:
-# the query lexer/parser, the stored page payload and the peer frame (30s
-# per target; crank FUZZTIME for a longer hunt).
+# Native fuzzing of the code that sees bytes it did not just write: the
+# query lexer/parser, the stored page payload, the peer frame and the
+# tokenizer's term counts (30s per target; crank FUZZTIME for a longer
+# hunt).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/query/
 	$(GO) test -fuzz FuzzRunString -fuzztime $(FUZZTIME) -run '^$$' ./internal/query/
 	$(GO) test -fuzz FuzzDecodePageStream -fuzztime $(FUZZTIME) -run '^$$' ./internal/warehouse/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/peers/
+	$(GO) test -fuzz FuzzTermCounts -fuzztime $(FUZZTIME) -run '^$$' ./internal/text/
 
 examples:
 	$(GO) run ./examples/quickstart

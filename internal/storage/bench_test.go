@@ -80,3 +80,45 @@ func BenchmarkAccessByTier(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAdmitAtPopulation measures one payload-carrying 8 KiB admission
+// into a standing population of 1k and of 16k objects, in the two regimes
+// of admitRegimes (`make bench-admit`). ns/op at 16k within 3x of 1k is
+// the acceptance bound; visits/op is the placement pass's share of it and
+// must read 1. The manager is rebuilt every n/4 admissions so the
+// population stays near its nominal size and the heap tiers stay bounded.
+func BenchmarkAdmitAtPopulation(b *testing.B) {
+	payload := bytes.Repeat([]byte{'x'}, 8<<10)
+	for _, regime := range admitRegimes {
+		for _, n := range []int{1000, 16000} {
+			b.Run(fmt.Sprintf("%dk/%s", n/1000, regime.name), func(b *testing.B) {
+				mem, disk := regime.caps(n)
+				var m *Manager
+				visits := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%(n/4) == 0 {
+						b.StopTimer()
+						var err error
+						if m, err = NewManager(classic(mem, disk)); err != nil {
+							b.Fatal(err)
+						}
+						admitPopulation(b, m, n)
+						visits -= m.Stats().PlacementVisits
+						b.StartTimer()
+					}
+					// The manager owns the slice it is handed.
+					data := append([]byte(nil), payload...)
+					if err := m.AdmitBytes(core.ObjectID(n+i+1), 8*core.KB, 1, regime.prio(i), data); err != nil {
+						b.Fatal(err)
+					}
+					if (i+1)%(n/4) == 0 || i+1 == b.N {
+						visits += m.Stats().PlacementVisits
+					}
+				}
+				b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+			})
+		}
+	}
+}

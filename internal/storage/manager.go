@@ -19,6 +19,14 @@ type Manager struct {
 	// Capacity is retargeted under mu by ResizeTiers.
 	tiers   []TierSpec
 	objects map[core.ObjectID]*object
+	// order is the population in water-fill order, kept current on every
+	// admit, remove and priority change so placement never sorts it.
+	order rankOrder
+	// stale marks ranks whose placement a lazy mutation (Remove, a resize,
+	// a tier loss, a copy that failed) left short of what the water-fill
+	// would decide; the next placement pass starts no lower than its first
+	// rank and runs to the end.
+	stale rankSpan
 	// backends hold the actual payload bytes, one store per tier-table row.
 	backends []BlobStore
 	used     []core.Bytes
@@ -53,6 +61,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		tiers:    tiers,
 		objects:  make(map[core.ObjectID]*object),
+		order:    rankOrder{finite: Tier(len(tiers) - 1), ratio: cfg.SummaryRatio},
 		backends: backends,
 		used:     make([]core.Bytes, len(tiers)),
 		memDirty: make(map[core.ObjectID]struct{}),
@@ -183,9 +192,10 @@ func (m *Manager) latency(t Tier) core.Duration {
 
 // Admit stores a new object with the given size, content version and
 // priority, placing it according to the current population. Admitting an
-// existing ID is an error; use Update for content changes and SetPriority
-// for reprioritization. Objects admitted this way carry no payload bytes
-// — only placement metadata moves; use AdmitBytes for real content.
+// existing ID is an error; use Update for content changes and
+// ApplyPriorities for reprioritization. Objects admitted this way carry no
+// payload bytes — only placement metadata moves; use AdmitBytes for real
+// content.
 func (m *Manager) Admit(id core.ObjectID, size core.Bytes, version int, prio core.Priority) error {
 	return m.admit(false, Admission{ID: id, Size: size, Version: version, Priority: prio})
 }
@@ -207,34 +217,42 @@ type Admission struct {
 	Payload []byte
 }
 
-// AdmitAll admits a batch with a single placement pass — O(n log n) total
-// instead of per object, for trace replays and experiment setup.
+// AdmitAll admits a batch with a single placement pass: a page's container
+// and components, a trace replay, an experiment's whole population. An
+// entry that fails stops the batch; the entries before it stay admitted
+// and are placed by the next pass.
 func (m *Manager) AdmitAll(batch []Admission) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var touched rankSpan
 	for _, a := range batch {
-		if err := m.admitLocked(a, a.Payload != nil); err != nil {
+		if err := m.admitLocked(a, a.Payload != nil, &touched); err != nil {
+			if touched.any {
+				m.stale.add(touched.lo)
+			}
 			return err
 		}
 	}
-	m.placeLocked()
+	m.placeLocked(touched)
 	return nil
 }
 
 func (m *Manager) admit(hasPayload bool, a Admission) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.admitLocked(a, hasPayload); err != nil {
+	var touched rankSpan
+	if err := m.admitLocked(a, hasPayload, &touched); err != nil {
 		return err
 	}
-	m.placeLocked()
+	m.placeLocked(touched)
 	return nil
 }
 
 // admitLocked lands one object in the anchor tier — the unbounded level,
-// so admission never refuses data; the caller's placement pass then copies
-// it upward as far as its priority earns. Requires m.mu.
-func (m *Manager) admitLocked(a Admission, hasPayload bool) error {
+// so admission never refuses data — and at its rank in the order, which it
+// adds to touched; the caller's placement pass then copies it upward as
+// far as its priority earns. Requires m.mu.
+func (m *Manager) admitLocked(a Admission, hasPayload bool, touched *rankSpan) error {
 	if a.Size <= 0 {
 		return fmt.Errorf("storage: admit %v: %w: size %v", a.ID, core.ErrInvalid, a.Size)
 	}
@@ -254,6 +272,8 @@ func (m *Manager) admitLocked(a Admission, hasPayload bool) error {
 	}
 	o.copies[anchor] = copyState{present: true, version: v}
 	m.objects[a.ID] = o
+	m.order.insert(o)
+	touched.add(o.key())
 	m.used[anchor] += a.Size
 	m.stats.MovedBytes[anchor] += a.Size
 	return nil
@@ -270,7 +290,13 @@ func (m *Manager) Remove(id core.ObjectID) error {
 		return fmt.Errorf("storage: remove %v: %w", id, core.ErrNotFound)
 	}
 	for t := Tier(0); t < m.numTiers(); t++ {
-		m.used[t] -= o.footprint(t, m.cfg.SummaryRatio)
+		fp := o.footprint(t, m.cfg.SummaryRatio)
+		m.used[t] -= fp
+		if fp != 0 && t < m.last() {
+			// Room opened in a finite tier: the ranks below may move up,
+			// but not before the next placement pass (removal is lazy).
+			m.stale.add(o.key())
+		}
 		if o.hasPayload && o.copies[t].present {
 			m.backends[t].Delete(o.copies[t].key(id))
 		}
@@ -278,6 +304,7 @@ func (m *Manager) Remove(id core.ObjectID) error {
 	if o.copies[Memory].present {
 		m.noteMemLocked(id)
 	}
+	m.order.remove(o)
 	delete(m.objects, id)
 	return nil
 }
@@ -424,32 +451,44 @@ func (m *Manager) Contains(id core.ObjectID) (Tier, bool) {
 	return 0, false
 }
 
-// SetPriority updates one object's priority and replaces it in the
-// hierarchy.
+// SetPriority is ApplyPriorities for one object that must exist.
 func (m *Manager) SetPriority(id core.ObjectID, prio core.Priority) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	o, ok := m.objects[id]
-	if !ok {
+	if _, ok := m.objects[id]; !ok {
 		return fmt.Errorf("storage: set priority %v: %w", id, core.ErrNotFound)
 	}
-	o.priority = prio
-	m.placeLocked()
+	m.reprioritizeLocked(map[core.ObjectID]core.Priority{id: prio})
 	return nil
 }
 
-// ApplyPriorities bulk-updates priorities (ids absent from the map keep
-// their current priority) and re-places everything — the self-organizing
-// "vacuum cleaner" sweep.
+// ApplyPriorities updates priorities (ids absent from the map keep their
+// current priority; unknown ids are skipped) and re-places from the
+// highest rank an object left or arrived at — the whole population when
+// the self-organizing "vacuum cleaner" sweep reprices everything.
 func (m *Manager) ApplyPriorities(prios map[core.ObjectID]core.Priority) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.reprioritizeLocked(prios)
+}
+
+// reprioritizeLocked moves each repriced object to its new rank and runs
+// the placement pass over the span of ranks left and entered. Requires
+// m.mu.
+func (m *Manager) reprioritizeLocked(prios map[core.ObjectID]core.Priority) {
+	var touched rankSpan
 	for id, p := range prios {
-		if o, ok := m.objects[id]; ok {
-			o.priority = p
+		o, ok := m.objects[id]
+		if !ok || o.priority == p {
+			continue
 		}
+		touched.add(o.key())
+		m.order.remove(o)
+		o.priority = p
+		m.order.insert(o)
+		touched.add(o.key())
 	}
-	m.placeLocked()
+	m.placeLocked(touched)
 }
 
 // Update records a new content version: the fast copies are rewritten in
@@ -638,8 +677,9 @@ func (m *Manager) ResidentIDs(t Tier) []core.ObjectID {
 // residents (invalidating the fast copies — free in I/O terms, counted in
 // DemotedBytes); growing promotes the highest-priority candidates that
 // hold a copy one tier down, streaming bytes upward (counted in
-// MovedBytes). A resize never sweeps or re-materializes the whole
-// population the way admission-time placement does.
+// MovedBytes). The frontier it moves is not always the water-fill's, so
+// the next placement pass re-decides the whole population under the new
+// capacities.
 func (m *Manager) ResizeTiers(targets map[string]core.Bytes) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -661,6 +701,7 @@ func (m *Manager) ResizeTiers(targets map[string]core.Bytes) error {
 	}
 	m.stats.Resizes++
 	m.resizeLocked()
+	m.stale.add(rankTop)
 	return nil
 }
 

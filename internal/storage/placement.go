@@ -1,34 +1,45 @@
 package storage
 
-import (
-	"sort"
+import "sort"
 
-	"cbfww/internal/core"
-)
-
-// placeLocked recomputes the whole placement: objects sorted by priority
-// (descending; ties by ID for determinism) water-fill the finite tiers
+// placeLocked re-solves placement by water-fill: objects in rank order
+// (priority descending; ties by ID for determinism) fill the finite tiers
 // top-down; everyone keeps/earns copies per the copy-control rules, which
 // generalize from the Figure-3 stack to any tier table as "a copy at tier
 // t requires a copy at tier t+1". Requires m.mu.
-func (m *Manager) placeLocked() {
-	ids := make([]core.ObjectID, 0, len(m.objects))
-	for id := range m.objects {
-		ids = append(ids, id)
+//
+// The walk touches only what changed. touched is the span of ranks the
+// caller inserted at or moved objects between; the walk starts at its
+// first rank, carrying the budgets the ranks above have consumed (a
+// root-path sum in the order), and past the span's last rank it stops as
+// soon as the budgets it carries can no longer change a decision
+// (settled). A lazy mutation recorded in m.stale — a removal, a resize, a
+// tier loss, a copy that failed — pulls the start up to its rank and
+// forbids the early stop; from rankTop that is the whole-population pass.
+func (m *Manager) placeLocked(touched rankSpan) {
+	canStop := !m.stale.any
+	if m.stale.any {
+		touched.add(m.stale.lo)
+		m.stale = rankSpan{}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := m.objects[ids[i]], m.objects[ids[j]]
-		if a.priority != b.priority {
-			return a.priority > b.priority
-		}
-		return a.id < b.id
-	})
-
+	if !touched.any {
+		return
+	}
+	o := m.order.seek(touched.lo)
+	if o == nil {
+		return
+	}
 	anchor := m.last()
-	var usedNow [maxTiers]core.Bytes
+	budget := m.order.prefix(o)
+	// shift is how far budget has moved from what the previous pass carried
+	// into the same object: the net footprint change applied so far.
+	var shift tierBytes
 	var want, asSummary [maxTiers]bool
-	for _, id := range ids {
-		o := m.objects[id]
+	for ; o != nil; o = o.next() {
+		if canStop && touched.hi.before(o.key()) && m.settled(&shift) {
+			return
+		}
+		m.stats.PlacementVisits++
 		// Decide bottom-up so the nesting rule composes: a tier only wants
 		// the object if the next slower tier does too (the anchor always
 		// holds it). Intermediate tiers hold full bodies; the summary
@@ -37,7 +48,7 @@ func (m *Manager) placeLocked() {
 		// while the full body stays one level down".
 		for t := anchor - 1; t >= 1; t-- {
 			below := t == anchor-1 || want[t+1]
-			want[t] = below && usedNow[t]+o.size <= m.tiers[t].Capacity
+			want[t] = below && budget[t]+o.size <= m.tiers[t].Capacity
 			asSummary[t] = false
 		}
 		memCap := m.tiers[0].Capacity
@@ -48,26 +59,48 @@ func (m *Manager) placeLocked() {
 		case !below:
 			// Cannot satisfy the exact-copy invariant: stay demoted.
 		case big && m.cfg.SummaryRatio > 0 &&
-			usedNow[0]+o.summarySize(m.cfg.SummaryRatio) <= memCap:
+			budget[0]+o.summarySize(m.cfg.SummaryRatio) <= memCap:
 			want[0], asSummary[0] = true, true
-		case !big && usedNow[0]+o.size <= memCap:
+		case !big && budget[0]+o.size <= memCap:
 			want[0] = true
 		}
 
 		// Apply bottom-up so promotions find their source one tier down
 		// already materialized (the cheapest copy distance).
+		was := m.order.footprints(o)
 		for t := anchor - 1; t >= 0; t-- {
 			m.applyPlacement(o, t, want[t], asSummary[t])
 		}
 		// footprint, not the wanted state, feeds the accounting: a payload
-		// promotion that found no source bytes leaves the copy absent.
+		// promotion that found no source bytes leaves the copy absent — and
+		// the object off its fixpoint, so the next pass retries from here.
+		now := m.order.footprints(o)
+		m.order.reweigh(o, was, now)
 		for t := Tier(0); t < anchor; t++ {
-			usedNow[t] += o.footprint(t, m.cfg.SummaryRatio)
+			budget[t] += now[t]
+			shift[t] += now[t] - was[t]
+			m.used[t] += now[t] - was[t]
+			if c := o.copies[t]; c.present != want[t] || (c.present && c.summaryOnly != asSummary[t]) {
+				m.stale.add(o.key())
+			}
 		}
 	}
-	for t := Tier(0); t < anchor; t++ {
-		m.used[t] = usedNow[t]
+}
+
+// settled reports whether every object ranked below the walk's position
+// keeps its placement although the budgets reaching it moved by shift. A
+// tier whose budget did not move decides as before. One whose budget rose
+// only turns fits into misfits, and not even that while the tier as a
+// whole is within capacity: each resident's new budget plus its own
+// footprint is at most the tier's new total. A budget that fell may let
+// in something that did not fit, so the walk goes on.
+func (m *Manager) settled(shift *tierBytes) bool {
+	for t := Tier(0); t < m.last(); t++ {
+		if shift[t] < 0 || (shift[t] > 0 && m.used[t] > m.tiers[t].Capacity) {
+			return false
+		}
 	}
+	return true
 }
 
 // resizeLocked re-solves placement incrementally after a capacity
@@ -104,9 +137,11 @@ func (m *Manager) resizeLocked() {
 			if m.used[t] <= m.tiers[t].Capacity {
 				break
 			}
+			was := m.order.footprints(o)
 			for u := Tier(0); u <= t; u++ {
 				m.demoteLocked(o, u)
 			}
+			m.order.reweigh(o, was, m.order.footprints(o))
 		}
 	}
 
@@ -153,8 +188,10 @@ func (m *Manager) resizeLocked() {
 			if m.used[t]-prev+fp > m.tiers[t].Capacity {
 				continue // a smaller, lower-priority object may still fit
 			}
+			was := m.order.footprints(o)
 			m.applyPlacement(o, t, true, summaryOnly)
 			m.used[t] += o.footprint(t, m.cfg.SummaryRatio) - prev
+			m.order.reweigh(o, was, m.order.footprints(o))
 		}
 	}
 }

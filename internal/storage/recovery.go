@@ -40,6 +40,8 @@ func (m *Manager) DropTier(t Tier) error {
 		m.backends[t].Delete(k)
 	}
 	m.used[t] = 0
+	m.order.rebuild(m.objects)
+	m.stale.add(rankTop)
 	return nil
 }
 
@@ -145,9 +147,12 @@ func (m *Manager) recoverLocked() RecoveryReport {
 	}
 	m.used[anchor] = bottom
 
-	// Re-place: promotions here are the restorations of fast copies.
+	// Re-place from rank 0: promotions here are the restorations of fast
+	// copies.
+	m.order.rebuild(m.objects)
+	m.stale.add(rankTop)
 	before := m.stats.Migrations
-	m.placeLocked()
+	m.placeLocked(rankSpan{})
 	rep.Restored += m.stats.Migrations - before
 	return rep
 }
@@ -220,6 +225,9 @@ func (m *Manager) CheckInvariants() error {
 				}
 			}
 		}
+	}
+	if err := m.order.check(m.objects); err != nil {
+		return err
 	}
 	for t := Tier(0); t < anchor; t++ {
 		if recount[t] != m.used[t] {

@@ -210,7 +210,17 @@ type object struct {
 	// (§4.4 locality of reference); meaningful only while an anchor copy
 	// exists.
 	tertiaryPos int
+
+	// The object's node in the manager's rank order (order.go): tree
+	// links, balancing key, and the per-tier footprint sums of the subtree
+	// rooted here. Placement reads them; serving never does.
+	left, right, up *object
+	heapKey         uint64
+	sub             tierBytes
 }
+
+// key returns the object's place in the water-fill order.
+func (o *object) key() rankKey { return rankKey{priority: o.priority, id: o.id} }
 
 // summarySize returns the levels-of-detail footprint of the object.
 func (o *object) summarySize(ratio float64) core.Bytes {
@@ -260,6 +270,10 @@ type Stats struct {
 	Backups    int
 	// Resizes counts capacity retargets (ResizeTiers calls).
 	Resizes int
+	// PlacementVisits counts the objects placement passes decided on. Per
+	// admission it is the newcomer plus whatever the pass had to re-decide
+	// below it — the number that must not grow with the population.
+	PlacementVisits int
 	// CostTotal accumulates access latency, the E-F3 metric.
 	CostTotal core.Duration
 	// MovedBytes accumulates, per tier, the bytes written into that tier

@@ -43,7 +43,11 @@ func NewInvertedIndex(dict *Dictionary) *InvertedIndex {
 // Index adds a document's content under id, replacing any previous content
 // for the same id.
 func (ix *InvertedIndex) Index(id core.ObjectID, content string) {
-	counts := TermCounts(content)
+	ix.IndexCounts(id, TermCounts(content))
+}
+
+// IndexCounts is Index for content already reduced to term counts.
+func (ix *InvertedIndex) IndexCounts(id core.ObjectID, counts map[string]int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, ok := ix.docLen[id]; ok {

@@ -112,7 +112,11 @@ func (c *Corpus) VectorizeNew(content string) Vector {
 // never seen are still included, with maximal IDF, so that two queries
 // about the same unseen topic remain similar to each other.
 func (c *Corpus) Vectorize(content string) Vector {
-	counts := TermCounts(content)
+	return c.vectorizeCounts(TermCounts(content))
+}
+
+// vectorizeCounts is Vectorize for content already reduced to term counts.
+func (c *Corpus) vectorizeCounts(counts map[string]int) Vector {
 	c.mu.Lock() // dict.ID may grow the dictionary
 	defer c.mu.Unlock()
 	b := NewBuilder()
@@ -131,10 +135,17 @@ func (c *Corpus) Vectorize(content string) Vector {
 // where ω > 1 stresses title terms (anchor texts along the path plus the
 // terminal document's title) over body terms. The result is unit-normalized.
 func (c *Corpus) WeightedVector(title, body string, omega float64) Vector {
+	return c.WeightedVectorCounts(TermCounts(title), TermCounts(body), omega)
+}
+
+// WeightedVectorCounts is WeightedVector for a caller that already holds
+// the term counts of the title and of the body (admission tokenizes a page
+// once and feeds the vector and the indexes from the same counts).
+func (c *Corpus) WeightedVectorCounts(title, body map[string]int, omega float64) Vector {
 	if omega < 1 {
 		omega = 1
 	}
-	vt := c.Vectorize(title)
-	vb := c.Vectorize(body)
+	vt := c.vectorizeCounts(title)
+	vb := c.vectorizeCounts(body)
 	return vb.AddScaled(vt, omega).Normalize()
 }

@@ -12,33 +12,49 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lower-cased word tokens. A token is a maximal run
 // of letters or digits; everything else separates tokens. Markup tags
 // (<...>) are stripped first so raw HTML bodies can be fed directly.
 func Tokenize(s string) []string {
-	s = StripTags(s)
 	tokens := make([]string, 0, len(s)/6)
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
-	}
+	scanTokens(s, func(tok []byte) { tokens = append(tokens, string(tok)) })
+	return tokens
+}
+
+// scanTokens is the tokenizer: it calls emit with each token of s in
+// order. The slice is scratch space reused for the next token; emit copies
+// what it keeps.
+func scanTokens(s string, emit func(tok []byte)) {
+	s = StripTags(s)
+	buf := make([]byte, 0, 32)
 	for _, r := range s {
 		switch {
+		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
+			buf = append(buf, byte(r))
+		case 'A' <= r && r <= 'Z':
+			buf = append(buf, byte(r)+'a'-'A')
+		case r < utf8.RuneSelf:
+			if len(buf) > 0 {
+				emit(buf)
+				buf = buf[:0]
+			}
 		case unicode.IsLetter(r):
-			b.WriteRune(unicode.ToLower(r))
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
 		case unicode.IsDigit(r):
-			b.WriteRune(r)
+			buf = utf8.AppendRune(buf, r)
 		default:
-			flush()
+			if len(buf) > 0 {
+				emit(buf)
+				buf = buf[:0]
+			}
 		}
 	}
-	flush()
-	return tokens
+	if len(buf) > 0 {
+		emit(buf)
+	}
 }
 
 // StripTags removes <...> runs from s. It is a tokenizer aid, not an HTML
@@ -93,30 +109,67 @@ var defaultStopWords = map[string]bool{
 // default stop list.
 func IsStopWord(tok string) bool { return defaultStopWords[tok] }
 
+// canonical runs one token through the rest of the preprocessing pipeline
+// — stop list, Porter stemmer, stop list again — and reports whether a
+// term survives.
+func canonical(tok string) (string, bool) {
+	if IsStopWord(tok) {
+		return "", false
+	}
+	tok = Stem(tok)
+	return tok, tok != "" && !IsStopWord(tok)
+}
+
 // Terms tokenizes s and returns the stemmed, stop-word-free term sequence —
 // the canonical preprocessing pipeline used everywhere in CBFWW.
 func Terms(s string) []string {
 	toks := Tokenize(s)
 	out := toks[:0]
 	for _, t := range toks {
-		if IsStopWord(t) {
-			continue
+		if t, ok := canonical(t); ok {
+			out = append(out, t)
 		}
-		t = Stem(t)
-		if t == "" || IsStopWord(t) {
-			continue
-		}
-		out = append(out, t)
 	}
 	return out
 }
 
 // TermCounts returns the multiplicity of each term in the canonical term
-// sequence of s.
+// sequence of s. Raw tokens are counted first and each distinct one goes
+// through the stop list and the stemmer once, however often it repeats:
+// a page body repeats most of its words.
 func TermCounts(s string) map[string]int {
-	counts := make(map[string]int)
-	for _, t := range Terms(s) {
-		counts[t]++
+	// Looking a []byte up as a string does not allocate; only a token's
+	// first sighting makes a string of it, so the counts live in a slice
+	// the map indexes.
+	slot := make(map[string]int)
+	var n []int
+	scanTokens(s, func(tok []byte) {
+		if i, seen := slot[string(tok)]; seen {
+			n[i]++
+			return
+		}
+		slot[string(tok)] = len(n)
+		n = append(n, 1)
+	})
+	counts := make(map[string]int, len(n))
+	for tok, i := range slot {
+		if t, ok := canonical(tok); ok {
+			counts[t] += n[i]
+		}
 	}
 	return counts
+}
+
+// SumCounts returns a+b as a new term-count map: the counts of a document
+// made of two parts that share no token (a title and a body on separate
+// lines).
+func SumCounts(a, b map[string]int) map[string]int {
+	out := make(map[string]int, len(a)+len(b))
+	for t, n := range a {
+		out[t] = n
+	}
+	for t, n := range b {
+		out[t] += n
+	}
+	return out
 }

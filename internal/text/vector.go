@@ -139,21 +139,94 @@ func (b Builder) Vector() Vector {
 // Top returns the n highest-weighted term IDs in the builder, in
 // descending weight order (ties broken by TermID for determinism).
 func (b Builder) Top(n int) []TermID {
-	ids := make([]TermID, 0, len(b))
-	for id := range b {
-		ids = append(ids, id)
+	k := newTopTerms(n, len(b))
+	for id, w := range b {
+		k.push(id, w)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		wi, wj := b[ids[i]], b[ids[j]]
-		if wi != wj {
-			return wi > wj
+	return k.ids()
+}
+
+// topTerms selects the best n of a stream of (term, weight) pairs —
+// weight descending, TermID ascending on ties — with a bounded min-heap:
+// O(len·log n), and nothing is looked up again once a pair is in hand.
+type topTerms struct {
+	n int
+	h []termWeight // min-heap: the worst kept pair sits at the root
+}
+
+type termWeight struct {
+	id TermID
+	w  float64
+}
+
+// better reports whether a ranks above b.
+func (a termWeight) better(b termWeight) bool {
+	if a.w != b.w {
+		return a.w > b.w
+	}
+	return a.id < b.id
+}
+
+// newTopTerms prepares a selection of the best n out of total pairs.
+func newTopTerms(n, total int) topTerms {
+	if n > total {
+		n = total
+	}
+	if n < 0 {
+		n = 0
+	}
+	return topTerms{n: n, h: make([]termWeight, 0, n)}
+}
+
+func (k *topTerms) push(id TermID, w float64) {
+	p := termWeight{id, w}
+	switch {
+	case len(k.h) < k.n:
+		k.h = append(k.h, p)
+		for i := len(k.h) - 1; i > 0; {
+			up := (i - 1) / 2
+			if !k.h[up].better(k.h[i]) {
+				break
+			}
+			k.h[up], k.h[i] = k.h[i], k.h[up]
+			i = up
 		}
-		return ids[i] < ids[j]
-	})
-	if n < len(ids) {
-		ids = ids[:n]
+	case k.n > 0 && p.better(k.h[0]):
+		k.h[0] = p
+		k.siftDown(len(k.h))
 	}
-	return ids
+}
+
+// siftDown restores the heap below the root within h[:end].
+func (k *topTerms) siftDown(end int) {
+	for i := 0; ; {
+		worst := i
+		if l := 2*i + 1; l < end && k.h[worst].better(k.h[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < end && k.h[worst].better(k.h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		k.h[i], k.h[worst] = k.h[worst], k.h[i]
+		i = worst
+	}
+}
+
+// ids empties the selection best-first: popping the worst to the shrinking
+// tail leaves the heap's slice in descending order.
+func (k *topTerms) ids() []TermID {
+	for end := len(k.h) - 1; end > 0; end-- {
+		k.h[0], k.h[end] = k.h[end], k.h[0]
+		k.siftDown(end)
+	}
+	out := make([]TermID, len(k.h))
+	for i, p := range k.h {
+		out[i] = p.id
+	}
+	return out
 }
 
 // Len returns the number of non-zero entries.
@@ -320,18 +393,11 @@ func (v Vector) Prune(eps float64) Vector {
 // Top returns the n highest-weighted term IDs in descending weight order
 // (ties broken by TermID for determinism).
 func (v Vector) Top(n int) []TermID {
-	ids := append([]TermID(nil), v.ids...)
-	sort.Slice(ids, func(i, j int) bool {
-		wi, wj := v.Get(ids[i]), v.Get(ids[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return ids[i] < ids[j]
-	})
-	if n < len(ids) {
-		ids = ids[:n]
+	k := newTopTerms(n, len(v.ids))
+	for i, id := range v.ids {
+		k.push(id, v.ws[i])
 	}
-	return ids
+	return k.ids()
 }
 
 // String renders the vector's top terms for debugging, resolving IDs

@@ -77,6 +77,10 @@ func (m *Manager) Learn(vec text.Vector, priority core.Priority) {
 		m.bump(id, float64(priority)*w)
 	})
 	top := vec.Top(8)
+	ws := make([]float64, len(top))
+	for i, id := range top {
+		ws[i] = vec.Get(id)
+	}
 	for i := 0; i < len(top); i++ {
 		for j := i + 1; j < len(top); j++ {
 			a, b := top[i], top[j]
@@ -86,7 +90,7 @@ func (m *Manager) Learn(vec text.Vector, priority core.Priority) {
 			if m.cooc[a] == nil {
 				m.cooc[a] = make(map[text.TermID]float64)
 			}
-			m.cooc[a][b] += float64(priority) * vec.Get(top[i]) * vec.Get(top[j])
+			m.cooc[a][b] += float64(priority) * ws[i] * ws[j]
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"cbfww/internal/priority"
 	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
+	"cbfww/internal/text"
 	"cbfww/internal/version"
 )
 
@@ -152,6 +153,7 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool) (G
 	if err != nil {
 		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
 	}
+	adm := w.prepareAdmission(url, fr, src)
 	sh.lock()
 	defer sh.mu.Unlock()
 	if !prefetch {
@@ -166,11 +168,54 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool) (G
 		// serve the resident copy and drop our duplicate fetch.
 		return w.serveResident(ctx, sh, user, url, st, prefetch)
 	}
-	out, err := w.admitNew(sh, user, url, fr, src, prefetch)
+	out, err := w.admitNew(sh, user, url, adm, prefetch)
 	if err != nil {
 		return GetResult{}, nil, err
 	}
 	return splitBody(out)
+}
+
+// pageContent is everything the warehouse derives from one version of a
+// page's content alone: the §5.3 weighted vector, the title+body term
+// counts that feed the full index and the hot segment, the stored payload
+// and the anchor map. The page is tokenized once for all of it.
+type pageContent struct {
+	vec     text.Vector
+	terms   map[string]int
+	payload []byte
+	anchors map[string]string
+}
+
+func (w *Warehouse) contentOf(p *simweb.Page) pageContent {
+	title, body := text.TermCounts(p.Title), text.TermCounts(p.Body)
+	return pageContent{
+		vec:     w.corpus.WeightedVectorCounts(title, body, w.cfg.Omega),
+		terms:   text.SumCounts(title, body),
+		payload: encodePagePayload(p),
+		anchors: anchorMap(p.Anchors),
+	}
+}
+
+// admission is a fetched first-sight page made ready to admit. It is
+// prepared before the shard lock is taken, the way the fetch itself is, so
+// the lock covers the duplicate check and the updates of shared state and
+// none of the per-page computation.
+type admission struct {
+	fr  simweb.FetchResult
+	src string // where the bytes came from; flows to GetResult.Source
+	// refused is the Constraint Manager's verdict. A refused page is passed
+	// through to the user and not kept, so it gets no content model.
+	refused error
+	pageContent
+}
+
+func (w *Warehouse) prepareAdmission(url string, fr simweb.FetchResult, src string) *admission {
+	adm := &admission{fr: fr, src: src}
+	cand := constraint.Candidate{URL: url, Size: fr.Page.TotalSize()}
+	if adm.refused = w.cfg.Admission.Check(cand); adm.refused == nil {
+		adm.pageContent = w.contentOf(&adm.fr.Page)
+	}
+	return adm
 }
 
 // splitBody moves an in-hand body (an origin or peer fetch) out of the
@@ -312,7 +357,7 @@ func (w *Warehouse) refetch(ctx context.Context, sh *shard, user, url string, st
 		sh.stats.OriginFetches++
 	}
 	p := fr.Page
-	if err := w.absorbContent(sh, st, url, &p); err != nil {
+	if err := w.absorbContent(sh, st, url, &p, w.contentOf(&p)); err != nil {
 		return GetResult{}, nil, err
 	}
 	out := GetResult{
@@ -331,11 +376,12 @@ func (w *Warehouse) refetch(ctx context.Context, sh *shard, user, url string, st
 	return splitBody(out)
 }
 
-// absorbContent replaces a resident page's content with p: consistency
-// bookkeeping, model vector, indexes, version history, and the stored
-// bytes. Shared by origin refetches and replica pushes — the two ways a
-// resident page's content legitimately changes. Requires sh.mu (write).
-func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simweb.Page) error {
+// absorbContent replaces a resident page's content with p, whose content
+// model is pc: consistency bookkeeping, model vector, indexes, version
+// history, and the stored bytes. Shared by origin refetches and replica
+// pushes — the two ways a resident page's content legitimately changes.
+// Requires sh.mu (write).
+func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simweb.Page, pc pageContent) error {
 	// Update-gap EMA from observed modification times.
 	if st.lastMod != core.TimeNever && p.LastMod.After(st.lastMod) {
 		gap := float64(p.LastMod.Sub(st.lastMod))
@@ -349,16 +395,16 @@ func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simwe
 	st.lastCheck = w.clock.Now()
 	oldVersion := st.version
 	st.version = p.Version
-	st.vec = w.corpus.WeightedVector(p.Title, p.Body, w.cfg.Omega)
-	st.anchors = anchorMap(p.Anchors)
+	st.vec = pc.vec
+	st.anchors = pc.anchors
 
 	// Content changed: re-index, capture version, refresh storage copy.
 	// A page already in the hot segment keeps its membership but needs the
 	// new content; no residency event fires for an in-place rewrite, so
 	// re-index it here (the shard lock is held).
-	w.index.Index(st.physID, p.Title+"\n"+p.Body)
+	w.index.IndexCounts(st.physID, pc.terms)
 	if st.inHotIndex {
-		sh.hotIndex.Index(st.physID, p.Title+"\n"+p.Body)
+		sh.hotIndex.IndexCounts(st.physID, pc.terms)
 	}
 	if err := w.history.Capture(url, version.Snapshot{
 		Version: p.Version, Time: w.clock.Now(),
@@ -366,7 +412,7 @@ func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simwe
 	}); err != nil {
 		return err
 	}
-	payload := encodePagePayload(p)
+	payload := pc.payload
 	switch serr := w.store.UpdateBytes(st.container, p.Version, payload); {
 	case serr == nil:
 	case errors.Is(serr, core.ErrInvalid):
@@ -393,6 +439,7 @@ func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simwe
 // older copy is updated in place; a cold URL runs the full admission path
 // (which may still refuse on admission constraints).
 func (w *Warehouse) AdmitReplica(url string, fr simweb.FetchResult) (bool, error) {
+	adm := w.prepareAdmission(url, fr, sourceReplica)
 	sh := w.shardOf(url)
 	sh.lock()
 	defer sh.mu.Unlock()
@@ -401,31 +448,35 @@ func (w *Warehouse) AdmitReplica(url string, fr simweb.FetchResult) (bool, error
 		if p.Version <= st.version {
 			return false, nil
 		}
-		if err := w.absorbContent(sh, st, url, &p); err != nil {
+		pc := adm.pageContent
+		if adm.refused != nil {
+			// Admission rules gate first sight only; a page already kept
+			// takes its update.
+			pc = w.contentOf(&p)
+		}
+		if err := w.absorbContent(sh, st, url, &p, pc); err != nil {
 			return false, err
 		}
 		sh.stats.ReplicaAdmits++
 		return true, nil
 	}
-	if _, err := w.admitNew(sh, "", url, fr, sourceReplica, true); err != nil {
+	if _, err := w.admitNew(sh, "", url, adm, true); err != nil {
 		return false, err
 	}
 	return sh.pages[url] != nil, nil
 }
 
-// admitNew runs the full admission path for a first-seen URL whose content
-// has already been fetched (the fetch happens outside the shard lock; see
-// get). src names where the bytes came from — "origin" or "peer" — and
-// flows to GetResult.Source. Requires sh.mu (write).
-func (w *Warehouse) admitNew(sh *shard, user, url string, fr simweb.FetchResult, src string, prefetch bool) (GetResult, error) {
-	p := fr.Page
+// admitNew commits a prepared admission for a first-seen URL: what is
+// left of the admission path once the content model is in hand. Requires
+// sh.mu (write).
+func (w *Warehouse) admitNew(sh *shard, user, url string, adm *admission, prefetch bool) (GetResult, error) {
+	p, src := adm.fr.Page, adm.src
 
-	out := GetResult{Page: p, Hit: false, Source: src, Latency: fr.Latency}
+	out := GetResult{Page: p, Hit: false, Source: src, Latency: adm.fr.Latency}
 
 	// Constraint Manager: may refuse warehousing; the user still gets the
 	// page (pass-through), the warehouse just won't keep it.
-	cand := constraint.Candidate{URL: url, Size: p.TotalSize()}
-	if err := w.cfg.Admission.Check(cand); err != nil {
+	if adm.refused != nil {
 		sh.stats.Rejected++
 		if !prefetch {
 			w.countRequest(sh, out)
@@ -435,7 +486,7 @@ func (w *Warehouse) admitNew(sh *shard, user, url string, fr simweb.FetchResult,
 	}
 
 	// Content model: §5.3 weighted vector, admission priority, region.
-	vec := w.corpus.WeightedVector(p.Title, p.Body, w.cfg.Omega)
+	vec := adm.vec
 	prio, exp := w.prios.AdmissionPriority(vec)
 	out.Priority, out.Explanation = prio, exp
 
@@ -457,34 +508,27 @@ func (w *Warehouse) admitNew(sh *shard, user, url string, fr simweb.FetchResult,
 		lastCheck:         w.clock.Now(),
 		lastMod:           p.LastMod,
 		admissionPriority: prio,
-		anchors:           anchorMap(p.Anchors),
+		anchors:           adm.anchors,
 	}
 
 	// Storage: container + components enter with the page's priority. The
 	// page is published to the shard map only afterwards, so cross-shard
 	// sweeps (tertiary clustering, priority application) never see a page
 	// whose container the Storage Manager does not know yet. The event
-	// route is registered first — Admit's placement pass emits the first
+	// route is registered first — the placement pass emits the first
 	// residency events, and the shard lock held here parks their
-	// application until the page is published below.
+	// application until the page is published below. A page storage would
+	// not take is not published, so its route goes too.
 	w.pageOfContainer.Store(container.ID, url)
-	if err := w.store.AdmitBytes(container.ID, sizeOrOne(p.Size), p.Version, prio, encodePagePayload(&p)); err != nil && !errors.Is(err, core.ErrExists) {
+	if err := w.admitToStorage(container.ID, &p, prio, adm.payload); err != nil {
+		w.pageOfContainer.Delete(container.ID)
 		return GetResult{}, err
-	}
-	for _, c := range p.Components {
-		comp, ok := w.objects.ByKey(object.KindRaw, c.URL)
-		if !ok {
-			continue
-		}
-		if err := w.store.Admit(comp.ID, sizeOrOne(c.Size), 1, prio); err != nil && !errors.Is(err, core.ErrExists) {
-			return GetResult{}, err
-		}
 	}
 
 	sh.pages[url] = st
 
 	// Indexes, versions, topic model.
-	w.index.Index(phys.ID, p.Title+"\n"+p.Body)
+	w.index.IndexCounts(phys.ID, adm.terms)
 	if err := w.history.Capture(url, version.Snapshot{
 		Version: p.Version, Time: w.clock.Now(),
 		Title: p.Title, Body: p.Body, Size: p.Size,
@@ -509,6 +553,35 @@ func (w *Warehouse) admitNew(sh *shard, user, url string, fr simweb.FetchResult,
 		rep(url, p)
 	}
 	return out, nil
+}
+
+// admitToStorage hands the Storage Manager a page's container and the
+// components it does not hold yet as one batch: one placement pass per
+// page. Components are shared between pages, so a known one is skipped —
+// and one that a page on another shard admits between the check and the
+// batch stops the batch at core.ErrExists with the entries before it
+// admitted; the next round takes the rest.
+func (w *Warehouse) admitToStorage(container core.ObjectID, p *simweb.Page, prio core.Priority, payload []byte) error {
+	batch := make([]storage.Admission, 0, 1+len(p.Components))
+	for round := 0; ; round++ {
+		batch = batch[:0]
+		if _, known := w.store.Contains(container); !known {
+			batch = append(batch, storage.Admission{ID: container, Size: sizeOrOne(p.Size), Version: p.Version, Priority: prio, Payload: payload})
+		}
+		for _, c := range p.Components {
+			comp, ok := w.objects.ByKey(object.KindRaw, c.URL)
+			if !ok {
+				continue
+			}
+			if _, known := w.store.Contains(comp.ID); !known {
+				batch = append(batch, storage.Admission{ID: comp.ID, Size: sizeOrOne(c.Size), Version: 1, Priority: prio})
+			}
+		}
+		err := w.store.AdmitAll(batch)
+		if !errors.Is(err, core.ErrExists) || round > len(p.Components) {
+			return err
+		}
+	}
 }
 
 // afterServe updates usage, region heat and the user profile, and counts

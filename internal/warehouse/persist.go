@@ -229,24 +229,24 @@ func (w *Warehouse) restorePage(cp *catalogPage, page simweb.Page) error {
 	if page.Version > version {
 		version = page.Version
 	}
-	vec := w.corpus.WeightedVector(page.Title, page.Body, w.cfg.Omega)
+	pc := w.contentOf(&page)
 	prio, _ := w.store.Priority(container.ID)
 	st := &pageState{
 		physID:            phys.ID,
 		container:         container.ID,
 		version:           version,
-		vec:               vec,
-		region:            w.regions.Assign(clusterPoint(phys.ID, vec)),
+		vec:               pc.vec,
+		region:            w.regions.Assign(clusterPoint(phys.ID, pc.vec)),
 		lastCheck:         w.clock.Now(),
 		lastMod:           page.LastMod,
 		admissionPriority: prio,
-		anchors:           anchorMap(page.Anchors),
+		anchors:           pc.anchors,
 	}
 	w.pageOfContainer.Store(container.ID, cp.URL)
 	sh := w.shardOf(cp.URL)
 	sh.mu.Lock()
 	sh.pages[cp.URL] = st
 	sh.mu.Unlock()
-	w.index.Index(phys.ID, page.Title+"\n"+page.Body)
+	w.index.IndexCounts(phys.ID, pc.terms)
 	return nil
 }
