@@ -38,9 +38,12 @@ bench-store:
 
 # Serve-path gate: the warm heap-tier GET /body benchmark plus the
 # allocs/op ceiling test — fails when the zero-copy serve path regresses
-# to materializing bodies (CI runs this in the bench-smoke job).
+# to materializing bodies — and BenchmarkServeBodyTCP, a 256 KiB GET /body
+# per tier (memory, mmap, disk, tertiary) over a loopback socket, the cost
+# a discarding writer hides: disk and segment bodies leave by sendfile.
+# CI runs this in the bench-smoke job.
 bench-serve:
-	$(GO) test -bench ServeBody -benchmem -benchtime=100x \
+	$(GO) test -bench 'ServeBody$$|ServeBodyTCP' -benchmem -benchtime=100x \
 		-run 'ServeBodyHeapAllocCeiling|HeapStreamAllocs' \
 		./internal/gateway/ ./internal/storage/
 

@@ -233,6 +233,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // statusRecorder captures the response status for the metrics middleware.
+// The embedded interface hides the writer's other methods: ReadFrom keeps
+// net/http's sendfile path reachable, Unwrap serves ResponseController.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -242,6 +244,15 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
+	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(src)
+	}
+	return io.Copy(r.ResponseWriter, src)
+}
+
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // instrument wraps a handler with the counters/latency registry.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
@@ -458,10 +469,11 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 // X-CBFWW-Stale on degraded serves. It shares /fetch's full fetch-through
 // path, so a cold URL is admitted exactly as if fetched — but a warm one
 // moves store→socket through the tier's BlobReader (a single Write for
-// heap blobs, sendfile-eligible io.Copy for disk files, a pooled pread
-// loop for segments) instead of materializing Page.Body. Content-Length
-// comes from the stored size, so HEAD answers the size without moving a
-// byte and GET responses skip chunked encoding.
+// heap and mmap blobs, sendfile for disk files and CRC-verified segment
+// windows) instead of materializing Page.Body. Content-Length comes from
+// the stored size, so HEAD answers the size without moving a byte and GET
+// responses skip chunked encoding. Once the headers are out a failed
+// transfer can only cut the response short; sendBody counts it.
 func (s *Server) handleBody(w http.ResponseWriter, r *http.Request) {
 	url := r.URL.Query().Get("url")
 	if url == "" {
@@ -492,7 +504,15 @@ func (s *Server) handleBody(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead {
 		return
 	}
-	bs.WriteTo(w)
+	s.sendBody("body", w, bs)
+}
+
+// sendBody streams a body whose Content-Length is already committed; a
+// transfer that fails or ends short counts as the endpoint's aborted.
+func (s *Server) sendBody(endpoint string, w io.Writer, bs *warehouse.BodyStream) {
+	if n, err := bs.WriteTo(w); err != nil || n != bs.Len() {
+		s.metrics.Abort(endpoint)
+	}
 }
 
 // QueryRow is one /query result row: the projected values in SELECT order,
@@ -629,8 +649,8 @@ func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", peers.FrameContentType)
 	h.Set("Content-Length", strconv.FormatInt(int64(len(line))+bs.Len(), 10))
-	w.Write(line)
-	bs.WriteTo(w)
+	w.Write(line) // a failed write fails the body's too, which counts it
+	s.sendBody("peer_fetch", w, bs)
 }
 
 // handlePeerPut receives a replication push: a replica-set member admitted

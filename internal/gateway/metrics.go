@@ -124,10 +124,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// EndpointSnapshot summarizes one endpoint's activity.
+// EndpointSnapshot summarizes one endpoint's activity. Aborted counts
+// responses cut short after their headers (and Content-Length) were sent.
 type EndpointSnapshot struct {
 	Requests uint64            `json:"requests"`
 	Errors   uint64            `json:"errors"`
+	Aborted  uint64            `json:"aborted"`
 	Latency  HistogramSnapshot `json:"latency"`
 }
 
@@ -135,6 +137,7 @@ type EndpointSnapshot struct {
 type endpointStats struct {
 	requests uint64
 	errors   uint64
+	aborted  uint64
 	hist     Histogram
 }
 
@@ -175,6 +178,15 @@ func (r *Registry) Observe(name string, d time.Duration, isErr bool) {
 	e.hist.Observe(d)
 }
 
+// Abort records one response of the named endpoint that failed after its
+// headers were sent.
+func (r *Registry) Abort(name string) {
+	e := r.endpoint(name)
+	r.mu.Lock()
+	e.aborted++
+	r.mu.Unlock()
+}
+
 // Snapshot returns every endpoint's summary keyed by endpoint name.
 func (r *Registry) Snapshot() map[string]EndpointSnapshot {
 	r.mu.Lock()
@@ -189,7 +201,7 @@ func (r *Registry) Snapshot() map[string]EndpointSnapshot {
 	for _, name := range names {
 		e := r.endpoint(name)
 		r.mu.Lock()
-		snap := EndpointSnapshot{Requests: e.requests, Errors: e.errors}
+		snap := EndpointSnapshot{Requests: e.requests, Errors: e.errors, Aborted: e.aborted}
 		r.mu.Unlock()
 		snap.Latency = e.hist.Snapshot()
 		out[name] = snap

@@ -3,6 +3,7 @@ package storage
 import (
 	"io"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -16,10 +17,11 @@ import (
 // The point of the interface is the io.WriterTo leg: io.Copy (and
 // net/http's ResponseWriter.ReadFrom path) consult it first, so each
 // backend can pick its cheapest byte-moving strategy — a single Write of
-// the resident slice for heap blobs, io.Copy from the raw *os.File for
-// disk blobs (sendfile/copy_file_range eligible), and a pooled-buffer
-// pread loop over the segment window for tertiary blobs. None of these
-// allocate proportionally to the body.
+// the resident slice for heap and mmap blobs, and for the disk and
+// segment tiers an *os.File handed to a destination's ReadFrom, which a
+// socket sends with sendfile(2). A segment stream falls back to a
+// pooled-buffer pread loop when the destination is not an io.ReaderFrom.
+// None of these allocate proportionally to the body.
 type BlobReader interface {
 	io.Reader
 	io.WriterTo
@@ -74,9 +76,9 @@ func (r *memReader) Len() int64   { return int64(len(r.data)) }
 func (r *memReader) Close() error { return nil }
 
 // fileReader is the disk tier's BlobReader: the open blob file itself.
-// WriteTo delegates to io.Copy(w, f) so when w unwraps to a socket (the
-// net/http ResponseWriter.ReadFrom path) the kernel moves the bytes via
-// sendfile, never surfacing them in user space.
+// WriteTo hands the raw *os.File to a destination's ReadFrom, so when w
+// is a net/http ResponseWriter over a socket the kernel moves the bytes
+// with sendfile, never surfacing them in user space.
 type fileReader struct {
 	f    *os.File
 	size int64
@@ -85,8 +87,12 @@ type fileReader struct {
 func (r *fileReader) Read(p []byte) (int, error) { return r.f.Read(p) }
 
 func (r *fileReader) WriteTo(w io.Writer) (int64, error) {
-	// io.Copy sees the raw *os.File: *net.TCPConn (via http) takes the
-	// sendfile path, another *os.File takes copy_file_range.
+	// Not io.Copy(w, r.f): that goes through os.File.WriteTo, which hides
+	// the file from w behind a wrapper. The file offset already sits past
+	// whatever the caller has Read.
+	if rf, ok := w.(io.ReaderFrom); ok {
+		return rf.ReadFrom(r.f)
+	}
 	return io.Copy(w, r.f)
 }
 
@@ -96,9 +102,10 @@ func (r *fileReader) Close() error { return r.f.Close() }
 // sectionReader is the segment store's BlobReader: a pread window over
 // the store's shared, refcounted segment file handle (see segFile). Open
 // pins the segment; Close releases the pin, and the last release of a
-// segment Compact has retired performs the deferred close. WriteTo
-// moves bytes through a pooled chunk buffer, so there is no per-stream
-// descriptor at all — just the reader itself.
+// segment Compact has retired performs the deferred close. WriteTo to an
+// io.ReaderFrom (a socket, via net/http) hands it the unread window on a
+// private file description, so the bytes leave by sendfile; any other
+// destination gets a pooled-buffer pread loop.
 type sectionReader struct {
 	sr      *io.SectionReader
 	size    int64
@@ -108,6 +115,14 @@ type sectionReader struct {
 func (r *sectionReader) Read(p []byte) (int, error) { return r.sr.Read(p) }
 
 func (r *sectionReader) WriteTo(w io.Writer) (int64, error) {
+	if rf, ok := w.(io.ReaderFrom); ok {
+		if f, rest := r.reopen(); f != nil {
+			defer f.Close()
+			n, err := rf.ReadFrom(&io.LimitedReader{R: f, N: rest})
+			r.sr.Seek(n, io.SeekCurrent)
+			return n, err
+		}
+	}
 	buf := CopyBuffer()
 	defer PutCopyBuffer(buf)
 	var written int64
@@ -130,6 +145,35 @@ func (r *sectionReader) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
+}
+
+// reopen opens a file description of this stream's own on the pinned
+// segment, seeked to the first unread byte, and returns it with the
+// unread byte count; nil when that fails. sendfile reads from the file's
+// current offset, which on the shared handle concurrent streams would
+// race on. The path /proc/self/fd/N still resolves after Compact has
+// unlinked the segment, and the pin keeps N open while it is opened.
+func (r *sectionReader) reopen() (*os.File, int64) {
+	ra, base, _ := r.sr.Outer()
+	pos, _ := r.sr.Seek(0, io.SeekCurrent)
+	shared, ok := ra.(*os.File)
+	if !ok {
+		return nil, 0
+	}
+	rc, err := shared.SyscallConn()
+	if err != nil {
+		return nil, 0
+	}
+	var f *os.File
+	rc.Control(func(fd uintptr) { f, _ = os.Open("/proc/self/fd/" + strconv.FormatUint(uint64(fd), 10)) })
+	if f == nil {
+		return nil, 0
+	}
+	if _, err := f.Seek(base+pos, io.SeekStart); err != nil {
+		f.Close()
+		return nil, 0
+	}
+	return f, r.size - pos
 }
 
 func (r *sectionReader) Len() int64 { return r.size }

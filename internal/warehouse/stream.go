@@ -17,12 +17,13 @@ import (
 // GetResidentStream) pass it on; the others drain it into Page.Body.
 //
 // Like storage.BlobReader, WriteTo picks the cheapest transfer: the
-// tier reader's own strategy (single Write for heap, sendfile-eligible
-// io.Copy for disk files, pooled pread loop for segments) or one
-// io.WriteString for an in-hand body. Read and WriteTo never emit more
-// than Len() bytes, even over a malformed blob whose payload outruns its
-// declared body length — Len() is what handleBody and the peer endpoints
-// commit as Content-Length, so overrunning it would break HTTP framing.
+// tier reader's own strategy (single Write for heap and mmap, the
+// *os.File handed to an io.ReaderFrom destination — sendfile on a
+// socket — for disk files and segment windows) or one io.WriteString
+// for an in-hand body. Read and WriteTo never emit more than Len()
+// bytes, even over a malformed blob whose payload outruns its declared
+// body length — Len() is what handleBody and the peer endpoints commit
+// as Content-Length, so overrunning it would break HTTP framing.
 // Callers must Close; Close on a nil stream is a no-op.
 type BodyStream struct {
 	br    storage.BlobReader // tier-backed stream; nil when the body is in hand
