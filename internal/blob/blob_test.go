@@ -2,8 +2,11 @@ package blob
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -114,13 +117,27 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, _ := s.Put([]byte("pristine content"))
-	// Corrupt the file on disk.
-	path := filepath.Join(dir, string(ref[:2]), string(ref[2:]))
-	if err := os.WriteFile(path, []byte("tampered"), 0o644); err != nil {
+	// Flip a byte of the body inside the archive's segment.
+	path := filepath.Join(dir, "seg-000000.seg")
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[bytes.Index(seg, []byte("pristine"))] ^= 0x20
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(ref); err == nil {
 		t.Error("corrupted blob served")
+	}
+	s.Close()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := s2.Get(ref); err == nil {
+		t.Error("corrupted blob served after reopen")
 	}
 }
 
@@ -197,5 +214,126 @@ func TestPutGetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPutCreatesNoFile: bodies are records of one segment log, so many
+// distinct Puts leave a single file in the root.
+func TestPutCreatesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 200; i++ {
+		if _, err := s.Put([]byte(fmt.Sprintf("body %d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ents, _ := os.ReadDir(dir)
+	if len(ents) != 1 {
+		t.Fatalf("%d entries in the root after 200 Puts, want 1 segment", len(ents))
+	}
+}
+
+// TestPutRefusesSharedKey: a body whose 64-bit key is already held by a
+// different live blob is refused, never overwritten.
+func TestPutRefusesSharedKey(t *testing.T) {
+	s := newStore(t)
+	content := []byte("the body that arrives second")
+	sum := sha256.Sum256(content)
+	ref := Ref(hex.EncodeToString(sum[:]))
+	other := []byte("a different body under the same key")
+	if err := s.log.PutFrom(ref.key(), bytes.NewReader(other), int64(len(other))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(content); !errors.Is(err, core.ErrExists) {
+		t.Fatalf("Put over a shared key: err = %v, want ErrExists", err)
+	}
+	br, err := s.log.Open(ref.key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	if got, _ := io.ReadAll(br); !bytes.Equal(got, other) {
+		t.Fatalf("the live record was overwritten: %q", got)
+	}
+}
+
+// TestRetainRecountsAndCollects: Retain sets the counts a reopened store
+// cannot know and collects what nothing references.
+func TestRetainRecountsAndCollects(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	shared, _ := s.Put([]byte("shared"))
+	orphan, _ := s.Put([]byte("orphan"))
+	s.Close()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := s2.Retain(map[Ref]int{shared: 2, "0000000000000000000000000000000000000000000000000000000000000000": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if s2.RefCount(shared) != 2 || s2.Len() != 1 || s2.Size() != core.Bytes(len("shared")) {
+		t.Fatalf("after Retain: rc=%d Len=%d Size=%v", s2.RefCount(shared), s2.Len(), s2.Size())
+	}
+	if _, err := s2.Get(orphan); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("unreferenced blob still served: %v", err)
+	}
+	s2.Release(shared)
+	if _, err := s2.Get(shared); err != nil {
+		t.Fatalf("blob gone with a reference left: %v", err)
+	}
+}
+
+// TestOpenMigratesFilePerBlobTree: a root laid out as one file per blob
+// (root/ab/cdef...) is carried into the log — a file whose content does
+// not match its name is not — and the tree is removed.
+func TestOpenMigratesFilePerBlobTree(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, content []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(dir, name[:2]), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name[:2], name[2:]), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := []byte("carried over")
+	sum := sha256.Sum256(good)
+	ref := Ref(hex.EncodeToString(sum[:]))
+	write(string(ref), good)
+	bad := sha256.Sum256([]byte("what the name promises"))
+	write(hex.EncodeToString(bad[:]), []byte("tampered"))
+	write(string(ref)+".tmp", good[:4]) // a crashed writer's temp file
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(ref); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("migrated Get = %q, %v", got, err)
+	}
+	if s.Len() != 1 || s.RefCount(ref) != 1 {
+		t.Fatalf("after migration: Len=%d rc=%d, want 1 and 1", s.Len(), s.RefCount(ref))
+	}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if e.IsDir() {
+			t.Errorf("fan-out directory %s left behind", e.Name())
+		}
+	}
+	s.Close()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, err := s2.Get(ref); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("Get after reopening the migrated store = %q, %v", got, err)
 	}
 }

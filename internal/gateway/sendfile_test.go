@@ -205,9 +205,10 @@ func (w *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
 }
 
 // TestServeHandsFileToReadFrom: through the gateway's middleware, the disk
-// tier hands the writer's ReadFrom the blob's *os.File and the segment
-// tier a LimitedReader over one — exactly the sources net's sendfile
-// accepts. Heap and mmap bodies are one Write and never reach ReadFrom.
+// and segment tiers (both segment logs) hand the writer's ReadFrom a
+// LimitedReader over the record's *os.File — exactly the source net's
+// sendfile accepts. Heap and mmap bodies are one Write and never reach
+// ReadFrom.
 func TestServeHandsFileToReadFrom(t *testing.T) {
 	const n = 256 << 10
 	s, wh, body, _ := newTierGateway(t, n)
@@ -215,7 +216,7 @@ func TestServeHandsFileToReadFrom(t *testing.T) {
 	want := map[string]string{
 		"memory":   "",
 		"mmap":     "",
-		"disk":     "*os.File",
+		"disk":     "*io.LimitedReader{R: *os.File}",
 		"tertiary": "*io.LimitedReader{R: *os.File}",
 	}
 	for _, tier := range serveTiers {
@@ -233,7 +234,7 @@ func TestServeHandsFileToReadFrom(t *testing.T) {
 	}
 }
 
-// truncatingWriter cuts the disk tier's blob files to nothing on the
+// truncatingWriter cuts the disk tier's segment files to nothing on the
 // first body Write, so the tier reader runs dry mid-body after the
 // Content-Length has gone out.
 type truncatingWriter struct {
@@ -246,7 +247,7 @@ func (w *truncatingWriter) Write(p []byte) (int, error) {
 	if !w.done {
 		w.done = true
 		filepath.Walk(w.dir, func(path string, fi os.FileInfo, err error) error {
-			if err == nil && fi.Mode().IsRegular() && filepath.Base(filepath.Dir(filepath.Dir(path))) == "disk" {
+			if err == nil && fi.Mode().IsRegular() && filepath.Base(filepath.Dir(path)) == "disk" {
 				os.Truncate(path, 0)
 			}
 			return nil

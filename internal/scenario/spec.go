@@ -79,7 +79,7 @@ type TopologyAxes struct {
 	Mem  []core.Bytes
 	Disk []core.Bytes
 	// Backend is "heap" (all-in-memory simulation backends), "disk"
-	// (real file-per-blob + segment backends in a temp dir) or "mmap"
+	// (real segment-log disk and tertiary backends in a temp dir) or "mmap"
 	// (the middle tier on the arena-mapped store, disk-shaped names so
 	// cells stay comparable across backends).
 	Backend []string

@@ -21,15 +21,6 @@ type BlobKey struct {
 	Summary bool
 }
 
-// String renders the key the way the disk store names its files.
-func (k BlobKey) String() string {
-	s := fmt.Sprintf("%d-v%d", uint64(k.ID), k.Version)
-	if k.Summary {
-		s += ".s"
-	}
-	return s
-}
-
 // BlobStore is one tier's byte store. Bytes enter and leave it only as
 // streams (PutFrom, Open); readBlob and putBlob adapt the few callers that
 // hold or need a whole slice. Implementations are safe for concurrent use;
@@ -81,20 +72,11 @@ func putBlob(s BlobStore, k BlobKey, data []byte) error {
 	return s.PutFrom(k, &memReader{data: data}, int64(len(data)))
 }
 
-// compacter is implemented by the log-structured backends, whose
-// overwrites and deletes leave garbage behind.
-type compacter interface {
-	GarbageRatio() float64
-	Compact() error
-}
-
-// compactIfGarbage compacts b when at least half the bytes it has written
-// are garbage. Manager.Backup, the paper's periodic process, drives it.
-func compactIfGarbage(b BlobStore) error {
-	if c, ok := b.(compacter); ok && c.GarbageRatio() > 0.5 {
-		return c.Compact()
-	}
-	return nil
+// reclaimer is implemented by the log-structured backends, whose
+// overwrites and deletes leave garbage behind: reclaim compacts the store
+// when more than maxGarbage of its record bytes are garbage.
+type reclaimer interface {
+	reclaim(maxGarbage float64) error
 }
 
 // memStore is the in-heap BlobStore: a mutex-guarded map. It backs the
@@ -202,7 +184,7 @@ func openBackends(cfg Config, tiers []TierSpec) ([]BlobStore, error) {
 		case "heap":
 			b[t] = newMemStore()
 		case "disk":
-			b[t], err = OpenDiskStore(dir)
+			b[t], err = OpenDiskStore(dir, segSize)
 		case "mmap":
 			b[t], err = OpenMmapStore(dir)
 		case "segment":

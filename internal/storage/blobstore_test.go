@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -242,12 +243,13 @@ func TestUpdateRequiresBytesForPayloadObjects(t *testing.T) {
 	})
 }
 
-// TestDiskStoreReopen: the disk store's index is the filesystem — a
-// reopened store sees exactly the blobs that were renamed into place,
-// and sweeps crashed writers' temp files.
+// TestDiskStoreReopen: the disk store is a log — a reopened store sees
+// exactly the records synced before, truncates a torn tail and keeps
+// appending after it, and sweeps what the file-per-blob layout left (a
+// fan-out directory, a crashed writer's temp file).
 func TestDiskStoreReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir)
+	s, err := OpenDiskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,16 +266,30 @@ func TestDiskStoreReopen(t *testing.T) {
 	if err := s.Delete(keys[1]); err != nil {
 		t.Fatal(err)
 	}
-	// A crashed writer leaves a temp file behind.
-	if err := os.WriteFile(filepath.Join(dir, ".blob-crashed"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
+	// A crashed writer tore the log's tail; the old layout left a temp
+	// file and a fan-out directory behind.
+	seg, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced, _ := seg.Seek(0, io.SeekEnd)
+	seg.Write([]byte{segMagic, recKindPut, 0, 1, 2, 3})
+	seg.Close()
+	if err := os.WriteFile(filepath.Join(dir, ".blob-crashed"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "2c"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "2c", "300-v7"), []byte("blob-2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	r, err := OpenDiskStore(dir)
+	r, err := OpenDiskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +297,28 @@ func TestDiskStoreReopen(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("reopened Len = %d, want 2 (keys: %v)", r.Len(), r.Keys())
 	}
-	if got, err := readBlob(r, keys[0]); err != nil || string(got) != "blob-0" {
-		t.Fatalf("reopened get = %q, %v", got, err)
+	for i, k := range []BlobKey{keys[0], keys[2]} {
+		if got, err := readBlob(r, k); err != nil || string(got) != fmt.Sprintf("blob-%d", 2*i) {
+			t.Fatalf("reopened get %v = %q, %v", k, got, err)
+		}
 	}
 	if r.Contains(keys[1]) {
 		t.Fatal("deleted key survived reopen")
 	}
-	if _, err := os.Stat(filepath.Join(dir, ".blob-crashed")); !os.IsNotExist(err) {
-		t.Fatal("crashed temp file not swept on open")
+	if fi, err := os.Stat(filepath.Join(dir, segName(0))); err != nil || fi.Size() != synced {
+		t.Fatalf("torn tail not truncated: size %v, want %d (%v)", fi.Size(), synced, err)
+	}
+	more := BlobKey{ID: 9, Version: 1}
+	if err := putBlob(r, more, []byte("after the tear")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readBlob(r, more); err != nil || string(got) != "after the tear" {
+		t.Fatalf("append after truncation = %q, %v", got, err)
+	}
+	for _, stale := range []string{".blob-crashed", "2c"} {
+		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
+			t.Fatalf("%s not swept on open", stale)
+		}
 	}
 }
 

@@ -615,12 +615,23 @@ func (m *Manager) Backup() {
 	m.stats.Backups++
 	m.mu.Unlock()
 	for t := m.numTiers() - 1; t >= 0; t-- {
-		compactIfGarbage(m.backends[t])
+		if r, ok := m.backends[t].(reclaimer); ok {
+			r.reclaim(0.5)
+		}
 	}
 }
 
-// Sync flushes every backend to stable storage.
+// Sync flushes every backend to stable storage, the finite tiers first
+// shedding all their garbage: a log keeps what its tier demoted until it
+// is rewritten, at a cost bounded by the tier's capacity.
 func (m *Manager) Sync() error {
+	for _, b := range m.backends[:m.last()] {
+		if r, ok := b.(reclaimer); ok {
+			if err := r.reclaim(0); err != nil {
+				return err
+			}
+		}
+	}
 	for _, b := range m.backends {
 		if err := b.Sync(); err != nil {
 			return err

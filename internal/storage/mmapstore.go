@@ -16,7 +16,7 @@ import (
 )
 
 // MmapStore is the byte-addressable BlobStore backing the "warm" tier
-// between heap and per-file disk: the NVM-shaped level of the dynamic
+// between heap and disk: the NVM-shaped level of the dynamic
 // hierarchy. All blobs live in one append-only arena file mapped
 // MAP_SHARED into the address space, so a read is a load from the
 // mapping — no syscall, no page-cache copy into user space — while the
@@ -370,6 +370,15 @@ func (s *MmapStore) Compact() error {
 	s.retireLocked(oldArena)
 	s.Compactions++
 	return nil
+}
+
+// reclaim compacts the arena when more than maxGarbage of its record
+// bytes are garbage.
+func (s *MmapStore) reclaim(maxGarbage float64) error {
+	if s.GarbageRatio() <= maxGarbage {
+		return nil
+	}
+	return s.Compact()
 }
 
 // msync flushes a mapping's dirty pages synchronously. The syscall

@@ -164,7 +164,7 @@ func TestMmapStreamSurvivesCompact(t *testing.T) {
 	if err := putBlob(s, k, want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	for i := 0; i < 8; i++ { // pile up garbage so compactIfGarbage fires
+	for i := 0; i < 8; i++ { // pile up garbage so reclaim(0.5) fires
 		if err := putBlob(s, churn, streamPayload(100_000)); err != nil {
 			t.Fatalf("Put churn: %v", err)
 		}
@@ -175,8 +175,8 @@ func TestMmapStreamSurvivesCompact(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	oldPath := filepath.Join(dir, arenaName(0))
-	if err := compactIfGarbage(s); err != nil {
-		t.Fatalf("compactIfGarbage: %v", err)
+	if err := s.reclaim(0.5); err != nil {
+		t.Fatalf("reclaim: %v", err)
 	}
 	if s.Compactions != 1 {
 		t.Fatalf("Compactions = %d, want 1 (garbage ratio %v)", s.Compactions, s.GarbageRatio())

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -14,11 +15,12 @@ import (
 )
 
 // SegmentStore is the append-only BlobStore backing the tertiary tier: a
-// linear medium in the paper's sense, written front to back. Blobs are
-// appended as self-describing records (see recordLog, magic 0xC5) to
-// numbered segment files (seg-000000.seg, seg-000001.seg, ...), the active
-// segment rotating once it exceeds the configured size; Compact rewrites
-// the live set into fresh segments.
+// linear medium in the paper's sense, written front to back (and the log
+// under DiskStore and internal/blob). Blobs are appended as
+// self-describing records (see recordLog, magic 0xC5) to numbered segment
+// files (seg-000000.seg, ...), created by the first append and rotated
+// once the active one exceeds the configured size; Compact rewrites the
+// live set into fresh segments.
 //
 // On open, segments are replayed in order; the first record that fails to
 // parse or checksum ends the usable data in that segment (a crashed writer
@@ -31,6 +33,12 @@ type SegmentStore struct {
 
 	files map[int]*segFile // open segment handles, by segment number
 	segs  []int            // segment numbers, ascending; last is active
+	// nextSeg numbers the next segment: numbers never repeat, so replay
+	// order stays honest.
+	nextSeg int
+	// unsynced is the oldest segment appended to since the last Sync (-1:
+	// none); appends go to the active segment, so all after it are too.
+	unsynced int
 	// refMu guards the refs/retired fields of every segFile. Ordered
 	// after mu: Open pins under the read lock, Compact retires under the
 	// write lock, and a reader's Close takes only refMu.
@@ -90,8 +98,8 @@ func segName(n int) string { return fmt.Sprintf("seg-%06d.seg", n) }
 
 func (s *SegmentStore) segPath(n int) string { return filepath.Join(s.dir, segName(n)) }
 
-// OpenSegmentStore opens (creating if needed) a segment store in dir,
-// replaying every segment to rebuild the key index.
+// OpenSegmentStore opens (creating the directory if needed) a segment
+// store in dir, replaying every segment to rebuild the key index.
 func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open segment store: %w", err)
@@ -104,6 +112,7 @@ func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 		dir:       dir,
 		maxSize:   maxSize,
 		files:     make(map[int]*segFile),
+		unsynced:  -1,
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -121,17 +130,14 @@ func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 			s.Close()
 			return nil, err
 		}
-	}
-	if len(s.segs) == 0 {
-		if err := s.rotateLocked(); err != nil {
-			return nil, err
-		}
+		s.nextSeg = n + 1
 	}
 	return s, nil
 }
 
 // replaySegment scans one segment file, applying its intact record prefix
-// to the index. When active (the newest segment), a damaged tail is
+// to the index; a record that claims more bytes than the file holds ends
+// it unread. When active (the newest segment), a damaged tail is
 // truncated so subsequent appends start from a clean offset.
 func (s *SegmentStore) replaySegment(n int, active bool) error {
 	f, err := os.OpenFile(s.segPath(n), os.O_RDWR, 0o644)
@@ -139,18 +145,23 @@ func (s *SegmentStore) replaySegment(n int, active bool) error {
 		return fmt.Errorf("storage: replay segment %d: %w", n, err)
 	}
 	s.files[n] = &segFile{f: f}
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("storage: replay segment %d: %w", n, err)
+	}
+	br := bufio.NewReaderSize(f, 64<<10)
 	var off int64
 	hdr := make([]byte, recHeaderLen)
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr); err != nil {
 			break // clean EOF or truncated header: end of usable data
 		}
 		kind, k, length, ok := s.parseHeader(hdr)
-		if !ok {
+		if !ok || off+recLen(length) > fi.Size() {
 			break
 		}
 		body := make([]byte, length+recTrailerLen)
-		if _, err := io.ReadFull(f, body); err != nil {
+		if _, err := io.ReadFull(br, body); err != nil {
 			break
 		}
 		if binary.BigEndian.Uint32(body[length:]) != recCRC(hdr, body[:length]) {
@@ -171,17 +182,14 @@ func (s *SegmentStore) replaySegment(n int, active bool) error {
 	return nil
 }
 
-// rotateLocked opens the next segment file as the append target. Segment
-// numbers never repeat, so replay order stays honest.
+// rotateLocked creates the next segment file as the append target.
 func (s *SegmentStore) rotateLocked() error {
-	next := 0
-	if len(s.segs) > 0 {
-		next = s.segs[len(s.segs)-1] + 1
-	}
+	next := s.nextSeg
 	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: rotate segment: %w", err)
 	}
+	s.nextSeg++
 	s.segs = append(s.segs, next)
 	s.files[next] = &segFile{f: f}
 	s.activeSize = 0
@@ -189,18 +197,21 @@ func (s *SegmentStore) rotateLocked() error {
 }
 
 // appendLocked writes one record to the active segment (rotating first if
-// it is full), streaming the n-byte payload from r through a pooled chunk
+// it is full or there is none yet), streaming the n-byte payload from r through a pooled chunk
 // buffer. The header rides in front of the first chunk and the trailer
 // behind the last, so a record that fits the buffer costs one write(2).
 // On any failure the segment is truncated back to the record start so the
 // append offset stays clean. The index is the caller's to update.
 func (s *SegmentStore) appendLocked(kind byte, k BlobKey, r io.Reader, n int64) (recLoc, error) {
-	if s.activeSize >= int64(s.maxSize) {
+	if len(s.segs) == 0 || s.activeSize >= int64(s.maxSize) {
 		if err := s.rotateLocked(); err != nil {
 			return recLoc{}, err
 		}
 	}
 	seg := s.segs[len(s.segs)-1]
+	if s.unsynced < 0 {
+		s.unsynced = seg
+	}
 	f := s.files[seg].f
 	start := s.activeSize
 	buf := CopyBuffer()
@@ -316,15 +327,22 @@ func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
 	}, nil
 }
 
-// Sync fsyncs the active segment and the store directory.
+// syncFile fsyncs one file; a variable so white-box tests can watch it.
+var syncFile = (*os.File).Sync
+
+// Sync fsyncs every segment appended to since the last Sync — the active
+// one and any a rotation sealed in between — and the store directory.
 func (s *SegmentStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.segs) > 0 {
-		if err := s.files[s.segs[len(s.segs)-1]].f.Sync(); err != nil {
-			return fmt.Errorf("storage: segment sync: %w", err)
+	for _, n := range s.segs {
+		if s.unsynced >= 0 && n >= s.unsynced {
+			if err := syncFile(s.files[n].f); err != nil {
+				return fmt.Errorf("storage: segment sync: %w", err)
+			}
 		}
 	}
+	s.unsynced = -1
 	return syncDir(s.dir)
 }
 
@@ -353,21 +371,20 @@ func (s *SegmentStore) Close() error {
 // oldest first. A failure before that point removes the partial new
 // segments and leaves the store as it was; a crash at any point leaves
 // old segments, new segments or both, and since segment numbers never
-// repeat a replay of any such mix rebuilds the same index.
+// repeat a replay of any such mix rebuilds the same index. A store with
+// nothing live compacts to no file at all.
 func (s *SegmentStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, oldActive := s.segs, s.activeSize
-	if err := s.rotateLocked(); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
+	old, oldActive, oldUnsynced := s.segs, s.activeSize, s.unsynced
+	s.segs = nil // the first live record opens the new generation
 	abort := func(err error) error {
-		for _, n := range s.segs[len(old):] {
+		for _, n := range s.segs {
 			s.files[n].f.Close()
 			os.Remove(s.segPath(n))
 			delete(s.files, n)
 		}
-		s.segs, s.activeSize = old, oldActive
+		s.segs, s.activeSize, s.unsynced = old, oldActive, oldUnsynced
 		return fmt.Errorf("storage: compact: %w", err)
 	}
 	index := make(map[BlobKey]recLoc, len(s.index))
@@ -382,16 +399,15 @@ func (s *SegmentStore) Compact() error {
 		index[k] = nl
 		live += recLen(nl.n)
 	}
-	for _, n := range s.segs[len(old):] {
-		if err := s.files[n].f.Sync(); err != nil {
+	for _, n := range s.segs {
+		if err := syncFile(s.files[n].f); err != nil {
 			return abort(err)
 		}
 	}
 	if err := syncDir(s.dir); err != nil {
 		return abort(err)
 	}
-	s.segs = append([]int(nil), s.segs[len(old):]...)
-	s.index, s.liveBytes, s.deadBytes = index, live, 0
+	s.index, s.liveBytes, s.deadBytes, s.unsynced = index, live, 0, -1
 	s.Compactions++
 	// Oldest first, so what a crash leaves is always a suffix of the old
 	// log: a put never outlives the later tombstone that cancels it.
@@ -405,4 +421,13 @@ func (s *SegmentStore) Compact() error {
 		first = fmt.Errorf("storage: compact remove segment: %w", err)
 	}
 	return first
+}
+
+// reclaim compacts the store when more than maxGarbage of the record
+// bytes it holds are garbage.
+func (s *SegmentStore) reclaim(maxGarbage float64) error {
+	if s.GarbageRatio() <= maxGarbage {
+		return nil
+	}
+	return s.Compact()
 }

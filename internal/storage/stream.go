@@ -10,17 +10,18 @@ import (
 // BlobReader is a streaming handle on one stored blob. It is a positioned
 // one-shot reader: Read/WriteTo consume the payload front to back, Len
 // reports the total payload size (independent of how much has been read),
-// and Close releases whatever the backend pinned (an open file for the
-// disk and segment tiers, nothing for the heap tier). Callers must Close
-// every reader, including after partial reads.
+// and Close releases whatever the backend pinned (a segment file for the
+// disk and tertiary tiers, an arena mapping for mmap, nothing for heap).
+// Callers must Close every reader, including after partial reads.
 //
 // The point of the interface is the io.WriterTo leg: io.Copy (and
 // net/http's ResponseWriter.ReadFrom path) consult it first, so each
 // backend can pick its cheapest byte-moving strategy — a single Write of
-// the resident slice for heap and mmap blobs, and for the disk and
-// segment tiers an *os.File handed to a destination's ReadFrom, which a
-// socket sends with sendfile(2). A segment stream falls back to a
-// pooled-buffer pread loop when the destination is not an io.ReaderFrom.
+// the resident slice for heap and mmap blobs, and for the segment logs
+// under the disk and tertiary tiers a window of an *os.File handed to a
+// destination's ReadFrom, which a socket sends with sendfile(2). A
+// segment stream falls back to a pooled-buffer pread loop when the
+// destination is not an io.ReaderFrom.
 // None of these allocate proportionally to the body.
 type BlobReader interface {
 	io.Reader
@@ -75,31 +76,8 @@ func (r *memReader) WriteTo(w io.Writer) (int64, error) {
 func (r *memReader) Len() int64   { return int64(len(r.data)) }
 func (r *memReader) Close() error { return nil }
 
-// fileReader is the disk tier's BlobReader: the open blob file itself.
-// WriteTo hands the raw *os.File to a destination's ReadFrom, so when w
-// is a net/http ResponseWriter over a socket the kernel moves the bytes
-// with sendfile, never surfacing them in user space.
-type fileReader struct {
-	f    *os.File
-	size int64
-}
-
-func (r *fileReader) Read(p []byte) (int, error) { return r.f.Read(p) }
-
-func (r *fileReader) WriteTo(w io.Writer) (int64, error) {
-	// Not io.Copy(w, r.f): that goes through os.File.WriteTo, which hides
-	// the file from w behind a wrapper. The file offset already sits past
-	// whatever the caller has Read.
-	if rf, ok := w.(io.ReaderFrom); ok {
-		return rf.ReadFrom(r.f)
-	}
-	return io.Copy(w, r.f)
-}
-
-func (r *fileReader) Len() int64   { return r.size }
-func (r *fileReader) Close() error { return r.f.Close() }
-
-// sectionReader is the segment store's BlobReader: a pread window over
+// sectionReader is the disk and tertiary tiers' BlobReader (both are
+// segment logs): a pread window over
 // the store's shared, refcounted segment file handle (see segFile). Open
 // pins the segment; Close releases the pin, and the last release of a
 // segment Compact has retired performs the deferred close. WriteTo to an

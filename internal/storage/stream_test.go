@@ -15,7 +15,7 @@ import (
 // temp dir.
 func streamBackends(t *testing.T) map[string]BlobStore {
 	t.Helper()
-	disk, err := OpenDiskStore(filepath.Join(t.TempDir(), "disk"))
+	disk, err := OpenDiskStore(filepath.Join(t.TempDir(), "disk"), 1*core.MB)
 	if err != nil {
 		t.Fatalf("OpenDiskStore: %v", err)
 	}

@@ -21,9 +21,9 @@
 // the full body stays one level down.
 //
 // Each tier is backed by a BlobStore that holds the actual payload bytes:
-// an in-heap map, an mmap arena, a file-per-blob directory tree, or an
-// append-only segment log (see backend.go, mmapstore.go, diskstore.go,
-// segment.go). Placement moves real bytes between the backends; the
+// an in-heap map, an mmap arena, or an append-only segment log — bounded
+// by the tier's capacity under the disk tier, unbounded under the anchor
+// (see backend.go, mmapstore.go, diskstore.go, segment.go). Placement moves real bytes between the backends; the
 // metadata in copyState is an index over them, not a simulation.
 package storage
 
@@ -62,8 +62,8 @@ type TierSpec struct {
 	// and scenario metrics (e.g. "memory", "mmap", "disk", "tertiary").
 	Name string
 	// Backend picks the blob store when Config.DataDir is set: "heap",
-	// "mmap" (arena mapping, the NVM-shaped tier), "disk" (file per
-	// blob) or "segment" (append-only log). With no DataDir every tier
+	// "mmap" (arena mapping, the NVM-shaped tier), "disk" (a segment log
+	// the tier's capacity bounds) or "segment" (append-only log). With no DataDir every tier
 	// is heap-backed regardless.
 	Backend string
 	// Capacity is the placement target. 0 means unbounded, required on
@@ -119,7 +119,7 @@ type Config struct {
 	SegmentSize core.Bytes
 }
 
-// ClassicTiers returns the Figure-3 table — heap "memory", file-per-blob
+// ClassicTiers returns the Figure-3 table — heap "memory", bounded-log
 // "disk", segment-log "tertiary" — with the given capacity targets and the
 // 2003-era latency ratios the paper argues from: memory is thousands of
 // times faster than a web fetch, disk tens of times.

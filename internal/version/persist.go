@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"cbfww/internal/blob"
 	"cbfww/internal/core"
 )
 
@@ -61,9 +62,13 @@ func (s *Store) LoadFrom(r io.Reader) error {
 		return fmt.Errorf("version: load histories: %w", err)
 	}
 	var bytes core.Bytes
+	refs := make(map[blob.Ref]int)
 	for _, snaps := range histories {
 		for _, sn := range snaps {
 			bytes += sn.Size
+			if sn.BodyRef != "" {
+				refs[sn.BodyRef]++
+			}
 		}
 	}
 	s.mu.Lock()
@@ -71,6 +76,13 @@ func (s *Store) LoadFrom(r io.Reader) error {
 	s.maxDepth = h.MaxDepth
 	s.histories = histories
 	s.bytes = bytes
+	if s.blobs != nil {
+		// A reopened archive counts each body once; the histories know
+		// how many snapshots share it, and which bodies none references.
+		if err := s.blobs.Retain(refs); err != nil {
+			return fmt.Errorf("version: recount archive: %w", err)
+		}
+	}
 	return nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"cbfww/internal/blob"
 )
 
 func populated(t *testing.T) *Store {
@@ -83,5 +85,59 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if err := s2.LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Error("missing file loaded")
+	}
+}
+
+// TestReloadedArchiveKeepsSharedBodies: two URLs that captured the same
+// body share one archive record. After a save and a reopen, pruning one
+// URL's snapshot must not collect the body the other still references,
+// and a body no saved snapshot references is collected.
+func TestReloadedArchiveKeepsSharedBodies(t *testing.T) {
+	dir := t.TempDir()
+	blobs := filepath.Join(dir, "blobs")
+	path := filepath.Join(dir, "versions.gob")
+	bs, err := blob.Open(blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(1)
+	s.UseBlobs(bs)
+	for _, url := range []string{"http://a/x", "http://b/y"} {
+		if err := s.Capture(url, snap(1, 10, "one shared body")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orphan, err := bs.Put([]byte("captured after the save"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	bs.Close()
+
+	bs2, err := blob.Open(blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs2.Close()
+	s2 := NewStore(1)
+	s2.UseBlobs(bs2)
+	if err := s2.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if n := bs2.RefCount(orphan); n != 0 {
+		t.Errorf("unreferenced body kept with %d refs after load", n)
+	}
+	if err := s2.Capture("http://a/x", snap(2, 20, "a moved on")); err != nil {
+		t.Fatal(err)
+	}
+	latest, _ := s2.Latest("http://b/y")
+	got, err := s2.Materialize(latest)
+	if err != nil {
+		t.Fatalf("Materialize of the other URL after prune: %v", err)
+	}
+	if got.Body != "one shared body" {
+		t.Errorf("body = %q", got.Body)
 	}
 }

@@ -57,7 +57,8 @@ func NewStore(maxDepth int) *Store {
 }
 
 // UseBlobs switches the store to blob-backed bodies. Must be called
-// before the first Capture.
+// before the first Capture and before LoadFrom, which sets the blob
+// store's reference counts from the loaded histories.
 func (s *Store) UseBlobs(bs *blob.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -65,14 +65,17 @@ func (o *firstSightOrigin) Fetch(url string) (simweb.FetchResult, error) {
 
 func (o *firstSightOrigin) Head(url string) (int, core.Time, error) { return 1, 0, nil }
 
-// admitBench builds a one-shard, all-in-heap warehouse over a
-// firstSightOrigin and returns it with a source of fresh URLs. One shard is
-// the worst case for admission: every miss contends for the same lock.
-func admitBench(tb testing.TB) (*Warehouse, func() string) {
+// admitBench builds a one-shard warehouse over a firstSightOrigin and
+// returns it with a source of fresh URLs: all in heap when dataDir is
+// empty, otherwise with file-backed tiers and the version archive under
+// dataDir. One shard is the worst case for admission: every miss contends
+// for the same lock.
+func admitBench(tb testing.TB, dataDir string) (*Warehouse, func() string) {
 	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.Shards = 1
 	cfg.Storage.Tiers = storage.ClassicTiers(4*core.MB, 16*core.MB)
+	cfg.DataDir = dataDir
 	w, err := New(cfg, core.NewSimClock(0), newFirstSightOrigin())
 	if err != nil {
 		tb.Fatal(err)
@@ -86,10 +89,23 @@ func admitBench(tb testing.TB) (*Warehouse, func() string) {
 // lock, commit under it — serially and from GOMAXPROCS goroutines that all
 // hash to the one shard (`make bench-admit`). The parallel rate over the
 // serial rate is what preparing outside the lock buys; with everything
-// under the lock it is 1.
+// under the lock it is 1. The serial-disk row admits into a data
+// directory, so it also pays what the file system charges per admission:
+// the appends to the disk tier's, the tertiary tier's and the version
+// archive's logs.
 func BenchmarkAdmitNew(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		w, fresh := admitBench(b)
+		w, fresh := admitBench(b, "")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.Get("", fresh()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("serial-disk", func(b *testing.B) {
+		w, fresh := admitBench(b, b.TempDir())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -99,7 +115,7 @@ func BenchmarkAdmitNew(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		w, fresh := admitBench(b)
+		w, fresh := admitBench(b, "")
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -120,7 +136,7 @@ func BenchmarkAdmitNew(b *testing.B) {
 // tokenizations, a sort of the population). Measured: 1,400; the ceiling
 // sits 20 % above.
 func TestAdmitNewAllocCeiling(t *testing.T) {
-	w, fresh := admitBench(t)
+	w, fresh := admitBench(t, "")
 	for i := 0; i < 64; i++ { // warm the dictionary and the media pool
 		if _, err := w.Get("", fresh()); err != nil {
 			t.Fatal(err)

@@ -54,6 +54,7 @@ type catalogComponent struct {
 // Checkpoint flushes the warehouse's durable state: a final Backup pass
 // (so every object's tertiary anchor is as fresh as its source copy
 // allows), the storage manifest, fsync of the file backends, the version
+// archive's log (compacted first when half of it is garbage), the version
 // history, and the page catalog. A warehouse without a DataDir has
 // nothing durable and checkpoints as a no-op.
 func (w *Warehouse) Checkpoint() error {
@@ -66,6 +67,11 @@ func (w *Warehouse) Checkpoint() error {
 	}
 	if err := w.store.Sync(); err != nil {
 		return fmt.Errorf("warehouse: checkpoint: %w", err)
+	}
+	if w.archive != nil {
+		if err := w.archive.Sync(); err != nil {
+			return fmt.Errorf("warehouse: checkpoint: %w", err)
+		}
 	}
 	if err := w.history.SaveFile(filepath.Join(w.cfg.DataDir, versionsName)); err != nil {
 		return fmt.Errorf("warehouse: checkpoint: %w", err)

@@ -14,7 +14,7 @@ import (
 type stack struct {
 	name   string
 	onDisk bool   // tiers file-backed under t.TempDir(); false = all in heap
-	middle string // backend of the table's file-per-blob tier
+	middle string // backend of the table's disk tier
 }
 
 var stacks = []stack{

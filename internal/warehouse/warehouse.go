@@ -17,6 +17,7 @@ package warehouse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -315,6 +316,9 @@ type Warehouse struct {
 	prios   *priority.Manager
 	store   *storage.Manager
 	history *version.Store
+	// archive is history's blob store when bodies are archived on disk
+	// (Config.BlobDir); Checkpoint syncs it, Close closes it.
+	archive *blob.Store
 	social  *recommend.Manager
 
 	// shards stripe the hot per-URL state (page map, counters, hot-index
@@ -450,6 +454,7 @@ func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
 			return nil, err
 		}
 		w.history.UseBlobs(bs)
+		w.archive = bs
 	}
 	w.builder = object.NewBuilder(w.objects)
 	return w, nil
@@ -494,7 +499,12 @@ func (w *Warehouse) Stats() Stats {
 // Close releases file-backed resources (storage tier backends). It does
 // not checkpoint: call Checkpoint first for a shutdown that survives a
 // restart.
-func (w *Warehouse) Close() error { return w.store.Close() }
+func (w *Warehouse) Close() error {
+	if w.archive == nil {
+		return w.store.Close()
+	}
+	return errors.Join(w.store.Close(), w.archive.Close())
+}
 
 // Clock exposes the warehouse clock (examples print times).
 func (w *Warehouse) Clock() core.Clock { return w.clock }
