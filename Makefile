@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-read bench-store bench-serve bench-admit tables matrix matrix-check matrix-baseline serve faults soak fuzz cluster chaos examples clean
+.PHONY: all build test race cover bench bench-read bench-store bench-serve bench-admit loc tables matrix matrix-check matrix-baseline serve faults soak fuzz cluster chaos examples clean
 
 all: build test
 
@@ -57,6 +57,13 @@ bench-admit:
 	$(GO) test -bench 'AdmitAtPopulation|AdmitNew' -benchmem -benchtime=2000x \
 		-run 'AdmissionVisitsOnlyWhatItDisplaces|AdmitNewAllocCeiling' \
 		./internal/storage/ ./internal/warehouse/
+
+# Non-test Go lines per package under internal/ and cmd/, and their total:
+# the yardstick for "less code".
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # Paper tables via the CLI (same experiments, readable output).
 tables:

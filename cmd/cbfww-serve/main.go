@@ -172,8 +172,8 @@ func build(opts options) (*daemon, error) {
 	// Empty keeps every tier in the heap (the simulation shape).
 	cfg.DataDir = opts.dataDir
 	if opts.mmapTier > 0 {
-		// Four-tier stack: heap / mmap arena / disk / segment log. The warm
-		// tier needs a data directory to map its arena file under.
+		// Four-tier stack: heap / mmap / disk / segment log. The warm
+		// tier needs a data directory to map its segment files under.
 		if opts.dataDir == "" {
 			return nil, fmt.Errorf("cbfww-serve: -mmap-tier requires -data-dir")
 		}

@@ -118,7 +118,7 @@ func (r *Runner) runWarehouseCell(c Cell, g *workload.GeneratedWeb, tr *workload
 		}
 		defer os.RemoveAll(dir)
 		cfg.Storage.DataDir = dir
-		// The arena-mapped store backs the middle tier; names stay the
+		// The mmap store backs the middle tier; names stay the
 		// classic memory/disk/tertiary so every metric key — and hence
 		// every baseline comparison — lines up across backends.
 		cfg.Storage.Tiers[1].Backend = c.Backend

@@ -80,7 +80,7 @@ type TopologyAxes struct {
 	Disk []core.Bytes
 	// Backend is "heap" (all-in-memory simulation backends), "disk"
 	// (real segment-log disk and tertiary backends in a temp dir) or "mmap"
-	// (the middle tier on the arena-mapped store, disk-shaped names so
+	// (the middle tier on the mmap store, disk-shaped names so
 	// cells stay comparable across backends).
 	Backend []string
 	// Capacity entries are "static" or "<mode>@<frac>x<factor>" with mode

@@ -186,7 +186,7 @@ func openBackends(cfg Config, tiers []TierSpec) ([]BlobStore, error) {
 		case "disk":
 			b[t], err = OpenDiskStore(dir, segSize)
 		case "mmap":
-			b[t], err = OpenMmapStore(dir)
+			b[t], err = OpenMmapStore(dir, segSize)
 		case "segment":
 			b[t], err = OpenSegmentStore(dir, segSize)
 		default:

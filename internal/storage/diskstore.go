@@ -58,16 +58,3 @@ func (s *DiskStore) Sync() error             { return s.log.Sync() }
 func (s *DiskStore) Close() error            { return s.log.Close() }
 
 func (s *DiskStore) reclaim(maxGarbage float64) error { return s.log.reclaim(maxGarbage) }
-
-// syncDir fsyncs a directory (making renames within it durable).
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: sync dir: %w", err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("storage: sync dir %s: %w", dir, err)
-	}
-	return nil
-}

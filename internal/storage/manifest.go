@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,7 +46,7 @@ type manifestEntry struct {
 }
 
 // SaveManifest writes the object table to DataDir/MANIFEST atomically
-// (temp file + rename). In all-in-heap mode (no DataDir) it is a no-op:
+// (see core.WriteFileAtomic). In all-in-heap mode (no DataDir) it is a no-op:
 // there is nothing durable for a manifest to describe.
 func (m *Manager) SaveManifest() error {
 	if m.cfg.DataDir == "" {
@@ -77,27 +78,10 @@ func (m *Manager) SaveManifest() error {
 		fmt.Fprintf(&b, "%s %08x\n", line, crc32.ChecksumIEEE([]byte(line)))
 	}
 
-	path := filepath.Join(m.cfg.DataDir, ManifestName)
-	tmp, err := os.CreateTemp(m.cfg.DataDir, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("storage: save manifest: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.WriteString(b.String()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: save manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: save manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: save manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("storage: save manifest: %w", err)
-	}
-	return syncDir(m.cfg.DataDir)
+	return core.WriteFileAtomic(filepath.Join(m.cfg.DataDir, ManifestName), func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
 }
 
 // loadManifest reads the intact prefix of a manifest file.

@@ -8,17 +8,16 @@ import (
 	"cbfww/internal/core"
 )
 
-// recordLog is what the two log-structured stores share: the record frame
-// and the key index with its garbage accounting. How bytes reach the
-// medium — appends and preads on segment files, loads and stores on a
-// mapping — stays with SegmentStore and MmapStore, which embed it.
+// recordLog is SegmentStore's record frame and key index with its garbage
+// accounting; the files the records live in are SegmentStore's.
 //
 // Record layout (big-endian):
 //
 //	magic(1) kind(1) summary(1) id(8) version(4) length(4) payload crc32(4)
 //
 // kind is 1 (put) or 2 (tombstone, length 0) and the CRC covers header +
-// payload. The magic byte tells one store's files from the other's.
+// payload. The magic byte tells an mmap tier's files (0xCB) from the
+// other logs' (0xC5).
 // Overwrites and deletes never touch old bytes — a put of an existing key
 // appends a fresh record, a delete appends a tombstone — so live data
 // slowly drowns in garbage until the store compacts.
@@ -35,7 +34,7 @@ type recordLog struct {
 
 // recLoc locates one live record's payload.
 type recLoc struct {
-	seg int   // segment number (SegmentStore; the arena has one file)
+	seg int   // segment number
 	off int64 // payload offset within the file
 	n   int   // payload length
 }

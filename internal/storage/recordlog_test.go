@@ -37,7 +37,7 @@ func TestRecordFrameBytes(t *testing.T) {
 	}
 
 	mmDir := t.TempDir()
-	mm, err := OpenMmapStore(mmDir)
+	mm, err := OpenMmapStore(mmDir, core.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func TestRecordFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm.Close()
-	got, err = os.ReadFile(filepath.Join(mmDir, arenaName(0)))
-	if want := frame(0xCB); err != nil || !bytes.HasPrefix(got, want) {
-		t.Fatalf("arena prefix = %x (%v), want %x", got[:len(want)], err, want)
+	got, err = os.ReadFile(filepath.Join(mmDir, segName(0)))
+	if err != nil || !bytes.Equal(got, frame(0xCB)) {
+		t.Fatalf("mmap segment bytes = %x (%v), want %x", got, err, frame(0xCB))
 	}
 }
 

@@ -10,17 +10,19 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 
 	"cbfww/internal/core"
 )
 
 // SegmentStore is the append-only BlobStore backing the tertiary tier: a
 // linear medium in the paper's sense, written front to back (and the log
-// under DiskStore and internal/blob). Blobs are appended as
+// under DiskStore, MmapStore and internal/blob). Blobs are appended as
 // self-describing records (see recordLog, magic 0xC5) to numbered segment
 // files (seg-000000.seg, ...), created by the first append and rotated
-// once the active one exceeds the configured size; Compact rewrites the
-// live set into fresh segments.
+// before an append that would take a non-empty segment past the
+// configured size — a record larger than that gets a segment of its own;
+// Compact rewrites the live set into fresh segments.
 //
 // On open, segments are replayed in order; the first record that fails to
 // parse or checksum ends the usable data in that segment (a crashed writer
@@ -44,6 +46,12 @@ type SegmentStore struct {
 	// write lock, and a reader's Close takes only refMu.
 	refMu      sync.Mutex
 	activeSize int64 // append offset in the active segment
+	// activeCap bounds the active segment: max(maxSize, its first record
+	// or its replayed length). An append that would pass it rotates first.
+	activeCap int64
+	// mapped: every segment handle also carries a read-only mapping of
+	// activeCap bytes or more (MmapStore's read path).
+	mapped bool
 }
 
 // segFile is one shared, refcounted segment file handle. Stream readers
@@ -52,8 +60,56 @@ type SegmentStore struct {
 // bytes readable — and closed when the last in-flight reader drains.
 type segFile struct {
 	f       *os.File
-	refs    int  // in-flight stream readers
-	retired bool // superseded by Compact or Close
+	data    []byte // read-only MAP_SHARED mapping; nil unless the store is mapped
+	refs    int    // in-flight stream readers
+	retired bool   // superseded by Compact or Close
+}
+
+// close unmaps and closes a handle no reader pins.
+func (sf *segFile) close() error {
+	var err error
+	if sf.data != nil {
+		err = syscall.Munmap(sf.data)
+		sf.data = nil
+	}
+	if cerr := sf.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// mapSeg maps n bytes of sf read-only when the store serves from
+// mappings. n may exceed the file: a segment never outgrows its mapping
+// (see activeCap), and reads touch only the pages of fully written
+// records, never one past the end of the file.
+func (s *SegmentStore) mapSeg(sf *segFile, n int64) error {
+	if !s.mapped {
+		return nil
+	}
+	data, err := syscall.Mmap(int(sf.f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("storage: map segment: %w", err)
+	}
+	sf.data = data
+	return nil
+}
+
+// pin looks k up and pins its segment against retirement. The refcount
+// is taken under the read lock, so Compact — which needs the write lock —
+// cannot retire the segment first; once pinned, the handle (and its
+// mapping) stays open until releaseSegFile.
+func (s *SegmentStore) pin(k BlobKey) (recLoc, *segFile, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	loc, ok := s.index[k]
+	if !ok {
+		return loc, nil, false
+	}
+	sf := s.files[loc.seg]
+	s.refMu.Lock()
+	sf.refs++
+	s.refMu.Unlock()
+	return loc, sf, true
 }
 
 // releaseSegFile drops one reader's pin, closing the handle when the
@@ -64,7 +120,7 @@ func (s *SegmentStore) releaseSegFile(sf *segFile) error {
 	drained := sf.refs == 0 && sf.retired
 	s.refMu.Unlock()
 	if drained {
-		return sf.f.Close()
+		return sf.close()
 	}
 	return nil
 }
@@ -85,7 +141,7 @@ func (s *SegmentStore) retireLocked(segs []int) error {
 	s.refMu.Unlock()
 	var first error
 	for _, sf := range drained {
-		if err := sf.f.Close(); err != nil && first == nil {
+		if err := sf.close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -101,6 +157,12 @@ func (s *SegmentStore) segPath(n int) string { return filepath.Join(s.dir, segNa
 // OpenSegmentStore opens (creating the directory if needed) a segment
 // store in dir, replaying every segment to rebuild the key index.
 func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
+	return openLog(dir, maxSize, segMagic, false)
+}
+
+// openLog opens a segment log whose records carry magic, its segment
+// handles mapped when mapped is set.
+func openLog(dir string, maxSize core.Bytes, magic byte, mapped bool) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open segment store: %w", err)
 	}
@@ -108,11 +170,12 @@ func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 		maxSize = 4 * core.MB
 	}
 	s := &SegmentStore{
-		recordLog: recordLog{magic: segMagic, index: make(map[BlobKey]recLoc)},
+		recordLog: recordLog{magic: magic, index: make(map[BlobKey]recLoc)},
 		dir:       dir,
 		maxSize:   maxSize,
 		files:     make(map[int]*segFile),
 		unsynced:  -1,
+		mapped:    mapped,
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -138,13 +201,16 @@ func OpenSegmentStore(dir string, maxSize core.Bytes) (*SegmentStore, error) {
 // replaySegment scans one segment file, applying its intact record prefix
 // to the index; a record that claims more bytes than the file holds ends
 // it unread. When active (the newest segment), a damaged tail is
-// truncated so subsequent appends start from a clean offset.
+// truncated so subsequent appends start from a clean offset. The segment
+// is mapped after the scan: every CRC a mapped read relies on is checked
+// here.
 func (s *SegmentStore) replaySegment(n int, active bool) error {
 	f, err := os.OpenFile(s.segPath(n), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: replay segment %d: %w", n, err)
 	}
-	s.files[n] = &segFile{f: f}
+	sf := &segFile{f: f}
+	s.files[n] = sf
 	fi, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("storage: replay segment %d: %w", n, err)
@@ -170,6 +236,7 @@ func (s *SegmentStore) replaySegment(n int, active bool) error {
 		s.note(kind, k, recLoc{seg: n, off: off + recHeaderLen, n: length})
 		off += recLen(length)
 	}
+	size := fi.Size()
 	if active {
 		if err := f.Truncate(off); err != nil {
 			return fmt.Errorf("storage: replay segment %d: %w", n, err)
@@ -177,34 +244,42 @@ func (s *SegmentStore) replaySegment(n int, active bool) error {
 		if _, err := f.Seek(off, io.SeekStart); err != nil {
 			return fmt.Errorf("storage: replay segment %d: %w", n, err)
 		}
-		s.activeSize = off
+		size, s.activeSize, s.activeCap = off, off, max(int64(s.maxSize), off)
 	}
-	return nil
+	return s.mapSeg(sf, max(int64(s.maxSize), size))
 }
 
-// rotateLocked creates the next segment file as the append target.
-func (s *SegmentStore) rotateLocked() error {
+// rotateLocked creates the next segment file as the append target, sized
+// for its first record of rl bytes.
+func (s *SegmentStore) rotateLocked(rl int64) error {
 	next := s.nextSeg
 	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: rotate segment: %w", err)
 	}
+	sf, capacity := &segFile{f: f}, max(int64(s.maxSize), rl)
+	if err := s.mapSeg(sf, capacity); err != nil {
+		f.Close()
+		os.Remove(s.segPath(next))
+		return err
+	}
 	s.nextSeg++
 	s.segs = append(s.segs, next)
-	s.files[next] = &segFile{f: f}
-	s.activeSize = 0
+	s.files[next] = sf
+	s.activeSize, s.activeCap = 0, capacity
 	return nil
 }
 
 // appendLocked writes one record to the active segment (rotating first if
-// it is full or there is none yet), streaming the n-byte payload from r through a pooled chunk
-// buffer. The header rides in front of the first chunk and the trailer
-// behind the last, so a record that fits the buffer costs one write(2).
-// On any failure the segment is truncated back to the record start so the
+// the record would take it past its capacity, or there is none yet),
+// streaming the n-byte payload from r through a pooled chunk buffer. The
+// header rides in front of the first chunk and the trailer behind the
+// last, so a record that fits the buffer costs one write(2). On any
+// failure the segment is truncated back to the record start so the
 // append offset stays clean. The index is the caller's to update.
 func (s *SegmentStore) appendLocked(kind byte, k BlobKey, r io.Reader, n int64) (recLoc, error) {
-	if len(s.segs) == 0 || s.activeSize >= int64(s.maxSize) {
-		if err := s.rotateLocked(); err != nil {
+	if rl := recLen(int(n)); len(s.segs) == 0 || s.activeSize+rl > s.activeCap {
+		if err := s.rotateLocked(rl); err != nil {
 			return recLoc{}, err
 		}
 	}
@@ -273,23 +348,13 @@ func (s *SegmentStore) Delete(k BlobKey) error {
 // buffer — the body is never materialized — and any mismatch (torn
 // header, truncated payload, bad checksum) surfaces as core.ErrCorrupt
 // rather than a short read at serve time. The reader pins the store's
-// shared segment handle (a refcount taken under the read lock, so
-// Compact — which needs the write lock — cannot retire the file first);
-// once Open returns, the pin keeps the window readable even if Compact
-// retires the segment while the stream is still in flight. Verification
-// itself runs after the lock is dropped — the pin alone keeps the bytes
-// stable, since old segment bytes are never overwritten.
+// shared segment handle (see pin); the pin keeps the window readable
+// even if Compact retires the segment while the stream is still in
+// flight. Verification itself runs after the lock is dropped — the pin
+// alone keeps the bytes stable, since old segment bytes are never
+// overwritten.
 func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
-	s.mu.RLock()
-	loc, ok := s.index[k]
-	var sf *segFile
-	if ok {
-		sf = s.files[loc.seg]
-		s.refMu.Lock()
-		sf.refs++
-		s.refMu.Unlock()
-	}
-	s.mu.RUnlock()
+	loc, sf, ok := s.pin(k)
 	if !ok {
 		return nil, fmt.Errorf("storage: segment open %v: %w", k, core.ErrNotFound)
 	}
@@ -343,7 +408,7 @@ func (s *SegmentStore) Sync() error {
 		}
 	}
 	s.unsynced = -1
-	return syncDir(s.dir)
+	return core.SyncDir(s.dir)
 }
 
 // Close releases the store's segment handles. Handles pinned by
@@ -376,15 +441,15 @@ func (s *SegmentStore) Close() error {
 func (s *SegmentStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, oldActive, oldUnsynced := s.segs, s.activeSize, s.unsynced
+	old, oldActive, oldCap, oldUnsynced := s.segs, s.activeSize, s.activeCap, s.unsynced
 	s.segs = nil // the first live record opens the new generation
 	abort := func(err error) error {
 		for _, n := range s.segs {
-			s.files[n].f.Close()
+			s.files[n].close()
 			os.Remove(s.segPath(n))
 			delete(s.files, n)
 		}
-		s.segs, s.activeSize, s.unsynced = old, oldActive, oldUnsynced
+		s.segs, s.activeSize, s.activeCap, s.unsynced = old, oldActive, oldCap, oldUnsynced
 		return fmt.Errorf("storage: compact: %w", err)
 	}
 	index := make(map[BlobKey]recLoc, len(s.index))
@@ -404,7 +469,7 @@ func (s *SegmentStore) Compact() error {
 			return abort(err)
 		}
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := core.SyncDir(s.dir); err != nil {
 		return abort(err)
 	}
 	s.index, s.liveBytes, s.deadBytes, s.unsynced = index, live, 0, -1

@@ -140,63 +140,161 @@ func TestDiskStoreFlippedByteIsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzSegmentReplay feeds arbitrary bytes to OpenSegmentStore as a
-// segment file. Replay must not panic or read past the file, and every
-// key it indexes either opens to the payload its record's CRC covers or
-// fails with ErrCorrupt.
+// FuzzSegmentReplay feeds arbitrary bytes as a segment file to
+// OpenSegmentStore and to OpenMmapStore, whose reads are windows into a
+// mapping. Replay must not panic or read past the file, and every key it
+// indexes either opens to the payload its record's CRC covers or fails
+// with ErrCorrupt; a mapped window is drained to its end without a fault.
 func FuzzSegmentReplay(f *testing.F) {
-	rec := func(kind byte, k BlobKey, payload []byte) []byte {
-		var l recordLog
-		l.magic = segMagic
+	rec := func(magic, kind byte, k BlobKey, payload []byte) []byte {
+		l := recordLog{magic: magic}
 		b := make([]byte, recHeaderLen, recLen(len(payload)))
 		l.putHeader(b, kind, k, len(payload))
 		b = append(b, payload...)
 		return binary.BigEndian.AppendUint32(b, recCRC(b[:recHeaderLen], payload))
 	}
-	good := rec(recKindPut, BlobKey{ID: 1, Version: 1}, []byte("hello"))
 	f.Add([]byte{})
-	f.Add(good)
-	f.Add(append(append([]byte(nil), good...), rec(recKindDelete, BlobKey{ID: 1, Version: 1}, nil)...))
-	f.Add(append(append([]byte(nil), good...), good[:recHeaderLen+2]...))
-	huge := append([]byte(nil), good...)
-	binary.BigEndian.PutUint32(huge[15:19], 0xFFFFFFF0)
-	f.Add(huge)
+	for _, magic := range []byte{segMagic, mmapMagic} {
+		good := rec(magic, recKindPut, BlobKey{ID: 1, Version: 1}, []byte("hello"))
+		f.Add(good)
+		f.Add(append(append([]byte(nil), good...), rec(magic, recKindDelete, BlobKey{ID: 1, Version: 1}, nil)...))
+		f.Add(append(append([]byte(nil), good...), good[:recHeaderLen+2]...))
+		huge := append([]byte(nil), good...)
+		binary.BigEndian.PutUint32(huge[15:19], 0xFFFFFFF0)
+		f.Add(huge)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(0)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenSegmentStore(dir, 0)
-		if err != nil {
-			t.Fatalf("OpenSegmentStore: %v", err)
-		}
-		defer s.Close()
-		if s.activeSize > int64(len(data)) {
-			t.Fatalf("replay consumed %d bytes of %d", s.activeSize, len(data))
-		}
-		for _, k := range s.Keys() {
-			br, err := s.Open(k)
-			if errors.Is(err, core.ErrCorrupt) {
-				continue
+		for _, mapped := range []bool{false, true} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segName(0)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var s *SegmentStore
+			var store BlobStore
+			var err error
+			if mapped {
+				var mm *MmapStore
+				mm, err = OpenMmapStore(dir, 0)
+				if err == nil {
+					s, store = mm.SegmentStore, mm
+				}
+			} else {
+				s, err = OpenSegmentStore(dir, 0)
+				store = s
 			}
 			if err != nil {
-				t.Fatalf("Open %v: %v", k, err)
+				t.Fatalf("open (mapped %v): %v", mapped, err)
 			}
-			got, err := io.ReadAll(br)
-			br.Close()
-			if err != nil {
-				t.Fatalf("read %v: %v", k, err)
-			}
-			loc := s.index[k]
-			end := loc.off + int64(loc.n)
-			if end+recTrailerLen > int64(len(data)) || !bytes.Equal(got, data[loc.off:end]) {
-				t.Fatalf("%v: served %d bytes that are not its record's payload", k, len(got))
-			}
-			if crc32.ChecksumIEEE(data[loc.off-recHeaderLen:end]) != binary.BigEndian.Uint32(data[end:]) {
-				t.Fatalf("%v: served a record whose CRC does not match", k)
-			}
+			checkReplay(t, data, s, store)
+			s.Close()
 		}
 	})
+}
+
+// checkReplay checks one store replayed from data against the bytes: no
+// more consumed than given, and every indexed key served as the exact
+// payload of a record whose CRC matches, or refused with ErrCorrupt.
+func checkReplay(t *testing.T, data []byte, s *SegmentStore, store BlobStore) {
+	t.Helper()
+	if s.activeSize > int64(len(data)) {
+		t.Fatalf("replay consumed %d bytes of %d", s.activeSize, len(data))
+	}
+	for _, k := range s.Keys() {
+		br, err := store.Open(k)
+		if errors.Is(err, core.ErrCorrupt) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Open %v: %v", k, err)
+		}
+		got, err := io.ReadAll(br)
+		br.Close()
+		if err != nil {
+			t.Fatalf("read %v: %v", k, err)
+		}
+		loc := s.index[k]
+		end := loc.off + int64(loc.n)
+		if end+recTrailerLen > int64(len(data)) || !bytes.Equal(got, data[loc.off:end]) {
+			t.Fatalf("%v: served %d bytes that are not its record's payload", k, len(got))
+		}
+		if crc32.ChecksumIEEE(data[loc.off-recHeaderLen:end]) != binary.BigEndian.Uint32(data[end:]) {
+			t.Fatalf("%v: served a record whose CRC does not match", k)
+		}
+	}
+}
+
+// TestDroppedRecordStaysDropped: a record replay dropped (a flipped
+// payload byte) is truncated away with everything after it, so neither it
+// nor a later record that a Delete could not see comes back at the next
+// replay — even when a new record of the same length lands where the
+// dropped one was.
+func TestDroppedRecordStaysDropped(t *testing.T) {
+	opens := map[string]func(dir string) (BlobStore, error){
+		"mmap":    func(dir string) (BlobStore, error) { return OpenMmapStore(dir, 0) },
+		"disk":    func(dir string) (BlobStore, error) { return OpenDiskStore(dir, 0) },
+		"segment": func(dir string) (BlobStore, error) { return OpenSegmentStore(dir, 0) },
+	}
+	for name, open := range opens {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			mustOpen := func() BlobStore {
+				t.Helper()
+				s, err := open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			shut := func(s BlobStore) {
+				t.Helper()
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b, c, d := BlobKey{ID: 1, Version: 1}, BlobKey{ID: 2, Version: 1}, BlobKey{ID: 3, Version: 1}, BlobKey{ID: 4, Version: 1}
+			s := mustOpen()
+			for i, k := range []BlobKey{a, b, c} {
+				if err := putBlob(s, k, streamPayload(1000*(i+1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shut(s)
+			f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := recLen(1000) + recHeaderLen + 500 // inside B's payload
+			if _, err := f.WriteAt([]byte{streamPayload(2000)[500] ^ 1}, at); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			s = mustOpen()
+			if got := s.Keys(); len(got) != 1 || got[0] != a {
+				t.Fatalf("after the flip: keys %v, want only %v", got, a)
+			}
+			if err := s.Delete(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := putBlob(s, d, streamPayload(2000)); err != nil {
+				t.Fatal(err)
+			}
+			shut(s)
+			s = mustOpen()
+			defer s.Close()
+			for k, want := range map[BlobKey]bool{a: true, b: false, c: false, d: true} {
+				if s.Contains(k) != want {
+					t.Errorf("key %v present = %v after reopen, want %v", k, !want, want)
+				}
+			}
+			if got, err := readBlob(s, d); err != nil || !bytes.Equal(got, streamPayload(2000)) {
+				t.Errorf("D after reopen: %d bytes, %v", len(got), err)
+			}
+		})
+	}
 }
 
 // TestDiskLogTornTailRecovered: after Sync a restarted manager sees every

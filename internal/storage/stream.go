@@ -11,13 +11,14 @@ import (
 // one-shot reader: Read/WriteTo consume the payload front to back, Len
 // reports the total payload size (independent of how much has been read),
 // and Close releases whatever the backend pinned (a segment file for the
-// disk and tertiary tiers, an arena mapping for mmap, nothing for heap).
+// disk, mmap and tertiary tiers — the mmap tier's carries a mapping —
+// nothing for heap).
 // Callers must Close every reader, including after partial reads.
 //
 // The point of the interface is the io.WriterTo leg: io.Copy (and
 // net/http's ResponseWriter.ReadFrom path) consult it first, so each
 // backend can pick its cheapest byte-moving strategy — a single Write of
-// the resident slice for heap and mmap blobs, and for the segment logs
+// the resident or mapped slice for heap and mmap blobs, and for the segment logs
 // under the disk and tertiary tiers a window of an *os.File handed to a
 // destination's ReadFrom, which a socket sends with sendfile(2). A
 // segment stream falls back to a pooled-buffer pread loop when the

@@ -23,7 +23,7 @@ func streamBackends(t *testing.T) map[string]BlobStore {
 	if err != nil {
 		t.Fatalf("OpenSegmentStore: %v", err)
 	}
-	mm, err := OpenMmapStore(filepath.Join(t.TempDir(), "mmap"))
+	mm, err := OpenMmapStore(filepath.Join(t.TempDir(), "mmap"), 1*core.MB)
 	if err != nil {
 		t.Fatalf("OpenMmapStore: %v", err)
 	}

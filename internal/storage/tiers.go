@@ -21,9 +21,10 @@
 // the full body stays one level down.
 //
 // Each tier is backed by a BlobStore that holds the actual payload bytes:
-// an in-heap map, an mmap arena, or an append-only segment log — bounded
-// by the tier's capacity under the disk tier, unbounded under the anchor
-// (see backend.go, mmapstore.go, diskstore.go, segment.go). Placement moves real bytes between the backends; the
+// an in-heap map or an append-only segment log — read through a mapping
+// under the mmap tier, bounded by the tier's capacity under the disk tier,
+// unbounded under the anchor (see backend.go, segment.go, mmapstore.go,
+// diskstore.go). Placement moves real bytes between the backends; the
 // metadata in copyState is an index over them, not a simulation.
 package storage
 
@@ -62,7 +63,7 @@ type TierSpec struct {
 	// and scenario metrics (e.g. "memory", "mmap", "disk", "tertiary").
 	Name string
 	// Backend picks the blob store when Config.DataDir is set: "heap",
-	// "mmap" (arena mapping, the NVM-shaped tier), "disk" (a segment log
+	// "mmap" (a segment log read through mappings, the NVM-shaped tier), "disk" (a segment log
 	// the tier's capacity bounds) or "segment" (append-only log). With no DataDir every tier
 	// is heap-backed regardless.
 	Backend string

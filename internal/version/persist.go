@@ -86,27 +86,9 @@ func (s *Store) LoadFrom(r io.Reader) error {
 	return nil
 }
 
-// SaveFile writes the store to path atomically (temp file + rename).
+// SaveFile writes the store to path atomically (see core.WriteFileAtomic).
 func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("version: %w", err)
-	}
-	if err := s.SaveTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("version: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("version: %w", err)
-	}
-	return nil
+	return core.WriteFileAtomic(path, s.SaveTo)
 }
 
 // LoadFile reads the store from path.

@@ -35,16 +35,21 @@ func dataDirFiles(t *testing.T, dir string) (n int, bytes int64) {
 }
 
 // TestEmptyDataDirStartsWithoutFiles: opening and rehydrating a warehouse
-// on an empty data directory creates no regular file.
+// on an empty data directory creates no regular file, on every
+// file-backed stack.
 func TestEmptyDataDirStartsWithoutFiles(t *testing.T) {
-	dir := t.TempDir()
-	clock := core.NewSimClock(0)
-	w, _ := persistFixture(t, stacks[1], dir, clock, persistWeb(t, clock))
-	if _, err := w.Rehydrate(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := dataDirFiles(t, dir); n != 0 {
-		t.Fatalf("start-up on an empty data dir created %d files, want 0", n)
+	for _, s := range stacks[1:] {
+		t.Run(s.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := core.NewSimClock(0)
+			w, _ := persistFixture(t, s, dir, clock, persistWeb(t, clock))
+			if _, err := w.Rehydrate(); err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := dataDirFiles(t, dir); n != 0 {
+				t.Fatalf("start-up on an empty data dir created %d files, want 0", n)
+			}
+		})
 	}
 }
 

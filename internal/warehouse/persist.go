@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -115,16 +116,10 @@ func (w *Warehouse) saveCatalog() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(w.cfg.DataDir, catalogName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return core.WriteFileAtomic(filepath.Join(w.cfg.DataDir, catalogName), func(f io.Writer) error {
+		_, err := f.Write(data)
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // Rehydrate restores a checkpointed warehouse from its DataDir: version
