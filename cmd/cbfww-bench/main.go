@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "workload seed")
 		listOnly = fs.Bool("list", false, "list experiment IDs and exit")
 		jsonOut  = fs.Bool("json", false, "emit experiment tables as JSON (deterministic: no timing lines)")
-		matrix   = fs.String("matrix", "", "scenario spec file (.toml or .json): run the matrix instead of experiments")
+		matrix   = fs.String("matrix", "", "scenario spec file (.toml): run the matrix instead of experiments")
 		outPath  = fs.String("out", "", "matrix results path (default BENCH_<name>.json)")
 		tables   = fs.String("tables", "bench_tables.txt", "append the matrix table to this file (empty disables)")
 		baseline = fs.String("baseline", "", "baseline results JSON for -check (default: the -out path)")

@@ -314,10 +314,10 @@ func liveHeapBytes() int64 {
 
 // pressureLoop retargets the heap tier from live heap statistics: when
 // the Go heap exceeds the -mem-pressure budget, the tier shrinks by the
-// overage (the incremental resize demotes only the lowest-priority
-// delta, so each sample's cost is proportional to the change); when the
-// heap falls back under budget the tier is restored toward its
-// configured target. The tier never drops below 1/16 of that target —
+// overage (the resize demotes only the lowest-priority residents past the
+// new water line, though it decides every object once); when the heap
+// falls back under budget the tier is restored toward its configured
+// target. The tier never drops below 1/16 of that target —
 // a pressured warehouse still serves its hottest pages from memory.
 func (d *daemon) pressureLoop() {
 	defer close(d.pressureDone)

@@ -201,6 +201,16 @@ func TestF3PlacementOrdering(t *testing.T) {
 	}
 }
 
+// The random column draws from a seeded source: one seed, one table.
+func TestF3Reproducible(t *testing.T) {
+	a, b := F3StorageMapping(1), F3StorageMapping(1)
+	for i := range a.Rows {
+		if strings.Join(a.Rows[i], "|") != strings.Join(b.Rows[i], "|") {
+			t.Errorf("row %d: %v then %v", i, a.Rows[i], b.Rows[i])
+		}
+	}
+}
+
 func TestF8AdmissionBeatsLRUStyle(t *testing.T) {
 	tb := F8AdmissionPriority(1)
 	// The headline claim: admission-time priority keeps the never-reused

@@ -3,6 +3,7 @@ package experiments
 import (
 	"container/list"
 	"fmt"
+	"sort"
 
 	"cbfww/internal/core"
 	"cbfww/internal/logmine"
@@ -107,6 +108,14 @@ func replayPriorityPlacement(log logmine.Log, ids map[string]core.ObjectID,
 		panic(err)
 	}
 
+	// The random draws follow ID order, not map order, so a seed gives
+	// one table.
+	order := make([]core.ObjectID, 0, len(ids))
+	for _, id := range ids {
+		order = append(order, id)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+
 	aging := usage.NewAgingEstimator(0.3)
 	aging.EpochLength = 3600
 	rng := newRand(seed)
@@ -117,7 +126,7 @@ func replayPriorityPlacement(log logmine.Log, ids map[string]core.ObjectID,
 	for _, r := range log {
 		if r.Time >= nextApply {
 			prios := make(map[core.ObjectID]core.Priority, len(ids))
-			for _, id := range ids {
+			for _, id := range order {
 				if random {
 					prios[id] = core.Priority(rng.Float64())
 				} else {

@@ -16,10 +16,10 @@ var TierCurveStacks = []string{"classic", "mmap"}
 // dynamic-capacity storage stack: one seeded trace replays against each
 // selected tier stack while the fast tiers' capacity targets sweep
 // downward through fractions of the working set. Every sweep point
-// retargets the *live* manager with ResizeTiers — incremental
-// re-placement, not a rebuild — so the moved/demoted columns double as a
-// delta-set check: each step migrates only the frontier between the old
-// and new water lines, not the whole population.
+// retargets the *live* manager with ResizeTiers, which re-solves the
+// water-fill in place rather than rebuilding the manager, so the
+// moved/demoted columns show what each step migrated: only the objects
+// whose tier changed between the old and new water lines.
 //
 // The stacks:
 //
@@ -67,7 +67,7 @@ func TierCurves(seed int64, stacks []string) Table {
 	fractions := []float64{0.4, 0.2, 0.1, 0.05, 0.02}
 
 	t := Table{
-		Title:  "Access cost vs fast-tier capacity (incremental resize, mean ticks)",
+		Title:  "Access cost vs fast-tier capacity (live resize, mean ticks)",
 		Header: []string{"stack", "mem frac", "mem cap", "cost", "moved Δ", "demoted Δ"},
 	}
 	for _, stack := range stacks {
@@ -126,7 +126,7 @@ func TierCurves(seed int64, stacks []string) Table {
 	}
 	t.AddNote("working set %v over %d objects, %d requests; capacities sweep downward on a live manager",
 		totalBytes, len(ids), len(tr.Log))
-	t.AddNote("moved/demoted Δ: bytes migrated by that step's resize alone — the incremental delta set")
+	t.AddNote("moved/demoted Δ: bytes migrated by that step's resize alone — the objects whose tier changed")
 	t.AddNote("expected shape: cost climbs as capacity shrinks; the mmap warm tier flattens the curve")
 	return t
 }

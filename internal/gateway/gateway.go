@@ -708,10 +708,10 @@ type ResizeResponse struct {
 	Storage []storage.TierInfo `json:"storage"`
 }
 
-// handleAdminResize retargets tier capacities on the live manager: the
-// incremental re-placement demotes or re-promotes only the delta set,
-// so a resize on a loaded daemon is proportional to the change, not the
-// corpus. Mounted only under Config.EnableAdmin.
+// handleAdminResize retargets tier capacities on the live manager, which
+// re-solves placement in one pass over the population: only the copies
+// whose tier changed move, but every object is decided once. Mounted
+// only under Config.EnableAdmin.
 func (s *Server) handleAdminResize(w http.ResponseWriter, r *http.Request) {
 	var req ResizeRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {

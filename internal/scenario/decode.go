@@ -1,10 +1,8 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,15 +10,11 @@ import (
 	"cbfww/internal/core"
 )
 
-// Load reads a spec file, picking the decoder by extension: .toml (or
-// anything else) for the TOML subset, .json for JSON of the same shape.
+// Load reads a TOML spec file.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		return ParseJSON(data)
 	}
 	return ParseTOML(data)
 }
@@ -30,18 +24,6 @@ func ParseTOML(data []byte) (*Spec, error) {
 	raw, err := parseTOML(string(data))
 	if err != nil {
 		return nil, err
-	}
-	return decodeSpec(raw)
-}
-
-// ParseJSON decodes a JSON spec with the same key layout as the TOML
-// form, equally strictly.
-func ParseJSON(data []byte) (*Spec, error) {
-	var raw map[string]any
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.UseNumber()
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("scenario: %w: %v", core.ErrInvalid, err)
 	}
 	return decodeSpec(raw)
 }
@@ -346,9 +328,6 @@ func toFloat(v any) (float64, bool) {
 		return x, true
 	case int64:
 		return float64(x), true
-	case json.Number:
-		f, err := x.Float64()
-		return f, err == nil
 	}
 	return 0, false
 }
@@ -361,9 +340,6 @@ func toInt(v any) (int64, bool) {
 		if x == float64(int64(x)) {
 			return int64(x), true
 		}
-	case json.Number:
-		n, err := x.Int64()
-		return n, err == nil
 	}
 	return 0, false
 }

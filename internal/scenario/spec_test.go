@@ -138,22 +138,6 @@ func TestCellCapEnforced(t *testing.T) {
 	}
 }
 
-func TestParseJSON(t *testing.T) {
-	src := `{"name": "j", "run": {"seed": 3}, "workload": {"zipf": [0.8]},
-	         "policy": {"policies": ["lru"]}, "tolerances": {"default": 0.2}}`
-	s, err := ParseJSON([]byte(src))
-	if err != nil {
-		t.Fatalf("ParseJSON: %v", err)
-	}
-	if s.Name != "j" || s.Run.Seed != 3 || s.Tolerance("hit_ratio") != 0.2 {
-		t.Errorf("spec = %+v", s)
-	}
-	if _, err := ParseJSON([]byte(`{"name": "j", "runn": {}}`)); err == nil ||
-		!strings.Contains(err.Error(), "unknown key runn") {
-		t.Errorf("unknown JSON key: err = %v", err)
-	}
-}
-
 func TestParseBurst(t *testing.T) {
 	if b, err := ParseBurst("none"); err != nil || b.Count != 0 {
 		t.Errorf("none = %+v, %v", b, err)

@@ -22,10 +22,11 @@ type Manager struct {
 	// order is the population in water-fill order, kept current on every
 	// admit, remove and priority change so placement never sorts it.
 	order rankOrder
-	// stale marks ranks whose placement a lazy mutation (Remove, a resize,
-	// a tier loss, a copy that failed) left short of what the water-fill
-	// would decide; the next placement pass starts no lower than its first
-	// rank and runs to the end.
+	// stale marks ranks whose placement a lazy mutation (Remove, a tier
+	// loss, a copy that failed) left short of what the water-fill would
+	// decide; the next placement pass starts no lower than its first rank
+	// and runs to the end. Recovery and a resize mark rankTop and run that
+	// pass at once.
 	stale rankSpan
 	// backends hold the actual payload bytes, one store per tier-table row.
 	backends []BlobStore
@@ -683,14 +684,12 @@ func (m *Manager) ResidentIDs(t Tier) []core.ObjectID {
 }
 
 // ResizeTiers retargets any subset of the finite tiers' capacities by
-// tier-table name and re-solves placement *incrementally*: only the delta
-// set of blobs moves. Shrinking a tier demotes its lowest-priority
-// residents (invalidating the fast copies — free in I/O terms, counted in
-// DemotedBytes); growing promotes the highest-priority candidates that
-// hold a copy one tier down, streaming bytes upward (counted in
-// MovedBytes). The frontier it moves is not always the water-fill's, so
-// the next placement pass re-decides the whole population under the new
-// capacities.
+// tier-table name and re-solves placement under the new capacities with
+// the same water-fill every other mutation uses. The pass visits every
+// object once; only the copies whose decision changed move.
+// Shrinking a tier demotes its lowest-ranked residents (deleting the fast
+// copies, counted in DemotedBytes); growing promotes the highest-ranked
+// objects that now fit, streaming bytes upward (counted in MovedBytes).
 func (m *Manager) ResizeTiers(targets map[string]core.Bytes) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -711,8 +710,8 @@ func (m *Manager) ResizeTiers(targets map[string]core.Bytes) error {
 		m.tiers[t].Capacity = c
 	}
 	m.stats.Resizes++
-	m.resizeLocked()
 	m.stale.add(rankTop)
+	m.placeLocked(rankSpan{})
 	return nil
 }
 

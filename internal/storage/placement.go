@@ -1,7 +1,5 @@
 package storage
 
-import "sort"
-
 // placeLocked re-solves placement by water-fill: objects in rank order
 // (priority descending; ties by ID for determinism) fill the finite tiers
 // top-down; everyone keeps/earns copies per the copy-control rules, which
@@ -13,9 +11,9 @@ import "sort"
 // first rank, carrying the budgets the ranks above have consumed (a
 // root-path sum in the order), and past the span's last rank it stops as
 // soon as the budgets it carries can no longer change a decision
-// (settled). A lazy mutation recorded in m.stale — a removal, a resize, a
-// tier loss, a copy that failed — pulls the start up to its rank and
-// forbids the early stop; from rankTop that is the whole-population pass.
+// (settled). A mutation recorded in m.stale — a removal, a tier loss, a
+// copy that failed, a resize — pulls the start up to its rank and forbids
+// the early stop; from rankTop that is the whole-population pass.
 func (m *Manager) placeLocked(touched rankSpan) {
 	canStop := !m.stale.any
 	if m.stale.any {
@@ -101,131 +99,6 @@ func (m *Manager) settled(shift *tierBytes) bool {
 		}
 	}
 	return true
-}
-
-// resizeLocked re-solves placement incrementally after a capacity
-// retarget: only the delta set of blobs moves. Requires m.mu.
-//
-// Shrink pass (slowest tier first): a tier over its new target demotes
-// its lowest-priority residents, cascading the invalidation to every
-// faster tier so the nesting invariant survives. Demotion deletes bytes,
-// it never writes them — the anchor copy is the durable source — so a
-// shrink costs no I/O and is visible in DemotedBytes, not MovedBytes.
-//
-// Grow pass (slowest tier first, so a promotion can cascade upward in one
-// call): a tier under its target promotes the highest-priority objects
-// that hold a copy one tier down and none here, streaming bytes upward
-// through the normal applyPlacement/copyBlobLocked path (MovedBytes).
-func (m *Manager) resizeLocked() {
-	anchor := m.last()
-
-	for t := anchor - 1; t >= 0; t-- {
-		if m.used[t] <= m.tiers[t].Capacity {
-			continue
-		}
-		// Ascending priority: the mirror image of the water-fill order, so
-		// the demoted frontier is exactly the set a full sweep would evict.
-		resid := m.residentsLocked(t)
-		sort.Slice(resid, func(i, j int) bool {
-			a, b := resid[i], resid[j]
-			if a.priority != b.priority {
-				return a.priority < b.priority
-			}
-			return a.id > b.id
-		})
-		for _, o := range resid {
-			if m.used[t] <= m.tiers[t].Capacity {
-				break
-			}
-			was := m.order.footprints(o)
-			for u := Tier(0); u <= t; u++ {
-				m.demoteLocked(o, u)
-			}
-			m.order.reweigh(o, was, m.order.footprints(o))
-		}
-	}
-
-	for t := anchor - 1; t >= 0; t-- {
-		if m.used[t] >= m.tiers[t].Capacity {
-			continue
-		}
-		// Promotion candidates hold a full copy one tier down and either
-		// nothing here or (tier 0 only) a summary that a grown capacity
-		// may now upgrade to the full body.
-		cands := make([]*object, 0)
-		for _, o := range m.objects {
-			if !o.copies[t+1].present || o.copies[t+1].summaryOnly {
-				continue
-			}
-			if !o.copies[t].present || (t == 0 && o.copies[t].summaryOnly) {
-				cands = append(cands, o)
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.priority != b.priority {
-				return a.priority > b.priority
-			}
-			return a.id < b.id
-		})
-		for _, o := range cands {
-			summaryOnly := false
-			fp := o.size
-			if t == 0 {
-				big := float64(o.size) > m.cfg.SummaryThreshold*float64(m.tiers[0].Capacity)
-				if big {
-					if m.cfg.SummaryRatio <= 0 {
-						continue
-					}
-					summaryOnly = true
-					fp = o.summarySize(m.cfg.SummaryRatio)
-				}
-			}
-			prev := o.footprint(t, m.cfg.SummaryRatio)
-			if o.copies[t].present && o.copies[t].summaryOnly == summaryOnly {
-				continue // already in the deserved shape
-			}
-			if m.used[t]-prev+fp > m.tiers[t].Capacity {
-				continue // a smaller, lower-priority object may still fit
-			}
-			was := m.order.footprints(o)
-			m.applyPlacement(o, t, true, summaryOnly)
-			m.used[t] += o.footprint(t, m.cfg.SummaryRatio) - prev
-			m.order.reweigh(o, was, m.order.footprints(o))
-		}
-	}
-}
-
-// residentsLocked lists the objects with a copy at tier t. Requires m.mu.
-func (m *Manager) residentsLocked(t Tier) []*object {
-	out := make([]*object, 0)
-	for _, o := range m.objects {
-		if o.copies[t].present {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// demoteLocked invalidates o's copy at tier t (a no-op when absent):
-// bytes are deleted, never moved, and the loss is counted in
-// DemotedBytes. Requires m.mu.
-func (m *Manager) demoteLocked(o *object, t Tier) {
-	c := &o.copies[t]
-	if !c.present {
-		return
-	}
-	fp := o.footprint(t, m.cfg.SummaryRatio)
-	if o.hasPayload {
-		m.backends[t].Delete(c.key(o.id))
-	}
-	*c = copyState{}
-	m.used[t] -= fp
-	m.stats.DemotedBytes[t] += fp
-	m.stats.Migrations++
-	if t == 0 {
-		m.noteMemLocked(o.id)
-	}
 }
 
 // applyPlacement transitions one object's copy at tier t to the desired

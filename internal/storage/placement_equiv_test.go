@@ -300,7 +300,7 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 				"memory": core.Bytes(100 + rng.Intn(200)),
 				"disk":   core.Bytes(400 + rng.Intn(800)),
 			}
-			name = fmt.Sprintf("ResizeTiers(%v)", targets)
+			name, placed = fmt.Sprintf("ResizeTiers(%v)", targets), true
 			op = func(m *Manager) error { return m.ResizeTiers(targets) }
 		case 10:
 			name = "Backup"

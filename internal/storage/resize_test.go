@@ -136,11 +136,11 @@ func TestMovedBytesAccounting(t *testing.T) {
 	})
 }
 
-// TestResizeDeltaSetOnly pins the incremental contract: shrinking a
-// tier by X touches only the delta set — ≈X bytes (± one blob) of the
-// lowest-priority residents demote, everything above the frontier
-// stays put, and growing back re-promotes ≈X bytes. A full-sweep
-// re-placement would churn far more than the delta.
+// TestResizeDeltaSetOnly pins what a resize moves: the water-fill
+// re-decides every object under the new capacities, but only the copies
+// whose decision changed move. Shrinking a tier by X demotes ≈X bytes
+// (± one blob) of the lowest-priority residents, everything above the
+// frontier stays put, and growing back re-promotes exactly those bytes.
 func TestResizeDeltaSetOnly(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		cfg := s.config(t, 1000, 100_000)
