@@ -52,29 +52,26 @@ func (w *Warehouse) Get(user, url string) (GetResult, error) {
 // Origin is checked before each fetch). This is the entry point network
 // daemons use to enforce per-request deadlines.
 func (w *Warehouse) GetCtx(ctx context.Context, user, url string) (GetResult, error) {
-	out, bs, err := w.get(ctx, user, url, false)
-	if err != nil {
-		return GetResult{}, err
-	}
-	return withBody(out, bs)
+	return withBody(w.get(ctx, user, url, false, stepCheck))
 }
 
 // withBody drains a served page's body stream into out.Page.Body — the
 // entry points that return a whole page, not a stream.
-func withBody(out GetResult, bs *BodyStream) (GetResult, error) {
-	defer bs.Close()
-	body, err := bs.text()
+func withBody(out GetResult, bs *BodyStream, err error) (GetResult, error) {
 	if err != nil {
+		return GetResult{}, err
+	}
+	defer bs.Close()
+	if out.Page.Body, err = bs.text(); err != nil {
 		return GetResult{}, fmt.Errorf("warehouse: body of %q: %w", out.Page.URL, err)
 	}
-	out.Page.Body = body
 	return out, nil
 }
 
 // Prefetch pulls url into the warehouse without a user request (Topic
 // Sensor-driven anticipation). It never counts as a request in Stats.
 func (w *Warehouse) Prefetch(url string) error {
-	_, bs, err := w.get(context.Background(), "", url, true)
+	_, bs, err := w.get(context.Background(), "", url, true, stepCheck)
 	bs.Close()
 	return err
 }
@@ -84,64 +81,23 @@ func (w *Warehouse) Prefetch(url string) error {
 // readable copy exists, the copy is served marked stale — the warehouse
 // never loses what it admitted. Refresh does not count as a user request.
 func (w *Warehouse) Refresh(ctx context.Context, url string) (GetResult, error) {
-	sh := w.shardOf(url)
-	sh.lock()
-	st := sh.pages[url]
-	if st == nil {
-		sh.mu.Unlock()
-		return GetResult{}, fmt.Errorf("warehouse: refresh %q: %w", url, core.ErrNotFound)
-	}
-	out, bs, err := w.refetch(ctx, sh, "", url, st, true)
-	sh.mu.Unlock()
-	if err != nil {
-		return GetResult{}, err
-	}
-	return withBody(out, bs)
+	return withBody(w.get(ctx, "", url, true, stepFetch))
 }
 
 // get is the shared body of every serve entry point. The returned
 // GetResult carries an empty Page.Body; the body arrives via the
-// BodyStream, which the caller must Close.
-func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool) (GetResult, *BodyStream, error) {
+// BodyStream, which the caller must Close. A resident page starts at
+// first; stepFetch (Refresh) also finds no cold URL instead of admitting.
+func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool, first step) (GetResult, *BodyStream, error) {
 	sh := w.shardOf(url)
 	sh.lock()
-	now := w.clock.Now()
-
 	if st := sh.pages[url]; st != nil {
-		defer sh.mu.Unlock()
-		// Resident: consistency check first.
-		fresh := true
-		if w.cfg.Consistency.NeedsCheck(st.lastCheck, now, core.Duration(st.updateGap), w.tracker.AgedFrequency(st.physID)) {
-			ver, _, err := w.originHead(ctx, url)
-			if err != nil {
-				// Dead origin: the copy-control promise (§5.2) — serve the
-				// admitted copy, marked stale since freshness is unknowable.
-				if out, bs, ok := w.serveStale(sh, user, url, st, prefetch); ok {
-					return out, bs, nil
-				}
-				// The local copy is unreadable too; fall through to the
-				// refetch path, which surfaces the origin error.
-				fresh = false
-			} else {
-				if !prefetch {
-					sh.stats.Revalidations++
-				}
-				st.lastCheck = now
-				if ver != st.version {
-					fresh = false
-				}
-			}
-		}
-		if fresh {
-			return w.serveResident(ctx, sh, user, url, st, prefetch)
-		}
-		// Content changed: refetch and re-admit the new version.
-		if !prefetch {
-			sh.stats.Refetches++
-		}
-		return w.refetch(ctx, sh, user, url, st, prefetch)
+		return w.serveResident(ctx, sh, user, url, st, prefetch, first)
 	}
 	sh.mu.Unlock()
+	if first == stepFetch {
+		return GetResult{}, nil, fmt.Errorf("warehouse: refresh %q: %w", url, core.ErrNotFound)
+	}
 
 	// First sight of this URL: fetch it outside the shard lock so cold
 	// misses proceed in parallel even within one stripe (the gateway's
@@ -155,7 +111,6 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool) (G
 	}
 	adm := w.prepareAdmission(url, fr, src)
 	sh.lock()
-	defer sh.mu.Unlock()
 	if !prefetch {
 		if src == sourcePeer {
 			sh.stats.PeerFetches++
@@ -165,14 +120,141 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool) (G
 	}
 	if st := sh.pages[url]; st != nil {
 		// A concurrent request admitted the URL while we were fetching:
-		// serve the resident copy and drop our duplicate fetch.
-		return w.serveResident(ctx, sh, user, url, st, prefetch)
+		// serve the resident copy, just checked, and drop our duplicate.
+		return w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
 	}
-	out, err := w.admitNew(sh, user, url, adm, prefetch)
-	if err != nil {
-		return GetResult{}, nil, err
+	defer sh.mu.Unlock()
+	return splitBody(w.admitNew(sh, user, url, adm, prefetch))
+}
+
+// step is what a request for a resident page does next.
+type step uint8
+
+const (
+	stepCheck step = iota // revalidate if the consistency schedule says so
+	stepServe             // serve the copy, or refetch it if lost or lagging
+	stepFetch             // GET the origin's current version
+)
+
+// serveResident serves the resident page st, revalidating or refetching
+// it as needed: it decides and applies under sh.mu, and fly makes the
+// origin calls unlocked. A request that finds st's origin calls out waits
+// for them (or for ctx), then decides afresh. A request makes at most one
+// HEAD and one GET: stepFetch is reached once, and every branch after a
+// GET returns. Called with sh.mu (write) held, where sh owns url; returns
+// with it released.
+func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch bool, next step) (GetResult, *BodyStream, error) {
+	for wait := st.inflight; wait != nil; wait = st.inflight {
+		sh.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return GetResult{}, nil, ctx.Err()
+		}
+		sh.lock()
 	}
-	return splitBody(out)
+	defer sh.mu.Unlock()
+	for {
+		now := w.clock.Now()
+		if next == stepCheck && !w.cfg.Consistency.NeedsCheck(st.lastCheck, now, core.Duration(st.updateGap), w.tracker.AgedFrequency(st.physID)) {
+			next = stepServe
+		}
+		if next == stepServe {
+			out, bs, err := w.readResident(st, url)
+			if err == nil && out.Page.Version >= st.version {
+				w.afterServe(sh, user, url, st, out, prefetch)
+				return out, bs, nil
+			}
+			// The body is lost (tier failures without recovery), corrupt,
+			// or older than what was served (restored from a stale backup).
+			bs.Close()
+			next = stepFetch
+		}
+		f := w.fly(ctx, sh, st, url, next == stepFetch)
+		if f.headed {
+			if !prefetch {
+				sh.stats.Revalidations++
+			}
+			st.lastCheck = now
+		}
+		if f.fetched && !prefetch {
+			sh.stats.Refetches++
+		}
+		if f.err != nil {
+			// Dead origin: the copy-control promise (§5.2) — serve the
+			// admitted copy, marked stale since freshness is unknowable.
+			if out, bs, err := w.readResident(st, url); err == nil {
+				out.Stale = true
+				sh.stats.StaleServes++
+				w.afterServe(sh, user, url, st, out, prefetch)
+				return out, bs, nil
+			}
+			if f.fetched {
+				return GetResult{}, nil, fmt.Errorf("warehouse: refetch %q: %w", url, f.err)
+			}
+			next = stepFetch // the HEAD failed, no copy is readable: try a GET
+			continue
+		}
+		if !f.fetched {
+			next = stepServe // the HEAD found the copy current
+			continue
+		}
+		if !prefetch {
+			sh.stats.OriginFetches++
+		}
+		p := f.fr.Page
+		applied, err := w.commit(sh, url, st, f.base, &p, f.pc)
+		if err != nil {
+			return GetResult{}, nil, err
+		}
+		// A refused version (a replica push landed meanwhile) is still what
+		// the origin answered: it is served, not kept.
+		out := GetResult{Page: p, Source: sourceOrigin, Latency: f.fr.Latency}
+		out.Priority, _ = w.store.Priority(st.container)
+		w.afterServe(sh, user, url, st, out, prefetch)
+		w.appendLog(user, url, out, applied)
+		if rep := w.replicator(); rep != nil && applied {
+			rep(url, p) // fresh content propagates to the replica set
+		}
+		return splitBody(out, nil)
+	}
+}
+
+// flight is what one trip to the origin learned about a resident page.
+type flight struct {
+	headed, fetched bool // a HEAD answered; a GET was sent
+	base            int  // st's version when the flight left
+	fr              simweb.FetchResult
+	pc              pageContent // the content model of fr.Page
+	err             error       // the origin call that failed
+}
+
+// fly makes st's origin calls: a HEAD unless fetch, then a GET if fetch or
+// the HEAD names another version, then the content model of the result.
+// Meanwhile sh.mu is released and st.inflight holds back requests for st
+// alone; hits on the rest of the stripe go on. Called with sh.mu (write)
+// held; returns, or panics, with it held again.
+func (w *Warehouse) fly(ctx context.Context, sh *shard, st *pageState, url string, fetch bool) (f flight) {
+	done := make(chan struct{})
+	st.inflight, f.base = done, st.version
+	sh.mu.Unlock()
+	defer func() {
+		sh.lock()
+		st.inflight = nil
+		close(done)
+	}()
+	if !fetch {
+		ver, _, err := w.originHead(ctx, url)
+		f.headed, f.err = err == nil, err
+		if err != nil || ver == f.base {
+			return f
+		}
+	}
+	f.fetched = true
+	if f.fr, f.err = w.originFetch(ctx, url); f.err == nil {
+		f.pc = w.contentOf(&f.fr.Page)
+	}
+	return f
 }
 
 // pageContent is everything the warehouse derives from one version of a
@@ -220,7 +302,10 @@ func (w *Warehouse) prepareAdmission(url string, fr simweb.FetchResult, src stri
 
 // splitBody moves an in-hand body (an origin or peer fetch) out of the
 // result and behind a BodyStream, the shape every serve path returns.
-func splitBody(out GetResult) (GetResult, *BodyStream, error) {
+func splitBody(out GetResult, err error) (GetResult, *BodyStream, error) {
+	if err != nil {
+		return GetResult{}, nil, err
+	}
 	bs := &BodyStream{body: out.Page.Body, n: int64(len(out.Page.Body))}
 	out.Page.Body = ""
 	return out, bs, nil
@@ -246,23 +331,11 @@ func (w *Warehouse) missFetch(ctx context.Context, url string) (simweb.FetchResu
 	return fr, sourceOrigin, err
 }
 
-// GetResident serves url only when a readable copy is already admitted:
-// no origin contact, no peer probes, no consistency check. This is the
-// serve path behind the cluster's resident-only peer probes — the remote
-// side of "check peers before the origin" — so it must never recurse
-// into another fetch. The serve still counts as a request and feeds
-// usage tracking: cluster-internal demand is still demand.
-func (w *Warehouse) GetResident(user, url string) (GetResult, bool) {
-	out, bs, ok := w.GetResidentStream(user, url)
-	if !ok {
-		return GetResult{}, false
-	}
-	out, err := withBody(out, bs)
-	return out, err == nil
-}
-
-// GetResidentStream is GetResident on the streaming serve path: the body
-// arrives via the BodyStream, which the caller must Close.
+// GetResidentStream serves url only from a readable admitted copy: no
+// origin, no peers, no consistency check. It backs the cluster's
+// resident-only peer probes, so it must never recurse into a fetch. The
+// serve still counts as a request (cluster demand is demand); the caller
+// must Close the BodyStream.
 func (w *Warehouse) GetResidentStream(user, url string) (GetResult, *BodyStream, bool) {
 	sh := w.shardOf(url)
 	sh.lock()
@@ -307,81 +380,18 @@ func (w *Warehouse) readResident(st *pageState, url string) (GetResult, *BodyStr
 	return out, bs, nil
 }
 
-// serveResident serves a warehouse-resident page. Requires sh.mu (write),
-// where sh is the shard owning url.
-func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch bool) (GetResult, *BodyStream, error) {
-	out, bs, err := w.readResident(st, url)
-	if err != nil {
-		// The body was lost (tier failures without recovery) or unreadable
-		// (corruption); fall back to the origin path.
-		return w.refetch(ctx, sh, user, url, st, prefetch)
-	}
-	if out.Page.Version < st.version {
-		// The bytes lag what this warehouse already served — a tier loss
-		// was recovered from an older tertiary backup. Refetch current
-		// content (the origin failing degrades to the stale copy below).
-		bs.Close()
-		return w.refetch(ctx, sh, user, url, st, prefetch)
-	}
-	w.afterServe(sh, user, url, st, out, prefetch)
-	return out, bs, nil
-}
-
-// serveStale serves a resident page known (or suspected) to lag the
-// origin — the degraded mode behind the copy-control promise: once
-// admitted, content outlives its origin. Returns false when no readable
-// copy exists (lost tiers, corrupt blob). Requires sh.mu (write).
-func (w *Warehouse) serveStale(sh *shard, user, url string, st *pageState, prefetch bool) (GetResult, *BodyStream, bool) {
-	out, bs, err := w.readResident(st, url)
-	if err != nil {
-		return GetResult{}, nil, false
-	}
-	out.Stale = true
-	sh.stats.StaleServes++
-	w.afterServe(sh, user, url, st, out, prefetch)
-	return out, bs, true
-}
-
-// refetch replaces a resident page's content with the origin's current
-// version. A failing origin degrades to the stale resident copy when one
-// is readable. Requires sh.mu (write).
-func (w *Warehouse) refetch(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch bool) (GetResult, *BodyStream, error) {
-	fr, err := w.originFetch(ctx, url)
-	if err != nil {
-		if out, bs, ok := w.serveStale(sh, user, url, st, prefetch); ok {
-			return out, bs, nil
-		}
-		return GetResult{}, nil, fmt.Errorf("warehouse: refetch %q: %w", url, err)
-	}
-	if !prefetch {
-		sh.stats.OriginFetches++
-	}
-	p := fr.Page
-	if err := w.absorbContent(sh, st, url, &p, w.contentOf(&p)); err != nil {
-		return GetResult{}, nil, err
-	}
-	out := GetResult{
-		Page:    p,
-		Hit:     false,
-		Source:  "origin",
-		Latency: fr.Latency,
-	}
-	out.Priority, _ = w.store.Priority(st.container)
-	w.afterServe(sh, user, url, st, out, prefetch)
-	w.appendLog(user, url, out, true)
-	// Fresh content propagates to the rest of the replica set.
-	if rep := w.replicator(); rep != nil {
-		rep(url, p)
-	}
-	return splitBody(out)
-}
-
-// absorbContent replaces a resident page's content with p, whose content
-// model is pc: consistency bookkeeping, model vector, indexes, version
-// history, and the stored bytes. Shared by origin refetches and replica
-// pushes — the two ways a resident page's content legitimately changes.
+// commit applies version p of url's resident page st, with the content
+// model pc prepared outside the lock: consistency bookkeeping, vector,
+// indexes, version history, stored bytes. It is the one way a resident
+// page's content changes (refetches and replica pushes both). p was read
+// when st stood at version base; if another commit has moved st since, it
+// applies nothing and reports false. Whatever version the origin reports
+// is otherwise applied, older ones too (an origin that counts afresh).
 // Requires sh.mu (write).
-func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simweb.Page, pc pageContent) error {
+func (w *Warehouse) commit(sh *shard, url string, st *pageState, base int, p *simweb.Page, pc pageContent) (bool, error) {
+	if st.version != base {
+		return false, nil
+	}
 	// Update-gap EMA from observed modification times.
 	if st.lastMod != core.TimeNever && p.LastMod.After(st.lastMod) {
 		gap := float64(p.LastMod.Sub(st.lastMod))
@@ -391,9 +401,11 @@ func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simwe
 			st.updateGap = 0.7*st.updateGap + 0.3*gap
 		}
 	}
+	if p.Version > st.version {
+		w.tracker.Modify(st.physID)
+	}
 	st.lastMod = p.LastMod
 	st.lastCheck = w.clock.Now()
-	oldVersion := st.version
 	st.version = p.Version
 	st.vec = pc.vec
 	st.anchors = pc.anchors
@@ -410,26 +422,22 @@ func (w *Warehouse) absorbContent(sh *shard, st *pageState, url string, p *simwe
 		Version: p.Version, Time: w.clock.Now(),
 		Title: p.Title, Body: p.Body, Size: p.Size,
 	}); err != nil {
-		return err
+		return false, err
 	}
-	payload := pc.payload
-	switch serr := w.store.UpdateBytes(st.container, p.Version, payload); {
+	switch serr := w.store.UpdateBytes(st.container, p.Version, pc.payload); {
 	case serr == nil:
 	case errors.Is(serr, core.ErrInvalid):
 		// Storage already holds this version or newer; its bytes stand.
 	case errors.Is(serr, core.ErrNotFound):
 		// The container was lost from storage outright (unrecovered tier
 		// failure): re-admit so the copy-control promise holds again.
-		if err := w.store.AdmitBytes(st.container, sizeOrOne(p.Size), p.Version, st.admissionPriority, payload); err != nil && !errors.Is(err, core.ErrExists) {
-			return err
+		if err := w.store.AdmitBytes(st.container, sizeOrOne(p.Size), p.Version, st.admissionPriority, pc.payload); err != nil && !errors.Is(err, core.ErrExists) {
+			return false, err
 		}
 	default:
-		return serr
+		return false, serr
 	}
-	if p.Version > oldVersion {
-		w.tracker.Modify(st.physID)
-	}
-	return nil
+	return true, nil
 }
 
 // AdmitReplica absorbs a payload a replica-set peer pushed via /peer/put.
@@ -454,7 +462,7 @@ func (w *Warehouse) AdmitReplica(url string, fr simweb.FetchResult) (bool, error
 			// takes its update.
 			pc = w.contentOf(&p)
 		}
-		if err := w.absorbContent(sh, st, url, &p, pc); err != nil {
+		if _, err := w.commit(sh, url, st, st.version, &p, pc); err != nil {
 			return false, err
 		}
 		sh.stats.ReplicaAdmits++

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -227,4 +228,115 @@ admit max-size 1KB
 			t.Errorf("Rejected = %d", w.Stats().Rejected)
 		}
 	})
+}
+
+// Stats.Refetches counts each origin GET of a resident page made for a
+// user request, once, whatever sent the request to the origin.
+func TestRefetchesCountResidentOriginGets(t *testing.T) {
+	cases := []struct {
+		name                     string
+		prepare                  func(t *testing.T, r *probeRig, url string)
+		refresh                  bool
+		revalidations, refetches int
+		staleServes              int
+		// after, when set, checks the served page and the next Get.
+		after func(t *testing.T, r *probeRig, url string, got GetResult)
+	}{
+		{name: "revalidate-unchanged", revalidations: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) { r.stale() }},
+		{name: "revalidate-new-version", revalidations: 1, refetches: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) { r.update(t, url); r.stale() }},
+		{name: "head-failure-stale", staleServes: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) { r.origin.headDown.Store(true); r.stale() }},
+		{name: "head-failure-lost-body", refetches: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) {
+				r.origin.headDown.Store(true)
+				r.stale()
+				r.loseBody(t)
+			}},
+		{name: "lost-body", refetches: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) { r.loseBody(t) }},
+		{name: "refresh-is-no-request", refresh: true,
+			prepare: func(t *testing.T, r *probeRig, url string) { r.update(t, url) }},
+		// The origin restarted and reports a version below the one already
+		// served, and the copy is lost: its answer is applied and served,
+		// one GET per request (storage keeps its higher version, so the lost
+		// bytes stay lost).
+		{name: "lower-version-lost-body", refetches: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) {
+				r.update(t, url)
+				r.update(t, url)
+				if _, err := r.w.Refresh(context.Background(), url); err != nil {
+					t.Fatal(err)
+				}
+				r.origin.restarted.Store(true)
+				r.loseBody(t)
+			},
+			after: func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 1, false, 1) }},
+		// A replica push lands while the GET is out: the origin's answer is
+		// served and the pushed version kept.
+		{name: "replica-push-during-get", revalidations: 1, refetches: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) {
+				r.update(t, url)
+				r.stale()
+				r.origin.hook = func(method, url string) {
+					if method == "GET" {
+						if _, err := r.w.AdmitReplica(url, simweb.FetchResult{Page: simweb.Page{URL: url, Title: "probe page", Body: "pushed", Size: core.KB, Version: 9}}); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			},
+			after: func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 2, true, 9) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eachStack(t, func(t *testing.T, s stack) {
+				r := newProbeRig(t, s, 1, 1)
+				url := r.urls[0]
+				tc.prepare(t, r, url)
+				before, gets := r.w.Stats(), r.origin.gets.Load()
+				var res GetResult
+				var err error
+				if tc.refresh {
+					res, err = r.w.Refresh(context.Background(), url)
+				} else {
+					res, err = r.w.Get("u", url)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := r.w.Stats()
+				got := [3]int{st.Revalidations - before.Revalidations, st.Refetches - before.Refetches, st.StaleServes - before.StaleServes}
+				if want := [3]int{tc.revalidations, tc.refetches, tc.staleServes}; got != want {
+					t.Errorf("revalidations, refetches, stale serves = %v, want %v", got, want)
+				}
+				if n := r.origin.gets.Load() - gets; n > 1 {
+					t.Errorf("%d origin GETs for one call, want at most 1", n)
+				}
+				if tc.after != nil {
+					tc.after(t, r, url, res)
+				}
+			})
+		})
+	}
+}
+
+// wantVersions checks that got, served from the origin, is at version
+// served, and that the next Get of url serves version next, a hit if
+// nextHit.
+func wantVersions(t *testing.T, r *probeRig, url string, got GetResult, served int, nextHit bool, next int) {
+	t.Helper()
+	if got.Hit || got.Page.Version != served {
+		t.Errorf("served hit=%v version %d, want an origin serve at %d", got.Hit, got.Page.Version, served)
+	}
+	gets := r.origin.gets.Load()
+	res, err := r.w.Get("u", url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hit != nextHit || res.Page.Version != next || r.origin.gets.Load()-gets > 1 {
+		t.Errorf("next Get: hit=%v version %d after %d GETs, want hit=%v version %d after at most 1",
+			res.Hit, res.Page.Version, r.origin.gets.Load()-gets, nextHit, next)
+	}
 }

@@ -136,5 +136,5 @@ func (b *BodyStream) Close() error {
 // through the BodyStream, read straight from the serving tier on a hit.
 // The caller must Close the stream (on error the stream is nil).
 func (w *Warehouse) GetBodyCtx(ctx context.Context, user, url string) (GetResult, *BodyStream, error) {
-	return w.get(ctx, user, url, false)
+	return w.get(ctx, user, url, false, stepCheck)
 }

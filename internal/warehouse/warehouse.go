@@ -245,7 +245,7 @@ type Stats struct {
 	// and origin).
 	PeerFetches   int
 	Revalidations int
-	Refetches     int // revalidations that found new content
+	Refetches     int // origin GETs of a resident page on a user request
 	Prefetches    int
 	// ReplicaAdmits counts payloads absorbed from replica-set peers'
 	// /peer/put pushes (fresh admissions and in-place updates both).
@@ -297,6 +297,7 @@ type pageState struct {
 	// inHotIndex tracks membership of the memory-resident detailed index
 	// (§4.1's index hierarchy).
 	inHotIndex bool
+	inflight   chan struct{} // non-nil while its origin calls are out; closed when done
 }
 
 // Warehouse is the assembled CBFWW system.
