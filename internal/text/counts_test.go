@@ -1,10 +1,12 @@
 package text
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -101,11 +103,38 @@ func TestSumCountsIsCountsOfJoinedText(t *testing.T) {
 	}
 }
 
+// canonicalUncached is the pipeline canonical memoises: stop list, Porter
+// stemmer, stop list again.
+func canonicalUncached(tok string) (string, bool) {
+	if IsStopWord(tok) {
+		return "", false
+	}
+	t := Stem(tok)
+	return t, t != "" && !IsStopWord(t)
+}
+
+// checkMemo asks m for each token twice — the first time on a cold entry,
+// the second on a warm one — and wants the uncached pipeline's answer both
+// times: the same verdict, and the same term when one survives.
+func checkMemo(t *testing.T, m *stemMemo, toks []string) {
+	t.Helper()
+	for _, tok := range toks {
+		want, wantOK := canonicalUncached(tok)
+		for _, temp := range []string{"cold", "warm"} {
+			if got, ok := m.canonical([]byte(tok)); ok != wantOK || ok && got != want {
+				t.Fatalf("%s memo: canonical(%q) = %q, %v; uncached %q, %v", temp, tok, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
 func FuzzTermCounts(f *testing.F) {
 	f.Add("Kyoto Station", "The travelers are traveling to <b>Kyoto</b> stations")
 	f.Add("a > b", "ΚΥΟΤΟ καλά 2003 don't")
 	f.Add("", "<unterminated the of and")
 	f.Fuzz(func(t *testing.T, title, body string) {
+		checkMemo(t, new(stemMemo), Tokenize(title+"\n"+body))
+		checkMemo(t, &stems, Tokenize(title+"\n"+body))
 		for _, s := range []string{title, body} {
 			if got, want := TermCounts(s), termCountsBySequence(s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("TermCounts(%q) = %v, want %v", s, got, want)
@@ -119,6 +148,80 @@ func FuzzTermCounts(f *testing.F) {
 			t.Fatalf("counts(%q)+counts(%q) = %v, joined %v", title, body, got, want)
 		}
 	})
+}
+
+// Past its bound the memo stores nothing more and still answers every
+// token as the uncached pipeline does; a token longer than stemMemoKeyMax
+// bytes is answered the same way and never stored.
+func TestStemMemoStopsAtBound(t *testing.T) {
+	m := new(stemMemo)
+	long := []string{
+		strings.Repeat("b", stemMemoKeyMax-len("nesses")) + "nesses",
+		strings.Repeat("b", stemMemoKeyMax-len("nesses")+1) + "nesses",
+		strings.Repeat("relational", 64<<10/10),
+	}
+	checkMemo(t, m, long)
+	if _, ok := m.all[long[0]]; !ok || len(m.all) != 1 {
+		t.Fatalf("memo keeps %d tokens, want only the %d-byte one", len(m.all), stemMemoKeyMax)
+	}
+	toks := make([]string, stemMemoMax+500)
+	for i := range toks {
+		toks[i] = fmt.Sprintf("warehouses%dthe", i)
+	}
+	checkMemo(t, m, toks[:stemMemoMax-1])
+	// Once the memo is full a miss takes no lock: with mu held, this
+	// would hang if one did.
+	m.mu.Lock()
+	checkMemo(t, m, toks[stemMemoMax-1:])
+	checkMemo(t, m, long[1:])
+	m.mu.Unlock()
+	held := *m.m.Load()
+	if len(held) != stemMemoMax || len(m.all) != stemMemoMax {
+		t.Fatalf("memo publishes %d and keeps %d entries after %d distinct tokens, bound %d",
+			len(held), len(m.all), len(toks), stemMemoMax)
+	}
+	for _, tok := range append(toks[stemMemoMax-1:], long[1:]...) {
+		if _, ok := held[tok]; ok {
+			t.Fatalf("memo stored %q past its bound", tok)
+		}
+	}
+}
+
+// A token that keeps coming back gets published, so that its lookups stop
+// missing, even when no new token arrives to grow the memo.
+func TestStemMemoPublishesRepeats(t *testing.T) {
+	m := new(stemMemo)
+	vocab := make([]string, 200)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("station%d", i)
+	}
+	for pass := 0; pass < 10; pass++ {
+		checkMemo(t, m, vocab)
+	}
+	if held := *m.m.Load(); len(held) != len(vocab) {
+		t.Fatalf("memo publishes %d of the %d tokens it was asked for 20 times each", len(held), len(vocab))
+	}
+}
+
+// Goroutines filling one memo at once all get the uncached answers.
+func TestStemMemoConcurrentFill(t *testing.T) {
+	m := new(stemMemo)
+	var toks []string
+	for _, gen := range textShapes {
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 50; i++ {
+			toks = append(toks, Tokenize(gen(rng))...)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			checkMemo(t, m, toks)
+		}()
+	}
+	wg.Wait()
 }
 
 // topBySort is the sort-everything definition Top's bounded selection

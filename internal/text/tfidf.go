@@ -25,9 +25,9 @@ func NewCorpus() *Corpus {
 	}
 }
 
-// Dict exposes the corpus dictionary for rendering vectors. Callers must
-// not mutate it concurrently with Add; lookups during reads are fine
-// because the dictionary only grows under the corpus lock.
+// Dict exposes the corpus dictionary for rendering vectors and for the
+// indexes sharing its TermIDs. It only grows, and it locks itself: the
+// indexes grow it without holding the corpus lock.
 func (c *Corpus) Dict() *Dictionary { return c.dict }
 
 // NumDocs returns the number of documents added so far.

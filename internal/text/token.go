@@ -10,7 +10,10 @@
 package text
 
 import (
+	"maps"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 )
@@ -109,54 +112,78 @@ var defaultStopWords = map[string]bool{
 // default stop list.
 func IsStopWord(tok string) bool { return defaultStopWords[tok] }
 
+// stemMemo maps a raw token to its canonical term, "" for a dropped one.
+// Readers look a token up in the published map m and take no lock; a miss
+// is added to all under mu, which is republished as m after len(m)/4 more
+// misses (O(1) copying per miss). It keeps at most stemMemoMax tokens of
+// up to stemMemoKeyMax bytes, about 14 MiB; any other token is computed
+// afresh, and once m is full a miss takes no lock.
+type stemMemo struct {
+	m      atomic.Pointer[map[string]string]
+	mu     sync.Mutex
+	all    map[string]string
+	misses int // since m was published
+}
+
+const stemMemoMax, stemMemoKeyMax = 1 << 16, 32
+
+var stems stemMemo // the process's memo
+
 // canonical runs one token through the rest of the preprocessing pipeline
 // — stop list, Porter stemmer, stop list again — and reports whether a
-// term survives.
-func canonical(tok string) (string, bool) {
-	if IsStopWord(tok) {
-		return "", false
+// term survives. The memo holds the answers of this pure function.
+func (s *stemMemo) canonical(tok []byte) (string, bool) {
+	m := s.m.Load()
+	if m != nil {
+		if t, ok := (*m)[string(tok)]; ok {
+			return t, t != ""
+		}
 	}
-	tok = Stem(tok)
-	return tok, tok != "" && !IsStopWord(tok)
+	key, t := string(tok), ""
+	if stem := Stem(key); !IsStopWord(key) && !IsStopWord(stem) {
+		t = stem
+	}
+	if len(key) > stemMemoKeyMax || m != nil && len(*m) == stemMemoMax {
+		return t, t != ""
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.all == nil {
+		s.all = make(map[string]string)
+	}
+	if s.misses++; len(s.all) < stemMemoMax {
+		s.all[key] = t
+		if m := s.m.Load(); m == nil || s.misses >= 16+len(*m)/4 || len(s.all) == stemMemoMax {
+			next := maps.Clone(s.all)
+			s.m.Store(&next)
+			s.misses = 0
+		}
+	}
+	return t, t != ""
 }
 
 // Terms tokenizes s and returns the stemmed, stop-word-free term sequence —
 // the canonical preprocessing pipeline used everywhere in CBFWW.
 func Terms(s string) []string {
-	toks := Tokenize(s)
-	out := toks[:0]
-	for _, t := range toks {
-		if t, ok := canonical(t); ok {
+	var out []string
+	scanTokens(s, func(tok []byte) {
+		if t, ok := stems.canonical(tok); ok {
 			out = append(out, t)
 		}
-	}
+	})
 	return out
 }
 
 // TermCounts returns the multiplicity of each term in the canonical term
-// sequence of s. Raw tokens are counted first and each distinct one goes
-// through the stop list and the stemmer once, however often it repeats:
-// a page body repeats most of its words.
+// sequence of s. A token the memo holds costs a map lookup and allocates
+// nothing: the counts are keyed by the memo's own strings.
 func TermCounts(s string) map[string]int {
-	// Looking a []byte up as a string does not allocate; only a token's
-	// first sighting makes a string of it, so the counts live in a slice
-	// the map indexes.
-	slot := make(map[string]int)
-	var n []int
+	counts := make(map[string]int)
 	scanTokens(s, func(tok []byte) {
-		if i, seen := slot[string(tok)]; seen {
-			n[i]++
-			return
+		if t, ok := stems.canonical(tok); ok {
+			counts[t]++
 		}
-		slot[string(tok)] = len(n)
-		n = append(n, 1)
 	})
-	counts := make(map[string]int, len(n))
-	for tok, i := range slot {
-		if t, ok := canonical(tok); ok {
-			counts[t] += n[i]
-		}
-	}
 	return counts
 }
 

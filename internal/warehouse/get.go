@@ -269,11 +269,17 @@ type pageContent struct {
 }
 
 func (w *Warehouse) contentOf(p *simweb.Page) pageContent {
+	pc := w.modelOf(p)
+	pc.payload = encodePagePayload(p)
+	return pc
+}
+
+// modelOf is contentOf without the payload, which a restored page has.
+func (w *Warehouse) modelOf(p *simweb.Page) pageContent {
 	title, body := text.TermCounts(p.Title), text.TermCounts(p.Body)
 	return pageContent{
 		vec:     w.corpus.WeightedVectorCounts(title, body, w.cfg.Omega),
 		terms:   text.SumCounts(title, body),
-		payload: encodePagePayload(p),
 		anchors: anchorMap(p.Anchors),
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
@@ -156,17 +158,43 @@ func (w *Warehouse) Rehydrate() (int, error) {
 		}
 		return 0, fmt.Errorf("warehouse: rehydrate: %w", err)
 	}
-	restored := 0
-	for i := range cat.Pages {
-		cp := &cat.Pages[i]
-		page, err := w.peekPage(core.ObjectID(cp.Container), cp.URL)
-		if err != nil {
-			continue // payload lost or unreadable: served from origin on first access
+	return w.restorePages(cat.Pages)
+}
+
+// restorePages restores the catalog's pages as prepare → commit: reading a
+// payload back and modelling it runs on every core, two pages a core ahead;
+// one committer keeps catalog order, which the online regions depend on.
+func (w *Warehouse) restorePages(pages []catalogPage) (int, error) {
+	type prepared struct {
+		page simweb.Page
+		pc   pageContent
+		err  error // payload lost or unreadable: served from origin on first access
+	}
+	ahead := 2 * runtime.GOMAXPROCS(0)
+	window := make([]chan prepared, ahead)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	restored, next := 0, 0
+	for i := range pages {
+		for ; next < len(pages) && next < i+ahead; next++ {
+			out, cp := make(chan prepared, 1), &pages[next]
+			window[next%ahead] = out
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var p prepared
+				if p.page, p.err = w.peekPage(core.ObjectID(cp.Container), cp.URL); p.err == nil {
+					p.pc = w.modelOf(&p.page)
+				}
+				out <- p
+			}()
 		}
-		if err := w.restorePage(cp, page); err != nil {
-			return restored, fmt.Errorf("warehouse: rehydrate %q: %w", cp.URL, err)
+		if p := <-window[i%ahead]; p.err == nil {
+			if err := w.restorePage(&pages[i], p.page, p.pc); err != nil {
+				return restored, fmt.Errorf("warehouse: rehydrate %q: %w", pages[i].URL, err)
+			}
+			restored++
 		}
-		restored++
 	}
 	return restored, nil
 }
@@ -186,11 +214,11 @@ func loadCatalog(path string) (*catalog, error) {
 	return &cat, nil
 }
 
-// restorePage rebuilds one page's in-memory state from its catalog entry
-// and surviving payload: hierarchy objects under their persisted IDs,
-// page state on its shard, and the full-index entry. Usage heat, logical
-// pages and regions regrow from traffic — they are derived state.
-func (w *Warehouse) restorePage(cp *catalogPage, page simweb.Page) error {
+// restorePage rebuilds one page's in-memory state from its catalog entry,
+// surviving payload and content model: hierarchy objects under their
+// persisted IDs, page state on its shard with its region assigned afresh,
+// and the full-index entry. Usage heat and logical pages regrow from traffic.
+func (w *Warehouse) restorePage(cp *catalogPage, page simweb.Page, pc pageContent) error {
 	loader := w.bodyLoader(cp.URL)
 	total := sizeOrOne(page.Size)
 	for _, c := range cp.Components {
@@ -230,7 +258,6 @@ func (w *Warehouse) restorePage(cp *catalogPage, page simweb.Page) error {
 	if page.Version > version {
 		version = page.Version
 	}
-	pc := w.contentOf(&page)
 	prio, _ := w.store.Priority(container.ID)
 	st := &pageState{
 		physID:            phys.ID,
