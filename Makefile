@@ -120,8 +120,8 @@ chaos:
 
 # Native fuzzing of the code that sees bytes it did not just write: the
 # query lexer/parser, the stored page payload, the peer frame, the
-# tokenizer's term counts and segment-log replay (30s per target; crank
-# FUZZTIME for a longer hunt).
+# tokenizer's term counts, the HTML page parser and segment-log replay
+# (30s per target; crank FUZZTIME for a longer hunt).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/query/
@@ -129,6 +129,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodePageStream -fuzztime $(FUZZTIME) -run '^$$' ./internal/warehouse/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/peers/
 	$(GO) test -fuzz FuzzTermCounts -fuzztime $(FUZZTIME) -run '^$$' ./internal/text/
+	$(GO) test -fuzz FuzzParsePage -fuzztime $(FUZZTIME) -run '^$$' ./internal/crawl/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/storage/
 
 examples:

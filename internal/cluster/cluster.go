@@ -120,8 +120,7 @@ func (o *Online) Assign(p Point) int {
 func (o *Online) absorb(r *Region, p Point) {
 	r.weight++
 	// new_mean = mean + (x - mean)/n, done sparsely then re-normalized.
-	inv := 1 / r.weight
-	r.Centroid = r.Centroid.Scale(1-inv).AddScaled(p.Vec, inv).Normalize()
+	r.Centroid = r.Centroid.MeanStep(p.Vec, 1/r.weight)
 	if d := p.Vec.Distance(r.Centroid); d > r.Radius {
 		r.Radius = d
 	}

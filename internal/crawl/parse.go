@@ -3,6 +3,8 @@ package crawl
 import (
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"cbfww/internal/core"
 	"cbfww/internal/simweb"
@@ -17,7 +19,8 @@ import (
 // missing quotes, nested elements).
 func ParsePage(url, html string) simweb.Page {
 	p := simweb.Page{URL: url}
-	var body strings.Builder
+	var body collapsed
+	body.Grow(len(html))
 
 	i := 0
 	n := len(html)
@@ -35,7 +38,7 @@ func ParsePage(url, html string) simweb.Page {
 			body.WriteString(html[i:])
 			break
 		}
-		switch strings.ToLower(tag) {
+		switch name := strings.ToLower(tag); name {
 		case "title":
 			text, after := textUntilClose(html, end, "title")
 			p.Title = strings.TrimSpace(text)
@@ -48,7 +51,7 @@ func ParsePage(url, html string) simweb.Page {
 				p.Anchors = append(p.Anchors, simweb.Anchor{Text: text, Target: href})
 			}
 			body.WriteString(text) // anchor text is page text too
-			body.WriteByte(' ')
+			body.space = true
 			i = after
 		case "img":
 			src := attrValue(attrs, "src")
@@ -63,16 +66,54 @@ func ParsePage(url, html string) simweb.Page {
 			}
 			i = end
 		case "script", "style":
-			_, after := textUntilClose(html, end, tag)
+			_, after := textUntilClose(html, end, name)
 			i = after
 		default:
 			// Any other tag is a separator.
-			body.WriteByte(' ')
+			body.space = true
 			i = end
 		}
 	}
-	p.Body = strings.Join(strings.Fields(body.String()), " ")
+	p.Body = body.String()
 	return p
+}
+
+// collapsed accumulates strings.Join(strings.Fields(all), " ") of all it
+// is written, in one pass: each white-space run (unicode.IsSpace) is one ' '.
+type collapsed struct {
+	strings.Builder
+	space bool // white space was met since the last word
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+func (c *collapsed) WriteString(s string) {
+	word := 0 // start of the word being scanned
+	for i := 0; i < len(s); {
+		r, n := rune(s[i]), 1
+		sp := r < utf8.RuneSelf && asciiSpace[r]
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[i:])
+			sp = unicode.IsSpace(r)
+		}
+		if i += n; sp {
+			c.word(s[word : i-n])
+			c.space, word = true, i
+		}
+	}
+	c.word(s[word:])
+}
+
+func (c *collapsed) word(w string) {
+	if w == "" {
+		return
+	}
+	if c.space && c.Len() > 0 {
+		c.WriteByte(' ')
+	}
+	c.space = false
+	c.Builder.WriteString(w)
 }
 
 // scanTag parses the tag starting at html[i] == '<'. It returns the tag
@@ -91,19 +132,26 @@ func scanTag(html string, i int) (name, attrs string, end int, ok bool) {
 	return name, attrs, end, true
 }
 
-// textUntilClose collects text from pos until </tag> (case-insensitive),
-// returning the text and the index just past the closing tag. Nested
-// different tags inside are stripped; a missing close consumes the rest.
+// textUntilClose collects text from pos until </tag (tag lower-case ASCII,
+// matched in place without regard to ASCII case), returning the text and
+// the index just past the closing tag. Nested different tags inside are
+// stripped; a missing close consumes the rest.
 func textUntilClose(html string, pos int, tag string) (string, int) {
-	lower := strings.ToLower(html)
-	closeTag := "</" + strings.ToLower(tag)
-	idx := strings.Index(lower[pos:], closeTag)
-	if idx < 0 {
-		return stripTags(html[pos:]), len(html)
+	idx := pos
+	for {
+		lt := strings.Index(html[idx:], "</")
+		if lt < 0 {
+			return stripTags(html[pos:]), len(html)
+		}
+		idx += lt
+		if hasPrefixFold(html[idx+2:], tag) {
+			break
+		}
+		idx += 2
 	}
-	text := stripTags(html[pos : pos+idx])
+	text := stripTags(html[pos:idx])
 	// Skip past the closing '>'.
-	after := pos + idx
+	after := idx
 	if gt := strings.IndexByte(html[after:], '>'); gt >= 0 {
 		after += gt + 1
 	} else {
@@ -112,67 +160,61 @@ func textUntilClose(html string, pos int, tag string) (string, int) {
 	return text, after
 }
 
-// stripTags removes <...> runs from a fragment.
+// hasPrefixFold reports whether s begins with prefix, an ASCII string,
+// ignoring case. Every rune that folds to an ASCII letter is longer than
+// one byte, so a slice of s holding one has fewer runes than prefix and
+// is never fold-equal to it.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
+}
+
+// stripTags removes <...> runs from a fragment, each closing '>' leaving
+// a space; a fragment without markup is returned as it is.
 func stripTags(s string) string {
+	if strings.IndexByte(s, '<') < 0 {
+		return s
+	}
 	var b strings.Builder
+	b.Grow(len(s))
 	depth := 0
-	for _, r := range s {
-		switch {
-		case r == '<':
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '<':
 			depth++
-		case r == '>':
-			if depth > 0 {
-				depth--
-				b.WriteByte(' ')
-			} else {
-				b.WriteRune(r)
-			}
+		case c == '>' && depth > 0:
+			depth--
+			b.WriteByte(' ')
 		case depth == 0:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
 }
 
-// attrValue extracts the value of name from a raw attribute string,
-// accepting double-quoted, single-quoted and bare values.
+// attrValue extracts the value of name from a raw attribute string (the
+// name matched without regard to ASCII case), accepting double-quoted,
+// single-quoted and bare values.
 func attrValue(attrs, name string) string {
-	lower := strings.ToLower(attrs)
 	key := name + "="
-	for start := 0; ; {
-		idx := strings.Index(lower[start:], key)
-		if idx < 0 {
-			return ""
-		}
-		idx += start
+	for idx := 0; idx < len(attrs); idx++ {
 		// Must be at a word boundary.
-		if idx > 0 && !isSpace(lower[idx-1]) {
-			start = idx + len(key)
+		if !hasPrefixFold(attrs[idx:], key) || idx > 0 && !isSpace(attrs[idx-1]) {
 			continue
 		}
 		v := attrs[idx+len(key):]
-		if v == "" {
-			return ""
-		}
-		switch v[0] {
-		case '"':
-			if end := strings.IndexByte(v[1:], '"'); end >= 0 {
+		if v != "" && (v[0] == '"' || v[0] == '\'') {
+			if end := strings.IndexByte(v[1:], v[0]); end >= 0 {
 				return v[1 : 1+end]
 			}
 			return v[1:]
-		case '\'':
-			if end := strings.IndexByte(v[1:], '\''); end >= 0 {
-				return v[1 : 1+end]
-			}
-			return v[1:]
-		default:
-			end := 0
-			for end < len(v) && !isSpace(v[end]) {
-				end++
-			}
-			return v[:end]
 		}
+		end := 0
+		for end < len(v) && !isSpace(v[end]) {
+			end++
+		}
+		return v[:end]
 	}
+	return ""
 }
 
 func isSpace(c byte) bool {

@@ -76,7 +76,7 @@ func (m *Manager) ObserveVisit(user string, id core.ObjectID, vec text.Vector) {
 	if !ok {
 		m.profiles[user] = vec.Clone()
 	} else {
-		m.profiles[user] = p.Scale(1-m.profileBlend).AddScaled(vec, m.profileBlend).Normalize()
+		m.profiles[user] = p.MeanStep(vec, m.profileBlend)
 	}
 	v := m.visited[user]
 	if v == nil {

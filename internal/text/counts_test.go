@@ -84,10 +84,36 @@ func tagsClosed(s string) bool {
 	return depth == 0
 }
 
+// SumCounts returns a+b as a new term-count map: the string-keyed title+body
+// sum admission used before it resolved a page's terms to TermIDs, kept as
+// the reference MergeCounts must agree with.
+func SumCounts(a, b map[string]int) map[string]int {
+	out := make(map[string]int, len(a)+len(b))
+	for t, n := range a {
+		out[t] = n
+	}
+	for t, n := range b {
+		out[t] += n
+	}
+	return out
+}
+
+// resolved is counts resolved in d, in ascending TermID order.
+func resolved(d *Dictionary, counts map[string]int) []TermCount {
+	out := make([]TermCount, 0, len(counts))
+	for t, n := range counts {
+		out = append(out, TermCount{d.ID(t), n})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
 // Admission counts a page's title and body separately and sums them for
 // the index, where it used to tokenize title+"\n"+body: the newline joins
-// no tokens, so the two are the same counts.
+// no tokens, so the two are the same counts, string-keyed or merged by
+// TermID.
 func TestSumCountsIsCountsOfJoinedText(t *testing.T) {
+	d := NewDictionary()
 	for name, gen := range textShapes {
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
@@ -95,9 +121,13 @@ func TestSumCountsIsCountsOfJoinedText(t *testing.T) {
 			if !tagsClosed(title) {
 				continue
 			}
-			got := SumCounts(TermCounts(title), TermCounts(body))
-			if want := TermCounts(title + "\n" + body); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: counts(%q)+counts(%q) = %v, joined %v", name, title, body, got, want)
+			joined := TermCounts(title + "\n" + body)
+			if got := SumCounts(TermCounts(title), TermCounts(body)); !reflect.DeepEqual(got, joined) {
+				t.Fatalf("%s: counts(%q)+counts(%q) = %v, joined %v", name, title, body, got, joined)
+			}
+			got := MergeCounts(d.Counts(title), d.Counts(body))
+			if want := resolved(d, joined); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("%s: merged counts of %q and %q = %v, joined %v", name, title, body, got, want)
 			}
 		}
 	}

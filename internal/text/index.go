@@ -43,21 +43,21 @@ func NewInvertedIndex(dict *Dictionary) *InvertedIndex {
 // Index adds a document's content under id, replacing any previous content
 // for the same id.
 func (ix *InvertedIndex) Index(id core.ObjectID, content string) {
-	ix.IndexCounts(id, TermCounts(content))
+	ix.IndexCounts(id, ix.dict.Counts(content))
 }
 
-// IndexCounts is Index for content already reduced to term counts.
-func (ix *InvertedIndex) IndexCounts(id core.ObjectID, counts map[string]int) {
+// IndexCounts is Index for counts resolved in the index's dictionary:
+// under the index lock it only appends postings.
+func (ix *InvertedIndex) IndexCounts(id core.ObjectID, counts []TermCount) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, ok := ix.docLen[id]; ok {
 		ix.removeLocked(id)
 	}
 	total := 0
-	for term, n := range counts {
-		tid := ix.dict.ID(term)
-		ix.postings[tid] = append(ix.postings[tid], Posting{Doc: id, TF: n})
-		total += n
+	for _, tc := range counts {
+		ix.postings[tc.ID] = append(ix.postings[tc.ID], Posting{Doc: id, TF: tc.N})
+		total += tc.N
 	}
 	ix.docLen[id] = total
 }

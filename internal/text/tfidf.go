@@ -47,17 +47,17 @@ func (c *Corpus) NumTerms() int {
 // Add registers a document given as raw text, updating document
 // frequencies, and returns its raw term-frequency vector.
 func (c *Corpus) Add(content string) Vector {
-	counts := TermCounts(content)
+	counts := c.dict.Counts(content)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.numDocs++
-	b := NewBuilder()
-	for term, n := range counts {
-		id := c.dict.ID(term)
-		c.docFreq[id]++
-		b.Set(id, float64(n))
+	ids := make([]TermID, len(counts))
+	ws := make([]float64, len(counts))
+	for i, tc := range counts {
+		c.docFreq[tc.ID]++
+		ids[i], ws[i] = tc.ID, float64(tc.N)
 	}
-	return b.Vector()
+	return makeVector(ids, ws)
 }
 
 // idfLocked returns the smoothed inverse document frequency of id. Must be
@@ -98,7 +98,7 @@ func (c *Corpus) TFIDF(tf Vector) Vector {
 		ids = append(ids, id)
 		ws = append(ws, (1+math.Log(f))*c.idfLocked(id))
 	})
-	return makeVector(ids, ws).Normalize()
+	return makeUnit(ids, ws)
 }
 
 // VectorizeNew adds content to the corpus and returns its TF-IDF vector in
@@ -112,19 +112,19 @@ func (c *Corpus) VectorizeNew(content string) Vector {
 // never seen are still included, with maximal IDF, so that two queries
 // about the same unseen topic remain similar to each other.
 func (c *Corpus) Vectorize(content string) Vector {
-	return c.vectorizeCounts(TermCounts(content))
+	return c.vectorizeCounts(c.dict.Counts(content))
 }
 
-// vectorizeCounts is Vectorize for content already reduced to term counts.
-func (c *Corpus) vectorizeCounts(counts map[string]int) Vector {
-	c.mu.Lock() // dict.ID may grow the dictionary
-	defer c.mu.Unlock()
-	b := NewBuilder()
-	for term, n := range counts {
-		id := c.dict.ID(term)
-		b.Set(id, (1+math.Log(float64(n)))*c.idfLocked(id))
+// vectorizeCounts is Vectorize for ID-sorted counts: no map, no sort.
+func (c *Corpus) vectorizeCounts(counts []TermCount) Vector {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ids := make([]TermID, len(counts))
+	ws := make([]float64, len(counts))
+	for i, tc := range counts {
+		ids[i], ws[i] = tc.ID, (1+math.Log(float64(tc.N)))*c.idfLocked(tc.ID)
 	}
-	return b.Vector().Normalize()
+	return makeUnit(ids, ws)
 }
 
 // WeightedVector builds the comprehensive feature vector of a logical
@@ -135,17 +135,17 @@ func (c *Corpus) vectorizeCounts(counts map[string]int) Vector {
 // where ω > 1 stresses title terms (anchor texts along the path plus the
 // terminal document's title) over body terms. The result is unit-normalized.
 func (c *Corpus) WeightedVector(title, body string, omega float64) Vector {
-	return c.WeightedVectorCounts(TermCounts(title), TermCounts(body), omega)
+	return c.WeightedVectorCounts(c.dict.Counts(title), c.dict.Counts(body), omega)
 }
 
-// WeightedVectorCounts is WeightedVector for a caller that already holds
-// the term counts of the title and of the body (admission tokenizes a page
-// once and feeds the vector and the indexes from the same counts).
-func (c *Corpus) WeightedVectorCounts(title, body map[string]int, omega float64) Vector {
+// WeightedVectorCounts is WeightedVector for counts resolved in the
+// corpus's dictionary (admission resolves a page's terms once, outside
+// every lock, and feeds the vector and the indexes from the same counts).
+func (c *Corpus) WeightedVectorCounts(title, body []TermCount, omega float64) Vector {
 	if omega < 1 {
 		omega = 1
 	}
 	vt := c.vectorizeCounts(title)
-	vb := c.vectorizeCounts(body)
-	return vb.AddScaled(vt, omega).Normalize()
+	v := c.vectorizeCounts(body).AddScaled(vt, omega)
+	return makeUnit(v.ids, v.ws) // AddScaled's slices are new: scale them in place
 }

@@ -186,17 +186,3 @@ func TermCounts(s string) map[string]int {
 	})
 	return counts
 }
-
-// SumCounts returns a+b as a new term-count map: the counts of a document
-// made of two parts that share no token (a title and a body on separate
-// lines).
-func SumCounts(a, b map[string]int) map[string]int {
-	out := make(map[string]int, len(a)+len(b))
-	for t, n := range a {
-		out[t] = n
-	}
-	for t, n := range b {
-		out[t] += n
-	}
-	return out
-}

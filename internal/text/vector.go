@@ -2,10 +2,12 @@ package text
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // TermID is a dense integer assigned to a term by a Dictionary. Sparse
@@ -16,12 +18,16 @@ type TermID int32
 // Dictionary maps terms to dense TermIDs and back. It only grows; terms are
 // never removed, matching the warehouse's "store everything" stance. Safe
 // for concurrent use: one dictionary is shared by the corpus and every
-// index segment, and since the lock-striped warehouse no longer serializes
-// their callers against each other, the dictionary synchronizes itself.
+// index segment, and it synchronizes itself. ID and Lookup read the
+// published copy pub of ids and take no lock on a hit; a miss goes to ids
+// under mu, and pub is republished after 16 + len/4 misses, so a term
+// asked for again and again is published even when no new term arrives.
 type Dictionary struct {
-	mu    sync.RWMutex
-	ids   map[string]TermID
-	terms []string
+	pub    atomic.Pointer[map[string]TermID]
+	mu     sync.RWMutex
+	ids    map[string]TermID
+	terms  []string
+	misses int // reads that missed pub since it was published
 }
 
 // NewDictionary returns an empty dictionary.
@@ -31,31 +37,77 @@ func NewDictionary() *Dictionary {
 
 // ID returns the TermID for term, assigning a fresh one if unseen.
 func (d *Dictionary) ID(term string) TermID {
-	d.mu.RLock()
-	id, ok := d.ids[term]
-	d.mu.RUnlock()
-	if ok {
-		return id
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id, ok := d.ids[term]; ok {
-		// Another writer assigned it between our two lock acquisitions.
-		return id
-	}
-	id = TermID(len(d.terms))
-	d.ids[term] = id
-	d.terms = append(d.terms, term)
+	id, _ := d.resolve(term, true)
 	return id
 }
 
 // Lookup returns the TermID for term without assigning, and whether it
 // exists.
 func (d *Dictionary) Lookup(term string) (TermID, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	return d.resolve(term, false)
+}
+
+func (d *Dictionary) resolve(term string, assign bool) (TermID, bool) {
+	if m := d.pub.Load(); m != nil {
+		if id, ok := (*m)[term]; ok {
+			return id, true
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	id, ok := d.ids[term]
-	return id, ok
+	if !ok && assign {
+		id, ok = TermID(len(d.terms)), true
+		d.ids[term] = id
+		d.terms = append(d.terms, term)
+	}
+	if !ok {
+		return id, false
+	}
+	d.misses++
+	if m := d.pub.Load(); m == nil || d.misses >= 16+len(*m)/4 {
+		next := maps.Clone(d.ids)
+		d.pub.Store(&next)
+		d.misses = 0
+	}
+	return id, true
+}
+
+// TermCount is a term, resolved to its TermID, and its count in a document.
+type TermCount struct {
+	ID TermID
+	N  int
+}
+
+// Counts returns the term counts of s (TermCounts) resolved to TermIDs,
+// assigning IDs to unseen terms, in ascending TermID order: the form the
+// corpus and the indexes take, so that a page's terms are resolved once.
+func (d *Dictionary) Counts(s string) []TermCount {
+	counts := TermCounts(s)
+	out := make([]TermCount, 0, len(counts))
+	for term, n := range counts {
+		out = append(out, TermCount{d.ID(term), n})
+	}
+	slices.SortFunc(out, func(a, b TermCount) int { return int(a.ID - b.ID) })
+	return out
+}
+
+// MergeCounts returns a+b, two ID-sorted count lists, as one: the counts
+// of a document made of two parts that share no token (a title and a body
+// on separate lines).
+func MergeCounts(a, b []TermCount) []TermCount {
+	out := make([]TermCount, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].ID < b[0].ID:
+			out, a = append(out, a[0]), a[1:]
+		case a[0].ID > b[0].ID:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, TermCount{a[0].ID, a[0].N + b[0].N}), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Term returns the term for id; it panics on an ID this dictionary never
@@ -96,6 +148,21 @@ func makeVector(ids []TermID, ws []float64) Vector {
 		s += x * x
 	}
 	return Vector{ids: ids, ws: ws, norm: math.Sqrt(s)}
+}
+
+// makeUnit is makeVector(ids, ws).Normalize() for a ws the caller owns:
+// the same operations, with ws scaled in place rather than into a copy.
+func makeUnit(ids []TermID, ws []float64) Vector {
+	v := makeVector(ids, ws)
+	if v.norm == 0 {
+		return v
+	}
+	inv := 1 / v.norm
+	for i, x := range ws {
+		ws[i] = inv * x
+	}
+	v.norm *= math.Abs(inv)
+	return v
 }
 
 // Builder is a construction-time accumulator for sparse vectors: a plain
@@ -349,6 +416,42 @@ func (v Vector) AddScaled(u Vector, a float64) Vector {
 	return makeVector(ids, ws)
 }
 
+// MeanStep returns v.Scale(1-a).AddScaled(u, a).Normalize() bit for bit
+// (the same float operations in the same order) in one merge pass and,
+// when u has no term v lacks so that v's ids are shared, one allocation.
+func (v Vector) MeanStep(u Vector, a float64) Vector {
+	keep := 1 - a
+	ws := make([]float64, 0, len(v.ids)+len(u.ids))
+	var ids []TermID // nil while every merged term is one of v's
+	for i, j := 0, 0; i < len(v.ids) || j < len(u.ids); {
+		if j < len(u.ids) && (i == len(v.ids) || u.ids[j] < v.ids[i]) {
+			if ids == nil {
+				ids = append(make([]TermID, 0, cap(ws)), v.ids[:i]...)
+			}
+			ids = append(ids, u.ids[j])
+			ws = append(ws, a*u.ws[j])
+			j++
+			continue
+		}
+		// The conversion rounds the scaled weight before the add, as the
+		// chain's separate Scale does, so no platform fuses the two.
+		w := float64(keep * v.ws[i])
+		if j < len(u.ids) && u.ids[j] == v.ids[i] {
+			w += a * u.ws[j]
+			j++
+		}
+		if ids != nil {
+			ids = append(ids, v.ids[i])
+		}
+		ws = append(ws, w)
+		i++
+	}
+	if ids == nil {
+		ids = v.ids
+	}
+	return makeUnit(ids, ws)
+}
+
 // Scale returns a*v as a new vector.
 func (v Vector) Scale(a float64) Vector {
 	ws := make([]float64, len(v.ws))
@@ -367,29 +470,6 @@ func (v Vector) Normalize() Vector {
 	return v.Scale(1 / v.norm)
 }
 
-// Prune returns v without entries of |weight| < eps. Pruning keeps
-// centroid vectors compact as they absorb many documents.
-func (v Vector) Prune(eps float64) Vector {
-	keep := 0
-	for _, x := range v.ws {
-		if math.Abs(x) >= eps {
-			keep++
-		}
-	}
-	if keep == len(v.ids) {
-		return v
-	}
-	ids := make([]TermID, 0, keep)
-	ws := make([]float64, 0, keep)
-	for i, x := range v.ws {
-		if math.Abs(x) >= eps {
-			ids = append(ids, v.ids[i])
-			ws = append(ws, x)
-		}
-	}
-	return makeVector(ids, ws)
-}
-
 // Top returns the n highest-weighted term IDs in descending weight order
 // (ties broken by TermID for determinism).
 func (v Vector) Top(n int) []TermID {
@@ -398,33 +478,4 @@ func (v Vector) Top(n int) []TermID {
 		k.push(id, v.ws[i])
 	}
 	return k.ids()
-}
-
-// String renders the vector's top terms for debugging, resolving IDs
-// through the dictionary: "{kyoto:0.82 station:0.41 ...}".
-func (v Vector) String(d *Dictionary, n int) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, id := range v.Top(n) {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:%.2f", d.Term(id), v.Get(id))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// Mean returns the centroid (arithmetic mean) of the given vectors. The
-// mean of no vectors is the empty vector.
-func Mean(vectors []Vector) Vector {
-	if len(vectors) == 0 {
-		return Vector{}
-	}
-	b := NewBuilder()
-	inv := 1 / float64(len(vectors))
-	for _, v := range vectors {
-		b.AddScaled(v, inv)
-	}
-	return b.Vector()
 }

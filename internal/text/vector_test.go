@@ -178,20 +178,8 @@ func TestVectorImmutable(t *testing.T) {
 	_ = v.AddScaled(vec(0, 5), 1)
 	_ = v.Scale(10)
 	_ = v.Normalize()
-	_ = v.Prune(10)
 	if v.Get(0) != 1 || v.Get(1) != 2 || math.Abs(v.Norm()-math.Sqrt(5)) > 1e-12 {
 		t.Errorf("receiver mutated: %v/%v norm %v", v.Get(0), v.Get(1), v.Norm())
-	}
-}
-
-func TestVectorPrune(t *testing.T) {
-	v := vec(0, 0.001, 1, 0.5, 2, -0.0001)
-	v = v.Prune(0.01)
-	if v.Len() != 1 || v.Get(1) != 0.5 {
-		t.Errorf("Prune: len %d, weight(1) %v", v.Len(), v.Get(1))
-	}
-	if math.Abs(v.Norm()-0.5) > 1e-12 {
-		t.Errorf("Prune must recompute the cached norm: %v", v.Norm())
 	}
 }
 
@@ -207,27 +195,6 @@ func TestVectorTopDeterministic(t *testing.T) {
 	}
 	if n := len(v.Top(100)); n != 4 {
 		t.Errorf("Top(100) len = %d, want 4", n)
-	}
-}
-
-func TestMean(t *testing.T) {
-	m := Mean([]Vector{vec(0, 2), vec(0, 4, 1, 2)})
-	if m.Get(0) != 3 || m.Get(1) != 1 {
-		t.Errorf("Mean = %v/%v", m.Get(0), m.Get(1))
-	}
-	if got := Mean(nil); got.Len() != 0 {
-		t.Errorf("Mean(nil) has %d entries", got.Len())
-	}
-}
-
-func TestVectorString(t *testing.T) {
-	d := NewDictionary()
-	b := NewBuilder()
-	b.Set(d.ID("kyoto"), 0.8)
-	b.Set(d.ID("station"), 0.4)
-	got := b.Vector().String(d, 2)
-	if got != "{kyoto:0.80 station:0.40}" {
-		t.Errorf("String = %q", got)
 	}
 }
 

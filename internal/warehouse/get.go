@@ -260,10 +260,12 @@ func (w *Warehouse) fly(ctx context.Context, sh *shard, st *pageState, url strin
 // pageContent is everything the warehouse derives from one version of a
 // page's content alone: the §5.3 weighted vector, the title+body term
 // counts that feed the full index and the hot segment, the stored payload
-// and the anchor map. The page is tokenized once for all of it.
+// and the anchor map. The page is tokenized once for all of it, and its
+// terms are resolved to TermIDs here, so no dictionary call is left for
+// the commit under the shard lock.
 type pageContent struct {
 	vec     text.Vector
-	terms   map[string]int
+	terms   []text.TermCount
 	payload []byte
 	anchors map[string]string
 }
@@ -276,10 +278,10 @@ func (w *Warehouse) contentOf(p *simweb.Page) pageContent {
 
 // modelOf is contentOf without the payload, which a restored page has.
 func (w *Warehouse) modelOf(p *simweb.Page) pageContent {
-	title, body := text.TermCounts(p.Title), text.TermCounts(p.Body)
+	title, body := w.corpus.Dict().Counts(p.Title), w.corpus.Dict().Counts(p.Body)
 	return pageContent{
 		vec:     w.corpus.WeightedVectorCounts(title, body, w.cfg.Omega),
-		terms:   text.SumCounts(title, body),
+		terms:   text.MergeCounts(title, body),
 		anchors: anchorMap(p.Anchors),
 	}
 }
