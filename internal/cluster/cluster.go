@@ -36,7 +36,8 @@ type Point struct {
 	Vec text.Vector
 }
 
-// Region is one cluster: the semantic region (σ, λ) of the paper.
+// Region is one cluster: the semantic region of the paper, kept as its
+// centroid σ (no reader needs its radius λ).
 type Region struct {
 	// Index is the region's position in the clusterer's region list; it is
 	// stable for the life of the clusterer (regions are never removed,
@@ -44,9 +45,6 @@ type Region struct {
 	Index int
 	// Centroid is σ, the running mean of member vectors (kept normalized).
 	Centroid text.Vector
-	// Radius is λ: the maximum centroid distance among members at the time
-	// they were assigned.
-	Radius float64
 	// Members lists assigned object IDs in arrival order.
 	Members []core.ObjectID
 	// weight is the number of vectors absorbed into the centroid.
@@ -115,15 +113,12 @@ func (o *Online) Assign(p Point) int {
 	return r.Index
 }
 
-// absorb folds p into region r: running-mean centroid update, member list
-// append, radius widening.
+// absorb folds p into region r: running-mean centroid update and member
+// list append.
 func (o *Online) absorb(r *Region, p Point) {
 	r.weight++
 	// new_mean = mean + (x - mean)/n, done sparsely then re-normalized.
 	r.Centroid = r.Centroid.MeanStep(p.Vec, 1/r.weight)
-	if d := p.Vec.Distance(r.Centroid); d > r.Radius {
-		r.Radius = d
-	}
 	r.Members = append(r.Members, p.ID)
 }
 
@@ -160,7 +155,6 @@ func (o *Online) Regions() []Region {
 		out[i] = Region{
 			Index:    r.Index,
 			Centroid: r.Centroid.Clone(),
-			Radius:   r.Radius,
 			Members:  append([]core.ObjectID(nil), r.Members...),
 			weight:   r.weight,
 		}

@@ -106,9 +106,6 @@ func TestOnlineRegionBookkeeping(t *testing.T) {
 	if regs[i1].Size() != 2 || regs[i3].Size() != 1 {
 		t.Errorf("sizes: %d, %d", regs[i1].Size(), regs[i3].Size())
 	}
-	if regs[i1].Radius <= 0 {
-		t.Errorf("radius = %v, want > 0 after absorbing a distinct vector", regs[i1].Radius)
-	}
 	// Centroid stays unit-normalized.
 	if n := regs[i1].Centroid.Norm(); math.Abs(n-1) > 1e-9 {
 		t.Errorf("centroid norm = %v", n)

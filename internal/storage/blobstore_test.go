@@ -221,6 +221,121 @@ func TestBackupVersionDriftStaleRecover(t *testing.T) {
 	})
 }
 
+// TestUpdateAfterTotalLossLandsCopy: with every tier dropped, an update to
+// a higher version lands its bytes as the object's one tracked, charged
+// copy — servable, with no blob in any backend the manager does not track
+// — and the next placement pass copies it up out of tertiary.
+func TestUpdateAfterTotalLossLandsCopy(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("version one")); err != nil {
+			t.Fatal(err)
+		}
+		for tier := Memory; tier <= Tertiary; tier++ {
+			if err := m.DropTier(tier); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v2 := []byte("version two")
+		if err := m.UpdateBytes(1, 2, v2); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		res, data, err := fetch(m, 1)
+		if err != nil || res.Version != 2 || !bytes.Equal(data, v2) {
+			t.Fatalf("fetch after update = v%d %q, %v; want v2 %q", res.Version, data, err, v2)
+		}
+		for tier := Memory; tier <= Tertiary; tier++ {
+			for _, k := range m.Backend(tier).Keys() {
+				if o := m.objects[k.ID]; o == nil || !o.copies[tier].present || o.copies[tier].key(k.ID) != k {
+					t.Errorf("%v backend holds %v, which the manager does not track", tier, k)
+				}
+			}
+		}
+		// Any admission runs a placement pass.
+		if err := m.AdmitBytes(2, 10, 1, 0.1, []byte("other")); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		if res, _, err := fetch(m, 1); err != nil || res.Tier != Memory {
+			t.Fatalf("after the next placement pass: served from %v, %v; want memory", res.Tier, err)
+		}
+	})
+}
+
+// TestReplaceTakesAnyVersion: Replace rewrites every copy, the anchor
+// included, at a version below the current one, which UpdateBytes refuses,
+// keeping the object's priority and leaving no blob of the old version.
+func TestReplaceTakesAnyVersion(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		if err := m.AdmitBytes(1, 40, 3, 0.9, []byte("version three")); err != nil {
+			t.Fatal(err)
+		}
+		v1 := []byte("version one again")
+		if err := m.UpdateBytes(1, 1, v1); !errors.Is(err, core.ErrInvalid) {
+			t.Fatalf("UpdateBytes to a lower version = %v, want ErrInvalid", err)
+		}
+		if err := m.Replace(1, 1, v1); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		res, data, err := fetch(m, 1)
+		if err != nil || res.Version != 1 || res.Tier != Memory || !bytes.Equal(data, v1) {
+			t.Fatalf("fetch after Replace = v%d from %v %q, %v; want v1 from memory %q", res.Version, res.Tier, data, err, v1)
+		}
+		if p1, _ := m.Priority(1); p1 != 0.9 {
+			t.Fatalf("priority after Replace = %v, want the 0.9 it had", p1)
+		}
+		for tier := Memory; tier <= Tertiary; tier++ {
+			for _, k := range m.Backend(tier).Keys() {
+				if k.Version != 1 {
+					t.Errorf("%v backend still holds %v", tier, k)
+				}
+			}
+		}
+		if got, err := readBlob(m.Backend(Tertiary), BlobKey{ID: 1, Version: 1}); err != nil || !bytes.Equal(got, v1) {
+			t.Fatalf("anchor after Replace = %q, %v; want %q", got, err, v1)
+		}
+		if err := m.Replace(2, 1, v1); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("Replace of an unknown ID = %v, want ErrNotFound", err)
+		}
+	})
+}
+
+// failPuts is a blob store whose writes all fail.
+type failPuts struct{ BlobStore }
+
+func (failPuts) PutFrom(BlobKey, io.Reader, int64) error { return errors.New("put refused") }
+
+// TestReplaceFailedPutKeepsCopy: when the anchor refuses the rewrite, the
+// object stays tracked and its copy stands, servable.
+func TestReplaceFailedPutKeepsCopy(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		m := payloadFixture(t, s)
+		v1 := []byte("version one")
+		if err := m.AdmitBytes(1, 40, 1, 0.9, v1); err != nil {
+			t.Fatal(err)
+		}
+		for tier := Memory; tier < Tertiary; tier++ {
+			if err := m.DropTier(tier); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.backends[Tertiary] = failPuts{m.backends[Tertiary]}
+		if err := m.Replace(1, 1, []byte("lost write")); err == nil {
+			t.Fatal("Replace over a failing anchor succeeded")
+		}
+		mustInvariants(t, m)
+		if tier, ok := m.Contains(1); !ok || tier != Tertiary {
+			t.Fatalf("after a failed Replace: Contains = %v, %v; want tertiary, true", tier, ok)
+		}
+		if res, data, err := fetch(m, 1); err != nil || res.Version != 1 || !bytes.Equal(data, v1) {
+			t.Fatalf("fetch after a failed Replace = v%d %q, %v; want v1 %q", res.Version, data, err, v1)
+		}
+	})
+}
+
 // TestUpdateRequiresBytesForPayloadObjects: the metadata-only Update path
 // must refuse payload objects rather than strand version labels without
 // matching bytes.

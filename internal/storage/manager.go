@@ -290,24 +290,45 @@ func (m *Manager) Remove(id core.ObjectID) error {
 	if !ok {
 		return fmt.Errorf("storage: remove %v: %w", id, core.ErrNotFound)
 	}
+	m.removeLocked(o)
+	return nil
+}
+
+// Replace is UpdateBytes at any version, the one storage holds included:
+// it repairs a lost or corrupt copy, or takes the version of an origin that
+// counts afresh. Every present copy and the anchor are rewritten in place;
+// a write that fails leaves the copy it would have replaced standing.
+func (m *Manager) Replace(id core.ObjectID, version int, payload []byte) error {
+	return m.update(id, version, payload, true, true)
+}
+
+// removeLocked deletes o from every tier, bytes included. Requires m.mu.
+func (m *Manager) removeLocked(o *object) {
+	m.order.remove(o)
 	for t := Tier(0); t < m.numTiers(); t++ {
-		fp := o.footprint(t, m.cfg.SummaryRatio)
-		m.used[t] -= fp
-		if fp != 0 && t < m.last() {
+		if !o.copies[t].present {
+			continue
+		}
+		if t < m.last() {
 			// Room opened in a finite tier: the ranks below may move up,
 			// but not before the next placement pass (removal is lazy).
 			m.stale.add(o.key())
 		}
-		if o.hasPayload && o.copies[t].present {
-			m.backends[t].Delete(o.copies[t].key(id))
-		}
+		m.dropCopyLocked(o, t)
 	}
-	if o.copies[Memory].present {
-		m.noteMemLocked(id)
+	delete(m.objects, o.id)
+}
+
+// dropCopyLocked deletes o's present copy at tier t. Requires m.mu.
+func (m *Manager) dropCopyLocked(o *object, t Tier) {
+	m.used[t] -= o.footprint(t, m.cfg.SummaryRatio)
+	if o.hasPayload {
+		m.backends[t].Delete(o.copies[t].key(o.id))
 	}
-	m.order.remove(o)
-	delete(m.objects, id)
-	return nil
+	o.copies[t] = copyState{}
+	if t == Memory {
+		m.noteMemLocked(o.id)
+	}
 }
 
 // Access serves the object, preferring the fastest tier with a full copy,
@@ -498,17 +519,19 @@ func (m *Manager) reprioritizeLocked(prios map[core.ObjectID]core.Priority) {
 // objects must use UpdateBytes so the rewritten copies have the bytes
 // their new version label claims.
 func (m *Manager) Update(id core.ObjectID, newVersion int) error {
-	return m.update(id, newVersion, nil, false)
+	return m.update(id, newVersion, nil, false, false)
 }
 
 // UpdateBytes records a new content version together with its bytes,
 // rewriting the fast copies in place per the copy-control rule. The
 // manager owns the slice afterwards.
 func (m *Manager) UpdateBytes(id core.ObjectID, newVersion int, payload []byte) error {
-	return m.update(id, newVersion, payload, true)
+	return m.update(id, newVersion, payload, true, false)
 }
 
-func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withBytes bool) error {
+// update is the body of Update, UpdateBytes and Replace; repair skips the
+// version check and rewrites the anchor as well as the fast copies.
+func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withBytes, repair bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o, ok := m.objects[id]
@@ -518,7 +541,7 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withB
 	if o.hasPayload && !withBytes {
 		return fmt.Errorf("storage: update %v: %w: payload object requires UpdateBytes", id, core.ErrInvalid)
 	}
-	if newVersion <= o.version {
+	if newVersion <= o.version && !repair {
 		return fmt.Errorf("storage: update %v: %w: version %d <= current %d", id, core.ErrInvalid, newVersion, o.version)
 	}
 	o.version = newVersion
@@ -529,11 +552,19 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withB
 			if c.summaryOnly {
 				data = m.summarize(payload, o.summarySize(m.cfg.SummaryRatio))
 			}
-			m.backends[t].Delete(c.key(id))
-			if err := putBlob(m.backends[t], BlobKey{ID: id, Version: newVersion, Summary: c.summaryOnly}, data); err != nil {
+			k := BlobKey{ID: id, Version: newVersion, Summary: c.summaryOnly}
+			if err := putBlob(m.backends[t], k, data); err != nil {
 				return fmt.Errorf("storage: update %v: %w", id, err)
 			}
+			if c.present && c.key(id) != k {
+				m.backends[t].Delete(c.key(id))
+			}
 			m.stats.MovedBytes[t] += core.Bytes(len(data))
+		}
+		if !c.present { // the anchor copy was lost: this lands it again
+			c.present = true
+			m.used[t] += o.size
+			m.stale.add(o.key()) // for the next placement pass to copy up
 		}
 		c.version = newVersion
 		return nil
@@ -549,7 +580,7 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withB
 		}
 		fastCopy = true
 	}
-	if !fastCopy {
+	if !fastCopy || repair {
 		return rewrite(anchor)
 	}
 	return nil

@@ -70,11 +70,7 @@ func (m *Manager) recoverLocked() RecoveryReport {
 			for t := Tier(0); t < m.numTiers(); t++ {
 				c := &o.copies[t]
 				if c.present && !m.backends[t].Contains(c.key(id)) {
-					m.used[t] -= o.footprint(t, m.cfg.SummaryRatio)
-					*c = copyState{}
-					if t == 0 {
-						m.noteMemLocked(id)
-					}
+					m.dropCopyLocked(o, t)
 				}
 			}
 		}
@@ -86,17 +82,7 @@ func (m *Manager) recoverLocked() RecoveryReport {
 			}
 		}
 		if bestVersion < 0 {
-			// No full copy survived anywhere.
-			for t := Tier(0); t < m.numTiers(); t++ {
-				m.used[t] -= o.footprint(t, m.cfg.SummaryRatio)
-				if o.hasPayload && o.copies[t].present {
-					m.backends[t].Delete(o.copies[t].key(id))
-				}
-			}
-			if o.copies[Memory].present {
-				m.noteMemLocked(id)
-			}
-			delete(m.objects, id)
+			m.removeLocked(o) // no full copy survived anywhere
 			rep.Lost++
 			continue
 		}
@@ -113,12 +99,7 @@ func (m *Manager) recoverLocked() RecoveryReport {
 					continue
 				}
 				if o.hasPayload {
-					m.used[t] -= o.footprint(t, m.cfg.SummaryRatio)
-					m.backends[t].Delete(c.key(id))
-					*c = copyState{}
-					if t == 0 {
-						m.noteMemLocked(id)
-					}
+					m.dropCopyLocked(o, t)
 				} else {
 					c.version = bestVersion
 				}

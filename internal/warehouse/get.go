@@ -109,7 +109,7 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool, fi
 	if err != nil {
 		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
 	}
-	adm := w.prepareAdmission(url, fr, src)
+	rec := w.prepare(url, fr, src, false)
 	sh.lock()
 	if !prefetch {
 		if src == sourcePeer {
@@ -118,13 +118,17 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool, fi
 			sh.stats.OriginFetches++
 		}
 	}
-	if st := sh.pages[url]; st != nil {
+	st, applied, err := w.commit(sh, rec, absent)
+	if st != nil && !applied {
 		// A concurrent request admitted the URL while we were fetching:
 		// serve the resident copy, just checked, and drop our duplicate.
 		return w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
 	}
 	defer sh.mu.Unlock()
-	return splitBody(w.admitNew(sh, user, url, adm, prefetch))
+	if err != nil {
+		return GetResult{}, nil, err
+	}
+	return splitBody(w.firstSight(sh, user, rec, st, prefetch), nil)
 }
 
 // step is what a request for a resident page does next.
@@ -154,6 +158,7 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 		sh.lock()
 	}
 	defer sh.mu.Unlock()
+	lost := false // a read of st's copy failed
 	for {
 		now := w.clock.Now()
 		if next == stepCheck && !w.cfg.Consistency.NeedsCheck(st.lastCheck, now, core.Duration(st.updateGap), w.tracker.AgedFrequency(st.physID)) {
@@ -168,7 +173,7 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 			// The body is lost (tier failures without recovery), corrupt,
 			// or older than what was served (restored from a stale backup).
 			bs.Close()
-			next = stepFetch
+			lost, next = true, stepFetch
 		}
 		f := w.fly(ctx, sh, st, url, next == stepFetch)
 		if f.headed {
@@ -192,7 +197,7 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 			if f.fetched {
 				return GetResult{}, nil, fmt.Errorf("warehouse: refetch %q: %w", url, f.err)
 			}
-			next = stepFetch // the HEAD failed, no copy is readable: try a GET
+			lost, next = true, stepFetch // the HEAD failed, no copy is readable: try a GET
 			continue
 		}
 		if !f.fetched {
@@ -202,14 +207,15 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 		if !prefetch {
 			sh.stats.OriginFetches++
 		}
-		p := f.fr.Page
-		applied, err := w.commit(sh, url, st, f.base, &p, f.pc)
+		p := f.rec.fr.Page
+		f.rec.lost = lost
+		_, applied, err := w.commit(sh, f.rec, f.base)
 		if err != nil {
 			return GetResult{}, nil, err
 		}
 		// A refused version (a replica push landed meanwhile) is still what
 		// the origin answered: it is served, not kept.
-		out := GetResult{Page: p, Source: sourceOrigin, Latency: f.fr.Latency}
+		out := GetResult{Page: p, Source: sourceOrigin, Latency: f.rec.fr.Latency}
 		out.Priority, _ = w.store.Priority(st.container)
 		w.afterServe(sh, user, url, st, out, prefetch)
 		w.appendLog(user, url, out, applied)
@@ -222,15 +228,14 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 
 // flight is what one trip to the origin learned about a resident page.
 type flight struct {
-	headed, fetched bool // a HEAD answered; a GET was sent
-	base            int  // st's version when the flight left
-	fr              simweb.FetchResult
-	pc              pageContent // the content model of fr.Page
-	err             error       // the origin call that failed
+	headed, fetched bool    // a HEAD answered; a GET was sent
+	base            int     // st's version when the flight left
+	rec             *record // the GET's answer, prepared
+	err             error   // the origin call that failed
 }
 
 // fly makes st's origin calls: a HEAD unless fetch, then a GET if fetch or
-// the HEAD names another version, then the content model of the result.
+// the HEAD names another version, then prepares the result.
 // Meanwhile sh.mu is released and st.inflight holds back requests for st
 // alone; hits on the rest of the stripe go on. Called with sh.mu (write)
 // held; returns, or panics, with it held again.
@@ -251,8 +256,9 @@ func (w *Warehouse) fly(ctx context.Context, sh *shard, st *pageState, url strin
 		}
 	}
 	f.fetched = true
-	if f.fr, f.err = w.originFetch(ctx, url); f.err == nil {
-		f.pc = w.contentOf(&f.fr.Page)
+	fr, err := w.originFetch(ctx, url)
+	if f.err = err; err == nil {
+		f.rec = w.prepare(url, fr, sourceOrigin, true)
 	}
 	return f
 }
@@ -286,26 +292,33 @@ func (w *Warehouse) modelOf(p *simweb.Page) pageContent {
 	}
 }
 
-// admission is a fetched first-sight page made ready to admit. It is
-// prepared before the shard lock is taken, the way the fetch itself is, so
-// the lock covers the duplicate check and the updates of shared state and
-// none of the per-page computation.
-type admission struct {
+// record is one fetched version of a page made ready to commit: the fetch,
+// its source, the admission verdict and the content model. It is prepared
+// before the shard lock is taken, like the fetch itself, so the lock covers
+// the version check and the shared state and no per-page computation.
+type record struct {
+	url string
 	fr  simweb.FetchResult
 	src string // where the bytes came from; flows to GetResult.Source
-	// refused is the Constraint Manager's verdict. A refused page is passed
-	// through to the user and not kept, so it gets no content model.
+	// refused is the Constraint Manager's verdict. It gates first sight
+	// only: a page already kept still takes a refused record.
 	refused error
+	lost    bool // the resident copy failed to read: commit rewrites it
 	pageContent
+	exp priority.Explanation // how commit derived the admission priority
 }
 
-func (w *Warehouse) prepareAdmission(url string, fr simweb.FetchResult, src string) *admission {
-	adm := &admission{fr: fr, src: src}
-	cand := constraint.Candidate{URL: url, Size: fr.Page.TotalSize()}
-	if adm.refused = w.cfg.Admission.Check(cand); adm.refused == nil {
-		adm.pageContent = w.contentOf(&adm.fr.Page)
+// prepare builds url's record from fr; it is the one caller of contentOf.
+// A record made only to admit (update false: the URL was cold, and the
+// record is dropped if it turns resident meanwhile) that is refused is
+// never kept, so it gets no content model.
+func (w *Warehouse) prepare(url string, fr simweb.FetchResult, src string, update bool) *record {
+	rec := &record{url: url, fr: fr, src: src}
+	rec.refused = w.cfg.Admission.Check(constraint.Candidate{URL: url, Size: fr.Page.TotalSize()})
+	if rec.refused == nil || update {
+		rec.pageContent = w.contentOf(&rec.fr.Page)
 	}
-	return adm
+	return rec
 }
 
 // splitBody moves an in-hand body (an origin or peer fetch) out of the
@@ -388,187 +401,170 @@ func (w *Warehouse) readResident(st *pageState, url string) (GetResult, *BodyStr
 	return out, bs, nil
 }
 
-// commit applies version p of url's resident page st, with the content
-// model pc prepared outside the lock: consistency bookkeeping, vector,
-// indexes, version history, stored bytes. It is the one way a resident
-// page's content changes (refetches and replica pushes both). p was read
-// when st stood at version base; if another commit has moved st since, it
-// applies nothing and reports false. Whatever version the origin reports
-// is otherwise applied, older ones too (an origin that counts afresh).
-// Requires sh.mu (write).
-func (w *Warehouse) commit(sh *shard, url string, st *pageState, base int, p *simweb.Page, pc pageContent) (bool, error) {
-	if st.version != base {
-		return false, nil
-	}
-	// Update-gap EMA from observed modification times.
-	if st.lastMod != core.TimeNever && p.LastMod.After(st.lastMod) {
-		gap := float64(p.LastMod.Sub(st.lastMod))
-		if st.updateGap == 0 {
-			st.updateGap = gap
-		} else {
-			st.updateGap = 0.7*st.updateGap + 0.3*gap
-		}
-	}
-	if p.Version > st.version {
-		w.tracker.Modify(st.physID)
-	}
-	st.lastMod = p.LastMod
-	st.lastCheck = w.clock.Now()
-	st.version = p.Version
-	st.vec = pc.vec
-	st.anchors = pc.anchors
+// absent is the base of a record fetched for a URL that was not resident.
+const absent = -1
 
-	// Content changed: re-index, capture version, refresh storage copy.
-	// A page already in the hot segment keeps its membership but needs the
-	// new content; no residency event fires for an in-place rewrite, so
-	// re-index it here (the shard lock is held).
-	w.index.IndexCounts(st.physID, pc.terms)
-	if st.inHotIndex {
-		sh.hotIndex.IndexCounts(st.physID, pc.terms)
+// commit applies rec under sh.mu (write), where sh owns rec.url: it is the
+// one function that writes sh.pages or a page's version. A cold URL is
+// admitted unless rec was refused. A resident page takes rec's version if
+// it still stands at base, the version it had when rec was fetched (absent
+// for a cold URL: a page admitted meanwhile takes nothing). Whatever
+// version the origin reports is otherwise applied, older ones too (an
+// origin that counts afresh). It returns the URL's page, nil if none is
+// kept, and whether rec was applied; when it was, storage holds rec's
+// version, readable: the bytes it held are rewritten unless they are at
+// that version and rec did not find them lost (the version names them).
+func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, error) {
+	p := &rec.fr.Page
+	st := sh.pages[rec.url]
+	switch {
+	case st != nil && st.version != base:
+		return st, false, nil
+	case st != nil:
+		// Update-gap EMA from observed modification times.
+		if st.lastMod != core.TimeNever && p.LastMod.After(st.lastMod) {
+			gap := float64(p.LastMod.Sub(st.lastMod))
+			if st.updateGap == 0 {
+				st.updateGap = gap
+			} else {
+				st.updateGap = 0.7*st.updateGap + 0.3*gap
+			}
+		}
+		if p.Version > st.version {
+			w.tracker.Modify(st.physID)
+		}
+		st.lastMod = p.LastMod
+		st.lastCheck = w.clock.Now()
+		st.version = p.Version
+		st.vec = rec.vec
+		st.anchors = rec.anchors
+		// Storage refuses a version it holds or has passed: bytes at base
+		// stand unless they failed to read; another version (the origin
+		// counts afresh) replaces them. A lost container is admitted again.
+		err := w.store.UpdateBytes(st.container, p.Version, rec.payload)
+		if errors.Is(err, core.ErrInvalid) && (p.Version != base || rec.lost) {
+			err = w.store.Replace(st.container, p.Version, rec.payload)
+		}
+		if errors.Is(err, core.ErrNotFound) {
+			err = w.store.AdmitBytes(st.container, sizeOrOne(p.Size), p.Version, st.admissionPriority, rec.payload)
+		}
+		if err != nil && !errors.Is(err, core.ErrInvalid) {
+			return nil, false, err
+		}
+		// A page in the hot segment stays there; no residency event fires
+		// for an in-place rewrite, so its new content is indexed here.
+		if st.inHotIndex {
+			sh.hotIndex.IndexCounts(st.physID, rec.terms)
+		}
+	case rec.refused != nil:
+		// Constraint Manager: passed through to the user, not kept.
+		sh.stats.Rejected++
+		return nil, false, nil
+	default:
+		// Content model: §5.3 admission priority and region.
+		var prio core.Priority
+		prio, rec.exp = w.prios.AdmissionPriority(rec.vec)
+		// Object hierarchy: physical page + raw objects, whose lazy body
+		// loader reads the bytes back from whatever tier holds them.
+		phys, err := w.builder.AddPhysicalPage(p, w.bodyLoader(rec.url))
+		if err != nil {
+			return nil, false, err
+		}
+		container, _ := w.objects.ByKey(object.KindRaw, rec.url)
+		st = &pageState{
+			physID:            phys.ID,
+			container:         container.ID,
+			version:           p.Version,
+			vec:               rec.vec,
+			region:            w.regions.Assign(clusterPoint(phys.ID, rec.vec)),
+			lastCheck:         w.clock.Now(),
+			lastMod:           p.LastMod,
+			admissionPriority: prio,
+			anchors:           rec.anchors,
+		}
+		// Storage: container + components enter with the page's priority,
+		// before the page is published, so cross-shard sweeps never see a
+		// container storage does not know. The event route goes first: the
+		// residency events of the placement pass park on the shard lock
+		// until the page is published. A page storage refuses is not
+		// published, and its route goes too.
+		w.pageOfContainer.Store(container.ID, rec.url)
+		if err := w.admitToStorage(container.ID, p, prio, rec.payload); err != nil {
+			w.pageOfContainer.Delete(container.ID)
+			return nil, false, err
+		}
+		sh.pages[rec.url] = st
+		w.topics.Learn(rec.vec, prio)
 	}
-	if err := w.history.Capture(url, version.Snapshot{
+	// Indexes and version history.
+	w.index.IndexCounts(st.physID, rec.terms)
+	if err := w.history.Capture(rec.url, version.Snapshot{
 		Version: p.Version, Time: w.clock.Now(),
 		Title: p.Title, Body: p.Body, Size: p.Size,
 	}); err != nil {
-		return false, err
+		return nil, false, err
 	}
-	switch serr := w.store.UpdateBytes(st.container, p.Version, pc.payload); {
-	case serr == nil:
-	case errors.Is(serr, core.ErrInvalid):
-		// Storage already holds this version or newer; its bytes stand.
-	case errors.Is(serr, core.ErrNotFound):
-		// The container was lost from storage outright (unrecovered tier
-		// failure): re-admit so the copy-control promise holds again.
-		if err := w.store.AdmitBytes(st.container, sizeOrOne(p.Size), p.Version, st.admissionPriority, pc.payload); err != nil && !errors.Is(err, core.ErrExists) {
-			return false, err
-		}
-	default:
-		return false, serr
-	}
-	return true, nil
+	return st, true, nil
 }
 
 // AdmitReplica absorbs a payload a replica-set peer pushed via /peer/put.
 // It never contacts the origin and never re-fires the replication hook
 // (no replication storms). Returns whether the payload was taken: a
 // resident copy at the same or newer version stands untouched; a resident
-// older copy is updated in place; a cold URL runs the full admission path
-// (which may still refuse on admission constraints).
+// older copy is updated in place, even where the admission rules would
+// refuse the page, since they gate first sight only; a cold URL is
+// admitted unless they refuse it.
 func (w *Warehouse) AdmitReplica(url string, fr simweb.FetchResult) (bool, error) {
-	adm := w.prepareAdmission(url, fr, sourceReplica)
+	resident := w.Resident(url) // a push for a cold URL only admits
+	rec := w.prepare(url, fr, sourceReplica, resident)
 	sh := w.shardOf(url)
 	sh.lock()
 	defer sh.mu.Unlock()
-	p := fr.Page
+	base := absent
 	if st := sh.pages[url]; st != nil {
-		if p.Version <= st.version {
+		// A push prepared for a cold URL is dropped if the page was
+		// admitted meanwhile, as a miss's duplicate is.
+		if !resident || fr.Page.Version <= st.version {
 			return false, nil
 		}
-		pc := adm.pageContent
-		if adm.refused != nil {
-			// Admission rules gate first sight only; a page already kept
-			// takes its update.
-			pc = w.contentOf(&p)
-		}
-		if _, err := w.commit(sh, url, st, st.version, &p, pc); err != nil {
-			return false, err
-		}
-		sh.stats.ReplicaAdmits++
-		return true, nil
+		base = st.version
 	}
-	if _, err := w.admitNew(sh, "", url, adm, true); err != nil {
+	_, applied, err := w.commit(sh, rec, base)
+	if err != nil {
 		return false, err
 	}
-	return sh.pages[url] != nil, nil
+	if base == absent {
+		w.appendLog("", url, GetResult{Page: fr.Page}, false) // logged as a prefetch is
+	}
+	if applied {
+		sh.stats.ReplicaAdmits++
+	}
+	return applied, nil
 }
 
-// admitNew commits a prepared admission for a first-seen URL: what is
-// left of the admission path once the content model is in hand. Requires
+// firstSight finishes a miss whose record commit took for a cold URL: it
+// serves the fetched page, counts and logs the request, and hands a kept
+// page to the rest of its replica set. st is the admitted page, nil if the
+// admission rules refused it (the user still gets the page). Requires
 // sh.mu (write).
-func (w *Warehouse) admitNew(sh *shard, user, url string, adm *admission, prefetch bool) (GetResult, error) {
-	p, src := adm.fr.Page, adm.src
-
-	out := GetResult{Page: p, Hit: false, Source: src, Latency: adm.fr.Latency}
-
-	// Constraint Manager: may refuse warehousing; the user still gets the
-	// page (pass-through), the warehouse just won't keep it.
-	if adm.refused != nil {
-		sh.stats.Rejected++
-		if !prefetch {
-			w.countRequest(sh, out)
-		}
-		w.appendLog(user, url, out, false)
-		return out, nil
+func (w *Warehouse) firstSight(sh *shard, user string, rec *record, st *pageState, prefetch bool) GetResult {
+	out := GetResult{Page: rec.fr.Page, Source: rec.src, Latency: rec.fr.Latency, Explanation: rec.exp}
+	switch {
+	case st != nil:
+		out.Priority = st.admissionPriority
+		w.afterServe(sh, user, rec.url, st, out, prefetch)
+	case !prefetch:
+		w.countRequest(sh, out)
 	}
-
-	// Content model: §5.3 weighted vector, admission priority, region.
-	vec := adm.vec
-	prio, exp := w.prios.AdmissionPriority(vec)
-	out.Priority, out.Explanation = prio, exp
-
-	// Object hierarchy: physical page + raw objects. The body goes to the
-	// storage tiers, not the heap: hierarchy objects carry a lazy loader
-	// that reads it back from whatever tier holds the container's bytes.
-	phys, err := w.builder.AddPhysicalPage(&p, w.bodyLoader(url))
-	if err != nil {
-		return GetResult{}, err
+	w.appendLog(user, rec.url, out, false)
+	if st != nil && prefetch {
+		sh.stats.Prefetches++
 	}
-	container, _ := w.objects.ByKey(object.KindRaw, url)
-
-	st := &pageState{
-		physID:            phys.ID,
-		container:         container.ID,
-		version:           p.Version,
-		vec:               vec,
-		region:            w.regions.Assign(clusterPoint(phys.ID, vec)),
-		lastCheck:         w.clock.Now(),
-		lastMod:           p.LastMod,
-		admissionPriority: prio,
-		anchors:           adm.anchors,
+	// The hook implementation queues and returns; no blocking under the lock.
+	if rep := w.replicator(); st != nil && rep != nil {
+		rep(rec.url, rec.fr.Page)
 	}
-
-	// Storage: container + components enter with the page's priority. The
-	// page is published to the shard map only afterwards, so cross-shard
-	// sweeps (tertiary clustering, priority application) never see a page
-	// whose container the Storage Manager does not know yet. The event
-	// route is registered first — the placement pass emits the first
-	// residency events, and the shard lock held here parks their
-	// application until the page is published below. A page storage would
-	// not take is not published, so its route goes too.
-	w.pageOfContainer.Store(container.ID, url)
-	if err := w.admitToStorage(container.ID, &p, prio, adm.payload); err != nil {
-		w.pageOfContainer.Delete(container.ID)
-		return GetResult{}, err
-	}
-
-	sh.pages[url] = st
-
-	// Indexes, versions, topic model.
-	w.index.IndexCounts(phys.ID, adm.terms)
-	if err := w.history.Capture(url, version.Snapshot{
-		Version: p.Version, Time: w.clock.Now(),
-		Title: p.Title, Body: p.Body, Size: p.Size,
-	}); err != nil {
-		return GetResult{}, err
-	}
-	w.topics.Learn(vec, prio)
-
-	w.afterServe(sh, user, url, st, out, prefetch)
-	w.appendLog(user, url, out, false)
-	if prefetch {
-		if src == sourceReplica {
-			sh.stats.ReplicaAdmits++
-		} else {
-			sh.stats.Prefetches++
-		}
-	}
-	// A freshly admitted payload propagates to the rest of the URL's
-	// replica set — unless it arrived as a replica push itself (the hook
-	// implementation queues and returns; no blocking under the lock).
-	if rep := w.replicator(); rep != nil && src != sourceReplica {
-		rep(url, p)
-	}
-	return out, nil
+	return out
 }
 
 // admitToStorage hands the Storage Manager a page's container and the

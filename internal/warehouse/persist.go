@@ -165,32 +165,28 @@ func (w *Warehouse) Rehydrate() (int, error) {
 // payload back and modelling it runs on every core, two pages a core ahead;
 // one committer keeps catalog order, which the online regions depend on.
 func (w *Warehouse) restorePages(pages []catalogPage) (int, error) {
-	type prepared struct {
-		page simweb.Page
-		pc   pageContent
-		err  error // payload lost or unreadable: served from origin on first access
-	}
 	ahead := 2 * runtime.GOMAXPROCS(0)
-	window := make([]chan prepared, ahead)
+	window := make([]chan *record, ahead)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	restored, next := 0, 0
 	for i := range pages {
 		for ; next < len(pages) && next < i+ahead; next++ {
-			out, cp := make(chan prepared, 1), &pages[next]
+			out, cp := make(chan *record, 1), &pages[next]
 			window[next%ahead] = out
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var p prepared
-				if p.page, p.err = w.peekPage(core.ObjectID(cp.Container), cp.URL); p.err == nil {
-					p.pc = w.modelOf(&p.page)
+				page, err := w.peekPage(core.ObjectID(cp.Container), cp.URL)
+				if err != nil {
+					out <- nil // payload lost or unreadable: served from origin on first access
+					return
 				}
-				out <- p
+				out <- &record{url: cp.URL, fr: simweb.FetchResult{Page: page}, pageContent: w.modelOf(&page)}
 			}()
 		}
-		if p := <-window[i%ahead]; p.err == nil {
-			if err := w.restorePage(&pages[i], p.page, p.pc); err != nil {
+		if rec := <-window[i%ahead]; rec != nil {
+			if err := w.restorePage(&pages[i], rec); err != nil {
 				return restored, fmt.Errorf("warehouse: rehydrate %q: %w", pages[i].URL, err)
 			}
 			restored++
@@ -214,11 +210,12 @@ func loadCatalog(path string) (*catalog, error) {
 	return &cat, nil
 }
 
-// restorePage rebuilds one page's in-memory state from its catalog entry,
-// surviving payload and content model: hierarchy objects under their
+// restorePage rebuilds one page's in-memory state from its catalog entry
+// and the record of its surviving payload: hierarchy objects under their
 // persisted IDs, page state on its shard with its region assigned afresh,
 // and the full-index entry. Usage heat and logical pages regrow from traffic.
-func (w *Warehouse) restorePage(cp *catalogPage, page simweb.Page, pc pageContent) error {
+func (w *Warehouse) restorePage(cp *catalogPage, rec *record) error {
+	page, pc := &rec.fr.Page, rec.pageContent
 	loader := w.bodyLoader(cp.URL)
 	total := sizeOrOne(page.Size)
 	for _, c := range cp.Components {

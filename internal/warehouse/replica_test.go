@@ -156,3 +156,39 @@ func TestAdmitReplicaRespectsConstraints(t *testing.T) {
 		}
 	})
 }
+
+// TestAdmitReplicaUpdatesUnderRejectAll: admission rules gate first sight
+// only, so a newer push for a page already kept is taken even under a
+// rule that now refuses every page, and the next Get serves it.
+func TestAdmitReplicaUpdatesUnderRejectAll(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		w, g, _ := fixture(t, s, nil)
+		url := g.PageURLs[3]
+		if _, err := w.Get("alice", url); err != nil {
+			t.Fatal(err)
+		}
+		w.cfg.Admission = constraint.NewAdmission(constraint.MaxSize(1)) // reject all from here on
+		fr, err := g.Web.Fetch(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newer := fr
+		newer.Page.Version = fr.Page.Version + 1
+		newer.Page.Body = fr.Page.Body + " updated"
+		took, err := w.AdmitReplica(url, newer)
+		if err != nil || !took {
+			t.Fatalf("newer push under reject-all = (%v, %v), want taken", took, err)
+		}
+		res, err := w.Get("alice", url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Hit || res.Page.Version != newer.Page.Version || res.Page.Body != newer.Page.Body {
+			t.Fatalf("serve after push = hit %v version %d, want a hit at version %d with the pushed body",
+				res.Hit, res.Page.Version, newer.Page.Version)
+		}
+		if st := w.Stats(); st.Rejected != 0 || st.ReplicaAdmits != 1 {
+			t.Fatalf("Rejected, ReplicaAdmits = %d, %d; want 0, 1", st.Rejected, st.ReplicaAdmits)
+		}
+	})
+}

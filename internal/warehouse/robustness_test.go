@@ -3,6 +3,7 @@ package warehouse
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -253,15 +254,21 @@ func TestRefetchesCountResidentOriginGets(t *testing.T) {
 				r.origin.headDown.Store(true)
 				r.stale()
 				r.loseBody(t)
-			}},
+			},
+			after: func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 1, true, 1) }},
 		{name: "lost-body", refetches: 1,
-			prepare: func(t *testing.T, r *probeRig, url string) { r.loseBody(t) }},
+			prepare: func(t *testing.T, r *probeRig, url string) { r.loseBody(t) },
+			after:   func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 1, true, 1) }},
+		// Undecodable bytes under the copy's key on every tier, the origin
+		// unchanged: the refetch replaces the copy.
+		{name: "corrupt-body", refetches: 1,
+			prepare: func(t *testing.T, r *probeRig, url string) { corruptBody(t, r, url) },
+			after:   func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 1, true, 1) }},
 		{name: "refresh-is-no-request", refresh: true,
 			prepare: func(t *testing.T, r *probeRig, url string) { r.update(t, url) }},
 		// The origin restarted and reports a version below the one already
-		// served, and the copy is lost: its answer is applied and served,
-		// one GET per request (storage keeps its higher version, so the lost
-		// bytes stay lost).
+		// served, and the copy is lost: its answer is applied, served and
+		// stored, so the next request is a hit.
 		{name: "lower-version-lost-body", refetches: 1,
 			prepare: func(t *testing.T, r *probeRig, url string) {
 				r.update(t, url)
@@ -272,7 +279,7 @@ func TestRefetchesCountResidentOriginGets(t *testing.T) {
 				r.origin.restarted.Store(true)
 				r.loseBody(t)
 			},
-			after: func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 1, false, 1) }},
+			after: func(t *testing.T, r *probeRig, url string, got GetResult) { wantVersions(t, r, url, got, 1, true, 1) }},
 		// A replica push lands while the GET is out: the origin's answer is
 		// served and the pushed version kept.
 		{name: "replica-push-during-get", revalidations: 1, refetches: 1,
@@ -323,8 +330,8 @@ func TestRefetchesCountResidentOriginGets(t *testing.T) {
 }
 
 // wantVersions checks that got, served from the origin, is at version
-// served, and that the next Get of url serves version next, a hit if
-// nextHit.
+// served, and that the next Get of url serves version next: a hit with no
+// origin GET if nextHit, else after at most one.
 func wantVersions(t *testing.T, r *probeRig, url string, got GetResult, served int, nextHit bool, next int) {
 	t.Helper()
 	if got.Hit || got.Page.Version != served {
@@ -335,8 +342,41 @@ func wantVersions(t *testing.T, r *probeRig, url string, got GetResult, served i
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hit != nextHit || res.Page.Version != next || r.origin.gets.Load()-gets > 1 {
-		t.Errorf("next Get: hit=%v version %d after %d GETs, want hit=%v version %d after at most 1",
-			res.Hit, res.Page.Version, r.origin.gets.Load()-gets, nextHit, next)
+	maxGets := int32(1)
+	if nextHit {
+		maxGets = 0
+	}
+	if n := r.origin.gets.Load() - gets; res.Hit != nextHit || res.Page.Version != next || n > maxGets {
+		t.Errorf("next Get: hit=%v version %d after %d GETs, want hit=%v version %d after at most %d",
+			res.Hit, res.Page.Version, n, nextHit, next, maxGets)
+	}
+	if err := r.w.StorageManager().CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// corruptBody overwrites every stored copy of url's container, at its
+// key, with bytes no page payload decodes from.
+func corruptBody(t *testing.T, r *probeRig, url string) {
+	t.Helper()
+	sh := r.w.shardOf(url)
+	sh.mu.RLock()
+	id := sh.pages[url].container
+	sh.mu.RUnlock()
+	const garbage = "not a page payload"
+	m, n := r.w.StorageManager(), 0
+	for tier := 0; tier < m.NumTiers(); tier++ {
+		b := m.Backend(storage.Tier(tier))
+		for _, k := range b.Keys() {
+			if k.ID == id {
+				if err := b.PutFrom(k, strings.NewReader(garbage), int64(len(garbage))); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no stored copy to corrupt")
 	}
 }
