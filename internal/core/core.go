@@ -180,11 +180,10 @@ func (b Bytes) String() string {
 // only the order matters for placement.
 type Priority float64
 
-// Common priority levels used as defaults and in tests.
+// The bounds of admission-time priorities.
 const (
-	PriorityMin     Priority = 0
-	PriorityDefault Priority = 0.5
-	PriorityMax     Priority = 1
+	PriorityMin Priority = 0
+	PriorityMax Priority = 1
 )
 
 // Clamp returns p restricted to [lo, hi].

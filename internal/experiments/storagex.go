@@ -141,7 +141,7 @@ func replayPriorityPlacement(log logmine.Log, ids map[string]core.ObjectID,
 		}
 		id := ids[r.URL]
 		aging.Record(id, r.Time)
-		res, err := m.Access(id)
+		res, _, err := m.FetchStream(id) // no payload: no reader to close
 		if err != nil {
 			panic(err)
 		}
@@ -171,7 +171,7 @@ func replayOracle(log logmine.Log, ids map[string]core.ObjectID,
 	}
 	var cost float64
 	for _, r := range log {
-		res, err := m.Access(ids[r.URL])
+		res, _, err := m.FetchStream(ids[r.URL]) // no payload: no reader to close
 		if err != nil {
 			panic(err)
 		}
@@ -285,16 +285,18 @@ func X4CopyControl(seed int64) Table {
 		}
 		rng := newRand(seed)
 		const n = 50
+		batch := make([]storage.Admission, 0, n)
 		for i := 1; i <= n; i++ {
-			if err := m.Admit(core.ObjectID(i), core.Bytes(rng.Intn(8)+1)*core.KB, 1,
-				core.Priority(rng.Float64())); err != nil {
-				panic(err)
-			}
+			batch = append(batch, storage.Admission{ID: core.ObjectID(i), Size: core.Bytes(rng.Intn(8)+1) * core.KB,
+				Version: 1, Priority: core.Priority(rng.Float64())})
+		}
+		if err := m.AdmitAll(batch); err != nil {
+			panic(err)
 		}
 		if updateBeforeDrop {
 			// Half the objects change after the last backup.
 			for i := 1; i <= n/2; i++ {
-				if err := m.Update(core.ObjectID(i), 2); err != nil {
+				if err := m.UpdateBytes(core.ObjectID(i), 2, nil); err != nil {
 					panic(err)
 				}
 			}

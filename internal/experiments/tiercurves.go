@@ -109,7 +109,7 @@ func TierCurves(seed int64, stacks []string) Table {
 			}
 			var cost float64
 			for _, r := range tr.Log {
-				res, err := m.Access(ids[r.URL])
+				res, _, err := m.FetchStream(ids[r.URL]) // no payload: no reader to close
 				if err != nil {
 					panic(err)
 				}

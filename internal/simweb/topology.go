@@ -17,13 +17,11 @@ import (
 // fetches that succeeded — the currency of single-origin-fetch
 // assertions.
 type HTTPOrigin struct {
-	web     *Web
-	faults  *FaultyOrigin
-	handler http.Handler
-	addr    string
-	ln      net.Listener
-	srv     *http.Server
-	done    chan error
+	web    *Web
+	faults *FaultyOrigin
+	addr   string
+	srv    *http.Server
+	done   chan error
 }
 
 // NewHTTPOrigin starts serving web on an ephemeral localhost port. A
@@ -37,12 +35,12 @@ func NewHTTPOrigin(web *Web, faults *FaultConfig) (*HTTPOrigin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simweb: listen: %w", err)
 	}
-	o := &HTTPOrigin{web: web, ln: ln, done: make(chan error, 1)}
+	o := &HTTPOrigin{web: web, done: make(chan error, 1)}
 	if faults != nil {
 		o.faults = NewFaultyOrigin(web, *faults)
 	}
 	inner := web.Handler()
-	o.handler = http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+	handler := http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if o.faults != nil {
 			host := req.Host
 			if i := strings.IndexByte(host, ':'); i >= 0 {
@@ -56,12 +54,12 @@ func NewHTTPOrigin(web *Web, faults *FaultConfig) (*HTTPOrigin, error) {
 		inner.ServeHTTP(rw, req)
 	})
 	o.addr = ln.Addr().String()
-	o.srv = &http.Server{Handler: o.handler}
+	o.srv = &http.Server{Handler: handler}
 	go func() { o.done <- o.srv.Serve(ln) }()
 	return o, nil
 }
 
-// Addr returns the bound host:port (stable across Stop/Restart).
+// Addr returns the bound host:port.
 func (o *HTTPOrigin) Addr() string { return o.addr }
 
 // Web exposes the served simulated web (for FetchCount assertions).
@@ -90,27 +88,6 @@ func (o *HTTPOrigin) Close() error {
 	case <-time.After(2 * time.Second):
 	}
 	return err
-}
-
-// Stop kills the origin — socket released, in-flight connections cut —
-// while remembering the bound address so Restart can bring it back on
-// the same host:port. This is the "origin crashed" half of kill/restart
-// chaos tests; Close is for good.
-func (o *HTTPOrigin) Stop() error { return o.Close() }
-
-// Restart rebinds the address Stop released and serves again with the
-// same web and fault process. Fault state (blackouts, counters) carries
-// over — a crash does not absolve an unreliable origin.
-func (o *HTTPOrigin) Restart() error {
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return fmt.Errorf("simweb: restart: %w", err)
-	}
-	o.ln = ln
-	o.srv = &http.Server{Handler: o.handler}
-	o.done = make(chan error, 1)
-	go func() { o.done <- o.srv.Serve(ln) }()
-	return nil
 }
 
 // ReserveAddrs binds and immediately releases n ephemeral localhost

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -157,7 +158,8 @@ func (s *memStore) Close() error { return nil }
 // openBackends builds one blob store per tier-table row: all in-heap
 // when DataDir is empty, otherwise each persistent tier rooted under
 // DataDir/<tier name> ("disk" and "tertiary" on the default table, so
-// legacy data directories keep their paths).
+// legacy data directories keep their paths). The mmap tier is the same
+// segment log as the others, opened mapped with its own record magic.
 func openBackends(cfg Config, tiers []TierSpec) ([]BlobStore, error) {
 	b := make([]BlobStore, len(tiers))
 	if cfg.DataDir == "" {
@@ -166,16 +168,16 @@ func openBackends(cfg Config, tiers []TierSpec) ([]BlobStore, error) {
 		}
 		return b, nil
 	}
-	closeAll := func() {
-		for _, s := range b {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}
 	segSize := cfg.SegmentSize
 	if segSize <= 0 {
 		segSize = 4 * core.MB
+	}
+	for _, ts := range tiers[:len(tiers)-1] {
+		if ts.Backend != "heap" {
+			if err := sweepLegacy(filepath.Join(cfg.DataDir, ts.Name)); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for t, ts := range tiers {
 		dir := filepath.Join(cfg.DataDir, ts.Name)
@@ -186,18 +188,41 @@ func openBackends(cfg Config, tiers []TierSpec) ([]BlobStore, error) {
 		case "disk":
 			b[t], err = OpenDiskStore(dir, segSize)
 		case "mmap":
-			b[t], err = OpenMmapStore(dir, segSize)
+			b[t], err = openLog(dir, segSize, mmapMagic, true)
 		case "segment":
 			b[t], err = OpenSegmentStore(dir, segSize)
 		default:
 			err = fmt.Errorf("storage: %w: unknown backend %q", core.ErrInvalid, ts.Backend)
 		}
 		if err != nil {
-			closeAll()
+			for _, s := range b[:t] {
+				s.Close()
+			}
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// sweepLegacy removes, unread, every entry of a finite file-backed tier's
+// directory that is not a segment of its log: what an older layout left
+// there (the file-per-blob tree's fan-out directories and temp files, the
+// mmap arena). RecoverFromDisk re-derives those copies from the anchor,
+// whose directory is never swept.
+func sweepLegacy(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("storage: sweep %s: %w", dir, err)
+	}
+	for _, e := range ents {
+		if _, ok := segNumber(e.Name()); ok {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("storage: sweep %s: %w", dir, err)
+		}
+	}
+	return nil
 }
 
 // sortKeys orders keys by (ID, Version, Summary) for deterministic walks.

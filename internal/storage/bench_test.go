@@ -58,7 +58,7 @@ func BenchmarkAccessByTier(b *testing.B) {
 			}
 			for tier := Memory; tier <= Tertiary; tier++ {
 				id := core.ObjectID(tier + 1)
-				if res, err := m.Access(id); err != nil || res.Tier != tier {
+				if res, err := access(m, id); err != nil || res.Tier != tier {
 					b.Fatalf("fixture: object %v served from %v (err %v), want %v", id, res.Tier, err, tier)
 				}
 				b.Run(fmt.Sprintf("backing=%s/size=%s/tier=%s/mode=stream", backing.name, size.label, m.TierName(tier)), func(b *testing.B) {

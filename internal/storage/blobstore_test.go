@@ -104,9 +104,7 @@ func TestDemotionDeletesBytes(t *testing.T) {
 		if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("payload-one")); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SetPriority(1, 0.0001); err != nil {
-			t.Fatal(err)
-		}
+		m.ApplyPriorities(map[core.ObjectID]core.Priority{1: 0.0001})
 		mustInvariants(t, m)
 		// Priority alone doesn't demote while capacity is free; crowd it out.
 		for i := 2; i <= 30; i++ {
@@ -336,17 +334,17 @@ func TestReplaceFailedPutKeepsCopy(t *testing.T) {
 	})
 }
 
-// TestUpdateRequiresBytesForPayloadObjects: the metadata-only Update path
-// must refuse payload objects rather than strand version labels without
-// matching bytes.
+// TestUpdateRequiresBytesForPayloadObjects: UpdateBytes with a nil
+// payload must refuse payload objects rather than strand version labels
+// without matching bytes.
 func TestUpdateRequiresBytesForPayloadObjects(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := payloadFixture(t, s)
 		if err := m.AdmitBytes(1, 40, 1, 0.9, []byte("content")); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Update(1, 2); !errors.Is(err, core.ErrInvalid) {
-			t.Fatalf("Update on payload object err = %v, want ErrInvalid", err)
+		if err := m.UpdateBytes(1, 2, nil); !errors.Is(err, core.ErrInvalid) {
+			t.Fatalf("UpdateBytes(nil) on payload object err = %v, want ErrInvalid", err)
 		}
 		if err := m.UpdateBytes(1, 2, []byte("new content")); err != nil {
 			t.Fatal(err)
@@ -360,8 +358,7 @@ func TestUpdateRequiresBytesForPayloadObjects(t *testing.T) {
 
 // TestDiskStoreReopen: the disk store is a log — a reopened store sees
 // exactly the records synced before, truncates a torn tail and keeps
-// appending after it, and sweeps what the file-per-blob layout left (a
-// fan-out directory, a crashed writer's temp file).
+// appending after it.
 func TestDiskStoreReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir, 0)
@@ -385,8 +382,7 @@ func TestDiskStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	// A crashed writer tore the log's tail; the old layout left a temp
-	// file and a fan-out directory behind.
+	// A crashed writer tore the log's tail.
 	seg, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -394,15 +390,6 @@ func TestDiskStoreReopen(t *testing.T) {
 	synced, _ := seg.Seek(0, io.SeekEnd)
 	seg.Write([]byte{segMagic, recKindPut, 0, 1, 2, 3})
 	seg.Close()
-	if err := os.WriteFile(filepath.Join(dir, ".blob-crashed"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "2c"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "2c", "300-v7"), []byte("blob-2"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	r, err := OpenDiskStore(dir, 0)
 	if err != nil {
@@ -430,9 +417,81 @@ func TestDiskStoreReopen(t *testing.T) {
 	if got, err := readBlob(r, more); err != nil || string(got) != "after the tear" {
 		t.Fatalf("append after truncation = %q, %v", got, err)
 	}
-	for _, stale := range []string{".blob-crashed", "2c"} {
-		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
-			t.Fatalf("%s not swept on open", stale)
+}
+
+// TestOpenSweepsLegacyLayout: opening a manager removes, unread, every
+// entry of a finite file-backed tier's directory that is not one of its
+// log's segments — what older layouts left there (the file-per-blob
+// tree's fan-out directory and temp file, the mmap arena, a stray name
+// that only looks like a segment) — and RecoverFromDisk re-derives those
+// tiers' copies. The anchor's directory is never swept.
+func TestOpenSweepsLegacyLayout(t *testing.T) {
+	cfg := Config{Tiers: ClassicTiers(1*core.KB, 4*core.KB), DataDir: t.TempDir()}.WithMmapTier(2 * core.KB)
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	body := func(id int) []byte { return bytes.Repeat([]byte{byte('a' + id)}, 300+id) }
+	for id := 1; id <= n; id++ {
+		if err := m.AdmitBytes(core.ObjectID(id), 400, 1, core.Priority(id), body(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.SaveManifest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plant := func(tier, name string) string {
+		t.Helper()
+		p := filepath.Join(cfg.DataDir, tier, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("foreign"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	swept := []string{
+		filepath.Dir(plant("disk", filepath.Join("2c", "300-v7"))),
+		plant("disk", ".blob-crashed"),
+		plant("mmap", "arena-000000.dat"),
+		plant("mmap", ".arena-crashed"),
+		plant("mmap", "seg-000001.seg.tmp"),
+	}
+	kept := plant("tertiary", "notes.txt")
+
+	m, err = NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, p := range swept {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s not swept at open (%v)", p, err)
+		}
+	}
+	if _, err := os.Stat(kept); err != nil {
+		t.Errorf("foreign file in the anchor's directory removed: %v", err)
+	}
+	if got, rep, err := m.RecoverFromDisk(); err != nil || got != n || rep.Lost != 0 {
+		t.Fatalf("recovered %d objects (lost %d), %v; want %d", got, rep.Lost, err, n)
+	}
+	mustInvariants(t, m)
+	for id := 1; id <= n; id++ {
+		if _, data, err := fetch(m, core.ObjectID(id)); err != nil || !bytes.Equal(data, body(id)) {
+			t.Fatalf("object %d = %d bytes, %v", id, len(data), err)
+		}
+	}
+	for _, tier := range []string{"mmap", "disk"} {
+		if segs, _ := filepath.Glob(filepath.Join(cfg.DataDir, tier, "seg-*.seg")); len(segs) == 0 {
+			t.Errorf("tier %s: no segment after recovery", tier)
 		}
 	}
 }
@@ -561,7 +620,7 @@ func TestManifestRoundTripRecoverFromDisk(t *testing.T) {
 		if err := m.AdmitBytes(2, 40, 1, 0.5, []byte("warm object")); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Admit(3, 10, 1, 0.4); err != nil { // metadata-only rides along
+		if err := admitMeta(m, 3, 10, 1, 0.4); err != nil { // metadata-only rides along
 			t.Fatal(err)
 		}
 		m.Backup()

@@ -131,7 +131,7 @@ func TestLayoutFollowsTheAnchor(t *testing.T) {
 			ids := make([]core.ObjectID, n)
 			for i := range ids {
 				ids[i] = core.ObjectID(i + 1)
-				if err := m.Admit(ids[i], 100, 1, core.Priority(n-i)/n); err != nil {
+				if err := admitMeta(m, ids[i], 100, 1, core.Priority(n-i)/n); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -87,9 +87,6 @@ func (m *Manager) newObject(id core.ObjectID, size core.Bytes, version int, prio
 	}
 }
 
-// NumTiers returns the depth of the live tier table.
-func (m *Manager) NumTiers() int { return len(m.tiers) }
-
 // TierName names tier t per the live table ("memory", "mmap", "disk", ...).
 func (m *Manager) TierName(t Tier) string {
 	if t < 0 || t >= m.numTiers() {
@@ -191,20 +188,12 @@ func (m *Manager) latency(t Tier) core.Duration {
 	return m.tiers[t].Latency
 }
 
-// Admit stores a new object with the given size, content version and
-// priority, placing it according to the current population. Admitting an
-// existing ID is an error; use Update for content changes and
-// ApplyPriorities for reprioritization. Objects admitted this way carry no
-// payload bytes — only placement metadata moves; use AdmitBytes for real
-// content.
-func (m *Manager) Admit(id core.ObjectID, size core.Bytes, version int, prio core.Priority) error {
-	return m.admit(false, Admission{ID: id, Size: size, Version: version, Priority: prio})
-}
-
-// AdmitBytes admits an object together with its content. The manager owns
-// the slice afterwards.
+// AdmitBytes admits an object together with its content, placing it
+// according to the current population. The manager owns the slice
+// afterwards. Admitting an existing ID is an error; use UpdateBytes for
+// content changes and ApplyPriorities for reprioritization.
 func (m *Manager) AdmitBytes(id core.ObjectID, size core.Bytes, version int, prio core.Priority, payload []byte) error {
-	return m.admit(true, Admission{ID: id, Size: size, Version: version, Priority: prio, Payload: payload})
+	return m.AdmitAll([]Admission{{ID: id, Size: size, Version: version, Priority: prio, Payload: payload}})
 }
 
 // Admission is one entry of a bulk admission.
@@ -214,7 +203,9 @@ type Admission struct {
 	Version  int
 	Priority core.Priority
 	// Payload, when non-nil, admits the entry with content (AdmitBytes
-	// semantics); nil admits metadata only.
+	// semantics); nil admits metadata only: the object is tracked and
+	// placed like any other but owns no blobs (a page component, or an
+	// experiment's population studied without payload I/O).
 	Payload []byte
 }
 
@@ -227,7 +218,7 @@ func (m *Manager) AdmitAll(batch []Admission) error {
 	defer m.mu.Unlock()
 	var touched rankSpan
 	for _, a := range batch {
-		if err := m.admitLocked(a, a.Payload != nil, &touched); err != nil {
+		if err := m.admitLocked(a, &touched); err != nil {
 			if touched.any {
 				m.stale.add(touched.lo)
 			}
@@ -238,22 +229,11 @@ func (m *Manager) AdmitAll(batch []Admission) error {
 	return nil
 }
 
-func (m *Manager) admit(hasPayload bool, a Admission) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var touched rankSpan
-	if err := m.admitLocked(a, hasPayload, &touched); err != nil {
-		return err
-	}
-	m.placeLocked(touched)
-	return nil
-}
-
 // admitLocked lands one object in the anchor tier — the unbounded level,
 // so admission never refuses data — and at its rank in the order, which it
 // adds to touched; the caller's placement pass then copies it upward as
 // far as its priority earns. Requires m.mu.
-func (m *Manager) admitLocked(a Admission, hasPayload bool, touched *rankSpan) error {
+func (m *Manager) admitLocked(a Admission, touched *rankSpan) error {
 	if a.Size <= 0 {
 		return fmt.Errorf("storage: admit %v: %w: size %v", a.ID, core.ErrInvalid, a.Size)
 	}
@@ -265,8 +245,8 @@ func (m *Manager) admitLocked(a Admission, hasPayload bool, touched *rankSpan) e
 		v = 1
 	}
 	anchor := m.last()
-	o := m.newObject(a.ID, a.Size, v, a.Priority, hasPayload)
-	if hasPayload {
+	o := m.newObject(a.ID, a.Size, v, a.Priority, a.Payload != nil)
+	if o.hasPayload {
 		if err := putBlob(m.backends[anchor], BlobKey{ID: a.ID, Version: v}, a.Payload); err != nil {
 			return fmt.Errorf("storage: admit %v: %w", a.ID, err)
 		}
@@ -299,7 +279,7 @@ func (m *Manager) Remove(id core.ObjectID) error {
 // counts afresh. Every present copy and the anchor are rewritten in place;
 // a write that fails leaves the copy it would have replaced standing.
 func (m *Manager) Replace(id core.ObjectID, version int, payload []byte) error {
-	return m.update(id, version, payload, true, true)
+	return m.update(id, version, payload, true)
 }
 
 // removeLocked deletes o from every tier, bytes included. Requires m.mu.
@@ -329,15 +309,6 @@ func (m *Manager) dropCopyLocked(o *object, t Tier) {
 	if t == Memory {
 		m.noteMemLocked(o.id)
 	}
-}
-
-// Access serves the object, preferring the fastest tier with a full copy,
-// and reports the cost. Accessing an unknown ID fails.
-func (m *Manager) Access(id core.ObjectID) (AccessResult, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, _, err := m.accessLocked(id)
-	return res, err
 }
 
 // relocateRetries bounds how often a read chases a blob that a concurrent
@@ -378,11 +349,11 @@ func (m *Manager) openCopy(id core.ObjectID, tier Tier, ver int) (BlobReader, Ti
 	return br, tier, ver, err
 }
 
-// FetchStream serves the object like Access — identical placement and
-// usage accounting — and returns a streaming reader over the payload, so
+// FetchStream serves the object from the fastest tier with a full copy,
+// reports the cost, and returns a streaming reader over the payload, so
 // the caller can move the bytes to a socket or another tier without a
 // body-sized heap buffer. The caller must Close the reader. Objects
-// admitted without payload return a nil reader.
+// admitted without payload return a nil reader; an unknown ID fails.
 func (m *Manager) FetchStream(id core.ObjectID) (AccessResult, BlobReader, error) {
 	m.mu.Lock()
 	res, o, err := m.accessLocked(id)
@@ -421,7 +392,7 @@ func (m *Manager) PeekStream(id core.ObjectID) (BlobReader, int, error) {
 	return br, ver, nil
 }
 
-// accessLocked is the shared body of Access and FetchStream. Requires m.mu.
+// accessLocked is the accounting half of FetchStream. Requires m.mu.
 func (m *Manager) accessLocked(id core.ObjectID) (AccessResult, *object, error) {
 	o, ok := m.objects[id]
 	if !ok {
@@ -473,17 +444,6 @@ func (m *Manager) Contains(id core.ObjectID) (Tier, bool) {
 	return 0, false
 }
 
-// SetPriority is ApplyPriorities for one object that must exist.
-func (m *Manager) SetPriority(id core.ObjectID, prio core.Priority) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.objects[id]; !ok {
-		return fmt.Errorf("storage: set priority %v: %w", id, core.ErrNotFound)
-	}
-	m.reprioritizeLocked(map[core.ObjectID]core.Priority{id: prio})
-	return nil
-}
-
 // ApplyPriorities updates priorities (ids absent from the map keep their
 // current priority; unknown ids are skipped) and re-places from the
 // highest rank an object left or arrived at — the whole population when
@@ -513,33 +473,28 @@ func (m *Manager) reprioritizeLocked(prios map[core.ObjectID]core.Priority) {
 	m.placeLocked(touched)
 }
 
-// Update records a new content version: the fast copies are rewritten in
-// place; the anchor copy goes stale until the next Backup. An object
-// resident only in the anchor is updated there directly. Payload-carrying
-// objects must use UpdateBytes so the rewritten copies have the bytes
-// their new version label claims.
-func (m *Manager) Update(id core.ObjectID, newVersion int) error {
-	return m.update(id, newVersion, nil, false, false)
-}
-
-// UpdateBytes records a new content version together with its bytes,
-// rewriting the fast copies in place per the copy-control rule. The
-// manager owns the slice afterwards.
+// UpdateBytes records a new content version together with its bytes: the
+// fast copies are rewritten in place per the copy-control rule, and the
+// anchor copy goes stale until the next Backup; an object resident only in
+// the anchor is updated there directly. The manager owns the slice
+// afterwards. An object admitted without payload takes a nil payload; a
+// payload-carrying one refuses it, rather than strand a version label
+// without matching bytes.
 func (m *Manager) UpdateBytes(id core.ObjectID, newVersion int, payload []byte) error {
-	return m.update(id, newVersion, payload, true, false)
+	return m.update(id, newVersion, payload, false)
 }
 
-// update is the body of Update, UpdateBytes and Replace; repair skips the
-// version check and rewrites the anchor as well as the fast copies.
-func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, withBytes, repair bool) error {
+// update is the body of UpdateBytes and Replace; repair skips the version
+// check and rewrites the anchor as well as the fast copies.
+func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, repair bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o, ok := m.objects[id]
 	if !ok {
 		return fmt.Errorf("storage: update %v: %w", id, core.ErrNotFound)
 	}
-	if o.hasPayload && !withBytes {
-		return fmt.Errorf("storage: update %v: %w: payload object requires UpdateBytes", id, core.ErrInvalid)
+	if o.hasPayload && payload == nil {
+		return fmt.Errorf("storage: update %v: %w: payload object requires its bytes", id, core.ErrInvalid)
 	}
 	if newVersion <= o.version && !repair {
 		return fmt.Errorf("storage: update %v: %w: version %d <= current %d", id, core.ErrInvalid, newVersion, o.version)

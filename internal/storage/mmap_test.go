@@ -13,11 +13,13 @@ import (
 	"cbfww/internal/core"
 )
 
-func openMmap(t *testing.T, dir string, segSize core.Bytes) *MmapStore {
+// openMmap opens the mmap tier's log: a segment log with its own record
+// magic, served through mappings.
+func openMmap(t *testing.T, dir string, segSize core.Bytes) *SegmentStore {
 	t.Helper()
-	s, err := OpenMmapStore(dir, segSize)
+	s, err := openLog(dir, segSize, mmapMagic, true)
 	if err != nil {
-		t.Fatalf("OpenMmapStore: %v", err)
+		t.Fatalf("open mapped log: %v", err)
 	}
 	return s
 }

@@ -232,8 +232,8 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 			track(a)
 		case 2:
 			a := fresh(false)
-			name, placed = fmt.Sprintf("Admit(%v size=%v prio=%v)", a.ID, a.Size, a.Priority), true
-			op = func(m *Manager) error { return m.Admit(a.ID, a.Size, a.Version, a.Priority) }
+			name, placed = fmt.Sprintf("AdmitAll(%v size=%v prio=%v, no payload)", a.ID, a.Size, a.Priority), true
+			op = func(m *Manager) error { return admitMeta(m, a.ID, a.Size, a.Version, a.Priority) }
 			track(a)
 		case 3:
 			batch := []Admission{fresh(true), fresh(false), fresh(true)}
@@ -279,7 +279,7 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 				if hasPayload[id] {
 					return m.UpdateBytes(id, v, append([]byte(nil), data...))
 				}
-				return m.Update(id, v)
+				return m.UpdateBytes(id, v, nil)
 			}
 		case 6:
 			// The sweep: reprice a random half of the population.
@@ -293,8 +293,8 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 			op = func(m *Manager) error { m.ApplyPriorities(prios); return nil }
 		case 7, 8:
 			id, p := pick(), prio()
-			name, placed = fmt.Sprintf("SetPriority(%v, %v)", id, p), true
-			op = func(m *Manager) error { return m.SetPriority(id, p) }
+			name, placed = fmt.Sprintf("ApplyPriorities(%v: %v)", id, p), true
+			op = func(m *Manager) error { m.ApplyPriorities(map[core.ObjectID]core.Priority{id: p}); return nil }
 		case 9:
 			targets := map[string]core.Bytes{
 				"memory": core.Bytes(100 + rng.Intn(200)),
@@ -308,7 +308,7 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 		case 11:
 			id := pick()
 			name = fmt.Sprintf("Access(%v)", id)
-			op = func(m *Manager) error { _, err := m.Access(id); return err }
+			op = func(m *Manager) error { _, err := access(m, id); return err }
 		}
 		name = fmt.Sprintf("step %d %s", step, name)
 		if err := op(inc); err != nil {
@@ -437,7 +437,7 @@ func TestAdmissionVisitsOnlyWhatItDisplaces(t *testing.T) {
 				before := m.Stats().PlacementVisits
 				const admissions = 200
 				for i := 0; i < admissions; i++ {
-					if err := m.Admit(core.ObjectID(n+i+1), 8*core.KB, 1, regime.prio(i)); err != nil {
+					if err := admitMeta(m, core.ObjectID(n+i+1), 8*core.KB, 1, regime.prio(i)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -37,7 +37,7 @@ func TestRecordFrameBytes(t *testing.T) {
 	}
 
 	mmDir := t.TempDir()
-	mm, err := OpenMmapStore(mmDir, core.MB)
+	mm, err := openLog(mmDir, core.MB, mmapMagic, true)
 	if err != nil {
 		t.Fatal(err)
 	}

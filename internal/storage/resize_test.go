@@ -46,7 +46,7 @@ func TestResizeShrinkSpillsDown(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := resizeTestManager(t, s)
 		for id := core.ObjectID(1); id <= 2; id++ {
-			if err := m.Admit(id, 40, 1, 0.9); err != nil {
+			if err := admitMeta(m, id, 40, 1, 0.9); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +100,7 @@ func TestMovedBytesAccounting(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := resizeTestManager(t, s)
 		for id := core.ObjectID(1); id <= 2; id++ {
-			if err := m.Admit(id, 40, 1, 0.9); err != nil {
+			if err := admitMeta(m, id, 40, 1, 0.9); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,16 +9,19 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 
 	"cbfww/internal/core"
 )
 
-// SegmentStore is the append-only BlobStore backing the tertiary tier: a
-// linear medium in the paper's sense, written front to back (and the log
-// under DiskStore, MmapStore and internal/blob). Blobs are appended as
-// self-describing records (see recordLog, magic 0xC5) to numbered segment
+// SegmentStore is the append-only BlobStore backing every file-backed
+// tier: the tertiary tier's linear medium in the paper's sense, written
+// front to back, the disk tier's bounded log (under DiskStore), the mmap
+// tier's mapped log, and the log under internal/blob. Blobs are appended
+// as self-describing records (see recordLog, magic 0xC5) to numbered segment
 // files (seg-000000.seg, ...), created by the first append and rotated
 // before an append that would take a non-empty segment past the
 // configured size — a record larger than that gets a segment of its own;
@@ -50,7 +53,7 @@ type SegmentStore struct {
 	// or its replayed length). An append that would pass it rotates first.
 	activeCap int64
 	// mapped: every segment handle also carries a read-only mapping of
-	// activeCap bytes or more (MmapStore's read path).
+	// activeCap bytes or more, and Open serves windows into it.
 	mapped bool
 }
 
@@ -148,9 +151,17 @@ func (s *SegmentStore) retireLocked(segs []int) error {
 	return first
 }
 
-const segMagic = 0xC5
+// The record magics of an unmapped log and of the mmap tier's mapped one.
+const segMagic, mmapMagic = 0xC5, 0xCB
 
 func segName(n int) string { return fmt.Sprintf("seg-%06d.seg", n) }
+
+// segNumber parses a segment file name: ok only for a name segName makes,
+// so a temp or copy beside a segment (seg-000001.seg.tmp) is none.
+func segNumber(name string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".seg"))
+	return n, err == nil && segName(n) == name
+}
 
 func (s *SegmentStore) segPath(n int) string { return filepath.Join(s.dir, segName(n)) }
 
@@ -182,8 +193,7 @@ func openLog(dir string, maxSize core.Bytes, magic byte, mapped bool) (*SegmentS
 		return nil, fmt.Errorf("storage: open segment store: %w", err)
 	}
 	for _, e := range ents {
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), "seg-%06d.seg", &n); err == nil {
+		if n, ok := segNumber(e.Name()); ok {
 			s.segs = append(s.segs, n)
 		}
 	}
@@ -343,16 +353,15 @@ func (s *SegmentStore) Delete(k BlobKey) error {
 	return nil
 }
 
-// Open verifies the record's frame and payload CRC, then returns a pread
-// window over the payload. Verification streams through a pooled chunk
-// buffer — the body is never materialized — and any mismatch (torn
-// header, truncated payload, bad checksum) surfaces as core.ErrCorrupt
-// rather than a short read at serve time. The reader pins the store's
-// shared segment handle (see pin); the pin keeps the window readable
-// even if Compact retires the segment while the stream is still in
-// flight. Verification itself runs after the lock is dropped — the pin
-// alone keeps the bytes stable, since old segment bytes are never
-// overwritten.
+// Open returns a reader over k's payload, pinning its segment handle (see
+// pin) so the window stays readable, and mapped, even if Compact retires
+// the segment mid-stream. A mapped store checks the frame in O(1) — magic,
+// key, length; CRCs were verified at replay — and hands out a zero-copy
+// window into the mapping. Otherwise Open verifies frame and payload CRC,
+// streaming through a pooled chunk buffer after the lock is dropped (old
+// segment bytes are never overwritten), and returns a pread window a
+// socket sends by sendfile. Any mismatch surfaces as core.ErrCorrupt, never
+// as a short read at serve time.
 func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
 	loc, sf, ok := s.pin(k)
 	if !ok {
@@ -361,6 +370,13 @@ func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
 	fail := func(what string) error {
 		s.releaseSegFile(sf)
 		return fmt.Errorf("storage: segment open %v: %s: %w", k, what, core.ErrCorrupt)
+	}
+	release := func() error { return s.releaseSegFile(sf) }
+	if sf.data != nil {
+		if !s.frames(sf.data[loc.off-recHeaderLen:loc.off], k, loc.n) {
+			return nil, fail("frame mismatch")
+		}
+		return &mmapReader{memReader: memReader{data: sf.data[loc.off : loc.off+int64(loc.n)]}, release: release}, nil
 	}
 	f := sf.f
 	var hdr [recHeaderLen]byte
@@ -388,7 +404,7 @@ func (s *SegmentStore) Open(k BlobKey) (BlobReader, error) {
 	return &sectionReader{
 		sr:      io.NewSectionReader(f, loc.off, int64(loc.n)),
 		size:    int64(loc.n),
-		release: func() error { return s.releaseSegFile(sf) },
+		release: release,
 	}, nil
 }
 

@@ -26,6 +26,43 @@ func regularFiles(t testing.TB, dir string) int {
 	return n
 }
 
+// TestSegmentNamesReplayExactly: replay takes exactly the names segName
+// makes — a segment numbered past six digits is replayed, and a file that
+// only begins like a segment's name is not one.
+func TestSegmentNamesReplayExactly(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(999_999)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSegmentStore(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []BlobKey{{ID: 1, Version: 1}, {ID: 2, Version: 1}}
+	for _, k := range keys { // 64-byte segments: the second rotates to 1,000,000
+		if err := putBlob(s, k, streamPayload(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(1_000_000))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(999_999)+".tmp"), []byte("not a segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenSegmentStore(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != len(keys) || len(r.segs) != 2 {
+		t.Fatalf("replayed %d keys from segments %v, want %d keys from 2", r.Len(), r.segs, len(keys))
+	}
+}
+
 // TestSegmentStoreEmptyHasNoFile: opening an empty directory creates no
 // segment; the first append does, and a compaction that finds nothing
 // live leaves no file behind.
@@ -141,8 +178,8 @@ func TestDiskStoreFlippedByteIsCorrupt(t *testing.T) {
 }
 
 // FuzzSegmentReplay feeds arbitrary bytes as a segment file to
-// OpenSegmentStore and to OpenMmapStore, whose reads are windows into a
-// mapping. Replay must not panic or read past the file, and every key it
+// a segment log opened unmapped and mapped (the mmap tier's), whose reads
+// are windows into a mapping. Replay must not panic or read past the file, and every key it
 // indexes either opens to the payload its record's CRC covers or fails
 // with ErrCorrupt; a mapped window is drained to its end without a fault.
 func FuzzSegmentReplay(f *testing.F) {
@@ -173,11 +210,8 @@ func FuzzSegmentReplay(f *testing.F) {
 			var store BlobStore
 			var err error
 			if mapped {
-				var mm *MmapStore
-				mm, err = OpenMmapStore(dir, 0)
-				if err == nil {
-					s, store = mm.SegmentStore, mm
-				}
+				s, err = openLog(dir, 0, mmapMagic, true)
+				store = s
 			} else {
 				s, err = OpenSegmentStore(dir, 0)
 				store = s
@@ -230,7 +264,7 @@ func checkReplay(t *testing.T, data []byte, s *SegmentStore, store BlobStore) {
 // dropped one was.
 func TestDroppedRecordStaysDropped(t *testing.T) {
 	opens := map[string]func(dir string) (BlobStore, error){
-		"mmap":    func(dir string) (BlobStore, error) { return OpenMmapStore(dir, 0) },
+		"mmap":    func(dir string) (BlobStore, error) { return openLog(dir, 0, mmapMagic, true) },
 		"disk":    func(dir string) (BlobStore, error) { return OpenDiskStore(dir, 0) },
 		"segment": func(dir string) (BlobStore, error) { return OpenSegmentStore(dir, 0) },
 	}

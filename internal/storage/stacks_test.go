@@ -56,3 +56,15 @@ func fetch(m *Manager, id core.ObjectID) (AccessResult, []byte, error) {
 	data, err := io.ReadAll(br)
 	return res, data, err
 }
+
+// admitMeta admits one object without payload: tracked and placed like
+// any other, owning no blobs.
+func admitMeta(m *Manager, id core.ObjectID, size core.Bytes, version int, prio core.Priority) error {
+	return m.AdmitAll([]Admission{{ID: id, Size: size, Version: version, Priority: prio}})
+}
+
+// access is FetchStream's accounting alone, for objects without payload.
+func access(m *Manager, id core.ObjectID) (AccessResult, error) {
+	res, _, err := fetch(m, id)
+	return res, err
+}

@@ -51,13 +51,13 @@ func TestAdmitPlacesByPriority(t *testing.T) {
 		m := newTestManager(t, s)
 		// Memory holds 100 bytes: two 40-byte high-priority objects fit, the
 		// third (low priority) does not.
-		if err := m.Admit(1, 40, 1, 0.9); err != nil {
+		if err := admitMeta(m, 1, 40, 1, 0.9); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Admit(2, 40, 1, 0.8); err != nil {
+		if err := admitMeta(m, 2, 40, 1, 0.8); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Admit(3, 40, 1, 0.1); err != nil {
+		if err := admitMeta(m, 3, 40, 1, 0.1); err != nil {
 			t.Fatal(err)
 		}
 		for id, want := range map[core.ObjectID]Tier{1: Memory, 2: Memory, 3: Disk} {
@@ -70,11 +70,11 @@ func TestAdmitPlacesByPriority(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Access costs follow tiers.
-		r1, err := m.Access(1)
+		r1, err := access(m, 1)
 		if err != nil || r1.Tier != Memory || r1.Latency != 0 {
 			t.Errorf("Access(1) = %+v, %v", r1, err)
 		}
-		r3, err := m.Access(3)
+		r3, err := access(m, 3)
 		if err != nil || r3.Tier != Disk || r3.Latency != 10 {
 			t.Errorf("Access(3) = %+v, %v", r3, err)
 		}
@@ -88,23 +88,20 @@ func TestAdmitPlacesByPriority(t *testing.T) {
 func TestAdmitErrors(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		if err := m.Admit(1, 0, 1, 0.5); !errors.Is(err, core.ErrInvalid) {
+		if err := admitMeta(m, 1, 0, 1, 0.5); !errors.Is(err, core.ErrInvalid) {
 			t.Errorf("zero size err = %v", err)
 		}
-		if err := m.Admit(1, 10, 1, 0.5); err != nil {
+		if err := admitMeta(m, 1, 10, 1, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Admit(1, 10, 1, 0.5); !errors.Is(err, core.ErrExists) {
+		if err := admitMeta(m, 1, 10, 1, 0.5); !errors.Is(err, core.ErrExists) {
 			t.Errorf("dup err = %v", err)
 		}
-		if _, err := m.Access(99); !errors.Is(err, core.ErrNotFound) {
+		if _, err := access(m, 99); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("missing access err = %v", err)
 		}
 		if err := m.Remove(99); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("missing remove err = %v", err)
-		}
-		if err := m.SetPriority(99, 1); !errors.Is(err, core.ErrNotFound) {
-			t.Errorf("missing set-priority err = %v", err)
 		}
 	})
 }
@@ -112,7 +109,7 @@ func TestAdmitErrors(t *testing.T) {
 func TestMemoryResidentHasDiskCopy(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		if err := m.Admit(1, 50, 1, 1.0); err != nil {
+		if err := admitMeta(m, 1, 50, 1, 1.0); err != nil {
 			t.Fatal(err)
 		}
 		mem := m.ResidentIDs(Memory)
@@ -131,10 +128,10 @@ func TestLevelsOfDetailSummary(t *testing.T) {
 		m := newTestManager(t, s)
 		// 60-byte object with SummaryThreshold 0.5*100 = 50: a large document,
 		// so memory holds a 6-byte summary while disk holds the body.
-		if err := m.Admit(1, 60, 1, 1.0); err != nil {
+		if err := admitMeta(m, 1, 60, 1, 1.0); err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Access(1)
+		res, err := access(m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,16 +153,14 @@ func TestLevelsOfDetailSummary(t *testing.T) {
 func TestPriorityChangeMigrates(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		m.Admit(1, 40, 1, 0.9)
-		m.Admit(2, 40, 1, 0.8)
-		m.Admit(3, 40, 1, 0.1)
+		admitMeta(m, 1, 40, 1, 0.9)
+		admitMeta(m, 2, 40, 1, 0.8)
+		admitMeta(m, 3, 40, 1, 0.1)
 		if tier, _ := m.Contains(3); tier != Disk {
 			t.Fatalf("precondition: 3 at %v", tier)
 		}
 		// Promote 3 above 2: they swap places.
-		if err := m.SetPriority(3, 0.85); err != nil {
-			t.Fatal(err)
-		}
+		m.ApplyPriorities(map[core.ObjectID]core.Priority{3: 0.85})
 		if tier, _ := m.Contains(3); tier != Memory {
 			t.Errorf("3 at %v after promotion", tier)
 		}
@@ -193,25 +188,25 @@ func TestPriorityChangeMigrates(t *testing.T) {
 func TestUpdateAndBackupVersioning(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		m.Admit(1, 40, 1, 0.9) // memory + disk + tertiary
-		if err := m.Update(1, 2); err != nil {
+		admitMeta(m, 1, 40, 1, 0.9) // memory + disk + tertiary
+		if err := m.UpdateBytes(1, 2, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Fast copies current, tertiary stale.
-		res, _ := m.Access(1)
+		res, _ := access(m, 1)
 		if res.Stale {
 			t.Error("memory copy stale after update")
 		}
-		if err := m.Update(1, 1); !errors.Is(err, core.ErrInvalid) {
+		if err := m.UpdateBytes(1, 1, nil); !errors.Is(err, core.ErrInvalid) {
 			t.Errorf("regressing version err = %v", err)
 		}
-		if err := m.Update(99, 5); !errors.Is(err, core.ErrNotFound) {
+		if err := m.UpdateBytes(99, 5, nil); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("unknown update err = %v", err)
 		}
 		// Drop fast tiers: only the stale tertiary copy remains.
 		m.DropTier(Memory)
 		m.DropTier(Disk)
-		res2, err := m.Access(1)
+		res2, err := access(m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +215,7 @@ func TestUpdateAndBackupVersioning(t *testing.T) {
 		}
 		// Backup refreshes tertiary.
 		m.Backup()
-		res3, _ := m.Access(1)
+		res3, _ := access(m, 1)
 		if res3.Stale {
 			t.Error("tertiary still stale after backup")
 		}
@@ -238,14 +233,14 @@ func TestUpdateTertiaryOnlyObject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2.Admit(1, 50, 1, 0.5) // fits nowhere fast: tertiary only
+		admitMeta(m2, 1, 50, 1, 0.5) // fits nowhere fast: tertiary only
 		if tier, _ := m2.Contains(1); tier != Tertiary {
 			t.Fatalf("at %v", tier)
 		}
-		if err := m2.Update(1, 2); err != nil {
+		if err := m2.UpdateBytes(1, 2, nil); err != nil {
 			t.Fatal(err)
 		}
-		res, _ := m2.Access(1)
+		res, _ := access(m2, 1)
 		if res.Stale {
 			t.Error("direct tertiary update left stale copy")
 		}
@@ -256,8 +251,8 @@ func TestUpdateTertiaryOnlyObject(t *testing.T) {
 func TestDropMemoryRecoverFromDisk(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		m.Admit(1, 40, 1, 0.9)
-		m.Admit(2, 40, 1, 0.8)
+		admitMeta(m, 1, 40, 1, 0.9)
+		admitMeta(m, 2, 40, 1, 0.8)
 		if err := m.DropTier(Memory); err != nil {
 			t.Fatal(err)
 		}
@@ -283,8 +278,8 @@ func TestDropMemoryRecoverFromDisk(t *testing.T) {
 func TestDropDiskRecoverStale(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		m.Admit(1, 40, 1, 0.9)
-		m.Update(1, 3) // tertiary copy stays at v1
+		admitMeta(m, 1, 40, 1, 0.9)
+		m.UpdateBytes(1, 3, nil) // tertiary copy stays at v1
 		// Lose both fast tiers: only the stale tertiary backup survives.
 		m.DropTier(Memory)
 		m.DropTier(Disk)
@@ -295,7 +290,7 @@ func TestDropDiskRecoverStale(t *testing.T) {
 		if rep.Lost != 0 {
 			t.Errorf("lost = %d", rep.Lost)
 		}
-		res, err := m.Access(1)
+		res, err := access(m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +306,7 @@ func TestDropDiskRecoverStale(t *testing.T) {
 func TestDropAllTiersLosesObject(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		m.Admit(1, 40, 1, 0.9)
+		admitMeta(m, 1, 40, 1, 0.9)
 		m.DropTier(Memory)
 		m.DropTier(Disk)
 		m.DropTier(Tertiary)
@@ -340,7 +335,7 @@ func TestDropTierValidation(t *testing.T) {
 func TestRemoveFreesSpace(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		m := newTestManager(t, s)
-		m.Admit(1, 40, 1, 0.9)
+		admitMeta(m, 1, 40, 1, 0.9)
 		usedT := m.Used(Tertiary)
 		if err := m.Remove(1); err != nil {
 			t.Fatal(err)
@@ -422,14 +417,14 @@ func TestStorageInvariantsProperty(t *testing.T) {
 			id := core.ObjectID(o.id%10 + 1)
 			switch o.kind % 6 {
 			case 0:
-				if err := m.Admit(id, core.Bytes(o.val%30+1), 1, core.Priority(o.val)/255); err == nil {
+				if err := admitMeta(m, id, core.Bytes(o.val%30+1), 1, core.Priority(o.val)/255); err == nil {
 					version[id] = 1
 				}
 			case 1:
-				m.SetPriority(id, core.Priority(o.val)/255)
+				m.ApplyPriorities(map[core.ObjectID]core.Priority{id: core.Priority(o.val) / 255})
 			case 2:
 				if v, ok := version[id]; ok {
-					if err := m.Update(id, v+1); err == nil {
+					if err := m.UpdateBytes(id, v+1, nil); err == nil {
 						version[id] = v + 1
 					}
 				}
@@ -445,7 +440,7 @@ func TestStorageInvariantsProperty(t *testing.T) {
 				}
 				_ = rep
 			case 5:
-				m.Access(id)
+				access(m, id)
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Logf("invariant violated: %v", err)

@@ -77,9 +77,28 @@ func (r *memReader) WriteTo(w io.Writer) (int64, error) {
 func (r *memReader) Len() int64   { return int64(len(r.data)) }
 func (r *memReader) Close() error { return nil }
 
-// sectionReader is the disk and tertiary tiers' BlobReader (both are
-// segment logs): a pread window over
-// the store's shared, refcounted segment file handle (see segFile). Open
+// mmapReader is a mapped segment log's BlobReader (the mmap tier's): the
+// heap tier's cursor, over the payload window in a segment mapping — one
+// Write, zero copies, flat cost from 64B to 4MB. Close releases the pin on
+// the segment; a window must not be used after Close (the mapping may be
+// gone).
+type mmapReader struct {
+	memReader
+	release func() error
+}
+
+func (r *mmapReader) Close() error {
+	rel := r.release
+	r.release = nil
+	if rel == nil {
+		return nil
+	}
+	return rel()
+}
+
+// sectionReader is an unmapped segment log's BlobReader (the disk and
+// tertiary tiers'): a pread window over the store's shared, refcounted
+// segment file handle (see segFile). Open
 // pins the segment; Close releases the pin, and the last release of a
 // segment Compact has retired performs the deferred close. WriteTo to an
 // io.ReaderFrom (a socket, via net/http) hands it the unread window on a

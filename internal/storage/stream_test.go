@@ -23,9 +23,9 @@ func streamBackends(t *testing.T) map[string]BlobStore {
 	if err != nil {
 		t.Fatalf("OpenSegmentStore: %v", err)
 	}
-	mm, err := OpenMmapStore(filepath.Join(t.TempDir(), "mmap"), 1*core.MB)
+	mm, err := openLog(filepath.Join(t.TempDir(), "mmap"), 1*core.MB, mmapMagic, true)
 	if err != nil {
-		t.Fatalf("OpenMmapStore: %v", err)
+		t.Fatalf("open mapped log: %v", err)
 	}
 	t.Cleanup(func() { disk.Close(); seg.Close(); mm.Close() })
 	return map[string]BlobStore{"mem": newMemStore(), "disk": disk, "segment": seg, "mmap": mm}

@@ -23,8 +23,7 @@
 // Each tier is backed by a BlobStore that holds the actual payload bytes:
 // an in-heap map or an append-only segment log — read through a mapping
 // under the mmap tier, bounded by the tier's capacity under the disk tier,
-// unbounded under the anchor (see backend.go, segment.go, mmapstore.go,
-// diskstore.go). Placement moves real bytes between the backends; the
+// unbounded under the anchor (see backend.go, segment.go, diskstore.go). Placement moves real bytes between the backends; the
 // metadata in copyState is an index over them, not a simulation.
 package storage
 
@@ -44,7 +43,7 @@ type Tier int
 // (ClassicTiers). Smaller is faster. Only Memory holds on every table; a
 // table may have more or fewer levels (e.g. an mmap-backed warm tier
 // between memory and disk), so code that must work against any stack asks
-// the manager (NumTiers, TierName) instead of using Disk and Tertiary.
+// the manager (Tiers, TierName) instead of using Disk and Tertiary.
 const (
 	Memory Tier = iota
 	Disk
@@ -62,10 +61,10 @@ type TierSpec struct {
 	// Name identifies the tier in ResizeTiers targets, /stats sections
 	// and scenario metrics (e.g. "memory", "mmap", "disk", "tertiary").
 	Name string
-	// Backend picks the blob store when Config.DataDir is set: "heap",
-	// "mmap" (a segment log read through mappings, the NVM-shaped tier), "disk" (a segment log
-	// the tier's capacity bounds) or "segment" (append-only log). With no DataDir every tier
-	// is heap-backed regardless.
+	// Backend picks the blob store when Config.DataDir is set: "heap", or
+	// the segment log read as "mmap" (CRCs checked at replay, windows into
+	// a mapping: the NVM-shaped tier), "disk" or "segment" (CRC verified at
+	// open, then sendfile). With no DataDir every tier is heap-backed.
 	Backend string
 	// Capacity is the placement target. 0 means unbounded, required on
 	// (exactly) the last tier.
@@ -201,11 +200,11 @@ type object struct {
 	version  int // current (latest known) content version
 	priority core.Priority
 	copies   []copyState // one entry per tier-table row
-	// hasPayload marks objects admitted with real bytes (AdmitBytes):
-	// placement moves their content between the tier backends. Objects
-	// admitted metadata-only (Admit) are tracked and placed identically
-	// but own no blobs — the experiments and benchmark harnesses use them
-	// to study placement without paying for payload I/O.
+	// hasPayload marks objects admitted with real bytes (AdmitBytes, or an
+	// Admission with a Payload): placement moves their content between
+	// the tier backends. Objects admitted without (a page's components,
+	// the experiments' populations) are tracked and placed identically
+	// but own no blobs.
 	hasPayload bool
 	// tertiaryPos is the object's position on the linear anchor medium
 	// (§4.4 locality of reference); meaningful only while an anchor copy

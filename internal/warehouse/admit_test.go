@@ -24,7 +24,7 @@ func TestFailedAdmissionLeavesNoRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	anchor := storage.Tier(w.store.NumTiers() - 1)
+	anchor := storage.Tier(len(w.store.Tiers()) - 1)
 	if err := os.RemoveAll(filepath.Join(dir, "store", w.store.TierName(anchor))); err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,7 @@ func TestHotIndexEventEquivalence(t *testing.T) {
 				op = "migrate"
 				url := admitted[rng.Intn(len(admitted))]
 				if id, ok := containerOf(url); ok {
-					if err := w.store.SetPriority(id, core.Priority(rng.Float64())); err != nil {
-						t.Fatal(err)
-					}
+					w.store.ApplyPriorities(map[core.ObjectID]core.Priority{id: core.Priority(rng.Float64())})
 				}
 			case r < 8:
 				// Bulk migrate: the maintenance-style priority sweep.
@@ -152,7 +150,7 @@ func TestHotIndexEventConcurrentReaders(t *testing.T) {
 						st := sh.pages[url]
 						sh.mu.RUnlock()
 						if st != nil {
-							w.store.SetPriority(st.container, core.Priority(rng.Float64()))
+							w.store.ApplyPriorities(map[core.ObjectID]core.Priority{st.container: core.Priority(rng.Float64())})
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -161,6 +162,29 @@ func TestMaintainClustersTertiaryByRegion(t *testing.T) {
 		}
 		if switches != len(distinct)-1 {
 			t.Errorf("tape layout not region-contiguous: %d switches for %d regions", switches, len(distinct))
+		}
+	})
+}
+
+// TestMaintainReportsLayoutError: a page whose container storage no longer
+// holds (removed behind the warehouse's back) makes Maintain return the
+// tertiary layout's error, wrapping core.ErrNotFound, instead of panicking.
+func TestMaintainReportsLayoutError(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		w, g, _ := fixture(t, s, nil)
+		url := g.PageURLs[0]
+		if _, err := w.Get("u", url); err != nil {
+			t.Fatal(err)
+		}
+		sh := w.shardOf(url)
+		sh.mu.RLock()
+		container := sh.pages[url].container
+		sh.mu.RUnlock()
+		if err := w.StorageManager().Remove(container); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Maintain(); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("Maintain over a removed container: err = %v, want ErrNotFound", err)
 		}
 	})
 }

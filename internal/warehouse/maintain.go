@@ -151,17 +151,18 @@ func (w *Warehouse) Maintain() (MaintainReport, error) {
 	before := w.store.Stats().Migrations
 	w.applyPriorities()
 	w.store.Backup()
-	w.clusterTertiary()
+	err := w.clusterTertiary()
 	rep.Migrations = w.store.Stats().Migrations - before
-	return rep, nil
+	return rep, err
 }
 
 // clusterTertiary lays the tertiary medium out by semantic region (§4.4
 // locality of reference): pages of the same region — the ones an analysis
 // of a past hot spot retrieves together — sit adjacently on tape. Pages
 // are collected shard by shard; admissions racing the sweep just wait for
-// the next sweep to be laid out.
-func (w *Warehouse) clusterTertiary() {
+// the next sweep to be laid out. A page whose container storage no longer
+// holds fails the layout with core.ErrNotFound.
+func (w *Warehouse) clusterTertiary() error {
 	byRegion := make(map[int][]core.ObjectID)
 	regions := make([]int, 0, 8)
 	for _, sh := range w.shards {
@@ -181,11 +182,10 @@ func (w *Warehouse) clusterTertiary() {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		order = append(order, ids...)
 	}
-	// Unknown IDs cannot occur (containers always exist); an error here
-	// would mean internal inconsistency, so surface it loudly in tests.
 	if err := w.store.LayoutTertiary(order); err != nil {
-		panic(err)
+		return fmt.Errorf("warehouse: maintain: %w", err)
 	}
+	return nil
 }
 
 // applyPriorities recomputes every object's priority and re-places

@@ -365,7 +365,7 @@ func corruptBody(t *testing.T, r *probeRig, url string) {
 	sh.mu.RUnlock()
 	const garbage = "not a page payload"
 	m, n := r.w.StorageManager(), 0
-	for tier := 0; tier < m.NumTiers(); tier++ {
+	for tier := range m.Tiers() {
 		b := m.Backend(storage.Tier(tier))
 		for _, k := range b.Keys() {
 			if k.ID == id {
