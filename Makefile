@@ -129,6 +129,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodePageStream -fuzztime $(FUZZTIME) -run '^$$' ./internal/warehouse/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/peers/
 	$(GO) test -fuzz FuzzTermCounts -fuzztime $(FUZZTIME) -run '^$$' ./internal/text/
+	$(GO) test -fuzz FuzzCountsMatchTermCounts -fuzztime $(FUZZTIME) -run '^$$' ./internal/text/
 	$(GO) test -fuzz FuzzParsePage -fuzztime $(FUZZTIME) -run '^$$' ./internal/crawl/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/storage/
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,17 +23,20 @@ import (
 // LayoutTertiary assigns tertiary positions following the given order:
 // listed objects first (in order), then every other tertiary resident in
 // ascending ID order. Objects without a tertiary copy are ignored in the
-// listing but get positions once a Backup lands them. Unknown IDs are an
-// error.
+// listing but get positions once a Backup lands them. Unknown IDs are
+// skipped, so that one object gone does not hold up the others' layout,
+// and each is named in the error returned, which wraps core.ErrNotFound.
 func (m *Manager) LayoutTertiary(order []core.ObjectID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	seen := make(map[core.ObjectID]bool, len(order))
+	var errs []error
 	pos := 0
 	for _, id := range order {
 		o, ok := m.objects[id]
 		if !ok {
-			return fmt.Errorf("storage: layout: %v: %w", id, core.ErrNotFound)
+			errs = append(errs, fmt.Errorf("storage: layout: %v: %w", id, core.ErrNotFound))
+			continue
 		}
 		if seen[id] {
 			return fmt.Errorf("storage: layout: %v listed twice: %w", id, core.ErrInvalid)
@@ -54,7 +58,7 @@ func (m *Manager) LayoutTertiary(order []core.ObjectID) error {
 		m.objects[id].tertiaryPos = pos
 		pos++
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // TertiaryPosition returns the object's position on the tertiary medium;

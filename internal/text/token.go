@@ -112,20 +112,56 @@ var defaultStopWords = map[string]bool{
 // default stop list.
 func IsStopWord(tok string) bool { return defaultStopWords[tok] }
 
-// stemMemo maps a raw token to its canonical term, "" for a dropped one.
-// Readers look a token up in the published map m and take no lock; a miss
-// is added to all under mu, which is republished as m after len(m)/4 more
-// misses (O(1) copying per miss). It keeps at most stemMemoMax tokens of
-// up to stemMemoKeyMax bytes, about 14 MiB; any other token is computed
-// afresh, and once m is full a miss takes no lock.
-type stemMemo struct {
-	m      atomic.Pointer[map[string]string]
-	mu     sync.Mutex
-	all    map[string]string
-	misses int // since m was published
+// memo is a map from string keys to V whose readers take no lock: they
+// read the immutable copy pub. A miss is added to all under mu, and all
+// is republished as pub after 16 + len/4 more misses (O(1) copying per
+// miss), so a key asked for again and again is published even when no new
+// key arrives. A bounded memo (keep) holds at most memoMax keys of up to
+// memoKeyMax bytes, and once it is full a miss takes no lock.
+type memo[V any] struct {
+	pub    atomic.Pointer[map[string]V]
+	mu     sync.RWMutex
+	all    map[string]V
+	misses int // since pub was published
 }
 
-const stemMemoMax, stemMemoKeyMax = 1 << 16, 32
+const memoMax, memoKeyMax = 1 << 16, 32
+
+func (m *memo[V]) get(key []byte) (v V, ok bool) {
+	if p := m.pub.Load(); p != nil {
+		v, ok = (*p)[string(key)]
+	}
+	return v, ok
+}
+
+// add counts a miss on key, whose value is v, with mu held. It stores key
+// while all holds fewer than limit keys; when all fills it publishes at
+// once, so that keep sees a full memo in pub.
+func (m *memo[V]) add(key string, v V, limit int) {
+	if m.all == nil {
+		m.all = make(map[string]V)
+	}
+	if m.misses++; len(m.all) < limit {
+		m.all[key] = v
+	}
+	if p := m.pub.Load(); p == nil || m.misses >= 16+len(*p)/4 || len(m.all) == limit && len(*p) < limit {
+		next := maps.Clone(m.all)
+		m.pub.Store(&next)
+		m.misses = 0
+	}
+}
+
+func (m *memo[V]) keep(key []byte, v V) {
+	if p := m.pub.Load(); len(key) <= memoKeyMax && (p == nil || len(*p) < memoMax) {
+		m.mu.Lock()
+		m.add(string(key), v, memoMax)
+		m.mu.Unlock()
+	}
+}
+
+// stemMemo maps a raw token to its canonical term, "" for a dropped one:
+// about 14 MiB when full.
+type stemMemo struct{ memo[string] }
 
 var stems stemMemo // the process's memo
 
@@ -133,32 +169,14 @@ var stems stemMemo // the process's memo
 // — stop list, Porter stemmer, stop list again — and reports whether a
 // term survives. The memo holds the answers of this pure function.
 func (s *stemMemo) canonical(tok []byte) (string, bool) {
-	m := s.m.Load()
-	if m != nil {
-		if t, ok := (*m)[string(tok)]; ok {
-			return t, t != ""
-		}
+	if t, ok := s.get(tok); ok {
+		return t, t != ""
 	}
 	key, t := string(tok), ""
 	if stem := Stem(key); !IsStopWord(key) && !IsStopWord(stem) {
 		t = stem
 	}
-	if len(key) > stemMemoKeyMax || m != nil && len(*m) == stemMemoMax {
-		return t, t != ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.all == nil {
-		s.all = make(map[string]string)
-	}
-	if s.misses++; len(s.all) < stemMemoMax {
-		s.all[key] = t
-		if m := s.m.Load(); m == nil || s.misses >= 16+len(*m)/4 || len(s.all) == stemMemoMax {
-			next := maps.Clone(s.all)
-			s.m.Store(&next)
-			s.misses = 0
-		}
-	}
+	s.keep(tok, t)
 	return t, t != ""
 }
 

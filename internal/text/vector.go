@@ -2,12 +2,10 @@ package text
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // TermID is a dense integer assigned to a term by a Dictionary. Sparse
@@ -18,21 +16,21 @@ type TermID int32
 // Dictionary maps terms to dense TermIDs and back. It only grows; terms are
 // never removed, matching the warehouse's "store everything" stance. Safe
 // for concurrent use: one dictionary is shared by the corpus and every
-// index segment, and it synchronizes itself. ID and Lookup read the
-// published copy pub of ids and take no lock on a hit; a miss goes to ids
-// under mu, and pub is republished after 16 + len/4 misses, so a term
-// asked for again and again is published even when no new term arrives.
+// index segment, and it synchronizes itself. Its term → ID map is a memo
+// whose all holds every term (mu also guards terms), so ID and Lookup take
+// no lock on a published term.
 type Dictionary struct {
-	pub    atomic.Pointer[map[string]TermID]
-	mu     sync.RWMutex
-	ids    map[string]TermID
-	terms  []string
-	misses int // reads that missed pub since it was published
+	memo[TermID]
+	terms    []string
+	tokens   memo[TermID] // raw token → its term's ID or dropped; bounded, per dictionary as IDs are
+	counters sync.Pool    // Counts' *counter scratch
 }
+
+const dropped TermID = -1 // a token that yields no term
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{ids: make(map[string]TermID)}
+	return &Dictionary{counters: sync.Pool{New: func() any { return new(counter) }}}
 }
 
 // ID returns the TermID for term, assigning a fresh one if unseen.
@@ -55,22 +53,15 @@ func (d *Dictionary) resolve(term string, assign bool) (TermID, bool) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id, ok := d.ids[term]
+	id, ok := d.all[term]
 	if !ok && assign {
 		id, ok = TermID(len(d.terms)), true
-		d.ids[term] = id
 		d.terms = append(d.terms, term)
 	}
-	if !ok {
-		return id, false
+	if ok {
+		d.add(term, id, math.MaxInt)
 	}
-	d.misses++
-	if m := d.pub.Load(); m == nil || d.misses >= 16+len(*m)/4 {
-		next := maps.Clone(d.ids)
-		d.pub.Store(&next)
-		d.misses = 0
-	}
-	return id, true
+	return id, ok
 }
 
 // TermCount is a term, resolved to its TermID, and its count in a document.
@@ -82,13 +73,61 @@ type TermCount struct {
 // Counts returns the term counts of s (TermCounts) resolved to TermIDs,
 // assigning IDs to unseen terms, in ascending TermID order: the form the
 // corpus and the indexes take, so that a page's terms are resolved once.
+// A token costs one token-memo lookup; a miss goes to the stem memo and ID.
 func (d *Dictionary) Counts(s string) []TermCount {
-	counts := TermCounts(s)
-	out := make([]TermCount, 0, len(counts))
-	for term, n := range counts {
-		out = append(out, TermCount{d.ID(term), n})
+	c := d.counters.Get().(*counter)
+	defer d.counters.Put(c)
+	scanTokens(s, func(tok []byte) {
+		id, ok := d.tokens.get(tok)
+		if !ok {
+			id = dropped
+			if t, ok := stems.canonical(tok); ok {
+				id = d.ID(t)
+			}
+			d.tokens.keep(tok, id)
+		}
+		if id == dropped {
+			return
+		}
+		if int(id) >= len(c.n) {
+			c.n = append(c.n, make([]int32, int(id)+1-len(c.n))...)
+		}
+		if c.n[id]++; c.n[id] == 1 {
+			c.ids = append(c.ids, id)
+		}
+	})
+	return c.flush()
+}
+
+// counter is Counts' scratch: n[id] is id's count and ids lists each ID
+// counted. n grows to the largest ID counted, so a pooled counter holds at
+// most 4 B per term of its dictionary, plus 4 B per distinct term of the
+// largest page it counted.
+type counter struct {
+	n   []int32
+	ids []TermID
+}
+
+// flush returns the counts in ascending ID order and empties c. It walks
+// n when the page's IDs fill a sixteenth of it or more, and sorts them
+// when sparser: a slot walked costs about 1 ns, an ID sorted 10–20 ns.
+func (c *counter) flush() []TermCount {
+	if len(c.n) < 16*len(c.ids) {
+		c.ids = c.ids[:0]
+		for id, n := range c.n {
+			if n > 0 {
+				c.ids = append(c.ids, TermID(id))
+			}
+		}
+	} else {
+		slices.Sort(c.ids)
 	}
-	slices.SortFunc(out, func(a, b TermCount) int { return int(a.ID - b.ID) })
+	out := make([]TermCount, len(c.ids))
+	for i, id := range c.ids {
+		out[i] = TermCount{id, int(c.n[id])}
+		c.n[id] = 0
+	}
+	c.ids = c.ids[:0]
 	return out
 }
 

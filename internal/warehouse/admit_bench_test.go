@@ -136,8 +136,9 @@ func BenchmarkAdmitNew(b *testing.B) {
 // tokenizations, a sort of the population; then 1,400, with a fresh
 // string for each distinct token and its stem until stems were memoised;
 // then 161, with a Builder map per part, a copy per normalization and
-// four allocations per centroid step).
-// Measured: 138; the ceiling sits 20 % above.
+// four allocations per centroid step; then 138, with a string-keyed count
+// map per part).
+// Measured: 132; the ceiling sits 20 % above.
 func TestAdmitNewAllocCeiling(t *testing.T) {
 	w, fresh := admitBench(t, "")
 	for i := 0; i < 64; i++ { // warm the dictionary, the stem memo and the media pool
@@ -151,7 +152,7 @@ func TestAdmitNewAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 166
+	const ceiling = 158
 	t.Logf("allocs per 8 KiB admission: %.0f (ceiling %d)", got, ceiling)
 	if got > ceiling {
 		t.Errorf("one 8 KiB admission allocates %.0f times, ceiling %d", got, ceiling)

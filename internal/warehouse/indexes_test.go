@@ -120,6 +120,62 @@ func TestHotIndexEvictsWithDemotion(t *testing.T) {
 	})
 }
 
+// One container missing from storage does not hold up the tertiary
+// layout: Maintain reports it, and every other page still gets the
+// position its region and container give it.
+func TestMaintainLaysOutPastMissingContainer(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		w, g, clock := fixture(t, s, nil)
+		for _, url := range g.PageURLs {
+			if _, err := w.Get("u", url); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(2)
+		}
+		type page struct {
+			region    int
+			container core.ObjectID
+		}
+		var pages []page
+		for _, sh := range w.shards {
+			sh.mu.RLock()
+			for _, st := range sh.pages {
+				pages = append(pages, page{st.region, st.container})
+			}
+			sh.mu.RUnlock()
+		}
+		sort.Slice(pages, func(i, j int) bool {
+			if pages[i].region != pages[j].region {
+				return pages[i].region < pages[j].region
+			}
+			return pages[i].container < pages[j].container
+		})
+		// The first page in layout order goes, so a layout that stopped at
+		// it would place no page at all.
+		gone := pages[0].container
+		if err := w.StorageManager().Remove(gone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Maintain(); !errors.Is(err, core.ErrNotFound) || !strings.Contains(err.Error(), gone.String()) {
+			t.Fatalf("Maintain over a removed container: err = %v, want ErrNotFound naming %v", err, gone)
+		}
+		next := 0
+		for _, p := range pages[1:] {
+			pos, ok := w.store.TertiaryPosition(p.container)
+			if !ok {
+				continue
+			}
+			if pos != next {
+				t.Fatalf("page %v (region %d) at tertiary position %d, want %d", p.container, p.region, pos, next)
+			}
+			next++
+		}
+		if next < 4 {
+			t.Fatalf("only %d pages on tertiary", next)
+		}
+	})
+}
+
 // After maintenance, pages of the same semantic region occupy adjacent
 // tertiary positions (§4.4 locality of reference).
 func TestMaintainClustersTertiaryByRegion(t *testing.T) {

@@ -161,7 +161,8 @@ func (w *Warehouse) Maintain() (MaintainReport, error) {
 // of a past hot spot retrieves together — sit adjacently on tape. Pages
 // are collected shard by shard; admissions racing the sweep just wait for
 // the next sweep to be laid out. A page whose container storage no longer
-// holds fails the layout with core.ErrNotFound.
+// holds is left out of the layout, which Maintain reports with
+// core.ErrNotFound.
 func (w *Warehouse) clusterTertiary() error {
 	byRegion := make(map[int][]core.ObjectID)
 	regions := make([]int, 0, 8)
