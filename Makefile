@@ -62,11 +62,14 @@ bench-admit:
 	$(GO) test -bench 'Rehydrate' -benchmem -benchtime=3x -cpu 1,2 -run '^$$' ./internal/warehouse/
 
 # Non-test Go lines per package under internal/ and cmd/, and their total:
-# the yardstick for "less code".
+# the yardstick for "less code". Then the daemon's closure: the non-test
+# lines of every non-standard package cmd/cbfww-serve builds from.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+	@$(GO) list -deps -f '{{if not .Standard}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/cbfww-serve | \
+		xargs cat | wc -l | awk '{ printf "%6d cmd/cbfww-serve closure\n", $$1 }'
 
 # Paper tables via the CLI (same experiments, readable output).
 tables:

@@ -110,10 +110,6 @@ func BenchmarkA2RegionThreshold(b *testing.B) { run(b, experiments.A2RegionThres
 // (E-A3).
 func BenchmarkA3AdmissionDecay(b *testing.B) { run(b, experiments.A3AdmissionDecay) }
 
-// BenchmarkB1BlobDedup regenerates the content-addressed dedup
-// measurement.
-func BenchmarkB1BlobDedup(b *testing.B) { run(b, experiments.B1BlobDedup) }
-
 // BenchmarkL1TertiaryLocality regenerates the §4.4 locality-of-reference
 // experiment.
 func BenchmarkL1TertiaryLocality(b *testing.B) { run(b, experiments.L1TertiaryLocality) }
@@ -312,6 +308,11 @@ func BenchmarkVectorCosinePopulated(b *testing.B) {
 	snapB, okB := w.Versions().Latest(g.PageURLs[1])
 	if !okA || !okB {
 		b.Fatal("no content")
+	}
+	snapA, errA := w.Versions().Materialize(g.PageURLs[0], snapA)
+	snapB, errB := w.Versions().Materialize(g.PageURLs[1], snapB)
+	if errA != nil || errB != nil {
+		b.Fatal(errA, errB)
 	}
 	va := w.Corpus().Vectorize(snapA.Title + "\n" + snapA.Body)
 	vb := w.Corpus().Vectorize(snapB.Title + "\n" + snapB.Body)

@@ -57,7 +57,6 @@ func catalog(tierStacks []string) []experiment {
 		{"a1", "ablation: §5.3 title weight ω", experiments.A1OmegaTitleWeight},
 		{"a2", "ablation: region similarity threshold", experiments.A2RegionThreshold},
 		{"a3", "ablation: admission-estimate decay", experiments.A3AdmissionDecay},
-		{"b1", "blob store: content-addressed dedup", experiments.B1BlobDedup},
 		{"l1", "§4.4: tertiary locality of reference", experiments.L1TertiaryLocality},
 		{"tc", "access cost vs tier capacity (-tiers selects stacks)", func(seed int64) experiments.Table {
 			return experiments.TierCurves(seed, tierStacks)

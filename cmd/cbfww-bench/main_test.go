@@ -32,7 +32,7 @@ func TestCatalogIDsUnique(t *testing.T) {
 // The cheap experiments must produce non-empty tables through the catalog
 // wiring (the expensive ones are covered by internal/experiments tests).
 func TestCatalogCheapExperimentsRun(t *testing.T) {
-	cheap := map[string]bool{"t1": true, "t2": true, "f2": true, "f6": true, "x4": true, "b1": true}
+	cheap := map[string]bool{"t1": true, "t2": true, "f2": true, "f6": true, "x4": true}
 	for _, e := range catalog(experiments.TierCurveStacks) {
 		if !cheap[e.id] {
 			continue

@@ -70,20 +70,6 @@ func TestA3DecayMonotoneWaste(t *testing.T) {
 	}
 }
 
-func TestB1DedupSaves(t *testing.T) {
-	tb := B1BlobDedup(1)
-	if len(tb.Rows) != 2 {
-		t.Fatalf("%d rows", len(tb.Rows))
-	}
-	rel := parsePct(t, tb.Rows[1][2])
-	if rel >= 95 {
-		t.Errorf("dedup saved almost nothing: %v%% of naive", rel)
-	}
-	if rel <= 5 {
-		t.Errorf("dedup suspiciously total: %v%% of naive", rel)
-	}
-}
-
 func TestL1ClusteringSpeedsAnalysis(t *testing.T) {
 	tb := L1TertiaryLocality(1)
 	if len(tb.Rows) != 3 {

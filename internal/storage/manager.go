@@ -38,6 +38,8 @@ type Manager struct {
 	// on every read.
 	memGen   atomic.Uint64
 	memDirty map[core.ObjectID]struct{}
+	// kept lists, per object, the versions its keeper holds (kept.go).
+	kept map[core.ObjectID][]int
 }
 
 // NewManager returns an empty manager over the tier table cfg.Tiers. With
@@ -66,6 +68,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		backends: backends,
 		used:     make([]core.Bytes, len(tiers)),
 		memDirty: make(map[core.ObjectID]struct{}),
+		kept:     make(map[core.ObjectID][]int),
 	}
 	m.stats.MovedBytes = make([]core.Bytes, len(tiers))
 	m.stats.DemotedBytes = make([]core.Bytes, len(tiers))
@@ -261,8 +264,8 @@ func (m *Manager) admitLocked(a Admission, touched *rankSpan) error {
 }
 
 // Remove deletes the object from all tiers (admission-constraint
-// enforcement path), including its stored bytes. Removing an unknown ID
-// is an error.
+// enforcement path), including its stored bytes and kept versions.
+// Removing an unknown ID is an error.
 func (m *Manager) Remove(id core.ObjectID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -271,6 +274,10 @@ func (m *Manager) Remove(id core.ObjectID) error {
 		return fmt.Errorf("storage: remove %v: %w", id, core.ErrNotFound)
 	}
 	m.removeLocked(o)
+	for _, v := range m.kept[id] {
+		m.backends[m.last()].Delete(BlobKey{ID: id, Version: v})
+	}
+	delete(m.kept, id)
 	return nil
 }
 
@@ -282,7 +289,8 @@ func (m *Manager) Replace(id core.ObjectID, version int, payload []byte) error {
 	return m.update(id, version, payload, true)
 }
 
-// removeLocked deletes o from every tier, bytes included. Requires m.mu.
+// removeLocked deletes o from every tier, bytes included; its kept
+// versions stay. Requires m.mu.
 func (m *Manager) removeLocked(o *object) {
 	m.order.remove(o)
 	for t := Tier(0); t < m.numTiers(); t++ {
@@ -499,6 +507,8 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, repai
 	if newVersion <= o.version && !repair {
 		return fmt.Errorf("storage: update %v: %w: version %d <= current %d", id, core.ErrInvalid, newVersion, o.version)
 	}
+	anchor := m.last()
+	m.backupKeptLocked(o, o.version) // the fast copies are about to be rewritten
 	o.version = newVersion
 	rewrite := func(t Tier) error {
 		c := &o.copies[t]
@@ -512,7 +522,7 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, repai
 				return fmt.Errorf("storage: update %v: %w", id, err)
 			}
 			if c.present && c.key(id) != k {
-				m.backends[t].Delete(c.key(id))
+				m.dropRecordLocked(t, c.key(id))
 			}
 			m.stats.MovedBytes[t] += core.Bytes(len(data))
 		}
@@ -524,7 +534,6 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, repai
 		c.version = newVersion
 		return nil
 	}
-	anchor := m.last()
 	fastCopy := false
 	for t := Tier(0); t < anchor; t++ {
 		if !o.copies[t].present {
@@ -563,40 +572,8 @@ func (m *Manager) Backup() {
 	m.mu.Lock()
 	anchor := m.last()
 	for _, o := range m.objects {
-		ct := &o.copies[anchor]
-		if ct.present && ct.version >= o.version {
-			continue
-		}
-		if o.hasPayload {
-			br, ver, ok := m.openFullLocked(o)
-			if !ok {
-				continue // nothing fresher to copy from
-			}
-			if ct.present && ver <= ct.version {
-				br.Close()
-				continue
-			}
-			if ct.present {
-				m.backends[anchor].Delete(ct.key(o.id))
-			}
-			n := br.Len()
-			err := m.backends[anchor].PutFrom(BlobKey{ID: o.id, Version: ver}, br, n)
-			br.Close()
-			if err != nil {
-				continue // leave the old copy standing; retried next sweep
-			}
-			m.stats.MovedBytes[anchor] += core.Bytes(n)
-			if !ct.present {
-				m.used[anchor] += o.size
-			}
-			*ct = copyState{present: true, version: ver}
-			continue
-		}
-		if !ct.present {
-			*ct = copyState{present: true, version: o.version}
-			m.used[anchor] += o.size
-		} else {
-			ct.version = o.version
+		if ct := o.copies[anchor]; !ct.present || ct.version < o.version {
+			m.backupLocked(o)
 		}
 	}
 	m.stats.Backups++
@@ -606,6 +583,43 @@ func (m *Manager) Backup() {
 			r.reclaim(0.5)
 		}
 	}
+}
+
+// backupLocked is Backup for one object: its anchor copy takes the version
+// of its fastest full copy when that is newer. The old anchor record goes
+// after the new one is written, unless it is kept; a write that fails
+// leaves it standing, retried next sweep. Requires m.mu.
+func (m *Manager) backupLocked(o *object) {
+	anchor := m.last()
+	ct := &o.copies[anchor]
+	if !o.hasPayload {
+		if !ct.present {
+			m.used[anchor] += o.size
+		}
+		*ct = copyState{present: true, version: o.version}
+		return
+	}
+	br, ver, ok := m.openFullLocked(o)
+	if !ok {
+		return // nothing fresher to copy from
+	}
+	if ct.present && ver <= ct.version {
+		br.Close()
+		return
+	}
+	n := br.Len()
+	err := m.backends[anchor].PutFrom(BlobKey{ID: o.id, Version: ver}, br, n)
+	br.Close()
+	if err != nil {
+		return
+	}
+	m.stats.MovedBytes[anchor] += core.Bytes(n)
+	if ct.present {
+		m.dropRecordLocked(anchor, ct.key(o.id))
+	} else {
+		m.used[anchor] += o.size
+	}
+	*ct = copyState{present: true, version: ver}
 }
 
 // Sync flushes every backend to stable storage, the finite tiers first

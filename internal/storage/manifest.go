@@ -223,12 +223,14 @@ func (m *Manager) RecoverFromDisk() (int, RecoveryReport, error) {
 		m.objects[e.id] = o
 	}
 
-	// Sweep orphans: blobs not referenced by any adopted copy (summaries
-	// are always regenerated, stray versions are superseded garbage).
+	// Sweep orphans: blobs not referenced by any adopted copy or kept
+	// version (summaries are always regenerated, other versions are
+	// superseded garbage).
 	for _, t := range persistent {
 		for _, k := range m.backends[t].Keys() {
 			o, ok := m.objects[k.ID]
-			if ok && !k.Summary && o.copies[t].present && o.copies[t].version == k.Version {
+			if !k.Summary && (ok && o.copies[t].present && o.copies[t].version == k.Version ||
+				t == anchor && m.keptLocked(k.ID, k.Version)) {
 				continue
 			}
 			m.backends[t].Delete(k)

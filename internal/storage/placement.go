@@ -115,6 +115,9 @@ func (m *Manager) applyPlacement(o *object, t Tier, want, summaryOnly bool) {
 		moved = o.summarySize(m.cfg.SummaryRatio)
 	}
 	c := &o.copies[t]
+	if c.present && !c.summaryOnly && (!want || summaryOnly) {
+		m.backupKeptLocked(o, c.version) // the full copy at t is about to go
+	}
 	switch {
 	case want && !c.present:
 		ver := o.version

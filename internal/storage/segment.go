@@ -19,9 +19,9 @@ import (
 
 // SegmentStore is the append-only BlobStore backing every file-backed
 // tier: the tertiary tier's linear medium in the paper's sense, written
-// front to back, the disk tier's bounded log (under DiskStore), the mmap
-// tier's mapped log, and the log under internal/blob. Blobs are appended
-// as self-describing records (see recordLog, magic 0xC5) to numbered segment
+// front to back, the disk tier's bounded log (under DiskStore) and the
+// mmap tier's mapped log. Blobs are appended as self-describing records
+// (see recordLog, magic 0xC5) to numbered segment
 // files (seg-000000.seg, ...), created by the first append and rotated
 // before an append that would take a non-empty segment past the
 // configured size — a record larger than that gets a segment of its own;

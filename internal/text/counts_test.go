@@ -483,6 +483,21 @@ func sameIDs(a, b []TermID) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// TestCountsAllocatesOnlyItsResult: with a warm dictionary, Counts of a
+// page without markup allocates the slice it returns and nothing else; the
+// tokenizer's buffer is the pooled counter's.
+func TestCountsAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through sync.Pool are not the program's under -race")
+	}
+	page := strings.Repeat("Kyoto station night bus timetable 2024, Ünïcode words. ", 100)
+	d := NewDictionary()
+	d.Counts(page)
+	if n := testing.AllocsPerRun(100, func() { d.Counts(page) }); n != 1 {
+		t.Errorf("Counts allocates %.0f times per call, want 1", n)
+	}
+}
+
 // BenchmarkCounts measures Counts over 8 KiB pages shaped like the
 // admission benchmark's (Zipf s = 1.1 over 4,096 random words) with a
 // warm dictionary: the content model's share of a first-sight request.

@@ -23,16 +23,20 @@ import (
 // (<...>) are stripped first so raw HTML bodies can be fed directly.
 func Tokenize(s string) []string {
 	tokens := make([]string, 0, len(s)/6)
-	scanTokens(s, func(tok []byte) { tokens = append(tokens, string(tok)) })
+	scanTokens(s, nil, func(tok []byte) { tokens = append(tokens, string(tok)) })
 	return tokens
 }
 
 // scanTokens is the tokenizer: it calls emit with each token of s in
-// order. The slice is scratch space reused for the next token; emit copies
-// what it keeps.
-func scanTokens(s string, emit func(tok []byte)) {
+// order, built in buf, the caller's scratch space, which it returns grown.
+// The slice emit sees is reused for the next token; emit copies what it
+// keeps.
+func scanTokens(s string, buf []byte, emit func(tok []byte)) []byte {
 	s = StripTags(s)
-	buf := make([]byte, 0, 32)
+	if cap(buf) == 0 {
+		buf = make([]byte, 0, 32)
+	}
+	buf = buf[:0]
 	for _, r := range s {
 		switch {
 		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
@@ -58,6 +62,7 @@ func scanTokens(s string, emit func(tok []byte)) {
 	if len(buf) > 0 {
 		emit(buf)
 	}
+	return buf
 }
 
 // StripTags removes <...> runs from s. It is a tokenizer aid, not an HTML
@@ -184,7 +189,7 @@ func (s *stemMemo) canonical(tok []byte) (string, bool) {
 // the canonical preprocessing pipeline used everywhere in CBFWW.
 func Terms(s string) []string {
 	var out []string
-	scanTokens(s, func(tok []byte) {
+	scanTokens(s, nil, func(tok []byte) {
 		if t, ok := stems.canonical(tok); ok {
 			out = append(out, t)
 		}
@@ -197,7 +202,7 @@ func Terms(s string) []string {
 // nothing: the counts are keyed by the memo's own strings.
 func TermCounts(s string) map[string]int {
 	counts := make(map[string]int)
-	scanTokens(s, func(tok []byte) {
+	scanTokens(s, nil, func(tok []byte) {
 		if t, ok := stems.canonical(tok); ok {
 			counts[t]++
 		}

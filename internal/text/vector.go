@@ -77,7 +77,7 @@ type TermCount struct {
 func (d *Dictionary) Counts(s string) []TermCount {
 	c := d.counters.Get().(*counter)
 	defer d.counters.Put(c)
-	scanTokens(s, func(tok []byte) {
+	c.tok = scanTokens(s, c.tok, func(tok []byte) {
 		id, ok := d.tokens.get(tok)
 		if !ok {
 			id = dropped
@@ -99,13 +99,14 @@ func (d *Dictionary) Counts(s string) []TermCount {
 	return c.flush()
 }
 
-// counter is Counts' scratch: n[id] is id's count and ids lists each ID
-// counted. n grows to the largest ID counted, so a pooled counter holds at
-// most 4 B per term of its dictionary, plus 4 B per distinct term of the
-// largest page it counted.
+// counter is Counts' scratch: n[id] is id's count, ids lists each ID
+// counted, and tok is the tokenizer's buffer. n grows to the largest ID
+// counted, so a pooled counter holds at most 4 B per term of its
+// dictionary, plus 4 B per distinct term of the largest page it counted.
 type counter struct {
 	n   []int32
 	ids []TermID
+	tok []byte
 }
 
 // flush returns the counts in ascending ID order and empties c. It walks

@@ -80,8 +80,8 @@ func (s *Store) DiffVersions(url string, fromVersion, toVersion int) (Delta, boo
 	if a == nil || b == nil {
 		return Delta{}, false
 	}
-	ma, errA := s.Materialize(*a)
-	mb, errB := s.Materialize(*b)
+	ma, errA := s.Materialize(url, *a)
+	mb, errB := s.Materialize(url, *b)
 	if errA != nil || errB != nil {
 		return Delta{}, false
 	}

@@ -6,15 +6,14 @@ import (
 	"io"
 	"os"
 
-	"cbfww/internal/blob"
 	"cbfww/internal/core"
 )
 
-// The version store is the warehouse's durable content archive ("previous
-// contents of web pages can be stored"); SaveTo/LoadFrom give it a simple
-// persistent form so a warehouse can survive process restarts with its
-// history intact. The format is a gob stream: a header followed by the
-// histories map.
+// SaveTo/LoadFrom give the version store a simple persistent form so a
+// warehouse can survive process restarts with its history intact ("previous
+// contents of web pages can be stored"). The format is a gob stream: a
+// header followed by the histories map. A store over a body source saves
+// only metadata; the bodies persist with the source.
 
 // persistHeader guards format compatibility.
 type persistHeader struct {
@@ -45,6 +44,9 @@ func (s *Store) SaveTo(w io.Writer) error {
 }
 
 // LoadFrom replaces the store's contents with a previously saved stream.
+// It asks the body source to keep nothing: the owner registers the loaded
+// versions with the source itself (the warehouse's Rehydrate does, before
+// storage recovery sweeps what no one keeps).
 func (s *Store) LoadFrom(r io.Reader) error {
 	dec := gob.NewDecoder(r)
 	var h persistHeader
@@ -62,13 +64,9 @@ func (s *Store) LoadFrom(r io.Reader) error {
 		return fmt.Errorf("version: load histories: %w", err)
 	}
 	var bytes core.Bytes
-	refs := make(map[blob.Ref]int)
 	for _, snaps := range histories {
 		for _, sn := range snaps {
 			bytes += sn.Size
-			if sn.BodyRef != "" {
-				refs[sn.BodyRef]++
-			}
 		}
 	}
 	s.mu.Lock()
@@ -76,13 +74,6 @@ func (s *Store) LoadFrom(r io.Reader) error {
 	s.maxDepth = h.MaxDepth
 	s.histories = histories
 	s.bytes = bytes
-	if s.blobs != nil {
-		// A reopened archive counts each body once; the histories know
-		// how many snapshots share it, and which bodies none references.
-		if err := s.blobs.Retain(refs); err != nil {
-			return fmt.Errorf("version: recount archive: %w", err)
-		}
-	}
 	return nil
 }
 

@@ -2,12 +2,14 @@ package version
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"cbfww/internal/blob"
+	"cbfww/internal/core"
 )
 
 func populated(t *testing.T) *Store {
@@ -88,56 +90,84 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestReloadedArchiveKeepsSharedBodies: two URLs that captured the same
-// body share one archive record. After a save and a reopen, pruning one
-// URL's snapshot must not collect the body the other still references,
-// and a body no saved snapshot references is collected.
-func TestReloadedArchiveKeepsSharedBodies(t *testing.T) {
-	dir := t.TempDir()
-	blobs := filepath.Join(dir, "blobs")
-	path := filepath.Join(dir, "versions.gob")
-	bs, err := blob.Open(blobs)
-	if err != nil {
-		t.Fatal(err)
+// bodySource is a Bodies that holds every body written to it and serves
+// only the versions kept.
+type bodySource struct {
+	bodies map[string]string // "url vN" -> body
+	kept   map[string]bool
+}
+
+func newBodySource() *bodySource {
+	return &bodySource{bodies: map[string]string{}, kept: map[string]bool{}}
+}
+
+func key(url string, v int) string { return fmt.Sprintf("%s v%d", url, v) }
+
+func (b *bodySource) Keep(url string, v int)    { b.kept[key(url, v)] = true }
+func (b *bodySource) Release(url string, v int) { delete(b.kept, key(url, v)) }
+func (b *bodySource) Body(url string, v int) (string, error) {
+	if !b.kept[key(url, v)] {
+		return "", core.ErrNotFound
 	}
-	s := NewStore(1)
-	s.UseBlobs(bs)
-	for _, url := range []string{"http://a/x", "http://b/y"} {
-		if err := s.Capture(url, snap(1, 10, "one shared body")); err != nil {
+	return b.bodies[key(url, v)], nil
+}
+
+// TestBodySourceKeepsWhatTheStoreLists: a store over a body source keeps
+// no body inline, keeps each captured version in the source and releases
+// exactly the versions it prunes, before and after a save and reload; a
+// reloaded store registers nothing itself, and a version the source no
+// longer holds fails to materialize rather than read as empty.
+func TestBodySourceKeepsWhatTheStoreLists(t *testing.T) {
+	src := newBodySource()
+	s := NewStoreOn(1, src)
+	capture := func(s *Store, url string, sn Snapshot) {
+		t.Helper()
+		src.bodies[key(url, sn.Version)] = sn.Body
+		if err := s.Capture(url, sn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	orphan, err := bs.Put([]byte("captured after the save"))
-	if err != nil {
-		t.Fatal(err)
+	capture(s, "http://a/x", snap(1, 10, "first body"))
+	capture(s, "http://b/y", snap(1, 10, "other body"))
+	latest, _ := s.Latest("http://a/x")
+	if latest.Body != "" {
+		t.Errorf("stored snapshot carries body %q", latest.Body)
 	}
+	if got, err := s.Materialize("http://a/x", latest); err != nil || got.Body != "first body" {
+		t.Errorf("Materialize = %q, %v", got.Body, err)
+	}
+	capture(s, "http://a/x", snap(2, 20, "a moved on"))
+	want := map[string]bool{key("http://a/x", 2): true, key("http://b/y", 1): true}
+	if !reflect.DeepEqual(src.kept, want) {
+		t.Errorf("kept after prune = %v, want %v", src.kept, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "versions.gob")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	bs.Close()
-
-	bs2, err := blob.Open(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bs2.Close()
-	s2 := NewStore(1)
-	s2.UseBlobs(bs2)
+	src2 := newBodySource()
+	src2.bodies = src.bodies
+	s2 := NewStoreOn(1, src2)
 	if err := s2.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if n := bs2.RefCount(orphan); n != 0 {
-		t.Errorf("unreferenced body kept with %d refs after load", n)
+	if len(src2.kept) != 0 {
+		t.Errorf("LoadFile kept %v", src2.kept)
 	}
-	if err := s2.Capture("http://a/x", snap(2, 20, "a moved on")); err != nil {
-		t.Fatal(err)
+	latest, _ = s2.Latest("http://b/y")
+	if _, err := s2.Materialize("http://b/y", latest); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("Materialize of an unkept version: %v, want ErrNotFound", err)
 	}
-	latest, _ := s2.Latest("http://b/y")
-	got, err := s2.Materialize(latest)
-	if err != nil {
-		t.Fatalf("Materialize of the other URL after prune: %v", err)
+	src2.Keep("http://a/x", 2)
+	src2.Keep("http://b/y", 1)
+	src = src2
+	capture(s2, "http://a/x", snap(3, 30, "third"))
+	want = map[string]bool{key("http://a/x", 3): true, key("http://b/y", 1): true}
+	if !reflect.DeepEqual(src2.kept, want) {
+		t.Errorf("kept after reload and prune = %v, want %v", src2.kept, want)
 	}
-	if got.Body != "one shared body" {
-		t.Errorf("body = %q", got.Body)
+	if got, err := s2.Materialize("http://b/y", latest); err != nil || got.Body != "other body" {
+		t.Errorf("Materialize of the other URL after prune = %q, %v", got.Body, err)
 	}
 }

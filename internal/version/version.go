@@ -2,9 +2,10 @@
 // extra capacity, previous contents of web pages can be stored. A user can
 // know the data in the past."
 //
-// The store keeps full snapshots per URL ordered by time, supports
-// retrieval as-of a timestamp, and bounds per-object history depth (the
-// "extra capacity" dial).
+// The store keeps snapshots per URL ordered by time, supports retrieval
+// as-of a timestamp, and bounds per-object history depth (the "extra
+// capacity" dial). A store over a body source keeps only each snapshot's
+// metadata; the bodies stay wherever the source keeps them.
 package version
 
 import (
@@ -12,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"cbfww/internal/blob"
 	"cbfww/internal/core"
 )
 
@@ -22,15 +22,23 @@ type Snapshot struct {
 	Version int
 	// Time is when the warehouse captured this content.
 	Time core.Time
-	// Title and Body are the captured content. When the store uses a blob
-	// backend, Body is empty in stored snapshots and BodyRef addresses the
-	// content; Materialize resolves it.
+	// Title and Body are the captured content. A store over a body source
+	// keeps no Body; Materialize reads it back.
 	Title, Body string
-	// BodyRef is the content address of the body in the blob store
-	// (empty when the body is inline).
-	BodyRef blob.Ref
 	// Size is the content's storage footprint.
 	Size core.Bytes
+}
+
+// Bodies is where a store's snapshot bodies live: the warehouse's anchor
+// tier, which holds a record of every version it stored.
+type Bodies interface {
+	// Keep asks the source to keep url's version until Release.
+	Keep(url string, version int)
+	// Release ends the keeping of a version the store pruned.
+	Release(url string, version int)
+	// Body reads a kept version's body back, failing with
+	// core.ErrNotFound when it is no longer stored.
+	Body(url string, version int) (string, error)
 }
 
 // Store keeps version histories per URL. Safe for concurrent use.
@@ -41,34 +49,31 @@ type Store struct {
 	maxDepth  int
 	histories map[string][]Snapshot // ascending by (Time, Version)
 	bytes     core.Bytes
-	// blobs, when set, stores bodies content-addressed on disk: identical
-	// bodies across versions and URLs occupy space once, and pruned
-	// versions release their references for garbage collection.
-	blobs *blob.Store
+	// bodies, when set, holds the bodies of the captured versions; nil
+	// keeps each snapshot's Body inline. Fixed at construction.
+	bodies Bodies
 }
 
 // NewStore returns a store keeping up to maxDepth snapshots per URL
-// (0 = unlimited).
+// (0 = unlimited), bodies inline.
 func NewStore(maxDepth int) *Store {
+	return NewStoreOn(maxDepth, nil)
+}
+
+// NewStoreOn is NewStore over a body source: a captured version is kept in
+// bodies until the store prunes it, and the stored snapshot carries no
+// Body.
+func NewStoreOn(maxDepth int, bodies Bodies) *Store {
 	if maxDepth < 0 {
 		maxDepth = 0
 	}
-	return &Store{maxDepth: maxDepth, histories: make(map[string][]Snapshot)}
-}
-
-// UseBlobs switches the store to blob-backed bodies. Must be called
-// before the first Capture and before LoadFrom, which sets the blob
-// store's reference counts from the loaded histories.
-func (s *Store) UseBlobs(bs *blob.Store) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs = bs
+	return &Store{maxDepth: maxDepth, histories: make(map[string][]Snapshot), bodies: bodies}
 }
 
 // Capture appends a snapshot. Out-of-order captures are sorted in;
 // capturing the same version again replaces the stored copy (idempotent
-// refresh). Oldest snapshots are dropped beyond maxDepth (releasing their
-// blob references when blob-backed).
+// refresh). Oldest snapshots are dropped beyond maxDepth, and released
+// from the body source.
 func (s *Store) Capture(url string, snap Snapshot) error {
 	if url == "" {
 		return fmt.Errorf("version: %w: empty URL", core.ErrInvalid)
@@ -76,24 +81,28 @@ func (s *Store) Capture(url string, snap Snapshot) error {
 	if snap.Version < 1 {
 		return fmt.Errorf("version: %w: version %d", core.ErrInvalid, snap.Version)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.blobs != nil && snap.Body != "" {
-		ref, err := s.blobs.Put([]byte(snap.Body))
-		if err != nil {
-			return fmt.Errorf("version: archive body: %w", err)
-		}
-		snap.BodyRef = ref
+	if s.bodies != nil {
+		s.bodies.Keep(url, snap.Version)
 		snap.Body = ""
 	}
+	s.mu.Lock()
+	dropped := s.captureLocked(url, snap)
+	s.mu.Unlock()
+	for _, v := range dropped {
+		s.bodies.Release(url, v)
+	}
+	return nil
+}
+
+// captureLocked stores snap and returns the versions pruned beyond
+// maxDepth whose bodies a source keeps. Requires s.mu.
+func (s *Store) captureLocked(url string, snap Snapshot) []int {
 	h := s.histories[url]
 	// Replace same-version capture.
 	for i := range h {
 		if h[i].Version == snap.Version {
 			s.bytes += snap.Size - h[i].Size
-			s.releaseLocked(h[i])
 			h[i] = snap
-			s.histories[url] = h
 			return nil
 		}
 	}
@@ -105,44 +114,32 @@ func (s *Store) Capture(url string, snap Snapshot) error {
 		return h[i].Version < h[j].Version
 	})
 	s.bytes += snap.Size
+	var dropped []int
 	if s.maxDepth > 0 && len(h) > s.maxDepth {
 		drop := len(h) - s.maxDepth
 		for _, old := range h[:drop] {
 			s.bytes -= old.Size
-			s.releaseLocked(old)
+			if s.bodies != nil {
+				dropped = append(dropped, old.Version)
+			}
 		}
 		h = append([]Snapshot(nil), h[drop:]...)
 	}
 	s.histories[url] = h
-	return nil
+	return dropped
 }
 
-// releaseLocked drops a pruned snapshot's blob reference, if any.
-func (s *Store) releaseLocked(old Snapshot) {
-	if s.blobs != nil && old.BodyRef != "" {
-		// A release failure only delays garbage collection; the store
-		// stays correct, so the error is deliberately ignored.
-		_ = s.blobs.Release(old.BodyRef)
-	}
-}
-
-// Materialize resolves a snapshot's body from the blob store when it is
-// blob-backed; inline snapshots pass through unchanged.
-func (s *Store) Materialize(snap Snapshot) (Snapshot, error) {
-	if snap.BodyRef == "" || snap.Body != "" {
+// Materialize returns snap with its body: read back from the body source
+// for a snapshot of url that carries none, as it is otherwise.
+func (s *Store) Materialize(url string, snap Snapshot) (Snapshot, error) {
+	if snap.Body != "" || s.bodies == nil {
 		return snap, nil
 	}
-	s.mu.RLock()
-	bs := s.blobs
-	s.mu.RUnlock()
-	if bs == nil {
-		return snap, fmt.Errorf("version: %w: snapshot is blob-backed but store has no blobs", core.ErrInvalid)
-	}
-	body, err := bs.Get(snap.BodyRef)
+	body, err := s.bodies.Body(url, snap.Version)
 	if err != nil {
-		return snap, fmt.Errorf("version: materialize: %w", err)
+		return snap, fmt.Errorf("version: materialize %s v%d: %w", url, snap.Version, err)
 	}
-	snap.Body = string(body)
+	snap.Body = body
 	return snap, nil
 }
 

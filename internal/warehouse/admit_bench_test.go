@@ -67,8 +67,7 @@ func (o *firstSightOrigin) Head(url string) (int, core.Time, error) { return 1, 
 
 // admitBench builds a one-shard warehouse over a firstSightOrigin and
 // returns it with a source of fresh URLs: all in heap when dataDir is
-// empty, otherwise with file-backed tiers and the version archive under
-// dataDir. One shard is the worst case for admission: every miss contends
+// empty, otherwise with file-backed tiers under dataDir. One shard is the worst case for admission: every miss contends
 // for the same lock.
 func admitBench(tb testing.TB, dataDir string) (*Warehouse, func() string) {
 	tb.Helper()

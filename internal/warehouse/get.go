@@ -499,8 +499,7 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 	// Indexes and version history.
 	w.index.IndexCounts(st.physID, rec.terms)
 	if err := w.history.Capture(rec.url, version.Snapshot{
-		Version: p.Version, Time: w.clock.Now(),
-		Title: p.Title, Body: p.Body, Size: p.Size,
+		Version: p.Version, Time: w.clock.Now(), Title: p.Title, Size: p.Size,
 	}); err != nil {
 		return nil, false, err
 	}

@@ -2,9 +2,11 @@ package warehouse
 
 // The warehouse's durable bytes live in segment logs: start-up and
 // admission create no file per page, and a data directory written in the
-// file-per-blob layout still opens.
+// file-per-blob layout, or with a version archive beside the store, still
+// opens.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"cbfww/internal/blob"
 	"cbfww/internal/core"
 	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
@@ -55,8 +56,8 @@ func TestEmptyDataDirStartsWithoutFiles(t *testing.T) {
 
 // TestAdmissionCreatesNoFile: admitting 100 and then 1,000 more 8 KiB
 // pages grows the data directory's file count only by segment rotations
-// — at most one file per 4 MB in each of the three logs (disk tier,
-// tertiary tier, version archive) — never by a file per page.
+// — at most one file per 4 MB in each of the two logs (disk tier,
+// tertiary tier) — never by a file per page.
 func TestAdmissionCreatesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	clock := core.NewSimClock(0)
@@ -80,16 +81,16 @@ func TestAdmissionCreatesNoFile(t *testing.T) {
 			}
 		}
 		files, bytes := dataDirFiles(t, dir)
-		if limit := 3 + int(bytes/int64(4*core.MB)); files > limit {
+		if limit := 2 + int(bytes/int64(4*core.MB)); files > limit {
 			t.Fatalf("after %d admissions: %d files in %d bytes, want at most %d", n, files, bytes, limit)
 		}
 	}
 }
 
-// TestFilePerBlobDataDirMigrates: a data directory whose disk tier and
-// version archive hold one file per blob (the fan-out layout) still
-// opens. Every page is served without the origin, every snapshot
-// materializes, and no fan-out directory is left behind.
+// TestFilePerBlobDataDirMigrates: a data directory whose disk tier holds
+// one file per blob (the fan-out layout) still opens. Every page is
+// served without the origin, every snapshot materializes, and no fan-out
+// directory is left behind.
 func TestFilePerBlobDataDirMigrates(t *testing.T) {
 	dir := t.TempDir()
 	clock := core.NewSimClock(0)
@@ -108,7 +109,7 @@ func TestFilePerBlobDataDirMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite both logs as the file-per-blob layout.
+	// Rewrite the disk tier's log as the file-per-blob layout.
 	writeAt := func(path string, data []byte) {
 		t.Helper()
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -147,22 +148,6 @@ func TestFilePerBlobDataDirMigrates(t *testing.T) {
 	}
 	disk.Close()
 	dropSegments(filepath.Join("store", "disk"))
-	bs, err := blob.Open(filepath.Join(dir, "blobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.Len() == 0 {
-		t.Fatal("archive empty: nothing to migrate")
-	}
-	for _, r := range bs.Refs() {
-		data, err := bs.Get(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeAt(filepath.Join(dir, "blobs", string(r[:2]), string(r[2:])), data)
-	}
-	bs.Close()
-	dropSegments("blobs")
 
 	w2, origin := persistFixture(t, stacks[1], dir, clock, web)
 	origin.down.Store(true)
@@ -178,19 +163,81 @@ func TestFilePerBlobDataDirMigrates(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no snapshot after migration", url)
 		}
-		if got, err := w2.Versions().Materialize(snap); err != nil || got.Body == "" {
+		if got, err := w2.Versions().Materialize(url, snap); err != nil || got.Body == "" {
 			t.Fatalf("%s: Materialize after migration = %q, %v", url, got.Body, err)
 		}
 	}
 	if origin.fetches != 0 {
 		t.Errorf("migrated warehouse contacted the origin %d times", origin.fetches)
 	}
-	for _, sub := range []string{filepath.Join("store", "disk"), "blobs"} {
-		ents, _ := os.ReadDir(filepath.Join(dir, sub))
-		for _, e := range ents {
-			if e.IsDir() {
-				t.Errorf("fan-out directory %s/%s left behind", sub, e.Name())
-			}
+	ents, _ := os.ReadDir(filepath.Join(dir, "store", "disk"))
+	for _, e := range ents {
+		if e.IsDir() {
+			t.Errorf("fan-out directory store/disk/%s left behind", e.Name())
 		}
+	}
+}
+
+// TestParentDataDirOpens: testdata/parent-datadir was written by the
+// build before history moved onto the anchor: page a at v1 and page b
+// updated to v3, with every captured body also in a content-addressed
+// archive (blobs/) and a versions.gob whose snapshots name their bodies
+// there (BodyRef). It still opens: both pages rehydrate and are served
+// with the origin down, and each current version materializes from the
+// anchor. The superseded bodies of b lived only in the archive, which is
+// no longer read: they report not stored.
+func TestParentDataDirOpens(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent-datadir")
+	err := filepath.Walk(src, func(path string, fi os.FileInfo, err error) error {
+		if err != nil || fi.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gob, err := os.ReadFile(filepath.Join(dir, versionsName)); err != nil || !strings.Contains(string(gob), "BodyRef") {
+		t.Fatalf("fixture's versions.gob names no BodyRef (%v)", err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "blobs", "seg-*.seg")); len(segs) == 0 {
+		t.Fatal("fixture holds no blobs/ archive")
+	}
+
+	clock := core.NewSimClock(0)
+	w, origin := persistFixture(t, stacks[1], dir, clock, persistWeb(t, clock))
+	origin.down.Store(true)
+	if n, err := w.Rehydrate(); err != nil || n != 2 {
+		t.Fatalf("rehydrated %d pages, %v; want 2", n, err)
+	}
+	for url, v := range map[string]int{"http://s.example/a": 1, "http://s.example/b": 3} {
+		res, err := w.Get("u", url)
+		if err != nil || !res.Hit || res.Page.Version != v {
+			t.Fatalf("serve %s: hit=%v v%d, %v; want a hit at v%d", url, res.Hit, res.Page.Version, err, v)
+		}
+		snap, ok := w.Versions().Latest(url)
+		if !ok || snap.Version != v {
+			t.Fatalf("%s: latest snapshot %+v, %v", url, snap, ok)
+		}
+		if got, err := w.Versions().Materialize(url, snap); err != nil || got.Body != res.Page.Body {
+			t.Errorf("%s: current version materializes as %q, %v; want the served body", url, got.Body, err)
+		}
+	}
+	for _, sn := range w.Versions().History("http://s.example/b")[:2] {
+		if _, err := w.Versions().Materialize("http://s.example/b", sn); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("superseded v%d: %v, want not stored", sn.Version, err)
+		}
+	}
+	if origin.fetches != 0 {
+		t.Errorf("contacted the origin %d times", origin.fetches)
 	}
 }

@@ -57,7 +57,6 @@ type catalogComponent struct {
 // Checkpoint flushes the warehouse's durable state: a final Backup pass
 // (so every object's tertiary anchor is as fresh as its source copy
 // allows), the storage manifest, fsync of the file backends, the version
-// archive's log (compacted first when half of it is garbage), the version
 // history, and the page catalog. A warehouse without a DataDir has
 // nothing durable and checkpoints as a no-op.
 func (w *Warehouse) Checkpoint() error {
@@ -70,11 +69,6 @@ func (w *Warehouse) Checkpoint() error {
 	}
 	if err := w.store.Sync(); err != nil {
 		return fmt.Errorf("warehouse: checkpoint: %w", err)
-	}
-	if w.archive != nil {
-		if err := w.archive.Sync(); err != nil {
-			return fmt.Errorf("warehouse: checkpoint: %w", err)
-		}
 	}
 	if err := w.history.SaveFile(filepath.Join(w.cfg.DataDir, versionsName)); err != nil {
 		return fmt.Errorf("warehouse: checkpoint: %w", err)
@@ -125,13 +119,14 @@ func (w *Warehouse) saveCatalog() error {
 }
 
 // Rehydrate restores a checkpointed warehouse from its DataDir: version
-// history, then the Storage Manager's crash recovery (adopting whatever
-// bytes survived on disk), then the page catalog — every page whose
-// container payload is still readable gets its hierarchy objects, shard
-// state and full-index entry back and is servable without an origin
-// fetch. Pages whose bytes did not survive are skipped: their first
-// access takes the ordinary miss path. Returns the number of pages
-// restored. Must run before the warehouse starts serving.
+// history and page catalog, whose versions storage is told to keep, then
+// the Storage Manager's crash recovery (adopting whatever bytes survived
+// on disk), then the catalog's pages — every page whose container payload
+// is still readable gets its hierarchy objects, shard state and full-index
+// entry back and is servable without an origin fetch. Pages whose bytes
+// did not survive are skipped: their first access takes the ordinary miss
+// path. Returns the number of pages restored. Must run before the
+// warehouse starts serving.
 func (w *Warehouse) Rehydrate() (int, error) {
 	if w.cfg.DataDir == "" {
 		return 0, nil
@@ -142,21 +137,27 @@ func (w *Warehouse) Rehydrate() (int, error) {
 			return 0, fmt.Errorf("warehouse: rehydrate: %w", err)
 		}
 	}
+	cat, err := loadCatalog(filepath.Join(w.cfg.DataDir, catalogName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("warehouse: rehydrate: %w", err)
+	}
+	if cat != nil {
+		// Recovery sweeps the anchor records no one keeps: the history's
+		// versions are registered first.
+		for _, cp := range cat.Pages {
+			for _, sn := range w.history.History(cp.URL) {
+				w.store.Keep(core.ObjectID(cp.Container), sn.Version)
+			}
+		}
+	}
 	n, _, err := w.store.RecoverFromDisk()
 	if err != nil {
 		return 0, fmt.Errorf("warehouse: rehydrate: %w", err)
 	}
-	if n == 0 {
+	if n == 0 || cat == nil {
+		// No catalog (crash before the first checkpoint): the store
+		// serves as a recovery source, the pages refetch.
 		return 0, nil
-	}
-	cat, err := loadCatalog(filepath.Join(w.cfg.DataDir, catalogName))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// Bytes but no catalog (crash before the first checkpoint):
-			// the store serves as a recovery source, the pages refetch.
-			return 0, nil
-		}
-		return 0, fmt.Errorf("warehouse: rehydrate: %w", err)
 	}
 	return w.restorePages(cat.Pages)
 }

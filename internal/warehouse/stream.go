@@ -2,10 +2,12 @@ package warehouse
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 
 	"cbfww/internal/core"
+	"cbfww/internal/object"
 	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 )
@@ -54,6 +56,11 @@ func (w *Warehouse) peekPage(id core.ObjectID, url string) (simweb.Page, error) 
 	if err != nil {
 		return simweb.Page{}, err
 	}
+	return readPage(url, br)
+}
+
+// readPage decodes the whole page in br, body included, and closes br.
+func readPage(url string, br storage.BlobReader) (simweb.Page, error) {
 	page, bs, err := openPage(url, br)
 	if err != nil {
 		return simweb.Page{}, err
@@ -61,6 +68,36 @@ func (w *Warehouse) peekPage(id core.ObjectID, url string) (simweb.Page, error) 
 	defer bs.Close()
 	page.Body, err = bs.text()
 	return page, err
+}
+
+// historyBodies is the version store's body source: a captured version's
+// body is the anchor's record of that version of the page's container,
+// which storage keeps while the history lists it.
+type historyBodies struct{ w *Warehouse }
+
+func (h historyBodies) Keep(url string, v int) {
+	if o, ok := h.w.objects.ByKey(object.KindRaw, url); ok {
+		h.w.store.Keep(o.ID, v)
+	}
+}
+
+func (h historyBodies) Release(url string, v int) {
+	if o, ok := h.w.objects.ByKey(object.KindRaw, url); ok {
+		h.w.store.Release(o.ID, v)
+	}
+}
+
+func (h historyBodies) Body(url string, v int) (string, error) {
+	o, ok := h.w.objects.ByKey(object.KindRaw, url)
+	if !ok {
+		return "", fmt.Errorf("warehouse: body of %q: %w", url, core.ErrNotFound)
+	}
+	br, err := h.w.store.OpenVersion(o.ID, v)
+	if err != nil {
+		return "", err
+	}
+	page, err := readPage(url, br)
+	return page.Body, err
 }
 
 // text drains the unread body into a string.

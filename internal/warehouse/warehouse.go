@@ -17,14 +17,12 @@ package warehouse
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"cbfww/internal/blob"
 	"cbfww/internal/cluster"
 	"cbfww/internal/constraint"
 	"cbfww/internal/core"
@@ -66,19 +64,15 @@ type Config struct {
 	SessionTimeout core.Duration
 	// Miner bounds logical-document discovery.
 	Miner logmine.MinerConfig
-	// VersionDepth bounds stored versions per URL (0 = unlimited).
+	// VersionDepth bounds stored versions per URL (0 = unlimited). The
+	// anchor tier keeps the body of every version the history lists.
 	VersionDepth int
 	// DataDir, when non-empty, roots the warehouse's durable state: the
-	// storage tiers' file backends live under <DataDir>/store, version
-	// bodies under <DataDir>/blobs (unless BlobDir overrides it), and
+	// storage tiers' file backends live under <DataDir>/store, and
 	// Checkpoint writes the page catalog and version index beside them so
 	// Rehydrate can resurrect admitted pages after a restart. Empty keeps
 	// every tier in the heap — the simulation shape.
 	DataDir string
-	// BlobDir, when non-empty, stores version bodies content-addressed on
-	// disk (internal/blob): shared and repeated content is stored once,
-	// and pruned versions are garbage-collected.
-	BlobDir string
 	// ProfileBlend tunes recommendation profiles.
 	ProfileBlend float64
 	// SensorDecay tunes topic-burst baselines.
@@ -317,9 +311,6 @@ type Warehouse struct {
 	prios   *priority.Manager
 	store   *storage.Manager
 	history *version.Store
-	// archive is history's blob store when bodies are archived on disk
-	// (Config.BlobDir); Checkpoint syncs it, Close closes it.
-	archive *blob.Store
 	social  *recommend.Manager
 
 	// shards stripe the hot per-URL state (page map, counters, hot-index
@@ -384,13 +375,8 @@ func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
 	if clock == nil || web == nil {
 		return nil, fmt.Errorf("warehouse: %w: nil clock or web", core.ErrInvalid)
 	}
-	if cfg.DataDir != "" {
-		if cfg.Storage.DataDir == "" {
-			cfg.Storage.DataDir = filepath.Join(cfg.DataDir, "store")
-		}
-		if cfg.BlobDir == "" {
-			cfg.BlobDir = filepath.Join(cfg.DataDir, "blobs")
-		}
+	if cfg.DataDir != "" && cfg.Storage.DataDir == "" {
+		cfg.Storage.DataDir = filepath.Join(cfg.DataDir, "store")
 	}
 	if cfg.Storage.Summarize == nil {
 		// Levels-of-detail summaries truncate the page body but stay
@@ -433,7 +419,6 @@ func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
 		sensor:           topic.NewSensor(clock, cfg.SensorDecay),
 		prios:            prios,
 		store:            store,
-		history:          version.NewStore(cfg.VersionDepth),
 		social:           recommend.NewManager(cfg.ProfileBlend),
 		shards:           make([]*shard, cfg.Shards),
 		lastPrefetchPoll: core.TimeNever,
@@ -449,14 +434,7 @@ func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
 	if cfg.AgingEpoch > 0 {
 		w.tracker.SetAgingEpoch(cfg.AgingEpoch)
 	}
-	if cfg.BlobDir != "" {
-		bs, err := blob.Open(cfg.BlobDir)
-		if err != nil {
-			return nil, err
-		}
-		w.history.UseBlobs(bs)
-		w.archive = bs
-	}
+	w.history = version.NewStoreOn(cfg.VersionDepth, historyBodies{w})
 	w.builder = object.NewBuilder(w.objects)
 	return w, nil
 }
@@ -501,10 +479,7 @@ func (w *Warehouse) Stats() Stats {
 // not checkpoint: call Checkpoint first for a shutdown that survives a
 // restart.
 func (w *Warehouse) Close() error {
-	if w.archive == nil {
-		return w.store.Close()
-	}
-	return errors.Join(w.store.Close(), w.archive.Close())
+	return w.store.Close()
 }
 
 // Clock exposes the warehouse clock (examples print times).

@@ -395,10 +395,10 @@ func TestVersionHistoryAsOf(t *testing.T) {
 			t.Errorf("AsOf(t1) = %+v, %v", old, ok)
 		}
 		latest, _ := w.Versions().Latest(url)
-		// Materialize resolves the body when the store keeps it in an external
-		// blob (the disk-backed configuration) — a no-op on inline snapshots.
-		if m, err := w.Versions().Materialize(latest); err == nil {
-			latest = m
+		// Materialize reads the body back from the anchor tier.
+		latest, err := w.Versions().Materialize(url, latest)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if latest.Version != 2 || !strings.Contains(latest.Body, "second version") {
 			t.Errorf("Latest = %+v", latest)
