@@ -196,7 +196,7 @@ func repl(w *warehouse.Warehouse, g *workload.GeneratedWeb, clock *core.SimClock
 			}
 		case "recommend":
 			for _, s := range w.Recommend(rest, 5) {
-				fmt.Printf("  %.3f %v\n", s.Score, s.ID)
+				fmt.Printf("  %.3f %v\n", s.Value, s.Doc)
 			}
 		case "next":
 			for _, p := range w.NextHops(rest, 5) {

@@ -102,7 +102,7 @@ func main() {
 	}
 	fmt.Println("\ncontent recommendations for the newcomer:")
 	for _, s := range w.Recommend("newcomer", 3) {
-		fmt.Printf("  score=%.3f %v\n", s.Score, s.ID)
+		fmt.Printf("  score=%.3f %v\n", s.Value, s.Doc)
 	}
 	_ = core.TimeNever
 }

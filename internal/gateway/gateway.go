@@ -394,7 +394,8 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, url string
 }
 
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
+	q := r.URL.Query()
+	url, user := q.Get("url"), q.Get("user")
 	if url == "" {
 		writeError(w, fmt.Errorf("gateway: %w: missing url parameter", core.ErrInvalid))
 		return
@@ -402,8 +403,6 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	if s.routeToOwner(w, r, url) {
 		return
 	}
-	user := r.URL.Query().Get("user")
-
 	var (
 		res    warehouse.GetResult
 		err    error
@@ -475,7 +474,8 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 // responses skip chunked encoding. Once the headers are out a failed
 // transfer can only cut the response short; sendBody counts it.
 func (s *Server) handleBody(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
+	q := r.URL.Query()
+	url := q.Get("url")
 	if url == "" {
 		writeError(w, fmt.Errorf("gateway: %w: missing url parameter", core.ErrInvalid))
 		return
@@ -483,7 +483,7 @@ func (s *Server) handleBody(w http.ResponseWriter, r *http.Request) {
 	if s.routeToOwner(w, r, url) {
 		return
 	}
-	res, bs, err := s.wh.GetBodyCtx(r.Context(), r.URL.Query().Get("user"), url)
+	res, bs, err := s.wh.GetBodyCtx(r.Context(), q.Get("user"), url)
 	if err != nil {
 		var open *resilience.BreakerOpenError
 		if errors.As(err, &open) {
@@ -618,7 +618,8 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // serve counts as a real access — peer demand is demand, and should drive
 // the same usage/priority machinery as a local client's.
 func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
+	q := r.URL.Query()
+	url := q.Get("url")
 	if url == "" {
 		writeError(w, fmt.Errorf("gateway: %w: missing url parameter", core.ErrInvalid))
 		return
@@ -627,7 +628,7 @@ func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(peers.HeaderNode, cl.Self())
 		cl.CountForwarded(r.Header.Get(peers.HeaderFrom))
 	}
-	res, bs, ok := s.wh.GetResidentStream(r.URL.Query().Get("user"), url)
+	res, bs, ok := s.wh.GetResidentStream(q.Get("user"), url)
 	if !ok {
 		writeError(w, fmt.Errorf("gateway: peer fetch %q: %w", url, core.ErrNotFound))
 		return

@@ -202,6 +202,9 @@ func TestReplicateAdmittedPushes(t *testing.T) {
 	if got := peer.got()[0]; got.URL != u || got.Title != "copy" {
 		t.Fatalf("replica received %+v", got)
 	}
+	// The peer records the push before pushOrPark's put returns and
+	// counts it, so the counter may lag the peer's copy by a moment.
+	waitFor(t, "replicated counter", func() bool { return c.Stats().Peers[0].Replicated >= 1 })
 	if st := c.Stats().Peers[0]; st.Replicated != 1 {
 		t.Errorf("replicated counter = %d, want 1", st.Replicated)
 	}

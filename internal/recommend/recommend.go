@@ -25,11 +25,8 @@ import (
 	"cbfww/internal/text"
 )
 
-// Suggestion is one content recommendation.
-type Suggestion struct {
-	ID    core.ObjectID
-	Score float64
-}
+// Suggestion is one content recommendation: an object and its score.
+type Suggestion = text.Score
 
 // PathSuggestion is one navigation recommendation.
 type PathSuggestion struct {
@@ -97,38 +94,41 @@ func (m *Manager) Profile(user string) (text.Vector, bool) {
 	return p.Clone(), true
 }
 
-// Recommend ranks the candidate objects by similarity to the user's
-// profile, excluding already-visited objects, and returns the top n. A
-// user without a profile gets nothing (cold start is the Topic Manager's
-// job).
-func (m *Manager) Recommend(user string, candidates map[core.ObjectID]text.Vector, n int) []Suggestion {
+// Candidate is an object offered for recommendation, with its vector.
+type Candidate struct {
+	ID  core.ObjectID
+	Vec text.Vector
+}
+
+// Recommend ranks the candidates by similarity to the user's profile,
+// excluding already-visited objects, and returns the top n (n < 0: all),
+// score descending, ID ascending on ties. A user without a profile gets
+// nothing (cold start is the Topic Manager's job). The lock is held only to
+// read the profile and drop what the user has seen; the scoring runs with
+// no lock held, so the visits it would stall go on.
+func (m *Manager) Recommend(user string, candidates []Candidate, n int) []Suggestion {
 	m.mu.RLock()
 	profile, ok := m.profiles[user]
 	if !ok {
 		m.mu.RUnlock()
 		return nil
 	}
-	seen := m.visited[user]
-	out := make([]Suggestion, 0, len(candidates))
-	for id, vec := range candidates {
-		if seen[id] {
-			continue
-		}
-		if s := profile.Cosine(vec); s > 0 {
-			out = append(out, Suggestion{ID: id, Score: s})
+	seen, unseen := m.visited[user], make([]int, 0, len(candidates))
+	for i, c := range candidates {
+		if !seen[c.ID] {
+			unseen = append(unseen, i)
 		}
 	}
 	m.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	sc := profile.Scorer()
+	defer sc.Release()
+	out := make([]Suggestion, 0, len(unseen))
+	for _, i := range unseen {
+		if s := sc.Cosine(candidates[i].Vec); s > 0 {
+			out = append(out, Suggestion{Doc: candidates[i].ID, Value: s})
 		}
-		return out[i].ID < out[j].ID
-	})
-	if n >= 0 && n < len(out) {
-		out = out[:n]
 	}
-	return out
+	return text.SelectTop(out, n)
 }
 
 // SetPaths replaces the mined path set used for navigation suggestions.

@@ -39,22 +39,22 @@ func TestRecommendRanksAndExcludesVisited(t *testing.T) {
 	weather := c.VectorizeNew("typhoon rainfall humidity")
 
 	m.ObserveVisit("alice", 1, kyoto)
-	candidates := map[core.ObjectID]text.Vector{
-		1: kyoto, // visited: excluded
-		2: c.Vectorize("kyoto garden visit"),
-		3: cooking,
-		4: weather,
+	candidates := []Candidate{
+		{1, kyoto}, // visited: excluded
+		{2, c.Vectorize("kyoto garden visit")},
+		{3, cooking},
+		{4, weather},
 	}
 	got := m.Recommend("alice", candidates, 10)
 	if len(got) == 0 {
 		t.Fatal("no recommendations")
 	}
 	for _, s := range got {
-		if s.ID == 1 {
+		if s.Doc == 1 {
 			t.Error("visited object recommended")
 		}
 	}
-	if got[0].ID != 2 {
+	if got[0].Doc != 2 {
 		t.Errorf("top suggestion = %v, want the kyoto page", got[0])
 	}
 	// Unknown user: nothing.
@@ -117,7 +117,7 @@ func TestManagerConcurrent(t *testing.T) {
 	c := text.NewCorpus()
 	m := NewManager(0.2)
 	vec := c.VectorizeNew("kyoto station")
-	cands := map[core.ObjectID]text.Vector{7: c.Vectorize("kyoto gardens")}
+	cands := []Candidate{{7, c.Vectorize("kyoto gardens")}}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -23,7 +23,8 @@ type InvertedIndex struct {
 	mu       sync.RWMutex
 	dict     *Dictionary
 	postings map[TermID][]Posting
-	docLen   map[core.ObjectID]int // total term count per doc
+	docLen   map[core.ObjectID]int      // total term count per doc
+	docTerms map[core.ObjectID][]TermID // the terms each doc has a posting under
 }
 
 // NewInvertedIndex returns an empty index sharing the given dictionary; a
@@ -37,6 +38,7 @@ func NewInvertedIndex(dict *Dictionary) *InvertedIndex {
 		dict:     dict,
 		postings: make(map[TermID][]Posting),
 		docLen:   make(map[core.ObjectID]int),
+		docTerms: make(map[core.ObjectID][]TermID),
 	}
 }
 
@@ -55,11 +57,14 @@ func (ix *InvertedIndex) IndexCounts(id core.ObjectID, counts []TermCount) {
 		ix.removeLocked(id)
 	}
 	total := 0
-	for _, tc := range counts {
+	terms := make([]TermID, len(counts))
+	for i, tc := range counts {
 		ix.postings[tc.ID] = append(ix.postings[tc.ID], Posting{Doc: id, TF: tc.N})
 		total += tc.N
+		terms[i] = tc.ID
 	}
 	ix.docLen[id] = total
+	ix.docTerms[id] = terms
 }
 
 // Remove deletes all postings for id. Removing an unknown id is a no-op.
@@ -69,16 +74,19 @@ func (ix *InvertedIndex) Remove(id core.ObjectID) {
 	ix.removeLocked(id)
 }
 
+// removeLocked takes id's one posting out of each of its own terms' lists,
+// in place and in order, and walks no other list.
 func (ix *InvertedIndex) removeLocked(id core.ObjectID) {
 	if _, ok := ix.docLen[id]; !ok {
 		return
 	}
 	delete(ix.docLen, id)
-	for tid, list := range ix.postings {
-		out := list[:0]
-		for _, p := range list {
-			if p.Doc != id {
-				out = append(out, p)
+	for _, tid := range ix.docTerms[id] {
+		out := ix.postings[tid]
+		for i, p := range out {
+			if p.Doc == id {
+				out = append(out[:i], out[i+1:]...)
+				break
 			}
 		}
 		if len(out) == 0 {
@@ -87,6 +95,7 @@ func (ix *InvertedIndex) removeLocked(id core.ObjectID) {
 			ix.postings[tid] = out
 		}
 	}
+	delete(ix.docTerms, id)
 }
 
 // Contains reports whether id is indexed.

@@ -2,7 +2,9 @@ package text
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -143,5 +145,110 @@ func TestIntersectSorted(t *testing.T) {
 	}
 	if got := intersectSorted(nil, b); len(got) != 0 {
 		t.Errorf("intersect with nil = %v", got)
+	}
+}
+
+// fullScanIndex is the InvertedIndex's re-index as it was before documents
+// kept their terms: a removal filters every posting list.
+type fullScanIndex struct {
+	postings map[TermID][]Posting
+	docLen   map[core.ObjectID]int
+}
+
+func (f *fullScanIndex) remove(id core.ObjectID) {
+	if _, ok := f.docLen[id]; !ok {
+		return
+	}
+	delete(f.docLen, id)
+	for tid, list := range f.postings {
+		out := list[:0]
+		for _, p := range list {
+			if p.Doc != id {
+				out = append(out, p)
+			}
+		}
+		if len(out) == 0 {
+			delete(f.postings, tid)
+		} else {
+			f.postings[tid] = out
+		}
+	}
+}
+
+func (f *fullScanIndex) index(id core.ObjectID, counts []TermCount) {
+	f.remove(id)
+	total := 0
+	for _, tc := range counts {
+		f.postings[tc.ID] = append(f.postings[tc.ID], Posting{Doc: id, TF: tc.N})
+		total += tc.N
+	}
+	f.docLen[id] = total
+}
+
+// randomCounts draws up to terms distinct TermIDs below vocab, ID-sorted,
+// with counts of 1 to 5.
+func randomCounts(rng *rand.Rand, vocab, terms int) []TermCount {
+	n := map[TermID]int{}
+	for i := 0; i < terms; i++ {
+		n[TermID(rng.Intn(vocab))] = 1 + rng.Intn(5)
+	}
+	out := make([]TermCount, 0, len(n))
+	for id, c := range n {
+		out = append(out, TermCount{id, c})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// A re-index or removal that filters only the document's own posting
+// lists leaves the postings, in the same order, and the document lengths
+// that filtering every list left, over a seeded mix of new documents,
+// re-indexed ones, removals and removals of unknown IDs.
+func TestReindexRemovesOnlyItsPostings(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ix := NewInvertedIndex(nil)
+	ref := &fullScanIndex{postings: map[TermID][]Posting{}, docLen: map[core.ObjectID]int{}}
+	for step := 0; step < 3000; step++ {
+		id := core.ObjectID(rng.Intn(60))
+		if rng.Intn(4) == 0 {
+			ix.Remove(id)
+			ref.remove(id)
+		} else {
+			counts := randomCounts(rng, 150, rng.Intn(30))
+			ix.IndexCounts(id, counts)
+			ref.index(id, counts)
+		}
+		if step%100 == 0 || step == 2999 {
+			if !reflect.DeepEqual(ix.postings, ref.postings) || !reflect.DeepEqual(ix.docLen, ref.docLen) {
+				t.Fatalf("step %d: postings or document lengths differ from the full scan", step)
+			}
+			if len(ix.docTerms) != len(ix.docLen) {
+				t.Fatalf("step %d: %d documents keep terms, %d are indexed", step, len(ix.docTerms), len(ix.docLen))
+			}
+		}
+	}
+}
+
+// BenchmarkReindex re-indexes one 300-term document in an index of 1 k and
+// of 16 k documents over a 4,100-term vocabulary: the cost stays that of
+// the document's own terms as the index grows.
+func BenchmarkReindex(b *testing.B) {
+	for _, docs := range []int{1000, 16000} {
+		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ix := NewInvertedIndex(nil)
+			for i := 0; i < docs; i++ {
+				ix.IndexCounts(core.ObjectID(i), randomCounts(rng, 4100, 340))
+			}
+			pages := make([][]TermCount, 16)
+			for i := range pages {
+				pages[i] = randomCounts(rng, 4100, 340)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.IndexCounts(core.ObjectID(i%docs), pages[i%len(pages)])
+			}
+		})
 	}
 }

@@ -198,6 +198,7 @@ func indexByStrings(ix *InvertedIndex, id core.ObjectID, counts map[string]int) 
 		tid := ix.dict.ID(term)
 		ix.postings[tid] = append(ix.postings[tid], Posting{Doc: id, TF: n})
 		total += n
+		ix.docTerms[id] = append(ix.docTerms[id], tid)
 	}
 	ix.docLen[id] = total
 }

@@ -395,6 +395,54 @@ func (v Vector) Cosine(u Vector) float64 {
 	return math.Max(-1, math.Min(1, c))
 }
 
+// Scorer is a vector scattered into a pooled TermID-indexed slice, so a
+// cosine against it costs one pass over the other vector's terms, not a
+// merge with its own. Not safe for concurrent use; Release it when done.
+type Scorer struct {
+	v Vector
+	w []float64 // w[id] is v's weight of id; zero up to cap while pooled
+}
+
+var scorers = sync.Pool{New: func() any { return new(Scorer) }}
+
+// Scorer scatters v, in O(|v|), for scoring many vectors against it.
+func (v Vector) Scorer() *Scorer {
+	s, need := scorers.Get().(*Scorer), 0
+	if n := len(v.ids); n > 0 {
+		need = int(v.ids[n-1]) + 1
+	}
+	s.v, s.w = v, slices.Grow(s.w[:0], need)[:need]
+	for i, id := range v.ids {
+		s.w[id] = v.ws[i]
+	}
+	return s
+}
+
+// Cosine is Vector.Cosine(u) bit for bit: the shared terms' products are
+// added in the same TermID order, and a term the vector lacks adds a zero.
+func (s *Scorer) Cosine(u Vector) float64 {
+	if s.v.norm == 0 || u.norm == 0 {
+		return 0
+	}
+	var dot float64
+	for j, id := range u.ids {
+		if int(id) >= len(s.w) {
+			break // past the vector's last term
+		}
+		dot += s.w[id] * u.ws[j]
+	}
+	return math.Max(-1, math.Min(1, dot/(s.v.norm*u.norm)))
+}
+
+// Release clears the scatter, walking only the vector's terms, and pools s.
+func (s *Scorer) Release() {
+	for _, id := range s.v.ids {
+		s.w[id] = 0
+	}
+	s.v = Vector{}
+	scorers.Put(s)
+}
+
 // Distance returns the Euclidean distance between v and u (merge join).
 func (v Vector) Distance(u Vector) float64 {
 	var s float64

@@ -2,6 +2,7 @@ package text
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +322,30 @@ func TestSelectTopMatchesSort(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A Scorer's cosine is Vector.Cosine's bit for bit, with weights of either
+// sign, either side empty, terms on either side past the other's largest,
+// and scatters of every size reused from the pool in turn.
+func TestScorerMatchesCosine(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vec := func() Vector {
+		b, vocab := NewBuilder(), 1+rng.Intn(200)
+		for i := rng.Intn(40); i > 0; i-- {
+			b.Set(TermID(rng.Intn(vocab)), rng.NormFloat64())
+		}
+		return b.Vector()
+	}
+	for round := 0; round < 500; round++ {
+		v := vec()
+		sc := v.Scorer()
+		for k := 0; k < 8; k++ {
+			u := vec()
+			if got, want := sc.Cosine(u), v.Cosine(u); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d: Scorer.Cosine = %v, Vector.Cosine = %v", round, got, want)
+			}
+		}
+		sc.Release()
 	}
 }

@@ -64,17 +64,26 @@ func (w *Warehouse) Search(queryText string, n int) []text.Score {
 }
 
 // Recommend returns content suggestions for the user over everything the
-// warehouse holds. Candidates are collected shard by shard.
+// warehouse holds.
 func (w *Warehouse) Recommend(user string, n int) []recommend.Suggestion {
-	candidates := make(map[core.ObjectID]text.Vector, w.ResidentPages())
+	cands, _ := w.candidates()
+	return w.social.Recommend(user, cands, n)
+}
+
+// candidates gathers every resident page's physical ID and vector, and
+// its URL at the same index, in one sweep over the shards.
+func (w *Warehouse) candidates() ([]recommend.Candidate, []string) {
+	n := w.ResidentPages()
+	cands, urls := make([]recommend.Candidate, 0, n), make([]string, 0, n)
 	for _, sh := range w.shards {
 		sh.mu.RLock()
-		for _, st := range sh.pages {
-			candidates[st.physID] = st.vec
+		for url, st := range sh.pages {
+			cands = append(cands, recommend.Candidate{ID: st.physID, Vec: st.vec})
+			urls = append(urls, url)
 		}
 		sh.mu.RUnlock()
 	}
-	return w.social.Recommend(user, candidates, n)
+	return cands, urls
 }
 
 // RecommendedPage is a content suggestion resolved back to its URL — the
@@ -87,19 +96,16 @@ type RecommendedPage struct {
 // RecommendPages returns content suggestions for the user with object IDs
 // resolved to URLs (the gateway's /recommend payload).
 func (w *Warehouse) RecommendPages(user string, n int) []RecommendedPage {
-	sugg := w.Recommend(user, n)
-	urlOf := make(map[core.ObjectID]string, w.ResidentPages())
-	for _, sh := range w.shards {
-		sh.mu.RLock()
-		for url, st := range sh.pages {
-			urlOf[st.physID] = url
-		}
-		sh.mu.RUnlock()
+	cands, urls := w.candidates()
+	sugg := w.social.Recommend(user, cands, n)
+	rank := make(map[core.ObjectID]int, len(sugg))
+	for i, s := range sugg {
+		rank[s.Doc] = i
 	}
-	out := make([]RecommendedPage, 0, len(sugg))
-	for _, s := range sugg {
-		if url, ok := urlOf[s.ID]; ok {
-			out = append(out, RecommendedPage{URL: url, Score: s.Score})
+	out := make([]RecommendedPage, len(sugg))
+	for i, c := range cands {
+		if k, ok := rank[c.ID]; ok {
+			out[k] = RecommendedPage{URL: urls[i], Score: sugg[k].Value}
 		}
 	}
 	return out
