@@ -92,9 +92,15 @@ matrix-baseline:
 	$(GO) run ./cmd/cbfww-bench -matrix scenarios/smoke.toml -out scenarios/smoke.baseline.json -tables ""
 	$(GO) run ./cmd/cbfww-bench -matrix scenarios/default.toml -out scenarios/default.baseline.json -tables ""
 
-# The warehouse as a network daemon (ctrl-C drains and exits).
+# The warehouse as a network daemon in front of a generated web, both on
+# loopback: cbfww-loadgen serves the web as the origin, cbfww-serve
+# fetches through it (ctrl-C drains the daemon; the origin stops with it).
+# The binaries are built into .serve_build/.
+ORIGIN ?= 127.0.0.1:9000
 serve:
-	$(GO) run ./cmd/cbfww-serve
+	$(GO) build -o .serve_build/ ./cmd/cbfww-loadgen ./cmd/cbfww-serve
+	.serve_build/cbfww-loadgen -sites 8 -pages 25 -serve $(ORIGIN) & trap 'kill $$! 2>/dev/null' EXIT; \
+		.serve_build/cbfww-serve -origin $(ORIGIN)
 
 # Fault-injection drill: the daemon against a flaky / blacked-out origin.
 faults:

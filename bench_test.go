@@ -339,14 +339,9 @@ type slowOrigin struct {
 	delay time.Duration
 }
 
-func (o *slowOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (o *slowOrigin) Fetch(url string) (core.FetchResult, error) {
 	time.Sleep(o.delay)
 	return o.Web.Fetch(url)
-}
-
-func (o *slowOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
-	time.Sleep(o.delay)
-	return o.Web.FetchCtx(ctx, url)
 }
 
 // benchShardedWorld builds a fully warmed warehouse with the given stripe
@@ -360,7 +355,7 @@ func benchShardedWorld(b *testing.B, shards int, delay time.Duration) (*warehous
 	if err != nil {
 		b.Fatal(err)
 	}
-	var origin warehouse.Origin = g.Web
+	var origin core.Origin = g.Web
 	if delay > 0 {
 		origin = &slowOrigin{Web: g.Web, delay: delay}
 	}

@@ -1,8 +1,10 @@
 // Command cbfww-loadgen generates synthetic webs and Kyoto-inet-like
-// access traces to files, for inspection or for feeding external tools:
+// access traces to files, for inspection or for feeding external tools,
+// or serves the generated web over HTTP as an origin for cbfww-serve:
 //
 //	cbfww-loadgen -sites 20 -pages 100 -sessions 5000 -out trace.log
 //	cbfww-loadgen -report            # print the analyzer report instead
+//	cbfww-loadgen -serve 127.0.0.1:9000   # then cbfww-serve -origin 127.0.0.1:9000
 //
 // The trace is written in the extended Common Log Format of
 // internal/logmine (one record per line); -urls additionally dumps the
@@ -13,10 +15,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"cbfww/internal/analyzer"
 	"cbfww/internal/core"
+	"cbfww/internal/simweb"
 	"cbfww/internal/workload"
 )
 
@@ -41,6 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out      = fs.String("out", "-", "trace output file (- = stdout)")
 		urls     = fs.String("urls", "", "also dump page URLs + topics to this file")
 		report   = fs.Bool("report", false, "print analyzer report instead of the raw trace")
+		serve    = fs.String("serve", "", "serve the generated web over HTTP on this host:port until interrupted, instead of writing a trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -52,6 +60,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	g, err := workload.GenerateWeb(clock, wcfg)
 	if err != nil {
 		return fatal(stderr, err)
+	}
+	if *serve != "" {
+		ln, err := net.Listen("tcp", *serve)
+		if err != nil {
+			return fatal(stderr, err)
+		}
+		fmt.Fprintf(stderr, "serving %d pages on http://%s, e.g. %s\n", len(g.PageURLs), ln.Addr(), g.PageURLs[0])
+		stop := make(chan os.Signal, 1)
+		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(stop)
+		if err := serveWeb(ln, g.Web, stop); err != nil {
+			return fatal(stderr, err)
+		}
+		return 0
 	}
 
 	tcfg := workload.DefaultTraceConfig()
@@ -103,6 +125,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "wrote %d records (%d content updates applied)\n", len(tr.Log), tr.Updates)
 	return 0
+}
+
+// serveWeb serves web on ln, every host from one listener, until stop
+// fires.
+func serveWeb(ln net.Listener, web *simweb.Web, stop <-chan os.Signal) error {
+	go http.Serve(ln, web.Handler()) // returns once ln is closed
+	<-stop
+	return ln.Close()
 }
 
 func fatal(stderr io.Writer, err error) int {

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cbfww/internal/core"
 	"cbfww/internal/logmine"
+	"cbfww/internal/workload"
 )
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
@@ -104,5 +110,48 @@ func TestFlagErrors(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "-out", filepath.Join(t.TempDir(), "no", "such", "dir", "t.log")); code != 1 {
 		t.Errorf("unwritable out: code %d", code)
+	}
+}
+
+// -serve puts the generated web on a socket: any page URL answers with
+// its HTML when asked with the page's host, and stop ends the server.
+func TestServeWeb(t *testing.T) {
+	cfg := workload.DefaultWebConfig()
+	cfg.Sites, cfg.PagesPerSite = 2, 3
+	g, err := workload.GenerateWeb(core.NewSimClock(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- serveWeb(ln, g.Web, stop) }()
+
+	u, err := url.Parse(g.PageURLs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodGet, "http://"+ln.Addr().String()+u.Path, nil)
+	req.Host = u.Host
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	p, _ := g.Web.Lookup(g.PageURLs[0])
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), p.Title) {
+		t.Fatalf("GET %s = %d %q, want the page titled %q", g.PageURLs[0], resp.StatusCode, body, p.Title)
+	}
+
+	stop <- os.Interrupt
+	if err := <-done; err != nil {
+		t.Fatalf("serveWeb: %v", err)
+	}
+	if code, _, stderr := runCLI(t, "-sites", "1", "-pages", "1", "-serve", "no-such-host-and-port"); code != 1 {
+		t.Errorf("unusable -serve address: code %d, stderr %s", code, stderr)
 	}
 }

@@ -19,10 +19,8 @@ import (
 	"testing"
 	"time"
 
-	"cbfww/internal/core"
 	"cbfww/internal/peers"
 	"cbfww/internal/simweb"
-	"cbfww/internal/workload"
 )
 
 // clusterFixture is the running topology: one shared origin socket and
@@ -67,24 +65,12 @@ func strongSchema(t *testing.T) string {
 // -join flag does for fixed addresses).
 func startCluster(t *testing.T, n int, co clusterOpts) *clusterFixture {
 	t.Helper()
-	g, err := workload.GenerateWeb(core.NewSimClock(0), func() workload.WebConfig {
-		cfg := workload.DefaultWebConfig()
-		cfg.Sites, cfg.PagesPerSite, cfg.Seed = 4, 10, 42
-		return cfg
-	}())
-	if err != nil {
-		t.Fatalf("GenerateWeb: %v", err)
-	}
 	var faults *simweb.FaultConfig
 	if co.faultRate > 0 {
 		faults = &simweb.FaultConfig{Seed: 9, ErrorRate: co.faultRate}
 	}
-	origin, err := simweb.NewHTTPOrigin(g.Web, faults)
-	if err != nil {
-		t.Fatalf("NewHTTPOrigin: %v", err)
-	}
-	f := &clusterFixture{origin: origin, urls: g.PageURLs, client: &http.Client{Timeout: 15 * time.Second}, co: co}
-	t.Cleanup(func() { origin.Close() })
+	origin, urls := startOrigin(t, 4, 10, 42, faults)
+	f := &clusterFixture{origin: origin, urls: urls, client: &http.Client{Timeout: 15 * time.Second}, co: co}
 
 	if co.strongSchema {
 		f.schema = strongSchema(t)

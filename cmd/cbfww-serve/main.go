@@ -2,15 +2,13 @@
 // subsystem serving fetch-through, popularity-aware queries, search and
 // recommendations over HTTP.
 //
-// By default it warehouses a generated synthetic web (in-process origin):
+// It fetches through real HTTP sockets, resolving every logical host to
+// the address given by the required -origin flag. Any web server that
+// answers for the requested hosts will do; for a synthetic web with no
+// network, serve one with cbfww-loadgen -serve:
 //
-//	cbfww-serve -addr 127.0.0.1:8642 -sites 8 -pages 25
-//
-// With -origin it fetches through real HTTP sockets instead, resolving
-// every logical host to the given address (e.g. a simweb origin started
-// elsewhere):
-//
-//	cbfww-serve -origin 127.0.0.1:9000
+//	cbfww-loadgen -serve 127.0.0.1:9000 &
+//	cbfww-serve -addr 127.0.0.1:8642 -origin 127.0.0.1:9000
 //
 // With -data-dir the storage tiers are file-backed and durable: shutdown
 // checkpoints the placement manifest, version history and page catalog,
@@ -59,17 +57,13 @@ import (
 	"cbfww/internal/peers"
 	"cbfww/internal/resilience"
 	"cbfww/internal/schema"
-	"cbfww/internal/simweb"
 	"cbfww/internal/warehouse"
-	"cbfww/internal/workload"
 )
 
 // options collects the daemon's flags (separated from flag parsing so the
 // smoke test can build a daemon directly).
 type options struct {
 	addr          string
-	sites, pages  int
-	seed          int64
 	schemaFile    string
 	dataDir       string
 	origin        string
@@ -78,12 +72,11 @@ type options struct {
 	fetchTimeout  time.Duration
 	maintainEvery time.Duration
 
-	// Origin resilience: retry attempts per origin call, per-host breaker
-	// threshold/cool-down, and the in-process fault-injection rate.
+	// Origin resilience: retry attempts per origin call and per-host
+	// breaker threshold/cool-down.
 	retry            int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	faultRate        float64
 
 	// pprof mounts net/http/pprof under /debug/pprof/ on the gateway.
 	pprof bool
@@ -138,9 +131,6 @@ type daemon struct {
 	// ephemeral listen port the self address exists only after bind.
 	join      []string
 	advertise string
-	// urls samples the built-in simulated web (empty with -origin) so
-	// operators and tests have something to curl.
-	urls []string
 
 	maintainEvery time.Duration
 	stopMaintain  chan struct{}
@@ -164,6 +154,9 @@ type daemon struct {
 
 // build assembles warehouse + gateway per the options.
 func build(opts options) (*daemon, error) {
+	if opts.origin == "" {
+		return nil, fmt.Errorf("cbfww-serve: -origin is required")
+	}
 	cfg := warehouse.DefaultConfig()
 	cfg.Miner.MinSupport = 2
 	cfg.Shards = opts.shards
@@ -197,40 +190,14 @@ func build(opts options) (*daemon, error) {
 	// consistency polling all tick in real seconds.
 	clock := core.NewWallClock()
 
-	var (
-		origin resilience.ContextOrigin
-		faults *simweb.FaultyOrigin
-		urls   []string
-	)
-	if opts.origin != "" {
-		req, err := crawl.NewRequester(crawl.DefaultConfig(), crawl.FixedResolver(opts.origin))
-		if err != nil {
-			return nil, err
-		}
-		origin = req
-	} else {
-		wcfg := workload.DefaultWebConfig()
-		wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = opts.sites, opts.pages, opts.seed
-		g, err := workload.GenerateWeb(clock, wcfg)
-		if err != nil {
-			return nil, err
-		}
-		origin = g.Web
-		urls = g.PageURLs
-		if opts.faultRate > 0 {
-			// Fault injection applies to the in-process origin only: a real
-			// -origin is flaky enough on its own.
-			faults = simweb.NewFaultyOrigin(g.Web, simweb.FaultConfig{
-				Seed:      opts.seed,
-				ErrorRate: opts.faultRate,
-			})
-			origin = faults
-		}
+	req, err := crawl.NewRequester(crawl.DefaultConfig(), crawl.FixedResolver(opts.origin))
+	if err != nil {
+		return nil, err
 	}
+	var origin core.ContextOrigin = req
 
 	var resilient *resilience.Origin
 	if opts.retry > 1 || opts.breakerThreshold > 0 {
-		var err error
 		resilient, err = resilience.Wrap(origin, resilience.Config{
 			Retry: resilience.RetryPolicy{
 				MaxAttempts: opts.retry,
@@ -274,7 +241,6 @@ func build(opts options) (*daemon, error) {
 		FetchWorkers: opts.workers,
 		FetchTimeout: opts.fetchTimeout,
 		Resilient:    resilient,
-		Faults:       faults,
 		EnablePprof:  opts.pprof,
 		EnableAdmin:  opts.admin,
 		Cluster:      cluster,
@@ -286,8 +252,8 @@ func build(opts options) (*daemon, error) {
 	d := &daemon{
 		srv: srv, wh: wh, cluster: cluster,
 		join: splitJoin(opts.join), advertise: opts.advertise,
-		urls: urls, maintainEvery: opts.maintainEvery,
-		memPressure: opts.memPressure, pressureEvery: opts.pressureEvery,
+		maintainEvery: opts.maintainEvery, memPressure: opts.memPressure,
+		pressureEvery: opts.pressureEvery,
 	}
 	if d.memPressure > 0 {
 		if d.pressureEvery <= 0 {
@@ -443,12 +409,9 @@ func (d *daemon) shutdown(ctx context.Context) error {
 func main() {
 	opts := options{}
 	flag.StringVar(&opts.addr, "addr", "127.0.0.1:8642", "listen address")
-	flag.IntVar(&opts.sites, "sites", 8, "origin sites in the synthetic web (in-process origin)")
-	flag.IntVar(&opts.pages, "pages", 25, "pages per site (in-process origin)")
-	flag.Int64Var(&opts.seed, "seed", 1, "random seed for the synthetic web")
 	flag.StringVar(&opts.schemaFile, "schema", "", "storage schema definition file (see internal/schema)")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "root for durable state (file-backed disk/tertiary tiers, checkpoints); empty = all tiers in heap")
-	flag.StringVar(&opts.origin, "origin", "", "fetch through real HTTP, resolving all hosts to this host:port")
+	flag.StringVar(&opts.origin, "origin", "", "origin host:port every page host resolves to (required)")
 	flag.IntVar(&opts.workers, "workers", 32, "max concurrent origin fetches")
 	flag.IntVar(&opts.shards, "shards", 0, "warehouse lock stripes (0 = GOMAXPROCS)")
 	flag.DurationVar(&opts.fetchTimeout, "fetch-timeout", 10*time.Second, "per-request origin fetch budget")
@@ -456,7 +419,6 @@ func main() {
 	flag.IntVar(&opts.retry, "retry", 3, "origin attempts per fetch (1 disables retries)")
 	flag.IntVar(&opts.breakerThreshold, "breaker-threshold", 5, "consecutive host failures that open the circuit breaker (0 disables)")
 	flag.DurationVar(&opts.breakerCooldown, "breaker-cooldown", 30*time.Second, "open-breaker cool-down before a half-open probe")
-	flag.Float64Var(&opts.faultRate, "fault-rate", 0, "injected origin error probability (in-process origin only)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (do not expose publicly)")
 	flag.BoolVar(&opts.admin, "admin", false, "serve POST /admin/resize for live tier-capacity retargets (do not expose publicly)")
 	flag.Int64Var(&opts.mmapTier, "mmap-tier", 0, "insert an mmap-backed warm tier of this many bytes between memory and disk (requires -data-dir; 0 = off)")
@@ -471,6 +433,11 @@ func main() {
 	flag.IntVar(&opts.probeThreshold, "probe-threshold", 0, "consecutive failed probes before a peer is marked Down (0 = default 3)")
 	grace := flag.Duration("grace", 15*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()
+	if opts.origin == "" {
+		fmt.Fprintln(os.Stderr, "cbfww-serve: -origin is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	d, err := build(opts)
 	if err != nil {
@@ -485,9 +452,6 @@ func main() {
 		log.Fatalf("cbfww-serve: %v", err)
 	}
 	log.Printf("cbfww-serve listening on http://%s", d.srv.Addr())
-	if len(d.urls) > 0 {
-		log.Printf("try: curl 'http://%s/fetch?url=%s'", d.srv.Addr(), d.urls[0])
-	}
 
 	s := <-sig
 	log.Printf("received %v; draining in-flight requests", s)

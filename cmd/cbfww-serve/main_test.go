@@ -1,7 +1,8 @@
 package main
 
-// Smoke test: bring the daemon up on an ephemeral port, hit /healthz and
-// one /fetch over a real socket, and shut down cleanly.
+// Smoke test: bring the daemon up on an ephemeral port in front of a
+// generated web served over a loopback socket, hit /healthz and one /fetch,
+// and shut down cleanly.
 
 import (
 	"bufio"
@@ -19,14 +20,34 @@ import (
 	"time"
 
 	"cbfww/internal/core"
+	"cbfww/internal/simweb"
+	"cbfww/internal/workload"
 )
 
+// startOrigin serves a generated web of sites×pages over a loopback
+// socket, behind the fault process when faults is non-nil, and returns it
+// with the web's page URLs. The origin closes when the test ends.
+func startOrigin(t *testing.T, sites, pages int, seed int64, faults *simweb.FaultConfig) (*simweb.HTTPOrigin, []string) {
+	t.Helper()
+	cfg := workload.DefaultWebConfig()
+	cfg.Sites, cfg.PagesPerSite, cfg.Seed = sites, pages, seed
+	g, err := workload.GenerateWeb(core.NewSimClock(0), cfg)
+	if err != nil {
+		t.Fatalf("GenerateWeb: %v", err)
+	}
+	o, err := simweb.NewHTTPOrigin(g.Web, faults)
+	if err != nil {
+		t.Fatalf("NewHTTPOrigin: %v", err)
+	}
+	t.Cleanup(func() { o.Close() })
+	return o, g.PageURLs
+}
+
 func TestServeSmoke(t *testing.T) {
+	o, urls := startOrigin(t, 3, 8, 1, nil)
 	d, err := build(options{
 		addr:         "127.0.0.1:0",
-		sites:        3,
-		pages:        8,
-		seed:         1,
+		origin:       o.Addr(),
 		workers:      4,
 		fetchTimeout: 5 * time.Second,
 		// maintainEvery 0: no background sweeps during the smoke test.
@@ -57,10 +78,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("healthz = %d %q", resp.StatusCode, body)
 	}
 
-	if len(d.urls) == 0 {
-		t.Fatal("daemon over built-in web reported no sample URLs")
-	}
-	resp, err = client.Get(base + "/fetch?url=" + d.urls[0])
+	resp, err = client.Get(base + "/fetch?url=" + urls[0])
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
@@ -77,7 +95,7 @@ func TestServeSmoke(t *testing.T) {
 	if err := json.Unmarshal(body, &fr); err != nil {
 		t.Fatalf("fetch decode: %v (%q)", err, body)
 	}
-	if fr.URL != d.urls[0] || fr.Source != "origin" || fr.Title == "" {
+	if fr.URL != urls[0] || fr.Source != "origin" || fr.Title == "" {
 		t.Fatalf("fetch payload implausible: %+v", fr)
 	}
 
@@ -91,20 +109,18 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// TestServeFaultSmoke brings up the daemon against its own fault-injecting
-// origin and checks that retries absorb the faults and /stats reports the
-// resilience counters.
+// TestServeFaultSmoke brings up the daemon against a fault-injecting
+// origin socket and checks that retries absorb the faults and /stats
+// reports the retries.
 func TestServeFaultSmoke(t *testing.T) {
+	o, urls := startOrigin(t, 3, 8, 11, &simweb.FaultConfig{Seed: 11, ErrorRate: 0.3})
 	d, err := build(options{
 		addr:             "127.0.0.1:0",
-		sites:            3,
-		pages:            8,
-		seed:             11,
+		origin:           o.Addr(),
 		workers:          4,
 		fetchTimeout:     5 * time.Second,
 		retry:            4,
 		breakerThreshold: 0, // breaker off: every URL should eventually land
-		faultRate:        0.3,
 	})
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -116,7 +132,7 @@ func TestServeFaultSmoke(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	ok := 0
-	for _, u := range d.urls {
+	for _, u := range urls {
 		resp, err := client.Get(base + "/fetch?url=" + u)
 		if err != nil {
 			t.Fatalf("fetch %s: %v", u, err)
@@ -129,8 +145,11 @@ func TestServeFaultSmoke(t *testing.T) {
 	}
 	// 30% per-attempt error rate with 4 attempts: per-URL failure odds are
 	// under 1%; most of the 24 URLs must land.
-	if ok < len(d.urls)/2 {
-		t.Fatalf("only %d/%d fetches succeeded against faulty origin with retries", ok, len(d.urls))
+	if ok < len(urls)/2 {
+		t.Fatalf("only %d/%d fetches succeeded against faulty origin with retries", ok, len(urls))
+	}
+	if o.FaultStats().InjectedErrors == 0 {
+		t.Error("origin injected no errors at fault rate 0.3")
 	}
 
 	resp, err := client.Get(base + "/stats")
@@ -141,15 +160,11 @@ func TestServeFaultSmoke(t *testing.T) {
 	resp.Body.Close()
 	var stats struct {
 		Resilience struct {
-			Retries         uint64 `json:"retries"`
-			FaultInjections uint64 `json:"fault_injections"`
+			Retries uint64 `json:"retries"`
 		} `json:"resilience"`
 	}
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatalf("stats decode: %v (%q)", err, body)
-	}
-	if stats.Resilience.FaultInjections == 0 {
-		t.Error("stats fault_injections = 0 with fault rate 0.3")
 	}
 	if stats.Resilience.Retries == 0 {
 		t.Error("stats retries = 0 with faults injected and retry 4")
@@ -163,8 +178,9 @@ func TestServeFaultSmoke(t *testing.T) {
 }
 
 func TestServeMaintenanceLoop(t *testing.T) {
+	o, _ := startOrigin(t, 2, 4, 2, nil)
 	d, err := build(options{
-		addr: "127.0.0.1:0", sites: 2, pages: 4, seed: 2,
+		addr: "127.0.0.1:0", origin: o.Addr(),
 		maintainEvery: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -200,11 +216,10 @@ func TestServeMaintenanceLoop(t *testing.T) {
 // storage section must show all four tiers, and /admin/resize must
 // retarget the warm tier live.
 func TestServeMmapTierAndMemPressure(t *testing.T) {
+	o, urls := startOrigin(t, 2, 6, 3, nil)
 	d, err := build(options{
 		addr:          "127.0.0.1:0",
-		sites:         2,
-		pages:         6,
-		seed:          3,
+		origin:        o.Addr(),
 		workers:       4,
 		dataDir:       t.TempDir(),
 		fetchTimeout:  5 * time.Second,
@@ -224,7 +239,7 @@ func TestServeMmapTierAndMemPressure(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Admit something so the stack is live, then wait for a pressure tick.
-	resp, err := client.Get(base + "/fetch?url=" + d.urls[0])
+	resp, err := client.Get(base + "/fetch?url=" + urls[0])
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
@@ -305,11 +320,10 @@ func TestServeMmapTierAndMemPressure(t *testing.T) {
 // durable state), and a second daemon over the same directory serves the
 // same page as a warehouse hit — no origin fetch.
 func TestServeRestartSmoke(t *testing.T) {
+	o, urls := startOrigin(t, 3, 8, 1, nil)
 	opts := options{
 		addr:         "127.0.0.1:0",
-		sites:        3,
-		pages:        8,
-		seed:         1,
+		origin:       o.Addr(),
 		workers:      4,
 		dataDir:      t.TempDir(),
 		fetchTimeout: 5 * time.Second,
@@ -322,7 +336,7 @@ func TestServeRestartSmoke(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
-	url := d.urls[0]
+	url := urls[0]
 
 	type fetchView struct {
 		Body   string `json:"body"`
@@ -408,9 +422,10 @@ func TestBuildMmapTierWithSchema(t *testing.T) {
 		}
 		return path
 	}
+	o, _ := startOrigin(t, 1, 2, 1, nil)
 	opts := func(schema string) options {
 		return options{
-			addr: "127.0.0.1:0", sites: 1, pages: 2, seed: 1, workers: 1,
+			addr: "127.0.0.1:0", origin: o.Addr(), workers: 1,
 			dataDir: t.TempDir(), mmapTier: 1 << 20, schemaFile: schemaFile(schema),
 		}
 	}
@@ -468,10 +483,11 @@ func TestSignalRightAfterListening(t *testing.T) {
 	if testing.Short() {
 		rounds = 2
 	}
+	o, _ := startOrigin(t, 1, 2, 1, nil)
 	for i := 0; i < rounds; i++ {
 		dir := t.TempDir()
 		cmd := exec.Command(os.Args[0], "--",
-			"-addr", "127.0.0.1:0", "-data-dir", dir, "-sites", "1", "-pages", "2", "-maintain-every", "0")
+			"-addr", "127.0.0.1:0", "-origin", o.Addr(), "-data-dir", dir, "-maintain-every", "0")
 		cmd.Env = append(os.Environ(), serveChildEnv+"=1")
 		stderr, err := cmd.StderrPipe()
 		if err != nil {
@@ -503,5 +519,24 @@ func TestSignalRightAfterListening(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {
 			t.Fatalf("round %d: exit without a checkpoint: %v", i, err)
 		}
+	}
+}
+
+// TestOriginIsRequired: the daemon has one origin path, -origin. Without
+// it build refuses and the command exits 2 with its usage, serving
+// nothing.
+func TestOriginIsRequired(t *testing.T) {
+	if _, err := build(options{addr: "127.0.0.1:0"}); err == nil {
+		t.Fatal("build without an origin succeeded")
+	}
+	cmd := exec.Command(os.Args[0], "--", "-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), serveChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("daemon without -origin: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-origin is required") || !strings.Contains(string(out), "Usage") {
+		t.Errorf("no usage error:\n%s", out)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cbfww/internal/analyzer"
 	"cbfww/internal/core"
 	"cbfww/internal/schema"
 	"cbfww/internal/warehouse"
@@ -271,7 +272,7 @@ func repl(w *warehouse.Warehouse, g *workload.GeneratedWeb, clock *core.SimClock
 				s.Requests, s.Hits, 100*s.HitRatio(), s.MemoryHits,
 				s.OriginFetches, s.Revalidations, s.Prefetches, s.MeanLatency())
 		case "analyze":
-			fmt.Print(w.Analyze())
+			fmt.Print(analyzer.Analyze(w.AccessLog(), 3))
 		default:
 			fmt.Printf("unknown command %q (try 'help')\n", cmd)
 		}

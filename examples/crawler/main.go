@@ -1,6 +1,6 @@
 // Crawler: populate a warehouse over real HTTP. The simulated web is
 // served on a socket; a polite concurrent crawler walks its link graph
-// through the crawl.Requester (which also implements warehouse.Origin),
+// through the crawl.Requester (which also implements core.Origin),
 // and every crawled page is prefetched into the warehouse — so by the
 // time users arrive, the warehouse is warm and queryable.
 package main

@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
+	"cbfww/internal/topic"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// The news feed the sensor watches.
-	feed := simweb.NewNewsFeed("kyoto-news")
+	feed := topic.NewNewsFeed()
 	w.WatchFeed(feed)
 
 	// Pick an "event topic" and its pages.
@@ -55,7 +55,7 @@ func main() {
 	// T-2h: the paper publishes. Articles name the pages they cover.
 	fmt.Printf("[%v] news: festival announced — %d articles published\n", clock.Now(), len(eventPages))
 	for _, u := range eventPages {
-		feed.Publish(simweb.Article{
+		feed.Publish(topic.Article{
 			Time:     clock.Now(),
 			Headline: "gion festival parade schedule announced",
 			URL:      u,

@@ -21,6 +21,7 @@ var unusedExports = map[string]string{
 	"cache.scoreHeap.Swap":               "interface method",
 	"cluster.Online.RegionOf":            "test seam",
 	"cluster.TopTerms":                   "paper API",
+	"core.Page.Content":                  "test seam",
 	"crawl.DefaultCrawlConfig":           "test seam",
 	"gateway.Histogram.Quantile":         "test seam",
 	"gateway.statusRecorder.Unwrap":      "interface method",
@@ -33,7 +34,6 @@ var unusedExports = map[string]string{
 	"query.ClassForKind":                 "test seam",
 	"resilience.BreakerOpenError.Unwrap": "interface method",
 	"simweb.NewHTTPOrigin":               "test seam",
-	"simweb.Page.Content":                "test seam",
 	"simweb.ReserveAddrs":                "test seam",
 	"simweb.Web.FetchCount":              "test seam",
 	"simweb.Web.TotalFetches":            "test seam",

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
@@ -233,54 +232,54 @@ func TestParsePageEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
 		html string
-		chk  func(t *testing.T, p simweb.Page)
+		chk  func(t *testing.T, p core.Page)
 	}{
-		{"empty", "", func(t *testing.T, p simweb.Page) {
+		{"empty", "", func(t *testing.T, p core.Page) {
 			if p.Title != "" || p.Body != "" || p.Anchors != nil {
 				t.Errorf("parsed %+v from empty", p)
 			}
 		}},
-		{"plain text", "just words", func(t *testing.T, p simweb.Page) {
+		{"plain text", "just words", func(t *testing.T, p core.Page) {
 			if p.Body != "just words" {
 				t.Errorf("body = %q", p.Body)
 			}
 		}},
-		{"unclosed title", "<title>half", func(t *testing.T, p simweb.Page) {
+		{"unclosed title", "<title>half", func(t *testing.T, p core.Page) {
 			if p.Title != "half" {
 				t.Errorf("title = %q", p.Title)
 			}
 		}},
-		{"single quotes", `<a href='http://x/y'>link text</a>`, func(t *testing.T, p simweb.Page) {
+		{"single quotes", `<a href='http://x/y'>link text</a>`, func(t *testing.T, p core.Page) {
 			if len(p.Anchors) != 1 || p.Anchors[0].Target != "http://x/y" {
 				t.Errorf("anchors = %+v", p.Anchors)
 			}
 		}},
-		{"bare attr", `<img src=http://x/i.png width=512>`, func(t *testing.T, p simweb.Page) {
+		{"bare attr", `<img src=http://x/i.png width=512>`, func(t *testing.T, p core.Page) {
 			if len(p.Components) != 1 || p.Components[0].Size != 512 {
 				t.Errorf("components = %+v", p.Components)
 			}
 		}},
-		{"anchor without href", `<a name=top>here</a>`, func(t *testing.T, p simweb.Page) {
+		{"anchor without href", `<a name=top>here</a>`, func(t *testing.T, p core.Page) {
 			if len(p.Anchors) != 0 {
 				t.Errorf("anchors = %+v", p.Anchors)
 			}
 		}},
-		{"script stripped", `<script>var x = "kyoto";</script>real body`, func(t *testing.T, p simweb.Page) {
+		{"script stripped", `<script>var x = "kyoto";</script>real body`, func(t *testing.T, p core.Page) {
 			if strings.Contains(p.Body, "kyoto") || !strings.Contains(p.Body, "real body") {
 				t.Errorf("body = %q", p.Body)
 			}
 		}},
-		{"nested markup in anchor", `<a href="u"><b>bold</b> text</a>`, func(t *testing.T, p simweb.Page) {
+		{"nested markup in anchor", `<a href="u"><b>bold</b> text</a>`, func(t *testing.T, p core.Page) {
 			if len(p.Anchors) != 1 || !strings.Contains(p.Anchors[0].Text, "bold") {
 				t.Errorf("anchors = %+v", p.Anchors)
 			}
 		}},
-		{"lone lt", "a < b", func(t *testing.T, p simweb.Page) {
+		{"lone lt", "a < b", func(t *testing.T, p core.Page) {
 			if !strings.HasPrefix(p.Body, "a") {
 				t.Errorf("body = %q", p.Body)
 			}
 		}},
-		{"case-insensitive close", `<TITLE>Mixed</TITLE>rest`, func(t *testing.T, p simweb.Page) {
+		{"case-insensitive close", `<TITLE>Mixed</TITLE>rest`, func(t *testing.T, p core.Page) {
 			if p.Title != "Mixed" {
 				t.Errorf("title = %q", p.Title)
 			}

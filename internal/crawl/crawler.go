@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // CrawlConfig bounds a crawl.
@@ -28,7 +27,7 @@ func DefaultCrawlConfig() CrawlConfig {
 // CrawlResult is what a crawl returns.
 type CrawlResult struct {
 	// Pages are the successfully fetched pages, in completion order.
-	Pages []simweb.Page
+	Pages []core.Page
 	// Errors counts failed fetches (dead links, non-200s).
 	Errors int
 	// Skipped counts frontier entries dropped by depth/host/size limits.
@@ -41,14 +40,14 @@ type CrawlResult struct {
 // seed a warehouse.
 type Crawler struct {
 	origin interface {
-		Fetch(url string) (simweb.FetchResult, error)
+		Fetch(url string) (core.FetchResult, error)
 	}
 	cfg CrawlConfig
 }
 
 // NewCrawler returns a crawler over any Fetch-capable origin.
 func NewCrawler(origin interface {
-	Fetch(url string) (simweb.FetchResult, error)
+	Fetch(url string) (core.FetchResult, error)
 }, cfg CrawlConfig) (*Crawler, error) {
 	if origin == nil {
 		return nil, fmt.Errorf("crawl: %w: nil origin", core.ErrInvalid)

@@ -7,7 +7,6 @@ import (
 	"unicode/utf8"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // ParsePage reconstructs the document model from HTML: title from
@@ -17,8 +16,8 @@ import (
 // else. The parser is deliberately small — a tag scanner, not a browser —
 // but handles the malformed-markup cases a crawler meets (unclosed tags,
 // missing quotes, nested elements).
-func ParsePage(url, html string) simweb.Page {
-	p := simweb.Page{URL: url}
+func ParsePage(url, html string) core.Page {
+	p := core.Page{URL: url}
 	var body collapsed
 	body.Grow(len(html))
 
@@ -48,7 +47,7 @@ func ParsePage(url, html string) simweb.Page {
 			text, after := textUntilClose(html, end, "a")
 			text = strings.TrimSpace(text)
 			if href != "" {
-				p.Anchors = append(p.Anchors, simweb.Anchor{Text: text, Target: href})
+				p.Anchors = append(p.Anchors, core.Anchor{Text: text, Target: href})
 			}
 			body.WriteString(text) // anchor text is page text too
 			body.space = true
@@ -62,7 +61,7 @@ func ParsePage(url, html string) simweb.Page {
 						size = core.Bytes(v)
 					}
 				}
-				p.Components = append(p.Components, simweb.Component{URL: src, Size: size})
+				p.Components = append(p.Components, core.Component{URL: src, Size: size})
 			}
 			i = end
 		case "script", "style":

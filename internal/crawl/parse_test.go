@@ -10,15 +10,14 @@ import (
 	"unicode/utf8"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // The parser before it matched closing tags in place: the reference that
 // ParsePage must agree with on ASCII input, where lower-casing the page
 // moves no index. Kept verbatim, including its O(anchors × bytes) cost.
 
-func refParsePage(url, html string) simweb.Page {
-	p := simweb.Page{URL: url}
+func refParsePage(url, html string) core.Page {
+	p := core.Page{URL: url}
 	var body strings.Builder
 
 	i := 0
@@ -47,7 +46,7 @@ func refParsePage(url, html string) simweb.Page {
 			text, after := refTextUntilClose(html, end, "a")
 			text = strings.TrimSpace(text)
 			if href != "" {
-				p.Anchors = append(p.Anchors, simweb.Anchor{Text: text, Target: href})
+				p.Anchors = append(p.Anchors, core.Anchor{Text: text, Target: href})
 			}
 			body.WriteString(text) // anchor text is page text too
 			body.WriteByte(' ')
@@ -61,7 +60,7 @@ func refParsePage(url, html string) simweb.Page {
 						size = core.Bytes(v)
 					}
 				}
-				p.Components = append(p.Components, simweb.Component{URL: src, Size: size})
+				p.Components = append(p.Components, core.Component{URL: src, Size: size})
 			}
 			i = end
 		case "script", "style":

@@ -2,7 +2,7 @@
 // a polite, concurrent fetcher that retrieves pages from origin servers
 // through net/http, reconstructs their document structure (title, body,
 // anchors, media components) from the HTML, and exposes the
-// warehouse.Origin interface so a CBFWW can run against socket-served
+// core.Origin interface so a CBFWW can run against socket-served
 // origins instead of the in-process simulation.
 //
 // The package also provides Crawler, a bounded-depth concurrent frontier
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // Resolver maps a logical host ("site00.example") to a dialable address
@@ -56,7 +55,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Requester fetches pages over HTTP. It implements warehouse.Origin.
+// Requester fetches pages over HTTP. It implements core.Origin.
 // Safe for concurrent use; politeness is enforced per host.
 type Requester struct {
 	cfg     Config
@@ -152,30 +151,30 @@ func (r *Requester) do(ctx context.Context, method, url string) (*http.Response,
 	return resp, nil
 }
 
-// Fetch implements warehouse.Origin over HTTP: GET the page, parse its
+// Fetch implements core.Origin over HTTP: GET the page, parse its
 // HTML back into the document model, and report the origin's simulated
 // latency (X-Simweb-Latency header; absent headers degrade gracefully).
-func (r *Requester) Fetch(url string) (simweb.FetchResult, error) {
+func (r *Requester) Fetch(url string) (core.FetchResult, error) {
 	return r.FetchCtx(context.Background(), url)
 }
 
 // FetchCtx is Fetch bounded by a context: cancellation or deadline expiry
-// aborts the HTTP exchange. It implements warehouse.ContextOrigin.
-func (r *Requester) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
+// aborts the HTTP exchange. It implements core.ContextOrigin.
+func (r *Requester) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	resp, err := r.do(ctx, http.MethodGet, url)
 	if err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode == http.StatusNotFound {
-		return simweb.FetchResult{}, fmt.Errorf("crawl: fetch %q: %w", url, core.ErrNotFound)
+		return core.FetchResult{}, fmt.Errorf("crawl: fetch %q: %w", url, core.ErrNotFound)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return simweb.FetchResult{}, fmt.Errorf("crawl: fetch %q: %w", url, &StatusError{Code: resp.StatusCode})
+		return core.FetchResult{}, fmt.Errorf("crawl: fetch %q: %w", url, &StatusError{Code: resp.StatusCode})
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes))
 	if err != nil {
-		return simweb.FetchResult{}, fmt.Errorf("crawl: read %q: %w", url, err)
+		return core.FetchResult{}, fmt.Errorf("crawl: read %q: %w", url, err)
 	}
 	page := ParsePage(url, string(body))
 	page.Version = headerInt(resp.Header, "X-Simweb-Version", 1)
@@ -184,16 +183,16 @@ func (r *Requester) FetchCtx(ctx context.Context, url string) (simweb.FetchResul
 		page.Size = core.Bytes(len(body))
 	}
 	lat := core.Duration(headerInt(resp.Header, "X-Simweb-Latency", 0))
-	return simweb.FetchResult{Page: page, Latency: lat}, nil
+	return core.FetchResult{Page: page, Latency: lat}, nil
 }
 
-// Head implements warehouse.Origin's revalidation probe.
+// Head implements core.Origin's revalidation probe.
 func (r *Requester) Head(url string) (int, core.Time, error) {
 	return r.HeadCtx(context.Background(), url)
 }
 
 // HeadCtx is Head bounded by a context. It implements
-// warehouse.ContextOrigin.
+// core.ContextOrigin.
 func (r *Requester) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	resp, err := r.do(ctx, http.MethodHead, url)
 	if err != nil {

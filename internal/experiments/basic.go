@@ -5,7 +5,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
-	"cbfww/internal/simweb"
 	"cbfww/internal/text"
 	"cbfww/internal/usage"
 )
@@ -118,7 +117,7 @@ func mustLink(h *object.Hierarchy, p, c core.ObjectID) {
 func F6LogicalContent() Table {
 	h := object.NewHierarchy()
 	b := object.NewBuilder(h)
-	pages := []*simweb.Page{
+	pages := []*core.Page{
 		{URL: "http://k/travel", Title: "Kyoto tourism", Body: "sights and seasons", Size: 1},
 		{URL: "http://k/bus", Title: "Bus network", Body: "routes and fares", Size: 1},
 		{URL: "http://k/stations", Title: "Station list", Body: "stations by line", Size: 1},

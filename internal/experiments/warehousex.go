@@ -8,8 +8,8 @@ import (
 	"cbfww/internal/core"
 	"cbfww/internal/object"
 	"cbfww/internal/priority"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
+	"cbfww/internal/topic"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
@@ -210,7 +210,7 @@ func X2TopicSensor(seed int64) Table {
 				// TopicOf map) keeps the publish order deterministic.
 				for _, url := range wd.g.PageURLs {
 					if wd.g.TopicOf[url] == ev.Topic {
-						wd.trace.News.Publish(simweb.Article{
+						wd.trace.News.Publish(topic.Article{
 							Time: ev.Start.Add(-ev.Lead), Headline: ev.Headline, URL: url,
 						})
 					}

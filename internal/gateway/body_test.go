@@ -16,23 +16,22 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 	"cbfww/internal/warehouse"
 )
 
 // fixedOrigin is a one-page origin: deterministic body, stable version,
 // so every serve can be compared against the exact origin bytes.
-type fixedOrigin struct{ page simweb.Page }
+type fixedOrigin struct{ page core.Page }
 
-func (o *fixedOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
+func (o *fixedOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if url != o.page.URL {
-		return simweb.FetchResult{}, core.ErrNotFound
+		return core.FetchResult{}, core.ErrNotFound
 	}
-	return simweb.FetchResult{Page: o.page, Latency: 5}, nil
+	return core.FetchResult{Page: o.page, Latency: 5}, nil
 }
 
-func (o *fixedOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (o *fixedOrigin) Fetch(url string) (core.FetchResult, error) {
 	return o.FetchCtx(context.Background(), url)
 }
 
@@ -62,7 +61,7 @@ func largeBody(n int) string {
 // newBodyGateway assembles a gateway over a fixed one-page origin with
 // real file-backed disk and tertiary tiers, sized so the page gets a full
 // memory copy (below the large-document summary threshold).
-func newBodyGateway(t *testing.T, page simweb.Page) (*Server, *warehouse.Warehouse) {
+func newBodyGateway(t *testing.T, page core.Page) (*Server, *warehouse.Warehouse) {
 	t.Helper()
 	cfg := warehouse.DefaultConfig()
 	cfg.Storage.Tiers = storage.ClassicTiers(64*core.MB, 128*core.MB)
@@ -105,7 +104,7 @@ func TestBodyLargeRoundTrip(t *testing.T) {
 		t.Run(size.label, func(t *testing.T) {
 			u := "http://big.example/payload.html"
 			body := largeBody(size.n)
-			page := simweb.Page{
+			page := core.Page{
 				URL: u, Title: "big", Body: body,
 				Size: core.Bytes(size.n), Version: 1,
 			}
@@ -180,7 +179,7 @@ func newHeapBodyHandler(t testing.TB, n int) (http.Handler, *http.Request, strin
 	t.Helper()
 	u := "http://big.example/payload.html"
 	body := largeBody(n)
-	page := simweb.Page{URL: u, Title: "big", Body: body, Size: core.Bytes(n), Version: 1}
+	page := core.Page{URL: u, Title: "big", Body: body, Size: core.Bytes(n), Version: 1}
 	cfg := warehouse.DefaultConfig()
 	cfg.Storage.Tiers = storage.ClassicTiers(64*core.MB, 128*core.MB)
 	wh, err := warehouse.New(cfg, core.NewSimClock(0), &fixedOrigin{page: page})

@@ -14,7 +14,6 @@ import (
 	"cbfww/internal/core"
 	"cbfww/internal/peers"
 	"cbfww/internal/resilience"
-	"cbfww/internal/simweb"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
@@ -400,7 +399,7 @@ func TestPeerPutEndpoint(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&out)
 		return resp.StatusCode, out
 	}
-	push := func(u string, page simweb.Page) (int, map[string]bool) {
+	push := func(u string, page core.Page) (int, map[string]bool) {
 		t.Helper()
 		meta := peers.PageMeta(page)
 		meta.URL = u
@@ -442,7 +441,7 @@ func TestPeerPutEndpoint(t *testing.T) {
 	if code, _ := post(peers.FrameContentType, strings.NewReader("{not a frame")); code != http.StatusBadRequest {
 		t.Errorf("garbage push = %d, want 400", code)
 	}
-	if code, _ := push("", simweb.Page{}); code != http.StatusBadRequest {
+	if code, _ := push("", core.Page{}); code != http.StatusBadRequest {
 		t.Errorf("empty push = %d, want 400", code)
 	}
 	legacy, _ := json.Marshal(map[string]any{"url": u, "page": fr.Page})

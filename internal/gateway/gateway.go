@@ -59,7 +59,6 @@ import (
 	"cbfww/internal/core"
 	"cbfww/internal/peers"
 	"cbfww/internal/resilience"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 	"cbfww/internal/warehouse"
 )
@@ -80,9 +79,6 @@ type Config struct {
 	// resilience.Origin, surfaces its retry/breaker counters at /stats
 	// (nil is fine: the counters read zero).
 	Resilient *resilience.Origin
-	// Faults, when the origin path includes a fault-injecting simweb
-	// origin, surfaces its injection counters at /stats (nil is fine).
-	Faults *simweb.FaultyOrigin
 	// EnablePprof mounts net/http/pprof's profiling endpoints under
 	// /debug/pprof/. Off by default: the profiles expose internals
 	// (goroutine stacks, heap contents) no public daemon should serve.
@@ -677,7 +673,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(peers.HeaderNode, cl.Self())
 		cl.CountReplicaReceived(peers.LastHop(r.Header.Get(peers.HeaderFrom)))
 	}
-	admitted, err := s.wh.AdmitReplica(m.URL, simweb.FetchResult{Page: page})
+	admitted, err := s.wh.AdmitReplica(m.URL, core.FetchResult{Page: page})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -766,7 +762,7 @@ type ShardSnapshot struct {
 
 // ResilienceStats surfaces the origin-resilience counters: retries and
 // breaker activity from the resilience wrapper, degraded serves from the
-// warehouse, injections from the fault origin (when configured).
+// warehouse.
 type ResilienceStats struct {
 	Retries          uint64 `json:"retries"`
 	BreakerOpens     uint64 `json:"breaker_opens"`
@@ -774,7 +770,6 @@ type ResilienceStats struct {
 	BreakerFastFails uint64 `json:"breaker_fast_fails"`
 	OpenHosts        int    `json:"open_hosts"`
 	StaleServes      uint64 `json:"stale_serves"`
-	FaultInjections  uint64 `json:"fault_injections"`
 }
 
 // GatewayStats are the daemon-level counters.
@@ -796,9 +791,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		res.BreakerHalfOpens = rs.BreakerHalfOpens
 		res.BreakerFastFails = rs.BreakerFastFails
 		res.OpenHosts = rs.OpenHosts
-	}
-	if s.cfg.Faults != nil {
-		res.FaultInjections = uint64(s.cfg.Faults.Stats().Total())
 	}
 	shardStats := s.wh.ShardStats()
 	shards := make([]ShardSnapshot, len(shardStats))

@@ -25,7 +25,7 @@ import (
 	"cbfww/internal/workload"
 )
 
-// gateOrigin wraps a simulated web as a warehouse.ContextOrigin whose
+// gateOrigin wraps a simulated web as a core.ContextOrigin whose
 // fetches block on a gate until released — the deterministic way to hold a
 // miss storm in flight.
 type gateOrigin struct {
@@ -42,7 +42,7 @@ type gateOrigin struct {
 	started chan struct{}
 }
 
-func (o *gateOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
+func (o *gateOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	o.fetches.Add(1)
 	n := o.active.Add(1)
 	defer o.active.Add(-1)
@@ -59,18 +59,18 @@ func (o *gateOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResu
 		select {
 		case <-o.gate:
 		case <-ctx.Done():
-			return simweb.FetchResult{}, ctx.Err()
+			return core.FetchResult{}, ctx.Err()
 		}
 	}
-	return o.web.FetchCtx(ctx, url)
+	return o.web.Fetch(url)
 }
 
-func (o *gateOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (o *gateOrigin) Fetch(url string) (core.FetchResult, error) {
 	return o.FetchCtx(context.Background(), url)
 }
 
 func (o *gateOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
-	return o.web.HeadCtx(ctx, url)
+	return o.web.Head(url)
 }
 
 func (o *gateOrigin) Head(url string) (int, core.Time, error) {

@@ -37,7 +37,7 @@ func resilientGateway(t *testing.T, fcfg simweb.FaultConfig, rcfg resilience.Con
 	if err != nil {
 		t.Fatalf("warehouse.New: %v", err)
 	}
-	s, err := New(Config{Resilient: resilient, Faults: faults}, wh)
+	s, err := New(Config{Resilient: resilient}, wh)
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}
@@ -156,8 +156,8 @@ func TestBlackoutDegradesAndBreaks(t *testing.T) {
 	if stats.Resilience.OpenHosts != 1 {
 		t.Errorf("stats open_hosts = %d, want 1", stats.Resilience.OpenHosts)
 	}
-	if stats.Resilience.FaultInjections == 0 {
-		t.Errorf("stats fault_injections = 0, want nonzero (blackout refusals)")
+	if faults.Stats().BlackoutRefusals == 0 {
+		t.Errorf("fault origin counted no blackout refusals")
 	}
 
 	// Recovery is possible: lift the blackout. The breaker stays open

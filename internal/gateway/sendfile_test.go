@@ -24,7 +24,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/peers"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 	"cbfww/internal/warehouse"
 )
@@ -41,7 +40,7 @@ var serveTiers = []string{"memory", "mmap", "disk", "tertiary"}
 func newTierGateway(t testing.TB, n int) (*Server, *warehouse.Warehouse, string, string) {
 	t.Helper()
 	body := largeBody(n)
-	page := simweb.Page{URL: tierPageURL, Title: "tiers", Body: body, Size: core.Bytes(n), Version: 1}
+	page := core.Page{URL: tierPageURL, Title: "tiers", Body: body, Size: core.Bytes(n), Version: 1}
 	cfg := warehouse.DefaultConfig()
 	cfg.Storage.Tiers = storage.ClassicTiers(64*core.MB, 128*core.MB)
 	cfg.Storage = cfg.Storage.WithMmapTier(64 * core.MB)

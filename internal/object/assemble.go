@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // Builder wires web-level structures (pages, paths) into the hierarchy,
@@ -58,7 +57,7 @@ func (b *Builder) getOrAddLoaded(kind Kind, key string, size core.Bytes, title, 
 // resolve their bodies through it (the storage hierarchy) rather than
 // pinning the fetched string in the heap; a nil loader keeps the body
 // inline, preserving the fully-in-heap shape.
-func (b *Builder) AddPhysicalPage(p *simweb.Page, loader BodyLoader) (*Object, error) {
+func (b *Builder) AddPhysicalPage(p *core.Page, loader BodyLoader) (*Object, error) {
 	if existing, ok := b.H.ByKey(KindPhysical, p.URL); ok {
 		return existing, nil
 	}

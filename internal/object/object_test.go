@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 func TestKindString(t *testing.T) {
@@ -227,12 +226,12 @@ func TestEffectivePrioritiesProperty(t *testing.T) {
 func TestBuilderAddPhysicalPage(t *testing.T) {
 	h := NewHierarchy()
 	b := NewBuilder(h)
-	page := &simweb.Page{
+	page := &core.Page{
 		URL:   "http://a/x.html",
 		Title: "Kyoto Station",
 		Body:  "access to the shinkansen",
 		Size:  4 * core.KB,
-		Components: []simweb.Component{
+		Components: []core.Component{
 			{URL: "http://a/img.png", Size: 20 * core.KB},
 			{URL: "http://a/map.png", Size: 30 * core.KB},
 		},
@@ -262,9 +261,9 @@ func TestBuilderAddPhysicalPage(t *testing.T) {
 	}
 
 	// A second page sharing a component raises its shared count.
-	page2 := &simweb.Page{
+	page2 := &core.Page{
 		URL: "http://a/y.html", Title: "Y", Body: "b", Size: core.KB,
-		Components: []simweb.Component{{URL: "http://a/img.png", Size: 20 * core.KB}},
+		Components: []core.Component{{URL: "http://a/img.png", Size: 20 * core.KB}},
 	}
 	if _, err := b.AddPhysicalPage(page2, nil); err != nil {
 		t.Fatal(err)
@@ -280,7 +279,7 @@ func TestBuilderAddPhysicalPage(t *testing.T) {
 func TestBuilderAddLogicalPageKyotoExample(t *testing.T) {
 	h := NewHierarchy()
 	b := NewBuilder(h)
-	pages := []*simweb.Page{
+	pages := []*core.Page{
 		{URL: "http://k/travel.html", Title: "Kyoto tourism", Body: "sights", Size: core.KB},
 		{URL: "http://k/bus.html", Title: "Bus guide", Body: "routes", Size: core.KB},
 		{URL: "http://k/station.html", Title: "Access to the Shinkansen superexpress", Body: "platform 11 schedule", Size: core.KB},
@@ -339,7 +338,7 @@ func TestBuilderAddLogicalPageErrors(t *testing.T) {
 func TestBuilderAddRegion(t *testing.T) {
 	h := NewHierarchy()
 	b := NewBuilder(h)
-	p := &simweb.Page{URL: "http://a/x", Title: "T", Body: "B", Size: core.KB}
+	p := &core.Page{URL: "http://a/x", Title: "T", Body: "B", Size: core.KB}
 	if _, err := b.AddPhysicalPage(p, nil); err != nil {
 		t.Fatal(err)
 	}

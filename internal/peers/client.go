@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // PeerFetchPath is the resident-only probe endpoint every gateway mounts:
@@ -69,7 +68,7 @@ func AppendHop(hops, node string) string {
 // version, last-modified — so the prober can run the full admission path
 // on it, exactly as it would on an origin fetch.
 type PeerPage struct {
-	Page         simweb.Page
+	Page         core.Page
 	Source       string
 	LatencyTicks int64
 	Stale        bool
@@ -146,13 +145,13 @@ func (c *Cluster) Proxy(w http.ResponseWriter, r *http.Request, owner string) bo
 // object admitted anywhere in the cluster is fetched from the origin
 // exactly once. Probes are resident-only on the remote side; a peer that
 // is Down or breaker-open is skipped outright.
-func (c *Cluster) FetchResident(ctx context.Context, url string) (simweb.FetchResult, bool) {
+func (c *Cluster) FetchResident(ctx context.Context, url string) (core.FetchResult, bool) {
 	if c == nil {
-		return simweb.FetchResult{}, false
+		return core.FetchResult{}, false
 	}
 	st := c.state.Load()
 	if st == nil || len(st.peers) == 0 {
-		return simweb.FetchResult{}, false
+		return core.FetchResult{}, false
 	}
 	// Replica-set members are the likely holders: probe them first (minus
 	// self — we are the one missing), then the rest of the cluster.
@@ -193,7 +192,7 @@ func (c *Cluster) FetchResident(ctx context.Context, url string) (simweb.FetchRe
 		default:
 			report(false)
 			pc.peerHits.Add(1)
-			return simweb.FetchResult{
+			return core.FetchResult{
 				Page:    page.Page,
 				Latency: core.Duration(page.LatencyTicks),
 			}, true
@@ -202,7 +201,7 @@ func (c *Cluster) FetchResident(ctx context.Context, url string) (simweb.FetchRe
 			break
 		}
 	}
-	return simweb.FetchResult{}, false
+	return core.FetchResult{}, false
 }
 
 // probe performs one resident-only peer exchange. found=false with a nil
@@ -253,7 +252,7 @@ func (c *Cluster) roundTrip(ctx context.Context, addr, pathAndQuery, hops string
 // buffer. Any non-2xx answer is a
 // failure — the peer was reachable but refused, and the caller's
 // park-and-retry path handles both the same way.
-func (c *Cluster) put(ctx context.Context, peer, url string, page simweb.Page) error {
+func (c *Cluster) put(ctx context.Context, peer, url string, page core.Page) error {
 	if int64(len(page.Body)) > maxPeerBody {
 		// The receiver's ReadFrame would reject the frame anyway; fail here
 		// with a reason instead of an opaque 4xx from the far side.

@@ -13,18 +13,17 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/resilience"
-	"cbfww/internal/simweb"
 )
 
 // fakePeer is an httptest stand-in for a remote gateway's /peer/fetch:
 // it holds a resident set and counts probes.
 type fakePeer struct {
 	srv    *httptest.Server
-	pages  map[string]simweb.Page
+	pages  map[string]core.Page
 	probes atomic.Int64
 }
 
-func newFakePeer(pages map[string]simweb.Page) *fakePeer {
+func newFakePeer(pages map[string]core.Page) *fakePeer {
 	p := &fakePeer{pages: pages}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+PeerFetchPath, func(w http.ResponseWriter, r *http.Request) {
@@ -103,7 +102,7 @@ func TestClusterConfigureSingleNode(t *testing.T) {
 
 func TestFetchResidentHit(t *testing.T) {
 	u := "http://a.example/hot.html"
-	holder := newFakePeer(map[string]simweb.Page{u: {URL: u, Title: "hot", Body: "payload", Size: 2 * core.KB}})
+	holder := newFakePeer(map[string]core.Page{u: {URL: u, Title: "hot", Body: "payload", Size: 2 * core.KB}})
 	defer holder.srv.Close()
 	empty := newFakePeer(nil)
 	defer empty.srv.Close()

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // FrameContentType identifies the framed page encoding the peer endpoints
@@ -19,19 +18,19 @@ import (
 // peer endpoints speak; receivers reject any other content type.
 const FrameContentType = "application/x-cbfww-page"
 
-// FrameMeta is the JSON head of a framed page exchange: simweb.Page minus
+// FrameMeta is the JSON head of a framed page exchange: core.Page minus
 // the body, plus the serving metadata a probe answer carries (zero on
 // /peer/put pushes).
 type FrameMeta struct {
-	URL        string             `json:"url"`
-	Title      string             `json:"title,omitempty"`
-	Topic      int                `json:"topic,omitempty"`
-	Anchors    []simweb.Anchor    `json:"anchors,omitempty"`
-	Components []simweb.Component `json:"components,omitempty"`
-	Size       core.Bytes         `json:"size"`
-	Version    int                `json:"version"`
-	LastMod    core.Time          `json:"last_mod"`
-	BodyLen    int64              `json:"body_len"`
+	URL        string           `json:"url"`
+	Title      string           `json:"title,omitempty"`
+	Topic      int              `json:"topic,omitempty"`
+	Anchors    []core.Anchor    `json:"anchors,omitempty"`
+	Components []core.Component `json:"components,omitempty"`
+	Size       core.Bytes       `json:"size"`
+	Version    int              `json:"version"`
+	LastMod    core.Time        `json:"last_mod"`
+	BodyLen    int64            `json:"body_len"`
 
 	Source       string `json:"source,omitempty"`
 	LatencyTicks int64  `json:"latency_ticks,omitempty"`
@@ -40,7 +39,7 @@ type FrameMeta struct {
 
 // PageMeta builds a FrameMeta from a page (BodyLen from its resident
 // body; streaming senders overwrite it with the stream's length).
-func PageMeta(p simweb.Page) FrameMeta {
+func PageMeta(p core.Page) FrameMeta {
 	return FrameMeta{
 		URL:        p.URL,
 		Title:      p.Title,
@@ -54,9 +53,9 @@ func PageMeta(p simweb.Page) FrameMeta {
 	}
 }
 
-// Page reassembles the simweb.Page the frame describes around body.
-func (m FrameMeta) Page(body string) simweb.Page {
-	return simweb.Page{
+// Page reassembles the core.Page the frame describes around body.
+func (m FrameMeta) Page(body string) core.Page {
+	return core.Page{
 		URL:        m.URL,
 		Title:      m.Title,
 		Body:       body,
@@ -80,19 +79,19 @@ const maxFrameMeta = 1 << 20
 // separate bounds: the line is read through a maxFrameMeta limit, then
 // the validated BodyLen (<= maxPeerBody) is the sole bound on the body —
 // a maximal body does not lose the meta line's length off its budget.
-func ReadFrame(r io.Reader) (FrameMeta, simweb.Page, error) {
+func ReadFrame(r io.Reader) (FrameMeta, core.Page, error) {
 	lr := &io.LimitedReader{R: r, N: maxFrameMeta}
 	rd := bufio.NewReader(lr)
 	line, err := rd.ReadBytes('\n')
 	if err != nil {
-		return FrameMeta{}, simweb.Page{}, fmt.Errorf("peers: frame: meta line: %w", err)
+		return FrameMeta{}, core.Page{}, fmt.Errorf("peers: frame: meta line: %w", err)
 	}
 	var m FrameMeta
 	if err := json.Unmarshal(line, &m); err != nil {
-		return FrameMeta{}, simweb.Page{}, fmt.Errorf("peers: frame: decode meta: %w", err)
+		return FrameMeta{}, core.Page{}, fmt.Errorf("peers: frame: decode meta: %w", err)
 	}
 	if m.BodyLen < 0 || m.BodyLen > maxPeerBody {
-		return FrameMeta{}, simweb.Page{}, fmt.Errorf("peers: frame: body length %d out of range", m.BodyLen)
+		return FrameMeta{}, core.Page{}, fmt.Errorf("peers: frame: body length %d out of range", m.BodyLen)
 	}
 	// Re-arm the limit for the body; rd may already hold a buffered prefix
 	// of it, which counts toward BodyLen.
@@ -103,7 +102,7 @@ func ReadFrame(r io.Reader) (FrameMeta, simweb.Page, error) {
 	var sb strings.Builder
 	sb.Grow(int(m.BodyLen))
 	if _, err := io.CopyN(&sb, rd, m.BodyLen); err != nil {
-		return FrameMeta{}, simweb.Page{}, fmt.Errorf("peers: frame: body: %w", err)
+		return FrameMeta{}, core.Page{}, fmt.Errorf("peers: frame: body: %w", err)
 	}
 	return m, m.Page(sb.String()), nil
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // frameBytes renders meta + body exactly as the wire carries them.
@@ -26,7 +25,7 @@ func frameBytes(t *testing.T, m FrameMeta, body string) io.Reader {
 
 // TestReadFrameRoundTrip: meta and body come back intact.
 func TestReadFrameRoundTrip(t *testing.T) {
-	page := simweb.Page{URL: "http://a.example/p", Title: "t", Body: "hello body", Version: 3}
+	page := core.Page{URL: "http://a.example/p", Title: "t", Body: "hello body", Version: 3}
 	m := PageMeta(page)
 	got, gotPage, err := ReadFrame(frameBytes(t, m, page.Body))
 	if err != nil {
@@ -76,7 +75,7 @@ func TestReadFrameMetaLineBounded(t *testing.T) {
 // with a clear error, before any bytes hit the wire.
 func TestPutOversizedBody(t *testing.T) {
 	c := newTestCluster(t, "127.0.0.1:1", "127.0.0.1:2")
-	page := simweb.Page{URL: "http://a.example/huge", Body: strings.Repeat("x", maxPeerBody+1), Version: 1}
+	page := core.Page{URL: "http://a.example/huge", Body: strings.Repeat("x", maxPeerBody+1), Version: 1}
 	err := c.put(context.Background(), "127.0.0.1:2", page.URL, page)
 	if err == nil || !strings.Contains(err.Error(), "exceeds peer cap") {
 		t.Fatalf("put with oversized body = %v, want peer-cap rejection", err)
@@ -107,7 +106,7 @@ const legacyJSONBody = `{"page":{"URL":"http://a.example/p","Title":"t","Body":"
 // whatever it accepts respects both bounds — the meta line's and the
 // declared body length, which the returned body must match exactly.
 func FuzzReadFrame(f *testing.F) {
-	line, _ := EncodeFrameMeta(PageMeta(simweb.Page{URL: "http://a.example/p", Title: "t", Body: "hello body", Version: 3}))
+	line, _ := EncodeFrameMeta(PageMeta(core.Page{URL: "http://a.example/p", Title: "t", Body: "hello body", Version: 3}))
 	f.Add(append(line, "hello body"...))
 	f.Add(append(line, "hello"...)) // short body
 	f.Add([]byte(legacyJSONBody))

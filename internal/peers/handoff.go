@@ -4,7 +4,7 @@ import (
 	"context"
 	"sync"
 
-	"cbfww/internal/simweb"
+	"cbfww/internal/core"
 )
 
 // handoff.go is the write side of replication: when a node admits a body
@@ -21,14 +21,14 @@ import (
 // every address in targets.
 type repJob struct {
 	url     string
-	page    simweb.Page
+	page    core.Page
 	targets []string
 }
 
 // hint is one parked replication awaiting a peer's recovery.
 type hint struct {
 	url  string
-	page simweb.Page
+	page core.Page
 }
 
 // handoffQueue holds per-peer bounded hint queues. Oldest hints drop
@@ -102,7 +102,7 @@ func (q *handoffQueue) len(peer string) int {
 // job is queued for the background worker, and a full queue drops the job
 // (counted in ReplicationDropped). It is the warehouse's Replicator hook;
 // safe to call on a nil, unconfigured, or single-replica cluster (no-op).
-func (c *Cluster) ReplicateAdmitted(url string, page simweb.Page) {
+func (c *Cluster) ReplicateAdmitted(url string, page core.Page) {
 	if c == nil || c.cfg.Replicas < 2 {
 		return
 	}
@@ -148,7 +148,7 @@ func (c *Cluster) replicateLoop(stop <-chan struct{}) {
 
 // pushOrPark attempts one replication push, parking a hint on any
 // failure.
-func (c *Cluster) pushOrPark(target, url string, page simweb.Page) {
+func (c *Cluster) pushOrPark(target, url string, page core.Page) {
 	pc := c.counter(target)
 	if pc.down.Load() {
 		pc.handoffParked.Add(1)

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"cbfww/internal/core"
 	"cbfww/internal/resilience"
-	"cbfww/internal/simweb"
 )
 
 // healthPeer is an httptest stand-in for a full peer: /healthz that can be
@@ -21,7 +21,7 @@ type healthPeer struct {
 	srv      *httptest.Server
 	sick     atomic.Bool // true: /healthz answers 500
 	mu       sync.Mutex
-	received []simweb.Page
+	received []core.Page
 }
 
 func newHealthPeer() *healthPeer {
@@ -52,10 +52,10 @@ func newHealthPeer() *healthPeer {
 
 func (p *healthPeer) addr() string { return strings.TrimPrefix(p.srv.URL, "http://") }
 
-func (p *healthPeer) got() []simweb.Page {
+func (p *healthPeer) got() []core.Page {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]simweb.Page, len(p.received))
+	out := make([]core.Page, len(p.received))
 	copy(out, p.received)
 	return out
 }
@@ -107,7 +107,7 @@ func TestHandoffQueueBounds(t *testing.T) {
 		}
 	}
 	// Same-URL re-park replaces in place, no growth, no drop.
-	if d := q.park("p", hint{url: "u2", page: simweb.Page{Title: "fresh"}}); d != 0 || q.len("p") != 3 {
+	if d := q.park("p", hint{url: "u2", page: core.Page{Title: "fresh"}}); d != 0 || q.len("p") != 3 {
 		t.Fatalf("re-park: dropped=%d len=%d, want 0 and 3", d, q.len("p"))
 	}
 	// Over the limit: oldest (u1) evicted.
@@ -197,7 +197,7 @@ func TestReplicateAdmittedPushes(t *testing.T) {
 	defer c.Stop()
 
 	u := "http://a.example/replicated.html"
-	c.ReplicateAdmitted(u, simweb.Page{URL: u, Title: "copy"})
+	c.ReplicateAdmitted(u, core.Page{URL: u, Title: "copy"})
 	waitFor(t, "replica push", func() bool { return len(peer.got()) == 1 })
 	if got := peer.got()[0]; got.URL != u || got.Title != "copy" {
 		t.Fatalf("replica received %+v", got)
@@ -229,7 +229,7 @@ func TestHandoffParksAndDrains(t *testing.T) {
 
 	c.SetPeerDown(peer.addr(), true)
 	for _, u := range []string{"http://a.example/1", "http://a.example/2", "http://a.example/3"} {
-		c.ReplicateAdmitted(u, simweb.Page{URL: u})
+		c.ReplicateAdmitted(u, core.Page{URL: u})
 	}
 	// Limit 2: three parks evict the oldest hint.
 	waitFor(t, "hints parked", func() bool {
@@ -254,10 +254,10 @@ func TestHandoffParksAndDrains(t *testing.T) {
 // TestFetchResidentSkipsDownPeer: the health verdict routes probes around
 // a Down peer without burning a timeout on it.
 func TestFetchResidentSkipsDownPeer(t *testing.T) {
-	pages := make(map[string]simweb.Page)
+	pages := make(map[string]core.Page)
 	for i := 0; i < 64; i++ {
 		u := fmt.Sprintf("http://a.example/p%d.html", i)
-		pages[u] = simweb.Page{URL: u, Title: "hot", Body: "payload"}
+		pages[u] = core.Page{URL: u, Title: "hot", Body: "payload"}
 	}
 	holder := newFakePeer(pages)
 	defer holder.srv.Close()

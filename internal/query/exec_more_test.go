@@ -5,7 +5,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
-	"cbfww/internal/simweb"
 	"cbfww/internal/usage"
 )
 
@@ -16,11 +15,11 @@ func builderSource(t *testing.T) *fakeSource {
 	t.Helper()
 	h := object.NewHierarchy()
 	b := object.NewBuilder(h)
-	pages := []*simweb.Page{
+	pages := []*core.Page{
 		{URL: "http://s/a", Title: "Alpha report", Body: "alpha body text", Size: 10_000,
-			Components: []simweb.Component{{URL: "http://s/shared.png", Size: 5000}}},
+			Components: []core.Component{{URL: "http://s/shared.png", Size: 5000}}},
 		{URL: "http://s/b", Title: "Beta report", Body: "beta body text", Size: 20_000,
-			Components: []simweb.Component{{URL: "http://s/shared.png", Size: 5000}}},
+			Components: []core.Component{{URL: "http://s/shared.png", Size: 5000}}},
 		{URL: "http://s/c", Title: "Gamma notes", Body: "gamma", Size: 500},
 	}
 	for _, p := range pages {

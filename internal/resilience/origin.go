@@ -8,18 +8,7 @@ import (
 	"time"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
-
-// ContextOrigin is the origin contract the wrapper consumes and provides —
-// structurally identical to warehouse.ContextOrigin, declared locally so
-// the dependency points outward only.
-type ContextOrigin interface {
-	Fetch(url string) (simweb.FetchResult, error)
-	Head(url string) (version int, lastMod core.Time, err error)
-	FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error)
-	HeadCtx(ctx context.Context, url string) (int, core.Time, error)
-}
 
 // RetryPolicy tunes the retry loop.
 type RetryPolicy struct {
@@ -59,9 +48,9 @@ type Stats struct {
 }
 
 // Origin wraps an inner origin with retries and per-host breaking. Safe
-// for concurrent use; implements warehouse.ContextOrigin.
+// for concurrent use; implements core.ContextOrigin.
 type Origin struct {
-	inner    ContextOrigin
+	inner    core.ContextOrigin
 	cfg      Config
 	breakers *Breakers
 
@@ -71,7 +60,7 @@ type Origin struct {
 }
 
 // Wrap builds the resilient origin around inner.
-func Wrap(inner ContextOrigin, cfg Config) (*Origin, error) {
+func Wrap(inner core.ContextOrigin, cfg Config) (*Origin, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("resilience: %w: nil origin", core.ErrInvalid)
 	}
@@ -109,31 +98,31 @@ func (o *Origin) Stats() Stats {
 	return st
 }
 
-// Fetch implements warehouse.Origin.
-func (o *Origin) Fetch(url string) (simweb.FetchResult, error) {
+// Fetch implements core.Origin.
+func (o *Origin) Fetch(url string) (core.FetchResult, error) {
 	return o.FetchCtx(context.Background(), url)
 }
 
-// Head implements warehouse.Origin.
+// Head implements core.Origin.
 func (o *Origin) Head(url string) (int, core.Time, error) {
 	return o.HeadCtx(context.Background(), url)
 }
 
-// FetchCtx implements warehouse.ContextOrigin with retries and breaking.
-func (o *Origin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
-	var out simweb.FetchResult
+// FetchCtx implements core.ContextOrigin with retries and breaking.
+func (o *Origin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
+	var out core.FetchResult
 	err := o.do(ctx, url, func() error {
 		var e error
 		out, e = o.inner.FetchCtx(ctx, url)
 		return e
 	})
 	if err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	return out, nil
 }
 
-// HeadCtx implements warehouse.ContextOrigin with retries and breaking.
+// HeadCtx implements core.ContextOrigin with retries and breaking.
 func (o *Origin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	var (
 		v  int

@@ -3,8 +3,7 @@
 // reliable store ("store everything as long as it seems to be worthwhile",
 // §2), so a flaky, slow or dead origin must degrade service, never deny
 // it. The package wraps any context-aware origin (crawl.Requester over
-// real sockets, *simweb.Web in-process, a fault-injecting simweb origin)
-// with:
+// real sockets, or a fault-injecting simweb origin in tests) with:
 //
 //   - bounded retries with jittered exponential backoff, gated by error
 //     classification (retry timeouts, 5xx and connection failures; never
@@ -13,7 +12,7 @@
 //     failures → half-open probe after a cool-down) so a dead site fails
 //     fast instead of burning retry budgets and gateway worker-pool slots.
 //
-// The wrapper satisfies warehouse.ContextOrigin structurally, so it drops
+// The wrapper consumes and implements core.ContextOrigin, so it drops
 // into the warehouse's origin path unchanged; the warehouse's own
 // stale-serve degradation (warehouse.GetCtx) then turns the remaining
 // failures into marked stale hits whenever a resident copy exists.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // scriptOrigin returns canned errors per URL, in order; past the script's
@@ -58,14 +57,14 @@ func (s *scriptOrigin) next(url string) error {
 	return nil
 }
 
-func (s *scriptOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
+func (s *scriptOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if err := s.next(url); err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
-	return simweb.FetchResult{Page: simweb.Page{URL: url, Title: "t", Version: 1}}, nil
+	return core.FetchResult{Page: core.Page{URL: url, Title: "t", Version: 1}}, nil
 }
 
-func (s *scriptOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (s *scriptOrigin) Fetch(url string) (core.FetchResult, error) {
 	return s.FetchCtx(context.Background(), url)
 }
 
@@ -150,7 +149,7 @@ func TestHostFailureClassification(t *testing.T) {
 	}
 }
 
-func wrapT(t *testing.T, inner ContextOrigin, cfg Config) *Origin {
+func wrapT(t *testing.T, inner core.ContextOrigin, cfg Config) *Origin {
 	t.Helper()
 	if cfg.Retry.Seed == 0 {
 		cfg.Retry.Seed = 1

@@ -40,13 +40,8 @@ type FaultStats struct {
 	BlackoutRefusals int
 }
 
-// Total is the overall injected-fault count.
-func (s FaultStats) Total() int {
-	return s.InjectedErrors + s.LatencySpikes + s.BlackoutRefusals
-}
-
 // FaultyOrigin wraps a *Web as an origin that misbehaves per FaultConfig.
-// It implements warehouse.ContextOrigin. Safe for concurrent use.
+// It implements core.ContextOrigin. Safe for concurrent use.
 type FaultyOrigin struct {
 	web *Web
 	cfg FaultConfig
@@ -90,9 +85,6 @@ func (f *FaultyOrigin) Stats() FaultStats {
 	return f.stats
 }
 
-// Web exposes the wrapped simulated web.
-func (f *FaultyOrigin) Web() *Web { return f.web }
-
 // decide rolls the fault dice for one request, returning extra latency to
 // add or the injected error.
 func (f *FaultyOrigin) decide(url string) (core.Duration, error) {
@@ -117,21 +109,21 @@ func (f *FaultyOrigin) decide(url string) (core.Duration, error) {
 	return 0, nil
 }
 
-// Fetch implements warehouse.Origin with fault injection.
-func (f *FaultyOrigin) Fetch(url string) (FetchResult, error) {
+// Fetch implements core.Origin with fault injection.
+func (f *FaultyOrigin) Fetch(url string) (core.FetchResult, error) {
 	extra, err := f.decide(url)
 	if err != nil {
-		return FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	res, err := f.web.Fetch(url)
 	if err != nil {
-		return FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	res.Latency += extra
 	return res, nil
 }
 
-// Head implements warehouse.Origin with fault injection.
+// Head implements core.Origin with fault injection.
 func (f *FaultyOrigin) Head(url string) (int, core.Time, error) {
 	if _, err := f.decide(url); err != nil {
 		return 0, 0, err
@@ -139,15 +131,16 @@ func (f *FaultyOrigin) Head(url string) (int, core.Time, error) {
 	return f.web.Head(url)
 }
 
-// FetchCtx implements warehouse.ContextOrigin (see Web.FetchCtx).
-func (f *FaultyOrigin) FetchCtx(ctx context.Context, url string) (FetchResult, error) {
+// FetchCtx implements core.ContextOrigin: an already-cancelled or expired
+// context aborts before the (in-process, instantaneous) fetch.
+func (f *FaultyOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if err := ctx.Err(); err != nil {
-		return FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, err)
+		return core.FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, err)
 	}
 	return f.Fetch(url)
 }
 
-// HeadCtx implements warehouse.ContextOrigin (see Web.HeadCtx).
+// HeadCtx implements core.ContextOrigin (see FetchCtx).
 func (f *FaultyOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, fmt.Errorf("simweb: head %q: %w", url, err)

@@ -14,7 +14,7 @@ func faultWeb(t *testing.T) *Web {
 	w := NewWeb(clock)
 	w.AddSite("a.example", 10)
 	w.AddSite("b.example", 20)
-	pages := []*Page{
+	pages := []*core.Page{
 		{URL: "http://a.example/x", Title: "ax", Body: "alpha", Size: core.KB},
 		{URL: "http://a.example/y", Title: "ay", Body: "beta", Size: core.KB},
 		{URL: "http://b.example/z", Title: "bz", Body: "gamma", Size: core.KB},
@@ -39,7 +39,7 @@ func TestFaultyOriginPassThrough(t *testing.T) {
 	if v, _, err := f.Head("http://a.example/x"); err != nil || v != 1 {
 		t.Errorf("Head = %d, %v", v, err)
 	}
-	if st := f.Stats(); st.Total() != 0 {
+	if st := f.Stats(); st != (FaultStats{}) {
 		t.Errorf("faults injected with everything off: %+v", st)
 	}
 }

@@ -7,7 +7,6 @@
 //   - pages with topical content, titles, anchors/links and embedded media
 //     components (the Dexter-style document composition of §5.1),
 //   - content update processes that bump page versions,
-//   - news feeds whose term bursts drive the Topic Sensor,
 //   - an http.Handler so integration tests exercise real sockets.
 //
 // All randomness flows through explicitly seeded *rand.Rand instances and
@@ -15,7 +14,6 @@
 package simweb
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,63 +22,22 @@ import (
 	"cbfww/internal/core"
 )
 
-// Anchor is a link source inside a page: the anchor text plus the target
-// URL (span-to-node links per §5.1).
-type Anchor struct {
-	// Text is the anchor text — "often describe[s] the linked document,
-	// used as a navigation guide".
-	Text string
-	// Target is the absolute URL the link leads to.
-	Target string
-}
-
-// Component is an embedded media file (image, audio, ...) referenced from a
-// container page. Components may be shared by several pages — the sharing
-// that makes Figure 2's priority question interesting.
-type Component struct {
-	URL  string
-	Size core.Bytes
-}
-
-// Page is one web document: a container file plus embedded components.
-type Page struct {
-	URL   string
-	Title string
-	Body  string
-	// Topic is the ground-truth topic index used to validate clustering
-	// (E-F7); real pages don't carry this label, so nothing in the
-	// warehouse reads it.
-	Topic int
-	// Anchors are the outgoing links.
-	Anchors []Anchor
-	// Components are the embedded media files.
-	Components []Component
-	// Size is the container file size.
-	Size core.Bytes
-	// Version counts content updates; starts at 1.
-	Version int
-	// LastMod is the time of the last content update.
-	LastMod core.Time
-}
-
-// TotalSize returns container plus all component sizes.
-func (p *Page) TotalSize() core.Bytes {
-	s := p.Size
-	for _, c := range p.Components {
-		s += c.Size
-	}
-	return s
-}
-
-// Content returns title and body joined, the text an indexer sees.
-func (p *Page) Content() string { return p.Title + "\n" + p.Body }
+// The page contract lives in core. These aliases exist only because the
+// benchmark harness (benchmark/) still names them; they go when it moves
+// to the core names, and nothing else may use them.
+type (
+	Page        = core.Page
+	Anchor      = core.Anchor
+	Component   = core.Component
+	FetchResult = core.FetchResult
+)
 
 // Site is an origin server: a host with pages and a fetch latency that
 // models its network distance.
 type Site struct {
 	Host    string
 	Latency core.Duration
-	pages   map[string]*Page // by full URL
+	pages   map[string]*core.Page // by full URL
 }
 
 // Web is the simulated web: a set of sites plus global URL lookup. Safe
@@ -89,7 +46,7 @@ type Web struct {
 	mu    sync.RWMutex
 	clock core.Clock
 	sites map[string]*Site
-	pages map[string]*Page // all pages by URL
+	pages map[string]*core.Page // all pages by URL
 	// FetchCount tallies origin fetches per URL, for traffic accounting.
 	fetchCount map[string]int
 }
@@ -99,7 +56,7 @@ func NewWeb(clock core.Clock) *Web {
 	return &Web{
 		clock:      clock,
 		sites:      make(map[string]*Site),
-		pages:      make(map[string]*Page),
+		pages:      make(map[string]*core.Page),
 		fetchCount: make(map[string]int),
 	}
 }
@@ -112,7 +69,7 @@ func (w *Web) AddSite(host string, latency core.Duration) *Site {
 	if s, ok := w.sites[host]; ok {
 		return s
 	}
-	s := &Site{Host: host, Latency: latency, pages: make(map[string]*Page)}
+	s := &Site{Host: host, Latency: latency, pages: make(map[string]*core.Page)}
 	w.sites[host] = s
 	return s
 }
@@ -120,7 +77,7 @@ func (w *Web) AddSite(host string, latency core.Duration) *Site {
 // AddPage installs a page. The page URL must have the form
 // "http://host/path" with a registered host. Version and LastMod are
 // initialized if zero.
-func (w *Web) AddPage(p *Page) error {
+func (w *Web) AddPage(p *core.Page) error {
 	host, err := hostOf(p.URL)
 	if err != nil {
 		return err
@@ -158,49 +115,23 @@ func hostOf(url string) (string, error) {
 	return host, nil
 }
 
-// FetchResult is what an origin fetch returns: a snapshot of the page and
-// the simulated latency the fetch cost.
-type FetchResult struct {
-	Page    Page
-	Latency core.Duration
-}
-
 // Fetch retrieves the current content of url, simulating the origin
 // round-trip cost. The returned Page is a copy; mutating it does not
 // affect the web.
-func (w *Web) Fetch(url string) (FetchResult, error) {
+func (w *Web) Fetch(url string) (core.FetchResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	p, ok := w.pages[url]
 	if !ok {
-		return FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, core.ErrNotFound)
+		return core.FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, core.ErrNotFound)
 	}
 	w.fetchCount[url]++
 	host, _ := hostOf(url)
 	lat := w.sites[host].Latency
 	cp := *p
-	cp.Anchors = append([]Anchor(nil), p.Anchors...)
-	cp.Components = append([]Component(nil), p.Components...)
-	return FetchResult{Page: cp, Latency: lat}, nil
-}
-
-// FetchCtx is Fetch with context propagation: an already-cancelled or
-// expired context aborts before the (in-process, instantaneous) fetch.
-// It implements warehouse.ContextOrigin so daemons can bound simulated
-// origin fetches the same way they bound real HTTP ones.
-func (w *Web) FetchCtx(ctx context.Context, url string) (FetchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, err)
-	}
-	return w.Fetch(url)
-}
-
-// HeadCtx is Head with context propagation (see FetchCtx).
-func (w *Web) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, fmt.Errorf("simweb: head %q: %w", url, err)
-	}
-	return w.Head(url)
+	cp.Anchors = append([]core.Anchor(nil), p.Anchors...)
+	cp.Components = append([]core.Component(nil), p.Components...)
+	return core.FetchResult{Page: cp, Latency: lat}, nil
 }
 
 // Head returns the page's version and last-modified time without a body
@@ -236,7 +167,7 @@ func (w *Web) Update(url, extra string) error {
 // Lookup returns the live page object (not a copy) for generators that
 // need to inspect structure, plus whether it exists. Callers must not
 // mutate the result.
-func (w *Web) Lookup(url string) (*Page, bool) {
+func (w *Web) Lookup(url string) (*core.Page, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	p, ok := w.pages[url]

@@ -16,21 +16,21 @@ func newTestWeb(t *testing.T) (*Web, *core.SimClock) {
 	clock := core.NewSimClock(0)
 	w := NewWeb(clock)
 	w.AddSite("a.example", 100)
-	if err := w.AddPage(&Page{
+	if err := w.AddPage(&core.Page{
 		URL:   "http://a.example/index.html",
 		Title: "Kyoto Travel",
 		Body:  "travel guide to kyoto station",
 		Size:  4 * core.KB,
-		Anchors: []Anchor{
+		Anchors: []core.Anchor{
 			{Text: "bus stations", Target: "http://a.example/bus.html"},
 		},
-		Components: []Component{
+		Components: []core.Component{
 			{URL: "http://a.example/logo.png", Size: 16 * core.KB},
 		},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddPage(&Page{
+	if err := w.AddPage(&core.Page{
 		URL:   "http://a.example/bus.html",
 		Title: "List of bus stations",
 		Body:  "bus station list",
@@ -80,16 +80,16 @@ func TestFetchUnknown(t *testing.T) {
 
 func TestAddPageValidation(t *testing.T) {
 	w, _ := newTestWeb(t)
-	if err := w.AddPage(&Page{URL: "ftp://x/y"}); err == nil {
+	if err := w.AddPage(&core.Page{URL: "ftp://x/y"}); err == nil {
 		t.Error("non-http URL accepted")
 	}
-	if err := w.AddPage(&Page{URL: "http:///path"}); err == nil {
+	if err := w.AddPage(&core.Page{URL: "http:///path"}); err == nil {
 		t.Error("hostless URL accepted")
 	}
-	if err := w.AddPage(&Page{URL: "http://unregistered/x"}); err == nil {
+	if err := w.AddPage(&core.Page{URL: "http://unregistered/x"}); err == nil {
 		t.Error("unregistered host accepted")
 	}
-	if err := w.AddPage(&Page{URL: "http://a.example/index.html"}); err == nil {
+	if err := w.AddPage(&core.Page{URL: "http://a.example/index.html"}); err == nil {
 		t.Error("duplicate URL accepted")
 	}
 }
@@ -167,30 +167,6 @@ func TestWebConcurrent(t *testing.T) {
 	v, _, _ := w.Head("http://a.example/bus.html")
 	if v != 801 {
 		t.Errorf("version = %d, want 801", v)
-	}
-}
-
-func TestNewsFeed(t *testing.T) {
-	f := NewNewsFeed("kyoto-np")
-	if f.Name() != "kyoto-np" {
-		t.Errorf("Name = %q", f.Name())
-	}
-	f.Publish(Article{Time: 30, Headline: "gion festival tonight"})
-	f.Publish(Article{Time: 10, Headline: "new shinkansen schedule"})
-	f.Publish(Article{Time: 20, Headline: "temple restoration complete"})
-	if f.Len() != 3 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	got := f.Since(10, 30)
-	if len(got) != 2 || got[0].Time != 20 || got[1].Time != 30 {
-		t.Errorf("Since(10,30) = %+v", got)
-	}
-	if got := f.Since(30, 100); len(got) != 0 {
-		t.Errorf("Since(30,100) = %+v", got)
-	}
-	all := f.Since(core.TimeNever, 100)
-	if len(all) != 3 || all[0].Time != 10 {
-		t.Errorf("Since(never,100) = %+v", all)
 	}
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 
 	"cbfww/internal/core"
 )
@@ -15,7 +14,9 @@ import (
 // only copy of a kept version (the anchor lagging behind a fast copy)
 // backs that version up to the anchor first. Remove drops an object's
 // kept records with it; an object lost to a tier failure leaves them
-// standing.
+// standing. A kept record that is not its object's anchor copy stands
+// apart, and the anchor's used counts it: kept maps each kept version to
+// the bytes its record adds there, zero while it is the anchor copy.
 
 // Keep marks version v of id kept. Keeping an ID the manager does not
 // know yet is allowed: a restart registers its kept versions before
@@ -23,8 +24,11 @@ import (
 func (m *Manager) Keep(id core.ObjectID, v int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !slices.Contains(m.kept[id], v) {
-		m.kept[id] = append(m.kept[id], v)
+	if m.kept[id] == nil {
+		m.kept[id] = make(map[int]core.Bytes)
+	}
+	if _, ok := m.kept[id][v]; !ok {
+		m.kept[id][v] = 0
 	}
 }
 
@@ -33,14 +37,18 @@ func (m *Manager) Keep(id core.ObjectID, v int) {
 func (m *Manager) Release(id core.ObjectID, v int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := slices.Index(m.kept[id], v)
-	if i < 0 {
+	n, ok := m.kept[id][v]
+	if !ok {
 		return
 	}
-	m.kept[id] = slices.Delete(m.kept[id], i, i+1)
+	delete(m.kept[id], v)
+	if len(m.kept[id]) == 0 {
+		delete(m.kept, id)
+	}
 	if o, ok := m.objects[id]; !ok || o.copies[m.last()] != (copyState{present: true, version: v}) {
 		m.backends[m.last()].Delete(BlobKey{ID: id, Version: v})
 	}
+	m.used[m.last()] -= n
 }
 
 // OpenVersion opens the full content of version v of id from the fastest
@@ -57,7 +65,8 @@ func (m *Manager) OpenVersion(id core.ObjectID, v int) (BlobReader, error) {
 
 // keptLocked reports whether version v of id is kept. Requires m.mu.
 func (m *Manager) keptLocked(id core.ObjectID, v int) bool {
-	return slices.Contains(m.kept[id], v)
+	_, ok := m.kept[id][v]
+	return ok
 }
 
 // backupKeptLocked backs o up to the anchor (backupLocked) when version v,
@@ -69,11 +78,38 @@ func (m *Manager) backupKeptLocked(o *object, v int) {
 	}
 }
 
-// dropRecordLocked deletes record k at tier t, unless it is a kept version
-// on the anchor. Requires m.mu.
-func (m *Manager) dropRecordLocked(t Tier, k BlobKey) {
+// dropRecordLocked deletes o's record k at tier t, unless it is a kept
+// version on the anchor: that record stands apart from now on, counted at
+// o's size. Requires m.mu.
+func (m *Manager) dropRecordLocked(o *object, t Tier, k BlobKey) {
 	if t == m.last() && !k.Summary && m.keptLocked(k.ID, k.Version) {
+		if m.kept[k.ID][k.Version] == 0 {
+			m.kept[k.ID][k.Version] = o.size
+			m.used[t] += o.size
+		}
 		return
 	}
 	m.backends[t].Delete(k)
+}
+
+// claimAnchorLocked notes that the anchor's record of version v of id has
+// become the object's anchor copy, so it no longer stands apart. Requires
+// m.mu.
+func (m *Manager) claimAnchorLocked(id core.ObjectID, v int) {
+	if n := m.kept[id][v]; n > 0 {
+		m.kept[id][v] = 0
+		m.used[m.last()] -= n
+	}
+}
+
+// keptApartLocked returns the bytes of the kept records standing apart.
+// Requires m.mu.
+func (m *Manager) keptApartLocked() core.Bytes {
+	var sum core.Bytes
+	for _, vs := range m.kept {
+		for _, n := range vs {
+			sum += n
+		}
+	}
+	return sum
 }

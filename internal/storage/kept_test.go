@@ -44,6 +44,8 @@ func anchorVersions(m *Manager, id core.ObjectID) []int {
 // drop a kept version the lagging anchor never held; Release deletes a
 // record the anchor no longer serves, Remove deletes every one, and a
 // restart's orphan sweep spares exactly the versions registered as kept.
+// Throughout, the anchor's Used counts each record it holds at the
+// object's size: the anchor copy and every kept record standing apart.
 func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		cfg := s.config(t, 64*core.KB, core.MB)
@@ -54,6 +56,15 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 		defer func() { m.Close() }()
 		const id = core.ObjectID(7)
 		size := core.Bytes(len(versionBytes(id, 1)))
+		used := func(when string, records int) {
+			t.Helper()
+			if got, want := m.Used(m.last()), core.Bytes(records)*size; got != want {
+				t.Errorf("%s: Used(anchor) = %v, want %d records of %v", when, got, records, size)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Errorf("%s: %v", when, err)
+			}
+		}
 		if err := m.AdmitBytes(id, size, 1, 1, versionBytes(id, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +88,13 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 				t.Errorf("version %d: %d bytes, %v", v, len(data), err)
 			}
 		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+		used("v1→v3 and Backup", 3)
 		m.Release(id, 1)
 		m.Release(id, 3) // the anchor's copy: its record stays
 		if got, want := anchorVersions(m, id), []int{2, 3}; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("anchor records after Release = %v, want %v", got, want)
 		}
+		used("Release", 2)
 		if _, err := readVersion(m, id, 1); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("released version read: %v, want ErrNotFound", err)
 		}
@@ -107,9 +117,33 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 				if got, want := anchorVersions(m, id), append(keep, 3); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("anchor records after recovery keeping %v = %v, want %v", keep, got, want)
 				}
+				used(fmt.Sprintf("recovery keeping %v", keep), len(keep)+1)
 			}
-			m.Keep(id, 3)
 		}
+		m.Keep(id, 3)
+
+		// A lost anchor takes its kept records with it; recovery lands the
+		// current version there again from its fast copy.
+		if err := m.DropTier(m.last()); err != nil {
+			t.Fatal(err)
+		}
+		if rep := m.Recover(); rep.Lost != 0 {
+			t.Fatalf("recovery after the anchor's loss = %+v", rep)
+		}
+		used("DropTier(anchor) and Recover", 1)
+		// One more version stands v3 apart again, for Remove to take out.
+		if err := m.UpdateBytes(id, 4, versionBytes(id, 4)); err != nil {
+			t.Fatal(err)
+		}
+		m.Keep(id, 4)
+		m.Backup()
+		used("v4 and Backup", 2)
+		// An origin that counts afresh: Replace takes the kept v3 back as
+		// the anchor copy, and v4 stands apart in its place.
+		if err := m.Replace(id, 3, versionBytes(id, 3)); err != nil {
+			t.Fatal(err)
+		}
+		used("Replace back to v3", 2)
 
 		if err := m.Remove(id); err != nil {
 			t.Fatal(err)
@@ -120,6 +154,7 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 		if len(m.kept) != 0 {
 			t.Errorf("Remove left kept versions %v", m.kept)
 		}
+		used("Remove", 0)
 	})
 }
 
@@ -173,6 +208,9 @@ func TestKeptVersionsOutliveDemotionAndLoss(t *testing.T) {
 		if data, err := readVersion(m, id, 1); err != nil || !bytes.Equal(data, versionBytes(id, 1)) {
 			t.Errorf("kept version 1 after the loss: %d bytes, %v", len(data), err)
 		}
+		if got := m.Used(m.last()); got != size {
+			t.Errorf("Used(anchor) after the loss = %v, want the kept v1 record's %v", got, size)
+		}
 		if err := m.AdmitBytes(id, size, 3, 1, versionBytes(id, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -180,6 +218,9 @@ func TestKeptVersionsOutliveDemotionAndLoss(t *testing.T) {
 		m.Release(id, 2)
 		if got, want := anchorVersions(m, id), []int{3}; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("anchor records after release = %v, want %v", got, want)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Error(err)
 		}
 	})
 }

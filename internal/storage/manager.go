@@ -38,8 +38,9 @@ type Manager struct {
 	// on every read.
 	memGen   atomic.Uint64
 	memDirty map[core.ObjectID]struct{}
-	// kept lists, per object, the versions its keeper holds (kept.go).
-	kept map[core.ObjectID][]int
+	// kept maps, per object, the versions its keeper holds to the bytes
+	// each adds to the anchor's used (kept.go).
+	kept map[core.ObjectID]map[int]core.Bytes
 }
 
 // NewManager returns an empty manager over the tier table cfg.Tiers. With
@@ -68,7 +69,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		backends: backends,
 		used:     make([]core.Bytes, len(tiers)),
 		memDirty: make(map[core.ObjectID]struct{}),
-		kept:     make(map[core.ObjectID][]int),
+		kept:     make(map[core.ObjectID]map[int]core.Bytes),
 	}
 	m.stats.MovedBytes = make([]core.Bytes, len(tiers))
 	m.stats.DemotedBytes = make([]core.Bytes, len(tiers))
@@ -255,6 +256,7 @@ func (m *Manager) admitLocked(a Admission, touched *rankSpan) error {
 		}
 	}
 	o.copies[anchor] = copyState{present: true, version: v}
+	m.claimAnchorLocked(a.ID, v)
 	m.objects[a.ID] = o
 	m.order.insert(o)
 	touched.add(o.key())
@@ -274,8 +276,9 @@ func (m *Manager) Remove(id core.ObjectID) error {
 		return fmt.Errorf("storage: remove %v: %w", id, core.ErrNotFound)
 	}
 	m.removeLocked(o)
-	for _, v := range m.kept[id] {
+	for v, n := range m.kept[id] {
 		m.backends[m.last()].Delete(BlobKey{ID: id, Version: v})
+		m.used[m.last()] -= n
 	}
 	delete(m.kept, id)
 	return nil
@@ -522,7 +525,10 @@ func (m *Manager) update(id core.ObjectID, newVersion int, payload []byte, repai
 				return fmt.Errorf("storage: update %v: %w", id, err)
 			}
 			if c.present && c.key(id) != k {
-				m.dropRecordLocked(t, c.key(id))
+				m.dropRecordLocked(o, t, c.key(id))
+			}
+			if t == anchor {
+				m.claimAnchorLocked(id, newVersion)
 			}
 			m.stats.MovedBytes[t] += core.Bytes(len(data))
 		}
@@ -615,10 +621,11 @@ func (m *Manager) backupLocked(o *object) {
 	}
 	m.stats.MovedBytes[anchor] += core.Bytes(n)
 	if ct.present {
-		m.dropRecordLocked(anchor, ct.key(o.id))
+		m.dropRecordLocked(o, anchor, ct.key(o.id))
 	} else {
 		m.used[anchor] += o.size
 	}
+	m.claimAnchorLocked(o.id, ver)
 	*ct = copyState{present: true, version: ver}
 }
 

@@ -170,14 +170,14 @@ func (m *Manager) RecoverFromDisk() (int, RecoveryReport, error) {
 	for _, t := range persistent {
 		bestAt[t] = best{}
 	}
-	current := make(map[core.ObjectID]int, len(entries))
+	current := make(map[core.ObjectID]manifestEntry, len(entries))
 	for _, e := range entries {
-		current[e.id] = e.version
+		current[e.id] = e
 	}
 	for t, b := range bestAt {
 		for _, k := range m.backends[t].Keys() {
-			limit, known := current[k.ID]
-			if !known || k.Summary || k.Version > limit {
+			e, known := current[k.ID]
+			if !known || k.Summary || k.Version > e.version {
 				continue
 			}
 			if v, ok := b[k.ID]; !ok || k.Version > v {
@@ -225,12 +225,24 @@ func (m *Manager) RecoverFromDisk() (int, RecoveryReport, error) {
 
 	// Sweep orphans: blobs not referenced by any adopted copy or kept
 	// version (summaries are always regenerated, other versions are
-	// superseded garbage).
+	// superseded garbage). A kept record that is not an adopted copy
+	// stands apart, counted at its object's size in the manifest — or its
+	// own length, for an object the manifest no longer lists.
 	for _, t := range persistent {
 		for _, k := range m.backends[t].Keys() {
 			o, ok := m.objects[k.ID]
-			if !k.Summary && (ok && o.copies[t].present && o.copies[t].version == k.Version ||
-				t == anchor && m.keptLocked(k.ID, k.Version)) {
+			if !k.Summary && ok && o.copies[t].present && o.copies[t].version == k.Version {
+				continue
+			}
+			if !k.Summary && t == anchor && m.keptLocked(k.ID, k.Version) {
+				e, listed := current[k.ID]
+				if !listed {
+					if br, err := m.backends[t].Open(k); err == nil {
+						e.size = core.Bytes(br.Len())
+						br.Close()
+					}
+				}
+				m.kept[k.ID][k.Version] = e.size
 				continue
 			}
 			m.backends[t].Delete(k)

@@ -35,9 +35,16 @@ func (m *Manager) DropTier(t Tier) error {
 			}
 		}
 	}
-	// A failed tier has no surviving blobs either.
+	// A failed tier has no surviving blobs either, kept records included.
 	for _, k := range m.backends[t].Keys() {
 		m.backends[t].Delete(k)
+	}
+	if t == m.last() {
+		for _, vs := range m.kept {
+			for v := range vs {
+				vs[v] = 0
+			}
+		}
 	}
 	m.used[t] = 0
 	m.order.rebuild(m.objects)
@@ -113,14 +120,16 @@ func (m *Manager) recoverLocked() RecoveryReport {
 					continue // unreachable: bestVersion proved a readable copy
 				}
 				o.copies[anchor] = copyState{present: true, version: ver}
+				m.claimAnchorLocked(id, ver)
 			} else {
 				o.copies[anchor] = copyState{present: true, version: bestVersion}
 			}
 			rep.Restored++
 		}
 	}
-	// Recompute the anchor's usage from scratch (objects may have been lost).
-	var bottom core.Bytes
+	// Recompute the anchor's usage from scratch (objects may have been
+	// lost; their kept records stand apart and stay counted).
+	bottom := m.keptApartLocked()
 	for _, o := range m.objects {
 		if o.copies[anchor].present {
 			bottom += o.size
@@ -210,11 +219,12 @@ func (m *Manager) CheckInvariants() error {
 	if err := m.order.check(m.objects); err != nil {
 		return err
 	}
-	for t := Tier(0); t < anchor; t++ {
+	recount[anchor] += m.keptApartLocked()
+	for t := Tier(0); t <= anchor; t++ {
 		if recount[t] != m.used[t] {
 			return fmt.Errorf("storage: %s accounting %v != recount %v", m.TierName(t), m.used[t], recount[t])
 		}
-		if m.used[t] > m.tiers[t].Capacity {
+		if t < anchor && m.used[t] > m.tiers[t].Capacity {
 			return fmt.Errorf("storage: %s over capacity: %v > %v", m.TierName(t), m.used[t], m.tiers[t].Capacity)
 		}
 	}

@@ -1,4 +1,4 @@
-package simweb
+package topic
 
 import (
 	"sort"
@@ -25,15 +25,11 @@ type Article struct {
 // for concurrent use.
 type NewsFeed struct {
 	mu       sync.RWMutex
-	name     string
 	articles []Article // sorted by Time
 }
 
-// NewNewsFeed returns an empty feed with the given name.
-func NewNewsFeed(name string) *NewsFeed { return &NewsFeed{name: name} }
-
-// Name returns the feed name.
-func (f *NewsFeed) Name() string { return f.name }
+// NewNewsFeed returns an empty feed.
+func NewNewsFeed() *NewsFeed { return &NewsFeed{} }
 
 // Publish appends an article. Articles may be published out of order; the
 // feed keeps them sorted.
@@ -62,11 +58,4 @@ func (f *NewsFeed) Since(after, upto core.Time) []Article {
 	out := make([]Article, hi-lo)
 	copy(out, f.articles[lo:hi])
 	return out
-}
-
-// Len returns the total number of published articles.
-func (f *NewsFeed) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.articles)
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 	"cbfww/internal/text"
 )
 
@@ -24,7 +23,7 @@ type Burst struct {
 type Sensor struct {
 	mu    sync.Mutex
 	clock core.Clock
-	feeds []*simweb.NewsFeed
+	feeds []*NewsFeed
 	// baseline is an exponentially aged per-term headline frequency.
 	baseline map[string]float64
 	// halfLifeWeight is the multiplier applied to baselines at each poll.
@@ -35,7 +34,7 @@ type Sensor struct {
 // NewSensor returns a sensor over the given feeds. decay in (0,1) controls
 // how fast baselines forget (smaller = faster); 0.9 is a reasonable
 // default for hourly polling.
-func NewSensor(clock core.Clock, decay float64, feeds ...*simweb.NewsFeed) *Sensor {
+func NewSensor(clock core.Clock, decay float64, feeds ...*NewsFeed) *Sensor {
 	if decay <= 0 || decay >= 1 {
 		decay = 0.9
 	}
@@ -49,7 +48,7 @@ func NewSensor(clock core.Clock, decay float64, feeds ...*simweb.NewsFeed) *Sens
 }
 
 // AddFeed registers another feed.
-func (s *Sensor) AddFeed(f *simweb.NewsFeed) {
+func (s *Sensor) AddFeed(f *NewsFeed) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.feeds = append(s.feeds, f)

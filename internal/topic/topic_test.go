@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 	"cbfww/internal/text"
 )
 
@@ -157,12 +156,12 @@ func TestManagerConcurrent(t *testing.T) {
 
 func TestSensorDetectsBurst(t *testing.T) {
 	clock := core.NewSimClock(0)
-	feed := simweb.NewNewsFeed("np")
+	feed := NewNewsFeed()
 	s := NewSensor(clock, 0.9, feed)
 
 	// Steady background chatter.
 	for i := core.Time(0); i < 5; i++ {
-		feed.Publish(simweb.Article{Time: i * 10, Headline: "weather report sunny"})
+		feed.Publish(Article{Time: i * 10, Headline: "weather report sunny"})
 	}
 	clock.Set(49)
 	first := s.Poll()
@@ -172,7 +171,7 @@ func TestSensorDetectsBurst(t *testing.T) {
 	}
 
 	// More background, no bursts expected now.
-	feed.Publish(simweb.Article{Time: 55, Headline: "weather report cloudy"})
+	feed.Publish(Article{Time: 55, Headline: "weather report cloudy"})
 	clock.Set(60)
 	if bursts := s.Poll(); hasTerm(bursts, "weather") {
 		t.Errorf("steady term burst: %v", bursts)
@@ -180,7 +179,7 @@ func TestSensorDetectsBurst(t *testing.T) {
 
 	// The event: three headlines about the festival.
 	for i := core.Time(61); i < 64; i++ {
-		feed.Publish(simweb.Article{Time: i, Headline: "gion festival parade tonight"})
+		feed.Publish(Article{Time: i, Headline: "gion festival parade tonight"})
 	}
 	clock.Set(70)
 	bursts := s.Poll()
@@ -192,7 +191,7 @@ func TestSensorDetectsBurst(t *testing.T) {
 	}
 
 	// Repeat coverage of the same story bursts less.
-	feed.Publish(simweb.Article{Time: 75, Headline: "gion festival crowds"})
+	feed.Publish(Article{Time: 75, Headline: "gion festival crowds"})
 	clock.Set(80)
 	again := s.Poll()
 	if s1, s2 := scoreOf(bursts, "festiv"), scoreOf(again, "festiv"); s2 >= s1 && s1 > 0 {
@@ -220,8 +219,8 @@ func scoreOf(bs []Burst, term string) float64 {
 
 func TestSensorFeedInto(t *testing.T) {
 	clock := core.NewSimClock(0)
-	feed := simweb.NewNewsFeed("np")
-	feed.Publish(simweb.Article{Time: 0, Headline: "typhoon warning kansai"})
+	feed := NewNewsFeed()
+	feed.Publish(Article{Time: 0, Headline: "typhoon warning kansai"})
 	s := NewSensor(clock, 0.9, feed)
 	m := NewManager(nil)
 	bursts := s.FeedInto(m, 1.0)
@@ -242,12 +241,12 @@ func TestSensorFeedInto(t *testing.T) {
 
 func TestSensorMultipleFeeds(t *testing.T) {
 	clock := core.NewSimClock(10)
-	f1 := simweb.NewNewsFeed("a")
-	f2 := simweb.NewNewsFeed("b")
-	f1.Publish(simweb.Article{Time: 5, Headline: "earthquake drill"})
+	f1 := NewNewsFeed()
+	f2 := NewNewsFeed()
+	f1.Publish(Article{Time: 5, Headline: "earthquake drill"})
 	s := NewSensor(clock, 0.9, f1)
 	s.AddFeed(f2)
-	f2.Publish(simweb.Article{Time: 8, Headline: "earthquake preparedness"})
+	f2.Publish(Article{Time: 8, Headline: "earthquake preparedness"})
 	bursts := s.Poll()
 	if got := scoreOf(bursts, "earthquak"); got < 1.9 {
 		t.Errorf("cross-feed burst score = %v, want ~2", got)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 )
 
@@ -48,18 +47,18 @@ func newFirstSightOrigin() *firstSightOrigin {
 	return o
 }
 
-func (o *firstSightOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (o *firstSightOrigin) Fetch(url string) (core.FetchResult, error) {
 	h := fnv.New32a()
 	h.Write([]byte(url))
 	i := int(h.Sum32() % uint32(len(o.bodies)))
-	return simweb.FetchResult{Latency: 100, Page: simweb.Page{
+	return core.FetchResult{Latency: 100, Page: core.Page{
 		URL: url, Title: o.titles[i], Body: o.bodies[i], Size: 8 * core.KB, Version: 1,
-		Anchors: []simweb.Anchor{
+		Anchors: []core.Anchor{
 			{Text: o.titles[(i+1)%256], Target: url + "/a"},
 			{Text: o.titles[(i+2)%256], Target: url + "/b"},
 			{Text: o.titles[(i+3)%256], Target: url + "/c"},
 		},
-		Components: []simweb.Component{{URL: fmt.Sprintf("http://media.example/m%d.png", i%8), Size: 2 * core.KB}},
+		Components: []core.Component{{URL: fmt.Sprintf("http://media.example/m%d.png", i%8), Size: 2 * core.KB}},
 	}}, nil
 }
 

@@ -206,7 +206,7 @@ type probeOrigin struct {
 	hook        func(method, url string)
 }
 
-func (o *probeOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (o *probeOrigin) Fetch(url string) (core.FetchResult, error) {
 	o.gets.Add(1)
 	if o.hook != nil {
 		o.hook("GET", url)
@@ -233,9 +233,9 @@ func (o *probeOrigin) Head(url string) (int, core.Time, error) {
 	return ver, lastMod, err
 }
 
-func (o *probeOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
+func (o *probeOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if err := ctx.Err(); err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	return o.Fetch(url)
 }
@@ -265,7 +265,7 @@ func newProbeRig(t *testing.T, s stack, shards, n int) *probeRig {
 	urls := make([]string, n)
 	for i := range urls {
 		urls[i] = fmt.Sprintf("http://s.example/p%d", i)
-		page := &simweb.Page{URL: urls[i], Title: "probe page", Body: fmt.Sprintf("resident body %d", i), Size: core.KB}
+		page := &core.Page{URL: urls[i], Title: "probe page", Body: fmt.Sprintf("resident body %d", i), Size: core.KB}
 		if err := web.AddPage(page); err != nil {
 			t.Fatal(err)
 		}

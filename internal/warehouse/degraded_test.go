@@ -53,9 +53,9 @@ func (o *flakyOrigin) check(url string) error {
 	return nil
 }
 
-func (o *flakyOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (o *flakyOrigin) Fetch(url string) (core.FetchResult, error) {
 	if err := o.check(url); err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	return o.web.Fetch(url)
 }
@@ -69,9 +69,9 @@ func (o *flakyOrigin) Head(url string) (int, core.Time, error) {
 	return o.web.Head(url)
 }
 
-func (o *flakyOrigin) FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error) {
+func (o *flakyOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if err := ctx.Err(); err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	return o.Fetch(url)
 }
@@ -90,7 +90,7 @@ func degradedFixture(t *testing.T, s stack) (*Warehouse, *flakyOrigin, *simweb.W
 	clock := core.NewSimClock(0)
 	web := simweb.NewWeb(clock)
 	web.AddSite("s.example", 30)
-	pages := []*simweb.Page{
+	pages := []*core.Page{
 		{URL: "http://s.example/a", Title: "alpha page", Body: "warehouse content one", Size: core.KB},
 		{URL: "http://s.example/b", Title: "beta page", Body: "warehouse content two", Size: core.KB},
 	}
@@ -247,11 +247,11 @@ func TestSearchWithFallbackFlakyOrigin(t *testing.T) {
 		clock := core.NewSimClock(0)
 		web := simweb.NewWeb(clock)
 		web.AddSite("h.example", 50)
-		pages := []*simweb.Page{
+		pages := []*core.Page{
 			{
 				URL: "http://h.example/hub", Title: "City portal", Body: "directory of services",
 				Size: core.KB,
-				Anchors: []simweb.Anchor{
+				Anchors: []core.Anchor{
 					{Text: "Gion festival parade schedule", Target: "http://h.example/festival"},
 					{Text: "Festival parade photographs", Target: "http://h.example/photos"},
 					{Text: "Festival parade route map", Target: "http://h.example/map"},

@@ -15,11 +15,11 @@ func fallbackFixture(t *testing.T, s stack) (*Warehouse, *core.SimClock) {
 	clock := core.NewSimClock(0)
 	web := simweb.NewWeb(clock)
 	web.AddSite("h.example", 50)
-	pages := []*simweb.Page{
+	pages := []*core.Page{
 		{
 			URL: "http://h.example/hub", Title: "City portal", Body: "directory of services",
 			Size: core.KB,
-			Anchors: []simweb.Anchor{
+			Anchors: []core.Anchor{
 				{Text: "Gion festival parade schedule", Target: "http://h.example/festival"},
 				{Text: "Garbage collection calendar", Target: "http://h.example/garbage"},
 				{Text: "Dead link", Target: "http://h.example/missing"},

@@ -10,7 +10,6 @@ import (
 	"cbfww/internal/logmine"
 	"cbfww/internal/object"
 	"cbfww/internal/priority"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 	"cbfww/internal/text"
 	"cbfww/internal/version"
@@ -20,7 +19,7 @@ import (
 type GetResult struct {
 	// Page is the content served (possibly a stale cached copy under weak
 	// consistency).
-	Page simweb.Page
+	Page core.Page
 	// Hit reports whether the warehouse served it without an origin fetch.
 	Hit bool
 	// Source names where the body came from: the serving row of the
@@ -276,14 +275,14 @@ type pageContent struct {
 	anchors map[string]string
 }
 
-func (w *Warehouse) contentOf(p *simweb.Page) pageContent {
+func (w *Warehouse) contentOf(p *core.Page) pageContent {
 	pc := w.modelOf(p)
 	pc.payload = encodePagePayload(p)
 	return pc
 }
 
 // modelOf is contentOf without the payload, which a restored page has.
-func (w *Warehouse) modelOf(p *simweb.Page) pageContent {
+func (w *Warehouse) modelOf(p *core.Page) pageContent {
 	title, body := w.corpus.Dict().Counts(p.Title), w.corpus.Dict().Counts(p.Body)
 	return pageContent{
 		vec:     w.corpus.WeightedVectorCounts(title, body, w.cfg.Omega),
@@ -298,7 +297,7 @@ func (w *Warehouse) modelOf(p *simweb.Page) pageContent {
 // the version check and the shared state and no per-page computation.
 type record struct {
 	url string
-	fr  simweb.FetchResult
+	fr  core.FetchResult
 	src string // where the bytes came from; flows to GetResult.Source
 	// refused is the Constraint Manager's verdict. It gates first sight
 	// only: a page already kept still takes a refused record.
@@ -312,7 +311,7 @@ type record struct {
 // A record made only to admit (update false: the URL was cold, and the
 // record is dropped if it turns resident meanwhile) that is refused is
 // never kept, so it gets no content model.
-func (w *Warehouse) prepare(url string, fr simweb.FetchResult, src string, update bool) *record {
+func (w *Warehouse) prepare(url string, fr core.FetchResult, src string, update bool) *record {
 	rec := &record{url: url, fr: fr, src: src}
 	rec.refused = w.cfg.Admission.Check(constraint.Candidate{URL: url, Size: fr.Page.TotalSize()})
 	if rec.refused == nil || update {
@@ -342,7 +341,7 @@ const (
 // missFetch resolves a cold miss: a configured peer source (the cluster
 // tier) is consulted first for a copy some other node already admitted;
 // the origin is the fallback and the only party that can fail the fetch.
-func (w *Warehouse) missFetch(ctx context.Context, url string) (simweb.FetchResult, string, error) {
+func (w *Warehouse) missFetch(ctx context.Context, url string) (core.FetchResult, string, error) {
 	if ps := w.peerSource(); ps != nil {
 		if fr, ok := ps.FetchResident(ctx, url); ok {
 			return fr, sourcePeer, nil
@@ -513,7 +512,7 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 // older copy is updated in place, even where the admission rules would
 // refuse the page, since they gate first sight only; a cold URL is
 // admitted unless they refuse it.
-func (w *Warehouse) AdmitReplica(url string, fr simweb.FetchResult) (bool, error) {
+func (w *Warehouse) AdmitReplica(url string, fr core.FetchResult) (bool, error) {
 	resident := w.Resident(url) // a push for a cold URL only admits
 	rec := w.prepare(url, fr, sourceReplica, resident)
 	sh := w.shardOf(url)
@@ -572,7 +571,7 @@ func (w *Warehouse) firstSight(sh *shard, user string, rec *record, st *pageStat
 // and one that a page on another shard admits between the check and the
 // batch stops the batch at core.ErrExists with the entries before it
 // admitted; the next round takes the rest.
-func (w *Warehouse) admitToStorage(container core.ObjectID, p *simweb.Page, prio core.Priority, payload []byte) error {
+func (w *Warehouse) admitToStorage(container core.ObjectID, p *core.Page, prio core.Priority, payload []byte) error {
 	batch := make([]storage.Admission, 0, 1+len(p.Components))
 	for round := 0; ; round++ {
 		batch = batch[:0]
@@ -653,7 +652,7 @@ func sizeOrOne(b core.Bytes) core.Bytes {
 
 // anchorMap indexes a page's outgoing anchors by target URL. When several
 // anchors share a target, the first wins (the primary link).
-func anchorMap(anchors []simweb.Anchor) map[string]string {
+func anchorMap(anchors []core.Anchor) map[string]string {
 	m := make(map[string]string, len(anchors))
 	for _, a := range anchors {
 		if _, dup := m[a.Target]; !dup {

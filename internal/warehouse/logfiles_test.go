@@ -68,7 +68,7 @@ func TestAdmissionCreatesNoFile(t *testing.T) {
 	for i := range urls {
 		urls[i] = fmt.Sprintf("http://s.example/p%04d", i)
 		body := fmt.Sprintf("page %d ", i) + strings.Repeat("warehouse keeps every page it admits ", 8<<10/37)
-		if err := web.AddPage(&simweb.Page{URL: urls[i], Title: "p", Body: body, Size: core.Bytes(len(body))}); err != nil {
+		if err := web.AddPage(&core.Page{URL: urls[i], Title: "p", Body: body, Size: core.Bytes(len(body))}); err != nil {
 			t.Fatal(err)
 		}
 	}

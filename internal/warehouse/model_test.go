@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"cbfww/internal/simweb"
+	"cbfww/internal/core"
 	"cbfww/internal/text"
 )
 
@@ -15,7 +15,7 @@ import (
 // terms were resolved to TermIDs once: string-keyed counts, each part's
 // vector resolved term by term into a Builder, and a string-keyed
 // title+body sum for the indexes.
-func modelByStrings(c *text.Corpus, p *simweb.Page, omega float64) (text.Vector, map[string]int) {
+func modelByStrings(c *text.Corpus, p *core.Page, omega float64) (text.Vector, map[string]int) {
 	vectorize := func(counts map[string]int) text.Vector {
 		b := text.NewBuilder()
 		for term, n := range counts {
@@ -45,7 +45,7 @@ func TestModelOfMatchesStringPath(t *testing.T) {
 	o := newFirstSightOrigin()
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 200; i++ {
-		p := simweb.Page{Title: o.titles[rng.Intn(len(o.titles))], Body: o.bodies[rng.Intn(len(o.bodies))]}
+		p := core.Page{Title: o.titles[rng.Intn(len(o.titles))], Body: o.bodies[rng.Intn(len(o.bodies))]}
 		if i%2 == 1 { // mixed case, markup, stop words and non-ASCII
 			p.Title = strings.ToUpper(p.Title) + " the Straße"
 			p.Body = "<p>Kyoto</p> 京都 of " + p.Body[:rng.Intn(len(p.Body))]

@@ -7,7 +7,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 )
 
@@ -57,7 +56,7 @@ const pagePayloadTag = 2
 const pagePayloadPrefixLen = 1 + 4
 
 // encodePagePayload serializes the servable content of p.
-func encodePagePayload(p *simweb.Page) []byte {
+func encodePagePayload(p *core.Page) []byte {
 	hn := 3*binary.MaxVarintLen64 +
 		uvarintLen(len(p.Body)) +
 		uvarintLen(len(p.Title)) + len(p.Title) +
@@ -86,8 +85,8 @@ func encodePagePayload(p *simweb.Page) []byte {
 // page — decodePageStream for a caller that holds the slice (the Storage
 // Manager's Summarize hook). The URL is not stored in the blob (the blob
 // key already identifies the object); the caller supplies it.
-func decodePagePayload(url string, data []byte) (simweb.Page, error) {
-	var p simweb.Page
+func decodePagePayload(url string, data []byte) (core.Page, error) {
+	var p core.Page
 	if len(data) == 0 {
 		return p, fmt.Errorf("warehouse: page payload: %w: empty blob", core.ErrInvalid)
 	}
@@ -103,7 +102,7 @@ func decodePagePayload(url string, data []byte) (simweb.Page, error) {
 	}
 	p, bodyLen, err := decodePageHeader(url, data[pagePayloadPrefixLen:pagePayloadPrefixLen+hlen])
 	if err != nil {
-		return simweb.Page{}, err
+		return core.Page{}, err
 	}
 	body := data[pagePayloadPrefixLen+hlen:]
 	if int64(len(body)) < bodyLen {
@@ -118,7 +117,7 @@ func decodePagePayload(url string, data []byte) (simweb.Page, error) {
 // decodePageHeader parses the metadata header (everything but the
 // body), returning the page with an empty Body plus the declared body
 // length.
-func decodePageHeader(url string, header []byte) (simweb.Page, int64, error) {
+func decodePageHeader(url string, header []byte) (core.Page, int64, error) {
 	d := payloadReader{buf: header}
 	version := d.uvarint()
 	lastMod := d.varint()
@@ -126,23 +125,23 @@ func decodePageHeader(url string, header []byte) (simweb.Page, int64, error) {
 	bodyLen := d.uvarint()
 	title := d.string()
 	nAnchors := d.uvarint()
-	var anchors []simweb.Anchor
+	var anchors []core.Anchor
 	// An anchor costs at least two length bytes; reject counts the buffer
 	// cannot possibly hold before allocating.
 	if d.err == nil && nAnchors > 0 && nAnchors <= uint64(len(d.buf)-d.off)/2+1 {
-		anchors = make([]simweb.Anchor, 0, nAnchors)
+		anchors = make([]core.Anchor, 0, nAnchors)
 		for i := uint64(0); i < nAnchors && d.err == nil; i++ {
 			text := d.string()
 			target := d.string()
-			anchors = append(anchors, simweb.Anchor{Text: text, Target: target})
+			anchors = append(anchors, core.Anchor{Text: text, Target: target})
 		}
 	} else if nAnchors > 0 && d.err == nil {
 		d.err = fmt.Errorf("warehouse: page payload: %w: anchor count %d exceeds buffer", core.ErrInvalid, nAnchors)
 	}
 	if d.err != nil {
-		return simweb.Page{}, 0, d.err
+		return core.Page{}, 0, d.err
 	}
-	return simweb.Page{
+	return core.Page{
 		URL:     url,
 		Title:   title,
 		Anchors: anchors,
@@ -158,7 +157,7 @@ func decodePageHeader(url string, header []byte) (simweb.Page, int64, error) {
 // first byte, holding bodyLen unread body bytes (plus slack trailing bytes
 // when a malformed blob declares a body shorter than the payload that
 // follows — readers must stop at bodyLen).
-func decodePageStream(url string, br storage.BlobReader) (p simweb.Page, bodyLen, slack int64, err error) {
+func decodePageStream(url string, br storage.BlobReader) (p core.Page, bodyLen, slack int64, err error) {
 	var prefix [pagePayloadPrefixLen]byte
 	if _, err := io.ReadFull(br, prefix[:1]); err != nil {
 		return p, 0, 0, fmt.Errorf("warehouse: page payload: %w: empty blob", core.ErrInvalid)
@@ -186,7 +185,7 @@ func decodePageStream(url string, br storage.BlobReader) (p simweb.Page, bodyLen
 	}
 	p, bodyLen, err = decodePageHeader(url, header)
 	if err != nil {
-		return simweb.Page{}, 0, 0, err
+		return core.Page{}, 0, 0, err
 	}
 	if bodyLen > rest-hlen {
 		// Prefix-cut summary blob: stream what survived the cut.
@@ -215,7 +214,7 @@ func summarizePagePayload(data []byte, target core.Bytes) []byte {
 	p.Anchors = nil
 	// Overhead of everything except the body bytes; what remains of the
 	// target budget is the body allowance.
-	overhead := core.Bytes(len(encodePagePayload(&simweb.Page{
+	overhead := core.Bytes(len(encodePagePayload(&core.Page{
 		Title: p.Title, Size: p.Size, Version: p.Version, LastMod: p.LastMod,
 	})))
 	allow := target - overhead

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 )
 
 // sliceReader is a storage.BlobReader over a byte slice.
@@ -55,9 +54,9 @@ func TestRetiredFormatsRejected(t *testing.T) {
 // is exactly what is left in the reader — never more than the blob holds.
 // The slice decoder must agree with it.
 func FuzzDecodePageStream(f *testing.F) {
-	page := &simweb.Page{
+	page := &core.Page{
 		URL: "u", Title: "a title", Body: "body bytes to stream", Size: 2048, Version: 7, LastMod: 99,
-		Anchors: []simweb.Anchor{{Text: "next", Target: "http://a.example/next"}},
+		Anchors: []core.Anchor{{Text: "next", Target: "http://a.example/next"}},
 	}
 	good := encodePagePayload(page)
 	f.Add(good)

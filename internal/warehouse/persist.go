@@ -13,7 +13,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
-	"cbfww/internal/simweb"
 )
 
 // Warehouse-level durability. The Storage Manager already persists the
@@ -183,7 +182,7 @@ func (w *Warehouse) restorePages(pages []catalogPage) (int, error) {
 					out <- nil // payload lost or unreadable: served from origin on first access
 					return
 				}
-				out <- &record{url: cp.URL, fr: simweb.FetchResult{Page: page}, pageContent: w.modelOf(&page)}
+				out <- &record{url: cp.URL, fr: core.FetchResult{Page: page}, pageContent: w.modelOf(&page)}
 			}()
 		}
 		if rec := <-window[i%ahead]; rec != nil {

@@ -30,7 +30,7 @@ func persistWeb(t *testing.T, clock core.Clock) *simweb.Web {
 	t.Helper()
 	web := simweb.NewWeb(clock)
 	web.AddSite("s.example", 30)
-	pages := []*simweb.Page{
+	pages := []*core.Page{
 		{URL: "http://s.example/a", Title: "alpha page", Body: "durable warehouse content one", Size: core.KB},
 		{URL: "http://s.example/b", Title: "beta page", Body: "durable warehouse content two", Size: core.KB},
 	}

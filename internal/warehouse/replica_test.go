@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"cbfww/internal/constraint"
-	"cbfww/internal/simweb"
+	"cbfww/internal/core"
 )
 
 // recordingReplicator captures replication-hook fires.
@@ -15,7 +15,7 @@ type recordingReplicator struct {
 	fires []string
 }
 
-func (r *recordingReplicator) hook(url string, page simweb.Page) {
+func (r *recordingReplicator) hook(url string, page core.Page) {
 	r.mu.Lock()
 	r.fires = append(r.fires, url)
 	r.mu.Unlock()

@@ -89,7 +89,7 @@ func TestDeadOriginServesCached(t *testing.T) {
 		clock := core.NewSimClock(0)
 		web := simweb.NewWeb(clock)
 		web.AddSite("h.example", 100)
-		if err := web.AddPage(&simweb.Page{
+		if err := web.AddPage(&core.Page{
 			URL: "http://h.example/x", Title: "T", Body: "b", Size: core.KB,
 		}); err != nil {
 			t.Fatal(err)
@@ -118,9 +118,9 @@ type dyingOrigin struct {
 	dead  bool
 }
 
-func (d *dyingOrigin) Fetch(url string) (simweb.FetchResult, error) {
+func (d *dyingOrigin) Fetch(url string) (core.FetchResult, error) {
 	if d.dead {
-		return simweb.FetchResult{}, fmt.Errorf("origin unreachable: %w", core.ErrNotFound)
+		return core.FetchResult{}, fmt.Errorf("origin unreachable: %w", core.ErrNotFound)
 	}
 	return d.inner.Fetch(url)
 }
@@ -288,7 +288,7 @@ func TestRefetchesCountResidentOriginGets(t *testing.T) {
 				r.stale()
 				r.origin.hook = func(method, url string) {
 					if method == "GET" {
-						if _, err := r.w.AdmitReplica(url, simweb.FetchResult{Page: simweb.Page{URL: url, Title: "probe page", Body: "pushed", Size: core.KB, Version: 9}}); err != nil {
+						if _, err := r.w.AdmitReplica(url, core.FetchResult{Page: core.Page{URL: url, Title: "probe page", Body: "pushed", Size: core.KB, Version: 9}}); err != nil {
 							t.Error(err)
 						}
 					}

@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"cbfww/internal/analyzer"
 	"cbfww/internal/core"
 	"cbfww/internal/object"
 	"cbfww/internal/query"
@@ -115,11 +114,6 @@ func (w *Warehouse) RecommendPages(user string, n int) []RecommendedPage {
 // url.
 func (w *Warehouse) NextHops(url string, n int) []recommend.PathSuggestion {
 	return w.social.NextHops(url, n)
-}
-
-// Analyze runs the Data Analyzer over the warehouse's operational log.
-func (w *Warehouse) Analyze() analyzer.Report {
-	return analyzer.Analyze(w.AccessLog(), 3)
 }
 
 // Resident reports whether url is already admitted. The gateway uses it to

@@ -33,7 +33,7 @@ func eachStack(t *testing.T, body func(t *testing.T, s stack)) {
 // open builds a warehouse from cfg on this stack — a data directory unless
 // the test brought its own, the middle tier on the stack's backend — and
 // closes it with the test.
-func (s stack) open(t *testing.T, cfg Config, clock core.Clock, web Origin) *Warehouse {
+func (s stack) open(t *testing.T, cfg Config, clock core.Clock, web core.Origin) *Warehouse {
 	t.Helper()
 	cfg.Storage.Tiers = append([]storage.TierSpec(nil), cfg.Storage.Tiers...)
 	for i := range cfg.Storage.Tiers {

@@ -8,7 +8,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/object"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 )
 
@@ -39,11 +38,11 @@ type BodyStream struct {
 // openPage decodes the page metadata at the head of br and wraps what
 // follows — the body — as a BodyStream that owns br. The returned page
 // carries an empty Body. On error br is closed.
-func openPage(url string, br storage.BlobReader) (simweb.Page, *BodyStream, error) {
+func openPage(url string, br storage.BlobReader) (core.Page, *BodyStream, error) {
 	page, bodyLen, slack, err := decodePageStream(url, br)
 	if err != nil {
 		br.Close()
-		return simweb.Page{}, nil, err
+		return core.Page{}, nil, err
 	}
 	return page, &BodyStream{br: br, rem: bodyLen, slack: slack > 0, n: bodyLen}, nil
 }
@@ -51,19 +50,19 @@ func openPage(url string, br storage.BlobReader) (simweb.Page, *BodyStream, erro
 // peekPage reads the whole page stored for container id, body included,
 // without counting an access: the body loaders, the hot-index feed and
 // rehydration all read through here.
-func (w *Warehouse) peekPage(id core.ObjectID, url string) (simweb.Page, error) {
+func (w *Warehouse) peekPage(id core.ObjectID, url string) (core.Page, error) {
 	br, _, err := w.store.PeekStream(id)
 	if err != nil {
-		return simweb.Page{}, err
+		return core.Page{}, err
 	}
 	return readPage(url, br)
 }
 
 // readPage decodes the whole page in br, body included, and closes br.
-func readPage(url string, br storage.BlobReader) (simweb.Page, error) {
+func readPage(url string, br storage.BlobReader) (core.Page, error) {
 	page, bs, err := openPage(url, br)
 	if err != nil {
-		return simweb.Page{}, err
+		return core.Page{}, err
 	}
 	defer bs.Close()
 	page.Body, err = bs.text()

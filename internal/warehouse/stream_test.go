@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 )
 
 // boundedStreamFixture stores blob in a manager and hands back a
 // BodyStream wired exactly as readResident wires it.
-func boundedStreamFixture(t *testing.T, url string, blob []byte) (*BodyStream, simweb.Page) {
+func boundedStreamFixture(t *testing.T, url string, blob []byte) (*BodyStream, core.Page) {
 	t.Helper()
 	m, err := storage.NewManager(storage.Config{Tiers: storage.ClassicTiers(1*core.MB, 4*core.MB)})
 	if err != nil {
@@ -40,7 +39,7 @@ func boundedStreamFixture(t *testing.T, url string, blob []byte) (*BodyStream, s
 func TestBodyStreamBoundedByDeclaredLen(t *testing.T) {
 	const url = "http://a.example/junk-tail"
 	body := strings.Repeat("b", 1000)
-	blob := encodePagePayload(&simweb.Page{URL: url, Title: "t", Body: body, Version: 1})
+	blob := encodePagePayload(&core.Page{URL: url, Title: "t", Body: body, Version: 1})
 	blob = append(blob, []byte("TRAILING-JUNK-THAT-MUST-NOT-ESCAPE")...)
 
 	bs, _ := boundedStreamFixture(t, url, blob)
@@ -72,7 +71,7 @@ func TestBodyStreamBoundedByDeclaredLen(t *testing.T) {
 	}
 
 	// A well-formed blob reports no slack and still round-trips.
-	clean := encodePagePayload(&simweb.Page{URL: url, Title: "t", Body: body, Version: 1})
+	clean := encodePagePayload(&core.Page{URL: url, Title: "t", Body: body, Version: 1})
 	bs, _ = boundedStreamFixture(t, url, clean)
 	if bs.slack {
 		t.Errorf("well-formed blob reported slack")

@@ -29,7 +29,7 @@ func TestSourceNamesTheTableRow(t *testing.T) {
 			web := simweb.NewWeb(clock)
 			web.AddSite("h.example", 100)
 			const url = "http://h.example/x"
-			if err := web.AddPage(&simweb.Page{URL: url, Title: "T", Body: "some body text", Size: core.KB}); err != nil {
+			if err := web.AddPage(&core.Page{URL: url, Title: "T", Body: "some body text", Size: core.KB}); err != nil {
 				t.Fatal(err)
 			}
 			cfg := DefaultConfig()

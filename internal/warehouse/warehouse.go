@@ -31,7 +31,6 @@ import (
 	"cbfww/internal/priority"
 	"cbfww/internal/recommend"
 	"cbfww/internal/schema"
-	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 	"cbfww/internal/text"
 	"cbfww/internal/topic"
@@ -127,28 +126,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Origin is the warehouse's view of the web — the Web Requester's
-// downstream. *simweb.Web implements it natively (in-process simulation);
-// crawl.Requester implements it over real HTTP sockets.
-type Origin interface {
-	// Fetch retrieves the current content of url with its origin cost.
-	Fetch(url string) (simweb.FetchResult, error)
-	// Head returns version and last-modified without a body transfer —
-	// the weak-consistency revalidation probe.
-	Head(url string) (version int, lastMod core.Time, err error)
-}
-
-// ContextOrigin is an Origin whose fetches honor context cancellation and
-// deadlines — the contract a network daemon needs to bound origin work per
-// request. crawl.Requester and *simweb.Web both implement it. Origins that
-// do not are still usable: the context is then checked between steps only,
-// not during the fetch itself.
-type ContextOrigin interface {
-	Origin
-	FetchCtx(ctx context.Context, url string) (simweb.FetchResult, error)
-	HeadCtx(ctx context.Context, url string) (version int, lastMod core.Time, err error)
-}
-
 // PeerSource is the cluster tier's lookup hook: a source of pages some
 // other warehouse node already admitted, consulted on cold misses before
 // the origin. Implementations must be resident-only on the remote side —
@@ -156,7 +133,7 @@ type ContextOrigin interface {
 // stays local → peer → origin with exactly one origin fetch per object
 // cluster-wide. peers.Cluster implements it.
 type PeerSource interface {
-	FetchResident(ctx context.Context, url string) (simweb.FetchResult, bool)
+	FetchResident(ctx context.Context, url string) (core.FetchResult, bool)
 }
 
 // peerSourceBox wraps the interface so it can live in an atomic.Pointer
@@ -185,7 +162,7 @@ func (w *Warehouse) peerSource() PeerSource {
 // queue and return — peers.Cluster.ReplicateAdmitted does. Replica pushes
 // received via AdmitReplica never re-fire the hook (no replication
 // storms).
-type Replicator func(url string, page simweb.Page)
+type Replicator func(url string, page core.Page)
 
 // replicatorBox wraps the func for atomic installation (same pattern as
 // peerSourceBox: the daemon wires the cluster in after construction).
@@ -207,19 +184,19 @@ func (w *Warehouse) replicator() Replicator {
 
 // originFetch fetches from the origin under ctx when the origin supports
 // it, degrading to a pre-flight cancellation check when it does not.
-func (w *Warehouse) originFetch(ctx context.Context, url string) (simweb.FetchResult, error) {
-	if co, ok := w.web.(ContextOrigin); ok {
+func (w *Warehouse) originFetch(ctx context.Context, url string) (core.FetchResult, error) {
+	if co, ok := w.web.(core.ContextOrigin); ok {
 		return co.FetchCtx(ctx, url)
 	}
 	if err := ctx.Err(); err != nil {
-		return simweb.FetchResult{}, err
+		return core.FetchResult{}, err
 	}
 	return w.web.Fetch(url)
 }
 
 // originHead is the revalidation probe under ctx (see originFetch).
 func (w *Warehouse) originHead(ctx context.Context, url string) (int, core.Time, error) {
-	if co, ok := w.web.(ContextOrigin); ok {
+	if co, ok := w.web.(core.ContextOrigin); ok {
 		return co.HeadCtx(ctx, url)
 	}
 	if err := ctx.Err(); err != nil {
@@ -298,7 +275,7 @@ type pageState struct {
 type Warehouse struct {
 	cfg   Config
 	clock core.Clock
-	web   Origin
+	web   core.Origin
 
 	corpus  *text.Corpus
 	index   *text.InvertedIndex
@@ -324,7 +301,7 @@ type Warehouse struct {
 	// metaMu->shard order on readers, so it cannot deadlock with the
 	// stripes.
 	metaMu           sync.RWMutex
-	feeds            []*simweb.NewsFeed
+	feeds            []*topic.NewsFeed
 	lastPrefetchPoll core.Time
 	// logicalSupport remembers mined path support per logical page ID.
 	logicalSupport map[core.ObjectID]int
@@ -371,7 +348,7 @@ type Warehouse struct {
 }
 
 // New assembles a warehouse over the given (simulated) web.
-func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
+func New(cfg Config, clock core.Clock, web core.Origin) (*Warehouse, error) {
 	if clock == nil || web == nil {
 		return nil, fmt.Errorf("warehouse: %w: nil clock or web", core.ErrInvalid)
 	}
@@ -440,7 +417,7 @@ func New(cfg Config, clock core.Clock, web Origin) (*Warehouse, error) {
 }
 
 // WatchFeed registers a news feed with the Topic Sensor.
-func (w *Warehouse) WatchFeed(f *simweb.NewsFeed) {
+func (w *Warehouse) WatchFeed(f *topic.NewsFeed) {
 	w.sensor.AddFeed(f)
 	w.metaMu.Lock()
 	defer w.metaMu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"cbfww/internal/core"
 	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
+	"cbfww/internal/topic"
 	"cbfww/internal/workload"
 )
 
@@ -271,10 +272,10 @@ func TestMinePathsBuildsLogicalPages(t *testing.T) {
 func TestMaintainPrefetchesAnnouncedPages(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		w, g, clock := fixture(t, s, nil)
-		feed := simweb.NewNewsFeed("np")
+		feed := topic.NewNewsFeed()
 		w.WatchFeed(feed)
 		eventURL := g.PageURLs[3]
-		feed.Publish(simweb.Article{Time: 5, Headline: "big festival announced", URL: eventURL})
+		feed.Publish(topic.Article{Time: 5, Headline: "big festival announced", URL: eventURL})
 		clock.Advance(10)
 		rep, err := w.Maintain()
 		if err != nil {

@@ -7,7 +7,7 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/logmine"
-	"cbfww/internal/simweb"
+	"cbfww/internal/topic"
 )
 
 // Event is a short-lived hot spot, the phenomenon §4.4 observed in the
@@ -132,7 +132,7 @@ type Trace struct {
 	// Log is the access log, sorted by time.
 	Log logmine.Log
 	// News carries the event headlines for the Topic Sensor.
-	News *simweb.NewsFeed
+	News *topic.NewsFeed
 	// Updates counts content updates applied to the web during generation.
 	Updates int
 }
@@ -167,9 +167,9 @@ func GenerateTrace(g *GeneratedWeb, clock *core.SimClock, cfg TraceConfig) (*Tra
 		events = append(append([]Event{}, cfg.Events...), bursts...)
 	}
 
-	news := simweb.NewNewsFeed("simnews")
+	news := topic.NewNewsFeed()
 	for _, ev := range events {
-		news.Publish(simweb.Article{
+		news.Publish(topic.Article{
 			Time:     ev.Start.Add(-ev.Lead),
 			Headline: ev.Headline,
 		})

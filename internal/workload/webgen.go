@@ -99,7 +99,7 @@ func GenerateWeb(clock core.Clock, cfg WebConfig) (*GeneratedWeb, error) {
 	type sitePages struct {
 		host  string
 		urls  []string
-		media []simweb.Component
+		media []core.Component
 	}
 	sites := make([]sitePages, cfg.Sites)
 	for s := 0; s < cfg.Sites; s++ {
@@ -114,7 +114,7 @@ func GenerateWeb(clock core.Clock, cfg WebConfig) (*GeneratedWeb, error) {
 		// sharing is common.
 		nMedia := cfg.PagesPerSite/2 + 1
 		for m := 0; m < nMedia; m++ {
-			sites[s].media = append(sites[s].media, simweb.Component{
+			sites[s].media = append(sites[s].media, core.Component{
 				URL:  fmt.Sprintf("http://%s/media/m%03d.png", host, m),
 				Size: sizeBetween(rng, cfg.MediaSizeMin, cfg.MediaSizeMax),
 			})
@@ -133,7 +133,7 @@ func GenerateWeb(clock core.Clock, cfg WebConfig) (*GeneratedWeb, error) {
 			if rng.Float64() < cfg.OffTopicProb {
 				topic = rng.Intn(cfg.Topics)
 			}
-			page := &simweb.Page{
+			page := &core.Page{
 				URL:   url,
 				Title: vocab.Sentence(rng, topic, cfg.TitleTerms, 0),
 				Body:  vocab.Sentence(rng, topic, cfg.BodyTerms, 0.2),
@@ -173,7 +173,7 @@ func GenerateWeb(clock core.Clock, cfg WebConfig) (*GeneratedWeb, error) {
 					continue
 				}
 				tp, _ := web.Lookup(target)
-				page.Anchors = append(page.Anchors, simweb.Anchor{
+				page.Anchors = append(page.Anchors, core.Anchor{
 					Text:   anchorText(rng, tp.Title),
 					Target: target,
 				})

@@ -310,8 +310,8 @@ func TestGenerateTraceEventCreatesHotSpot(t *testing.T) {
 		Headline: "festival tonight", Lead: 500,
 	}}
 	g, tr := genSmallTrace(t, cfg)
-	if tr.News.Len() != 1 {
-		t.Fatalf("news feed has %d articles", tr.News.Len())
+	if n := len(tr.News.Since(core.TimeNever, core.Time(cfg.Length))); n != 1 {
+		t.Fatalf("news feed has %d articles", n)
 	}
 	arts := tr.News.Since(core.TimeNever, 10000)
 	if len(arts) != 1 || arts[0].Time != 9500 {
