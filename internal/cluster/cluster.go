@@ -23,6 +23,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"cbfww/internal/core"
@@ -37,7 +38,8 @@ type Point struct {
 }
 
 // Region is one cluster: the semantic region of the paper, kept as its
-// centroid σ (no reader needs its radius λ).
+// centroid σ (no reader needs its radius λ). It is the snapshot Regions
+// returns.
 type Region struct {
 	// Index is the region's position in the clusterer's region list; it is
 	// stable for the life of the clusterer (regions are never removed,
@@ -47,12 +49,20 @@ type Region struct {
 	Centroid text.Vector
 	// Members lists assigned object IDs in arrival order.
 	Members []core.ObjectID
-	// weight is the number of vectors absorbed into the centroid.
-	weight float64
 }
 
 // Size returns the number of members.
 func (r *Region) Size() int { return len(r.Members) }
+
+// region is a Region as the clusterer keeps it. Its centroid is scattered
+// by TermID and stepped in place, so scoring a page against it costs the
+// page's terms, not the centroid's. It holds 8 B per TermID up to the
+// largest the region has seen, plus 4 B per centroid term.
+type region struct {
+	centroid *text.Scorer
+	members  []core.ObjectID
+	weight   float64 // the number of vectors absorbed into the centroid
+}
 
 // Online is the single-pass clusterer. Safe for concurrent use.
 type Online struct {
@@ -64,7 +74,7 @@ type Online struct {
 	// the point is forced into the nearest region regardless of minSim
 	// (memory-bounded operation, as streaming algorithms require).
 	maxRegions int
-	regions    []*Region
+	regions    []*region
 	assign     map[core.ObjectID]int
 }
 
@@ -81,45 +91,57 @@ func NewOnline(minSim float64, maxRegions int) (*Online, error) {
 	}, nil
 }
 
-// Assign places p into a region and returns the region index. Re-assigning
-// an already-seen ID moves it only logically: the old centroid contribution
-// stays (streaming algorithms cannot un-absorb), but the membership and
-// returned index update.
+// Assign places p into a region and returns the region index: the nearest
+// region when it is similar enough or the region cap is reached, a new one
+// otherwise. An ID is a member of one region, once. Re-assigning an ID
+// whose region is still the one chosen changes nothing; an ID that moves
+// leaves its old region's members (its contribution to the old centroid
+// stays: streaming algorithms cannot un-absorb) and joins the new one.
 func (o *Online) Assign(p Point) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
-	best, bestSim := -1, -1.0
-	for i, r := range o.regions {
-		if sim := p.Vec.Cosine(r.Centroid); sim > bestSim {
-			best, bestSim = i, sim
-		}
-	}
+	best, bestSim := o.nearestLocked(p.Vec)
 	forced := o.maxRegions > 0 && len(o.regions) >= o.maxRegions
-	if best >= 0 && (bestSim >= o.minSim || forced) {
-		o.absorb(o.regions[best], p)
+	joins := best >= 0 && (bestSim >= o.minSim || forced)
+	old, known := o.assign[p.ID]
+	if known {
+		if joins && old == best {
+			return best
+		}
+		r := o.regions[old]
+		k := slices.Index(r.members, p.ID)
+		r.members = slices.Delete(r.members, k, k+1)
+	}
+	if joins {
+		r := o.regions[best]
+		r.weight++
+		// new_mean = mean + (x - mean)/n, stepped in place and re-normalized.
+		r.centroid.Step(p.Vec, 1/r.weight)
+		r.members = append(r.members, p.ID)
 		o.assign[p.ID] = best
 		return best
 	}
-	// Found a new region.
-	r := &Region{
-		Index:    len(o.regions),
-		Centroid: p.Vec.Clone(),
-		Members:  []core.ObjectID{p.ID},
+	// Found a new region; it owns its scatter for good.
+	o.regions = append(o.regions, &region{
+		centroid: p.Vec.Scorer(),
+		members:  []core.ObjectID{p.ID},
 		weight:   1,
-	}
-	o.regions = append(o.regions, r)
-	o.assign[p.ID] = r.Index
-	return r.Index
+	})
+	o.assign[p.ID] = len(o.regions) - 1
+	return len(o.regions) - 1
 }
 
-// absorb folds p into region r: running-mean centroid update and member
-// list append.
-func (o *Online) absorb(r *Region, p Point) {
-	r.weight++
-	// new_mean = mean + (x - mean)/n, done sparsely then re-normalized.
-	r.Centroid = r.Centroid.MeanStep(p.Vec, 1/r.weight)
-	r.Members = append(r.Members, p.ID)
+// nearestLocked scores v against every centroid, in v's terms; the first
+// of equally similar regions wins. It returns -1, -1 without regions.
+func (o *Online) nearestLocked(v text.Vector) (idx int, sim float64) {
+	idx, sim = -1, -1
+	for i, r := range o.regions {
+		if s := r.centroid.Cosine(v); s > sim {
+			idx, sim = i, s
+		}
+	}
+	return idx, sim
 }
 
 // RegionOf returns the region index of an assigned ID.
@@ -136,27 +158,22 @@ func (o *Online) RegionOf(id core.ObjectID) (int, bool) {
 func (o *Online) Nearest(v text.Vector) (idx int, sim float64, ok bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	idx, sim = -1, -1
-	for i, r := range o.regions {
-		if s := v.Cosine(r.Centroid); s > sim {
-			idx, sim = i, s
-		}
-	}
+	idx, sim = o.nearestLocked(v)
 	return idx, sim, idx >= 0
 }
 
-// Regions returns a snapshot of the regions (copies of metadata; centroid
-// vectors are cloned so callers cannot corrupt the clusterer).
+// Regions returns a snapshot of the regions: each centroid copied out of
+// its scatter, each member list copied, so callers cannot corrupt the
+// clusterer.
 func (o *Online) Regions() []Region {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	out := make([]Region, len(o.regions))
 	for i, r := range o.regions {
 		out[i] = Region{
-			Index:    r.Index,
-			Centroid: r.Centroid.Clone(),
-			Members:  append([]core.ObjectID(nil), r.Members...),
-			weight:   r.weight,
+			Index:    i,
+			Centroid: r.centroid.Vector(),
+			Members:  slices.Clone(r.members),
 		}
 	}
 	return out
@@ -178,7 +195,7 @@ func (o *Online) SizeOf(idx int) int {
 	if idx < 0 || idx >= len(o.regions) {
 		return 0
 	}
-	return len(o.regions[idx].Members)
+	return len(o.regions[idx].members)
 }
 
 // SSQ computes the sum of squared centroid distances of the given points

@@ -136,21 +136,55 @@ func TestOnlineNearestDoesNotMutate(t *testing.T) {
 	}
 }
 
+// Assign writers race Nearest and Regions readers: every snapshot is a
+// consistent one (unit centroids, each ID in one region), and at the end
+// every point is a member exactly once.
 func TestOnlineConcurrent(t *testing.T) {
 	o, _ := NewOnline(0.3, 0)
-	points, _, _ := topicPoints(t, 3, 30, 5)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
+	points, _, _ := topicPoints(t, 3, 40, 8)
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(points); i += 4 {
+			defer writers.Done()
+			for i := g; i < len(points); i += 2 {
 				o.Assign(points[i])
-				o.Nearest(points[i].Vec)
+				o.Assign(points[i]) // a second assign keeps the ID in one region
 			}
 		}(g)
 	}
-	wg.Wait()
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				o.Nearest(points[k%len(points)].Vec)
+				seen := map[core.ObjectID]bool{}
+				for _, r := range o.Regions() {
+					if n := r.Centroid.Norm(); math.Abs(n-1) > 1e-9 {
+						t.Errorf("region %d: centroid norm %v", r.Index, n)
+						return
+					}
+					for _, id := range r.Members {
+						if seen[id] {
+							t.Errorf("ID %d in two regions", id)
+							return
+						}
+						seen[id] = true
+					}
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
 	total := 0
 	for _, r := range o.Regions() {
 		total += r.Size()
@@ -308,22 +342,6 @@ func TestOnlineVsBatchShape(t *testing.T) {
 	t.Logf("online purity %.3f (regions=%d), batch purity %.3f", po, o.Len(), pb)
 	if po < pb*0.85 {
 		t.Errorf("online %.3f too far below batch %.3f", po, pb)
-	}
-}
-
-func BenchmarkOnlineAssign(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vocab := workload.NewVocabulary(8, 20, 5)
-	corpus := text.NewCorpus()
-	points := make([]Point, 512)
-	for i := range points {
-		doc := vocab.Sentence(rng, i%8, 30, 0.1)
-		points[i] = Point{ID: core.ObjectID(i + 1), Vec: corpus.VectorizeNew(doc)}
-	}
-	o, _ := NewOnline(0.2, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Assign(points[i%len(points)])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -151,6 +152,75 @@ func TestMeanStepMatchesChain(t *testing.T) {
 	check(c, vec(10, 1, 11, 2), 0.25)              // disjoint, all after
 	check(vec(5, 1), vec(1, 2, 2, 3, 3, 4), 0.125) // disjoint, all before
 	check(c, c, 0.2)                               // the same terms
+}
+
+// A Scorer stepped in place is a MeanStep chain bit for bit: terms,
+// weights, norm and every cosine, over chains that bring new terms, take
+// a = 1, pass through the zero vector and carry weights whose squares
+// underflow.
+func TestScorerStepMatchesMeanStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	// page draws up to 40 ascending terms below span, without a Builder:
+	// the chains take a quarter of a million steps.
+	page := func(span int) Vector {
+		n := rng.Intn(41)
+		if n == 0 || rng.Intn(20) == 0 {
+			return Vector{} // the zero vector
+		}
+		ids, ws := make([]TermID, 0, n), make([]float64, 0, n)
+		scale, signed := math.Pow(10, float64(rng.Intn(7)-3)), rng.Intn(20) == 0
+		if rng.Intn(20) == 0 { // squares underflow: a norm of 0 or a subnormal one
+			scale = []float64{1e-170, 1e-200, 1e-310}[rng.Intn(3)]
+		}
+		for id := rng.Intn(1 + span/n); id < span && len(ids) < n; id += 1 + rng.Intn(1+2*span/n) {
+			w := rng.ExpFloat64() * scale
+			if signed && rng.Intn(2) == 0 {
+				w = -w
+			}
+			if w != 0 {
+				ids, ws = append(ids, TermID(id)), append(ws, w)
+			}
+		}
+		return makeVector(ids, ws)
+	}
+	for chain := 0; chain < 1000; chain++ {
+		span := 1 + rng.Intn(300)
+		want := page(span)
+		sc := want.Scorer()
+		steps := 1 + rng.Intn(500)
+		for step := 1; step <= steps; step++ {
+			u, a := page(span+step/4), 1/float64(1+step) // new terms keep arriving
+			if rng.Intn(25) == 0 {
+				a = 1
+			}
+			if got, w := sc.Cosine(u), u.Cosine(want); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("chain %d step %d: Cosine = %v, merge-join %v", chain, step, got, w)
+			}
+			want = want.MeanStep(u, a)
+			sc.Step(u, a)
+			if !scatters(sc, want) {
+				t.Fatalf("chain %d step %d: Step gave %v, MeanStep %v", chain, step, sc.Vector(), want)
+			}
+		}
+		if !sameBits(sc.Vector(), want) {
+			t.Fatalf("chain %d: Vector() = %v, MeanStep %v", chain, sc.Vector(), want)
+		}
+		sc.Release()
+	}
+}
+
+// scatters reports whether s holds v bit for bit: the same terms, each
+// weight in its slot, the same norm.
+func scatters(s *Scorer, v Vector) bool {
+	if !slices.Equal(s.ids, v.ids) || math.Float64bits(s.norm) != math.Float64bits(v.norm) {
+		return false
+	}
+	for i, id := range v.ids {
+		if math.Float64bits(s.w[id]) != math.Float64bits(v.ws[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // pageText is a random title or body over a small vocabulary.

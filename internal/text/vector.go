@@ -395,33 +395,46 @@ func (v Vector) Cosine(u Vector) float64 {
 	return math.Max(-1, math.Min(1, c))
 }
 
-// Scorer is a vector scattered into a pooled TermID-indexed slice, so a
-// cosine against it costs one pass over the other vector's terms, not a
-// merge with its own. Not safe for concurrent use; Release it when done.
+// Scorer is a vector scattered into a TermID-indexed slice, so a cosine
+// against it costs one pass over the other vector's terms, not a merge
+// with its own. A Scorer from Vector.Scorer is pooled: Release it when
+// done. One kept for good (a region's centroid) moves by Step, in place.
+// Cosine and Vector only read it, so they may run concurrently with each
+// other but not with Step or Release.
 type Scorer struct {
-	v Vector
-	w []float64 // w[id] is v's weight of id; zero up to cap while pooled
+	ids  []TermID  // the vector's terms, ascending; never written in place
+	w    []float64 // w[id] is the weight of id; zero off ids, up to cap
+	norm float64
 }
 
 var scorers = sync.Pool{New: func() any { return new(Scorer) }}
 
 // Scorer scatters v, in O(|v|), for scoring many vectors against it.
 func (v Vector) Scorer() *Scorer {
-	s, need := scorers.Get().(*Scorer), 0
-	if n := len(v.ids); n > 0 {
-		need = int(v.ids[n-1]) + 1
-	}
-	s.v, s.w = v, slices.Grow(s.w[:0], need)[:need]
+	s := scorers.Get().(*Scorer)
+	s.ids, s.norm, s.w = v.ids, v.norm, s.w[:0]
+	s.cover(v.ids)
 	for i, id := range v.ids {
 		s.w[id] = v.ws[i]
 	}
 	return s
 }
 
+// cover extends w to the last of ids, sorted ascending; the slots it adds
+// are zero, as every slot off the vector's terms is.
+func (s *Scorer) cover(ids []TermID) {
+	if len(ids) == 0 {
+		return
+	}
+	if need := int(ids[len(ids)-1]) + 1; need > len(s.w) {
+		s.w = slices.Grow(s.w, need-len(s.w))[:need]
+	}
+}
+
 // Cosine is Vector.Cosine(u) bit for bit: the shared terms' products are
 // added in the same TermID order, and a term the vector lacks adds a zero.
 func (s *Scorer) Cosine(u Vector) float64 {
-	if s.v.norm == 0 || u.norm == 0 {
+	if s.norm == 0 || u.norm == 0 {
 		return 0
 	}
 	var dot float64
@@ -431,15 +444,84 @@ func (s *Scorer) Cosine(u Vector) float64 {
 		}
 		dot += s.w[id] * u.ws[j]
 	}
-	return math.Max(-1, math.Min(1, dot/(s.v.norm*u.norm)))
+	return math.Max(-1, math.Min(1, dot/(s.norm*u.norm)))
+}
+
+// Step moves the vector to v.MeanStep(u, a), in place and bit for bit:
+// each weight is scaled, added to and normalised by the same operations,
+// and the squares are summed in the same TermID order, in the merge pass
+// that makes each weight. A term stays in the vector once added, even if
+// its weight underflows to zero, as in MeanStep. Step allocates only when
+// u brings terms the vector lacks: a new id list, since a Vector may share
+// the old one.
+func (s *Scorer) Step(u Vector, a float64) {
+	keep := 1 - a
+	s.cover(u.ids)
+	var ids []TermID // nil while every merged term is one of the vector's
+	var sum float64  // makeVector's, over the merged weights in TermID order
+	i := 0
+	// scale steps the vector's terms below end, which u lacks.
+	scale := func(end int) {
+		for ; i < len(s.ids) && int(s.ids[i]) < end; i++ {
+			id := s.ids[i]
+			w := float64(keep * s.w[id]) // rounded before any add, as in MeanStep
+			s.w[id] = w
+			sum += w * w
+			if ids != nil {
+				ids = append(ids, id)
+			}
+		}
+	}
+	for j, id := range u.ids {
+		scale(int(id))
+		var w float64
+		if i < len(s.ids) && s.ids[i] == id {
+			w = float64(keep * s.w[id])
+			w += a * u.ws[j]
+			i++
+		} else {
+			if ids == nil {
+				ids = append(make([]TermID, 0, len(s.ids)+len(u.ids)-j), s.ids[:i]...)
+			}
+			w = a * u.ws[j]
+		}
+		s.w[id] = w
+		sum += w * w
+		if ids != nil {
+			ids = append(ids, id)
+		}
+	}
+	scale(math.MaxInt)
+	if ids != nil {
+		s.ids = ids
+	}
+	// makeUnit's scale, in place.
+	if s.norm = math.Sqrt(sum); s.norm == 0 {
+		return
+	}
+	inv := 1 / s.norm
+	for _, id := range s.ids {
+		s.w[id] = inv * s.w[id]
+	}
+	s.norm *= math.Abs(inv)
+}
+
+// Vector returns the scattered vector as an immutable Vector: its weights
+// copied out, its id list shared.
+func (s *Scorer) Vector() Vector {
+	ws := make([]float64, len(s.ids))
+	for i, id := range s.ids {
+		ws[i] = s.w[id]
+	}
+	return Vector{ids: s.ids, ws: ws, norm: s.norm}
 }
 
 // Release clears the scatter, walking only the vector's terms, and pools s.
 func (s *Scorer) Release() {
-	for _, id := range s.v.ids {
+	for _, id := range s.ids {
 		s.w[id] = 0
 	}
-	s.v = Vector{}
+	s.ids, s.norm = nil, 0
 	scorers.Put(s)
 }
 

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -520,15 +521,25 @@ func TestMinePathsIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := w.MinePaths()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r2.LogicalPages != 0 {
-			t.Errorf("second mine created %d new logical pages", r2.LogicalPages)
-		}
-		if r1.Paths != r2.Paths {
-			t.Errorf("path counts differ: %d vs %d", r1.Paths, r2.Paths)
+		// Every region's members and centroid, its weights printed in
+		// full (%v round-trips a float64), after the first mine.
+		regions := fmt.Sprint(w.regions.Regions())
+		for mine := 2; mine <= 3; mine++ {
+			r2, err := w.MinePaths()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r2.LogicalPages != 0 {
+				t.Errorf("mine %d created %d new logical pages", mine, r2.LogicalPages)
+			}
+			if r1.Paths != r2.Paths {
+				t.Errorf("path counts differ: %d vs %d", r1.Paths, r2.Paths)
+			}
+			// A logical page mined again is already a member of its region:
+			// no second membership, no second absorption.
+			if got := fmt.Sprint(w.regions.Regions()); got != regions {
+				t.Errorf("mine %d changed the regions:\n%s\nwas\n%s", mine, got, regions)
+			}
 		}
 	})
 }
