@@ -242,7 +242,7 @@ func TestRunModifiedForcesMiss(t *testing.T) {
 
 func TestSweepShape(t *testing.T) {
 	trace := zipfTrace(t, 2000)
-	results := Sweep(trace,
+	results := sweep(trace,
 		[]core.Bytes{50 * core.KB, 500 * core.KB},
 		NewLRU, NewLFU)
 	if len(results) != 4 {

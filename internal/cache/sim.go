@@ -71,10 +71,9 @@ func Run(c Cache, trace logmine.Log) Result {
 func (c *listCache) capacityOf() core.Bytes  { return c.capacity }
 func (c *scoreCache) capacityOf() core.Bytes { return c.capacity }
 
-// Sweep runs the same trace across several cache constructors and
-// capacities, returning results in input order — the engine behind E-X3's
-// hit-ratio-vs-size curves.
-func Sweep(trace logmine.Log, capacities []core.Bytes, makes ...func(core.Bytes) Cache) []Result {
+// sweep runs the same trace across several cache constructors and
+// capacities, returning results in input order.
+func sweep(trace logmine.Log, capacities []core.Bytes, makes ...func(core.Bytes) Cache) []Result {
 	var out []Result
 	for _, mk := range makes {
 		for _, cap := range capacities {

@@ -51,9 +51,6 @@ type Region struct {
 	Members []core.ObjectID
 }
 
-// Size returns the number of members.
-func (r *Region) Size() int { return len(r.Members) }
-
 // region is a Region as the clusterer keeps it. Its centroid is scattered
 // by TermID and stepped in place, so scoring a page against it costs the
 // page's terms, not the centroid's. It holds 8 B per TermID up to the
@@ -142,14 +139,6 @@ func (o *Online) nearestLocked(v text.Vector) (idx int, sim float64) {
 		}
 	}
 	return idx, sim
-}
-
-// RegionOf returns the region index of an assigned ID.
-func (o *Online) RegionOf(id core.ObjectID) (int, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	i, ok := o.assign[id]
-	return i, ok
 }
 
 // Nearest returns the index of the region whose centroid is most cosine-
@@ -383,10 +372,9 @@ func costOf(points []Point, cents []text.Vector, assign []int) float64 {
 	return s
 }
 
-// TopTerms renders each region's strongest terms through a dictionary —
-// the human-readable face of a semantic region, used by the Topic Manager
-// and the REPL.
-func TopTerms(r Region, dict *text.Dictionary, n int) []string {
+// topTerms renders a region's n strongest terms through a dictionary: the
+// human-readable face of a semantic region.
+func topTerms(r Region, dict *text.Dictionary, n int) []string {
 	ids := r.Centroid.Top(n)
 	out := make([]string, len(ids))
 	for i, id := range ids {

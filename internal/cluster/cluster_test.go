@@ -93,18 +93,18 @@ func TestOnlineRegionBookkeeping(t *testing.T) {
 	if i3 == i1 {
 		t.Fatal("orthogonal vector joined region")
 	}
-	if got, ok := o.RegionOf(2); !ok || got != i1 {
-		t.Errorf("RegionOf(2) = %d, %v", got, ok)
+	if got, ok := o.assign[2]; !ok || got != i1 {
+		t.Errorf("region of 2 = %d, %v", got, ok)
 	}
-	if _, ok := o.RegionOf(99); ok {
-		t.Error("RegionOf(unknown) ok")
+	if _, ok := o.assign[99]; ok {
+		t.Error("an unknown ID has a region")
 	}
 	regs := o.Regions()
 	if len(regs) != 2 {
 		t.Fatalf("%d regions", len(regs))
 	}
-	if regs[i1].Size() != 2 || regs[i3].Size() != 1 {
-		t.Errorf("sizes: %d, %d", regs[i1].Size(), regs[i3].Size())
+	if len(regs[i1].Members) != 2 || len(regs[i3].Members) != 1 {
+		t.Errorf("sizes: %d, %d", len(regs[i1].Members), len(regs[i3].Members))
 	}
 	// Centroid stays unit-normalized.
 	if n := regs[i1].Centroid.Norm(); math.Abs(n-1) > 1e-9 {
@@ -187,7 +187,7 @@ func TestOnlineConcurrent(t *testing.T) {
 	readers.Wait()
 	total := 0
 	for _, r := range o.Regions() {
-		total += r.Size()
+		total += len(r.Members)
 	}
 	if total != len(points) {
 		t.Errorf("members = %d, want %d", total, len(points))
@@ -291,9 +291,9 @@ func TestTopTerms(t *testing.T) {
 	dict := text.NewDictionary()
 	a, b := dict.ID("kyoto"), dict.ID("station")
 	r := Region{Centroid: text.Builder{a: 0.9, b: 0.4}.Vector()}
-	got := TopTerms(r, dict, 2)
+	got := topTerms(r, dict, 2)
 	if len(got) != 2 || got[0] != "kyoto" || got[1] != "station" {
-		t.Errorf("TopTerms = %v", got)
+		t.Errorf("topTerms = %v", got)
 	}
 }
 
@@ -311,7 +311,7 @@ func TestOnlineAssignTotalProperty(t *testing.T) {
 		}
 		total := 0
 		for _, r := range o.Regions() {
-			total += r.Size()
+			total += len(r.Members)
 		}
 		return total == len(seeds) && o.Len() <= 5
 	}

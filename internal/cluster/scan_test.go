@@ -80,7 +80,7 @@ func TestOnlineMatchesMergeJoin(t *testing.T) {
 	vec := func(pairs ...float64) text.Vector {
 		b := text.NewBuilder()
 		for i := 0; i+1 < len(pairs); i += 2 {
-			b.Set(text.TermID(pairs[i]), pairs[i+1])
+			b[text.TermID(pairs[i])] = pairs[i+1]
 		}
 		return b.Vector().Normalize()
 	}
@@ -91,7 +91,7 @@ func TestOnlineMatchesMergeJoin(t *testing.T) {
 		for i := range pts {
 			b := text.NewBuilder()
 			for k := 1 + rng.Intn(30); k > 0; k-- {
-				b.Set(text.TermID(rng.Intn(span)), rng.ExpFloat64())
+				b[text.TermID(rng.Intn(span))] = rng.ExpFloat64()
 			}
 			pts[i] = Point{ID: core.ObjectID(i + 1), Vec: b.Vector().Normalize()}
 		}
@@ -146,7 +146,7 @@ func TestOnlineMatchesMergeJoin(t *testing.T) {
 				if !sameVector(r.Centroid, ref.cents[i]) {
 					t.Errorf("region %d: centroid %v, merge join %v", i, r.Centroid, ref.cents[i])
 				}
-				if !slices.Equal(r.Members, ref.members[i]) || r.Size() != o.SizeOf(i) {
+				if !slices.Equal(r.Members, ref.members[i]) || len(r.Members) != o.SizeOf(i) {
 					t.Errorf("region %d: members %v (SizeOf %d), merge join %v", i, r.Members, o.SizeOf(i), ref.members[i])
 				}
 			}
@@ -175,8 +175,8 @@ func TestOnlineReassignKeepsOneMembership(t *testing.T) {
 	if got := o.Assign(Point{ID: 1, Vec: b}); got != 1 {
 		t.Fatalf("a moved ID founded region %d, want 1", got)
 	}
-	if r, _ := o.RegionOf(1); r != 1 || o.SizeOf(0) != 1 || o.SizeOf(1) != 1 {
-		t.Errorf("after the move: RegionOf = %d, sizes %d and %d", r, o.SizeOf(0), o.SizeOf(1))
+	if r := o.assign[1]; r != 1 || o.SizeOf(0) != 1 || o.SizeOf(1) != 1 {
+		t.Errorf("after the move: region %d, sizes %d and %d", r, o.SizeOf(0), o.SizeOf(1))
 	}
 }
 
@@ -190,13 +190,13 @@ func TestOnlineAssignAllocs(t *testing.T) {
 	o, _ := NewOnline(0.2, 0)
 	full := text.NewBuilder()
 	for id := text.TermID(0); id < 200; id++ {
-		full.Set(id, 1)
+		full[id] = 1
 	}
 	o.Assign(Point{ID: 1, Vec: full.Vector().Normalize()})
 	o.Assign(Point{ID: 2, Vec: text.Builder{500: 1, 501: 1}.Vector().Normalize()})
 	page := text.NewBuilder()
 	for id := text.TermID(0); id < 200; id += 7 {
-		page.Set(id, float64(id%5+1))
+		page[id] = float64(id%5 + 1)
 	}
 	v := page.Vector().Normalize()
 	id := core.ObjectID(100)
@@ -222,10 +222,10 @@ func BenchmarkOnlineAssign(b *testing.B) {
 			for r := 0; r < k; r++ {
 				v := text.NewBuilder()
 				for id := 0; id < vocab; id++ {
-					v.Set(text.TermID(id), 0.05*rng.Float64())
+					v[text.TermID(id)] = 0.05 * rng.Float64()
 				}
 				for id := r * topicTerms; id < (r+1)*topicTerms; id++ {
-					v.Set(text.TermID(id), 1)
+					v[text.TermID(id)] = 1
 				}
 				o.Assign(Point{ID: core.ObjectID(r + 1), Vec: v.Vector().Normalize()})
 			}
@@ -236,10 +236,10 @@ func BenchmarkOnlineAssign(b *testing.B) {
 			for i := range pages {
 				v, r := text.NewBuilder(), rng.Intn(k)
 				for n := 0; n < pageTerms; n++ {
-					v.Set(text.TermID(rng.Intn(vocab)), 0.1*rng.ExpFloat64())
+					v[text.TermID(rng.Intn(vocab))] = 0.1 * rng.ExpFloat64()
 				}
 				for id := r * topicTerms; id < (r+1)*topicTerms; id++ {
-					v.Set(text.TermID(id), 1)
+					v[text.TermID(id)] = 1
 				}
 				pages[i] = v.Vector().Normalize()
 			}

@@ -54,9 +54,6 @@ func (p *Page) TotalSize() Bytes {
 	return s
 }
 
-// Content returns title and body joined, the text an indexer sees.
-func (p *Page) Content() string { return p.Title + "\n" + p.Body }
-
 // FetchResult is what an origin fetch returns: a snapshot of the page and
 // the latency the fetch cost.
 type FetchResult struct {

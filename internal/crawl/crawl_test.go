@@ -209,7 +209,7 @@ func TestCrawlerRespectsLimits(t *testing.T) {
 	if res2.Skipped == 0 {
 		t.Error("depth-limited crawl skipped nothing")
 	}
-	if _, err := NewCrawler(nil, DefaultCrawlConfig()); err == nil {
+	if _, err := NewCrawler(nil, CrawlConfig{MaxPages: 256, MaxDepth: 4, Workers: 8}); err == nil {
 		t.Error("nil origin accepted")
 	}
 }

@@ -19,11 +19,6 @@ type CrawlConfig struct {
 	SameHostOnly bool
 }
 
-// DefaultCrawlConfig crawls up to 256 pages, 4 links deep, 8 workers.
-func DefaultCrawlConfig() CrawlConfig {
-	return CrawlConfig{MaxPages: 256, MaxDepth: 4, Workers: 8}
-}
-
 // CrawlResult is what a crawl returns.
 type CrawlResult struct {
 	// Pages are the successfully fetched pages, in completion order.

@@ -187,13 +187,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Metrics exposes the registry (tests and embedding binaries).
-func (s *Server) Metrics() *Registry { return s.metrics }
-
-// CoalescedFetches returns how many /fetch requests joined another
-// request's origin fetch.
-func (s *Server) CoalescedFetches() uint64 { return s.coalesced.Load() }
-
 // Start listens on cfg.Addr and serves in the background. It returns once
 // the listener is bound, so Addr() is immediately valid.
 func (s *Server) Start() error {

@@ -324,8 +324,8 @@ func TestMissStormCoalesces(t *testing.T) {
 	if n := coalesced.Load(); n != storm-1 {
 		t.Fatalf("coalesced responses = %d, want %d", n, storm-1)
 	}
-	if n := s.CoalescedFetches(); n != storm-1 {
-		t.Fatalf("CoalescedFetches = %d, want %d", n, storm-1)
+	if n := s.coalesced.Load(); n != storm-1 {
+		t.Fatalf("coalesced fetches = %d, want %d", n, storm-1)
 	}
 }
 

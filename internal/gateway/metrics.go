@@ -56,15 +56,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Quantile returns an upper-bound estimate of the p-quantile (0 < p <= 1):
-// the upper edge of the bucket containing the p-th sample, clamped to the
-// observed maximum.
-func (h *Histogram) Quantile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(p)
-}
-
+// quantileLocked returns an upper-bound estimate of the p-quantile
+// (0 < p <= 1): the upper edge of the bucket containing the p-th sample,
+// clamped to the observed maximum. Requires h.mu.
 func (h *Histogram) quantileLocked(p float64) time.Duration {
 	if h.total == 0 {
 		return 0

@@ -7,7 +7,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.quantileLocked(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 	samples := []time.Duration{
@@ -45,7 +45,7 @@ func TestHistogramQuantileUpperBound(t *testing.T) {
 	// Every sample identical: all quantiles must land on the sample's
 	// bucket, clamped to the max.
 	for _, p := range []float64{0.01, 0.5, 0.99, 1} {
-		q := h.Quantile(p)
+		q := h.quantileLocked(p)
 		if q != 10*time.Millisecond && q > 16*time.Millisecond {
 			t.Fatalf("quantile(%v) = %v, want ~10ms", p, q)
 		}

@@ -88,7 +88,7 @@ func TestSessionize(t *testing.T) {
 	if got[1].Start != 100 || !reflect.DeepEqual(got[1].URLs, []string{"/a", "/d"}) {
 		t.Errorf("session 1 = %+v", got[1])
 	}
-	if got[2].User != "u2" || got[2].Len() != 1 {
+	if got[2].User != "u2" || len(got[2].URLs) != 1 {
 		t.Errorf("session 2 = %+v", got[2])
 	}
 	if got[0].End != 8 {
@@ -270,9 +270,9 @@ func TestPathsEndingAt(t *testing.T) {
 		{URLs: []string{"/b", "/x"}, Support: 4},
 		{URLs: []string{"/c", "/d", "/cidr"}, Support: 3},
 	}
-	got := PathsEndingAt(paths, "/cidr")
+	got := pathsEndingAt(paths, "/cidr")
 	if len(got) != 2 || got[0].Support != 7 || got[1].Support != 3 {
-		t.Errorf("PathsEndingAt = %+v", got)
+		t.Errorf("pathsEndingAt = %+v", got)
 	}
 }
 
@@ -296,11 +296,11 @@ func TestSessionizePartitionProperty(t *testing.T) {
 		sessions := Sessionize(l, timeout)
 		total := 0
 		for _, s := range sessions {
-			total += s.Len()
+			total += len(s.URLs)
 			if s.Start > s.End {
 				return false
 			}
-			if d := s.End.Sub(s.Start); core.Duration(s.Len()-1)*timeout < d && s.Len() > 1 {
+			if d := s.End.Sub(s.Start); core.Duration(len(s.URLs)-1)*timeout < d && len(s.URLs) > 1 {
 				// End-Start can exceed timeout only via multiple steps,
 				// each <= timeout.
 				_ = d

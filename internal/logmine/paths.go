@@ -150,10 +150,10 @@ func containsSeq(haystack, needle []string) bool {
 	return false
 }
 
-// PathsEndingAt returns the mined paths whose terminal document is url, in
+// pathsEndingAt returns the mined paths whose terminal document is url, in
 // descending support order — the primitive behind the paper's
 // "most frequently used logical pages that end at <URL>" query.
-func PathsEndingAt(paths []Path, url string) []Path {
+func pathsEndingAt(paths []Path, url string) []Path {
 	var out []Path
 	for _, p := range paths {
 		if p.Terminal() == url {

@@ -17,9 +17,6 @@ type Session struct {
 	URLs []string
 }
 
-// Len returns the number of page views in the session.
-func (s *Session) Len() int { return len(s.URLs) }
-
 // Sessionize groups the log into per-user sessions. A gap of more than
 // timeout ticks between consecutive requests of the same user starts a new
 // session. The input log need not be sorted. Sessions are returned ordered

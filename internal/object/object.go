@@ -94,8 +94,8 @@ func (o *Object) BodyText() string {
 	return o.Body
 }
 
-// Content returns the indexable text of the object.
-func (o *Object) Content() string {
+// content returns the indexable text of the object.
+func (o *Object) content() string {
 	body := o.BodyText()
 	if o.Title == "" {
 		return body

@@ -365,13 +365,13 @@ func TestBuilderAddRegion(t *testing.T) {
 
 func TestObjectContent(t *testing.T) {
 	o := &Object{Title: "T", Body: "B"}
-	if o.Content() != "T\nB" {
-		t.Errorf("Content = %q", o.Content())
+	if o.content() != "T\nB" {
+		t.Errorf("content = %q", o.content())
 	}
-	if (&Object{Body: "B"}).Content() != "B" {
+	if (&Object{Body: "B"}).content() != "B" {
 		t.Error("title-less content")
 	}
-	if (&Object{Title: "T"}).Content() != "T" {
+	if (&Object{Title: "T"}).content() != "T" {
 		t.Error("body-less content")
 	}
 }

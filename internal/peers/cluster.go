@@ -215,17 +215,6 @@ func (c *Cluster) Self() string {
 	return ""
 }
 
-// Peers returns the other members, sorted (nil before Configure).
-func (c *Cluster) Peers() []string {
-	if c == nil {
-		return nil
-	}
-	if st := c.state.Load(); st != nil {
-		return st.peers
-	}
-	return nil
-}
-
 // Owner returns the address owning url and whether that is this node.
 // Before Configure (or on a self-only ring) every URL is self-owned.
 func (c *Cluster) Owner(url string) (addr string, isSelf bool) {
@@ -259,14 +248,6 @@ func (c *Cluster) Owners(url string) (owners []string, selfIn bool) {
 		}
 	}
 	return owners, len(owners) == 0
-}
-
-// Replicas returns the configured replica-set size R.
-func (c *Cluster) Replicas() int {
-	if c == nil {
-		return 1
-	}
-	return c.cfg.Replicas
 }
 
 // counter returns (creating if needed) the ledger for addr.

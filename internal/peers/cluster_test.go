@@ -88,8 +88,8 @@ func TestClusterConfigureSingleNode(t *testing.T) {
 	if !c.Enabled() {
 		t.Fatal("configured cluster not enabled")
 	}
-	if len(c.Peers()) != 0 {
-		t.Fatalf("single-node peers = %v, want none", c.Peers())
+	if peers := c.state.Load().peers; len(peers) != 0 {
+		t.Fatalf("single-node peers = %v, want none", peers)
 	}
 	st := c.Stats()
 	if !st.Enabled || st.Members != 1 || len(st.Peers) != 0 || st.Peers == nil {

@@ -162,22 +162,6 @@ func KindForClass(name string) (object.Kind, bool) {
 	return k, ok
 }
 
-// ClassForKind returns the canonical class name of a kind.
-func ClassForKind(k object.Kind) string {
-	switch k {
-	case object.KindRaw:
-		return "Raw_Object"
-	case object.KindPhysical:
-		return "Physical_Page"
-	case object.KindLogical:
-		return "Logical_Page"
-	case object.KindRegion:
-		return "Semantic_Region"
-	default:
-		return "Unknown"
-	}
-}
-
 // Row is one result row: the projected field values in SELECT order.
 type Row struct {
 	ID     core.ObjectID

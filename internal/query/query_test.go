@@ -344,9 +344,6 @@ func TestValueAndASTStrings(t *testing.T) {
 			t.Errorf("AST string %q missing %q", s, want)
 		}
 	}
-	if ClassForKind(object.KindLogical) != "Logical_Page" {
-		t.Error("ClassForKind")
-	}
 	if _, ok := KindForClass("PHYSICAL_PAGE"); !ok {
 		t.Error("case-insensitive class lookup failed")
 	}

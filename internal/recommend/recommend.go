@@ -83,17 +83,6 @@ func (m *Manager) ObserveVisit(user string, id core.ObjectID, vec text.Vector) {
 	v[id] = true
 }
 
-// Profile returns a copy of the user's interest vector.
-func (m *Manager) Profile(user string) (text.Vector, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	p, ok := m.profiles[user]
-	if !ok {
-		return text.Vector{}, false
-	}
-	return p.Clone(), true
-}
-
 // Candidate is an object offered for recommendation, with its vector.
 type Candidate struct {
 	ID  core.ObjectID
@@ -170,11 +159,4 @@ func (m *Manager) NextHops(url string, n int) []PathSuggestion {
 		out = out[:n]
 	}
 	return out
-}
-
-// Users returns the number of users with profiles.
-func (m *Manager) Users() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.profiles)
 }

@@ -16,7 +16,7 @@ import (
 func randomVector(rng *rand.Rand, vocab, terms int) text.Vector {
 	b := text.NewBuilder()
 	for i := 0; i < terms; i++ {
-		b.Set(text.TermID(rng.Intn(vocab)), 1-rng.Float64())
+		b[text.TermID(rng.Intn(vocab))] = 1 - rng.Float64()
 	}
 	return b.Vector()
 }
@@ -76,7 +76,7 @@ func TestRecommendMatchesMergeJoin(t *testing.T) {
 			m.ObserveVisit(user, id, randomVector(rng, vocab/2, 1+rng.Intn(120)))
 			seen[id] = true
 		}
-		profile, _ := m.Profile(user)
+		profile := m.profiles[user]
 		for _, n := range []int{0, -1, 1, 5, len(cands) + 3} {
 			got := m.Recommend(user, cands, n)
 			want := mergeJoinRecommend(profile, seen, cands, n)

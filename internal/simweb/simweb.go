@@ -15,7 +15,6 @@ package simweb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -172,18 +171,6 @@ func (w *Web) Lookup(url string) (*core.Page, bool) {
 	defer w.mu.RUnlock()
 	p, ok := w.pages[url]
 	return p, ok
-}
-
-// URLs returns all page URLs in sorted order.
-func (w *Web) URLs() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]string, 0, len(w.pages))
-	for u := range w.pages {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NumPages returns the number of installed pages.

@@ -125,13 +125,6 @@ func TestPageHelpers(t *testing.T) {
 	if got := p.TotalSize(); got != 20*core.KB {
 		t.Errorf("TotalSize = %v", got)
 	}
-	if !strings.Contains(p.Content(), "Kyoto Travel") {
-		t.Error("Content missing title")
-	}
-	urls := w.URLs()
-	if len(urls) != 2 || urls[0] != "http://a.example/bus.html" {
-		t.Errorf("URLs = %v", urls)
-	}
 	if w.NumPages() != 2 {
 		t.Errorf("NumPages = %d", w.NumPages())
 	}

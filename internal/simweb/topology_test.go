@@ -38,7 +38,7 @@ func TestHTTPOriginServesAndCounts(t *testing.T) {
 	}
 	defer o.Close()
 
-	url := web.URLs()[0]
+	url := "http://a.example/bus.html"
 	resp, body := originGet(t, o, url)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
@@ -59,7 +59,7 @@ func TestHTTPOriginFaultsDoNotCountFetches(t *testing.T) {
 	}
 	defer o.Close()
 
-	url := web.URLs()[0]
+	url := "http://a.example/bus.html"
 	host, err := hostOf(url)
 	if err != nil {
 		t.Fatalf("hostOf: %v", err)

@@ -12,11 +12,11 @@ import (
 // standing when the anchor moves on, and the orphan sweep of
 // RecoverFromDisk skips it. An update or a placement that would drop the
 // only copy of a kept version (the anchor lagging behind a fast copy)
-// backs that version up to the anchor first. Remove drops an object's
-// kept records with it; an object lost to a tier failure leaves them
-// standing. A kept record that is not its object's anchor copy stands
-// apart, and the anchor's used counts it: kept maps each kept version to
-// the bytes its record adds there, zero while it is the anchor copy.
+// backs that version up to the anchor first. An object lost to a tier
+// failure leaves its kept records standing. A kept record that is not its
+// object's anchor copy stands apart, and the anchor's used counts it: kept
+// maps each kept version to the bytes its record adds there, zero while it
+// is the anchor copy.
 
 // Keep marks version v of id kept. Keeping an ID the manager does not
 // know yet is allowed: a restart registers its kept versions before

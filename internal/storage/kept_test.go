@@ -42,8 +42,7 @@ func anchorVersions(m *Manager, id core.ObjectID) []int {
 // TestKeptVersionsOutliveTheAnchorsMove: a kept version's anchor record
 // survives Backup and the updates after it, including the one that would
 // drop a kept version the lagging anchor never held; Release deletes a
-// record the anchor no longer serves, Remove deletes every one, and a
-// restart's orphan sweep spares exactly the versions registered as kept.
+// record the anchor no longer serves, and a restart's orphan sweep spares exactly the versions registered as kept.
 // Throughout, the anchor's Used counts each record it holds at the
 // object's size: the anchor copy and every kept record standing apart.
 func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
@@ -58,7 +57,7 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 		size := core.Bytes(len(versionBytes(id, 1)))
 		used := func(when string, records int) {
 			t.Helper()
-			if got, want := m.Used(m.last()), core.Bytes(records)*size; got != want {
+			if got, want := m.used[m.last()], core.Bytes(records)*size; got != want {
 				t.Errorf("%s: Used(anchor) = %v, want %d records of %v", when, got, records, size)
 			}
 			if err := m.CheckInvariants(); err != nil {
@@ -131,7 +130,7 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 			t.Fatalf("recovery after the anchor's loss = %+v", rep)
 		}
 		used("DropTier(anchor) and Recover", 1)
-		// One more version stands v3 apart again, for Remove to take out.
+		// One more version stands v3 apart again.
 		if err := m.UpdateBytes(id, 4, versionBytes(id, 4)); err != nil {
 			t.Fatal(err)
 		}
@@ -144,17 +143,6 @@ func TestKeptVersionsOutliveTheAnchorsMove(t *testing.T) {
 			t.Fatal(err)
 		}
 		used("Replace back to v3", 2)
-
-		if err := m.Remove(id); err != nil {
-			t.Fatal(err)
-		}
-		if got := anchorVersions(m, id); len(got) != 0 {
-			t.Errorf("Remove left anchor records %v", got)
-		}
-		if len(m.kept) != 0 {
-			t.Errorf("Remove left kept versions %v", m.kept)
-		}
-		used("Remove", 0)
 	})
 }
 
@@ -208,7 +196,7 @@ func TestKeptVersionsOutliveDemotionAndLoss(t *testing.T) {
 		if data, err := readVersion(m, id, 1); err != nil || !bytes.Equal(data, versionBytes(id, 1)) {
 			t.Errorf("kept version 1 after the loss: %d bytes, %v", len(data), err)
 		}
-		if got := m.Used(m.last()); got != size {
+		if got := m.used[m.last()]; got != size {
 			t.Errorf("Used(anchor) after the loss = %v, want the kept v1 record's %v", got, size)
 		}
 		if err := m.AdmitBytes(id, size, 3, 1, versionBytes(id, 3)); err != nil {

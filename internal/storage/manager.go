@@ -20,10 +20,10 @@ type Manager struct {
 	tiers   []TierSpec
 	objects map[core.ObjectID]*object
 	// order is the population in water-fill order, kept current on every
-	// admit, remove and priority change so placement never sorts it.
+	// admit, loss and priority change so placement never sorts it.
 	order rankOrder
-	// stale marks ranks whose placement a lazy mutation (Remove, a tier
-	// loss, a copy that failed) left short of what the water-fill would
+	// stale marks ranks whose placement a lazy mutation (a tier loss, a
+	// copy that failed) left short of what the water-fill would
 	// decide; the next placement pass starts no lower than its first rank
 	// and runs to the end. Recovery and a resize mark rankTop and run that
 	// pass at once.
@@ -262,25 +262,6 @@ func (m *Manager) admitLocked(a Admission, touched *rankSpan) error {
 	touched.add(o.key())
 	m.used[anchor] += a.Size
 	m.stats.MovedBytes[anchor] += a.Size
-	return nil
-}
-
-// Remove deletes the object from all tiers (admission-constraint
-// enforcement path), including its stored bytes and kept versions.
-// Removing an unknown ID is an error.
-func (m *Manager) Remove(id core.ObjectID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o, ok := m.objects[id]
-	if !ok {
-		return fmt.Errorf("storage: remove %v: %w", id, core.ErrNotFound)
-	}
-	m.removeLocked(o)
-	for v, n := range m.kept[id] {
-		m.backends[m.last()].Delete(BlobKey{ID: id, Version: v})
-		m.used[m.last()] -= n
-	}
-	delete(m.kept, id)
 	return nil
 }
 
@@ -658,20 +639,6 @@ func (m *Manager) Close() error {
 		}
 	}
 	return first
-}
-
-// Used returns the bytes resident at tier t.
-func (m *Manager) Used(t Tier) core.Bytes {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.used[t]
-}
-
-// Len returns the number of objects known to the manager.
-func (m *Manager) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.objects)
 }
 
 // ResidentIDs returns the IDs with a copy (full or summary) at tier t, in

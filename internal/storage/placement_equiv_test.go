@@ -114,7 +114,7 @@ func checkTwins(t *testing.T, inc, full *Manager, step string) {
 		t.Fatalf("%s: placements diverged", step)
 	}
 	for tier := Tier(0); tier < inc.numTiers(); tier++ {
-		if a, b := inc.Used(tier), full.Used(tier); a != b {
+		if a, b := inc.used[tier], full.used[tier]; a != b {
 			t.Fatalf("%s: used[%d] = %v, full walk %v", step, tier, a, b)
 		}
 	}
@@ -255,17 +255,6 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 				}
 				return nil
 			}
-		case 4:
-			id := pick()
-			name = fmt.Sprintf("Remove(%v)", id)
-			op = func(m *Manager) error { return m.Remove(id) }
-			for i, x := range ids {
-				if x == id {
-					ids = append(ids[:i], ids[i+1:]...)
-					break
-				}
-			}
-			delete(version, id)
 		case 5:
 			id := pick()
 			version[id]++
@@ -305,7 +294,7 @@ func runEquivalence(t *testing.T, s stack, seed int64, steps int) {
 		case 10:
 			name = "Backup"
 			op = func(m *Manager) error { m.Backup(); return nil }
-		case 11:
+		case 4, 11:
 			id := pick()
 			name = fmt.Sprintf("Access(%v)", id)
 			op = func(m *Manager) error { _, err := access(m, id); return err }
@@ -360,7 +349,7 @@ func TestMidRankNewcomerDisplacesChain(t *testing.T) {
 		admit(7, 10, 0.2) // middle tier only
 		admit(8, 20, 0.1)
 		admit(9, 20, 0.05) // middle tier at 150 of 160
-		if got := inc.Used(Memory); got != 100 {
+		if got := inc.used[Memory]; got != 100 {
 			t.Fatalf("fixture: memory holds %v, want 100", got)
 		}
 

@@ -161,8 +161,8 @@ func TestResizeDeltaSetOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if m.Used(Memory) != 1000 {
-			t.Fatalf("memory used = %v, want 1000", m.Used(Memory))
+		if m.used[Memory] != 1000 {
+			t.Fatalf("memory used = %v, want 1000", m.used[Memory])
 		}
 		before := m.Stats()
 
@@ -274,8 +274,8 @@ func TestResizeMmapTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Used(warm) != 1000 {
-		t.Fatalf("mmap used = %v, want 1000", m.Used(warm))
+	if m.used[warm] != 1000 {
+		t.Fatalf("mmap used = %v, want 1000", m.used[warm])
 	}
 	before := m.Stats()
 	if err := m.ResizeTiers(map[string]core.Bytes{"mmap": 500}); err != nil {

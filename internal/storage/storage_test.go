@@ -100,9 +100,6 @@ func TestAdmitErrors(t *testing.T) {
 		if _, err := access(m, 99); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("missing access err = %v", err)
 		}
-		if err := m.Remove(99); !errors.Is(err, core.ErrNotFound) {
-			t.Errorf("missing remove err = %v", err)
-		}
 	})
 }
 
@@ -141,7 +138,7 @@ func TestLevelsOfDetailSummary(t *testing.T) {
 		if !res.HasPreview || res.PreviewTier != Memory || res.PreviewLatency != 0 {
 			t.Errorf("no memory preview: %+v", res)
 		}
-		if used := m.Used(Memory); used != 6 {
+		if used := m.used[Memory]; used != 6 {
 			t.Errorf("memory used = %v, want 6 (summary)", used)
 		}
 		if err := m.CheckInvariants(); err != nil {
@@ -314,8 +311,8 @@ func TestDropAllTiersLosesObject(t *testing.T) {
 		if rep.Lost != 1 {
 			t.Errorf("lost = %d, want 1", rep.Lost)
 		}
-		if m.Len() != 0 {
-			t.Errorf("Len = %d after total loss", m.Len())
+		if len(m.objects) != 0 {
+			t.Errorf("%d objects after total loss", len(m.objects))
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -328,23 +325,6 @@ func TestDropTierValidation(t *testing.T) {
 		m := newTestManager(t, s)
 		if err := m.DropTier(Tier(9)); !errors.Is(err, core.ErrInvalid) {
 			t.Errorf("bad tier err = %v", err)
-		}
-	})
-}
-
-func TestRemoveFreesSpace(t *testing.T) {
-	eachStack(t, func(t *testing.T, s stack) {
-		m := newTestManager(t, s)
-		admitMeta(m, 1, 40, 1, 0.9)
-		usedT := m.Used(Tertiary)
-		if err := m.Remove(1); err != nil {
-			t.Fatal(err)
-		}
-		if m.Len() != 0 {
-			t.Errorf("Len = %d", m.Len())
-		}
-		if m.Used(Tertiary) != usedT-40 {
-			t.Errorf("tertiary used = %v", m.Used(Tertiary))
 		}
 	})
 }
@@ -362,8 +342,8 @@ func TestAdmitAllBulk(t *testing.T) {
 		if err := m.AdmitAll(batch); err != nil {
 			t.Fatal(err)
 		}
-		if m.Len() != 20 {
-			t.Fatalf("Len = %d", m.Len())
+		if len(m.objects) != 20 {
+			t.Fatalf("%d objects, want 20", len(m.objects))
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatal(err)

@@ -164,8 +164,8 @@ func FuzzTermCounts(f *testing.F) {
 	f.Add("a > b", "ΚΥΟΤΟ καλά 2003 don't")
 	f.Add("", "<unterminated the of and")
 	f.Fuzz(func(t *testing.T, title, body string) {
-		checkMemo(t, new(stemMemo), Tokenize(title+"\n"+body))
-		checkMemo(t, &stems, Tokenize(title+"\n"+body))
+		checkMemo(t, new(stemMemo), tokenize(title+"\n"+body))
+		checkMemo(t, &stems, tokenize(title+"\n"+body))
 		for _, s := range []string{title, body} {
 			if got, want := TermCounts(s), termCountsBySequence(s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("TermCounts(%q) = %v, want %v", s, got, want)
@@ -241,7 +241,7 @@ func TestStemMemoConcurrentFill(t *testing.T) {
 	for _, gen := range textShapes {
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 50; i++ {
-			toks = append(toks, Tokenize(gen(rng))...)
+			toks = append(toks, tokenize(gen(rng))...)
 		}
 	}
 	var wg sync.WaitGroup
@@ -427,8 +427,8 @@ func TestCountsCounterBoundAndOrder(t *testing.T) {
 			t.Fatalf("round %d: counts %v, want %v", round, got, want)
 		}
 		if c, ok := d.counters.Get().(*counter); ok {
-			if len(c.n) > d.Len() || len(c.ids) != 0 || slices.ContainsFunc(c.n, func(n int32) bool { return n != 0 }) {
-				t.Fatalf("round %d: pooled counter holds %d slots for %d terms, %d IDs, nonzero counts", round, len(c.n), d.Len(), len(c.ids))
+			if len(c.n) > d.size() || len(c.ids) != 0 || slices.ContainsFunc(c.n, func(n int32) bool { return n != 0 }) {
+				t.Fatalf("round %d: pooled counter holds %d slots for %d terms, %d IDs, nonzero counts", round, len(c.n), d.size(), len(c.ids))
 			}
 			d.counters.Put(c)
 		}
@@ -460,7 +460,7 @@ func TestTopMatchesFullSort(t *testing.T) {
 		for len(b) < size {
 			// Weights from a handful of values: ties are the rule, and the
 			// TermID tie-break decides the order.
-			b.Set(TermID(rng.Intn(500)), float64(1+rng.Intn(5))/4)
+			b[TermID(rng.Intn(500))] = float64(1+rng.Intn(5)) / 4
 		}
 		v := b.Vector()
 		for _, n := range []int{0, 1, 8, size, size + 3} {

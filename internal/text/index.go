@@ -2,7 +2,6 @@ package text
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"cbfww/internal/core"
@@ -15,10 +14,10 @@ type Posting struct {
 	TF  int
 }
 
-// InvertedIndex maps terms to posting lists over warehouse objects. It
-// backs the query engine's MENTION operator and the per-level "hierarchy of
-// indices" of §4.1. The index supports removal so objects evicted from a
-// tier's detailed index can be dropped. Safe for concurrent use.
+// InvertedIndex maps terms to posting lists over warehouse objects: the
+// warehouse's full-text index and the per-level "hierarchy of indices" of
+// §4.1, ranked by Search. The index supports removal so objects evicted
+// from a tier's detailed index can be dropped. Safe for concurrent use.
 type InvertedIndex struct {
 	mu       sync.RWMutex
 	dict     *Dictionary
@@ -111,50 +110,6 @@ func (ix *InvertedIndex) NumDocs() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return len(ix.docLen)
-}
-
-// Lookup returns the documents containing the given (raw, unstemmed) term,
-// in ascending ObjectID order.
-func (ix *InvertedIndex) Lookup(term string) []core.ObjectID {
-	terms := Terms(term)
-	if len(terms) == 0 {
-		return nil
-	}
-	return ix.lookupCanonical(terms[0])
-}
-
-func (ix *InvertedIndex) lookupCanonical(term string) []core.ObjectID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	tid, ok := ix.dict.Lookup(term)
-	if !ok {
-		return nil
-	}
-	list := ix.postings[tid]
-	out := make([]core.ObjectID, len(list))
-	for i, p := range list {
-		out[i] = p.Doc
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Mention returns the documents that contain *every* term of the phrase —
-// the semantics of the paper's MENTION operator (conjunctive containment
-// after canonical preprocessing). Result is in ascending ObjectID order.
-func (ix *InvertedIndex) Mention(phrase string) []core.ObjectID {
-	terms := Terms(phrase)
-	if len(terms) == 0 {
-		return nil
-	}
-	result := ix.lookupCanonical(terms[0])
-	for _, t := range terms[1:] {
-		if len(result) == 0 {
-			return nil
-		}
-		result = intersectSorted(result, ix.lookupCanonical(t))
-	}
-	return result
 }
 
 // Score ranks indexed documents by TF-IDF-weighted match against the query
@@ -312,23 +267,4 @@ func idfFor(numDocs, df int) float64 {
 		return 0
 	}
 	return math.Log(x)
-}
-
-// intersectSorted intersects two ascending ObjectID slices.
-func intersectSorted(a, b []core.ObjectID) []core.ObjectID {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -11,45 +11,37 @@ import (
 	"cbfww/internal/core"
 )
 
+// docsWith lists the documents Search finds for term, in ascending
+// ObjectID order.
+func docsWith(ix *InvertedIndex, term string) []core.ObjectID {
+	var out []core.ObjectID
+	for _, s := range ix.Search(term, -1) {
+		out = append(out, s.Doc)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func TestIndexLookup(t *testing.T) {
 	ix := NewInvertedIndex(nil)
 	ix.Index(1, "data warehouse design")
 	ix.Index(2, "data stream systems")
 	ix.Index(3, "kyoto travel guide")
 
-	if got := ix.Lookup("data"); !reflect.DeepEqual(got, []core.ObjectID{1, 2}) {
-		t.Errorf("Lookup(data) = %v", got)
+	if got := docsWith(ix, "data"); !reflect.DeepEqual(got, []core.ObjectID{1, 2}) {
+		t.Errorf("docsWith(data) = %v", got)
 	}
-	if got := ix.Lookup("warehouses"); !reflect.DeepEqual(got, []core.ObjectID{1}) {
-		t.Errorf("Lookup(warehouses) = %v (stemming should match)", got)
+	if got := docsWith(ix, "warehouses"); !reflect.DeepEqual(got, []core.ObjectID{1}) {
+		t.Errorf("docsWith(warehouses) = %v (stemming should match)", got)
 	}
-	if got := ix.Lookup("missing"); got != nil {
-		t.Errorf("Lookup(missing) = %v", got)
+	if got := docsWith(ix, "missing"); got != nil {
+		t.Errorf("docsWith(missing) = %v", got)
 	}
-	if got := ix.Lookup("the"); got != nil {
-		t.Errorf("Lookup(stopword) = %v", got)
+	if got := docsWith(ix, "the"); got != nil {
+		t.Errorf("docsWith(stopword) = %v", got)
 	}
 	if ix.NumDocs() != 3 {
 		t.Errorf("NumDocs = %d", ix.NumDocs())
-	}
-}
-
-func TestIndexMentionConjunctive(t *testing.T) {
-	ix := NewInvertedIndex(nil)
-	ix.Index(1, "data warehouse design")
-	ix.Index(2, "data stream systems")
-	ix.Index(3, "warehouse of data and streams")
-
-	got := ix.Mention("data warehouse")
-	want := []core.ObjectID{1, 3}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Mention = %v, want %v", got, want)
-	}
-	if got := ix.Mention("data warehouse kyoto"); len(got) != 0 {
-		t.Errorf("Mention with absent term = %v", got)
-	}
-	if got := ix.Mention(""); got != nil {
-		t.Errorf("Mention(empty) = %v", got)
 	}
 }
 
@@ -57,17 +49,17 @@ func TestIndexReplaceAndRemove(t *testing.T) {
 	ix := NewInvertedIndex(nil)
 	ix.Index(1, "old content about kyoto")
 	ix.Index(1, "new content about osaka")
-	if got := ix.Lookup("kyoto"); len(got) != 0 {
+	if got := docsWith(ix, "kyoto"); len(got) != 0 {
 		t.Errorf("stale posting after reindex: %v", got)
 	}
-	if got := ix.Lookup("osaka"); !reflect.DeepEqual(got, []core.ObjectID{1}) {
-		t.Errorf("Lookup(osaka) = %v", got)
+	if got := docsWith(ix, "osaka"); !reflect.DeepEqual(got, []core.ObjectID{1}) {
+		t.Errorf("docsWith(osaka) = %v", got)
 	}
 	ix.Remove(1)
 	if ix.Contains(1) {
 		t.Error("Contains after Remove")
 	}
-	if got := ix.Lookup("osaka"); len(got) != 0 {
+	if got := docsWith(ix, "osaka"); len(got) != 0 {
 		t.Errorf("posting after Remove: %v", got)
 	}
 	ix.Remove(42) // removing unknown id is a no-op
@@ -108,7 +100,7 @@ func TestIndexSharedDictionary(t *testing.T) {
 	if !ok1 {
 		t.Fatal("corpus missing kyoto")
 	}
-	if got := ix.Lookup("kyoto"); len(got) != 1 {
+	if got := docsWith(ix, "kyoto"); len(got) != 1 {
 		t.Fatalf("index lookup failed: %v", got)
 	}
 	_ = id1
@@ -124,7 +116,7 @@ func TestIndexConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				id := core.ObjectID(g*50 + i + 1)
 				ix.Index(id, fmt.Sprintf("doc %d kyoto data", id))
-				ix.Lookup("kyoto")
+				docsWith(ix, "kyoto")
 				ix.Search("data", 5)
 			}
 		}(g)
@@ -132,19 +124,6 @@ func TestIndexConcurrent(t *testing.T) {
 	wg.Wait()
 	if ix.NumDocs() != 200 {
 		t.Errorf("NumDocs = %d, want 200", ix.NumDocs())
-	}
-}
-
-func TestIntersectSorted(t *testing.T) {
-	a := []core.ObjectID{1, 3, 5, 7}
-	b := []core.ObjectID{3, 4, 5, 8}
-	got := intersectSorted(append([]core.ObjectID(nil), a...), b)
-	want := []core.ObjectID{3, 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("intersectSorted = %v, want %v", got, want)
-	}
-	if got := intersectSorted(nil, b); len(got) != 0 {
-		t.Errorf("intersect with nil = %v", got)
 	}
 }
 

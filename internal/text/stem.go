@@ -1,7 +1,5 @@
 package text
 
-import "strings"
-
 // Stem reduces an English word to its stem using the Porter stemming
 // algorithm (M.F. Porter, 1980). The input must already be lower-cased.
 // Words of length <= 2 are returned unchanged, per the original paper.
@@ -297,13 +295,4 @@ func step5b(w []byte) []byte {
 		return w[:len(w)-1]
 	}
 	return w
-}
-
-// StemAll stems every word in the slice, returning a new slice.
-func StemAll(words []string) []string {
-	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = Stem(strings.ToLower(w))
-	}
-	return out
 }

@@ -77,7 +77,7 @@ func TestDictionaryConcurrent(t *testing.T) {
 				if back := d.Term(ids[i]); back != term {
 					t.Errorf("Term(ID(%q)) = %q", term, back)
 				}
-				if n := d.Len(); int(ids[i]) >= n {
+				if n := d.size(); int(ids[i]) >= n {
 					t.Errorf("ID(%q) = %d with only %d terms", term, ids[i], n)
 				}
 			}
@@ -90,8 +90,8 @@ func TestDictionaryConcurrent(t *testing.T) {
 			t.Fatalf("goroutines 0 and %d were given different IDs", g)
 		}
 	}
-	if d.Len() != terms {
-		t.Fatalf("%d terms hold %d IDs", terms, d.Len())
+	if d.size() != terms {
+		t.Fatalf("%d terms hold %d IDs", terms, d.size())
 	}
 	seen := make([]bool, terms)
 	for _, id := range got[0] {
@@ -107,7 +107,7 @@ func TestDictionaryConcurrent(t *testing.T) {
 func randomVector(rng *rand.Rand, n, span int) Vector {
 	b := NewBuilder()
 	for i := rng.Intn(n + 1); i > 0; i-- {
-		b.Set(TermID(rng.Intn(span)), rng.ExpFloat64()*math.Pow(10, float64(rng.Intn(7)-3)))
+		b[TermID(rng.Intn(span))] = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 	}
 	return b.Vector()
 }
@@ -244,7 +244,7 @@ func vectorByStrings(c *Corpus, title, body map[string]int, omega float64) Vecto
 		b := NewBuilder()
 		for term, n := range counts {
 			id := c.dict.ID(term)
-			b.Set(id, (1+math.Log(float64(n)))*c.idfLocked(id))
+			b[id] = (1 + math.Log(float64(n))) * c.idfLocked(id)
 		}
 		return b.Vector().Normalize()
 	}

@@ -30,20 +30,6 @@ func NewCorpus() *Corpus {
 // indexes grow it without holding the corpus lock.
 func (c *Corpus) Dict() *Dictionary { return c.dict }
 
-// NumDocs returns the number of documents added so far.
-func (c *Corpus) NumDocs() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.numDocs
-}
-
-// NumTerms returns the number of distinct terms seen so far.
-func (c *Corpus) NumTerms() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.dict.Len()
-}
-
 // Add registers a document given as raw text, updating document
 // frequencies, and returns its raw term-frequency vector.
 func (c *Corpus) Add(content string) Vector {

@@ -9,16 +9,16 @@ import (
 
 func TestCorpusCounts(t *testing.T) {
 	c := NewCorpus()
-	if c.NumDocs() != 0 || c.NumTerms() != 0 {
+	if c.numDocs != 0 || c.dict.size() != 0 {
 		t.Fatal("fresh corpus not empty")
 	}
 	c.Add("kyoto station travel")
 	c.Add("kyoto bus")
-	if c.NumDocs() != 2 {
-		t.Errorf("NumDocs = %d", c.NumDocs())
+	if c.numDocs != 2 {
+		t.Errorf("%d documents, want 2", c.numDocs)
 	}
-	if c.NumTerms() != 4 {
-		t.Errorf("NumTerms = %d, want 4 (kyoto, station, travel, bu)", c.NumTerms())
+	if n := c.dict.size(); n != 4 {
+		t.Errorf("%d terms, want 4 (kyoto, station, travel, bu)", n)
 	}
 }
 
@@ -77,10 +77,10 @@ func TestVectorizeNewMatchesAddPlusTFIDF(t *testing.T) {
 func TestVectorizeDoesNotCount(t *testing.T) {
 	c := NewCorpus()
 	c.Add("kyoto")
-	before := c.NumDocs()
+	before := c.numDocs
 	_ = c.Vectorize("kyoto station")
-	if c.NumDocs() != before {
-		t.Error("Vectorize changed NumDocs")
+	if c.numDocs != before {
+		t.Error("Vectorize changed the document count")
 	}
 	// Two queries about the same unseen topic must be similar.
 	q1 := c.Vectorize("shinkansen superexpress")
@@ -147,7 +147,7 @@ func TestCorpusConcurrentAdd(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.NumDocs() != 800 {
-		t.Errorf("NumDocs = %d, want 800", c.NumDocs())
+	if c.numDocs != 800 {
+		t.Errorf("%d documents, want 800", c.numDocs)
 	}
 }

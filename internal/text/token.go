@@ -18,19 +18,12 @@ import (
 	"unicode/utf8"
 )
 
-// Tokenize splits s into lower-cased word tokens. A token is a maximal run
-// of letters or digits; everything else separates tokens. Markup tags
-// (<...>) are stripped first so raw HTML bodies can be fed directly.
-func Tokenize(s string) []string {
-	tokens := make([]string, 0, len(s)/6)
-	scanTokens(s, nil, func(tok []byte) { tokens = append(tokens, string(tok)) })
-	return tokens
-}
-
-// scanTokens is the tokenizer: it calls emit with each token of s in
-// order, built in buf, the caller's scratch space, which it returns grown.
-// The slice emit sees is reused for the next token; emit copies what it
-// keeps.
+// scanTokens is the tokenizer: it splits s into lower-cased word tokens.
+// A token is a maximal run of letters or digits; everything else separates
+// tokens. Markup tags (<...>) are stripped first so raw HTML bodies can be
+// fed directly. It calls emit with each token of s in order, built in buf,
+// the caller's scratch space, which it returns grown. The slice emit sees
+// is reused for the next token; emit copies what it keeps.
 func scanTokens(s string, buf []byte, emit func(tok []byte)) []byte {
 	s = StripTags(s)
 	if cap(buf) == 0 {

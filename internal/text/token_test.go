@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// tokenize collects the tokens scanTokens emits for s.
+func tokenize(s string) []string {
+	var tokens []string
+	scanTokens(s, nil, func(tok []byte) { tokens = append(tokens, string(tok)) })
+	return tokens
+}
+
 func TestTokenizeBasic(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -18,21 +25,21 @@ func TestTokenizeBasic(t *testing.T) {
 		{"ascii only ΚΥΟΤΟ καλά", []string{"ascii", "only", "κυοτο", "καλά"}},
 	}
 	for _, c := range cases {
-		got := Tokenize(c.in)
+		got := tokenize(c.in)
 		if len(got) == 0 && len(c.want) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("tokenize(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestTokenizeStripsMarkup(t *testing.T) {
-	got := Tokenize(`<html><body><a href="x.html">Kyoto Station</a></body></html>`)
+	got := tokenize(`<html><body><a href="x.html">Kyoto Station</a></body></html>`)
 	want := []string{"kyoto", "station"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokenize(html) = %v, want %v", got, want)
+		t.Errorf("tokenize(html) = %v, want %v", got, want)
 	}
 }
 
@@ -195,10 +202,11 @@ func TestStemIdempotentOnCommonWords(t *testing.T) {
 	}
 }
 
+// Terms stems every word whatever its case.
 func TestStemAll(t *testing.T) {
-	got := StemAll([]string{"Traveling", "STATIONS"})
+	got := Terms("Traveling STATIONS")
 	want := []string{"travel", "station"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("StemAll = %v, want %v", got, want)
+		t.Errorf("Terms = %v, want %v", got, want)
 	}
 }

@@ -161,8 +161,8 @@ func (d *Dictionary) Term(id TermID) string {
 	return d.terms[id]
 }
 
-// Len returns the number of distinct terms seen.
-func (d *Dictionary) Len() int {
+// size returns the number of distinct terms seen.
+func (d *Dictionary) size() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.terms)
@@ -212,12 +212,6 @@ type Builder map[TermID]float64
 
 // NewBuilder returns an empty builder.
 func NewBuilder() Builder { return make(Builder) }
-
-// Add accumulates w onto the term's weight.
-func (b Builder) Add(id TermID, w float64) { b[id] += w }
-
-// Set overwrites the term's weight.
-func (b Builder) Set(id TermID, w float64) { b[id] = w }
 
 // AddScaled accumulates a*v into the builder.
 func (b Builder) AddScaled(v Vector, a float64) {

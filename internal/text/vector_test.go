@@ -22,13 +22,13 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	if d.Term(a) != "kyoto" || d.Term(b) != "station" {
 		t.Error("Term round-trip failed")
 	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d, want 2", d.Len())
+	if d.size() != 2 {
+		t.Errorf("Len = %d, want 2", d.size())
 	}
 	if _, ok := d.Lookup("missing"); ok {
 		t.Error("Lookup(missing) found something")
 	}
-	if d.Len() != 2 {
+	if d.size() != 2 {
 		t.Error("Lookup must not assign")
 	}
 }
@@ -46,7 +46,7 @@ func TestDictionaryTermPanics(t *testing.T) {
 func vec(pairs ...float64) Vector {
 	b := NewBuilder()
 	for i := 0; i+1 < len(pairs); i += 2 {
-		b.Set(TermID(pairs[i]), pairs[i+1])
+		b[TermID(pairs[i])] = pairs[i+1]
 	}
 	return b.Vector()
 }
@@ -99,10 +99,10 @@ func TestVectorForEachSorted(t *testing.T) {
 
 func TestBuilderAccumulates(t *testing.T) {
 	b := NewBuilder()
-	b.Add(1, 2)
-	b.Add(1, 3)
-	b.Set(4, 7)
-	b.Add(9, 0) // exact zero must be dropped
+	b[1] += 2
+	b[1] += 3
+	b[4] = 7
+	b[9] += 0 // exact zero must be dropped
 	b.AddScaled(vec(1, 1, 2, 10), 2)
 	v := b.Vector()
 	if got := v.Get(1); got != 7 {
@@ -204,10 +204,10 @@ func TestCosineProperty(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		ab, bb := NewBuilder(), NewBuilder()
 		for i, x := range xs {
-			ab.Add(TermID(i%17), float64(x))
+			ab[TermID(i%17)] += float64(x)
 		}
 		for i, y := range ys {
-			bb.Add(TermID(i%17), float64(y))
+			bb[TermID(i%17)] += float64(y)
 		}
 		a, b := ab.Vector(), bb.Vector()
 		c1, c2 := a.Cosine(b), b.Cosine(a)
@@ -224,7 +224,7 @@ func TestDistanceTriangleProperty(t *testing.T) {
 		mk := func(s []uint8) Vector {
 			b := NewBuilder()
 			for i, x := range s {
-				b.Add(TermID(i%11), float64(x))
+				b[TermID(i%11)] += float64(x)
 			}
 			return b.Vector()
 		}
@@ -246,14 +246,14 @@ func TestMergeJoinMatchesReference(t *testing.T) {
 				continue
 			}
 			am[TermID(i%13)] += float64(x)
-			ab.Add(TermID(i%13), float64(x))
+			ab[TermID(i%13)] += float64(x)
 		}
 		for i, y := range ys {
 			if y == 0 {
 				continue
 			}
 			bm[TermID(i%13)] += float64(y)
-			bb.Add(TermID(i%13), float64(y))
+			bb[TermID(i%13)] += float64(y)
 		}
 		var dot, dist2 float64
 		for k, x := range am {
@@ -333,7 +333,7 @@ func TestScorerMatchesCosine(t *testing.T) {
 	vec := func() Vector {
 		b, vocab := NewBuilder(), 1+rng.Intn(200)
 		for i := rng.Intn(40); i > 0; i-- {
-			b.Set(TermID(rng.Intn(vocab)), rng.NormFloat64())
+			b[TermID(rng.Intn(vocab))] = rng.NormFloat64()
 		}
 		return b.Vector()
 	}

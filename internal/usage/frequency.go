@@ -37,9 +37,6 @@ func NewSlidingWindow(size core.Duration) *SlidingWindow {
 	}
 }
 
-// Size returns the window length.
-func (w *SlidingWindow) Size() core.Duration { return w.size }
-
 // Record notes a reference to id at time t. Times must be non-decreasing.
 func (w *SlidingWindow) Record(id core.ObjectID, t core.Time) {
 	w.advance(t)
@@ -113,9 +110,6 @@ func NewAgingEstimator(lambda float64) *AgingEstimator {
 		entries:     make(map[core.ObjectID]*agingEntry),
 	}
 }
-
-// Lambda returns the configured decay parameter.
-func (a *AgingEstimator) Lambda() float64 { return a.lambda }
 
 func (a *AgingEstimator) epochOf(t core.Time) int64 {
 	return int64(t) / int64(a.EpochLength)

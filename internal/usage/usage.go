@@ -57,9 +57,6 @@ func NewHistory(id core.ObjectID) *History {
 	}
 }
 
-// ID returns the object this history belongs to.
-func (h *History) ID() core.ObjectID { return h.id }
-
 // Touch records a reference at time t.
 func (h *History) Touch(t core.Time) {
 	if h.firstref == core.TimeNever {
@@ -83,12 +80,6 @@ func pushRecent(ring []core.Time, t core.Time) []core.Time {
 	ring[0] = t
 	return ring
 }
-
-// Count returns the total number of references ever recorded.
-func (h *History) Count() uint64 { return h.count }
-
-// FirstRef returns t_i, the time of the first reference, or TimeNever.
-func (h *History) FirstRef() core.Time { return h.firstref }
 
 // LastKRef returns t_i^k, the time of the last k-th reference. Per the
 // paper, if the object has not been referenced at least k times the result
@@ -115,9 +106,6 @@ func (h *History) LastKMod(k int) core.Time {
 	}
 	return h.mods[k-1]
 }
-
-// Shared returns r, the number of containers sharing this object.
-func (h *History) Shared() int { return h.shared }
 
 // SetShared records the current container count. Negative counts are
 // clamped to zero.
@@ -264,25 +252,4 @@ func (t *Tracker) AgedFrequency(id core.ObjectID) float64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.aging.Frequency(id, now)
-}
-
-// Len returns the number of objects with recorded history.
-func (t *Tracker) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.histories)
-}
-
-// ForEach calls fn with a snapshot of every tracked object. Iteration
-// order is unspecified.
-func (t *Tracker) ForEach(fn func(Snapshot)) {
-	t.mu.RLock()
-	snaps := make([]Snapshot, 0, len(t.histories))
-	for _, h := range t.histories {
-		snaps = append(snaps, h.Snapshot())
-	}
-	t.mu.RUnlock()
-	for _, s := range snaps {
-		fn(s)
-	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestHistoryTable2Attributes(t *testing.T) {
 	h := NewHistory(1)
-	if h.FirstRef() != core.TimeNever {
+	if h.firstref != core.TimeNever {
 		t.Error("fresh history has a firstref")
 	}
 	if h.LastKRef(1) != core.TimeNever {
@@ -19,11 +19,11 @@ func TestHistoryTable2Attributes(t *testing.T) {
 	h.Touch(10)
 	h.Touch(20)
 	h.Touch(30)
-	if h.FirstRef() != 10 {
-		t.Errorf("FirstRef = %v, want 10", h.FirstRef())
+	if h.firstref != 10 {
+		t.Errorf("firstref = %v, want 10", h.firstref)
 	}
-	if h.Count() != 3 {
-		t.Errorf("Count = %d", h.Count())
+	if h.count != 3 {
+		t.Errorf("count = %d", h.count)
 	}
 	// lastkref: k=1 is most recent.
 	if got := h.LastKRef(1); got != 30 {
@@ -38,7 +38,7 @@ func TestHistoryTable2Attributes(t *testing.T) {
 	}
 	// Modifications do not change firstref.
 	h.Modify(40)
-	if h.FirstRef() != 10 {
+	if h.firstref != 10 {
 		t.Error("Modify changed firstref")
 	}
 	if got := h.LastKMod(1); got != 40 {
@@ -60,8 +60,8 @@ func TestHistoryDepthRing(t *testing.T) {
 	if got := h.LastKRef(HistoryDepth); got != 60 {
 		t.Errorf("LastKRef(max) = %v, want 60", got)
 	}
-	if h.Count() != uint64(HistoryDepth+5) {
-		t.Errorf("Count = %d", h.Count())
+	if h.count != uint64(HistoryDepth+5) {
+		t.Errorf("count = %d", h.count)
 	}
 }
 
@@ -83,12 +83,12 @@ func TestLastKRefPanicsOutOfRange(t *testing.T) {
 func TestSharedClamped(t *testing.T) {
 	h := NewHistory(1)
 	h.SetShared(3)
-	if h.Shared() != 3 {
-		t.Errorf("Shared = %d", h.Shared())
+	if h.shared != 3 {
+		t.Errorf("shared = %d", h.shared)
 	}
 	h.SetShared(-5)
-	if h.Shared() != 0 {
-		t.Errorf("negative shared not clamped: %d", h.Shared())
+	if h.shared != 0 {
+		t.Errorf("negative shared not clamped: %d", h.shared)
 	}
 }
 
@@ -284,16 +284,11 @@ func TestTrackerEndToEnd(t *testing.T) {
 	if _, ok := tr.Get(99); ok {
 		t.Error("Get(99) found something")
 	}
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d", tr.Len())
+	if n := len(tr.histories); n != 2 {
+		t.Errorf("%d histories, want 2", n)
 	}
 	if at, ok := tr.LastKRef(1, 2); !ok || at != 0 {
 		t.Errorf("LastKRef(1,2) = %v, %v", at, ok)
-	}
-	n := 0
-	tr.ForEach(func(Snapshot) { n++ })
-	if n != 2 {
-		t.Errorf("ForEach visited %d", n)
 	}
 }
 
@@ -332,11 +327,13 @@ func TestTrackerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if tr.Len() != 10 {
-		t.Errorf("Len = %d, want 10", tr.Len())
+	if n := len(tr.histories); n != 10 {
+		t.Errorf("%d histories, want 10", n)
 	}
 	total := uint64(0)
-	tr.ForEach(func(s Snapshot) { total += s.Count })
+	for _, h := range tr.histories {
+		total += h.count
+	}
 	if total != 8*200 {
 		t.Errorf("total touches = %d, want 1600", total)
 	}

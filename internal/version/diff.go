@@ -20,8 +20,8 @@ type Delta struct {
 	SizeDelta int64
 }
 
-// Empty reports whether the delta carries no observable change.
-func (d Delta) Empty() bool {
+// empty reports whether the delta carries no observable change.
+func (d Delta) empty() bool {
 	return len(d.Added) == 0 && len(d.Removed) == 0 && !d.TitleChanged && d.SizeDelta == 0
 }
 

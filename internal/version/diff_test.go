@@ -25,7 +25,7 @@ func TestDiffTerms(t *testing.T) {
 	if d.SizeDelta != 30 {
 		t.Errorf("SizeDelta = %d", d.SizeDelta)
 	}
-	if d.Empty() {
+	if d.empty() {
 		t.Error("non-empty delta reported empty")
 	}
 	if s := d.String(); !strings.Contains(s, "v1->v2") || !strings.Contains(s, "+2 -1") {
@@ -55,7 +55,7 @@ func TestDiffTitleAndCounts(t *testing.T) {
 func TestDiffIdentical(t *testing.T) {
 	a := Snapshot{Version: 3, Title: "T", Body: "b", Size: 5}
 	d := Diff(a, a)
-	if !d.Empty() {
+	if !d.empty() {
 		t.Errorf("self-diff not empty: %+v", d)
 	}
 }

@@ -475,7 +475,6 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 			container:         container.ID,
 			version:           p.Version,
 			vec:               rec.vec,
-			region:            w.regions.Assign(clusterPoint(phys.ID, rec.vec)),
 			lastCheck:         w.clock.Now(),
 			lastMod:           p.LastMod,
 			admissionPriority: prio,
@@ -486,12 +485,13 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 		// container storage does not know. The event route goes first: the
 		// residency events of the placement pass park on the shard lock
 		// until the page is published. A page storage refuses is not
-		// published, and its route goes too.
+		// published, and its route goes too; it joins no region.
 		w.pageOfContainer.Store(container.ID, rec.url)
 		if err := w.admitToStorage(container.ID, p, prio, rec.payload); err != nil {
 			w.pageOfContainer.Delete(container.ID)
 			return nil, false, err
 		}
+		st.region = w.regions.Assign(clusterPoint(phys.ID, rec.vec))
 		sh.pages[rec.url] = st
 		w.topics.Learn(rec.vec, prio)
 	}

@@ -97,17 +97,6 @@ func TestHistoryOnTheAnchor(t *testing.T) {
 				t.Errorf("current version after the anchor was lost: %q, %v", trim(got.Body), err)
 			}
 		}},
-		{"a removed page leaves no record", 0, func(t *testing.T, h historyFixture) {
-			if err := h.w.StorageManager().Remove(h.container); err != nil {
-				t.Fatal(err)
-			}
-			if got := h.anchorVersions(); len(got) != 0 {
-				t.Errorf("anchor records after Remove = %v", got)
-			}
-			if _, err := h.materialize(3); !errors.Is(err, core.ErrNotFound) {
-				t.Errorf("v3 of a removed page: %v, want not stored", err)
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

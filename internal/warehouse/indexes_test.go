@@ -150,14 +150,14 @@ func TestMaintainLaysOutPastMissingContainer(t *testing.T) {
 			}
 			return pages[i].container < pages[j].container
 		})
-		// The first page in layout order goes, so a layout that stopped at
-		// it would place no page at all.
-		gone := pages[0].container
-		if err := w.StorageManager().Remove(gone); err != nil {
-			t.Fatal(err)
-		}
+		// The first page in layout order loses its container: it names one
+		// storage never held and that sorts first, so a layout that stopped
+		// at it would place no page at all. Its old container, now no page's,
+		// goes after every page's.
+		gone := core.InvalidID
+		setContainer(w, pages[0].container, gone)
 		if _, err := w.Maintain(); !errors.Is(err, core.ErrNotFound) || !strings.Contains(err.Error(), gone.String()) {
-			t.Fatalf("Maintain over a removed container: err = %v, want ErrNotFound naming %v", err, gone)
+			t.Fatalf("Maintain over a missing container: err = %v, want ErrNotFound naming %v", err, gone)
 		}
 		next := 0
 		for _, p := range pages[1:] {
@@ -222,9 +222,9 @@ func TestMaintainClustersTertiaryByRegion(t *testing.T) {
 	})
 }
 
-// TestMaintainReportsLayoutError: a page whose container storage no longer
-// holds (removed behind the warehouse's back) makes Maintain return the
-// tertiary layout's error, wrapping core.ErrNotFound, instead of panicking.
+// TestMaintainReportsLayoutError: a page whose container storage does not
+// hold makes Maintain return the tertiary layout's error, wrapping
+// core.ErrNotFound, instead of panicking.
 func TestMaintainReportsLayoutError(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		w, g, _ := fixture(t, s, nil)
@@ -236,11 +236,23 @@ func TestMaintainReportsLayoutError(t *testing.T) {
 		sh.mu.RLock()
 		container := sh.pages[url].container
 		sh.mu.RUnlock()
-		if err := w.StorageManager().Remove(container); err != nil {
-			t.Fatal(err)
-		}
+		setContainer(w, container, container+1<<20)
 		if _, err := w.Maintain(); !errors.Is(err, core.ErrNotFound) {
-			t.Fatalf("Maintain over a removed container: err = %v, want ErrNotFound", err)
+			t.Fatalf("Maintain over a missing container: err = %v, want ErrNotFound", err)
 		}
 	})
+}
+
+// setContainer points the page whose container is from at to instead,
+// behind storage's back.
+func setContainer(w *Warehouse, from, to core.ObjectID) {
+	for _, sh := range w.shards {
+		sh.mu.Lock()
+		for _, st := range sh.pages {
+			if st.container == from {
+				st.container = to
+			}
+		}
+		sh.mu.Unlock()
+	}
 }

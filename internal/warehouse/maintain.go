@@ -30,7 +30,7 @@ type MineReport struct {
 // documents into semantic regions, and hand the path set to the
 // Recommendation Manager.
 func (w *Warehouse) MinePaths() (MineReport, error) {
-	sessions := logmine.Sessionize(w.AccessLog(), w.cfg.SessionTimeout)
+	sessions := logmine.Sessionize(w.AccessLog(), sessionTimeout)
 	paths := logmine.MaximalOnly(logmine.MinePaths(sessions, w.cfg.Miner))
 	rep := MineReport{Sessions: len(sessions), Paths: len(paths)}
 
@@ -119,7 +119,7 @@ func (w *Warehouse) Maintain() (MaintainReport, error) {
 	var rep MaintainReport
 
 	// Sensor poll + topic boost (locks inside the components, not w.mu).
-	rep.Bursts = w.sensor.FeedInto(w.topics, w.cfg.TopicGain)
+	rep.Bursts = w.sensor.FeedInto(w.topics, topicGain)
 
 	// Article-driven prefetch: the sensor's purpose is the "realization of
 	// prefetching operations" — event pages enter the warehouse before the
@@ -145,7 +145,7 @@ func (w *Warehouse) Maintain() (MaintainReport, error) {
 		}
 	}
 
-	w.topics.Decay(w.cfg.TopicDecayFactor)
+	w.topics.Decay(topicDecay)
 	w.prios.DecayAll()
 
 	before := w.store.Stats().Migrations

@@ -19,7 +19,7 @@ func modelByStrings(c *text.Corpus, p *core.Page, omega float64) (text.Vector, m
 	vectorize := func(counts map[string]int) text.Vector {
 		b := text.NewBuilder()
 		for term, n := range counts {
-			b.Set(c.Dict().ID(term), (1+math.Log(float64(n)))*c.IDF(term))
+			b[c.Dict().ID(term)] = (1 + math.Log(float64(n))) * c.IDF(term)
 		}
 		return b.Vector().Normalize()
 	}

@@ -54,13 +54,6 @@ type Config struct {
 	RegionMax    int
 	// Omega is the title-over-body weight of §5.3 (ω > 1).
 	Omega float64
-	// WindowSize and Lambda configure the usage tracker's estimators;
-	// AgingEpoch is the λ-aging epoch length in ticks.
-	WindowSize core.Duration
-	Lambda     float64
-	AgingEpoch core.Duration
-	// SessionTimeout separates navigation sessions for path mining.
-	SessionTimeout core.Duration
 	// Miner bounds logical-document discovery.
 	Miner logmine.MinerConfig
 	// VersionDepth bounds stored versions per URL (0 = unlimited). The
@@ -72,14 +65,6 @@ type Config struct {
 	// Rehydrate can resurrect admitted pages after a restart. Empty keeps
 	// every tier in the heap — the simulation shape.
 	DataDir string
-	// ProfileBlend tunes recommendation profiles.
-	ProfileBlend float64
-	// SensorDecay tunes topic-burst baselines.
-	SensorDecay float64
-	// TopicGain scales how strongly news bursts boost the topic model.
-	TopicGain float64
-	// TopicDecayFactor is applied to the topic model at every Maintain.
-	TopicDecayFactor float64
 	// AdmissionDecay is applied to each page's admission-time priority
 	// estimate at every Maintain: the estimate is evidence about an
 	// object nobody has re-referenced yet, and it must fade on a disuse
@@ -102,27 +87,40 @@ func (c *Config) ApplySchema(s schema.Schema) error {
 	return s.Apply(&c.Storage, &c.Admission, &c.Consistency)
 }
 
+// The tunables of the usage tracker, the path miner, the recommender and
+// the topic model, at the values the experiments run with.
+const (
+	// usageWindow and usageLambda configure the usage tracker's
+	// estimators (the window is the paper's "last week");
+	// usageAgingEpoch is the λ-aging epoch length in ticks.
+	usageWindow     = 7 * 24 * 3600
+	usageLambda     = 0.3
+	usageAgingEpoch = 3600
+	// sessionTimeout separates navigation sessions for path mining.
+	sessionTimeout = 1800
+	// profileBlend tunes recommendation profiles.
+	profileBlend = 0.2
+	// sensorDecay tunes topic-burst baselines.
+	sensorDecay = 0.9
+	// topicGain scales how strongly news bursts boost the topic model.
+	topicGain = 1.0
+	// topicDecay is applied to the topic model at every Maintain.
+	topicDecay = 0.98
+)
+
 // DefaultConfig returns the configuration the experiments run with.
 func DefaultConfig() Config {
 	return Config{
-		Storage:          storage.DefaultConfig(),
-		Admission:        constraint.NewAdmission(),
-		Consistency:      constraint.DefaultConsistency(),
-		Priority:         priority.DefaultConfig(),
-		RegionMinSim:     0.15,
-		RegionMax:        256,
-		Omega:            3,
-		WindowSize:       7 * 24 * 3600, // the paper's "last week" window
-		Lambda:           0.3,
-		AgingEpoch:       3600,
-		SessionTimeout:   1800,
-		Miner:            logmine.DefaultMinerConfig(),
-		VersionDepth:     16,
-		ProfileBlend:     0.2,
-		SensorDecay:      0.9,
-		TopicGain:        1.0,
-		TopicDecayFactor: 0.98,
-		AdmissionDecay:   0.8,
+		Storage:        storage.DefaultConfig(),
+		Admission:      constraint.NewAdmission(),
+		Consistency:    constraint.DefaultConsistency(),
+		Priority:       priority.DefaultConfig(),
+		RegionMinSim:   0.15,
+		RegionMax:      256,
+		Omega:          3,
+		Miner:          logmine.DefaultMinerConfig(),
+		VersionDepth:   16,
+		AdmissionDecay: 0.8,
 	}
 }
 
@@ -390,13 +388,13 @@ func New(cfg Config, clock core.Clock, web core.Origin) (*Warehouse, error) {
 		corpus:           corpus,
 		index:            text.NewInvertedIndex(corpus.Dict()),
 		objects:          object.NewHierarchy(),
-		tracker:          usage.NewTracker(clock, cfg.WindowSize, cfg.Lambda),
+		tracker:          usage.NewTracker(clock, usageWindow, usageLambda),
 		regions:          regions,
 		topics:           topics,
-		sensor:           topic.NewSensor(clock, cfg.SensorDecay),
+		sensor:           topic.NewSensor(clock, sensorDecay),
 		prios:            prios,
 		store:            store,
-		social:           recommend.NewManager(cfg.ProfileBlend),
+		social:           recommend.NewManager(profileBlend),
 		shards:           make([]*shard, cfg.Shards),
 		lastPrefetchPoll: core.TimeNever,
 		logicalSupport:   make(map[core.ObjectID]int),
@@ -408,9 +406,7 @@ func New(cfg Config, clock core.Clock, web core.Origin) (*Warehouse, error) {
 			hotIndex: text.NewInvertedIndex(corpus.Dict()),
 		}
 	}
-	if cfg.AgingEpoch > 0 {
-		w.tracker.SetAgingEpoch(cfg.AgingEpoch)
-	}
+	w.tracker.SetAgingEpoch(usageAgingEpoch)
 	w.history = version.NewStoreOn(cfg.VersionDepth, historyBodies{w})
 	w.builder = object.NewBuilder(w.objects)
 	return w, nil
@@ -459,14 +455,8 @@ func (w *Warehouse) Close() error {
 	return w.store.Close()
 }
 
-// Clock exposes the warehouse clock (examples print times).
-func (w *Warehouse) Clock() core.Clock { return w.clock }
-
 // Topics exposes the Topic Manager (REPL: HOT, RELATED).
 func (w *Warehouse) Topics() *topic.Manager { return w.topics }
-
-// Regions exposes the semantic-region clusterer.
-func (w *Warehouse) Regions() *cluster.Online { return w.regions }
 
 // StorageManager exposes the storage tiers (failure-injection experiments).
 func (w *Warehouse) StorageManager() *storage.Manager { return w.store }

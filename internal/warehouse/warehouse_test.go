@@ -3,6 +3,8 @@ package warehouse
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -542,4 +544,21 @@ func TestMinePathsIdempotent(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A page storage refuses joins no region: on the file-backed stack with
+// its tiers' directories gone, a cold Get fails at the anchor write, and
+// no region holds the page, in its members or its centroid.
+func TestRefusedPageJoinsNoRegion(t *testing.T) {
+	dir := t.TempDir()
+	w, g, _ := fixture(t, stacks[1], func(c *Config) { c.DataDir = dir })
+	if err := os.RemoveAll(filepath.Join(dir, "store")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Get("alice", g.PageURLs[0]); err == nil {
+		t.Fatal("a cold Get with no store directory succeeded")
+	}
+	if regions := w.regions.Regions(); len(regions) != 0 {
+		t.Errorf("%d regions after a refused admission; the first has members %v", len(regions), regions[0].Members)
+	}
 }

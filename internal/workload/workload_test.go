@@ -15,8 +15,8 @@ import (
 func TestZipfDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	z := NewZipf(rng, 100, 1.0)
-	if z.N() != 100 {
-		t.Fatalf("N = %d", z.N())
+	if n := len(z.cdf); n != 100 {
+		t.Fatalf("%d ranks, want 100", n)
 	}
 	counts := make([]int, 100)
 	const draws = 100000
@@ -38,17 +38,28 @@ func TestZipfDistribution(t *testing.T) {
 	}
 }
 
+// prob is the probability mass of rank under z; 0 outside its ranks.
+func prob(z *Zipf, rank int) float64 {
+	switch {
+	case rank < 0 || rank >= len(z.cdf):
+		return 0
+	case rank == 0:
+		return z.cdf[0]
+	}
+	return z.cdf[rank] - z.cdf[rank-1]
+}
+
 func TestZipfProbSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	z := NewZipf(rng, 50, 0.8)
 	sum := 0.0
 	for i := 0; i < 50; i++ {
-		sum += z.Prob(i)
+		sum += prob(z, i)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %v", sum)
 	}
-	if z.Prob(-1) != 0 || z.Prob(50) != 0 {
+	if prob(z, -1) != 0 || prob(z, 50) != 0 {
 		t.Error("out-of-range Prob != 0")
 	}
 }
@@ -57,8 +68,8 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	z := NewZipf(rng, 10, 0)
 	for i := 0; i < 10; i++ {
-		if math.Abs(z.Prob(i)-0.1) > 1e-9 {
-			t.Errorf("Prob(%d) = %v, want 0.1", i, z.Prob(i))
+		if math.Abs(prob(z, i)-0.1) > 1e-9 {
+			t.Errorf("prob(%d) = %v, want 0.1", i, prob(z, i))
 		}
 	}
 }

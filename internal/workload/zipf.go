@@ -43,24 +43,10 @@ func NewZipf(rng *rand.Rand, n int, s float64) *Zipf {
 	return &Zipf{rng: rng, cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws one rank in [0, N).
 func (z *Zipf) Sample() int {
 	u := z.rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// Prob returns the probability mass of the given rank.
-func (z *Zipf) Prob(rank int) float64 {
-	if rank < 0 || rank >= len(z.cdf) {
-		return 0
-	}
-	if rank == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[rank] - z.cdf[rank-1]
 }
 
 // Permutation returns a deterministic pseudo-random permutation of 0..n-1
