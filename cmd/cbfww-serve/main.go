@@ -412,9 +412,9 @@ func main() {
 	flag.StringVar(&opts.schemaFile, "schema", "", "storage schema definition file (see internal/schema)")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "root for durable state (file-backed disk/tertiary tiers, checkpoints); empty = all tiers in heap")
 	flag.StringVar(&opts.origin, "origin", "", "origin host:port every page host resolves to (required)")
-	flag.IntVar(&opts.workers, "workers", 32, "max concurrent origin fetches")
+	flag.IntVar(&opts.workers, "workers", 32, "max cold-miss origin fetches at once, on /fetch and /body")
 	flag.IntVar(&opts.shards, "shards", 0, "warehouse lock stripes (0 = GOMAXPROCS)")
-	flag.DurationVar(&opts.fetchTimeout, "fetch-timeout", 10*time.Second, "per-request origin fetch budget")
+	flag.DurationVar(&opts.fetchTimeout, "fetch-timeout", 10*time.Second, "budget of each /fetch and /body request")
 	flag.DurationVar(&opts.maintainEvery, "maintain-every", time.Minute, "maintenance sweep interval (0 disables)")
 	flag.IntVar(&opts.retry, "retry", 3, "origin attempts per fetch (1 disables retries)")
 	flag.IntVar(&opts.breakerThreshold, "breaker-threshold", 5, "consecutive host failures that open the circuit breaker (0 disables)")

@@ -39,9 +39,11 @@ const maxTestSeams = 25
 // TestNoUnusedExports: every exported declaration in a non-test file
 // under internal/ — function, method, type, constant or variable — is
 // named by some non-test file under internal/, cmd/, benchmark/ or
-// examples/, is a method that satisfies an interface, or is a test seam
-// (named only by another package's tests, counted under maxTestSeams).
-// Uses are resolved by type, so a use of one Len is no use of another.
+// examples/, is a method that satisfies an interface the program calls it
+// through, or is a test seam (named only by another package's tests,
+// counted under maxTestSeams). Uses are resolved by type, so a use of one
+// Len is no use of another, and a method of an interface the module
+// declares is called through it only where a non-test file names it.
 func TestNoUnusedExports(t *testing.T) {
 	start := time.Now()
 	fset, pkgs, err := loadModule("cbfww")
@@ -206,7 +208,7 @@ func classifyExports(fset *token.FileSet, pkgs []*modPkg, checked func(path stri
 			switch {
 			case c.program[key]:
 				out[key] = programUse
-			case satisfiesInterface(obj, ifaces):
+			case c.satisfiesInterface(obj, ifaces):
 				out[key] = interfaceMethod
 			case len(c.testers[key]) == 0:
 				out[key] = unused
@@ -335,8 +337,11 @@ func declared(scope *types.Scope) []types.Object {
 }
 
 // satisfiesInterface reports whether obj is a method by which its
-// receiver's type (or a pointer to it) implements one of ifaces.
-func satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
+// receiver's type (or a pointer to it) implements one of ifaces, through
+// an interface method the program may call: one declared outside the
+// module (code the gate does not scan calls it), in an interface literal,
+// or in a module's named interface where a non-test file names it.
+func (c *exportChecker) satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
 	f, ok := obj.(*types.Func)
 	if !ok {
 		return false
@@ -351,12 +356,21 @@ func satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
 	}
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == f.Name() && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+			if m := it.Method(i); m.Name() == f.Name() && c.called(m) && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// called reports whether the program may call the interface method m.
+func (c *exportChecker) called(m *types.Func) bool {
+	if m.Pkg() == nil || c.mod[m.Pkg().Path()] == nil {
+		return true
+	}
+	key := objKey(m)
+	return key == "" || c.program[key]
 }
 
 // objKey names a package-level object or a method of a named type by its
@@ -441,6 +455,22 @@ func (s S) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
 func (s S) Other() {}
 func Sorted(s S) S { sort.Sort(s); return s }`}}},
 			want: map[string]exportClass{"m/a.S.Len": interfaceMethod, "m/a.S.Less": interfaceMethod, "m/a.S.Swap": interfaceMethod, "m/a.S.Other": unused, "m/a.S": programUse},
+		},
+		{
+			// Only the program's calls through a module's interface keep its
+			// implementations: a method only tests call through it is unused.
+			name: "a module interface method only tests call",
+			pkgs: []pkg{{path: "m/a", files: []string{`package a
+type I interface {
+	Len() int
+	Put()
+}
+type T struct{}
+func (T) Len() int { return 0 }
+func (T) Put() {}
+func New() I { return T{} }
+func Fill(i I) { i.Put() }`}, tests: []string{"package a\nfunc useLen() int { return New().Len() }"}}},
+			want: map[string]exportClass{"m/a.T.Len": unused, "m/a.T.Put": interfaceMethod},
 		},
 	}
 	for _, tc := range cases {

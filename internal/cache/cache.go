@@ -25,8 +25,6 @@ type Cache interface {
 	Access(key string, size core.Bytes, now core.Time) bool
 	// Used returns the bytes currently resident.
 	Used() core.Bytes
-	// Len returns the number of resident objects.
-	Len() int
 }
 
 // listCache covers the recency-ordered policies (LRU, FIFO, MRU) with a
@@ -69,7 +67,6 @@ func NewMRU(capacity core.Bytes) Cache {
 
 func (c *listCache) Name() string     { return c.name }
 func (c *listCache) Used() core.Bytes { return c.used }
-func (c *listCache) Len() int         { return len(c.items) }
 
 func (c *listCache) Access(key string, size core.Bytes, now core.Time) bool {
 	if e, ok := c.items[key]; ok {
@@ -244,7 +241,6 @@ func NewLRUK(capacity core.Bytes, k int) Cache {
 
 func (c *scoreCache) Name() string     { return c.name }
 func (c *scoreCache) Used() core.Bytes { return c.used }
-func (c *scoreCache) Len() int         { return len(c.items) }
 
 func (c *scoreCache) Access(key string, size core.Bytes, now core.Time) bool {
 	if c.histories != nil {
@@ -322,6 +318,3 @@ func (c *Infinite) Access(key string, size core.Bytes, _ core.Time) bool {
 
 // Used implements Cache.
 func (c *Infinite) Used() core.Bytes { return c.used }
-
-// Len implements Cache.
-func (c *Infinite) Len() int { return len(c.items) }

@@ -12,6 +12,19 @@ import (
 	"cbfww/internal/workload"
 )
 
+// residents counts the objects c holds.
+func residents(c Cache) int {
+	switch c := c.(type) {
+	case *listCache:
+		return len(c.items)
+	case *scoreCache:
+		return len(c.items)
+	case *Infinite:
+		return len(c.items)
+	}
+	panic(fmt.Sprintf("residents: unknown cache %T", c))
+}
+
 // access drives a sequence of equal-size requests and returns "H"/"M"
 // outcome string, e.g. "MMHM".
 func access(c Cache, size core.Bytes, keys ...string) string {
@@ -33,8 +46,8 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	if got != "MMHMMM" {
 		t.Errorf("outcomes = %s, want MMHMMM", got)
 	}
-	if c.Len() != 2 || c.Used() != 2 {
-		t.Errorf("Len=%d Used=%d", c.Len(), c.Used())
+	if residents(c) != 2 || c.Used() != 2 {
+		t.Errorf("residents=%d Used=%d", residents(c), c.Used())
 	}
 }
 
@@ -127,8 +140,8 @@ func TestOversizeObjectNotCached(t *testing.T) {
 		if c.Access("huge", 11, 1) {
 			t.Errorf("%s: oversize object was cached", c.Name())
 		}
-		if c.Len() != 0 {
-			t.Errorf("%s: Len = %d", c.Name(), c.Len())
+		if residents(c) != 0 {
+			t.Errorf("%s: %d residents", c.Name(), residents(c))
 		}
 	}
 }
@@ -139,8 +152,8 @@ func TestInfiniteNeverEvicts(t *testing.T) {
 	if got != "MMMHHH" {
 		t.Errorf("outcomes = %s", got)
 	}
-	if c.Name() != "INF" || c.Len() != 3 || c.Used() != 3 {
-		t.Errorf("state: %s %d %v", c.Name(), c.Len(), c.Used())
+	if c.Name() != "INF" || residents(c) != 3 || c.Used() != 3 {
+		t.Errorf("state: %s %d %v", c.Name(), residents(c), c.Used())
 	}
 }
 

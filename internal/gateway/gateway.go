@@ -5,14 +5,16 @@
 // query directly (§3, §4.3); this package is that daemon, engineered for
 // concurrency:
 //
-//   - request coalescing: N concurrent requests for one cold URL trigger
-//     exactly one origin fetch (singleflight.go) — the miss-storm shape of
-//     the paper's hot spots (§3(3));
-//   - a bounded worker pool for origin fetches with per-request context
-//     deadlines (pool.go), so a flood of cold URLs cannot swamp origins or
-//     pile up goroutines;
-//   - hot hits bypass both: resident pages are served straight from the
-//     warehouse under its read-write lock;
+//   - one fetch-through path for /fetch and /body: routing, one warehouse
+//     serve under the FetchTimeout budget, error statuses and degraded-serve
+//     headers are shared; only the rendering differs;
+//   - request coalescing, in the warehouse: N concurrent requests for one
+//     cold URL, on either endpoint, trigger exactly one origin fetch — the
+//     miss-storm shape of the paper's hot spots (§3(3));
+//   - a bounded worker pool for cold-miss fetches, sized by FetchWorkers
+//     and held by the warehouse, so a flood of cold URLs cannot swamp
+//     origins; requests coalesced onto a fetch hold no slot, and hits take
+//     none;
 //   - graceful shutdown that drains in-flight requests;
 //   - a counters/latency-histogram registry (metrics.go) surfaced at
 //     /stats.
@@ -53,7 +55,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"cbfww/internal/core"
@@ -67,9 +68,10 @@ import (
 type Config struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
-	// FetchWorkers bounds concurrent origin fetches.
+	// FetchWorkers bounds the cold misses fetching at once.
 	FetchWorkers int
-	// FetchTimeout is the origin-fetch budget per coalesced fetch.
+	// FetchTimeout is each /fetch and /body request's budget; a cold
+	// miss's origin fetch keeps the budget of the request that sent it.
 	FetchTimeout time.Duration
 	// MaxQueryBytes bounds a POST /query body.
 	MaxQueryBytes int64
@@ -114,19 +116,14 @@ type Server struct {
 	cfg     Config
 	wh      *warehouse.Warehouse
 	metrics *Registry
-	flights *flightGroup
-	pool    *workerPool
-
-	// coalesced counts /fetch requests that shared another request's
-	// origin fetch instead of issuing their own.
-	coalesced atomic.Uint64
 
 	srv      *http.Server
 	ln       net.Listener
 	serveErr chan error
 }
 
-// New assembles a daemon over the warehouse (which must be non-nil).
+// New assembles a daemon over the warehouse (which must be non-nil) and
+// installs the warehouse's fetch pool, sized by cfg.FetchWorkers.
 func New(cfg Config, wh *warehouse.Warehouse) (*Server, error) {
 	if wh == nil {
 		return nil, fmt.Errorf("gateway: %w: nil warehouse", core.ErrInvalid)
@@ -147,12 +144,11 @@ func New(cfg Config, wh *warehouse.Warehouse) (*Server, error) {
 	if cfg.MaxResults <= 0 {
 		cfg.MaxResults = def.MaxResults
 	}
+	wh.SetFetchWorkers(cfg.FetchWorkers)
 	s := &Server{
 		cfg:     cfg,
 		wh:      wh,
 		metrics: NewRegistry(),
-		flights: newFlightGroup(),
-		pool:    newWorkerPool(cfg.FetchWorkers),
 	}
 	s.srv = &http.Server{Handler: s.Handler()}
 	return s, nil
@@ -382,45 +378,24 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, url string
 	return false
 }
 
-func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
+// fetchThrough is what /fetch and /body do alike: it routes url to its
+// owner, or serves it here under the FetchTimeout budget, writing an
+// error, with Retry-After when a breaker is open, or the X-CBFWW-Stale
+// header of a degraded serve. ok is false when the response is written;
+// otherwise the caller renders res and must Close bs.
+func (s *Server) fetchThrough(w http.ResponseWriter, r *http.Request) (res warehouse.GetResult, bs *warehouse.BodyStream, ok bool) {
 	q := r.URL.Query()
-	url, user := q.Get("url"), q.Get("user")
+	url := q.Get("url")
 	if url == "" {
 		writeError(w, fmt.Errorf("gateway: %w: missing url parameter", core.ErrInvalid))
-		return
+		return res, nil, false
 	}
 	if s.routeToOwner(w, r, url) {
-		return
+		return res, nil, false
 	}
-	var (
-		res    warehouse.GetResult
-		err    error
-		joined bool
-	)
-	if s.wh.Resident(url) {
-		// Hot path: the page is already warehoused, so serving it is pure
-		// in-memory work — no coalescing or pooling needed.
-		res, err = s.wh.GetCtx(r.Context(), user, url)
-	} else {
-		res, joined, err = s.flights.Do(r.Context(), url, func() (warehouse.GetResult, error) {
-			// The shared fetch is detached from any single client so an
-			// impatient leader cannot poison the result for its joiners;
-			// the configured fetch budget bounds it instead.
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FetchTimeout)
-			defer cancel()
-			var (
-				out  warehouse.GetResult
-				ferr error
-			)
-			if perr := s.pool.do(ctx, func() { out, ferr = s.wh.GetCtx(ctx, user, url) }); perr != nil {
-				return warehouse.GetResult{}, perr
-			}
-			return out, ferr
-		})
-		if joined {
-			s.coalesced.Add(1)
-		}
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.FetchTimeout)
+	defer cancel()
+	res, bs, err := s.wh.GetBodyCtx(ctx, q.Get("user"), url)
 	if err != nil {
 		// An open breaker with no resident copy is the one honest answer a
 		// bound-free warehouse cannot dodge: 503 plus when to come back.
@@ -429,21 +404,37 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(open.RetryAfter)))
 		}
 		writeError(w, err)
-		return
+		return res, nil, false
 	}
 	if res.Stale {
 		// Degraded serve: the origin failed (or lagged) and the warehouse
 		// answered from its admitted copy.
 		w.Header().Set("X-CBFWW-Stale", "1")
 	}
+	return res, bs, true
+}
+
+// handleFetch renders fetchThrough's page as JSON, body included.
+func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
+	res, bs, ok := s.fetchThrough(w, r)
+	if !ok {
+		return
+	}
+	defer bs.Close()
+	var body strings.Builder
+	body.Grow(int(bs.Len()))
+	if _, err := bs.WriteTo(&body); err != nil {
+		writeError(w, fmt.Errorf("gateway: body of %q: %w", res.Page.URL, err))
+		return
+	}
 	writeJSON(w, http.StatusOK, FetchResponse{
 		URL:          res.Page.URL,
 		Title:        res.Page.Title,
-		Body:         res.Page.Body,
+		Body:         body.String(),
 		Size:         int64(res.Page.Size),
 		Version:      res.Page.Version,
 		Hit:          res.Hit,
-		Coalesced:    joined,
+		Coalesced:    res.Coalesced,
 		Source:       res.Source,
 		LatencyTicks: int64(res.Latency),
 		Priority:     float64(res.Priority),
@@ -451,34 +442,19 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleBody streams the page body itself — the bytes the storage tiers
-// hold — instead of a JSON envelope. Serving metadata rides in headers:
-// X-CBFWW-Source (tier name or "origin"), X-CBFWW-Version, and
-// X-CBFWW-Stale on degraded serves. It shares /fetch's full fetch-through
-// path, so a cold URL is admitted exactly as if fetched — but a warm one
-// moves store→socket through the tier's BlobReader (a single Write for
-// heap and mmap blobs, sendfile for disk files and CRC-verified segment
-// windows) instead of materializing Page.Body. Content-Length comes from
-// the stored size, so HEAD answers the size without moving a byte and GET
-// responses skip chunked encoding. Once the headers are out a failed
-// transfer can only cut the response short; sendBody counts it.
+// handleBody streams fetchThrough's page body itself — the bytes the
+// storage tiers hold — instead of a JSON envelope. Serving metadata rides
+// in headers: X-CBFWW-Source (tier name or "origin"), X-CBFWW-Version, and
+// X-CBFWW-Stale on degraded serves. A warm page moves store→socket
+// through the tier's BlobReader (a single Write for heap and mmap blobs,
+// sendfile for disk files and CRC-verified segment windows) instead of
+// materializing Page.Body. Content-Length comes from the stored size, so
+// HEAD answers the size without moving a byte and GET responses skip
+// chunked encoding. Once the headers are out a failed transfer can only
+// cut the response short; sendBody counts it.
 func (s *Server) handleBody(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	url := q.Get("url")
-	if url == "" {
-		writeError(w, fmt.Errorf("gateway: %w: missing url parameter", core.ErrInvalid))
-		return
-	}
-	if s.routeToOwner(w, r, url) {
-		return
-	}
-	res, bs, err := s.wh.GetBodyCtx(r.Context(), q.Get("user"), url)
-	if err != nil {
-		var open *resilience.BreakerOpenError
-		if errors.As(err, &open) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(open.RetryAfter)))
-		}
-		writeError(w, err)
+	res, bs, ok := s.fetchThrough(w, r)
+	if !ok {
 		return
 	}
 	defer bs.Close()
@@ -487,9 +463,6 @@ func (s *Server) handleBody(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Length", strconv.FormatInt(bs.Len(), 10))
 	h.Set("X-CBFWW-Source", res.Source)
 	h.Set("X-CBFWW-Version", strconv.Itoa(res.Page.Version))
-	if res.Stale {
-		h.Set("X-CBFWW-Stale", "1")
-	}
 	if r.Method == http.MethodHead {
 		return
 	}
@@ -767,11 +740,11 @@ type ResilienceStats struct {
 
 // GatewayStats are the daemon-level counters.
 type GatewayStats struct {
-	CoalescedFetches     uint64 `json:"coalesced_fetches"`
-	InflightOriginFetchs int    `json:"inflight_origin_fetches"`
-	FetchWorkers         int    `json:"fetch_workers"`
-	ResidentPages        int    `json:"resident_pages"`
-	Shards               int    `json:"shards"`
+	CoalescedFetches      uint64 `json:"coalesced_fetches"`
+	InflightOriginFetches int    `json:"inflight_origin_fetches"`
+	FetchWorkers          int    `json:"fetch_workers"`
+	ResidentPages         int    `json:"resident_pages"`
+	Shards                int    `json:"shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -798,13 +771,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LockAcquires:   ss.LockAcquires,
 		}
 	}
+	inflight, workers := s.wh.FetchWorkers()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Gateway: GatewayStats{
-			CoalescedFetches:     s.coalesced.Load(),
-			InflightOriginFetchs: s.pool.inflight(),
-			FetchWorkers:         s.pool.capacity(),
-			ResidentPages:        s.wh.ResidentPages(),
-			Shards:               s.wh.NumShards(),
+			CoalescedFetches:      uint64(whStats.Coalesced),
+			InflightOriginFetches: inflight,
+			FetchWorkers:          workers,
+			ResidentPages:         s.wh.ResidentPages(),
+			Shards:                s.wh.NumShards(),
 		},
 		Resilience: res,
 		Endpoints:  s.metrics.Snapshot(),

@@ -270,62 +270,130 @@ func TestEndToEndOverSockets(t *testing.T) {
 	}
 }
 
-// TestMissStormCoalesces is the acceptance scenario: 50 concurrent
-// requests for one cold URL must produce exactly one origin fetch.
-func TestMissStormCoalesces(t *testing.T) {
-	s, origin, g := newGatedGateway(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
+// fetchEndpoints are the two fetch-through endpoints. They share one
+// serve path, so every fetch-through behaviour holds on both.
+var fetchEndpoints = []string{"/fetch", "/body"}
 
-	const storm = 50
-	cold := g.PageURLs[0]
-
-	var wg sync.WaitGroup
-	var hits, coalesced atomic.Int32
-	for i := 0; i < storm; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var fr FetchResponse
-			if code := getJSON(t, client, ts.URL+"/fetch?url="+cold, &fr); code != http.StatusOK {
-				t.Errorf("storm fetch status = %d", code)
-				return
-			}
-			hits.Add(1)
-			if fr.Coalesced {
-				coalesced.Add(1)
-			}
-		}()
+// fetchOver requests url through a fetch-through endpoint ("/fetch" or
+// "/body") by method and drains the response. fr is decoded from a 200
+// /fetch response; from /body it carries only the source header.
+func fetchOver(t *testing.T, client *http.Client, base, method, endpoint, url string) (code int, fr FetchResponse) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+endpoint+"?url="+url, nil)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, endpoint, err)
 	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Errorf("%s %s: %v", method, endpoint, err)
+		return 0, fr
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Errorf("read %s: %v", endpoint, err)
+		return 0, fr
+	}
+	if resp.StatusCode == http.StatusOK && endpoint == "/fetch" {
+		if err := json.Unmarshal(body, &fr); err != nil {
+			t.Errorf("decode %s: %v (body %q)", endpoint, err, body)
+		}
+	}
+	if endpoint == "/body" {
+		fr.Source = resp.Header.Get("X-CBFWW-Source")
+	}
+	return resp.StatusCode, fr
+}
 
-	// Wait until the whole storm is parked on one in-flight fetch: one
-	// leader plus storm-1 joiners, exactly one origin fetch started.
+// awaitCoalesced waits until n requests wait on cold first fetches. On
+// timeout it opens the origin's gate, so the parked requests end and the
+// test server can close.
+func awaitCoalesced(t *testing.T, s *Server, origin *gateOrigin, n int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.flights.joiners(cold) < storm-1 {
+	for s.wh.Stats().Coalesced < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("storm never converged: joiners=%d fetches=%d",
-				s.flights.joiners(cold), origin.fetches.Load())
+			close(origin.gate)
+			t.Fatalf("storm never converged: coalesced=%d fetches=%d",
+				s.wh.Stats().Coalesced, origin.fetches.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(origin.gate)
-	wg.Wait()
+}
 
-	if n := origin.fetches.Load(); n != 1 {
-		t.Fatalf("origin fetches = %d, want exactly 1", n)
+// TestMissStormCoalesces is the acceptance scenario: 50 concurrent
+// requests for one cold URL must produce exactly one origin fetch, on
+// either endpoint and on both at once.
+func TestMissStormCoalesces(t *testing.T) {
+	type call struct{ method, endpoint string }
+	cases := []struct {
+		name  string
+		calls []call // request i makes calls[i%len(calls)]
+	}{
+		{"GET /fetch", []call{{"GET", "/fetch"}}},
+		{"GET /body", []call{{"GET", "/body"}}},
+		{"HEAD /body", []call{{"HEAD", "/body"}}},
+		{"mixed", []call{{"GET", "/fetch"}, {"GET", "/body"}, {"HEAD", "/body"}}},
 	}
-	if n := s.wh.Stats().OriginFetches; n != 1 {
-		t.Fatalf("warehouse OriginFetches = %d, want 1", n)
-	}
-	if n := hits.Load(); n != storm {
-		t.Fatalf("successful responses = %d, want %d", n, storm)
-	}
-	if n := coalesced.Load(); n != storm-1 {
-		t.Fatalf("coalesced responses = %d, want %d", n, storm-1)
-	}
-	if n := s.coalesced.Load(); n != storm-1 {
-		t.Fatalf("coalesced fetches = %d, want %d", n, storm-1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, origin, g := newGatedGateway(t, Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			client := ts.Client()
+
+			const storm = 50
+			cold := g.PageURLs[0]
+			var wg sync.WaitGroup
+			var ok, fetches, coalesced atomic.Int32
+			for i := 0; i < storm; i++ {
+				c := tc.calls[i%len(tc.calls)]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					code, fr := fetchOver(t, client, ts.URL, c.method, c.endpoint, cold)
+					if code != http.StatusOK {
+						t.Errorf("storm %s %s status = %d", c.method, c.endpoint, code)
+						return
+					}
+					ok.Add(1)
+					if c.endpoint == "/fetch" {
+						fetches.Add(1)
+						if fr.Coalesced {
+							coalesced.Add(1)
+						}
+					}
+				}()
+			}
+
+			// Wait until the whole storm is parked on one in-flight fetch:
+			// one sender plus storm-1 waiters.
+			awaitCoalesced(t, s, origin, storm-1)
+			close(origin.gate)
+			wg.Wait()
+
+			if n := origin.fetches.Load(); n != 1 {
+				t.Fatalf("origin fetches = %d, want exactly 1", n)
+			}
+			if n := s.wh.Stats().OriginFetches; n != 1 {
+				t.Fatalf("warehouse OriginFetches = %d, want 1", n)
+			}
+			if n := ok.Load(); n != storm {
+				t.Fatalf("successful responses = %d, want %d", n, storm)
+			}
+			// Every /fetch response but the sender's says it was coalesced
+			// (in the mixed row the sender may be on /body).
+			if f, c := fetches.Load(), coalesced.Load(); f-c > 1 || f == storm && c != storm-1 {
+				t.Fatalf("coalesced /fetch responses = %d of %d, want all but the sender", c, f)
+			}
+			var stats StatsResponse
+			if code := getJSON(t, client, ts.URL+"/stats", &stats); code != http.StatusOK {
+				t.Fatalf("stats status = %d", code)
+			}
+			if n := stats.Gateway.CoalescedFetches; n != storm-1 {
+				t.Fatalf("coalesced_fetches = %d, want %d", n, storm-1)
+			}
+		})
 	}
 }
 
@@ -333,55 +401,63 @@ func TestMissStormCoalesces(t *testing.T) {
 // write lock across origin fetches: two different cold URLs must be in
 // flight at the origin simultaneously.
 func TestColdMissesFetchInParallel(t *testing.T) {
-	s, origin, g := newGatedGateway(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
+	for _, ep := range fetchEndpoints {
+		t.Run(ep, func(t *testing.T) {
+			s, origin, g := newGatedGateway(t, Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			client := ts.Client()
 
-	origin.started = make(chan struct{}, 4)
-	var wg sync.WaitGroup
-	for _, u := range g.PageURLs[:2] {
-		wg.Add(1)
-		go func(u string) {
-			defer wg.Done()
-			if code := getJSON(t, client, ts.URL+"/fetch?url="+u, nil); code != http.StatusOK {
-				t.Errorf("fetch %s = %d", u, code)
+			origin.started = make(chan struct{}, 4)
+			var wg sync.WaitGroup
+			for _, u := range g.PageURLs[:2] {
+				wg.Add(1)
+				go func(u string) {
+					defer wg.Done()
+					if code, _ := fetchOver(t, client, ts.URL, "GET", ep, u); code != http.StatusOK {
+						t.Errorf("fetch %s = %d", u, code)
+					}
+				}(u)
 			}
-		}(u)
+			// Two start tokens while the gate is still closed = two fetches
+			// in flight at the origin simultaneously. No polling, no sleeps.
+			for i := 0; i < 2; i++ {
+				select {
+				case <-origin.started:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("only %d origin fetches in flight; cold misses serialized", origin.fetches.Load())
+				}
+			}
+			close(origin.gate)
+			wg.Wait()
+		})
 	}
-	// Two start tokens while the gate is still closed = two fetches in
-	// flight at the origin simultaneously. No polling, no sleeps.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-origin.started:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d origin fetches in flight; cold misses serialized", origin.fetches.Load())
-		}
-	}
-	close(origin.gate)
-	wg.Wait()
 }
 
 // TestFetchDeadline verifies the per-request origin budget: a hung origin
 // turns into 504 Gateway Timeout, not a hung client.
 func TestFetchDeadline(t *testing.T) {
-	s, origin, g := newGatedGateway(t, Config{FetchTimeout: 50 * time.Millisecond})
-	defer close(origin.gate) // release the hung fetch at teardown
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, ep := range fetchEndpoints {
+		t.Run(ep, func(t *testing.T) {
+			s, origin, g := newGatedGateway(t, Config{FetchTimeout: 50 * time.Millisecond})
+			defer close(origin.gate) // release the hung fetch at teardown
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	var out map[string]string
-	resp, err := ts.Client().Get(ts.URL + "/fetch?url=" + g.PageURLs[0])
-	if err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &out); err != nil || out["error"] == "" {
-		t.Fatalf("error payload missing: %q", body)
+			var out map[string]string
+			resp, err := ts.Client().Get(ts.URL + ep + "?url=" + g.PageURLs[0])
+			if err != nil {
+				t.Fatalf("fetch: %v", err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status = %d (%s), want 504", resp.StatusCode, body)
+			}
+			if err := json.Unmarshal(body, &out); err != nil || out["error"] == "" {
+				t.Fatalf("error payload missing: %q", body)
+			}
+		})
 	}
 }
 
@@ -389,113 +465,152 @@ func TestFetchDeadline(t *testing.T) {
 // in-flight requests complete — and that the drained request still gets a
 // full response.
 func TestShutdownDrains(t *testing.T) {
-	s, origin, g := newGatedGateway(t, Config{Addr: "127.0.0.1:0"})
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	base := "http://" + s.Addr()
-	client := &http.Client{Timeout: 30 * time.Second}
-	origin.started = make(chan struct{}, 2)
+	for _, ep := range fetchEndpoints {
+		t.Run(ep, func(t *testing.T) {
+			s, origin, g := newGatedGateway(t, Config{Addr: "127.0.0.1:0"})
+			if err := s.Start(); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			base := "http://" + s.Addr()
+			client := &http.Client{Timeout: 30 * time.Second}
+			origin.started = make(chan struct{}, 2)
 
-	// Put one request in flight, blocked at the origin.
-	type result struct {
-		code int
-		fr   FetchResponse
-		err  error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		var r result
-		resp, err := client.Get(base + "/fetch?url=" + g.PageURLs[0])
-		if err != nil {
-			r.err = err
-		} else {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			r.code = resp.StatusCode
-			r.err = json.Unmarshal(body, &r.fr)
-		}
-		resCh <- r
-	}()
-	select {
-	case <-origin.started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("request never reached the origin")
-	}
+			// Put one request in flight, blocked at the origin.
+			type result struct {
+				code int
+				fr   FetchResponse
+			}
+			resCh := make(chan result, 1)
+			go func() {
+				code, fr := fetchOver(t, client, base, "GET", ep, g.PageURLs[0])
+				resCh <- result{code, fr}
+			}()
+			select {
+			case <-origin.started:
+			case <-time.After(10 * time.Second):
+				t.Fatal("request never reached the origin")
+			}
 
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		shutdownDone <- s.Shutdown(ctx)
-	}()
+			shutdownDone := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				shutdownDone <- s.Shutdown(ctx)
+			}()
 
-	// While the request is blocked, shutdown must not complete.
-	select {
-	case err := <-shutdownDone:
-		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
-	case <-time.After(150 * time.Millisecond):
-	}
+			// While the request is blocked, shutdown must not complete.
+			select {
+			case err := <-shutdownDone:
+				t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
+			case <-time.After(150 * time.Millisecond):
+			}
 
-	close(origin.gate)
-	r := <-resCh
-	if r.err != nil || r.code != http.StatusOK {
-		t.Fatalf("drained request: code=%d err=%v", r.code, r.err)
-	}
-	if r.fr.Source != "origin" {
-		t.Fatalf("drained request source = %q, want origin", r.fr.Source)
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
+			close(origin.gate)
+			r := <-resCh
+			if r.code != http.StatusOK {
+				t.Fatalf("drained request: code=%d", r.code)
+			}
+			if r.fr.Source != "origin" {
+				t.Fatalf("drained request source = %q, want origin", r.fr.Source)
+			}
+			if err := <-shutdownDone; err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
 
-	// The daemon is actually down.
-	quick := &http.Client{Timeout: 2 * time.Second}
-	if _, err := quick.Get(base + "/healthz"); err == nil {
-		t.Fatal("daemon still serving after Shutdown")
+			// The daemon is actually down.
+			quick := &http.Client{Timeout: 2 * time.Second}
+			if _, err := quick.Get(base + "/healthz"); err == nil {
+				t.Fatal("daemon still serving after Shutdown")
+			}
+		})
 	}
 }
 
 // TestFetchWorkerPoolBounds verifies the pool caps concurrent origin
 // fetches: with 2 workers and 6 distinct cold URLs in flight, the origin
-// never sees more than 2 concurrent fetches.
+// never sees more than 2 concurrent fetches. A miss storm holds one slot:
+// while one is parked at the origin, another cold URL still gets there.
 func TestFetchWorkerPoolBounds(t *testing.T) {
-	s, origin, g := newGatedGateway(t, Config{FetchWorkers: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
+	for _, ep := range fetchEndpoints {
+		t.Run(ep, func(t *testing.T) {
+			s, origin, g := newGatedGateway(t, Config{FetchWorkers: 2})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			client := ts.Client()
 
-	origin.started = make(chan struct{}, 8)
-	var wg sync.WaitGroup
-	for _, u := range g.PageURLs[:6] {
-		wg.Add(1)
-		go func(u string) {
-			defer wg.Done()
-			if code := getJSON(t, client, ts.URL+"/fetch?url="+u, nil); code != http.StatusOK {
-				t.Errorf("fetch %s = %d", u, code)
+			origin.started = make(chan struct{}, 8)
+			var wg sync.WaitGroup
+			for _, u := range g.PageURLs[:6] {
+				wg.Add(1)
+				go func(u string) {
+					defer wg.Done()
+					if code, _ := fetchOver(t, client, ts.URL, "GET", ep, u); code != http.StatusOK {
+						t.Errorf("fetch %s = %d", u, code)
+					}
+				}(u)
 			}
-		}(u)
-	}
 
-	// Wait for both workers to be parked on the gate, release the storm,
-	// then judge the pool by its concurrency high-water mark: it must have
-	// reached the bound (both tokens arrived while the gate was closed)
-	// and never exceeded it — no saturation sleep needed.
-	for i := 0; i < 2; i++ {
+			// Wait for both workers to be parked on the gate, release the
+			// storm, then judge the pool by its concurrency high-water mark:
+			// it must have reached the bound (both tokens arrived while the
+			// gate was closed) and never exceeded it — no saturation sleep
+			// needed.
+			for i := 0; i < 2; i++ {
+				select {
+				case <-origin.started:
+				case <-time.After(10 * time.Second):
+					t.Fatal("pool never reached its 2 concurrent fetches")
+				}
+			}
+			close(origin.gate)
+			wg.Wait()
+			if n := origin.fetches.Load(); n != 6 {
+				t.Fatalf("total origin fetches = %d, want 6", n)
+			}
+			if n := origin.maxActive.Load(); n != 2 {
+				t.Fatalf("origin concurrency high-water mark = %d, want pool bound 2", n)
+			}
+		})
+	}
+	t.Run("a storm holds one slot", func(t *testing.T) {
+		s, origin, g := newGatedGateway(t, Config{FetchWorkers: 2})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		client := ts.Client()
+
+		origin.started = make(chan struct{}, 4)
+		const storm = 50
+		var wg sync.WaitGroup
+		for i := 0; i < storm; i++ {
+			wg.Add(1)
+			go func(ep string) {
+				defer wg.Done()
+				if code, _ := fetchOver(t, client, ts.URL, "GET", ep, g.PageURLs[0]); code != http.StatusOK {
+					t.Errorf("storm %s = %d", ep, code)
+				}
+			}(fetchEndpoints[i%2])
+		}
+		awaitCoalesced(t, s, origin, storm-1)
+		<-origin.started // the storm's one fetch, parked at the origin
+
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, _ := fetchOver(t, client, ts.URL, "GET", "/body", g.PageURLs[1]); code != http.StatusOK {
+				t.Errorf("second cold URL = %d", code)
+			}
+		}()
 		select {
 		case <-origin.started:
 		case <-time.After(10 * time.Second):
-			t.Fatal("pool never reached its 2 concurrent fetches")
+			t.Fatal("a cold URL never reached the origin while a storm was parked on another")
 		}
-	}
-	close(origin.gate)
-	wg.Wait()
-	if n := origin.fetches.Load(); n != 6 {
-		t.Fatalf("total origin fetches = %d, want 6", n)
-	}
-	if n := origin.maxActive.Load(); n != 2 {
-		t.Fatalf("origin concurrency high-water mark = %d, want pool bound 2", n)
-	}
+		close(origin.gate)
+		wg.Wait()
+		if n := origin.fetches.Load(); n != 2 {
+			t.Fatalf("origin fetches = %d, want 2", n)
+		}
+	})
 }
 
 // TestConcurrentMixedTraffic hammers every endpoint at once — primarily a

@@ -2,8 +2,8 @@ package gateway
 
 // Soak test: the daemon under sustained concurrent load from many clients
 // while the origin injects faults and suffers a host blackout mid-run. The
-// point is not any single response but that the whole stack — mux, worker
-// pool, singleflight, lock-striped warehouse, resilience wrapper — stays
+// point is not any single response but that the whole stack — mux, fetch
+// pool, cold flights, lock-striped warehouse, resilience wrapper — stays
 // consistent and race-clean under fire (run with -race). Synchronization
 // is entirely WaitGroup/channel based: phases are separated by joining the
 // workers, never by sleeping.

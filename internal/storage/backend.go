@@ -44,8 +44,6 @@ type BlobStore interface {
 	Contains(k BlobKey) bool
 	// Keys lists every stored key in unspecified order.
 	Keys() []BlobKey
-	// Len returns the number of stored blobs.
-	Len() int
 	// Sync flushes buffered state to stable storage.
 	Sync() error
 	// Close releases file handles. The store is unusable afterwards.
@@ -144,12 +142,6 @@ func (s *memStore) Keys() []BlobKey {
 		keys = append(keys, k)
 	}
 	return keys
-}
-
-func (s *memStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }
 
 func (s *memStore) Sync() error  { return nil }

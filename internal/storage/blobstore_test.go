@@ -149,7 +149,7 @@ func TestRecoverAfterDiskDropRestoresExactCopies(t *testing.T) {
 		if err := m.DropTier(Disk); err != nil {
 			t.Fatal(err)
 		}
-		if m.Backend(Disk).Len() != 0 {
+		if len(m.Backend(Disk).Keys()) != 0 {
 			t.Fatal("dropped disk tier still holds blobs")
 		}
 		rep := m.Recover()
@@ -396,8 +396,8 @@ func TestDiskStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 2 {
-		t.Fatalf("reopened Len = %d, want 2 (keys: %v)", r.Len(), r.Keys())
+	if len(r.Keys()) != 2 {
+		t.Fatalf("reopened keys = %d, want 2 (keys: %v)", len(r.Keys()), r.Keys())
 	}
 	for i, k := range []BlobKey{keys[0], keys[2]} {
 		if got, err := readBlob(r, k); err != nil || string(got) != fmt.Sprintf("blob-%d", 2*i) {
@@ -542,8 +542,8 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 8 {
-		t.Fatalf("replayed Len = %d, want 8", r.Len())
+	if len(r.Keys()) != 8 {
+		t.Fatalf("replayed keys = %d, want 8", len(r.Keys()))
 	}
 	for i := 0; i < 8; i++ {
 		v := 1
@@ -573,8 +573,8 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 	if g := r.GarbageRatio(); g != 0 {
 		t.Fatalf("garbage ratio after compaction = %v", g)
 	}
-	if r.Len() != 9 {
-		t.Fatalf("post-compaction Len = %d, want 9", r.Len())
+	if len(r.Keys()) != 9 {
+		t.Fatalf("post-compaction keys = %d, want 9", len(r.Keys()))
 	}
 	for i := 0; i < 8; i++ {
 		v := 1
@@ -594,8 +594,8 @@ func TestSegmentStoreReplayRotationCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if r2.Len() != 9 {
-		t.Fatalf("compacted replay Len = %d, want 9", r2.Len())
+	if len(r2.Keys()) != 9 {
+		t.Fatalf("compacted replay keys = %d, want 9", len(r2.Keys()))
 	}
 }
 

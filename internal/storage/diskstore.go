@@ -38,7 +38,6 @@ func (s *DiskStore) PutFrom(k BlobKey, r io.Reader, n int64) error { return s.lo
 func (s *DiskStore) Delete(k BlobKey) error  { return s.log.Delete(k) }
 func (s *DiskStore) Contains(k BlobKey) bool { return s.log.Contains(k) }
 func (s *DiskStore) Keys() []BlobKey         { return s.log.Keys() }
-func (s *DiskStore) Len() int                { return s.log.Len() }
 func (s *DiskStore) Sync() error             { return s.log.Sync() }
 func (s *DiskStore) Close() error            { return s.log.Close() }
 

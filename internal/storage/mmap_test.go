@@ -57,8 +57,8 @@ func TestMmapReopenReplay(t *testing.T) {
 
 	s = openMmap(t, dir, 0)
 	defer s.Close()
-	if s.Len() != 2 {
-		t.Fatalf("Len after reopen = %d, want 2", s.Len())
+	if len(s.Keys()) != 2 {
+		t.Fatalf("keys after reopen = %d, want 2", len(s.Keys()))
 	}
 	got, err := readBlob(s, k1)
 	if err != nil {
@@ -318,7 +318,7 @@ func TestMmapArenaDataDirReopens(t *testing.T) {
 			t.Fatalf("object %d = %d bytes, %v", id, len(data), err)
 		}
 	}
-	if m.Backend(Disk).Len() == 0 {
+	if len(m.Backend(Disk).Keys()) == 0 {
 		t.Error("mmap tier holds no copy after recovery")
 	}
 	for _, pattern := range []string{"arena-*.dat", ".arena-*"} {

@@ -131,12 +131,6 @@ func (l *recordLog) Keys() []BlobKey {
 	return keys
 }
 
-func (l *recordLog) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.index)
-}
-
 // GarbageRatio reports the dead fraction of all record bytes written.
 func (l *recordLog) GarbageRatio() float64 {
 	l.mu.RLock()

@@ -58,8 +58,8 @@ func TestSegmentNamesReplayExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != len(keys) || len(r.segs) != 2 {
-		t.Fatalf("replayed %d keys from segments %v, want %d keys from 2", r.Len(), r.segs, len(keys))
+	if len(r.Keys()) != len(keys) || len(r.segs) != 2 {
+		t.Fatalf("replayed %d keys from segments %v, want %d keys from 2", len(r.Keys()), r.segs, len(keys))
 	}
 }
 
@@ -379,7 +379,7 @@ func TestDiskLogTornTailRecovered(t *testing.T) {
 		return m
 	}
 	m = reopen("after Sync")
-	if got := m.Backend(Disk).Len(); got != n {
+	if got := len(m.Backend(Disk).Keys()); got != n {
 		t.Fatalf("disk tier holds %d records after reopen, want %d", got, n)
 	}
 	m.Close()

@@ -456,3 +456,214 @@ func TestOneFlightPerStalePage(t *testing.T) {
 		}
 	})
 }
+
+// gatedOrigin serves a simulated web whose GETs announce their start on
+// started, then block until gate is closed or their context ends.
+type gatedOrigin struct {
+	web     *simweb.Web
+	gate    chan struct{}
+	started chan struct{}
+	gets    atomic.Int32
+}
+
+func (o *gatedOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
+	o.gets.Add(1)
+	o.started <- struct{}{}
+	select {
+	case <-o.gate:
+		return o.web.Fetch(url)
+	case <-ctx.Done():
+		return core.FetchResult{}, ctx.Err()
+	}
+}
+
+func (o *gatedOrigin) Fetch(url string) (core.FetchResult, error) {
+	return o.FetchCtx(context.Background(), url)
+}
+
+func (o *gatedOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
+	return o.web.Head(url)
+}
+
+func (o *gatedOrigin) Head(url string) (int, core.Time, error) { return o.web.Head(url) }
+
+// One first fetch flies per cold page: concurrent requests for it wait
+// for that fetch instead of repeating it, then are served the kept copy; a
+// failed fetch fails them all; a miss after the flight fetches afresh; a
+// waiter whose context ends gives up alone; and a sender whose context is
+// cancelled still completes the fetch, within its deadline, for the
+// requests waiting on it.
+func TestOneFlightPerColdPage(t *testing.T) {
+	const cold, missing = "http://s.example/cold", "http://s.example/missing"
+	rig := func(t *testing.T, s stack) (*Warehouse, *gatedOrigin) {
+		clock := core.NewSimClock(0)
+		web := simweb.NewWeb(clock)
+		web.AddSite("s.example", 30)
+		if err := web.AddPage(&core.Page{URL: cold, Title: "cold page", Body: "cold body", Size: core.KB}); err != nil {
+			t.Fatal(err)
+		}
+		origin := &gatedOrigin{web: web, gate: make(chan struct{}), started: make(chan struct{}, 64)}
+		cfg := DefaultConfig()
+		cfg.Storage.Tiers = storage.ClassicTiers(256*core.KB, 32*core.MB)
+		return s.open(t, cfg, clock, origin), origin
+	}
+	type answer struct {
+		res GetResult
+		err error
+	}
+	// send sends n requests for url under ctx.
+	send := func(w *Warehouse, ctx context.Context, url string, n int) chan answer {
+		out := make(chan answer, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				res, err := w.GetCtx(ctx, "u", url)
+				out <- answer{res, err}
+			}()
+		}
+		return out
+	}
+	// started waits for a fetch to reach the origin.
+	started := func(t *testing.T, o *gatedOrigin) {
+		select {
+		case <-o.started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no fetch reached the origin")
+		}
+	}
+	// waiting waits until n requests wait for a fetch.
+	waiting := func(t *testing.T, w *Warehouse, n int) {
+		deadline := time.Now().Add(10 * time.Second)
+		for w.Stats().Coalesced < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d requests wait for the fetch", w.Stats().Coalesced, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// storm sends n requests for url and waits until one fetch is at the
+	// origin and the other n-1 requests wait for it.
+	storm := func(t *testing.T, w *Warehouse, o *gatedOrigin, url string, n int) chan answer {
+		out := send(w, context.Background(), url, n)
+		started(t, o)
+		waiting(t, w, n-1)
+		return out
+	}
+
+	eachStack(t, func(t *testing.T, s stack) {
+		t.Run("coalesces", func(t *testing.T) {
+			w, o := rig(t, s)
+			const n = 16
+			answers := storm(t, w, o, cold, n)
+			close(o.gate)
+			coalesced := 0
+			for i := 0; i < n; i++ {
+				a := <-answers
+				if a.err != nil {
+					t.Fatal(a.err)
+				}
+				if a.res.Page.Body != "cold body" {
+					t.Errorf("served body %q", a.res.Page.Body)
+				}
+				if a.res.Coalesced {
+					coalesced++
+				} else if a.res.Source != sourceOrigin {
+					t.Errorf("the sender was served from %q, want origin", a.res.Source)
+				}
+			}
+			st := w.Stats()
+			if g := o.gets.Load(); g != 1 || st.OriginFetches != 1 {
+				t.Errorf("%d requests sent %d GETs, counted %d origin fetches; want 1", n, g, st.OriginFetches)
+			}
+			if coalesced != n-1 || st.Coalesced != n-1 || st.Requests != n || st.Hits != n-1 {
+				t.Errorf("%d results coalesced, stats %+v; want %d coalesced, served as hits", coalesced, st, n-1)
+			}
+		})
+		t.Run("sequential misses fetch separately", func(t *testing.T) {
+			w, o := rig(t, s)
+			close(o.gate)
+			for i := 0; i < 3; i++ {
+				if _, err := w.Get("u", missing); !errors.Is(err, core.ErrNotFound) {
+					t.Fatalf("miss %d: %v, want not found", i, err)
+				}
+			}
+			if g, c := o.gets.Load(), w.Stats().Coalesced; g != 3 || c != 0 {
+				t.Errorf("3 sequential misses sent %d GETs, %d coalesced; want 3 and 0", g, c)
+			}
+		})
+		t.Run("the error is shared", func(t *testing.T) {
+			w, o := rig(t, s)
+			answers := storm(t, w, o, missing, 4)
+			close(o.gate)
+			for i := 0; i < 4; i++ {
+				if a := <-answers; !errors.Is(a.err, core.ErrNotFound) {
+					t.Errorf("request got %v, want the fetch's not found", a.err)
+				}
+			}
+			if g := o.gets.Load(); g != 1 {
+				t.Errorf("4 requests sent %d GETs, want 1", g)
+			}
+		})
+		t.Run("a waiter honours its own context", func(t *testing.T) {
+			w, o := rig(t, s)
+			answers := storm(t, w, o, cold, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			waiter := make(chan error, 1)
+			go func() {
+				_, err := w.GetCtx(ctx, "u", cold)
+				waiter <- err
+			}()
+			select {
+			case err := <-waiter:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled waiter got %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("a cancelled waiter waited for the flight")
+			}
+			close(o.gate)
+			if a := <-answers; a.err != nil {
+				t.Fatal(a.err)
+			}
+		})
+		t.Run("a cancelled sender fetches for its waiters", func(t *testing.T) {
+			w, o := rig(t, s)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			sender := send(w, ctx, cold, 1)
+			started(t, o)
+			waiters := send(w, context.Background(), cold, 4)
+			waiting(t, w, 4)
+			cancel()
+			time.Sleep(50 * time.Millisecond) // a fetch that heeded the cancel would end now
+			close(o.gate)
+			if a := <-sender; a.err != nil {
+				t.Errorf("cancelled sender: %v", a.err)
+			}
+			for i := 0; i < 4; i++ {
+				if a := <-waiters; a.err != nil || !a.res.Coalesced {
+					t.Errorf("waiter got coalesced %v, %v; want the page, coalesced", a.res.Coalesced, a.err)
+				}
+			}
+			if g := o.gets.Load(); g != 1 || !w.Resident(cold) {
+				t.Errorf("sent %d GETs, resident %v; want 1 and the page kept", g, w.Resident(cold))
+			}
+		})
+		t.Run("a sender keeps its deadline", func(t *testing.T) {
+			w, o := rig(t, s)
+			defer close(o.gate)
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			sender := send(w, ctx, cold, 1)
+			started(t, o)
+			waiter := send(w, context.Background(), cold, 1)
+			waiting(t, w, 1)
+			if a := <-waiter; !errors.Is(a.err, context.DeadlineExceeded) {
+				t.Errorf("waiter got %v, want the sender's deadline", a.err)
+			}
+			if a := <-sender; !errors.Is(a.err, context.DeadlineExceeded) {
+				t.Errorf("sender got %v, want its deadline", a.err)
+			}
+		})
+	})
+}

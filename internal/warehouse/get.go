@@ -36,6 +36,10 @@ type GetResult struct {
 	Explanation priority.Explanation
 	// Stale marks content known to lag the origin (weak consistency).
 	Stale bool
+	// Coalesced marks a request that found its cold URL's first fetch
+	// already out and was served when that fetch ended, without one of
+	// its own.
+	Coalesced bool
 	// memoryHit marks a serve from tier 0, for Stats.MemoryHits.
 	memoryHit bool
 }
@@ -46,10 +50,11 @@ func (w *Warehouse) Get(user, url string) (GetResult, error) {
 	return w.GetCtx(context.Background(), user, url)
 }
 
-// GetCtx is Get bounded by a context: cancellation or deadline expiry
-// aborts origin fetches (a ContextOrigin aborts mid-flight; any other
-// Origin is checked before each fetch). This is the entry point network
-// daemons use to enforce per-request deadlines.
+// GetCtx is Get bounded by a context: deadline expiry aborts origin
+// fetches (a ContextOrigin aborts mid-flight; any other Origin is checked
+// before each fetch), and so does cancellation, except of a cold URL's
+// first fetch once it has left, which others may be waiting for. This is
+// the entry point network daemons use to enforce per-request deadlines.
 func (w *Warehouse) GetCtx(ctx context.Context, user, url string) (GetResult, error) {
 	return withBody(w.get(ctx, user, url, false, stepCheck))
 }
@@ -93,23 +98,68 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool, fi
 	if st := sh.pages[url]; st != nil {
 		return w.serveResident(ctx, sh, user, url, st, prefetch, first)
 	}
-	sh.mu.Unlock()
 	if first == stepFetch {
+		sh.mu.Unlock()
 		return GetResult{}, nil, fmt.Errorf("warehouse: refresh %q: %w", url, core.ErrNotFound)
 	}
+	if f := sh.cold[url]; f != nil {
+		if !prefetch {
+			sh.stats.Coalesced++
+		}
+		sh.mu.Unlock()
+		return w.joinCold(ctx, sh, user, url, prefetch, f)
+	}
+	if err := ctx.Err(); err != nil {
+		sh.mu.Unlock()
+		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
+	}
+	f := &coldFlight{done: make(chan struct{})}
+	sh.cold[url] = f
+	sh.mu.Unlock()
+	return w.fetchCold(ctx, sh, user, url, prefetch, f)
+}
 
-	// First sight of this URL: fetch it outside the shard lock so cold
-	// misses proceed in parallel even within one stripe (the gateway's
-	// singleflight already coalesces same-URL misses), then retake the
-	// lock to admit the result. In a cluster the miss checks peers before
-	// the origin (local → peer → origin), so an object admitted anywhere
-	// costs the origin exactly one fetch.
-	fr, src, err := w.missFetch(ctx, url)
+// coldFlight is a cold URL's first fetch, from the request that sent it
+// to the requests that wait for it. Once done is closed, the page is kept,
+// or out (body included) and err hold what the sender was served.
+type coldFlight struct {
+	done chan struct{}
+	out  GetResult
+	err  error
+}
+
+// fetchCold is the first sight of url: it fetches the page outside the
+// shard lock, so cold misses proceed in parallel even within one stripe,
+// then retakes the lock to admit it and to end the flight f, which
+// sh.cold holds until then. The fetch waits for a slot of the fetch pool,
+// and it keeps ctx's deadline but not its cancellation: a sender that
+// hangs up fails none of the requests waiting for its page. In a cluster
+// the miss checks peers before the origin (local → peer → origin), so an
+// object admitted anywhere costs the origin exactly one fetch.
+func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, prefetch bool, f *coldFlight) (out GetResult, bs *BodyStream, err error) {
+	locked := false
+	defer func() {
+		if !locked {
+			sh.lock()
+		}
+		delete(sh.cold, url)
+		f.err = err
+		sh.mu.Unlock()
+		close(f.done)
+	}()
+	fctx := context.WithoutCancel(ctx)
+	if dl, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		fctx, cancel = context.WithDeadline(fctx, dl)
+		defer cancel()
+	}
+	fr, src, err := w.missFetch(fctx, url)
 	if err != nil {
 		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
 	}
 	rec := w.prepare(url, fr, src, false)
 	sh.lock()
+	locked = true
 	if !prefetch {
 		if src == sourcePeer {
 			sh.stats.PeerFetches++
@@ -118,16 +168,48 @@ func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool, fi
 		}
 	}
 	st, applied, err := w.commit(sh, rec, absent)
-	if st != nil && !applied {
-		// A concurrent request admitted the URL while we were fetching:
-		// serve the resident copy, just checked, and drop our duplicate.
-		return w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
-	}
-	defer sh.mu.Unlock()
 	if err != nil {
 		return GetResult{}, nil, err
 	}
-	return splitBody(w.firstSight(sh, user, rec, st, prefetch), nil)
+	if st != nil && !applied {
+		// A replica push admitted the URL while we were fetching: serve
+		// the resident copy, just checked, and drop our duplicate.
+		locked = false // serveResident releases the lock
+		return w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
+	}
+	if out = w.firstSight(sh, user, rec, st, prefetch); st == nil {
+		f.out = out // refused: the waiters get the page as its sender does
+	}
+	return splitBody(out, nil)
+}
+
+// joinCold waits, under its own ctx, for the flight f that fetches the
+// cold url, then serves without an origin fetch of its own: the kept copy,
+// as a hit, or else what the flight's sender was served. It is counted as
+// it would have been a moment after the flight, and in Stats.Coalesced.
+func (w *Warehouse) joinCold(ctx context.Context, sh *shard, user, url string, prefetch bool, f *coldFlight) (GetResult, *BodyStream, error) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return GetResult{}, nil, ctx.Err()
+	}
+	if f.err != nil {
+		return GetResult{}, nil, f.err
+	}
+	sh.lock()
+	if st := sh.pages[url]; st != nil {
+		out, bs, err := w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
+		out.Coalesced = true
+		return out, bs, err
+	}
+	defer sh.mu.Unlock()
+	out := f.out
+	if !prefetch {
+		w.countRequest(sh, out)
+	}
+	w.appendLog(user, url, out, false)
+	out.Coalesced = true
+	return splitBody(out, nil)
 }
 
 // step is what a request for a resident page does next.
@@ -338,10 +420,19 @@ const (
 	sourceReplica = "replica" // pushed by a replica-set peer via /peer/put
 )
 
-// missFetch resolves a cold miss: a configured peer source (the cluster
-// tier) is consulted first for a copy some other node already admitted;
-// the origin is the fallback and the only party that can fail the fetch.
+// missFetch resolves a cold miss on a slot of the fetch pool, if one is
+// installed: a configured peer source (the cluster tier) is consulted
+// first for a copy some other node already admitted; the origin is the
+// fallback and the only party that can fail the fetch.
 func (w *Warehouse) missFetch(ctx context.Context, url string) (core.FetchResult, string, error) {
+	if p := w.pool.Load(); p != nil {
+		select {
+		case p.sem <- struct{}{}:
+		case <-ctx.Done():
+			return core.FetchResult{}, "", ctx.Err()
+		}
+		defer func() { <-p.sem }()
+	}
 	if ps := w.peerSource(); ps != nil {
 		if fr, ok := ps.FetchResident(ctx, url); ok {
 			return fr, sourcePeer, nil

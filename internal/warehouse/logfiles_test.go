@@ -130,7 +130,7 @@ func TestFilePerBlobDataDirMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disk.Len() == 0 {
+	if len(disk.Keys()) == 0 {
 		t.Fatal("disk tier empty: nothing to migrate")
 	}
 	for _, k := range disk.Keys() {

@@ -1,0 +1,28 @@
+package warehouse
+
+// fetchPool bounds how many cold misses fetch at once: a counting
+// semaphore sized at installation. Only the request that sends a cold
+// URL's first fetch takes a slot, after the flight is registered, so the
+// requests waiting for that fetch hold none and a miss storm costs one
+// slot. Acquisition is context-aware, so a fetch whose deadline expires
+// while queued behind a saturated pool fails fast instead of fetching for
+// a client that already gave up.
+type fetchPool struct {
+	sem chan struct{}
+}
+
+// SetFetchWorkers bounds how many cold misses fetch at once to n (at
+// least 1); without a pool they are unbounded. Safe to call concurrently
+// with requests: a fetch gives its slot back to the pool it took it from.
+func (w *Warehouse) SetFetchWorkers(n int) {
+	w.pool.Store(&fetchPool{sem: make(chan struct{}, max(n, 1))})
+}
+
+// FetchWorkers reports the fetch pool: how many slots are held and how
+// many there are, both 0 when no pool is installed.
+func (w *Warehouse) FetchWorkers() (inflight, workers int) {
+	if p := w.pool.Load(); p != nil {
+		return len(p.sem), cap(p.sem)
+	}
+	return 0, 0
+}

@@ -24,9 +24,10 @@ import (
 
 // shard is one lock stripe of the warehouse.
 type shard struct {
-	// mu guards pages, every pageState reachable from it, and stats.
+	// mu guards pages, every pageState reachable from it, cold and stats.
 	mu    sync.RWMutex
-	pages map[string]*pageState // by URL
+	pages map[string]*pageState  // by URL
+	cold  map[string]*coldFlight // URLs whose first fetch is out
 	stats Stats
 	// hotIndex is this shard's segment of the §4.1 memory-resident
 	// detailed index: it covers exactly the shard's pages whose bodies

@@ -116,10 +116,10 @@ func (w *Warehouse) NextHops(url string, n int) []recommend.PathSuggestion {
 	return w.social.NextHops(url, n)
 }
 
-// Resident reports whether url is already admitted. The gateway uses it to
-// route hot hits past its miss-coalescing machinery; a page admitted a
-// moment later only costs one redundant (and internally deduplicated)
-// admission attempt, so the check racing an admission is harmless.
+// Resident reports whether url is already admitted. The answer may be
+// stale by the time the caller acts on it: the callers use it as a hint
+// (maintenance, fallback search, replica pushes), and the serve path
+// decides under the shard lock.
 func (w *Warehouse) Resident(url string) bool {
 	sh := w.shardOf(url)
 	sh.mu.RLock()

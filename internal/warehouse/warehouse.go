@@ -216,6 +216,11 @@ type Stats struct {
 	Revalidations int
 	Refetches     int // origin GETs of a resident page on a user request
 	Prefetches    int
+	// Coalesced counts requests that found their cold URL's first fetch
+	// already out and waited for it instead of fetching. One that is
+	// served also counts as the request it would have been a moment
+	// later: a hit on the kept copy, or a miss on a refused page.
+	Coalesced int
 	// ReplicaAdmits counts payloads absorbed from replica-set peers'
 	// /peer/put pushes (fresh admissions and in-place updates both).
 	ReplicaAdmits int
@@ -343,6 +348,10 @@ type Warehouse struct {
 	// refreshed payload so the cluster can replicate it. Installed after
 	// construction via SetReplicator, hence the atomic box.
 	replicatorFn atomic.Pointer[replicatorBox]
+
+	// pool, when set, bounds the cold misses fetching at once (pool.go).
+	// Installed after construction via SetFetchWorkers.
+	pool atomic.Pointer[fetchPool]
 }
 
 // New assembles a warehouse over the given (simulated) web.
@@ -403,6 +412,7 @@ func New(cfg Config, clock core.Clock, web core.Origin) (*Warehouse, error) {
 	for i := range w.shards {
 		w.shards[i] = &shard{
 			pages:    make(map[string]*pageState),
+			cold:     make(map[string]*coldFlight),
 			hotIndex: text.NewInvertedIndex(corpus.Dict()),
 		}
 	}
@@ -438,6 +448,7 @@ func (w *Warehouse) Stats() Stats {
 		total.Revalidations += s.Revalidations
 		total.Refetches += s.Refetches
 		total.Prefetches += s.Prefetches
+		total.Coalesced += s.Coalesced
 		total.ReplicaAdmits += s.ReplicaAdmits
 		total.Rejected += s.Rejected
 		total.StaleServes += s.StaleServes
