@@ -339,9 +339,9 @@ type slowOrigin struct {
 	delay time.Duration
 }
 
-func (o *slowOrigin) Fetch(url string) (core.FetchResult, error) {
+func (o *slowOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	time.Sleep(o.delay)
-	return o.Web.Fetch(url)
+	return o.Web.FetchCtx(ctx, url)
 }
 
 // benchShardedWorld builds a fully warmed warehouse with the given stripe

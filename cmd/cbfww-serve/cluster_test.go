@@ -247,7 +247,7 @@ func (f *clusterFixture) fetchVia(t *testing.T, via, pageURL string) fetchView {
 func urlOwnedBy(t *testing.T, ring *peers.Ring, urls []string, owner string) string {
 	t.Helper()
 	for _, u := range urls {
-		if ring.Owner(u) == owner {
+		if ring.Owners(u, 1)[0] == owner {
 			return u
 		}
 	}

@@ -194,7 +194,7 @@ func build(opts options) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	var origin core.ContextOrigin = req
+	var origin core.Origin = req
 
 	var resilient *resilience.Origin
 	if opts.retry > 1 || opts.breakerThreshold > 0 {
@@ -414,7 +414,7 @@ func main() {
 	flag.StringVar(&opts.origin, "origin", "", "origin host:port every page host resolves to (required)")
 	flag.IntVar(&opts.workers, "workers", 32, "max cold-miss origin fetches at once, on /fetch and /body")
 	flag.IntVar(&opts.shards, "shards", 0, "warehouse lock stripes (0 = GOMAXPROCS)")
-	flag.DurationVar(&opts.fetchTimeout, "fetch-timeout", 10*time.Second, "budget of each /fetch and /body request")
+	flag.DurationVar(&opts.fetchTimeout, "fetch-timeout", 10*time.Second, "budget of each origin trip: a cold miss's pool wait, peer probe and GET, or a revalidation (hits have none)")
 	flag.DurationVar(&opts.maintainEvery, "maintain-every", time.Minute, "maintenance sweep interval (0 disables)")
 	flag.IntVar(&opts.retry, "retry", 3, "origin attempts per fetch (1 disables retries)")
 	flag.IntVar(&opts.breakerThreshold, "breaker-threshold", 5, "consecutive host failures that open the circuit breaker (0 disables)")

@@ -1,8 +1,9 @@
 // Crawler: populate a warehouse over real HTTP. The simulated web is
 // served on a socket; a polite concurrent crawler walks its link graph
-// through the crawl.Requester (which also implements core.Origin),
-// and every crawled page is prefetched into the warehouse — so by the
-// time users arrive, the warehouse is warm and queryable.
+// through the crawl.Requester, the one core.Origin the crawler and the
+// warehouse both fetch through, and every crawled page is prefetched into
+// the warehouse — so by the time users arrive, the warehouse is warm and
+// queryable.
 package main
 
 import (

@@ -34,7 +34,7 @@ const maxUnusedExports = 2
 // maxTestSeams caps the exports under internal/ that only another
 // package's tests name: the entry points tests reach the program through.
 // Lower it with every seam that goes; never raise it.
-const maxTestSeams = 25
+const maxTestSeams = 24
 
 // TestNoUnusedExports: every exported declaration in a non-test file
 // under internal/ — function, method, type, constant or variable — is

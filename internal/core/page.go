@@ -62,22 +62,13 @@ type FetchResult struct {
 }
 
 // Origin is the warehouse's view of the web — the Web Requester's
-// downstream.
+// downstream. Every call is bounded by its context: cancellation or
+// deadline expiry aborts it (an in-process origin checks ctx before it
+// answers).
 type Origin interface {
-	// Fetch retrieves the current content of url with its origin cost.
-	Fetch(url string) (FetchResult, error)
-	// Head returns version and last-modified without a body transfer —
-	// the weak-consistency revalidation probe.
-	Head(url string) (version int, lastMod Time, err error)
-}
-
-// ContextOrigin is an Origin whose fetches honor context cancellation and
-// deadlines — the contract a network daemon needs to bound origin work per
-// request, and the one the resilience wrapper consumes and provides.
-// Origins that do not implement it are still usable by the warehouse: the
-// context is then checked between steps only, not during the fetch itself.
-type ContextOrigin interface {
-	Origin
+	// FetchCtx retrieves the current content of url with its origin cost.
 	FetchCtx(ctx context.Context, url string) (FetchResult, error)
+	// HeadCtx returns version and last-modified without a body transfer —
+	// the weak-consistency revalidation probe.
 	HeadCtx(ctx context.Context, url string) (version int, lastMod Time, err error)
 }

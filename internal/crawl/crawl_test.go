@@ -1,6 +1,7 @@
 package crawl
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"reflect"
@@ -40,7 +41,7 @@ func TestRequesterFetchReconstructsPage(t *testing.T) {
 	url := g.PageURLs[0]
 	want, _ := g.Web.Lookup(url)
 
-	got, err := r.Fetch(url)
+	got, err := r.FetchCtx(context.Background(), url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +85,13 @@ func TestRequesterFetchReconstructsPage(t *testing.T) {
 func TestRequesterHead(t *testing.T) {
 	g, r, clock := originFixture(t, DefaultConfig())
 	url := g.PageURLs[1]
-	v, _, err := r.Head(url)
+	v, _, err := r.HeadCtx(context.Background(), url)
 	if err != nil || v != 1 {
 		t.Fatalf("Head = %d, %v", v, err)
 	}
 	clock.Advance(42)
 	g.Web.Update(url, "new content")
-	v2, lm, err := r.Head(url)
+	v2, lm, err := r.HeadCtx(context.Background(), url)
 	if err != nil || v2 != 2 || lm != 42 {
 		t.Errorf("Head after update = %d @%v, %v", v2, lm, err)
 	}
@@ -99,13 +100,13 @@ func TestRequesterHead(t *testing.T) {
 func TestRequesterErrors(t *testing.T) {
 	g, r, _ := originFixture(t, DefaultConfig())
 	_ = g
-	if _, err := r.Fetch("http://site00.example/nonexistent.html"); !errors.Is(err, core.ErrNotFound) {
+	if _, err := r.FetchCtx(context.Background(), "http://site00.example/nonexistent.html"); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("fetch 404 err = %v", err)
 	}
-	if _, _, err := r.Head("http://site00.example/nonexistent.html"); !errors.Is(err, core.ErrNotFound) {
+	if _, _, err := r.HeadCtx(context.Background(), "http://site00.example/nonexistent.html"); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("head 404 err = %v", err)
 	}
-	if _, err := r.Fetch("ftp://bad"); !errors.Is(err, core.ErrInvalid) {
+	if _, err := r.FetchCtx(context.Background(), "ftp://bad"); !errors.Is(err, core.ErrInvalid) {
 		t.Errorf("bad scheme err = %v", err)
 	}
 	if _, err := NewRequester(DefaultConfig(), nil); err == nil {
@@ -125,7 +126,7 @@ func TestRequesterPoliteness(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Fetch(url); err != nil {
+			if _, err := r.FetchCtx(context.Background(), url); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -299,7 +300,7 @@ func TestParsePageRoundTripProperty(t *testing.T) {
 	g, r, _ := originFixture(t, DefaultConfig())
 	for _, url := range g.PageURLs {
 		want, _ := g.Web.Lookup(url)
-		got, err := r.Fetch(url)
+		got, err := r.FetchCtx(context.Background(), url)
 		if err != nil {
 			t.Fatalf("fetch %q: %v", url, err)
 		}

@@ -1,6 +1,7 @@
 package crawl
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -34,16 +35,12 @@ type CrawlResult struct {
 // through internet" half of the paper's index trade-off — here used to
 // seed a warehouse.
 type Crawler struct {
-	origin interface {
-		Fetch(url string) (core.FetchResult, error)
-	}
-	cfg CrawlConfig
+	origin core.Origin
+	cfg    CrawlConfig
 }
 
-// NewCrawler returns a crawler over any Fetch-capable origin.
-func NewCrawler(origin interface {
-	Fetch(url string) (core.FetchResult, error)
-}, cfg CrawlConfig) (*Crawler, error) {
+// NewCrawler returns a crawler over origin.
+func NewCrawler(origin core.Origin, cfg CrawlConfig) (*Crawler, error) {
 	if origin == nil {
 		return nil, fmt.Errorf("crawl: %w: nil origin", core.ErrInvalid)
 	}
@@ -120,7 +117,7 @@ func (c *Crawler) Crawl(seeds ...string) CrawlResult {
 		go func() {
 			defer workers.Done()
 			for j := range frontier {
-				fr, err := c.origin.Fetch(j.url)
+				fr, err := c.origin.FetchCtx(context.TODO(), j.url)
 				mu.Lock()
 				if err != nil {
 					res.Errors++

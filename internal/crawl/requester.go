@@ -151,15 +151,10 @@ func (r *Requester) do(ctx context.Context, method, url string) (*http.Response,
 	return resp, nil
 }
 
-// Fetch implements core.Origin over HTTP: GET the page, parse its
+// FetchCtx implements core.Origin over HTTP: GET the page, parse its
 // HTML back into the document model, and report the origin's simulated
 // latency (X-Simweb-Latency header; absent headers degrade gracefully).
-func (r *Requester) Fetch(url string) (core.FetchResult, error) {
-	return r.FetchCtx(context.Background(), url)
-}
-
-// FetchCtx is Fetch bounded by a context: cancellation or deadline expiry
-// aborts the HTTP exchange. It implements core.ContextOrigin.
+// Cancellation or deadline expiry of ctx aborts the HTTP exchange.
 func (r *Requester) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	resp, err := r.do(ctx, http.MethodGet, url)
 	if err != nil {
@@ -186,13 +181,8 @@ func (r *Requester) FetchCtx(ctx context.Context, url string) (core.FetchResult,
 	return core.FetchResult{Page: page, Latency: lat}, nil
 }
 
-// Head implements core.Origin's revalidation probe.
-func (r *Requester) Head(url string) (int, core.Time, error) {
-	return r.HeadCtx(context.Background(), url)
-}
-
-// HeadCtx is Head bounded by a context. It implements
-// core.ContextOrigin.
+// HeadCtx implements core.Origin's revalidation probe over HTTP HEAD,
+// bounded by ctx as FetchCtx is.
 func (r *Requester) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	resp, err := r.do(ctx, http.MethodHead, url)
 	if err != nil {

@@ -31,7 +31,7 @@ func TestPoliteWaitYieldsToCancellation(t *testing.T) {
 	}
 
 	// First request claims the politeness slot.
-	if _, err := r.Fetch("http://h.example/"); err != nil {
+	if _, err := r.FetchCtx(context.Background(), "http://h.example/"); err != nil {
 		t.Fatalf("first fetch: %v", err)
 	}
 
@@ -88,14 +88,14 @@ func TestNon200KeepsConnectionAlive(t *testing.T) {
 	}
 
 	// First fetch: 500 with a body. Must surface a classifiable error.
-	_, err = r.Fetch("http://h.example/")
+	_, err = r.FetchCtx(context.Background(), "http://h.example/")
 	var se *StatusError
 	if !errors.As(err, &se) || se.HTTPStatus() != http.StatusInternalServerError {
 		t.Fatalf("500 fetch err = %v, want StatusError(500)", err)
 	}
 
 	// Second fetch succeeds — over the same connection.
-	if _, err := r.Fetch("http://h.example/"); err != nil {
+	if _, err := r.FetchCtx(context.Background(), "http://h.example/"); err != nil {
 		t.Fatalf("second fetch: %v", err)
 	}
 	if n := conns.Load(); n != 1 {
@@ -128,12 +128,12 @@ func TestHeadNon200KeepsConnectionAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = r.Head("http://h.example/")
+	_, _, err = r.HeadCtx(context.Background(), "http://h.example/")
 	var se *StatusError
 	if !errors.As(err, &se) || se.HTTPStatus() != http.StatusServiceUnavailable {
 		t.Fatalf("503 head err = %v, want StatusError(503)", err)
 	}
-	if v, _, err := r.Head("http://h.example/"); err != nil || v != 3 {
+	if v, _, err := r.HeadCtx(context.Background(), "http://h.example/"); err != nil || v != 3 {
 		t.Fatalf("second head = %d, %v", v, err)
 	}
 	if n := conns.Load(); n != 1 {

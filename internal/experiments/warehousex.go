@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -317,7 +318,7 @@ func X5Consistency(seed int64) Table {
 				panic(err)
 			}
 			if res.Hit {
-				if v, _, err := wd.g.Web.Head(r.URL); err == nil && res.Page.Version < v {
+				if v, _, err := wd.g.Web.HeadCtx(context.Background(), r.URL); err == nil && res.Page.Version < v {
 					stale++
 				}
 			}

@@ -31,19 +31,11 @@ func (o *fixedOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResul
 	return core.FetchResult{Page: o.page, Latency: 5}, nil
 }
 
-func (o *fixedOrigin) Fetch(url string) (core.FetchResult, error) {
-	return o.FetchCtx(context.Background(), url)
-}
-
 func (o *fixedOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	if url != o.page.URL {
 		return 0, 0, core.ErrNotFound
 	}
 	return o.page.Version, o.page.LastMod, nil
-}
-
-func (o *fixedOrigin) Head(url string) (int, core.Time, error) {
-	return o.HeadCtx(context.Background(), url)
 }
 
 // largeBody builds a deterministic n-byte body that is not one repeated

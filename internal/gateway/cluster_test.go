@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -76,11 +77,11 @@ func nonReplicaURL(t *testing.T, cl *peers.Cluster, urls []string) (pageURL stri
 	return "", nil
 }
 
-// selfOwnedURL finds a page the ring assigns to this node.
+// selfOwnedURL finds a page whose primary owner is this node.
 func selfOwnedURL(t *testing.T, cl *peers.Cluster, urls []string) string {
 	t.Helper()
 	for _, u := range urls {
-		if _, isSelf := cl.Owner(u); isSelf {
+		if owners, _ := cl.Owners(u); len(owners) == 0 || owners[0] == cl.Self() {
 			return u
 		}
 	}
@@ -379,7 +380,7 @@ func TestPeerPutEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	u := g.PageURLs[0]
-	fr, err := g.Web.Fetch(u)
+	fr, err := g.Web.FetchCtx(context.Background(), u)
 	if err != nil {
 		t.Fatalf("origin fetch for the push payload: %v", err)
 	}

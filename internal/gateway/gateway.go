@@ -6,8 +6,8 @@
 // concurrency:
 //
 //   - one fetch-through path for /fetch and /body: routing, one warehouse
-//     serve under the FetchTimeout budget, error statuses and degraded-serve
-//     headers are shared; only the rendering differs;
+//     serve under the request's own context, error statuses and
+//     degraded-serve headers are shared; only the rendering differs;
 //   - request coalescing, in the warehouse: N concurrent requests for one
 //     cold URL, on either endpoint, trigger exactly one origin fetch — the
 //     miss-storm shape of the paper's hot spots (§3(3));
@@ -15,6 +15,10 @@
 //     and held by the warehouse, so a flood of cold URLs cannot swamp
 //     origins; requests coalesced onto a fetch hold no slot, and hits take
 //     none;
+//   - the FetchTimeout budget, armed by the warehouse on each trip to the
+//     origin only: a cold miss's pool wait, peer probe and GET, or a
+//     resident page's revalidation; a hit arms no timer, and a request
+//     waiting on another's trip waits at most that trip's budget;
 //   - graceful shutdown that drains in-flight requests;
 //   - a counters/latency-histogram registry (metrics.go) surfaced at
 //     /stats.
@@ -70,8 +74,9 @@ type Config struct {
 	Addr string
 	// FetchWorkers bounds the cold misses fetching at once.
 	FetchWorkers int
-	// FetchTimeout is each /fetch and /body request's budget; a cold
-	// miss's origin fetch keeps the budget of the request that sent it.
+	// FetchTimeout is the budget of each origin trip: a cold miss's pool
+	// wait, peer probe and GET together, or a resident page's revalidation
+	// HEAD and GET. A hit makes no trip and has no budget.
 	FetchTimeout time.Duration
 	// MaxQueryBytes bounds a POST /query body.
 	MaxQueryBytes int64
@@ -123,7 +128,8 @@ type Server struct {
 }
 
 // New assembles a daemon over the warehouse (which must be non-nil) and
-// installs the warehouse's fetch pool, sized by cfg.FetchWorkers.
+// installs the warehouse's fetch pool, sized by cfg.FetchWorkers, with
+// cfg.FetchTimeout as the budget of each origin trip.
 func New(cfg Config, wh *warehouse.Warehouse) (*Server, error) {
 	if wh == nil {
 		return nil, fmt.Errorf("gateway: %w: nil warehouse", core.ErrInvalid)
@@ -144,7 +150,7 @@ func New(cfg Config, wh *warehouse.Warehouse) (*Server, error) {
 	if cfg.MaxResults <= 0 {
 		cfg.MaxResults = def.MaxResults
 	}
-	wh.SetFetchWorkers(cfg.FetchWorkers)
+	wh.SetFetchWorkers(cfg.FetchWorkers, cfg.FetchTimeout)
 	s := &Server{
 		cfg:     cfg,
 		wh:      wh,
@@ -379,10 +385,11 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, url string
 }
 
 // fetchThrough is what /fetch and /body do alike: it routes url to its
-// owner, or serves it here under the FetchTimeout budget, writing an
-// error, with Retry-After when a breaker is open, or the X-CBFWW-Stale
-// header of a degraded serve. ok is false when the response is written;
-// otherwise the caller renders res and must Close bs.
+// owner, or serves it here under the request's context (the warehouse
+// budgets its origin trips), writing an error, with Retry-After when a
+// breaker is open, or the X-CBFWW-Stale header of a degraded serve. ok is
+// false when the response is written; otherwise the caller renders res
+// and must Close bs.
 func (s *Server) fetchThrough(w http.ResponseWriter, r *http.Request) (res warehouse.GetResult, bs *warehouse.BodyStream, ok bool) {
 	q := r.URL.Query()
 	url := q.Get("url")
@@ -393,9 +400,7 @@ func (s *Server) fetchThrough(w http.ResponseWriter, r *http.Request) (res wareh
 	if s.routeToOwner(w, r, url) {
 		return res, nil, false
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.FetchTimeout)
-	defer cancel()
-	res, bs, err := s.wh.GetBodyCtx(ctx, q.Get("user"), url)
+	res, bs, err := s.wh.GetBodyCtx(r.Context(), q.Get("user"), url)
 	if err != nil {
 		// An open breaker with no resident copy is the one honest answer a
 		// bound-free warehouse cannot dodge: 503 plus when to come back.
@@ -705,7 +710,7 @@ type StatsResponse struct {
 	Warehouse  warehouse.Stats             `json:"warehouse"`
 	// Shards breaks the warehouse's traffic down by lock stripe so
 	// operators can see striping imbalance and per-stripe lock contention.
-	Shards []ShardSnapshot `json:"shards"`
+	Shards []warehouse.ShardStat `json:"shards"`
 	// Cluster is the peer-ring section: membership, per-peer routing and
 	// probe counters, breaker states. Always present — disabled with no
 	// peers on a standalone daemon — so dashboards need no shape branch.
@@ -715,27 +720,12 @@ type StatsResponse struct {
 	Storage []storage.TierInfo `json:"storage"`
 }
 
-// ShardSnapshot is one warehouse lock stripe's share of the load.
-type ShardSnapshot struct {
-	Shard          int   `json:"shard"`
-	Pages          int   `json:"pages"`
-	Requests       int   `json:"requests"`
-	Hits           int   `json:"hits"`
-	OriginFetches  int   `json:"origin_fetches"`
-	LockWaitMicros int64 `json:"lock_wait_micros"`
-	LockAcquires   int64 `json:"lock_acquires"`
-}
-
 // ResilienceStats surfaces the origin-resilience counters: retries and
 // breaker activity from the resilience wrapper, degraded serves from the
 // warehouse.
 type ResilienceStats struct {
-	Retries          uint64 `json:"retries"`
-	BreakerOpens     uint64 `json:"breaker_opens"`
-	BreakerHalfOpens uint64 `json:"breaker_half_opens"`
-	BreakerFastFails uint64 `json:"breaker_fast_fails"`
-	OpenHosts        int    `json:"open_hosts"`
-	StaleServes      uint64 `json:"stale_serves"`
+	resilience.Stats
+	StaleServes uint64 `json:"stale_serves"`
 }
 
 // GatewayStats are the daemon-level counters.
@@ -751,25 +741,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	whStats := s.wh.Stats()
 	res := ResilienceStats{StaleServes: uint64(whStats.StaleServes)}
 	if s.cfg.Resilient != nil {
-		rs := s.cfg.Resilient.Stats()
-		res.Retries = rs.Retries
-		res.BreakerOpens = rs.BreakerOpens
-		res.BreakerHalfOpens = rs.BreakerHalfOpens
-		res.BreakerFastFails = rs.BreakerFastFails
-		res.OpenHosts = rs.OpenHosts
-	}
-	shardStats := s.wh.ShardStats()
-	shards := make([]ShardSnapshot, len(shardStats))
-	for i, ss := range shardStats {
-		shards[i] = ShardSnapshot{
-			Shard:          ss.Shard,
-			Pages:          ss.Pages,
-			Requests:       ss.Requests,
-			Hits:           ss.Hits,
-			OriginFetches:  ss.OriginFetches,
-			LockWaitMicros: ss.LockWaitMicros,
-			LockAcquires:   ss.LockAcquires,
-		}
+		res.Stats = s.cfg.Resilient.Stats()
 	}
 	inflight, workers := s.wh.FetchWorkers()
 	writeJSON(w, http.StatusOK, StatsResponse{
@@ -783,7 +755,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Resilience: res,
 		Endpoints:  s.metrics.Snapshot(),
 		Warehouse:  whStats,
-		Shards:     shards,
+		Shards:     s.wh.ShardStats(),
 		Cluster:    s.cfg.Cluster.Stats(),
 		Storage:    s.wh.StorageManager().Tiers(),
 	})

@@ -6,6 +6,7 @@ package gateway
 // socket-to-socket chain.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"cbfww/internal/constraint"
 	"cbfww/internal/core"
 	"cbfww/internal/crawl"
 	"cbfww/internal/simweb"
@@ -25,13 +27,14 @@ import (
 	"cbfww/internal/workload"
 )
 
-// gateOrigin wraps a simulated web as a core.ContextOrigin whose
-// fetches block on a gate until released — the deterministic way to hold a
-// miss storm in flight.
+// gateOrigin wraps a simulated web as a core.Origin whose fetches block
+// on a gate until released — the deterministic way to hold a miss storm
+// in flight — and whose HEADs block on headGate likewise.
 type gateOrigin struct {
-	web     *simweb.Web
-	gate    chan struct{} // nil = always open
-	fetches atomic.Int32  // origin fetches started
+	web      *simweb.Web
+	gate     chan struct{} // nil = always open
+	headGate chan struct{} // nil = always open
+	fetches  atomic.Int32  // origin fetches started
 	// active/maxActive track the concurrency high-water mark, the
 	// deterministic way to assert a bound without sleeping and hoping.
 	active    atomic.Int32
@@ -62,19 +65,18 @@ func (o *gateOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult
 			return core.FetchResult{}, ctx.Err()
 		}
 	}
-	return o.web.Fetch(url)
-}
-
-func (o *gateOrigin) Fetch(url string) (core.FetchResult, error) {
-	return o.FetchCtx(context.Background(), url)
+	return o.web.FetchCtx(ctx, url)
 }
 
 func (o *gateOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
-	return o.web.Head(url)
-}
-
-func (o *gateOrigin) Head(url string) (int, core.Time, error) {
-	return o.web.Head(url)
+	if o.headGate != nil {
+		select {
+		case <-o.headGate:
+		case <-ctx.Done():
+			return 0, 0, ctx.Err()
+		}
+	}
+	return o.web.HeadCtx(ctx, url)
 }
 
 // testWeb generates a small deterministic web.
@@ -93,9 +95,18 @@ func testWeb(t *testing.T) *workload.GeneratedWeb {
 // newGatedGateway builds warehouse + server over a gated in-process origin.
 func newGatedGateway(t *testing.T, cfg Config) (*Server, *gateOrigin, *workload.GeneratedWeb) {
 	t.Helper()
+	origin := &gateOrigin{gate: make(chan struct{})}
+	s, g := newGatewayOver(t, cfg, warehouse.DefaultConfig(), origin)
+	return s, origin, g
+}
+
+// newGatewayOver builds a gateway over a warehouse configured by whCfg
+// whose origin serves a fresh test web through origin.
+func newGatewayOver(t *testing.T, cfg Config, whCfg warehouse.Config, origin *gateOrigin) (*Server, *workload.GeneratedWeb) {
+	t.Helper()
 	g := testWeb(t)
-	origin := &gateOrigin{web: g.Web, gate: make(chan struct{})}
-	wh, err := warehouse.New(warehouse.DefaultConfig(), core.NewSimClock(0), origin)
+	origin.web = g.Web
+	wh, err := warehouse.New(whCfg, core.NewSimClock(0), origin)
 	if err != nil {
 		t.Fatalf("warehouse.New: %v", err)
 	}
@@ -103,7 +114,7 @@ func newGatedGateway(t *testing.T, cfg Config) (*Server, *gateOrigin, *workload.
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}
-	return s, origin, g
+	return s, g
 }
 
 func getJSON(t *testing.T, client *http.Client, url string, out any) int {
@@ -270,6 +281,60 @@ func TestEndToEndOverSockets(t *testing.T) {
 	}
 }
 
+// TestStatsKeys pins the JSON keys, in order, of a /stats shard row and of
+// the resilience section: both render their sources' snapshots, and
+// dashboards and the wire benchmark (shards[].lock_wait_micros) read them
+// by name.
+func TestStatsKeys(t *testing.T) {
+	s, _ := newGatewayOver(t, Config{}, warehouse.DefaultConfig(), &gateOrigin{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var raw struct {
+		Resilience json.RawMessage   `json:"resilience"`
+		Shards     []json.RawMessage `json:"shards"`
+	}
+	if code := getJSON(t, ts.Client(), ts.URL+"/stats", &raw); code != http.StatusOK {
+		t.Fatalf("/stats = %d", code)
+	}
+	if len(raw.Shards) == 0 {
+		t.Fatal("/stats has no shard rows")
+	}
+	for _, c := range []struct {
+		section string
+		obj     json.RawMessage
+		want    string
+	}{
+		{"shards[0]", raw.Shards[0], "shard pages requests hits origin_fetches lock_wait_micros lock_acquires"},
+		{"resilience", raw.Resilience, "retries breaker_opens breaker_half_opens breaker_fast_fails open_hosts stale_serves"},
+	} {
+		if got := strings.Join(objectKeys(t, c.obj), " "); got != c.want {
+			t.Errorf("%s keys:\n got %s\nwant %s", c.section, got, c.want)
+		}
+	}
+}
+
+// objectKeys returns the keys of a flat JSON object in document order.
+func objectKeys(t *testing.T, obj json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not an object: %s", obj)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
 // fetchEndpoints are the two fetch-through endpoints. They share one
 // serve path, so every fetch-through behaviour holds on both.
 var fetchEndpoints = []string{"/fetch", "/body"}
@@ -434,10 +499,37 @@ func TestColdMissesFetchInParallel(t *testing.T) {
 	}
 }
 
-// TestFetchDeadline verifies the per-request origin budget: a hung origin
-// turns into 504 Gateway Timeout, not a hung client.
+// TestFetchDeadline verifies the origin budget: a hung origin turns into
+// 504 Gateway Timeout, not a hung client, and a resident page whose
+// revalidation hangs is served from its copy, marked stale.
 func TestFetchDeadline(t *testing.T) {
 	for _, ep := range fetchEndpoints {
+		t.Run(ep+" stale on a hung HEAD", func(t *testing.T) {
+			whCfg := warehouse.DefaultConfig()
+			whCfg.Consistency = constraint.Consistency{Mode: constraint.Strong}
+			origin := &gateOrigin{headGate: make(chan struct{})}
+			s, g := newGatewayOver(t, Config{FetchTimeout: 50 * time.Millisecond}, whCfg, origin)
+			defer close(origin.headGate) // release the hung HEAD at teardown
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			get := func() *http.Response {
+				resp, err := ts.Client().Get(ts.URL + ep + "?url=" + g.PageURLs[0])
+				if err != nil {
+					t.Fatalf("fetch: %v", err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				return resp
+			}
+			if resp := get(); resp.StatusCode != http.StatusOK || resp.Header.Get("X-CBFWW-Stale") != "" {
+				t.Fatalf("first sight: status %d, stale %q; want 200, fresh", resp.StatusCode, resp.Header.Get("X-CBFWW-Stale"))
+			}
+			// Strong consistency revalidates every hit: the HEAD hangs
+			// until the budget cuts it, and the copy answers.
+			if resp := get(); resp.StatusCode != http.StatusOK || resp.Header.Get("X-CBFWW-Stale") != "1" {
+				t.Fatalf("hung revalidation: status %d, stale %q; want 200, stale 1", resp.StatusCode, resp.Header.Get("X-CBFWW-Stale"))
+			}
+		})
 		t.Run(ep, func(t *testing.T) {
 			s, origin, g := newGatedGateway(t, Config{FetchTimeout: 50 * time.Millisecond})
 			defer close(origin.gate) // release the hung fetch at teardown

@@ -129,7 +129,7 @@ type Cluster struct {
 }
 
 // NewCluster builds an unconfigured cluster tier. It is inert — every
-// Owner lookup says "self", FetchResident always misses — until Configure
+// Owners lookup says "self", FetchResident always misses — until Configure
 // names the membership.
 func NewCluster(cfg Config) *Cluster {
 	if cfg.VNodes <= 0 {
@@ -213,20 +213,6 @@ func (c *Cluster) Self() string {
 		return st.self
 	}
 	return ""
-}
-
-// Owner returns the address owning url and whether that is this node.
-// Before Configure (or on a self-only ring) every URL is self-owned.
-func (c *Cluster) Owner(url string) (addr string, isSelf bool) {
-	if c == nil {
-		return "", true
-	}
-	st := c.state.Load()
-	if st == nil {
-		return "", true
-	}
-	owner := st.ring.Owner(url)
-	return owner, owner == st.self || owner == ""
 }
 
 // Owners returns url's replica set — the first R distinct ring members,

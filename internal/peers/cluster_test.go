@@ -62,7 +62,7 @@ func TestClusterUnconfigured(t *testing.T) {
 	if nilCluster.Enabled() {
 		t.Error("nil cluster reports enabled")
 	}
-	if _, isSelf := nilCluster.Owner("http://a.example/"); !isSelf {
+	if owners, selfIn := nilCluster.Owners("http://a.example/"); !selfIn || owners != nil {
 		t.Error("nil cluster should self-own everything")
 	}
 	st := nilCluster.Stats()
@@ -74,8 +74,8 @@ func TestClusterUnconfigured(t *testing.T) {
 	if c.Enabled() {
 		t.Error("unconfigured cluster reports enabled")
 	}
-	if owner, isSelf := c.Owner("http://a.example/"); !isSelf || owner != "" {
-		t.Errorf("unconfigured Owner = (%q, %v), want self-owned", owner, isSelf)
+	if owners, selfIn := c.Owners("http://a.example/"); !selfIn || owners != nil {
+		t.Errorf("unconfigured Owners = (%q, %v), want self-owned", owners, selfIn)
 	}
 	if _, ok := c.FetchResident(context.Background(), "http://a.example/"); ok {
 		t.Error("unconfigured FetchResident reported a hit")
@@ -95,8 +95,8 @@ func TestClusterConfigureSingleNode(t *testing.T) {
 	if !st.Enabled || st.Members != 1 || len(st.Peers) != 0 || st.Peers == nil {
 		t.Errorf("single-node stats = %+v, want enabled, 1 member, empty non-nil peers", st)
 	}
-	if owner, isSelf := c.Owner("http://a.example/x"); !isSelf || owner != "127.0.0.1:1" {
-		t.Errorf("Owner = (%q, %v), want self", owner, isSelf)
+	if owners, selfIn := c.Owners("http://a.example/x"); !selfIn || len(owners) != 1 || owners[0] != "127.0.0.1:1" {
+		t.Errorf("Owners = (%q, %v), want self", owners, selfIn)
 	}
 }
 

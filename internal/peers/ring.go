@@ -8,7 +8,7 @@
 // Five mechanisms, composable and individually testable:
 //
 //   - the ring (ring.go): every URL hashes to an R-sized *replica set* of
-//     distinct owner nodes (Owners; Owner is R=1) via virtual-node
+//     distinct owner nodes (Owners, primary first) via virtual-node
 //     consistent hashing, so membership changes move a bounded slice of
 //     the key space (≈1/N on a join of N+1 nodes, at most one member of
 //     any replica set) and every node computes the same owners with no
@@ -51,7 +51,7 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring over member addresses.
-// Construct with NewRing; look up owners with Owner. Immutability is the
+// Construct with NewRing; look up owners with Owners. Immutability is the
 // concurrency story: membership changes build a new ring and swap it.
 type Ring struct {
 	vnodes  int
@@ -105,25 +105,10 @@ func NewRing(vnodes int, members []string) *Ring {
 	return r
 }
 
-// Owner returns the member owning key: the member of the first ring point
-// clockwise from the key's hash. An empty ring owns nothing ("").
-func (r *Ring) Owner(key string) string {
-	if r == nil || len(r.points) == 0 {
-		return ""
-	}
-	h := mix64(hash64(key))
-	// First point with hash >= h, wrapping to points[0] past the end.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.members[r.points[i].member]
-}
-
 // Owners returns the replica set for key: the first n distinct members
-// clockwise from the key's hash, primary first. Owners(key, 1) is
-// equivalent to {Owner(key)}. n is capped at the member count; an empty
-// ring yields nil. The returned slice is freshly allocated.
+// clockwise from the key's hash, primary first (the member of the first
+// ring point clockwise from the hash). n is capped at the member count; an
+// empty ring yields nil. The returned slice is freshly allocated.
 func (r *Ring) Owners(key string, n int) []string {
 	if r == nil || len(r.points) == 0 || n <= 0 {
 		return nil

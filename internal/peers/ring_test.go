@@ -34,7 +34,7 @@ func TestRingDistribution(t *testing.T) {
 			r := NewRing(DefaultVNodes, members)
 			counts := make(map[string]int, n)
 			for _, k := range keys {
-				counts[r.Owner(k)]++
+				counts[r.Owners(k, 1)[0]]++
 			}
 			uniform := float64(numKeys) / float64(n)
 			for _, m := range members {
@@ -63,7 +63,7 @@ func TestRingMovementOnJoin(t *testing.T) {
 			joined := members[n]
 			moved := 0
 			for _, k := range keys {
-				ob, oa := before.Owner(k), after.Owner(k)
+				ob, oa := before.Owners(k, 1)[0], after.Owners(k, 1)[0]
 				if ob == oa {
 					continue
 				}
@@ -96,7 +96,7 @@ func TestRingMovementOnLeave(t *testing.T) {
 			leaver := members[n-1]
 			after := NewRing(DefaultVNodes, members[:n-1])
 			for _, k := range keys {
-				ob, oa := before.Owner(k), after.Owner(k)
+				ob, oa := before.Owners(k, 1)[0], after.Owners(k, 1)[0]
 				if ob != leaver && ob != oa {
 					t.Fatalf("key %q owned by survivor %s moved to %s when %s left", k, ob, oa, leaver)
 				}
@@ -115,7 +115,7 @@ func TestRingDeterminism(t *testing.T) {
 	a := NewRing(DefaultVNodes, members)
 	b := NewRing(DefaultVNodes, shuffled) // reordered + duplicate
 	for _, k := range ringKeys(500) {
-		if oa, ob := a.Owner(k), b.Owner(k); oa != ob {
+		if oa, ob := a.Owners(k, 1)[0], b.Owners(k, 1)[0]; oa != ob {
 			t.Fatalf("owner(%q) differs by construction order: %s vs %s", k, oa, ob)
 		}
 	}
@@ -138,8 +138,8 @@ func TestRingOwnersDistinct(t *testing.T) {
 				if len(owners) != expect {
 					t.Fatalf("Owners(%q, %d) on %d members returned %d owners, want %d", k, want, n, len(owners), expect)
 				}
-				if owners[0] != r.Owner(k) {
-					t.Fatalf("Owners(%q)[0] = %s, but Owner = %s", k, owners[0], r.Owner(k))
+				if primary := r.Owners(k, 1)[0]; owners[0] != primary {
+					t.Fatalf("Owners(%q, %d)[0] = %s, but the primary is %s", k, want, owners[0], primary)
 				}
 				seen := make(map[string]bool, len(owners))
 				for _, o := range owners {
@@ -265,13 +265,7 @@ func diffSet(a, b []string) []string {
 
 func TestRingEdges(t *testing.T) {
 	var nilRing *Ring
-	if got := nilRing.Owner("http://a.example/"); got != "" {
-		t.Errorf("nil ring owner = %q, want empty", got)
-	}
 	empty := NewRing(0, nil)
-	if got := empty.Owner("http://a.example/"); got != "" {
-		t.Errorf("empty ring owner = %q, want empty", got)
-	}
 	if got := empty.VNodes(); got != DefaultVNodes {
 		t.Errorf("vnodes <= 0 should default to %d, got %d", DefaultVNodes, got)
 	}
@@ -292,7 +286,7 @@ func TestRingEdges(t *testing.T) {
 		t.Errorf("Owners(k, 0) = %v, want nil", got)
 	}
 	for _, k := range ringKeys(50) {
-		if got := single.Owner(k); got != "only:1" {
+		if got := single.Owners(k, 1)[0]; got != "only:1" {
 			t.Fatalf("single-member ring owner = %q, want only:1", got)
 		}
 	}

@@ -36,21 +36,21 @@ type Config struct {
 // Stats is a snapshot of the wrapper's activity counters.
 type Stats struct {
 	// Retries counts re-attempts (excluding each call's first attempt).
-	Retries uint64
+	Retries uint64 `json:"retries"`
 	// BreakerOpens counts closed→open and half-open→open transitions.
-	BreakerOpens uint64
+	BreakerOpens uint64 `json:"breaker_opens"`
 	// BreakerHalfOpens counts open→half-open probe admissions.
-	BreakerHalfOpens uint64
+	BreakerHalfOpens uint64 `json:"breaker_half_opens"`
 	// BreakerFastFails counts calls refused without touching the origin.
-	BreakerFastFails uint64
+	BreakerFastFails uint64 `json:"breaker_fast_fails"`
 	// OpenHosts is the number of hosts currently refusing traffic.
-	OpenHosts int
+	OpenHosts int `json:"open_hosts"`
 }
 
 // Origin wraps an inner origin with retries and per-host breaking. Safe
-// for concurrent use; implements core.ContextOrigin.
+// for concurrent use; implements core.Origin.
 type Origin struct {
-	inner    core.ContextOrigin
+	inner    core.Origin
 	cfg      Config
 	breakers *Breakers
 
@@ -60,7 +60,7 @@ type Origin struct {
 }
 
 // Wrap builds the resilient origin around inner.
-func Wrap(inner core.ContextOrigin, cfg Config) (*Origin, error) {
+func Wrap(inner core.Origin, cfg Config) (*Origin, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("resilience: %w: nil origin", core.ErrInvalid)
 	}
@@ -98,17 +98,7 @@ func (o *Origin) Stats() Stats {
 	return st
 }
 
-// Fetch implements core.Origin.
-func (o *Origin) Fetch(url string) (core.FetchResult, error) {
-	return o.FetchCtx(context.Background(), url)
-}
-
-// Head implements core.Origin.
-func (o *Origin) Head(url string) (int, core.Time, error) {
-	return o.HeadCtx(context.Background(), url)
-}
-
-// FetchCtx implements core.ContextOrigin with retries and breaking.
+// FetchCtx implements core.Origin with retries and breaking.
 func (o *Origin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	var out core.FetchResult
 	err := o.do(ctx, url, func() error {
@@ -122,7 +112,7 @@ func (o *Origin) FetchCtx(ctx context.Context, url string) (core.FetchResult, er
 	return out, nil
 }
 
-// HeadCtx implements core.ContextOrigin with retries and breaking.
+// HeadCtx implements core.Origin with retries and breaking.
 func (o *Origin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	var (
 		v  int

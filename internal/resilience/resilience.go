@@ -12,10 +12,10 @@
 //     failures → half-open probe after a cool-down) so a dead site fails
 //     fast instead of burning retry budgets and gateway worker-pool slots.
 //
-// The wrapper consumes and implements core.ContextOrigin, so it drops
-// into the warehouse's origin path unchanged; the warehouse's own
-// stale-serve degradation (warehouse.GetCtx) then turns the remaining
-// failures into marked stale hits whenever a resident copy exists.
+// The wrapper consumes and implements core.Origin, so it drops into the
+// warehouse's origin path unchanged; the warehouse's own stale-serve
+// degradation (warehouse.GetCtx) then turns the remaining failures into
+// marked stale hits whenever a resident copy exists.
 package resilience
 
 import (

@@ -64,19 +64,11 @@ func (s *scriptOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResu
 	return core.FetchResult{Page: core.Page{URL: url, Title: "t", Version: 1}}, nil
 }
 
-func (s *scriptOrigin) Fetch(url string) (core.FetchResult, error) {
-	return s.FetchCtx(context.Background(), url)
-}
-
 func (s *scriptOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	if err := s.next(url); err != nil {
 		return 0, 0, err
 	}
 	return 1, 0, nil
-}
-
-func (s *scriptOrigin) Head(url string) (int, core.Time, error) {
-	return s.HeadCtx(context.Background(), url)
 }
 
 var errFlaky = errors.New("transient origin failure")
@@ -149,7 +141,7 @@ func TestHostFailureClassification(t *testing.T) {
 	}
 }
 
-func wrapT(t *testing.T, inner core.ContextOrigin, cfg Config) *Origin {
+func wrapT(t *testing.T, inner core.Origin, cfg Config) *Origin {
 	t.Helper()
 	if cfg.Retry.Seed == 0 {
 		cfg.Retry.Seed = 1

@@ -41,7 +41,7 @@ type FaultStats struct {
 }
 
 // FaultyOrigin wraps a *Web as an origin that misbehaves per FaultConfig.
-// It implements core.ContextOrigin. Safe for concurrent use.
+// It implements core.Origin. Safe for concurrent use.
 type FaultyOrigin struct {
 	web *Web
 	cfg FaultConfig
@@ -109,13 +109,17 @@ func (f *FaultyOrigin) decide(url string) (core.Duration, error) {
 	return 0, nil
 }
 
-// Fetch implements core.Origin with fault injection.
-func (f *FaultyOrigin) Fetch(url string) (core.FetchResult, error) {
+// FetchCtx implements core.Origin with fault injection: an
+// already-cancelled or expired context aborts before the dice are rolled.
+func (f *FaultyOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return core.FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, err)
+	}
 	extra, err := f.decide(url)
 	if err != nil {
 		return core.FetchResult{}, err
 	}
-	res, err := f.web.Fetch(url)
+	res, err := f.web.FetchCtx(ctx, url)
 	if err != nil {
 		return core.FetchResult{}, err
 	}
@@ -123,27 +127,13 @@ func (f *FaultyOrigin) Fetch(url string) (core.FetchResult, error) {
 	return res, nil
 }
 
-// Head implements core.Origin with fault injection.
-func (f *FaultyOrigin) Head(url string) (int, core.Time, error) {
-	if _, err := f.decide(url); err != nil {
-		return 0, 0, err
-	}
-	return f.web.Head(url)
-}
-
-// FetchCtx implements core.ContextOrigin: an already-cancelled or expired
-// context aborts before the (in-process, instantaneous) fetch.
-func (f *FaultyOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return core.FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, err)
-	}
-	return f.Fetch(url)
-}
-
-// HeadCtx implements core.ContextOrigin (see FetchCtx).
+// HeadCtx implements core.Origin with fault injection (see FetchCtx).
 func (f *FaultyOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, fmt.Errorf("simweb: head %q: %w", url, err)
 	}
-	return f.Head(url)
+	if _, err := f.decide(url); err != nil {
+		return 0, 0, err
+	}
+	return f.web.HeadCtx(ctx, url)
 }

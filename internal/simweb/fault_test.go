@@ -29,14 +29,14 @@ func faultWeb(t *testing.T) *Web {
 
 func TestFaultyOriginPassThrough(t *testing.T) {
 	f := NewFaultyOrigin(faultWeb(t), FaultConfig{Seed: 1})
-	res, err := f.Fetch("http://a.example/x")
+	res, err := f.FetchCtx(context.Background(), "http://a.example/x")
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
 	if res.Page.Title != "ax" || res.Latency != 10 {
 		t.Errorf("res = %+v", res)
 	}
-	if v, _, err := f.Head("http://a.example/x"); err != nil || v != 1 {
+	if v, _, err := f.HeadCtx(context.Background(), "http://a.example/x"); err != nil || v != 1 {
 		t.Errorf("Head = %d, %v", v, err)
 	}
 	if st := f.Stats(); st != (FaultStats{}) {
@@ -48,7 +48,7 @@ func TestFaultyOriginErrorRateIsDeterministic(t *testing.T) {
 	run := func() (failures int, errSample error) {
 		f := NewFaultyOrigin(faultWeb(t), FaultConfig{Seed: 42, ErrorRate: 0.3})
 		for i := 0; i < 200; i++ {
-			if _, err := f.Fetch("http://a.example/x"); err != nil {
+			if _, err := f.FetchCtx(context.Background(), "http://a.example/x"); err != nil {
 				failures++
 				errSample = err
 			}
@@ -71,7 +71,7 @@ func TestFaultyOriginErrorRateIsDeterministic(t *testing.T) {
 
 func TestFaultyOriginLatencySpikes(t *testing.T) {
 	f := NewFaultyOrigin(faultWeb(t), FaultConfig{Seed: 7, SpikeRate: 1, SpikeLatency: 500})
-	res, err := f.Fetch("http://a.example/x")
+	res, err := f.FetchCtx(context.Background(), "http://a.example/x")
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
@@ -87,14 +87,14 @@ func TestFaultyOriginBlackout(t *testing.T) {
 	f := NewFaultyOrigin(faultWeb(t), FaultConfig{Seed: 1})
 	f.Blackout("a.example", true)
 
-	if _, err := f.Fetch("http://a.example/x"); !errors.Is(err, ErrInjected) {
+	if _, err := f.FetchCtx(context.Background(), "http://a.example/x"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("blacked-out fetch err = %v", err)
 	}
-	if _, _, err := f.Head("http://a.example/y"); !errors.Is(err, ErrInjected) {
+	if _, _, err := f.HeadCtx(context.Background(), "http://a.example/y"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("blacked-out head err = %v", err)
 	}
 	// Other hosts unaffected.
-	if _, err := f.Fetch("http://b.example/z"); err != nil {
+	if _, err := f.FetchCtx(context.Background(), "http://b.example/z"); err != nil {
 		t.Fatalf("other host: %v", err)
 	}
 	if st := f.Stats(); st.BlackoutRefusals != 2 {
@@ -103,19 +103,22 @@ func TestFaultyOriginBlackout(t *testing.T) {
 
 	// Lifting the blackout restores service.
 	f.Blackout("a.example", false)
-	if _, err := f.Fetch("http://a.example/x"); err != nil {
+	if _, err := f.FetchCtx(context.Background(), "http://a.example/x"); err != nil {
 		t.Fatalf("post-blackout fetch: %v", err)
 	}
 }
 
+// An in-process origin, faulty or not, refuses a done context.
 func TestFaultyOriginContextCancelled(t *testing.T) {
-	f := NewFaultyOrigin(faultWeb(t), FaultConfig{Seed: 1})
+	web := faultWeb(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.FetchCtx(ctx, "http://a.example/x"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FetchCtx err = %v", err)
-	}
-	if _, _, err := f.HeadCtx(ctx, "http://a.example/x"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("HeadCtx err = %v", err)
+	for _, o := range []core.Origin{NewFaultyOrigin(web, FaultConfig{Seed: 1}), web} {
+		if _, err := o.FetchCtx(ctx, "http://a.example/x"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%T FetchCtx err = %v", o, err)
+		}
+		if _, _, err := o.HeadCtx(ctx, "http://a.example/x"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%T HeadCtx err = %v", o, err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func (w *Web) Handler() http.Handler {
 			// without a body transfer, and — deliberately — without counting
 			// as an origin fetch (FetchCount stays the currency of
 			// single-fetch assertions).
-			version, lastMod, err := w.Head(url)
+			version, lastMod, err := w.HeadCtx(req.Context(), url)
 			if err != nil {
 				http.NotFound(rw, req)
 				return
@@ -45,7 +45,7 @@ func (w *Web) Handler() http.Handler {
 			rw.Header().Set("X-Simweb-LastMod", strconv.FormatInt(int64(lastMod), 10))
 			return
 		}
-		res, err := w.Fetch(url)
+		res, err := w.FetchCtx(req.Context(), url)
 		if err != nil {
 			http.NotFound(rw, req)
 			return

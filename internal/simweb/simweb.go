@@ -14,6 +14,7 @@
 package simweb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -114,10 +115,14 @@ func hostOf(url string) (string, error) {
 	return host, nil
 }
 
-// Fetch retrieves the current content of url, simulating the origin
-// round-trip cost. The returned Page is a copy; mutating it does not
-// affect the web.
-func (w *Web) Fetch(url string) (core.FetchResult, error) {
+// FetchCtx retrieves the current content of url, simulating the origin
+// round-trip cost. The in-process fetch is instantaneous, so ctx is
+// checked once, before it. The returned Page is a copy; mutating it does
+// not affect the web.
+func (w *Web) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return core.FetchResult{}, fmt.Errorf("simweb: fetch %q: %w", url, err)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	p, ok := w.pages[url]
@@ -133,9 +138,13 @@ func (w *Web) Fetch(url string) (core.FetchResult, error) {
 	return core.FetchResult{Page: cp, Latency: lat}, nil
 }
 
-// Head returns the page's version and last-modified time without a body
-// transfer — the cheap consistency probe used by weak-consistency polling.
-func (w *Web) Head(url string) (version int, lastMod core.Time, err error) {
+// HeadCtx returns the page's version and last-modified time without a
+// body transfer — the cheap consistency probe used by weak-consistency
+// polling. ctx is checked as FetchCtx checks it.
+func (w *Web) HeadCtx(ctx context.Context, url string) (version int, lastMod core.Time, err error) {
+	if err = ctx.Err(); err != nil {
+		return 0, 0, fmt.Errorf("simweb: head %q: %w", url, err)
+	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	p, ok := w.pages[url]

@@ -1,6 +1,7 @@
 package simweb
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -43,7 +44,7 @@ func newTestWeb(t *testing.T) (*Web, *core.SimClock) {
 
 func TestFetchReturnsCopy(t *testing.T) {
 	w, _ := newTestWeb(t)
-	res, err := w.Fetch("http://a.example/index.html")
+	res, err := w.FetchCtx(context.Background(), "http://a.example/index.html")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestFetchReturnsCopy(t *testing.T) {
 	// Mutating the copy must not affect the web.
 	res.Page.Anchors[0].Text = "CLOBBERED"
 	res.Page.Body = "CLOBBERED"
-	res2, _ := w.Fetch("http://a.example/index.html")
+	res2, _ := w.FetchCtx(context.Background(), "http://a.example/index.html")
 	if res2.Page.Anchors[0].Text != "bus stations" || res2.Page.Body == "CLOBBERED" {
 		t.Error("Fetch result aliases web state")
 	}
@@ -70,10 +71,10 @@ func TestFetchReturnsCopy(t *testing.T) {
 
 func TestFetchUnknown(t *testing.T) {
 	w, _ := newTestWeb(t)
-	if _, err := w.Fetch("http://a.example/nope.html"); err == nil {
+	if _, err := w.FetchCtx(context.Background(), "http://a.example/nope.html"); err == nil {
 		t.Error("Fetch(unknown) succeeded")
 	}
-	if _, _, err := w.Head("http://nowhere/x"); err == nil {
+	if _, _, err := w.HeadCtx(context.Background(), "http://nowhere/x"); err == nil {
 		t.Error("Head(unknown) succeeded")
 	}
 }
@@ -100,14 +101,14 @@ func TestUpdateBumpsVersion(t *testing.T) {
 	if err := w.Update("http://a.example/index.html", "breaking news festival"); err != nil {
 		t.Fatal(err)
 	}
-	v, mod, err := w.Head("http://a.example/index.html")
+	v, mod, err := w.HeadCtx(context.Background(), "http://a.example/index.html")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 2 || mod != 50 {
 		t.Errorf("Head = v%d @%v, want v2 @50", v, mod)
 	}
-	res, _ := w.Fetch("http://a.example/index.html")
+	res, _ := w.FetchCtx(context.Background(), "http://a.example/index.html")
 	if !strings.Contains(res.Page.Body, "festival") {
 		t.Error("update text missing from body")
 	}
@@ -150,14 +151,14 @@ func TestWebConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				w.Fetch("http://a.example/index.html")
-				w.Head("http://a.example/bus.html")
+				w.FetchCtx(context.Background(), "http://a.example/index.html")
+				w.HeadCtx(context.Background(), "http://a.example/bus.html")
 				w.Update("http://a.example/bus.html", "")
 			}
 		}()
 	}
 	wg.Wait()
-	v, _, _ := w.Head("http://a.example/bus.html")
+	v, _, _ := w.HeadCtx(context.Background(), "http://a.example/bus.html")
 	if v != 801 {
 		t.Errorf("version = %d, want 801", v)
 	}

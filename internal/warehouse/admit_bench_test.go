@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -47,7 +48,7 @@ func newFirstSightOrigin() *firstSightOrigin {
 	return o
 }
 
-func (o *firstSightOrigin) Fetch(url string) (core.FetchResult, error) {
+func (o *firstSightOrigin) FetchCtx(_ context.Context, url string) (core.FetchResult, error) {
 	h := fnv.New32a()
 	h.Write([]byte(url))
 	i := int(h.Sum32() % uint32(len(o.bodies)))
@@ -62,7 +63,7 @@ func (o *firstSightOrigin) Fetch(url string) (core.FetchResult, error) {
 	}}, nil
 }
 
-func (o *firstSightOrigin) Head(url string) (int, core.Time, error) { return 1, 0, nil }
+func (o *firstSightOrigin) HeadCtx(context.Context, string) (int, core.Time, error) { return 1, 0, nil }
 
 // admitBench builds a one-shard warehouse over a firstSightOrigin and
 // returns it with a source of fresh URLs: all in heap when dataDir is

@@ -206,19 +206,25 @@ type probeOrigin struct {
 	hook        func(method, url string)
 }
 
-func (o *probeOrigin) Fetch(url string) (core.FetchResult, error) {
+func (o *probeOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return core.FetchResult{}, err
+	}
 	o.gets.Add(1)
 	if o.hook != nil {
 		o.hook("GET", url)
 	}
-	fr, err := o.web.Fetch(url)
+	fr, err := o.web.FetchCtx(ctx, url)
 	if o.restarted.Load() {
 		fr.Page.Version = 1
 	}
 	return fr, err
 }
 
-func (o *probeOrigin) Head(url string) (int, core.Time, error) {
+func (o *probeOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
 	o.heads.Add(1)
 	if o.hook != nil {
 		o.hook("HEAD", url)
@@ -226,25 +232,11 @@ func (o *probeOrigin) Head(url string) (int, core.Time, error) {
 	if o.headDown.Load() {
 		return 0, 0, errOriginDown
 	}
-	ver, lastMod, err := o.web.Head(url)
+	ver, lastMod, err := o.web.HeadCtx(ctx, url)
 	if o.restarted.Load() {
 		ver = 1
 	}
 	return ver, lastMod, err
-}
-
-func (o *probeOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return core.FetchResult{}, err
-	}
-	return o.Fetch(url)
-}
-
-func (o *probeOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	return o.Head(url)
 }
 
 // probeRig is a weak-consistency warehouse over n small pages behind a
@@ -471,28 +463,22 @@ func (o *gatedOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResul
 	o.started <- struct{}{}
 	select {
 	case <-o.gate:
-		return o.web.Fetch(url)
+		return o.web.FetchCtx(ctx, url)
 	case <-ctx.Done():
 		return core.FetchResult{}, ctx.Err()
 	}
 }
 
-func (o *gatedOrigin) Fetch(url string) (core.FetchResult, error) {
-	return o.FetchCtx(context.Background(), url)
-}
-
 func (o *gatedOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
-	return o.web.Head(url)
+	return o.web.HeadCtx(ctx, url)
 }
-
-func (o *gatedOrigin) Head(url string) (int, core.Time, error) { return o.web.Head(url) }
 
 // One first fetch flies per cold page: concurrent requests for it wait
 // for that fetch instead of repeating it, then are served the kept copy; a
 // failed fetch fails them all; a miss after the flight fetches afresh; a
 // waiter whose context ends gives up alone; and a sender whose context is
-// cancelled still completes the fetch, within its deadline, for the
-// requests waiting on it.
+// cancelled still completes the fetch, within its deadline or the fetch
+// pool's budget, for the requests waiting on it.
 func TestOneFlightPerColdPage(t *testing.T) {
 	const cold, missing = "http://s.example/cold", "http://s.example/missing"
 	rig := func(t *testing.T, s stack) (*Warehouse, *gatedOrigin) {
@@ -663,6 +649,17 @@ func TestOneFlightPerColdPage(t *testing.T) {
 			}
 			if a := <-sender; !errors.Is(a.err, context.DeadlineExceeded) {
 				t.Errorf("sender got %v, want its deadline", a.err)
+			}
+		})
+		t.Run("the pool's budget ends a hung flight", func(t *testing.T) {
+			w, o := rig(t, s)
+			defer close(o.gate)
+			w.SetFetchWorkers(4, 300*time.Millisecond)
+			answers := storm(t, w, o, cold, 4) // no deadline of their own
+			for i := 0; i < 4; i++ {
+				if a := <-answers; !errors.Is(a.err, context.DeadlineExceeded) {
+					t.Errorf("request got %v, want the budget's deadline", a.err)
+				}
 			}
 		})
 	})

@@ -53,34 +53,26 @@ func (o *flakyOrigin) check(url string) error {
 	return nil
 }
 
-func (o *flakyOrigin) Fetch(url string) (core.FetchResult, error) {
-	if err := o.check(url); err != nil {
-		return core.FetchResult{}, err
-	}
-	return o.web.Fetch(url)
-}
-
-// Head fails only on a full outage (down), not on per-URL kills: a dead
-// page's HEAD may well succeed while its GET errors mid-transfer.
-func (o *flakyOrigin) Head(url string) (int, core.Time, error) {
-	if o.down.Load() {
-		return 0, 0, errOriginDown
-	}
-	return o.web.Head(url)
-}
-
 func (o *flakyOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return core.FetchResult{}, err
 	}
-	return o.Fetch(url)
+	if err := o.check(url); err != nil {
+		return core.FetchResult{}, err
+	}
+	return o.web.FetchCtx(ctx, url)
 }
 
+// HeadCtx fails only on a full outage (down), not on per-URL kills: a
+// dead page's HEAD may well succeed while its GET errors mid-transfer.
 func (o *flakyOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	return o.Head(url)
+	if o.down.Load() {
+		return 0, 0, errOriginDown
+	}
+	return o.web.HeadCtx(ctx, url)
 }
 
 // degradedFixture builds a strong-consistency warehouse (every hit

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"cbfww/internal/constraint"
 	"cbfww/internal/core"
@@ -51,10 +52,10 @@ func (w *Warehouse) Get(user, url string) (GetResult, error) {
 }
 
 // GetCtx is Get bounded by a context: deadline expiry aborts origin
-// fetches (a ContextOrigin aborts mid-flight; any other Origin is checked
-// before each fetch), and so does cancellation, except of a cold URL's
-// first fetch once it has left, which others may be waiting for. This is
-// the entry point network daemons use to enforce per-request deadlines.
+// calls mid-flight, and so does cancellation, except of a cold URL's
+// first fetch once it has left, which others may be waiting for. A trip
+// to the origin is also cut at the fetch pool's budget (SetFetchWorkers),
+// so a daemon passes its request's context as is and a hit arms no timer.
 func (w *Warehouse) GetCtx(ctx context.Context, user, url string) (GetResult, error) {
 	return withBody(w.get(ctx, user, url, false, stepCheck))
 }
@@ -132,10 +133,11 @@ type coldFlight struct {
 // shard lock, so cold misses proceed in parallel even within one stripe,
 // then retakes the lock to admit it and to end the flight f, which
 // sh.cold holds until then. The fetch waits for a slot of the fetch pool,
-// and it keeps ctx's deadline but not its cancellation: a sender that
-// hangs up fails none of the requests waiting for its page. In a cluster
-// the miss checks peers before the origin (local → peer → origin), so an
-// object admitted anywhere costs the origin exactly one fetch.
+// and it keeps ctx's deadline, cut at the pool's budget, but not its
+// cancellation: a sender that hangs up fails none of the requests waiting
+// for its page. In a cluster the miss checks peers before the origin
+// (local → peer → origin), so an object admitted anywhere costs the
+// origin exactly one fetch.
 func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, prefetch bool, f *coldFlight) (out GetResult, bs *BodyStream, err error) {
 	locked := false
 	defer func() {
@@ -147,13 +149,19 @@ func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, 
 		sh.mu.Unlock()
 		close(f.done)
 	}()
-	fctx := context.WithoutCancel(ctx)
-	if dl, ok := ctx.Deadline(); ok {
+	fctx, p := context.WithoutCancel(ctx), w.pool.Load()
+	dl, ok := ctx.Deadline()
+	if p != nil && p.budget > 0 {
+		if b := time.Now().Add(p.budget); !ok || b.Before(dl) {
+			dl, ok = b, true
+		}
+	}
+	if ok {
 		var cancel context.CancelFunc
 		fctx, cancel = context.WithDeadline(fctx, dl)
 		defer cancel()
 	}
-	fr, src, err := w.missFetch(fctx, url)
+	fr, src, err := w.missFetch(fctx, p, url)
 	if err != nil {
 		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
 	}
@@ -316,7 +324,8 @@ type flight struct {
 }
 
 // fly makes st's origin calls: a HEAD unless fetch, then a GET if fetch or
-// the HEAD names another version, then prepares the result.
+// the HEAD names another version, then prepares the result. The calls
+// share ctx, cut at the fetch pool's budget.
 // Meanwhile sh.mu is released and st.inflight holds back requests for st
 // alone; hits on the rest of the stripe go on. Called with sh.mu (write)
 // held; returns, or panics, with it held again.
@@ -329,15 +338,20 @@ func (w *Warehouse) fly(ctx context.Context, sh *shard, st *pageState, url strin
 		st.inflight = nil
 		close(done)
 	}()
+	if p := w.pool.Load(); p != nil && p.budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.budget)
+		defer cancel()
+	}
 	if !fetch {
-		ver, _, err := w.originHead(ctx, url)
+		ver, _, err := w.web.HeadCtx(ctx, url)
 		f.headed, f.err = err == nil, err
 		if err != nil || ver == f.base {
 			return f
 		}
 	}
 	f.fetched = true
-	fr, err := w.originFetch(ctx, url)
+	fr, err := w.web.FetchCtx(ctx, url)
 	if f.err = err; err == nil {
 		f.rec = w.prepare(url, fr, sourceOrigin, true)
 	}
@@ -420,12 +434,12 @@ const (
 	sourceReplica = "replica" // pushed by a replica-set peer via /peer/put
 )
 
-// missFetch resolves a cold miss on a slot of the fetch pool, if one is
+// missFetch resolves a cold miss on a slot of the fetch pool p, if one is
 // installed: a configured peer source (the cluster tier) is consulted
 // first for a copy some other node already admitted; the origin is the
 // fallback and the only party that can fail the fetch.
-func (w *Warehouse) missFetch(ctx context.Context, url string) (core.FetchResult, string, error) {
-	if p := w.pool.Load(); p != nil {
+func (w *Warehouse) missFetch(ctx context.Context, p *fetchPool, url string) (core.FetchResult, string, error) {
+	if p != nil {
 		select {
 		case p.sem <- struct{}{}:
 		case <-ctx.Done():
@@ -438,7 +452,7 @@ func (w *Warehouse) missFetch(ctx context.Context, url string) (core.FetchResult
 			return fr, sourcePeer, nil
 		}
 	}
-	fr, err := w.originFetch(ctx, url)
+	fr, err := w.web.FetchCtx(ctx, url)
 	return fr, sourceOrigin, err
 }
 

@@ -73,7 +73,7 @@ func TestAdmitReplicaColdAndVersions(t *testing.T) {
 		rec := &recordingReplicator{}
 		w.SetReplicator(rec.hook)
 		url := g.PageURLs[1]
-		fr, err := g.Web.Fetch(url)
+		fr, err := g.Web.FetchCtx(context.Background(), url)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestAdmitReplicaRespectsConstraints(t *testing.T) {
 			cfg.Admission = constraint.NewAdmission(constraint.MaxSize(1)) // reject all
 		})
 		url := g.PageURLs[2]
-		fr, err := g.Web.Fetch(url)
+		fr, err := g.Web.FetchCtx(context.Background(), url)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestAdmitReplicaUpdatesUnderRejectAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.cfg.Admission = constraint.NewAdmission(constraint.MaxSize(1)) // reject all from here on
-		fr, err := g.Web.Fetch(url)
+		fr, err := g.Web.FetchCtx(context.Background(), url)
 		if err != nil {
 			t.Fatal(err)
 		}

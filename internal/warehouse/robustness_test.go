@@ -118,18 +118,18 @@ type dyingOrigin struct {
 	dead  bool
 }
 
-func (d *dyingOrigin) Fetch(url string) (core.FetchResult, error) {
+func (d *dyingOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
 	if d.dead {
 		return core.FetchResult{}, fmt.Errorf("origin unreachable: %w", core.ErrNotFound)
 	}
-	return d.inner.Fetch(url)
+	return d.inner.FetchCtx(ctx, url)
 }
 
-func (d *dyingOrigin) Head(url string) (int, core.Time, error) {
+func (d *dyingOrigin) HeadCtx(ctx context.Context, url string) (int, core.Time, error) {
 	if d.dead {
 		return 0, 0, fmt.Errorf("origin unreachable: %w", core.ErrNotFound)
 	}
-	return d.inner.Head(url)
+	return d.inner.HeadCtx(ctx, url)
 }
 
 // Concurrent Gets, queries, mining and maintenance must not race (run

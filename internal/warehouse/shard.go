@@ -84,16 +84,16 @@ func (w *Warehouse) NumShards() int { return len(w.shards) }
 // ShardStat is one stripe's activity snapshot: how much of the page
 // population and traffic it carries, and how contended its lock is.
 type ShardStat struct {
-	Shard         int
-	Pages         int
-	Requests      int
-	Hits          int
-	OriginFetches int
+	Shard         int `json:"shard"`
+	Pages         int `json:"pages"`
+	Requests      int `json:"requests"`
+	Hits          int `json:"hits"`
+	OriginFetches int `json:"origin_fetches"`
 	// LockWaitMicros is cumulative time request-path writers spent
 	// waiting for this shard's lock; LockAcquires is how many waits that
 	// spans. Their ratio is the mean queueing delay on the stripe.
-	LockWaitMicros int64
-	LockAcquires   int64
+	LockWaitMicros int64 `json:"lock_wait_micros"`
+	LockAcquires   int64 `json:"lock_acquires"`
 }
 
 // ShardStats snapshots every stripe. Shards are read one at a time under

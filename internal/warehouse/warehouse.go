@@ -180,29 +180,6 @@ func (w *Warehouse) replicator() Replicator {
 	return nil
 }
 
-// originFetch fetches from the origin under ctx when the origin supports
-// it, degrading to a pre-flight cancellation check when it does not.
-func (w *Warehouse) originFetch(ctx context.Context, url string) (core.FetchResult, error) {
-	if co, ok := w.web.(core.ContextOrigin); ok {
-		return co.FetchCtx(ctx, url)
-	}
-	if err := ctx.Err(); err != nil {
-		return core.FetchResult{}, err
-	}
-	return w.web.Fetch(url)
-}
-
-// originHead is the revalidation probe under ctx (see originFetch).
-func (w *Warehouse) originHead(ctx context.Context, url string) (int, core.Time, error) {
-	if co, ok := w.web.(core.ContextOrigin); ok {
-		return co.HeadCtx(ctx, url)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	return w.web.Head(url)
-}
-
 // Stats counts warehouse activity.
 type Stats struct {
 	Requests      int
@@ -349,8 +326,9 @@ type Warehouse struct {
 	// construction via SetReplicator, hence the atomic box.
 	replicatorFn atomic.Pointer[replicatorBox]
 
-	// pool, when set, bounds the cold misses fetching at once (pool.go).
-	// Installed after construction via SetFetchWorkers.
+	// pool, when set, bounds the cold misses fetching at once and the
+	// time of each origin trip (pool.go). Installed after construction via
+	// SetFetchWorkers.
 	pool atomic.Pointer[fetchPool]
 }
 
