@@ -19,8 +19,9 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# One regeneration of every experiment under the bench harness, plus the
-# storage-tier benchmarks.
+# One iteration of the root hot-path micro-benchmarks and the storage-tier
+# benchmarks. The paper's tables come from `cbfww-bench -exp <id>`
+# (`make tables` runs them all).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x . ./internal/storage
 

@@ -1,10 +1,9 @@
-// Package cbfww_bench holds the top-level benchmark harness: one
-// testing.B benchmark per paper artifact (they regenerate the same tables
-// cmd/cbfww-bench prints; see EXPERIMENTS.md for the index), plus
-// micro-benchmarks of the warehouse's hot paths.
+// Package cbfww_bench holds micro-benchmarks of the warehouse's hot
+// paths and the module-wide gates (exports, package boundaries). The
+// paper's tables come from cmd/cbfww-bench (`cbfww-bench -exp <id>`; see
+// EXPERIMENTS.md for the index), pinned by its TestTablesGolden.
 //
 //	go test -bench=. -benchmem
-//	go test -bench=BenchmarkFig8 -benchtime=1x    # one regeneration
 package cbfww_bench
 
 import (
@@ -18,103 +17,15 @@ import (
 	"time"
 
 	"cbfww/internal/core"
-	"cbfww/internal/experiments"
 	"cbfww/internal/gateway"
 	"cbfww/internal/simweb"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
 
-// benchSeed keeps regenerated tables identical across runs.
+// benchSeed keeps the micro-benchmarks' generated webs identical across
+// runs.
 const benchSeed = 1
-
-// run regenerates a table b.N times and reports its row count so the
-// harness fails loudly if an experiment silently produces nothing.
-func run(b *testing.B, f func(int64) experiments.Table) {
-	b.Helper()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t := f(benchSeed)
-		rows = len(t.Rows)
-	}
-	if rows == 0 {
-		b.Fatal("experiment produced an empty table")
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-func noSeed(f func() experiments.Table) func(int64) experiments.Table {
-	return func(int64) experiments.Table { return f() }
-}
-
-// BenchmarkTable1Capabilities regenerates Table 1 (E-T1).
-func BenchmarkTable1Capabilities(b *testing.B) { run(b, noSeed(experiments.T1Capabilities)) }
-
-// BenchmarkTable2UsageAttributes regenerates Table 2 (E-T2).
-func BenchmarkTable2UsageAttributes(b *testing.B) { run(b, noSeed(experiments.T2UsageAttributes)) }
-
-// BenchmarkClaim60PctOneTimers regenerates the §1 measurement (E-C1).
-func BenchmarkClaim60PctOneTimers(b *testing.B) { run(b, experiments.C1OneTimers) }
-
-// BenchmarkFig2SharedObjectPriority regenerates Figure 2 (E-F2).
-func BenchmarkFig2SharedObjectPriority(b *testing.B) {
-	run(b, noSeed(experiments.F2SharedObjectPriority))
-}
-
-// BenchmarkFig3StorageMapping regenerates Figure 3 (E-F3).
-func BenchmarkFig3StorageMapping(b *testing.B) { run(b, experiments.F3StorageMapping) }
-
-// BenchmarkFig5LogicalDocuments regenerates Figure 5 (E-F5).
-func BenchmarkFig5LogicalDocuments(b *testing.B) { run(b, experiments.F5LogicalDocuments) }
-
-// BenchmarkFig6LogicalContent regenerates Figure 6 (E-F6).
-func BenchmarkFig6LogicalContent(b *testing.B) { run(b, noSeed(experiments.F6LogicalContent)) }
-
-// BenchmarkFig7SemanticRegions regenerates Figure 7 (E-F7).
-func BenchmarkFig7SemanticRegions(b *testing.B) { run(b, experiments.F7SemanticRegions) }
-
-// BenchmarkFig8AdmissionPriority regenerates Figure 8 (E-F8).
-func BenchmarkFig8AdmissionPriority(b *testing.B) { run(b, experiments.F8AdmissionPriority) }
-
-// BenchmarkQ1PopularityQueries regenerates the §4.3 query demonstration
-// (E-Q1).
-func BenchmarkQ1PopularityQueries(b *testing.B) { run(b, experiments.Q1PopularityQueries) }
-
-// BenchmarkX1FrequencyEstimators regenerates the §4.2 estimator comparison
-// (E-X1).
-func BenchmarkX1FrequencyEstimators(b *testing.B) { run(b, experiments.X1FrequencyEstimators) }
-
-// BenchmarkX2TopicSensor regenerates the Topic Sensor ablation (E-X2).
-func BenchmarkX2TopicSensor(b *testing.B) { run(b, experiments.X2TopicSensor) }
-
-// BenchmarkX3BoundedBaselines regenerates the bounded-policy sweep (E-X3).
-func BenchmarkX3BoundedBaselines(b *testing.B) { run(b, experiments.X3BoundedBaselines) }
-
-// BenchmarkX4CopyControl regenerates the failure-injection table (E-X4).
-func BenchmarkX4CopyControl(b *testing.B) { run(b, experiments.X4CopyControl) }
-
-// BenchmarkX5Consistency regenerates the consistency comparison (E-X5).
-func BenchmarkX5Consistency(b *testing.B) { run(b, experiments.X5Consistency) }
-
-// BenchmarkHotSpotLifetimes regenerates the §4.4 hot-spot analysis.
-func BenchmarkHotSpotLifetimes(b *testing.B) { run(b, experiments.AnalyzerHotSpots) }
-
-// BenchmarkA1OmegaTitleWeight regenerates the ω ablation (E-A1).
-func BenchmarkA1OmegaTitleWeight(b *testing.B) { run(b, experiments.A1OmegaTitleWeight) }
-
-// BenchmarkA2RegionThreshold regenerates the region-threshold ablation
-// (E-A2).
-func BenchmarkA2RegionThreshold(b *testing.B) { run(b, experiments.A2RegionThreshold) }
-
-// BenchmarkA3AdmissionDecay regenerates the admission-decay ablation
-// (E-A3).
-func BenchmarkA3AdmissionDecay(b *testing.B) { run(b, experiments.A3AdmissionDecay) }
-
-// BenchmarkL1TertiaryLocality regenerates the §4.4 locality-of-reference
-// experiment.
-func BenchmarkL1TertiaryLocality(b *testing.B) { run(b, experiments.L1TertiaryLocality) }
-
-// --- hot-path micro-benchmarks ---------------------------------------
 
 // benchWorld builds a warmed warehouse for the micro-benchmarks.
 func benchWorld(b *testing.B) (*warehouse.Warehouse, *workload.GeneratedWeb, *core.SimClock) {

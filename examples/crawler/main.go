@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -58,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	res := c.Crawl(web.PageURLs[0], web.PageURLs[13], web.PageURLs[26])
+	res := c.Crawl(context.Background(), web.PageURLs[0], web.PageURLs[13], web.PageURLs[26])
 	fmt.Printf("crawl: %d pages in %v (%d errors, %d skipped, %d HTTP requests)\n",
 		len(res.Pages), time.Since(start).Round(time.Millisecond),
 		res.Errors, res.Skipped, requester.Fetches())

@@ -178,7 +178,7 @@ func TestCrawlerCoversReachableGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Crawl(g.PageURLs[0])
+	res := c.Crawl(context.Background(), g.PageURLs[0])
 	if len(res.Pages) < 2 {
 		t.Fatalf("crawl found only %d pages", len(res.Pages))
 	}
@@ -198,12 +198,12 @@ func TestCrawlerCoversReachableGraph(t *testing.T) {
 func TestCrawlerRespectsLimits(t *testing.T) {
 	g, r, _ := originFixture(t, DefaultConfig())
 	c, _ := NewCrawler(r, CrawlConfig{MaxPages: 3, MaxDepth: 10, Workers: 4})
-	res := c.Crawl(g.PageURLs[0])
+	res := c.Crawl(context.Background(), g.PageURLs[0])
 	if len(res.Pages) > 3 {
 		t.Errorf("MaxPages violated: %d", len(res.Pages))
 	}
 	c2, _ := NewCrawler(r, CrawlConfig{MaxPages: 1000, MaxDepth: 0, Workers: 4})
-	res2 := c2.Crawl(g.PageURLs[0])
+	res2 := c2.Crawl(context.Background(), g.PageURLs[0])
 	if len(res2.Pages) != 1 {
 		t.Errorf("MaxDepth 0 crawled %d pages", len(res2.Pages))
 	}
@@ -221,7 +221,7 @@ func TestCrawlerSameHostOnly(t *testing.T) {
 	seed := g.PageURLs[0]
 	host := strings.TrimPrefix(seed, "http://")
 	host = host[:strings.IndexByte(host, '/')]
-	res := c.Crawl(seed)
+	res := c.Crawl(context.Background(), seed)
 	for _, p := range res.Pages {
 		if !strings.HasPrefix(p.URL, "http://"+host+"/") {
 			t.Errorf("cross-host page crawled: %q", p.URL)
@@ -335,5 +335,58 @@ func TestAttrValue(t *testing.T) {
 		if got := attrValue(c.attrs, c.name); got != c.want {
 			t.Errorf("attrValue(%q, %q) = %q, want %q", c.attrs, c.name, got, c.want)
 		}
+	}
+}
+
+// countingOrigin counts the fetches that reach it and runs onFetch, when
+// set, with the running count.
+type countingOrigin struct {
+	core.Origin
+	mu      sync.Mutex
+	fetches int
+	onFetch func(n int)
+}
+
+func (o *countingOrigin) FetchCtx(ctx context.Context, url string) (core.FetchResult, error) {
+	o.mu.Lock()
+	o.fetches++
+	n := o.fetches
+	o.mu.Unlock()
+	if o.onFetch != nil {
+		o.onFetch(n)
+	}
+	return o.Origin.FetchCtx(ctx, url)
+}
+
+// Once the crawl's context is done, no further fetch reaches the origin:
+// a crawl started cancelled fetches nothing, and one cancelled at its
+// third fetch makes no fourth.
+func TestCrawlStopsFetchingWhenCancelled(t *testing.T) {
+	g, r, _ := originFixture(t, DefaultConfig())
+
+	o := &countingOrigin{Origin: r}
+	c, _ := NewCrawler(o, CrawlConfig{MaxPages: 1000, MaxDepth: 10, Workers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := c.Crawl(ctx, g.PageURLs[0], g.PageURLs[9])
+	if o.fetches != 0 || len(res.Pages) != 0 || res.Skipped != 2 {
+		t.Errorf("cancelled crawl: %d fetches, %d pages, %d skipped; want 0, 0, 2",
+			o.fetches, len(res.Pages), res.Skipped)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	o = &countingOrigin{Origin: r, onFetch: func(n int) {
+		if n == 3 {
+			cancel()
+		}
+	}}
+	c, _ = NewCrawler(o, CrawlConfig{MaxPages: 1000, MaxDepth: 10, Workers: 1})
+	res = c.Crawl(ctx, g.PageURLs[0])
+	if o.fetches != 3 {
+		t.Errorf("crawl cancelled at its third fetch made %d fetches", o.fetches)
+	}
+	if res.Skipped == 0 {
+		t.Error("cancelled crawl skipped nothing still on its frontier")
 	}
 }

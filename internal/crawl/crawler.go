@@ -59,8 +59,10 @@ type job struct {
 	depth int
 }
 
-// Crawl runs a breadth-first crawl from the seeds.
-func (c *Crawler) Crawl(seeds ...string) CrawlResult {
+// Crawl runs a breadth-first crawl from the seeds. The workers fetch
+// under ctx, and once ctx is done no further fetch leaves: what is still
+// on the frontier counts as skipped.
+func (c *Crawler) Crawl(ctx context.Context, seeds ...string) CrawlResult {
 	var (
 		mu      sync.Mutex
 		res     CrawlResult
@@ -117,7 +119,14 @@ func (c *Crawler) Crawl(seeds ...string) CrawlResult {
 		go func() {
 			defer workers.Done()
 			for j := range frontier {
-				fr, err := c.origin.FetchCtx(context.TODO(), j.url)
+				if ctx.Err() != nil {
+					mu.Lock()
+					res.Skipped++
+					mu.Unlock()
+					pending.Done()
+					continue
+				}
+				fr, err := c.origin.FetchCtx(ctx, j.url)
 				mu.Lock()
 				if err != nil {
 					res.Errors++

@@ -97,51 +97,9 @@ func A3AdmissionDecay(seed int64) Table {
 		Header: []string{"decay", "unproven-newcomer occupancy", "memory hit ratio", "mean latency"},
 	}
 	for _, decay := range []float64{0.99, 0.9, 0.8, 0.5} {
-		wd := buildWorld(seed, 20, 100, 2000, 300_000, nil, func(c *warehouse.Config) {
+		st, waste := newcomerReplay(seed, 2000, 300_000, func(c *warehouse.Config) {
 			c.AdmissionDecay = decay
-		}, func(tc *workload.TraceConfig) {
-			tc.TopicAffinity = 0.9
-			tc.FollowLinkProb = 0.4
 		})
-		counts := make(map[string]int)
-		var wasteSum float64
-		var samples int
-		next := core.Time(3600)
-		for _, r := range wd.trace.Log {
-			if r.Time.After(wd.clock.Now()) {
-				wd.clock.Set(r.Time)
-			}
-			if wd.clock.Now() >= next {
-				residents, oneTimers := 0, 0
-				for _, info := range wd.w.Pages() {
-					if info.Tier == "memory" {
-						residents++
-						if counts[info.URL] <= 1 {
-							oneTimers++
-						}
-					}
-				}
-				if residents > 0 {
-					wasteSum += float64(oneTimers) / float64(residents)
-					samples++
-				}
-				if _, err := wd.w.Maintain(); err != nil {
-					panic(err)
-				}
-				for next <= wd.clock.Now() {
-					next = next.Add(3600)
-				}
-			}
-			counts[r.URL]++
-			if _, err := wd.w.Get(r.User, r.URL); err != nil {
-				panic(err)
-			}
-		}
-		waste := 0.0
-		if samples > 0 {
-			waste = wasteSum / float64(samples)
-		}
-		st := wd.w.Stats()
 		t.AddRow(f2(decay), pct(waste),
 			pct(float64(st.MemoryHits)/float64(st.Requests)), f2(st.MeanLatency()))
 	}

@@ -14,21 +14,7 @@ import (
 // exact sliding window and λ-aging. Accuracy is RMSE against the window
 // truth at periodic checkpoints; memory is what each must keep resident.
 func X1FrequencyEstimators(seed int64) Table {
-	clock := core.NewSimClock(0)
-	wcfg := workload.DefaultWebConfig()
-	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = 10, 50, seed
-	g, err := workload.GenerateWeb(clock, wcfg)
-	if err != nil {
-		panic(err)
-	}
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Sessions = 2000
-	tcfg.Length = 7 * 24 * 3600 // one window-week of traffic
-	tcfg.Seed = seed
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		panic(err)
-	}
+	g, tr := generate(seed, 10, 50, 2000, 7*24*3600, nil) // one window-week of traffic
 
 	const windowSize = 24 * 3600 // one day
 	const epoch = 3600
@@ -91,22 +77,9 @@ func X1FrequencyEstimators(seed int64) Table {
 // hit ratio of the classic bounded policies as cache size grows toward the
 // corpus size, against the infinite (bound-free) ceiling.
 func X3BoundedBaselines(seed int64) Table {
-	clock := core.NewSimClock(0)
-	wcfg := workload.DefaultWebConfig()
-	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = 15, 80, seed
-	g, err := workload.GenerateWeb(clock, wcfg)
-	if err != nil {
-		panic(err)
-	}
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Sessions = 4000
-	tcfg.Length = 600_000
-	tcfg.Seed = seed
-	tcfg.UpdatesPerTick = 0.0005
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		panic(err)
-	}
+	g, tr := generate(seed, 15, 80, 4000, 600_000, func(tc *workload.TraceConfig) {
+		tc.UpdatesPerTick = 0.0005
+	})
 
 	var corpusBytes core.Bytes
 	for _, u := range g.PageURLs {

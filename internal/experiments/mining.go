@@ -21,24 +21,11 @@ func C1OneTimers(seed int64) Table {
 	}
 	for _, s := range []float64{0.6, 0.9, 1.2} {
 		for _, churn := range []float64{0, 0.002} {
-			clock := core.NewSimClock(0)
-			wcfg := workload.DefaultWebConfig()
-			wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = 20, 150, seed
-			g, err := workload.GenerateWeb(clock, wcfg)
-			if err != nil {
-				panic(err)
-			}
-			tcfg := workload.DefaultTraceConfig()
-			tcfg.Sessions = 1500
-			tcfg.Length = 200_000
-			tcfg.ZipfS = s
-			tcfg.FollowLinkProb = 0.4
-			tcfg.UpdatesPerTick = churn
-			tcfg.Seed = seed
-			tr, err := workload.GenerateTrace(g, clock, tcfg)
-			if err != nil {
-				panic(err)
-			}
+			_, tr := generate(seed, 20, 150, 1500, 200_000, func(tc *workload.TraceConfig) {
+				tc.ZipfS = s
+				tc.FollowLinkProb = 0.4
+				tc.UpdatesPerTick = churn
+			})
 			st := logmine.AnalyzeReuse(tr.Log)
 			t.AddRow(f2(s), fmt.Sprintf("%g", churn), itoa(st.Objects),
 				itoa(st.OneTimers), pct(st.OneTimerRatio()), pct(st.MaxHitRatio()))
@@ -107,30 +94,17 @@ func AnalyzerHotSpots(seed int64) Table {
 	// traffic, so the event dominates its pages' access histories (a
 	// local event's pages are obscure outside the event — exactly the
 	// Kyoto-inet observation).
-	base := func() (*workload.GeneratedWeb, workload.TraceConfig, *core.SimClock) {
-		clock := core.NewSimClock(0)
-		wcfg := workload.DefaultWebConfig()
-		wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = 10, 40, seed
-		g, err := workload.GenerateWeb(clock, wcfg)
-		if err != nil {
-			panic(err)
-		}
-		tcfg := workload.DefaultTraceConfig()
-		tcfg.Sessions = 3000
-		tcfg.Length = 500_000
-		tcfg.Seed = seed
+	const length = 500_000
+	var events []workload.Event
+	tune := func(tc *workload.TraceConfig) {
 		// Pure topic-block popularity with steep skew: tail-topic pages see
 		// almost no background traffic, so a local event is the only reason
 		// anyone ever visits them — the regime the paper describes.
-		tcfg.TopicAffinity = 1.0
-		tcfg.ZipfS = 1.2
-		return g, tcfg, clock
+		tc.TopicAffinity = 1.0
+		tc.ZipfS = 1.2
+		tc.Events = events
 	}
-	gDry, tcfgDry, clockDry := base()
-	dry, err := workload.GenerateTrace(gDry, clockDry, tcfgDry)
-	if err != nil {
-		panic(err)
-	}
+	gDry, dry := generate(seed, 10, 40, 3000, length, tune)
 	topicTraffic := make(map[int]int)
 	for _, r := range dry.Log {
 		topicTraffic[gDry.TopicOf[r.URL]]++
@@ -143,21 +117,15 @@ func AnalyzerHotSpots(seed int64) Table {
 	}
 
 	// Real run: the event hits the coldest topic.
-	g, tcfg, clock := base()
-	tcfg.Events = []workload.Event{
-		{Start: 200_000, Length: 8_000, Topic: coldest, Intensity: 0.95,
-			Headline: "gion festival parade", Lead: 2000},
-	}
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		panic(err)
-	}
+	ev := workload.Event{Start: 200_000, Length: 8_000, Topic: coldest, Intensity: 0.95,
+		Headline: "gion festival parade", Lead: 2000}
+	events = []workload.Event{ev}
+	_, tr := generate(seed, 10, 40, 3000, length, tune)
 	rep := analyzer.Analyze(tr.Log, 4)
 
 	// Classify pages by event participation: a page is event-driven when
 	// most of its accesses landed inside the event window — these are the
 	// pages that were hot *because of* the event.
-	ev := tcfg.Events[0]
 	inWindow := make(map[string]int)
 	total := make(map[string]int)
 	for _, r := range tr.Log {
@@ -188,7 +156,7 @@ func AnalyzerHotSpots(seed int64) Table {
 		t.AddRow("background", itoa(bgN), f2(bgSum/float64(bgN)))
 	}
 	t.AddNote("trace length %d ticks; event window %d ticks on coldest topic %d",
-		int64(tcfg.Length), int64(ev.Length), coldest)
+		length, int64(ev.Length), coldest)
 	t.AddNote("paper: \"for local events, there will be almost no access of the corresponding web pages after the event\"")
 	return t
 }

@@ -9,7 +9,6 @@ import (
 	"cbfww/internal/logmine"
 	"cbfww/internal/storage"
 	"cbfww/internal/usage"
-	"cbfww/internal/workload"
 )
 
 // F3StorageMapping regenerates Figure 3: mapping the object hierarchy into
@@ -25,22 +24,7 @@ import (
 //
 // The measure is mean access cost in ticks, swept over tier latencies.
 func F3StorageMapping(seed int64) Table {
-	clock := core.NewSimClock(0)
-	wcfg := workload.DefaultWebConfig()
-	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = 10, 60, seed
-	g, err := workload.GenerateWeb(clock, wcfg)
-	if err != nil {
-		panic(err)
-	}
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Sessions = 2500
-	tcfg.Length = 400_000
-	tcfg.Seed = seed
-	tcfg.UpdatesPerTick = 0
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		panic(err)
-	}
+	g, tr := generate(seed, 10, 60, 2500, 400_000, noChurn)
 
 	// Object universe: container pages only (components follow their
 	// containers and would only scale every strategy equally).

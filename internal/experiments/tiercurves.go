@@ -5,7 +5,6 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/storage"
-	"cbfww/internal/workload"
 )
 
 // TierCurveStacks is the cbfww-bench -tiers vocabulary: the tier stacks
@@ -32,22 +31,7 @@ var TierCurveStacks = []string{"classic", "mmap"}
 // warm tier flattens the curve — objects crowded out of memory land at
 // the warm cost instead of paying the full disk latency.
 func TierCurves(seed int64, stacks []string) Table {
-	clock := core.NewSimClock(0)
-	wcfg := workload.DefaultWebConfig()
-	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = 8, 40, seed
-	g, err := workload.GenerateWeb(clock, wcfg)
-	if err != nil {
-		panic(err)
-	}
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Sessions = 1200
-	tcfg.Length = 200_000
-	tcfg.Seed = seed
-	tcfg.UpdatesPerTick = 0
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		panic(err)
-	}
+	g, tr := generate(seed, 8, 40, 1200, 200_000, noChurn)
 
 	ids := make(map[string]core.ObjectID, len(g.PageURLs))
 	sizes := make(map[core.ObjectID]core.Bytes, len(g.PageURLs))

@@ -7,6 +7,7 @@ import (
 
 	"cbfww/internal/constraint"
 	"cbfww/internal/core"
+	"cbfww/internal/logmine"
 	"cbfww/internal/object"
 	"cbfww/internal/priority"
 	"cbfww/internal/storage"
@@ -15,80 +16,131 @@ import (
 	"cbfww/internal/workload"
 )
 
-// buildWarehouseWorld generates a web + trace + optional events and a
-// warehouse configured for experiments; callers mutate cfg first.
-type world struct {
-	g     *workload.GeneratedWeb
-	clock *core.SimClock
-	trace *workload.Trace
-	w     *warehouse.Warehouse
+// generate is workload.Generate for the experiments, which panic on a
+// bad config.
+func generate(seed int64, sites, pages, sessions int, length core.Duration,
+	tune func(*workload.TraceConfig)) (*workload.GeneratedWeb, *workload.Trace) {
+	g, tr, err := workload.Generate(seed, sites, pages, sessions, length, tune)
+	if err != nil {
+		panic(err)
+	}
+	return g, tr
 }
 
-func buildWorld(seed int64, sites, pages, sessions int, length core.Duration,
-	events []workload.Event, mutate func(*warehouse.Config),
-	mutateTrace ...func(*workload.TraceConfig)) *world {
+// noChurn tunes a trace to leave the web's content unchanged.
+func noChurn(tc *workload.TraceConfig) { tc.UpdatesPerTick = 0 }
 
+// labWarehouse is the experiments' warehouse over g's web, on a fresh
+// clock: the default config with a 2 MB memory and a 256 MB disk tier,
+// then mutate. The web's pages have already churned to their final
+// content, so the warehouse sees the web as it is at the trace's end.
+func labWarehouse(g *workload.GeneratedWeb, mutate func(*warehouse.Config)) (*warehouse.Warehouse, *core.SimClock) {
 	clock := core.NewSimClock(0)
-	wcfg := workload.DefaultWebConfig()
-	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = sites, pages, seed
-	g, err := workload.GenerateWeb(clock, wcfg)
-	if err != nil {
-		panic(err)
-	}
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Sessions = sessions
-	tcfg.Length = length
-	tcfg.Seed = seed
-	tcfg.Events = events
-	for _, m := range mutateTrace {
-		m(&tcfg)
-	}
-	// The trace generator drives the clock; snapshot the log, then rewind
-	// is impossible (monotonic clock), so the warehouse replays on a fresh
-	// clock of its own.
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		panic(err)
-	}
-
-	wclock := core.NewSimClock(0)
-	// The web's pages have already churned to their final content; that is
-	// fine — replay consistency still observes version mismatches through
-	// the log's Modified flags having influenced nothing here. The
-	// warehouse sees the web as it is now.
 	cfg := warehouse.DefaultConfig()
 	cfg.Storage.Tiers = storage.ClassicTiers(2*core.MB, 256*core.MB)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	w, err := warehouse.New(cfg, wclock, g.Web)
+	w, err := warehouse.New(cfg, clock, g.Web)
 	if err != nil {
 		panic(err)
 	}
-	return &world{g: g, clock: wclock, trace: tr, w: w}
+	return w, clock
 }
 
-// replay drives the warehouse with the trace log, advancing the clock to
-// each record's time and running Maintain every maintainEvery ticks.
-func (wd *world) replay(maintainEvery core.Duration) {
-	next := core.Time(maintainEvery)
-	for _, r := range wd.trace.Log {
-		if r.Time.After(wd.clock.Now()) {
-			wd.clock.Set(r.Time)
+// Hooks are a replay's optional callbacks.
+type Hooks struct {
+	// BeforeSweep runs just before each Maintain, so it sees the
+	// placement the last period lived with.
+	BeforeSweep func()
+	// BeforeServe runs once the clock has reached the record's time,
+	// before a sweep that falls due there and before the serve.
+	BeforeServe func(r logmine.Record) error
+	// AfterServe sees each record with what the warehouse served for it.
+	AfterServe func(r logmine.Record, res warehouse.GetResult)
+}
+
+// Replay plays log into w, the lab's one trace-to-warehouse loop. For
+// each record it moves clock to the record's time, runs one Maintain per
+// period of every ticks elapsed (0: never) and serves the record with
+// Get; h's hooks run around those steps.
+func Replay(w *warehouse.Warehouse, clock *core.SimClock, log logmine.Log, every core.Duration, h Hooks) error {
+	next := core.Time(every)
+	for _, r := range log {
+		if r.Time.After(clock.Now()) {
+			clock.Set(r.Time)
 		}
-		if maintainEvery > 0 && wd.clock.Now() >= next {
-			if _, err := wd.w.Maintain(); err != nil {
-				panic(err)
-			}
-			for next <= wd.clock.Now() {
-				next = next.Add(maintainEvery)
+		if h.BeforeServe != nil {
+			if err := h.BeforeServe(r); err != nil {
+				return err
 			}
 		}
-		// Errors here mean the page vanished, which this workload doesn't do.
-		if _, err := wd.w.Get(r.User, r.URL); err != nil {
-			panic(err)
+		for every > 0 && clock.Now() >= next {
+			if h.BeforeSweep != nil {
+				h.BeforeSweep()
+			}
+			if _, err := w.Maintain(); err != nil {
+				return err
+			}
+			next = next.Add(every)
+		}
+		res, err := w.Get(r.User, r.URL)
+		if err != nil {
+			return err
+		}
+		if h.AfterServe != nil {
+			h.AfterServe(r, res)
 		}
 	}
+	return nil
+}
+
+// must panics on err: a replay error means a page vanished, which no
+// experiment's workload does.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// newcomerReplay replays a 20×100-page trace in the paper's regime —
+// topical hot spots and a heavy one-timer tail — into a lab warehouse
+// that mutate configures, with an hourly sweep. Before each sweep it
+// samples what share of the memory tier's residents are unproven
+// newcomers (admitted, never re-referenced since): the placement the
+// policy lived with for the last period. It returns the warehouse's
+// stats and that share's mean over the samples.
+func newcomerReplay(seed int64, sessions int, length core.Duration, mutate func(*warehouse.Config)) (warehouse.Stats, float64) {
+	g, tr := generate(seed, 20, 100, sessions, length, func(tc *workload.TraceConfig) {
+		tc.TopicAffinity = 0.9
+		tc.FollowLinkProb = 0.4
+	})
+	w, clock := labWarehouse(g, mutate)
+	counts := make(map[string]int)
+	var wasteSum float64
+	var samples int
+	must(Replay(w, clock, tr.Log, 3600, Hooks{
+		BeforeSweep: func() {
+			residents, oneTimers := 0, 0
+			for _, info := range w.Pages() {
+				if info.Tier == "memory" {
+					residents++
+					if counts[info.URL] <= 1 {
+						oneTimers++
+					}
+				}
+			}
+			if residents > 0 {
+				wasteSum += float64(oneTimers) / float64(residents)
+				samples++
+			}
+		},
+		AfterServe: func(r logmine.Record, _ warehouse.GetResult) { counts[r.URL]++ },
+	}))
+	if samples == 0 {
+		return w.Stats(), 0
+	}
+	return w.Stats(), wasteSum / float64(samples)
 }
 
 // F8AdmissionPriority regenerates Figure 8 — admission-time priority from
@@ -107,7 +159,7 @@ func F8AdmissionPriority(seed int64) Table {
 	//	          the ~60% one-timer mass, but cold-starts hot pages);
 	//	evidence: semantic-region similarity + hot topics (CBFWW).
 	run := func(newcomerPrio float64) (warehouse.Stats, float64) {
-		wd := buildWorld(seed, 20, 100, 3000, 400_000, nil, func(c *warehouse.Config) {
+		return newcomerReplay(seed, 3000, 400_000, func(c *warehouse.Config) {
 			if newcomerPrio >= 0 {
 				c.Priority = priority.Config{
 					SimilarityWeight: 0, TopicWeight: 0,
@@ -116,57 +168,7 @@ func F8AdmissionPriority(seed int64) Table {
 					Lambda:        0.3, EpochLength: 3600,
 				}
 			}
-		}, func(tc *workload.TraceConfig) {
-			// The paper's regime: hot spots are topical, and a heavy
-			// one-timer tail exists.
-			tc.TopicAffinity = 0.9
-			tc.FollowLinkProb = 0.4
 		})
-		// Manual replay sampling the memory tier at every maintenance
-		// sweep: what share of its residents are unproven newcomers
-		// (admitted, never yet re-referenced)?
-		counts := make(map[string]int)
-		var wasteSum float64
-		var samples int
-		const period = 3600
-		next := core.Time(period)
-		for _, r := range wd.trace.Log {
-			if r.Time.After(wd.clock.Now()) {
-				wd.clock.Set(r.Time)
-			}
-			if wd.clock.Now() >= next {
-				// Sample the memory tier *before* the sweep: this is the
-				// placement the policy lived with for the last period.
-				residents, oneTimers := 0, 0
-				for _, info := range wd.w.Pages() {
-					if info.Tier == "memory" {
-						residents++
-						if counts[info.URL] <= 1 {
-							oneTimers++
-						}
-					}
-				}
-				if residents > 0 {
-					wasteSum += float64(oneTimers) / float64(residents)
-					samples++
-				}
-				if _, err := wd.w.Maintain(); err != nil {
-					panic(err)
-				}
-				for next <= wd.clock.Now() {
-					next = next.Add(period)
-				}
-			}
-			counts[r.URL]++
-			if _, err := wd.w.Get(r.User, r.URL); err != nil {
-				panic(err)
-			}
-		}
-		waste := 0.0
-		if samples > 0 {
-			waste = wasteSum / float64(samples)
-		}
-		return wd.w.Stats(), waste
 	}
 
 	cbfww, wasteC := run(-1)
@@ -201,17 +203,20 @@ func X2TopicSensor(seed int64) Table {
 			Headline: "typhoon landfall warning kansai", Lead: 8_000},
 	}
 	run := func(sensorOn bool) (warehouse.Stats, float64) {
-		wd := buildWorld(seed, 10, 60, 2500, 450_000, events, nil)
+		g, tr := generate(seed, 10, 60, 2500, 450_000, func(tc *workload.TraceConfig) {
+			tc.Events = events
+		})
+		w, clock := labWarehouse(g, nil)
 		if sensorOn {
-			wd.w.WatchFeed(wd.trace.News)
+			w.WatchFeed(tr.News)
 			// Event pages get URL-carrying articles so Maintain can
 			// prefetch: announce every event-topic page at lead time.
 			for _, ev := range events {
 				// PageURLs is generation-ordered: iterating it (not the
 				// TopicOf map) keeps the publish order deterministic.
-				for _, url := range wd.g.PageURLs {
-					if wd.g.TopicOf[url] == ev.Topic {
-						wd.trace.News.Publish(topic.Article{
+				for _, url := range g.PageURLs {
+					if g.TopicOf[url] == ev.Topic {
+						tr.News.Publish(topic.Article{
 							Time: ev.Start.Add(-ev.Lead), Headline: ev.Headline, URL: url,
 						})
 					}
@@ -221,45 +226,30 @@ func X2TopicSensor(seed int64) Table {
 
 		inEvent := func(url string, at core.Time) bool {
 			for _, ev := range events {
-				if wd.g.TopicOf[url] == ev.Topic && at >= ev.Start && at.Before(ev.Start.Add(ev.Length)) {
+				if g.TopicOf[url] == ev.Topic && at >= ev.Start && at.Before(ev.Start.Add(ev.Length)) {
 					return true
 				}
 			}
 			return false
 		}
 
-		// Manual replay so per-request hits during event windows can be
-		// counted directly.
+		// Count per-request hits during event windows.
 		hits, reqs := 0, 0
-		next := core.Time(3600)
-		for _, r := range wd.trace.Log {
-			if r.Time.After(wd.clock.Now()) {
-				wd.clock.Set(r.Time)
-			}
-			if wd.clock.Now() >= next {
-				if _, err := wd.w.Maintain(); err != nil {
-					panic(err)
+		must(Replay(w, clock, tr.Log, 3600, Hooks{
+			AfterServe: func(r logmine.Record, res warehouse.GetResult) {
+				if inEvent(r.URL, r.Time) {
+					reqs++
+					if res.Hit {
+						hits++
+					}
 				}
-				for next <= wd.clock.Now() {
-					next += 3600
-				}
-			}
-			res, err := wd.w.Get(r.User, r.URL)
-			if err != nil {
-				panic(err)
-			}
-			if inEvent(r.URL, r.Time) {
-				reqs++
-				if res.Hit {
-					hits++
-				}
-			}
-		}
+			},
+		}))
 		ratio := 0.0
 		if reqs > 0 {
 			ratio = float64(hits) / float64(reqs)
 		}
-		return wd.w.Stats(), ratio
+		return w.Stats(), ratio
 	}
 	off, offRatio := run(false)
 	on, onRatio := run(true)
@@ -287,7 +277,8 @@ func X5Consistency(seed int64) Table {
 			"stale serves", "mean latency"},
 	}
 	for _, mode := range []constraint.Mode{constraint.Strong, constraint.Weak} {
-		wd := buildWorld(seed, 8, 50, 2000, 300_000, nil, func(c *warehouse.Config) {
+		g, tr := generate(seed, 8, 50, 2000, 300_000, nil)
+		w, clock := labWarehouse(g, func(c *warehouse.Config) {
 			if mode == constraint.Strong {
 				c.Consistency = constraint.Consistency{Mode: constraint.Strong}
 			} else {
@@ -302,28 +293,25 @@ func X5Consistency(seed int64) Table {
 		stale := 0
 		rng := newRand(seed)
 		var updates core.Time = 2000
-		for _, r := range wd.trace.Log {
-			if r.Time.After(wd.clock.Now()) {
-				wd.clock.Set(r.Time)
-			}
-			for updates <= r.Time {
-				url := wd.g.PageURLs[rng.Intn(len(wd.g.PageURLs))]
-				if err := wd.g.Web.Update(url, "churn content"); err != nil {
-					panic(err)
+		must(Replay(w, clock, tr.Log, 0, Hooks{
+			BeforeServe: func(r logmine.Record) error {
+				for ; updates <= r.Time; updates += 2000 {
+					if err := g.Web.Update(g.PageURLs[rng.Intn(len(g.PageURLs))], "churn content"); err != nil {
+						return err
+					}
 				}
-				updates += 2000
-			}
-			res, err := wd.w.Get(r.User, r.URL)
-			if err != nil {
-				panic(err)
-			}
-			if res.Hit {
-				if v, _, err := wd.g.Web.HeadCtx(context.Background(), r.URL); err == nil && res.Page.Version < v {
+				return nil
+			},
+			AfterServe: func(r logmine.Record, res warehouse.GetResult) {
+				if !res.Hit {
+					return
+				}
+				if v, _, err := g.Web.HeadCtx(context.Background(), r.URL); err == nil && res.Page.Version < v {
 					stale++
 				}
-			}
-		}
-		st := wd.w.Stats()
+			},
+		}))
+		st := w.Stats()
 		t.AddRow(mode.String(), itoa(st.Revalidations), itoa(st.OriginFetches),
 			pct(st.HitRatio()), itoa(stale), f2(st.MeanLatency()))
 	}
@@ -334,11 +322,12 @@ func X5Consistency(seed int64) Table {
 // Q1PopularityQueries runs the paper's three §4.3 example queries against
 // a populated warehouse and reports their results plus throughput.
 func Q1PopularityQueries(seed int64) Table {
-	wd := buildWorld(seed, 6, 30, 1200, 200_000, nil, func(c *warehouse.Config) {
+	g, tr := generate(seed, 6, 30, 1200, 200_000, nil)
+	w, clock := labWarehouse(g, func(c *warehouse.Config) {
 		c.Miner.MinSupport = 2
 	})
-	wd.replay(6 * 3600)
-	if _, err := wd.w.MinePaths(); err != nil {
+	must(Replay(w, clock, tr.Log, 6*3600, Hooks{}))
+	if _, err := w.MinePaths(); err != nil {
 		panic(err)
 	}
 
@@ -356,7 +345,7 @@ func Q1PopularityQueries(seed int64) Table {
 		{"paper query 3 (MFU + end_at)", fmt.Sprintf(`
 			SELECT MFU 5 l.path FROM Logical_Page l
 			WHERE end_at(l.oid) IN
-			(SELECT p.oid FROM Physical_Page p WHERE p.url = '%s')`, wd.g.PageURLs[0])},
+			(SELECT p.oid FROM Physical_Page p WHERE p.url = '%s')`, g.PageURLs[0])},
 		{"usage-attribute filter", `
 			SELECT LFU 5 p.url, p.freq FROM Physical_Page p WHERE p.freq > 0`},
 	}
@@ -367,7 +356,7 @@ func Q1PopularityQueries(seed int64) Table {
 	}
 	for _, q := range queries {
 		start := time.Now()
-		rows, err := wd.w.Query(q.q)
+		rows, err := w.Query(q.q)
 		lat := time.Since(start)
 		if err != nil {
 			t.AddRow(q.name, "ERR: "+err.Error(), "-")
@@ -375,7 +364,7 @@ func Q1PopularityQueries(seed int64) Table {
 		}
 		t.AddRow(q.name, itoa(len(rows)), lat.Round(time.Microsecond).String())
 	}
-	t.AddNote("warehouse holds %d pages, %d logical pages", wd.w.ResidentPages(),
-		wd.w.Hierarchy().Len(object.KindLogical))
+	t.AddNote("warehouse holds %d pages, %d logical pages", w.ResidentPages(),
+		w.Hierarchy().Len(object.KindLogical))
 	return t
 }

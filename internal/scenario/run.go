@@ -7,6 +7,8 @@ import (
 
 	"cbfww/internal/cache"
 	"cbfww/internal/core"
+	"cbfww/internal/experiments"
+	"cbfww/internal/logmine"
 	"cbfww/internal/priority"
 	"cbfww/internal/storage"
 	"cbfww/internal/warehouse"
@@ -59,40 +61,22 @@ func (r *Runner) Run() (*Results, error) {
 	return res, nil
 }
 
-// buildTrace regenerates the cell's world from scratch. Every cell gets
-// its own web and trace so nothing leaks between cells; cells sharing
-// workload axes get identical traces (same seed, same knobs), which is
-// what makes the policy columns comparable.
-func (r *Runner) buildTrace(c Cell) (*workload.GeneratedWeb, *workload.Trace, error) {
-	run := r.Spec.Run
-	clock := core.NewSimClock(0)
-	wcfg := workload.DefaultWebConfig()
-	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = run.Sites, run.PagesPerSite, run.Seed
-	g, err := workload.GenerateWeb(clock, wcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Users = run.Users
-	tcfg.Sessions = run.Sessions
-	tcfg.Length = run.Length
-	tcfg.Seed = run.Seed
-	tcfg.ZipfS = c.Zipf
-	// One-timer mass: deeper walks touch more distinct tail pages exactly
-	// once. mass 0 -> follow 0.2 (head-heavy revisits), 1 -> 0.8.
-	tcfg.FollowLinkProb = 0.2 + 0.6*c.OneTimerMass
-	tcfg.UpdatesPerTick = c.Churn
-	tcfg.TopicAffinity = 0.7
-	tcfg.Burst = workload.BurstSchedule{Count: c.Burst.Count, Intensity: c.Burst.Intensity}
-	tr, err := workload.GenerateTrace(g, clock, tcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, tr, nil
-}
-
+// runCell regenerates the cell's world from scratch, so nothing leaks
+// between cells; cells sharing workload axes get identical traces (same
+// seed, same knobs), which is what makes the policy columns comparable.
 func (r *Runner) runCell(c Cell) (map[string]float64, error) {
-	g, tr, err := r.buildTrace(c)
+	run := r.Spec.Run
+	g, tr, err := workload.Generate(run.Seed, run.Sites, run.PagesPerSite, run.Sessions, run.Length,
+		func(tc *workload.TraceConfig) {
+			tc.Users = run.Users
+			tc.ZipfS = c.Zipf
+			// One-timer mass: deeper walks touch more distinct tail pages
+			// exactly once. mass 0 -> follow 0.2 (head-heavy revisits), 1 -> 0.8.
+			tc.FollowLinkProb = 0.2 + 0.6*c.OneTimerMass
+			tc.UpdatesPerTick = c.Churn
+			tc.TopicAffinity = 0.7
+			tc.Burst = workload.BurstSchedule{Count: c.Burst.Count, Intensity: c.Burst.Intensity}
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -150,33 +134,26 @@ func (r *Runner) runWarehouseCell(c Cell, g *workload.GeneratedWeb, tr *workload
 	// bases, so oscillations return to the exact starting targets.
 	base := mgr.Tiers()
 	events := capacityEvents(c.Capacity, run.Length)
-	next := core.Time(run.MaintainEvery)
 	lats := make([]float64, 0, len(tr.Log))
-	for _, rec := range tr.Log {
-		if rec.Time.After(clock.Now()) {
-			clock.Set(rec.Time)
-		}
-		for len(events) > 0 && clock.Now() >= events[0].at {
-			targets := make(map[string]core.Bytes, len(base)-1)
-			for _, ti := range base[:len(base)-1] {
-				targets[ti.Name] = scaleBytes(ti.Capacity, events[0].factor)
+	err = experiments.Replay(w, clock, tr.Log, run.MaintainEvery, experiments.Hooks{
+		BeforeServe: func(logmine.Record) error {
+			for ; len(events) > 0 && clock.Now() >= events[0].at; events = events[1:] {
+				targets := make(map[string]core.Bytes, len(base)-1)
+				for _, ti := range base[:len(base)-1] {
+					targets[ti.Name] = scaleBytes(ti.Capacity, events[0].factor)
+				}
+				if err := mgr.ResizeTiers(targets); err != nil {
+					return err
+				}
 			}
-			if err := mgr.ResizeTiers(targets); err != nil {
-				return nil, err
-			}
-			events = events[1:]
-		}
-		for clock.Now() >= next {
-			if _, err := w.Maintain(); err != nil {
-				return nil, err
-			}
-			next = next.Add(run.MaintainEvery)
-		}
-		res, err := w.Get(rec.User, rec.URL)
-		if err != nil {
-			return nil, err
-		}
-		lats = append(lats, float64(res.Latency))
+			return nil
+		},
+		AfterServe: func(_ logmine.Record, res warehouse.GetResult) {
+			lats = append(lats, float64(res.Latency))
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	st := w.Stats()

@@ -259,6 +259,32 @@ func GenerateTrace(g *GeneratedWeb, clock *core.SimClock, cfg TraceConfig) (*Tra
 	return tr, nil
 }
 
+// Generate builds a sites × pages web and a trace of sessions over length
+// ticks on it, both from seed; tune, when non-nil, sets the trace's other
+// settings. The generation clock stays private: the trace drives it (the
+// web's churn is stamped on it), so whatever replays the trace into a
+// warehouse does so on a fresh clock of its own.
+func Generate(seed int64, sites, pages, sessions int, length core.Duration,
+	tune func(*TraceConfig)) (*GeneratedWeb, *Trace, error) {
+	clock := core.NewSimClock(0)
+	wcfg := DefaultWebConfig()
+	wcfg.Sites, wcfg.PagesPerSite, wcfg.Seed = sites, pages, seed
+	g, err := GenerateWeb(clock, wcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tcfg := DefaultTraceConfig()
+	tcfg.Sessions, tcfg.Length, tcfg.Seed = sessions, length, seed
+	if tune != nil {
+		tune(&tcfg)
+	}
+	tr, err := GenerateTrace(g, clock, tcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, tr, nil
+}
+
 // popularityOrder maps Zipf ranks to page indices. With zero affinity the
 // mapping is a uniform random permutation; with affinity 1 pages are
 // ordered in topic blocks (a randomly chosen hot-topic order, shuffled
