@@ -15,7 +15,9 @@ import (
 // the component size — simweb's convention), and body text from everything
 // else. The parser is deliberately small — a tag scanner, not a browser —
 // but handles the malformed-markup cases a crawler meets (unclosed tags,
-// missing quotes, nested elements).
+// missing quotes, nested elements). No string of the page but URL points
+// into html, so what is kept of a page (its title, its anchors) does not
+// pin the document.
 func ParsePage(url, html string) core.Page {
 	p := core.Page{URL: url}
 	var body collapsed
@@ -74,7 +76,31 @@ func ParsePage(url, html string) core.Page {
 		}
 	}
 	p.Body = body.String()
+	ownFields(&p)
 	return p
+}
+
+// ownFields copies p's title, anchor texts and targets and component URLs
+// into one fresh string: one allocation per page, not per anchor.
+func ownFields(p *core.Page) {
+	n := 0
+	eachField(p, func(f *string) { n += len(*f) })
+	var b strings.Builder
+	b.Grow(n)
+	eachField(p, func(f *string) { b.WriteString(*f) })
+	all := b.String()
+	eachField(p, func(f *string) { *f, all = all[:len(*f)], all[len(*f):] })
+}
+
+func eachField(p *core.Page, visit func(*string)) {
+	visit(&p.Title)
+	for i := range p.Anchors {
+		visit(&p.Anchors[i].Text)
+		visit(&p.Anchors[i].Target)
+	}
+	for i := range p.Components {
+		visit(&p.Components[i].URL)
+	}
 }
 
 // collapsed accumulates strings.Join(strings.Fields(all), " ") of all it

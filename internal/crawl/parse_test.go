@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+	"unsafe"
 
 	"cbfww/internal/core"
 )
@@ -246,8 +247,48 @@ func TestParsePageAllocationsFlatInAnchors(t *testing.T) {
 	}
 }
 
-// ParsePage never panics, and on ASCII input it gives what the reference
-// gave.
+// pinned names the first string of p, URL aside, that points into html's
+// bytes, or returns "" when none does.
+func pinned(p core.Page, html string) string {
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(html)))
+	into := func(s string) bool {
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && at >= lo && at < lo+uintptr(len(html))
+	}
+	if into(p.Title) {
+		return "title"
+	}
+	if into(p.Body) {
+		return "body"
+	}
+	for i, a := range p.Anchors {
+		if into(a.Text) || into(a.Target) {
+			return fmt.Sprintf("anchor %d", i)
+		}
+	}
+	for i, c := range p.Components {
+		if into(c.URL) {
+			return fmt.Sprintf("component %d", i)
+		}
+	}
+	return ""
+}
+
+// A parsed page keeps no substring of its HTML: a title kept in version
+// history or an anchor map kept with the page would pin the document.
+func TestParsePageKeepsNoSubstringOfInput(t *testing.T) {
+	html := anchorPage(10) + `<img src="/m.png" width=512>`
+	p := ParsePage("http://h/p", html)
+	if p.Title != "Anchors" || len(p.Anchors) != 10 || len(p.Components) != 1 {
+		t.Fatalf("parsed %q, %d anchors, %d components", p.Title, len(p.Anchors), len(p.Components))
+	}
+	if f := pinned(p, html); f != "" {
+		t.Errorf("the page's %s points into its HTML", f)
+	}
+}
+
+// ParsePage never panics, on ASCII input it gives what the reference
+// gave, and it keeps no substring of its input.
 func FuzzParsePage(f *testing.F) {
 	f.Add("<html><head><title>Kyoto</title></head><body><p>Night <a href=\"/x\">Bus</a></p><img src=/m.png width=512></body></html>")
 	f.Add("<TITLE>Mixed</TITLE><A HREF='y'>Up</A><script>var x;</SCRIPT>rest")
@@ -256,6 +297,9 @@ func FuzzParsePage(f *testing.F) {
 	f.Add("<style>p{}</sty><title>unclosed")
 	f.Fuzz(func(t *testing.T, html string) {
 		got := ParsePage("http://h/p", html)
+		if f := pinned(got, html); f != "" {
+			t.Fatalf("ParsePage(%q): the page's %s points into its input", html, f)
+		}
 		if !asciiOnly(html) {
 			return
 		}

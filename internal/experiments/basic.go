@@ -43,18 +43,21 @@ func T1Capabilities() Table {
 // modification-invariant firstref).
 func T2UsageAttributes() Table {
 	clock := core.NewSimClock(0)
-	tr := usage.NewTracker(clock, 7*24*3600, 0.3)
+	tr := usage.NewTracker(clock, 0.3)
+	win := usage.NewSlidingWindow(7 * 24 * 3600) // the exact estimator, fed beside the tracker
 	const id = core.ObjectID(1)
+	touch := func(at core.Time) {
+		clock.Set(at)
+		tr.Touch(id)
+		win.Record(id, at)
+	}
 
 	// Scripted history: references at t=10, 30, 100; modification at t=50.
-	clock.Set(10)
-	tr.Touch(id)
-	clock.Set(30)
-	tr.Touch(id)
+	touch(10)
+	touch(30)
 	clock.Set(50)
 	tr.Modify(id)
-	clock.Set(100)
-	tr.Touch(id)
+	touch(100)
 	tr.SetShared(id, 2)
 
 	snap, _ := tr.Get(id)
@@ -72,7 +75,7 @@ func T2UsageAttributes() Table {
 	t.AddRow("lastkref k=4", "t_i^4", k4.String(), "fewer than 4 refs: -infinity")
 	t.AddRow("lastkmod k=1", "u_i^1", snap.LastMod.String(), "time of last modification")
 	t.AddRow("shared", "r", fmt.Sprintf("%d", snap.Shared), "number of containers")
-	t.AddRow("window freq", "-", fmt.Sprintf("%d", tr.WindowFrequency(id)), "exact sliding-window count")
+	t.AddRow("window freq", "-", fmt.Sprintf("%d", win.Frequency(id, clock.Now())), "exact sliding-window count")
 	t.AddRow("aged freq", "-", fmt.Sprintf("%.3f", tr.AgedFrequency(id)), "lambda-aging estimate")
 	return t
 }

@@ -11,7 +11,7 @@ import (
 // references to each object within a movable interval of fixed length.
 // Precise, but it must "keep track of detailed usage information for all
 // data about the current window" — O(references in window) memory. The
-// estimator is not internally synchronized; the Tracker owns the lock.
+// estimator is not internally synchronized; its caller serializes access.
 type SlidingWindow struct {
 	size   core.Duration
 	events *list.List // of windowEvent, oldest at front

@@ -11,6 +11,8 @@
 // Two frequency estimators are provided, matching §4.2: an exact sliding
 // window (precise, O(window) memory) and λ-aging (constant memory,
 // exponentially weighted). E-X1 in EXPERIMENTS.md benchmarks the trade-off.
+// The Tracker keeps λ-aging alone, as the paper chooses; the window is the
+// lab's exact reference.
 package usage
 
 import (
@@ -139,23 +141,22 @@ func (h *History) Snapshot() Snapshot {
 	}
 }
 
-// Tracker owns the histories of all objects and the frequency estimators.
-// It is safe for concurrent use.
+// Tracker owns the histories of all objects and their λ-aged frequency:
+// O(objects) memory, whatever the reference rate. It is safe for
+// concurrent use.
 type Tracker struct {
 	mu        sync.RWMutex
 	clock     core.Clock
 	histories map[core.ObjectID]*History
-	window    *SlidingWindow
 	aging     *AgingEstimator
 }
 
-// NewTracker returns a Tracker using the given clock, an exact sliding
-// window of windowSize ticks, and λ-aging with the given lambda.
-func NewTracker(clock core.Clock, windowSize core.Duration, lambda float64) *Tracker {
+// NewTracker returns a Tracker using the given clock and λ-aging with the
+// given lambda.
+func NewTracker(clock core.Clock, lambda float64) *Tracker {
 	return &Tracker{
 		clock:     clock,
 		histories: make(map[core.ObjectID]*History),
-		window:    NewSlidingWindow(windowSize),
 		aging:     NewAgingEstimator(lambda),
 	}
 }
@@ -184,7 +185,6 @@ func (t *Tracker) Touch(id core.ObjectID) Snapshot {
 		t.histories[id] = h
 	}
 	h.Touch(now)
-	t.window.Record(id, now)
 	t.aging.Record(id, now)
 	return h.Snapshot()
 }
@@ -235,15 +235,6 @@ func (t *Tracker) LastKRef(id core.ObjectID, k int) (core.Time, bool) {
 		return core.TimeNever, false
 	}
 	return h.LastKRef(k), true
-}
-
-// WindowFrequency returns the exact reference count of id within the
-// sliding window ending now.
-func (t *Tracker) WindowFrequency(id core.ObjectID) int {
-	now := t.clock.Now()
-	t.mu.Lock() // Advance prunes, so a write lock is needed.
-	defer t.mu.Unlock()
-	return t.window.Frequency(id, now)
 }
 
 // AgedFrequency returns the λ-aged frequency estimate of id as of now.

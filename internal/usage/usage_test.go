@@ -256,7 +256,7 @@ func TestSlidingWindowMatchesBruteForce(t *testing.T) {
 
 func TestTrackerEndToEnd(t *testing.T) {
 	clock := core.NewSimClock(0)
-	tr := NewTracker(clock, 100, 0.5)
+	tr := NewTracker(clock, 0.5)
 	tr.Touch(1)
 	clock.Advance(10)
 	tr.Touch(1)
@@ -275,9 +275,6 @@ func TestTrackerEndToEnd(t *testing.T) {
 	if s2.LastMod != 10 {
 		t.Errorf("LastMod = %v", s2.LastMod)
 	}
-	if got := tr.WindowFrequency(1); got != 2 {
-		t.Errorf("WindowFrequency = %d", got)
-	}
 	if got := tr.AgedFrequency(1); got <= 0 {
 		t.Errorf("AgedFrequency = %v", got)
 	}
@@ -295,7 +292,7 @@ func TestTrackerEndToEnd(t *testing.T) {
 // Modify on an untouched object must create history without a firstref.
 func TestTrackerModifyBeforeTouch(t *testing.T) {
 	clock := core.NewSimClock(5)
-	tr := NewTracker(clock, 10, 0.5)
+	tr := NewTracker(clock, 0.5)
 	tr.Modify(7)
 	s, ok := tr.Get(7)
 	if !ok {
@@ -311,7 +308,7 @@ func TestTrackerModifyBeforeTouch(t *testing.T) {
 
 func TestTrackerConcurrent(t *testing.T) {
 	clock := core.NewSimClock(0)
-	tr := NewTracker(clock, 1000, 0.5)
+	tr := NewTracker(clock, 0.5)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -322,7 +319,6 @@ func TestTrackerConcurrent(t *testing.T) {
 				tr.Touch(id)
 				tr.Get(id)
 				tr.AgedFrequency(id)
-				tr.WindowFrequency(id)
 			}
 		}(g)
 	}

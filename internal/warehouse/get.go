@@ -8,7 +8,6 @@ import (
 
 	"cbfww/internal/constraint"
 	"cbfww/internal/core"
-	"cbfww/internal/logmine"
 	"cbfww/internal/object"
 	"cbfww/internal/priority"
 	"cbfww/internal/storage"
@@ -256,7 +255,7 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 		if next == stepServe {
 			out, bs, err := w.readResident(st, url)
 			if err == nil && out.Page.Version >= st.version {
-				w.afterServe(sh, user, url, st, out, prefetch)
+				w.afterServe(sh, user, st, out, prefetch)
 				return out, bs, nil
 			}
 			// The body is lost (tier failures without recovery), corrupt,
@@ -280,7 +279,7 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 			if out, bs, err := w.readResident(st, url); err == nil {
 				out.Stale = true
 				sh.stats.StaleServes++
-				w.afterServe(sh, user, url, st, out, prefetch)
+				w.afterServe(sh, user, st, out, prefetch)
 				return out, bs, nil
 			}
 			if f.fetched {
@@ -306,8 +305,8 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 		// the origin answered: it is served, not kept.
 		out := GetResult{Page: p, Source: sourceOrigin, Latency: f.rec.fr.Latency}
 		out.Priority, _ = w.store.Priority(st.container)
-		w.afterServe(sh, user, url, st, out, prefetch)
-		w.appendLog(user, url, out, applied)
+		w.afterServe(sh, user, st, out, prefetch)
+		w.appendLog(user, st.url, out, applied)
 		if rep := w.replicator(); rep != nil && applied {
 			rep(url, p) // fresh content propagates to the replica set
 		}
@@ -473,7 +472,7 @@ func (w *Warehouse) GetResidentStream(user, url string) (GetResult, *BodyStream,
 	if err != nil {
 		return GetResult{}, nil, false
 	}
-	w.afterServe(sh, user, url, st, out, false)
+	w.afterServe(sh, user, st, out, false)
 	return out, bs, true
 }
 
@@ -576,6 +575,7 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 		}
 		container, _ := w.objects.ByKey(object.KindRaw, rec.url)
 		st = &pageState{
+			url:               rec.url,
 			physID:            phys.ID,
 			container:         container.ID,
 			version:           p.Version,
@@ -655,7 +655,7 @@ func (w *Warehouse) firstSight(sh *shard, user string, rec *record, st *pageStat
 	switch {
 	case st != nil:
 		out.Priority = st.admissionPriority
-		w.afterServe(sh, user, rec.url, st, out, prefetch)
+		w.afterServe(sh, user, st, out, prefetch)
 	case !prefetch:
 		w.countRequest(sh, out)
 	}
@@ -700,8 +700,9 @@ func (w *Warehouse) admitToStorage(container core.ObjectID, p *core.Page, prio c
 }
 
 // afterServe updates usage, region heat and the user profile, and counts
-// the request. Requires sh.mu (write).
-func (w *Warehouse) afterServe(sh *shard, user, url string, st *pageState, out GetResult, prefetch bool) {
+// the request; a hit is logged under st's own URL string, so nothing of
+// the request outlives it. Requires sh.mu (write).
+func (w *Warehouse) afterServe(sh *shard, user string, st *pageState, out GetResult, prefetch bool) {
 	if prefetch {
 		return
 	}
@@ -714,7 +715,7 @@ func (w *Warehouse) afterServe(sh *shard, user, url string, st *pageState, out G
 	}
 	w.countRequest(sh, out)
 	if out.Hit {
-		w.appendLog(user, url, out, false)
+		w.appendLog(user, st.url, out, false)
 	}
 }
 
@@ -729,22 +730,33 @@ func (w *Warehouse) countRequest(sh *shard, out GetResult) {
 	}
 }
 
+// logEntry is one access of the operational log, as compact as it can be
+// kept: AccessLog expands it to a logmine.Record, every one served 200
+// with no referrer.
+type logEntry struct {
+	at        core.Time
+	user, url string
+	bytes     core.Bytes
+	modified  bool
+}
+
+// logChunk is the number of entries in each chunk of the operational log.
+const logChunk = 1024
+
 // appendLog records the access in the warehouse's operational log
 // ("Operational data (logs) are also stored for priority management and
 // performance improvement"). The log has its own mutex so appends from
 // different shards keep a single total order — sessionization and path
-// mining depend on per-user access order across the whole warehouse.
+// mining depend on per-user access order across the whole warehouse. The
+// log grows a chunk at a time, so an append never copies what is logged.
 func (w *Warehouse) appendLog(user, url string, out GetResult, modified bool) {
-	rec := logmine.Record{
-		Time:     w.clock.Now(),
-		User:     user,
-		URL:      url,
-		Status:   200,
-		Bytes:    out.Page.Size,
-		Modified: modified,
-	}
+	e := logEntry{at: w.clock.Now(), user: user, url: url, bytes: out.Page.Size, modified: modified}
 	w.logMu.Lock()
-	w.log = append(w.log, rec)
+	if w.logN%logChunk == 0 {
+		w.logChunks = append(w.logChunks, new([logChunk]logEntry))
+	}
+	w.logChunks[w.logN/logChunk][w.logN%logChunk] = e
+	w.logN++
 	w.logMu.Unlock()
 }
 

@@ -245,9 +245,20 @@ func (w *Warehouse) applyPriorities() {
 	w.store.ApplyPriorities(raws)
 }
 
-// AccessLog returns a copy of the operational log.
+// AccessLog returns a copy of the operational log, in append order. Only
+// the chunk list is read under logMu: the entries before logN are never
+// written again, so they are expanded while hits go on appending.
 func (w *Warehouse) AccessLog() logmine.Log {
 	w.logMu.Lock()
-	defer w.logMu.Unlock()
-	return append(logmine.Log(nil), w.log...)
+	chunks, n := w.logChunks, w.logN
+	w.logMu.Unlock()
+	if n == 0 {
+		return nil
+	}
+	out := make(logmine.Log, n)
+	for i := range out {
+		e := &chunks[i/logChunk][i%logChunk]
+		out[i] = logmine.Record{Time: e.at, User: e.user, URL: e.url, Status: 200, Bytes: e.bytes, Modified: e.modified}
+	}
+	return out
 }

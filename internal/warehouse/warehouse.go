@@ -90,10 +90,8 @@ func (c *Config) ApplySchema(s schema.Schema) error {
 // The tunables of the usage tracker, the path miner, the recommender and
 // the topic model, at the values the experiments run with.
 const (
-	// usageWindow and usageLambda configure the usage tracker's
-	// estimators (the window is the paper's "last week");
-	// usageAgingEpoch is the λ-aging epoch length in ticks.
-	usageWindow     = 7 * 24 * 3600
+	// usageLambda is the usage tracker's λ-aging weight and
+	// usageAgingEpoch its epoch length in ticks.
 	usageLambda     = 0.3
 	usageAgingEpoch = 3600
 	// sessionTimeout separates navigation sessions for path mining.
@@ -231,6 +229,7 @@ func (s Stats) MeanLatency() float64 {
 
 // pageState is warehouse-local bookkeeping per admitted physical page.
 type pageState struct {
+	url       string // the key of sh.pages, logged for every hit
 	physID    core.ObjectID
 	container core.ObjectID
 	version   int
@@ -291,12 +290,13 @@ type Warehouse struct {
 	// (§3(5)'s per-user views of relevant contents).
 	views map[string]map[string]string
 
-	// logMu guards the operational log. The log is append-mostly and the
-	// critical section is one slice append, so a dedicated mutex keeps
-	// the global total order of accesses (sessionization needs it)
-	// without re-serializing the request path.
-	logMu sync.Mutex
-	log   logmine.Log
+	// logMu guards the operational log: logN entries, filling chunks in
+	// order. The critical section is one entry's store, so a dedicated
+	// mutex keeps the global total order of accesses (sessionization
+	// needs it) without re-serializing the request path.
+	logMu     sync.Mutex
+	logChunks []*[logChunk]logEntry
+	logN      int
 
 	// Tiered-index probe counters are warehouse-global (a search sweeps
 	// every shard), kept as atomics so SearchTiered stays lock-free
@@ -375,7 +375,7 @@ func New(cfg Config, clock core.Clock, web core.Origin) (*Warehouse, error) {
 		corpus:           corpus,
 		index:            text.NewInvertedIndex(corpus.Dict()),
 		objects:          object.NewHierarchy(),
-		tracker:          usage.NewTracker(clock, usageWindow, usageLambda),
+		tracker:          usage.NewTracker(clock, usageLambda),
 		regions:          regions,
 		topics:           topics,
 		sensor:           topic.NewSensor(clock, sensorDecay),
