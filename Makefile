@@ -53,12 +53,13 @@ bench-serve:
 # full) and a first-sight Get on one shard, serial and parallel — plus the
 # tests that fail when admission cost starts to follow the population (one
 # object decided per admission at either size) or the page is tokenized
-# more than once (allocs/op ceiling). Then a restart's restore of 1,920
+# more than once (allocs/op ceiling), or a kept page's live heap passes its
+# ceiling (TestKeptPageHeap). Then a restart's restore of 1,920
 # pages on one core and on two: one restore is a whole second, so it runs
 # a few times, not 2,000. CI runs this in the bench-smoke job.
 bench-admit:
 	$(GO) test -bench 'AdmitAtPopulation|AdmitNew' -benchmem -benchtime=2000x \
-		-run 'AdmissionVisitsOnlyWhatItDisplaces|AdmitNewAllocCeiling' \
+		-run 'AdmissionVisitsOnlyWhatItDisplaces|AdmitNewAllocCeiling|KeptPageHeap' \
 		./internal/storage/ ./internal/warehouse/
 	$(GO) test -bench 'Rehydrate' -benchmem -benchtime=3x -cpu 1,2 -run '^$$' ./internal/warehouse/
 

@@ -2,28 +2,47 @@ package text
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"cbfww/internal/core"
 )
 
-// Posting is one entry in an inverted-index posting list: a document that
-// contains the term, with its term frequency.
-type Posting struct {
-	Doc core.ObjectID
-	TF  int
+// posting is one entry in a posting list: a document, by its number in
+// the index, and the term's frequency in it. Eight bytes: tf saturates at
+// math.MaxUint32, a term written four billion times in one document.
+type posting struct {
+	doc uint32
+	tf  uint32
+}
+
+// document is what an index keeps per document number: the document's
+// ObjectID, its length (total term count) and the terms it has a posting
+// under. A free number holds the zero document.
+type document struct {
+	id     core.ObjectID
+	length int
+	terms  []TermID // ascending; never written in place, so it may be a vector's
 }
 
 // InvertedIndex maps terms to posting lists over warehouse objects: the
 // warehouse's full-text index and the per-level "hierarchy of indices" of
 // §4.1, ranked by Search. The index supports removal so objects evicted
 // from a tier's detailed index can be dropped. Safe for concurrent use.
+//
+// Documents are numbered densely per index, and a removed document's
+// number is reused first, so an index that documents leave and re-enter
+// (a hot segment under memory-tier churn) keeps as many numbers as it
+// ever held documents at once, fewer than 2^32. lists is indexed by
+// TermID up to the largest term indexed: a slice header, 24 B, per
+// dictionary term.
 type InvertedIndex struct {
-	mu       sync.RWMutex
-	dict     *Dictionary
-	postings map[TermID][]Posting
-	docLen   map[core.ObjectID]int      // total term count per doc
-	docTerms map[core.ObjectID][]TermID // the terms each doc has a posting under
+	mu    sync.RWMutex
+	dict  *Dictionary
+	lists [][]posting // lists[t] is term t's postings
+	docs  []document  // docs[n] is document number n
+	nums  map[core.ObjectID]uint32
+	free  []uint32 // numbers of removed documents
 }
 
 // NewInvertedIndex returns an empty index sharing the given dictionary; a
@@ -33,12 +52,7 @@ func NewInvertedIndex(dict *Dictionary) *InvertedIndex {
 	if dict == nil {
 		dict = NewDictionary()
 	}
-	return &InvertedIndex{
-		dict:     dict,
-		postings: make(map[TermID][]Posting),
-		docLen:   make(map[core.ObjectID]int),
-		docTerms: make(map[core.ObjectID][]TermID),
-	}
+	return &InvertedIndex{dict: dict, nums: make(map[core.ObjectID]uint32)}
 }
 
 // Index adds a document's content under id, replacing any previous content
@@ -48,60 +62,102 @@ func (ix *InvertedIndex) Index(id core.ObjectID, content string) {
 }
 
 // IndexCounts is Index for counts resolved in the index's dictionary:
-// under the index lock it only appends postings.
+// under the index lock it only appends postings. The index keeps its own
+// copy of the counts' term IDs.
 func (ix *InvertedIndex) IndexCounts(id core.ObjectID, counts []TermCount) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.docLen[id]; ok {
-		ix.removeLocked(id)
-	}
-	total := 0
 	terms := make([]TermID, len(counts))
 	for i, tc := range counts {
-		ix.postings[tc.ID] = append(ix.postings[tc.ID], Posting{Doc: id, TF: tc.N})
-		total += tc.N
 		terms[i] = tc.ID
 	}
-	ix.docLen[id] = total
-	ix.docTerms[id] = terms
+	ix.index(id, counts, terms)
+}
+
+// IndexVector is IndexCounts for a page whose vector v was made from
+// counts. Every counted term gets a positive weight, so v's term IDs are
+// the counts' IDs, and the index keeps v's immutable ID slice as the
+// document's terms instead of a copy: the page's term IDs are stored
+// once. Should v's terms differ from the counts', it copies.
+func (ix *InvertedIndex) IndexVector(id core.ObjectID, counts []TermCount, v Vector) {
+	if !slices.EqualFunc(v.ids, counts, func(t TermID, tc TermCount) bool { return t == tc.ID }) {
+		ix.IndexCounts(id, counts)
+		return
+	}
+	ix.index(id, counts, v.ids)
+}
+
+// index posts counts under id, whose terms lists the counts' IDs in order.
+func (ix *InvertedIndex) index(id core.ObjectID, counts []TermCount, terms []TermID) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	n, ok := ix.nums[id]
+	if ok {
+		ix.unpostLocked(n)
+	} else {
+		n = ix.numberLocked(id)
+	}
+	total := 0
+	for _, tc := range counts {
+		if int(tc.ID) >= len(ix.lists) {
+			need := int(tc.ID) + 1
+			ix.lists = slices.Grow(ix.lists, need-len(ix.lists))[:need]
+		}
+		tf := uint32(min(uint64(tc.N), math.MaxUint32))
+		ix.lists[tc.ID] = append(ix.lists[tc.ID], posting{doc: n, tf: tf})
+		total += tc.N
+	}
+	ix.docs[n] = document{id: id, length: total, terms: terms}
+}
+
+// numberLocked gives id a document number: the last one freed, or a new one.
+func (ix *InvertedIndex) numberLocked(id core.ObjectID) uint32 {
+	var n uint32
+	if k := len(ix.free); k > 0 {
+		n, ix.free = ix.free[k-1], ix.free[:k-1]
+	} else {
+		n = uint32(len(ix.docs))
+		ix.docs = append(ix.docs, document{})
+	}
+	ix.nums[id] = n
+	return n
 }
 
 // Remove deletes all postings for id. Removing an unknown id is a no-op.
 func (ix *InvertedIndex) Remove(id core.ObjectID) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(id)
-}
-
-// removeLocked takes id's one posting out of each of its own terms' lists,
-// in place and in order, and walks no other list.
-func (ix *InvertedIndex) removeLocked(id core.ObjectID) {
-	if _, ok := ix.docLen[id]; !ok {
+	n, ok := ix.nums[id]
+	if !ok {
 		return
 	}
-	delete(ix.docLen, id)
-	for _, tid := range ix.docTerms[id] {
-		out := ix.postings[tid]
-		for i, p := range out {
-			if p.Doc == id {
-				out = append(out[:i], out[i+1:]...)
+	ix.unpostLocked(n)
+	delete(ix.nums, id)
+	ix.docs[n] = document{}
+	ix.free = append(ix.free, n)
+}
+
+// unpostLocked takes document n's one posting out of each of its own
+// terms' lists, in place and in order, and walks no other list.
+func (ix *InvertedIndex) unpostLocked(n uint32) {
+	for _, tid := range ix.docs[n].terms {
+		list := ix.lists[tid]
+		for i, p := range list {
+			if p.doc == n {
+				list = append(list[:i], list[i+1:]...)
 				break
 			}
 		}
-		if len(out) == 0 {
-			delete(ix.postings, tid)
-		} else {
-			ix.postings[tid] = out
+		if len(list) == 0 {
+			list = nil // an emptied list frees its array, as a deleted map entry did
 		}
+		ix.lists[tid] = list
 	}
-	delete(ix.docTerms, id)
 }
 
 // Contains reports whether id is indexed.
 func (ix *InvertedIndex) Contains(id core.ObjectID) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	_, ok := ix.docLen[id]
+	_, ok := ix.nums[id]
 	return ok
 }
 
@@ -109,7 +165,7 @@ func (ix *InvertedIndex) Contains(id core.ObjectID) bool {
 func (ix *InvertedIndex) NumDocs() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.docLen)
+	return len(ix.nums)
 }
 
 // Score ranks indexed documents by TF-IDF-weighted match against the query
@@ -138,50 +194,53 @@ func (ix *InvertedIndex) Search(query string, n int) []Score {
 func (ix *InvertedIndex) AppendSearch(dst []Score, terms []string) []Score {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	numDocs := len(ix.docLen)
+	numDocs := len(ix.nums)
 	if len(terms) == 1 {
 		// Single-term fast path: the posting list already holds one entry
 		// per document, so scores stream straight out with no map.
-		tid, ok := ix.dict.Lookup(terms[0])
-		if !ok {
-			return dst
-		}
-		list := ix.postings[tid]
+		list := ix.listOf(terms[0])
 		if len(list) == 0 {
 			return dst
 		}
 		idf := idfFor(numDocs, len(list))
 		for _, p := range list {
-			s := float64(p.TF) * idf
-			if l := ix.docLen[p.Doc]; l > 0 {
-				s /= float64(l)
+			d := &ix.docs[p.doc]
+			s := float64(p.tf) * idf
+			if d.length > 0 {
+				s /= float64(d.length)
 			}
-			dst = append(dst, Score{Doc: p.Doc, Value: s})
+			dst = append(dst, Score{Doc: d.id, Value: s})
 		}
 		return dst
 	}
-	scores := make(map[core.ObjectID]float64)
+	scores := make(map[uint32]float64)
 	for _, t := range terms {
-		tid, ok := ix.dict.Lookup(t)
-		if !ok {
-			continue
-		}
-		list := ix.postings[tid]
+		list := ix.listOf(t)
 		if len(list) == 0 {
 			continue
 		}
 		idf := idfFor(numDocs, len(list))
 		for _, p := range list {
-			scores[p.Doc] += float64(p.TF) * idf
+			scores[p.doc] += float64(p.tf) * idf
 		}
 	}
-	for id, s := range scores {
-		if l := ix.docLen[id]; l > 0 {
-			s /= float64(l)
+	for n, s := range scores {
+		d := &ix.docs[n]
+		if d.length > 0 {
+			s /= float64(d.length)
 		}
-		dst = append(dst, Score{Doc: id, Value: s})
+		dst = append(dst, Score{Doc: d.id, Value: s})
 	}
 	return dst
+}
+
+// listOf returns term's posting list, nil for a term the index lacks.
+func (ix *InvertedIndex) listOf(term string) []posting {
+	tid, ok := ix.dict.Lookup(term)
+	if !ok || int(tid) >= len(ix.lists) {
+		return nil
+	}
+	return ix.lists[tid]
 }
 
 // SelectTop keeps the n best scores (Value descending, Doc ascending on

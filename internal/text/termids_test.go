@@ -255,22 +255,17 @@ func vectorByStrings(c *Corpus, title, body map[string]int, omega float64) Vecto
 	return vectorize(body).AddScaled(vt, omega).Normalize()
 }
 
-// indexByStrings is the string-keyed IndexCounts it replaced: each term
-// resolved through the dictionary under the index lock.
-func indexByStrings(ix *InvertedIndex, id core.ObjectID, counts map[string]int) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.docLen[id]; ok {
-		ix.removeLocked(id)
-	}
+// indexByStrings is the string-keyed IndexCounts it replaced, into the
+// reference index: each term resolved through the dictionary.
+func indexByStrings(ref *fullScanIndex, dict *Dictionary, id core.ObjectID, counts map[string]int) {
+	ref.remove(id)
 	total := 0
 	for term, n := range counts {
-		tid := ix.dict.ID(term)
-		ix.postings[tid] = append(ix.postings[tid], Posting{Doc: id, TF: n})
+		tid := dict.ID(term)
+		ref.postings[tid] = append(ref.postings[tid], refPosting{Doc: id, TF: n})
 		total += n
-		ix.docTerms[id] = append(ix.docTerms[id], tid)
 	}
-	ix.docLen[id] = total
+	ref.docLen[id] = total
 }
 
 // A page's terms resolved once to ID-sorted counts give the vector, the
@@ -284,7 +279,7 @@ func TestTermIDPathMatchesStringPath(t *testing.T) {
 		for i := 0; i < docs; i++ {
 			c.Add(pageText(rng, 30))
 		}
-		byIDs, byStrings := NewInvertedIndex(c.Dict()), NewInvertedIndex(c.Dict())
+		byIDs, byStrings := NewInvertedIndex(c.Dict()), newFullScanIndex()
 		for i := 0; i < 300; i++ {
 			title, body := pageText(rng, rng.Intn(6)), pageText(rng, rng.Intn(300))
 			omega := []float64{0.5, 1, 3}[rng.Intn(3)]
@@ -295,10 +290,11 @@ func TestTermIDPathMatchesStringPath(t *testing.T) {
 				t.Fatalf("docs %d: vector of %q / %q = %v, string path %v", docs, title, body, got, want)
 			}
 			id := core.ObjectID(rng.Intn(200)) // some pages replace others
-			byIDs.IndexCounts(id, MergeCounts(tc, bc))
-			indexByStrings(byStrings, id, SumCounts(TermCounts(title), TermCounts(body)))
+			byIDs.IndexVector(id, MergeCounts(tc, bc), got)
+			indexByStrings(byStrings, c.Dict(), id, SumCounts(TermCounts(title), TermCounts(body)))
 		}
-		if !reflect.DeepEqual(byIDs.postings, byStrings.postings) || !reflect.DeepEqual(byIDs.docLen, byStrings.docLen) {
+		postings, docLen := byIDs.view()
+		if !reflect.DeepEqual(postings, byStrings.postings) || !reflect.DeepEqual(docLen, byStrings.docLen) {
 			t.Fatalf("docs %d: postings or document lengths differ from the string path", docs)
 		}
 	}

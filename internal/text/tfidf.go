@@ -102,13 +102,18 @@ func (c *Corpus) Vectorize(content string) Vector {
 }
 
 // vectorizeCounts is Vectorize for ID-sorted counts: no map, no sort.
+// While the corpus counts no document every term's IDF is ln(1/1)+1 = 1
+// exactly, so it is not looked up: a product with 1 is the weight itself.
 func (c *Corpus) vectorizeCounts(counts []TermCount) Vector {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	ids := make([]TermID, len(counts))
 	ws := make([]float64, len(counts))
 	for i, tc := range counts {
-		ids[i], ws[i] = tc.ID, (1+math.Log(float64(tc.N)))*c.idfLocked(tc.ID)
+		ids[i], ws[i] = tc.ID, 1+math.Log(float64(tc.N))
+		if c.numDocs > 0 {
+			ws[i] *= c.idfLocked(tc.ID)
+		}
 	}
 	return makeUnit(ids, ws)
 }

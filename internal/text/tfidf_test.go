@@ -3,6 +3,7 @@ package text
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -149,5 +150,30 @@ func TestCorpusConcurrentAdd(t *testing.T) {
 	wg.Wait()
 	if c.numDocs != 800 {
 		t.Errorf("%d documents, want 800", c.numDocs)
+	}
+}
+
+// vectorizeCounts, which skips the IDF while the corpus counts no
+// document, gives the general formula's vector bit for bit — each weight
+// (1+ln tf)·idf, unit-normalized — over seeded counts, before and after
+// the corpus counts documents.
+func TestVectorizeCountsMatchesGeneralFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := NewCorpus()
+	for _, docs := range []int{0, 25} {
+		for c.numDocs < docs {
+			c.Add(pageText(rng, 40))
+		}
+		for i := 0; i < 200; i++ {
+			counts := c.dict.Counts(pageText(rng, rng.Intn(300)))
+			ids := make([]TermID, len(counts))
+			ws := make([]float64, len(counts))
+			for j, tc := range counts {
+				ids[j], ws[j] = tc.ID, (1+math.Log(float64(tc.N)))*c.idfLocked(tc.ID)
+			}
+			if got, want := c.vectorizeCounts(counts), makeVector(ids, ws).Normalize(); !sameBits(got, want) {
+				t.Fatalf("%d documents: vector %v, general formula %v", docs, got, want)
+			}
+		}
 	}
 }

@@ -29,10 +29,11 @@ type WeightedTerm struct {
 type Manager struct {
 	mu   sync.RWMutex
 	dict *text.Dictionary
-	// weights is the importance of each term, accumulated from prioritized
-	// content and sensor bursts, decayed over time. A mutable Builder (not
-	// an immutable Vector) because the model changes on every Learn.
-	weights text.Builder
+	// weights[id] is the importance of term id, accumulated from
+	// prioritized content and sensor bursts, decayed over time; zero for a
+	// term never weighted. TermID-indexed, up to the largest term weighted,
+	// so Heat reads a page's terms by index.
+	weights []float64
 	// norm2 is the squared Euclidean norm of weights, maintained
 	// incrementally so Heat never has to scan the whole model.
 	norm2 float64
@@ -49,15 +50,17 @@ func NewManager(dict *text.Dictionary) *Manager {
 		dict = text.NewDictionary()
 	}
 	return &Manager{
-		dict:    dict,
-		weights: text.NewBuilder(),
-		cooc:    make(map[text.TermID]map[text.TermID]float64),
+		dict: dict,
+		cooc: make(map[text.TermID]map[text.TermID]float64),
 	}
 }
 
 // bump adds d to one term's weight and keeps norm2 in sync:
 // (w+d)² − w² = d·(2w + d).
 func (m *Manager) bump(id text.TermID, d float64) {
+	if int(id) >= len(m.weights) {
+		m.weights = append(m.weights, make([]float64, int(id)+1-len(m.weights))...)
+	}
 	old := m.weights[id]
 	m.weights[id] = old + d
 	m.norm2 += d * (2*old + d)
@@ -111,7 +114,9 @@ func (m *Manager) BoostTerm(term string, w float64) {
 
 // Heat scores how hot a document vector is under the current topic
 // weights: the dot product with the (unit-normalized) weight vector, in
-// [0, 1] for unit document vectors. A zero model scores everything 0.
+// [0, 1] for unit document vectors. A zero model scores everything 0. The
+// products are added in the vector's TermID order; a term the model never
+// weighted adds nothing.
 func (m *Manager) Heat(vec text.Vector) float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -120,30 +125,28 @@ func (m *Manager) Heat(vec text.Vector) float64 {
 	}
 	var dot float64
 	vec.ForEach(func(id text.TermID, w float64) {
-		dot += w * m.weights[id]
+		if int(id) < len(m.weights) {
+			dot += w * m.weights[id]
+		}
 	})
 	return dot / math.Sqrt(m.norm2)
 }
 
-// Decay multiplies all weights by factor in (0,1], dropping negligible
-// entries. Hot topics have short lifetimes (§4.4); the warehouse calls
-// Decay on a fixed cadence.
+// Decay multiplies all weights by factor in (0,1], zeroing negligible
+// ones. Hot topics have short lifetimes (§4.4); the warehouse calls Decay
+// on a fixed cadence.
 func (m *Manager) Decay(factor float64) {
 	if factor <= 0 || factor > 1 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for id, w := range m.weights {
-		w *= factor
-		if math.Abs(w) < 1e-9 {
-			delete(m.weights, id)
-		} else {
-			m.weights[id] = w
-		}
-	}
 	m.norm2 = 0
-	for _, w := range m.weights {
+	for id, w := range m.weights {
+		if w *= factor; math.Abs(w) < 1e-9 {
+			w = 0
+		}
+		m.weights[id] = w
 		m.norm2 += w * w
 	}
 	for a, row := range m.cooc {
@@ -159,11 +162,17 @@ func (m *Manager) Decay(factor float64) {
 	}
 }
 
-// HotTerms returns the n most important terms.
+// HotTerms returns the n most important terms of nonzero weight.
 func (m *Manager) HotTerms(n int) []WeightedTerm {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	ids := m.weights.Top(n)
+	b := make(text.Builder)
+	for id, w := range m.weights {
+		if w != 0 {
+			b[text.TermID(id)] = w
+		}
+	}
+	ids := b.Top(n)
 	out := make([]WeightedTerm, len(ids))
 	for i, id := range ids {
 		out[i] = WeightedTerm{Term: m.dict.Term(id), Weight: m.weights[id]}

@@ -2,6 +2,7 @@ package topic
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -257,5 +258,52 @@ func TestSensorDefaultDecay(t *testing.T) {
 	s := NewSensor(core.NewSimClock(0), 5) // invalid decay falls back
 	if s.decay != 0.9 {
 		t.Errorf("decay = %v, want default 0.9", s.decay)
+	}
+}
+
+// Heat over the TermID-indexed model is the map-keyed model's Heat bit for
+// bit: the same products added in the vector's TermID order, over a
+// seeded mix of learned pages, priorities (zero too) and boosts.
+func TestHeatMatchesMapModel(t *testing.T) {
+	c := text.NewCorpus()
+	m := NewManager(c.Dict())
+	ref, norm2 := map[text.TermID]float64{}, 0.0
+	refBump := func(id text.TermID, d float64) {
+		old := ref[id]
+		ref[id] = old + d
+		norm2 += d * (2*old + d)
+	}
+	words := strings.Fields("kyoto station travel festival fireworks osaka castle data warehouse index night bus deer park temple garden")
+	rng := rand.New(rand.NewSource(3))
+	page := func() text.Vector {
+		var b strings.Builder
+		for i := 1 + rng.Intn(12); i > 0; i-- {
+			b.WriteString(words[rng.Intn(len(words))] + " ")
+		}
+		return c.VectorizeNew(b.String())
+	}
+	for i := 0; i < 300; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			w, x := words[rng.Intn(len(words))], float64(1+rng.Intn(4))
+			m.BoostTerm(w, x)
+			for _, term := range text.Terms(w) {
+				refBump(c.Dict().ID(term), x)
+			}
+		default:
+			v, prio := page(), core.Priority(rng.Intn(4))/4
+			m.Learn(v, prio)
+			v.ForEach(func(id text.TermID, w float64) { refBump(id, float64(prio)*w) })
+		}
+		probe := page()
+		var dot float64
+		probe.ForEach(func(id text.TermID, w float64) { dot += w * ref[id] })
+		want := 0.0
+		if norm2 > 0 {
+			want = dot / math.Sqrt(norm2)
+		}
+		if got := m.Heat(probe); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: Heat %v, map model %v", i, got, want)
+		}
 	}
 }

@@ -601,7 +601,7 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 		w.topics.Learn(rec.vec, prio)
 	}
 	// Indexes and version history.
-	w.index.IndexCounts(st.physID, rec.terms)
+	w.index.IndexVector(st.physID, rec.terms, rec.vec)
 	if err := w.history.Capture(rec.url, version.Snapshot{
 		Version: p.Version, Time: w.clock.Now(), Title: p.Title, Size: p.Size,
 	}); err != nil {

@@ -273,6 +273,6 @@ func (w *Warehouse) restorePage(cp *catalogPage, rec *record) error {
 	sh.mu.Lock()
 	sh.pages[cp.URL] = st
 	sh.mu.Unlock()
-	w.index.IndexCounts(phys.ID, pc.terms)
+	w.index.IndexVector(phys.ID, pc.terms, pc.vec)
 	return nil
 }
