@@ -18,6 +18,7 @@ import (
 
 	"cbfww/internal/core"
 	"cbfww/internal/gateway"
+	"cbfww/internal/logmine"
 	"cbfww/internal/simweb"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
@@ -104,13 +105,22 @@ func BenchmarkWarehouseMaintain(b *testing.B) {
 	}
 }
 
-// BenchmarkWarehouseMinePaths measures the discovery sweep over the
-// accumulated operational log.
+// BenchmarkWarehouseMinePaths measures the discovery sweep over the log
+// of one walk through every page.
 func BenchmarkWarehouseMinePaths(b *testing.B) {
-	w, _, _ := benchWorld(b)
+	w, g, clock := benchWorld(b)
+	var log logmine.Log
+	for _, u := range g.PageURLs {
+		r, err := w.Get("bench", u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		log = append(log, logmine.Record{Time: clock.Now(), User: "bench", URL: u, Status: 200, Bytes: r.Page.Size})
+		clock.Advance(1)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.MinePaths(); err != nil {
+		if _, err := w.MinePaths(log); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"cbfww/internal/core"
+	"cbfww/internal/logmine"
 	"cbfww/internal/warehouse"
 	"cbfww/internal/workload"
 )
@@ -54,26 +55,31 @@ func main() {
 		fmt.Println("  ", u)
 	}
 
-	// Seven users walk it; others wander.
+	// Seven users walk it; others wander. The walks are kept as an access
+	// log, the one the warehouse mines.
+	var walks logmine.Log
+	get := func(user, url string) {
+		res, err := w.Get(user, url)
+		if err != nil {
+			log.Fatal(err)
+		}
+		walks = append(walks, logmine.Record{Time: clock.Now(), User: user, URL: url, Status: 200, Bytes: res.Page.Size})
+	}
 	for i := 0; i < 7; i++ {
 		user := fmt.Sprintf("user%02d", i)
 		for _, u := range path {
-			if _, err := w.Get(user, u); err != nil {
-				log.Fatal(err)
-			}
+			get(user, u)
 			clock.Advance(5)
 		}
 		clock.Advance(4000) // session boundary
 	}
 	for i, u := range web.PageURLs[5:15] {
-		if _, err := w.Get(fmt.Sprintf("wanderer%d", i%3), u); err != nil {
-			log.Fatal(err)
-		}
+		get(fmt.Sprintf("wanderer%d", i%3), u)
 		clock.Advance(2500)
 	}
 
 	// Mine logical pages.
-	rep, err := w.MinePaths()
+	rep, err := w.MinePaths(walks)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,5 +110,4 @@ func main() {
 	for _, s := range w.Recommend("newcomer", 3) {
 		fmt.Printf("  score=%.3f %v\n", s.Value, s.Doc)
 	}
-	_ = core.TimeNever
 }

@@ -327,7 +327,7 @@ func Q1PopularityQueries(seed int64) Table {
 		c.Miner.MinSupport = 2
 	})
 	must(Replay(w, clock, tr.Log, 6*3600, Hooks{}))
-	if _, err := w.MinePaths(); err != nil {
+	if _, err := w.MinePaths(tr.Log); err != nil {
 		panic(err)
 	}
 

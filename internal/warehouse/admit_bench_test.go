@@ -138,7 +138,9 @@ func BenchmarkAdmitNew(b *testing.B) {
 // then 161, with a Builder map per part, a copy per normalization and
 // four allocations per centroid step; then 138, with a string-keyed count
 // map per part; then 133, with a fresh weight slice per centroid step).
-// Measured: 132; the ceiling sits 20 % above (158.4, rounded down).
+// Measured: 130 on Go 1.24 for amd64; the ceiling sits 10 % above (143).
+// The race detector's count includes its own and varies (151–155
+// measured), so under it the ceiling stays at 158.
 func TestAdmitNewAllocCeiling(t *testing.T) {
 	w, fresh := admitBench(t, "")
 	for i := 0; i < 64; i++ { // warm the dictionary, the stem memo and the media pool
@@ -152,10 +154,13 @@ func TestAdmitNewAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 158
-	t.Logf("allocs per 8 KiB admission: %.0f (ceiling %d)", got, ceiling)
+	ceiling := 143.0
+	if raceEnabled {
+		ceiling = 158
+	}
+	t.Logf("allocs per 8 KiB admission: %.0f (ceiling %.0f)", got, ceiling)
 	if got > ceiling {
-		t.Errorf("one 8 KiB admission allocates %.0f times, ceiling %d", got, ceiling)
+		t.Errorf("one 8 KiB admission allocates %.0f times, ceiling %.0f", got, ceiling)
 	}
 }
 

@@ -67,7 +67,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					_ = w.Resident(urls[j%len(urls)])
 					_ = w.Recommend("user", 3)
 					_ = w.RecommendPages("user", 3)
-					_ = w.AccessLog()
 					if _, err := w.Query(`SELECT MFU 3 p.url FROM Physical_Page p`); err != nil {
 						t.Errorf("Query: %v", err)
 						return

@@ -214,7 +214,6 @@ func (w *Warehouse) joinCold(ctx context.Context, sh *shard, user, url string, p
 	if !prefetch {
 		w.countRequest(sh, out)
 	}
-	w.appendLog(user, url, out, false)
 	out.Coalesced = true
 	return splitBody(out, nil)
 }
@@ -306,7 +305,6 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 		out := GetResult{Page: p, Source: sourceOrigin, Latency: f.rec.fr.Latency}
 		out.Priority, _ = w.store.Priority(st.container)
 		w.afterServe(sh, user, st, out, prefetch)
-		w.appendLog(user, st.url, out, applied)
 		if rep := w.replicator(); rep != nil && applied {
 			rep(url, p) // fresh content propagates to the replica set
 		}
@@ -575,7 +573,6 @@ func (w *Warehouse) commit(sh *shard, rec *record, base int) (*pageState, bool, 
 		}
 		container, _ := w.objects.ByKey(object.KindRaw, rec.url)
 		st = &pageState{
-			url:               rec.url,
 			physID:            phys.ID,
 			container:         container.ID,
 			version:           p.Version,
@@ -636,9 +633,6 @@ func (w *Warehouse) AdmitReplica(url string, fr core.FetchResult) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	if base == absent {
-		w.appendLog("", url, GetResult{Page: fr.Page}, false) // logged as a prefetch is
-	}
 	if applied {
 		sh.stats.ReplicaAdmits++
 	}
@@ -646,7 +640,7 @@ func (w *Warehouse) AdmitReplica(url string, fr core.FetchResult) (bool, error) 
 }
 
 // firstSight finishes a miss whose record commit took for a cold URL: it
-// serves the fetched page, counts and logs the request, and hands a kept
+// serves the fetched page, counts the request, and hands a kept
 // page to the rest of its replica set. st is the admitted page, nil if the
 // admission rules refused it (the user still gets the page). Requires
 // sh.mu (write).
@@ -659,7 +653,6 @@ func (w *Warehouse) firstSight(sh *shard, user string, rec *record, st *pageStat
 	case !prefetch:
 		w.countRequest(sh, out)
 	}
-	w.appendLog(user, rec.url, out, false)
 	if st != nil && prefetch {
 		sh.stats.Prefetches++
 	}
@@ -700,8 +693,7 @@ func (w *Warehouse) admitToStorage(container core.ObjectID, p *core.Page, prio c
 }
 
 // afterServe updates usage, region heat and the user profile, and counts
-// the request; a hit is logged under st's own URL string, so nothing of
-// the request outlives it. Requires sh.mu (write).
+// the request. Requires sh.mu (write).
 func (w *Warehouse) afterServe(sh *shard, user string, st *pageState, out GetResult, prefetch bool) {
 	if prefetch {
 		return
@@ -714,9 +706,6 @@ func (w *Warehouse) afterServe(sh *shard, user string, st *pageState, out GetRes
 		w.social.ObserveVisit(user, st.physID, st.vec)
 	}
 	w.countRequest(sh, out)
-	if out.Hit {
-		w.appendLog(user, st.url, out, false)
-	}
 }
 
 func (w *Warehouse) countRequest(sh *shard, out GetResult) {
@@ -728,36 +717,6 @@ func (w *Warehouse) countRequest(sh *shard, out GetResult) {
 			sh.stats.MemoryHits++
 		}
 	}
-}
-
-// logEntry is one access of the operational log, as compact as it can be
-// kept: AccessLog expands it to a logmine.Record, every one served 200
-// with no referrer.
-type logEntry struct {
-	at        core.Time
-	user, url string
-	bytes     core.Bytes
-	modified  bool
-}
-
-// logChunk is the number of entries in each chunk of the operational log.
-const logChunk = 1024
-
-// appendLog records the access in the warehouse's operational log
-// ("Operational data (logs) are also stored for priority management and
-// performance improvement"). The log has its own mutex so appends from
-// different shards keep a single total order — sessionization and path
-// mining depend on per-user access order across the whole warehouse. The
-// log grows a chunk at a time, so an append never copies what is logged.
-func (w *Warehouse) appendLog(user, url string, out GetResult, modified bool) {
-	e := logEntry{at: w.clock.Now(), user: user, url: url, bytes: out.Page.Size, modified: modified}
-	w.logMu.Lock()
-	if w.logN%logChunk == 0 {
-		w.logChunks = append(w.logChunks, new([logChunk]logEntry))
-	}
-	w.logChunks[w.logN/logChunk][w.logN%logChunk] = e
-	w.logN++
-	w.logMu.Unlock()
 }
 
 func sizeOrOne(b core.Bytes) core.Bytes {

@@ -24,13 +24,13 @@ type MineReport struct {
 	Regions      int
 }
 
-// MinePaths runs the Logical Page Manager's discovery pass: sessionize the
-// operational log, mine frequently traversed paths, promote them to
-// logical page objects with §5.3 content assembly, cluster the logical
-// documents into semantic regions, and hand the path set to the
-// Recommendation Manager.
-func (w *Warehouse) MinePaths() (MineReport, error) {
-	sessions := logmine.Sessionize(w.AccessLog(), sessionTimeout)
+// MinePaths runs the Logical Page Manager's discovery pass over an access
+// log its caller kept (the warehouse keeps none): sessionize the log, mine
+// frequently traversed paths, promote them to logical page objects with
+// §5.3 content assembly, cluster the logical documents into semantic
+// regions, and hand the path set to the Recommendation Manager.
+func (w *Warehouse) MinePaths(log logmine.Log) (MineReport, error) {
+	sessions := logmine.Sessionize(log, sessionTimeout)
 	paths := logmine.MaximalOnly(logmine.MinePaths(sessions, w.cfg.Miner))
 	rep := MineReport{Sessions: len(sessions), Paths: len(paths)}
 
@@ -243,22 +243,4 @@ func (w *Warehouse) applyPriorities() {
 		}
 	})
 	w.store.ApplyPriorities(raws)
-}
-
-// AccessLog returns a copy of the operational log, in append order. Only
-// the chunk list is read under logMu: the entries before logN are never
-// written again, so they are expanded while hits go on appending.
-func (w *Warehouse) AccessLog() logmine.Log {
-	w.logMu.Lock()
-	chunks, n := w.logChunks, w.logN
-	w.logMu.Unlock()
-	if n == 0 {
-		return nil
-	}
-	out := make(logmine.Log, n)
-	for i := range out {
-		e := &chunks[i/logChunk][i%logChunk]
-		out[i] = logmine.Record{Time: e.at, User: e.user, URL: e.url, Status: 200, Bytes: e.bytes, Modified: e.modified}
-	}
-	return out
 }

@@ -257,7 +257,6 @@ func (w *Warehouse) restorePage(cp *catalogPage, rec *record) error {
 	}
 	prio, _ := w.store.Priority(container.ID)
 	st := &pageState{
-		url:               cp.URL,
 		physID:            phys.ID,
 		container:         container.ID,
 		version:           version,

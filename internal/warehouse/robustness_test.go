@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cbfww/internal/core"
+	"cbfww/internal/logmine"
 	"cbfww/internal/schema"
 	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
@@ -146,12 +147,15 @@ func TestWarehouseConcurrentMixedLoad(t *testing.T) {
 			go func(gi int) {
 				defer wg.Done()
 				user := fmt.Sprintf("user%d", gi)
+				var log logmine.Log // this user's walk, mined below
 				for i := 0; i < iters; i++ {
 					url := g.PageURLs[(gi*iters+i)%len(g.PageURLs)]
-					if _, err := w.Get(user, url); err != nil {
+					r, err := w.Get(user, url)
+					if err != nil {
 						t.Errorf("Get: %v", err)
 						return
 					}
+					log = append(log, logmine.Record{Time: clock.Now(), User: user, URL: url, Status: 200, Bytes: r.Page.Size})
 					switch i % 4 {
 					case 0:
 						if _, err := w.Query("SELECT MFU 3 p.url FROM Physical_Page p"); err != nil {
@@ -165,7 +169,7 @@ func TestWarehouseConcurrentMixedLoad(t *testing.T) {
 							t.Errorf("Maintain: %v", err)
 						}
 					case 3:
-						if _, err := w.MinePaths(); err != nil {
+						if _, err := w.MinePaths(log); err != nil {
 							t.Errorf("MinePaths: %v", err)
 						}
 					}

@@ -229,7 +229,6 @@ func (s Stats) MeanLatency() float64 {
 
 // pageState is warehouse-local bookkeeping per admitted physical page.
 type pageState struct {
-	url       string // the key of sh.pages, logged for every hit
 	physID    core.ObjectID
 	container core.ObjectID
 	version   int
@@ -289,14 +288,6 @@ type Warehouse struct {
 	// views holds per-user stored queries: user -> name -> query text
 	// (§3(5)'s per-user views of relevant contents).
 	views map[string]map[string]string
-
-	// logMu guards the operational log: logN entries, filling chunks in
-	// order. The critical section is one entry's store, so a dedicated
-	// mutex keeps the global total order of accesses (sessionization
-	// needs it) without re-serializing the request path.
-	logMu     sync.Mutex
-	logChunks []*[logChunk]logEntry
-	logN      int
 
 	// Tiered-index probe counters are warehouse-global (a search sweeps
 	// every shard), kept as atomics so SearchTiered stays lock-free

@@ -10,11 +10,23 @@ import (
 
 	"cbfww/internal/constraint"
 	"cbfww/internal/core"
+	"cbfww/internal/logmine"
 	"cbfww/internal/simweb"
 	"cbfww/internal/storage"
 	"cbfww/internal/topic"
 	"cbfww/internal/workload"
 )
+
+// getLogged serves user's request for url and appends it to log, the
+// access log a caller of MinePaths keeps.
+func getLogged(t *testing.T, w *Warehouse, clock core.Clock, log *logmine.Log, user, url string) {
+	t.Helper()
+	r, err := w.Get(user, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	*log = append(*log, logmine.Record{Time: clock.Now(), User: user, URL: url, Status: 200, Bytes: r.Page.Size})
+}
 
 // fixture builds a small generated web plus a warehouse over it.
 func fixture(t *testing.T, s stack, mutate func(*Config)) (*Warehouse, *workload.GeneratedWeb, *core.SimClock) {
@@ -229,13 +241,14 @@ func TestMinePathsBuildsLogicalPages(t *testing.T) {
 			t.Skip("generated page has no links")
 		}
 		second := p0.Anchors[0].Target
+		var log logmine.Log
 		for rep := 0; rep < 4; rep++ {
-			w.Get("bob", entry)
+			getLogged(t, w, clock, &log, "bob", entry)
 			clock.Advance(3)
-			w.Get("bob", second)
+			getLogged(t, w, clock, &log, "bob", second)
 			clock.Advance(3000) // session gap
 		}
-		rep, err := w.MinePaths()
+		rep, err := w.MinePaths(log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +488,7 @@ func TestStatsDerived(t *testing.T) {
 func TestMinePathsOnEmptyLog(t *testing.T) {
 	eachStack(t, func(t *testing.T, s stack) {
 		w, _, _ := fixture(t, s, nil)
-		rep, err := w.MinePaths()
+		rep, err := w.MinePaths(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,13 +526,14 @@ func TestMinePathsIdempotent(t *testing.T) {
 			t.Skip("no links")
 		}
 		second := p0.Anchors[0].Target
+		var log logmine.Log
 		for i := 0; i < 3; i++ {
-			w.Get("bob", entry)
+			getLogged(t, w, clock, &log, "bob", entry)
 			clock.Advance(3)
-			w.Get("bob", second)
+			getLogged(t, w, clock, &log, "bob", second)
 			clock.Advance(3000)
 		}
-		r1, err := w.MinePaths()
+		r1, err := w.MinePaths(log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,7 +541,7 @@ func TestMinePathsIdempotent(t *testing.T) {
 		// full (%v round-trips a float64), after the first mine.
 		regions := fmt.Sprint(w.regions.Regions())
 		for mine := 2; mine <= 3; mine++ {
-			r2, err := w.MinePaths()
+			r2, err := w.MinePaths(log)
 			if err != nil {
 				t.Fatal(err)
 			}
