@@ -1,5 +1,5 @@
 // Package analyzer implements the Data Analyzer of Figure 1: usage mining
-// over the warehouse's stored logs. It turns raw access logs into the
+// over an access log its caller hands it. It turns raw access logs into the
 // reports the paper's design decisions rest on — the one-timer ratio, the
 // popularity distribution, and hot-spot lifetimes ("for local events,
 // there will be almost no access of the corresponding web pages after the

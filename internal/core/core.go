@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -139,6 +140,23 @@ func NewWallClock() *WallClock { return &WallClock{epoch: time.Now()} }
 
 // Now returns whole seconds elapsed since the clock was created.
 func (c *WallClock) Now() Time { return Time(time.Since(c.epoch) / time.Second) }
+
+// Sleep waits d or until ctx is done, whichever is first: it returns nil
+// once d has passed, ctx.Err() if ctx ended first (at once when d is not
+// positive). It is the wall-clock wait of retry backoffs and politeness.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
 
 // Bytes is a storage size. It is signed so that accounting deltas can be
 // expressed directly, but live object sizes are always non-negative.

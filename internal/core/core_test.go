@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestIDAllocatorSequential(t *testing.T) {
@@ -156,5 +159,22 @@ func TestWallClockMonotone(t *testing.T) {
 	b := c.Now()
 	if b < a {
 		t.Fatalf("WallClock went backwards: %v then %v", a, b)
+	}
+}
+
+// Sleep waits out its delay, or returns ctx's error as soon as ctx ends.
+func TestSleep(t *testing.T) {
+	if err := Sleep(context.Background(), time.Millisecond); err != nil {
+		t.Errorf("Sleep = %v, want nil", err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, d := range []time.Duration{0, time.Hour} {
+		if err := Sleep(done, d); !errors.Is(err, context.Canceled) {
+			t.Errorf("Sleep(cancelled, %v) = %v, want context.Canceled", d, err)
+		}
+	}
+	if err := Sleep(context.Background(), 0); err != nil {
+		t.Errorf("Sleep(0) = %v, want nil", err)
 	}
 }

@@ -109,14 +109,10 @@ func (r *Requester) polite(ctx context.Context, host string) error {
 		now := time.Now()
 		if wait := r.cfg.PerHostInterval - now.Sub(last); wait > 0 {
 			r.mu.Unlock()
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-				continue
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
+			if err := core.Sleep(ctx, wait); err != nil {
+				return err
 			}
+			continue
 		}
 		r.lastHit[host] = now
 		r.fetches++

@@ -107,7 +107,7 @@ func (c *Cluster) Proxy(w http.ResponseWriter, r *http.Request, owner string) bo
 			if attempt >= attempts || r.Context().Err() != nil {
 				return false
 			}
-			if !c.backoff(r.Context(), attempt) {
+			if core.Sleep(r.Context(), c.backoff(attempt)) != nil {
 				return false
 			}
 			continue
@@ -284,23 +284,13 @@ func (c *Cluster) put(ctx context.Context, peer, url string, page core.Page) err
 	return nil
 }
 
-// backoff sleeps the (linear, small) retry delay, false when ctx ends
-// first. Peer retries are a single quick second chance, not the origin
-// wrapper's full exponential ladder — the fallback path is always local.
-func (c *Cluster) backoff(ctx context.Context, attempt int) bool {
+// backoff is the (linear, small) retry delay after attempt. Peer retries
+// are a single quick second chance, not the origin wrapper's full
+// exponential ladder — the fallback path is always local.
+func (c *Cluster) backoff(attempt int) time.Duration {
 	d := c.cfg.Retry.BaseBackoff * time.Duration(attempt)
 	if max := c.cfg.Retry.MaxBackoff; max > 0 && d > max {
 		d = max
 	}
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return d
 }

@@ -146,26 +146,9 @@ func (o *Origin) do(ctx context.Context, url string, op func() error) error {
 		o.mu.Lock()
 		o.retries++
 		o.mu.Unlock()
-		if !o.backoff(ctx, attempt) {
+		if core.Sleep(ctx, o.delay(attempt)) != nil {
 			return err
 		}
-	}
-}
-
-// backoff sleeps the equal-jittered exponential delay for the given
-// attempt number, returning false when ctx ends first.
-func (o *Origin) backoff(ctx context.Context, attempt int) bool {
-	d := o.delay(attempt)
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

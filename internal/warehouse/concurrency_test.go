@@ -90,7 +90,22 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		if got := w.Stats().Requests; got == 0 {
 			t.Fatal("no requests recorded")
 		}
+		noFlights(t, w)
 	})
+}
+
+// noFlights fails t unless every shard's flights map is empty, as it is
+// whenever no request is in flight.
+func noFlights(t *testing.T, w *Warehouse) {
+	t.Helper()
+	for i, sh := range w.shards {
+		sh.mu.RLock()
+		n := len(sh.flights)
+		sh.mu.RUnlock()
+		if n != 0 {
+			t.Errorf("shard %d holds %d flights with no request in flight", i, n)
+		}
+	}
 }
 
 // TestResizeRacesGetBody oscillates the memory tier's capacity while
@@ -661,5 +676,137 @@ func TestOneFlightPerColdPage(t *testing.T) {
 				}
 			}
 		})
+	})
+}
+
+// A revalidation whose sender hangs up mid-HEAD still completes for the
+// requests waiting on it: the origin sees one HEAD and one GET, and every
+// waiter is served the new version, fresh.
+func TestCancelledSenderRevalidatesForWaiters(t *testing.T) {
+	eachStack(t, func(t *testing.T, s stack) {
+		r := newProbeRig(t, s, 2, 1)
+		url := r.urls[0]
+		r.update(t, url)
+		r.stale()
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		r.origin.hook = func(method, _ string) {
+			if method == "HEAD" {
+				once.Do(func() { close(entered) })
+				<-release
+			}
+		}
+		r.origin.heads.Store(0)
+		r.origin.gets.Store(0)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		sender := make(chan error, 1)
+		go func() {
+			_, err := r.w.GetCtx(ctx, "u", url)
+			sender <- err
+		}()
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no HEAD reached the origin")
+		}
+		// Each waiter takes the stripe lock once, finds the flight and
+		// waits for it.
+		sh := r.w.shardOf(url)
+		acquired := sh.lockAcquires.Load()
+		const n = 4
+		results, errs := make([]GetResult, n), make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = r.w.Get("u", url)
+			}(i)
+		}
+		for deadline := time.Now().Add(10 * time.Second); sh.lockAcquires.Load() < acquired+n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the waiters never reached the flight")
+			}
+		}
+		cancel()
+		close(release)
+		wg.Wait()
+		if err := <-sender; err != nil {
+			t.Errorf("cancelled sender: %v", err)
+		}
+		if h, g := r.origin.heads.Load(), r.origin.gets.Load(); h != 1 || g != 1 {
+			t.Errorf("a cancelled sender and %d waiters sent %d HEADs and %d GETs, want 1 and 1", n, h, g)
+		}
+		for i := range results {
+			if errs[i] != nil {
+				t.Fatalf("waiter %d: %v", i, errs[i])
+			}
+			if got := results[i]; got.Page.Version != 2 || got.Stale {
+				t.Errorf("waiter %d served version %d, stale %v; want 2, fresh", i, got.Page.Version, got.Stale)
+			}
+		}
+		noFlights(t, r.w)
+	})
+}
+
+// A replica push that lands while a cold URL's first fetch is out is what
+// the fetch's sender and every request waiting on it are served; the
+// origin sees one GET.
+func TestReplicaPushDuringColdFetch(t *testing.T) {
+	const url = "http://s.example/cold"
+	eachStack(t, func(t *testing.T, s stack) {
+		clock := core.NewSimClock(0)
+		web := simweb.NewWeb(clock)
+		web.AddSite("s.example", 30)
+		if err := web.AddPage(&core.Page{URL: url, Title: "cold page", Body: "cold body", Size: core.KB}); err != nil {
+			t.Fatal(err)
+		}
+		o := &gatedOrigin{web: web, gate: make(chan struct{}), started: make(chan struct{}, 64)}
+		cfg := DefaultConfig()
+		cfg.Storage.Tiers = storage.ClassicTiers(256*core.KB, 32*core.MB)
+		w := s.open(t, cfg, clock, o)
+
+		const n = 4
+		type answer struct {
+			res GetResult
+			err error
+		}
+		answers := make(chan answer, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				res, err := w.Get("u", url)
+				answers <- answer{res, err}
+			}()
+		}
+		select {
+		case <-o.started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no fetch reached the origin")
+		}
+		for deadline := time.Now().Add(10 * time.Second); w.Stats().Coalesced < n-1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d requests wait for the fetch", w.Stats().Coalesced, n-1)
+			}
+		}
+		pushed := core.Page{URL: url, Title: "cold page", Body: "pushed body", Size: core.KB, Version: 5}
+		if took, err := w.AdmitReplica(url, core.FetchResult{Page: pushed}); err != nil || !took {
+			t.Fatalf("AdmitReplica = (%v, %v), want taken", took, err)
+		}
+		close(o.gate)
+		for i := 0; i < n; i++ {
+			a := <-answers
+			if a.err != nil {
+				t.Fatal(a.err)
+			}
+			if a.res.Page.Version != 5 || a.res.Page.Body != "pushed body" {
+				t.Errorf("served version %d, body %q; want the pushed v5", a.res.Page.Version, a.res.Page.Body)
+			}
+		}
+		if g := o.gets.Load(); g != 1 {
+			t.Errorf("%d requests sent %d GETs, want 1", n, g)
+		}
+		noFlights(t, w)
 	})
 }

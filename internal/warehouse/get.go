@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"cbfww/internal/constraint"
 	"cbfww/internal/core"
@@ -50,11 +49,11 @@ func (w *Warehouse) Get(user, url string) (GetResult, error) {
 	return w.GetCtx(context.Background(), user, url)
 }
 
-// GetCtx is Get bounded by a context: deadline expiry aborts origin
-// calls mid-flight, and so does cancellation, except of a cold URL's
-// first fetch once it has left, which others may be waiting for. A trip
-// to the origin is also cut at the fetch pool's budget (SetFetchWorkers),
-// so a daemon passes its request's context as is and a hit arms no timer.
+// GetCtx is Get bounded by a context. A trip to the origin keeps ctx's
+// deadline, cut at the fetch pool's budget (SetFetchWorkers), but not its
+// cancellation, since other requests may be waiting for it; a request
+// whose ctx is already done sends no trip. So a daemon passes its
+// request's context as is, and a hit arms no timer.
 func (w *Warehouse) GetCtx(ctx context.Context, user, url string) (GetResult, error) {
 	return withBody(w.get(ctx, user, url, false, stepCheck))
 }
@@ -92,79 +91,105 @@ func (w *Warehouse) Refresh(ctx context.Context, url string) (GetResult, error) 
 // GetResult carries an empty Page.Body; the body arrives via the
 // BodyStream, which the caller must Close. A resident page starts at
 // first; stepFetch (Refresh) also finds no cold URL instead of admitting.
+// A request that finds a flight out for url waits for it (or for ctx).
+// After a revalidation it decides afresh; after a first fetch it is served
+// without an origin fetch of its own: the kept copy, as a hit, or else what
+// the flight's sender was served. Such a request is counted as it would
+// have been a moment after the flight, and in Stats.Coalesced.
 func (w *Warehouse) get(ctx context.Context, user, url string, prefetch bool, first step) (GetResult, *BodyStream, error) {
 	sh := w.shardOf(url)
 	sh.lock()
+	var cold *flight // the first fetch this request waited for
+	for f := sh.flights[url]; f != nil; f = sh.flights[url] {
+		if f.base == absent && cold == nil && !prefetch {
+			sh.stats.Coalesced++
+		}
+		sh.mu.Unlock()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return GetResult{}, nil, ctx.Err()
+		}
+		if f.base == absent {
+			if f.err != nil {
+				return GetResult{}, nil, f.err
+			}
+			cold, first = f, max(first, stepServe) // a Refresh still refetches
+		}
+		sh.lock()
+	}
 	if st := sh.pages[url]; st != nil {
-		return w.serveResident(ctx, sh, user, url, st, prefetch, first)
+		out, bs, err := w.serveResident(ctx, sh, user, url, st, prefetch, first)
+		out.Coalesced = cold != nil
+		return out, bs, err
 	}
 	if first == stepFetch {
 		sh.mu.Unlock()
 		return GetResult{}, nil, fmt.Errorf("warehouse: refresh %q: %w", url, core.ErrNotFound)
 	}
-	if f := sh.cold[url]; f != nil {
-		if !prefetch {
-			sh.stats.Coalesced++
-		}
-		sh.mu.Unlock()
-		return w.joinCold(ctx, sh, user, url, prefetch, f)
+	if cold != nil { // refused: served as its sender was
+		defer sh.mu.Unlock()
+		out := w.firstSight(sh, user, cold.rec, nil, prefetch)
+		out.Coalesced = true
+		return splitBody(out, nil)
 	}
 	if err := ctx.Err(); err != nil {
 		sh.mu.Unlock()
 		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
 	}
-	f := &coldFlight{done: make(chan struct{})}
-	sh.cold[url] = f
+	f := &flight{done: make(chan struct{}), base: absent}
+	sh.flights[url] = f
 	sh.mu.Unlock()
 	return w.fetchCold(ctx, sh, user, url, prefetch, f)
 }
 
-// coldFlight is a cold URL's first fetch, from the request that sent it
-// to the requests that wait for it. Once done is closed, the page is kept,
-// or out (body included) and err hold what the sender was served.
-type coldFlight struct {
-	done chan struct{}
-	out  GetResult
-	err  error
+// flight is one trip to the origin for a URL, from the request that sent
+// it to the requests that wait for it in its shard's flights: a cold URL's
+// first fetch (base absent) or a resident page's revalidation. Once done
+// is closed, its other fields hold what the trip learned.
+type flight struct {
+	done            chan struct{}
+	base            int     // the page's version when the flight left
+	headed, fetched bool    // a HEAD answered; a GET was sent
+	rec             *record // the GET's answer, prepared
+	err             error   // what failed the trip
+}
+
+// land ends the flight f for url: it releases f's waiters and drops f from
+// sh.flights, but no later flight for url that replaced it there (the
+// sender of a first fetch may revalidate the page a replica push kept).
+// Requires sh.mu (write).
+func (sh *shard) land(url string, f *flight) {
+	if sh.flights[url] == f {
+		delete(sh.flights, url)
+	}
+	close(f.done)
 }
 
 // fetchCold is the first sight of url: it fetches the page outside the
 // shard lock, so cold misses proceed in parallel even within one stripe,
-// then retakes the lock to admit it and to end the flight f, which
-// sh.cold holds until then. The fetch waits for a slot of the fetch pool,
-// and it keeps ctx's deadline, cut at the pool's budget, but not its
-// cancellation: a sender that hangs up fails none of the requests waiting
-// for its page. In a cluster the miss checks peers before the origin
-// (local → peer → origin), so an object admitted anywhere costs the
-// origin exactly one fetch.
-func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, prefetch bool, f *coldFlight) (out GetResult, bs *BodyStream, err error) {
+// then retakes the lock to admit it and to land the flight f. The fetch
+// waits for a slot of the fetch pool, and in a cluster it checks peers
+// before the origin (local → peer → origin), so an object admitted
+// anywhere costs the origin exactly one fetch.
+func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, prefetch bool, f *flight) (out GetResult, bs *BodyStream, err error) {
 	locked := false
 	defer func() {
 		if !locked {
 			sh.lock()
 		}
-		delete(sh.cold, url)
 		f.err = err
+		sh.land(url, f)
 		sh.mu.Unlock()
-		close(f.done)
 	}()
-	fctx, p := context.WithoutCancel(ctx), w.pool.Load()
-	dl, ok := ctx.Deadline()
-	if p != nil && p.budget > 0 {
-		if b := time.Now().Add(p.budget); !ok || b.Before(dl) {
-			dl, ok = b, true
-		}
-	}
-	if ok {
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithDeadline(fctx, dl)
-		defer cancel()
-	}
-	fr, src, err := w.missFetch(fctx, p, url)
+	p := w.pool.Load()
+	tctx, cancel := p.trip(ctx)
+	defer cancel()
+	fr, src, err := w.missFetch(tctx, p, url)
 	if err != nil {
 		return GetResult{}, nil, fmt.Errorf("warehouse: fetch %q: %w", url, err)
 	}
-	rec := w.prepare(url, fr, src, false)
+	f.rec = w.prepare(url, fr, src, false)
 	sh.lock()
 	locked = true
 	if !prefetch {
@@ -174,7 +199,7 @@ func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, 
 			sh.stats.OriginFetches++
 		}
 	}
-	st, applied, err := w.commit(sh, rec, absent)
+	st, applied, err := w.commit(sh, f.rec, absent)
 	if err != nil {
 		return GetResult{}, nil, err
 	}
@@ -184,38 +209,7 @@ func (w *Warehouse) fetchCold(ctx context.Context, sh *shard, user, url string, 
 		locked = false // serveResident releases the lock
 		return w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
 	}
-	if out = w.firstSight(sh, user, rec, st, prefetch); st == nil {
-		f.out = out // refused: the waiters get the page as its sender does
-	}
-	return splitBody(out, nil)
-}
-
-// joinCold waits, under its own ctx, for the flight f that fetches the
-// cold url, then serves without an origin fetch of its own: the kept copy,
-// as a hit, or else what the flight's sender was served. It is counted as
-// it would have been a moment after the flight, and in Stats.Coalesced.
-func (w *Warehouse) joinCold(ctx context.Context, sh *shard, user, url string, prefetch bool, f *coldFlight) (GetResult, *BodyStream, error) {
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return GetResult{}, nil, ctx.Err()
-	}
-	if f.err != nil {
-		return GetResult{}, nil, f.err
-	}
-	sh.lock()
-	if st := sh.pages[url]; st != nil {
-		out, bs, err := w.serveResident(ctx, sh, user, url, st, prefetch, stepServe)
-		out.Coalesced = true
-		return out, bs, err
-	}
-	defer sh.mu.Unlock()
-	out := f.out
-	if !prefetch {
-		w.countRequest(sh, out)
-	}
-	out.Coalesced = true
-	return splitBody(out, nil)
+	return splitBody(w.firstSight(sh, user, f.rec, st, prefetch), nil)
 }
 
 // step is what a request for a resident page does next.
@@ -229,21 +223,10 @@ const (
 
 // serveResident serves the resident page st, revalidating or refetching
 // it as needed: it decides and applies under sh.mu, and fly makes the
-// origin calls unlocked. A request that finds st's origin calls out waits
-// for them (or for ctx), then decides afresh. A request makes at most one
-// HEAD and one GET: stepFetch is reached once, and every branch after a
-// GET returns. Called with sh.mu (write) held, where sh owns url; returns
-// with it released.
+// origin calls unlocked. A request makes at most one HEAD and one GET:
+// stepFetch is reached once, and every branch after a GET returns. Called
+// with sh.mu (write) held, where sh owns url; returns with it released.
 func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url string, st *pageState, prefetch bool, next step) (GetResult, *BodyStream, error) {
-	for wait := st.inflight; wait != nil; wait = st.inflight {
-		sh.mu.Unlock()
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			return GetResult{}, nil, ctx.Err()
-		}
-		sh.lock()
-	}
 	defer sh.mu.Unlock()
 	lost := false // a read of st's copy failed
 	for {
@@ -281,7 +264,7 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 				w.afterServe(sh, user, st, out, prefetch)
 				return out, bs, nil
 			}
-			if f.fetched {
+			if f.fetched || next == stepFetch { // a GET was sent, or was due
 				return GetResult{}, nil, fmt.Errorf("warehouse: refetch %q: %w", url, f.err)
 			}
 			lost, next = true, stepFetch // the HEAD failed, no copy is readable: try a GET
@@ -312,34 +295,26 @@ func (w *Warehouse) serveResident(ctx context.Context, sh *shard, user, url stri
 	}
 }
 
-// flight is what one trip to the origin learned about a resident page.
-type flight struct {
-	headed, fetched bool    // a HEAD answered; a GET was sent
-	base            int     // st's version when the flight left
-	rec             *record // the GET's answer, prepared
-	err             error   // the origin call that failed
-}
-
 // fly makes st's origin calls: a HEAD unless fetch, then a GET if fetch or
-// the HEAD names another version, then prepares the result. The calls
-// share ctx, cut at the fetch pool's budget.
-// Meanwhile sh.mu is released and st.inflight holds back requests for st
-// alone; hits on the rest of the stripe go on. Called with sh.mu (write)
-// held; returns, or panics, with it held again.
-func (w *Warehouse) fly(ctx context.Context, sh *shard, st *pageState, url string, fetch bool) (f flight) {
-	done := make(chan struct{})
-	st.inflight, f.base = done, st.version
+// the HEAD names another version, then prepares the result. Meanwhile
+// sh.mu is released and the flight, in sh.flights, holds back requests for
+// url alone; hits on the rest of the stripe go on. A request whose ctx is
+// done sends no trip. Called with sh.mu (write) held; returns, or panics,
+// with it held again.
+func (w *Warehouse) fly(ctx context.Context, sh *shard, st *pageState, url string, fetch bool) *flight {
+	f := &flight{base: st.version}
+	if f.err = ctx.Err(); f.err != nil {
+		return f
+	}
+	f.done = make(chan struct{})
+	sh.flights[url] = f
 	sh.mu.Unlock()
 	defer func() {
 		sh.lock()
-		st.inflight = nil
-		close(done)
+		sh.land(url, f)
 	}()
-	if p := w.pool.Load(); p != nil && p.budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.budget)
-		defer cancel()
-	}
+	ctx, cancel := w.pool.Load().trip(ctx)
+	defer cancel()
 	if !fetch {
 		ver, _, err := w.web.HeadCtx(ctx, url)
 		f.headed, f.err = err == nil, err

@@ -1,6 +1,9 @@
 package warehouse
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // fetchPool bounds how many cold misses fetch at once, a counting
 // semaphore sized at installation, and how long each trip to the origin
@@ -34,4 +37,20 @@ func (w *Warehouse) FetchWorkers() (inflight, workers int) {
 		return len(p.sem), cap(p.sem)
 	}
 	return 0, 0
+}
+
+// trip is the context of one trip to the origin: ctx's deadline, cut at
+// p's budget, without ctx's cancellation, since the requests waiting for
+// the trip share it. p may be nil (no pool).
+func (p *fetchPool) trip(ctx context.Context) (context.Context, context.CancelFunc) {
+	dl, ok := ctx.Deadline()
+	if p != nil && p.budget > 0 {
+		if b := time.Now().Add(p.budget); !ok || b.Before(dl) {
+			dl, ok = b, true
+		}
+	}
+	if ctx = context.WithoutCancel(ctx); !ok {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, dl)
 }

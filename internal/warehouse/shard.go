@@ -24,11 +24,12 @@ import (
 
 // shard is one lock stripe of the warehouse.
 type shard struct {
-	// mu guards pages, every pageState reachable from it, cold and stats.
-	mu    sync.RWMutex
-	pages map[string]*pageState  // by URL
-	cold  map[string]*coldFlight // URLs whose first fetch is out
-	stats Stats
+	// mu guards pages, every pageState reachable from it, flights and
+	// stats.
+	mu      sync.RWMutex
+	pages   map[string]*pageState // by URL
+	flights map[string]*flight    // URLs with a trip to the origin out
+	stats   Stats
 	// hotIndex is this shard's segment of the §4.1 memory-resident
 	// detailed index: it covers exactly the shard's pages whose bodies
 	// currently live in the memory tier.

@@ -8,11 +8,11 @@
 //	Web Requester ─► Constraint Mgr ─► Priority Mgr (admission-time priority
 //	      │                           from semantic regions + hot topics)
 //	      ▼                           │
-//	   indexes, version store, usage log, semantic regions, topic model
+//	   indexes, version store, usage tracker, semantic regions, topic model
 //
 // plus the non-transparent surfaces the paper promises: popularity-aware
 // queries (§4.3), recommendations and social navigation (§3(5)),
-// version history (§3(6)) and usage analysis.
+// version history (§3(6)) and path mining over its caller's access log.
 package warehouse
 
 import (
@@ -246,7 +246,6 @@ type pageState struct {
 	// inHotIndex tracks membership of the memory-resident detailed index
 	// (§4.1's index hierarchy).
 	inHotIndex bool
-	inflight   chan struct{} // non-nil while its origin calls are out; closed when done
 }
 
 // Warehouse is the assembled CBFWW system.
@@ -381,7 +380,7 @@ func New(cfg Config, clock core.Clock, web core.Origin) (*Warehouse, error) {
 	for i := range w.shards {
 		w.shards[i] = &shard{
 			pages:    make(map[string]*pageState),
-			cold:     make(map[string]*coldFlight),
+			flights:  make(map[string]*flight),
 			hotIndex: text.NewInvertedIndex(corpus.Dict()),
 		}
 	}
